@@ -142,15 +142,12 @@ def _coef(x) -> CoefExpr:
 
 def split_jet_free(e: CoefExpr) -> tuple[CoefExpr, CoefExpr]:
     """(jet-free-and-expf-free part, remainder)."""
-    free = ring.ZERO
-    rest = ring.ZERO
+    free = {}
+    rest = {}
     for (k, syms), coef in e.terms.items():
-        piece = CoefExpr({(k, syms): coef})
-        if k == 0 and all(sym[0] != "j" for sym, _ in syms):
-            free = free + piece
-        else:
-            rest = rest + piece
-    return free, rest
+        part = free if k == 0 and all(sym[0] != "j" for sym, _ in syms) else rest
+        part[(k, syms)] = coef
+    return CoefExpr(free), CoefExpr(rest)
 
 
 def reduce_onevar(residual: CoefExpr, absA2: CoefExpr, lam2: CoefExpr) -> CoefExpr:
@@ -221,15 +218,13 @@ def to_u_polynomial(e: CoefExpr) -> tuple[CoefExpr, int, int]:
             elif sym[0] == "j":
                 raise ValueError(f"jet symbol {sym} is not expressible in (u, u1)")
             else:
-                piece = piece * CoefExpr({(0, ((sym, p),)): Fraction(1)})
+                piece = piece * CoefExpr({(0, ((sym, p),)): 1})
         pieces.append((upow, apow, piece))
     if not pieces:
         return ring.ZERO, 0, 0
     mu = max(0, -min(up for up, _, _ in pieces))
     ma = max(0, -min(ap for _, ap, _ in pieces))
-    out = ring.ZERO
-    for upow, apow, piece in pieces:
-        out = out + piece * U ** (upow + mu) * AL ** (apow + ma)
+    out = ring.sum_exprs(piece * U ** (upow + mu) * AL ** (apow + ma) for upow, apow, piece in pieces)
     return out, mu, ma
 
 

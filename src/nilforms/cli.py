@@ -25,7 +25,7 @@ from .frames import quaternionic_heisenberg
 from .gstruct import build_g2, direct_torsion
 from .profiles import PROFILES, BadParams, profile
 from .ring import expf
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, run_scenario, strict_json
 
 
 class ConfigError(Exception):
@@ -208,12 +208,32 @@ def cmd_crosscheck(args) -> int:
         "tolerance": args.tol,
         "passed": ok,
     }
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(strict_json(out))
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nilforms", description=__doc__)
@@ -231,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dump-profile", help="tabulate a dilaton profile as CSV")
     d.add_argument("--profile", required=True, choices=PROFILES)
     d.add_argument("--params", default=None, help="comma-separated k=v pairs")
-    d.add_argument("--grid", type=int, default=128)
+    d.add_argument("--grid", type=_positive_int, default=128)
     d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_dump_profile)
 
@@ -239,10 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--profile", required=True, choices=PROFILES)
     c.add_argument("--params", default=None, help="comma-separated k=v pairs")
     c.add_argument("--expr", required=True)
-    c.add_argument("--step", type=float, default=numeric.DEFAULT_STEP)
-    c.add_argument("--tol", type=float, default=numeric.DEFAULT_TOL)
+    c.add_argument("--step", type=_positive_float, default=numeric.DEFAULT_STEP)
+    c.add_argument("--tol", type=_positive_float, default=numeric.DEFAULT_TOL)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--points", type=int, default=16)
+    c.add_argument("--points", type=_positive_int, default=16)
     c.set_defaults(fn=cmd_crosscheck)
     return ap
 

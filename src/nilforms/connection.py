@@ -177,10 +177,6 @@ def first_structure_residual(conn: ConnectionForms) -> dict[int, FormExpr]:
     return out
 
 
-def connection_torsion_2forms(conn: ConnectionForms) -> dict[int, FormExpr]:
-    return first_structure_residual(conn)
-
-
 # ---------------------------------------------------------------------------
 # auxiliary instanton connections
 
@@ -233,7 +229,7 @@ def lam_rank(lam, c: CoframeSpec) -> int:
         for e in r:
             if any(key != (0, ()) for key in e.terms):
                 raise ValueError("rank needs numeric lambda entries")
-            vals.append(e.terms.get((0, ()), Fraction(0)))
+            vals.append(e.terms.get((0, ()), 0))
         mat.append(vals)
     rank = 0
     cols = len(mat[0]) if mat else 0
@@ -245,7 +241,7 @@ def lam_rank(lam, c: CoframeSpec) -> int:
         mat[row], mat[piv] = mat[piv], mat[row]
         for r in range(len(mat)):
             if r != row and mat[r][col]:
-                fac = mat[r][col] / mat[row][col]
+                fac = Fraction(mat[r][col], mat[row][col])  # exact; `/` on ints gives a float
                 mat[r] = [a - fac * b for a, b in zip(mat[r], mat[row])]
         rank += 1
         row += 1

@@ -128,9 +128,6 @@ class CoframeSpec:
         self._dbar[k] = out
         return out
 
-    def differentials(self) -> dict[int, "FormExpr"]:
-        return {k: self.dbar(k) for k in range(1, self.dim + 1)}
-
     def integrability_residuals(self) -> dict[int, "FormExpr"]:
         return {k: exterior_derivative(self.dbar(k)) for k in range(1, self.dim + 1)}
 
@@ -245,10 +242,6 @@ def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
     return a.wedge(b)
 
 
-def coframe_differentials(c: CoframeSpec) -> dict[int, FormExpr]:
-    return c.differentials()
-
-
 def frame_derivative(c: CoframeSpec, g: CoefExpr, i: int) -> CoefExpr:
     """ebar_i applied to a scalar: e^{-w_i f} d_i g (zero on fiber legs)."""
     if i > 4 or i > c.dim:
@@ -259,7 +252,12 @@ def frame_derivative(c: CoframeSpec, g: CoefExpr, i: int) -> CoefExpr:
 
 def exterior_derivative(a: FormExpr) -> FormExpr:
     c = a.coframe
-    out = c.zero(a.degree + 1)
+    parts: dict[tuple, list] = {}  # component index -> coefficients to sum
+
+    def collect(term: FormExpr):
+        for idx, coef in term.comps.items():
+            parts.setdefault(idx, []).append(coef)
+
     for idx, g in a.comps.items():
         # derivative of the coefficient along the frame
         for i in HORIZONTAL:
@@ -267,7 +265,7 @@ def exterior_derivative(a: FormExpr) -> FormExpr:
                 break
             dg = frame_derivative(c, g, i)
             if dg:
-                out = out + FormExpr(c, 1, {(i,): dg}).wedge(FormExpr(c, len(idx), {idx: ring.ONE}))
+                collect(FormExpr(c, 1, {(i,): dg}).wedge(FormExpr(c, len(idx), {idx: ring.ONE})))
         # derivative of the basis monomial
         for t, leg in enumerate(idx):
             left = FormExpr(c, t, {idx[:t]: ring.ONE})
@@ -275,9 +273,8 @@ def exterior_derivative(a: FormExpr) -> FormExpr:
             piece = left.wedge(c.dbar(leg)).wedge(right)
             if t % 2:
                 piece = -piece
-            term = piece * g
-            out = out + term
-    return out
+            collect(piece * g)
+    return FormExpr(c, a.degree + 1, {idx: ring.sum_exprs(cs) for idx, cs in parts.items()})
 
 
 def hodge_star(a: FormExpr) -> FormExpr:

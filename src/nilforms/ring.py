@@ -11,8 +11,11 @@ ingredients:
 * integer powers of ``e^f``, carried as a per-monomial exponent so that
   ``e^{k f}`` factors multiply additively and divide exactly.
 
-All arithmetic is exact over ``fractions.Fraction``; equal values always
-have identical term dictionaries, so ``==`` is semantic equality.
+All arithmetic is exact.  A coefficient is an ``int``, or a
+``fractions.Fraction`` whose denominator is not 1: every operation drops zero
+terms and demotes integral Fractions to ``int``, so integer work stays on
+the fast ``int`` path and no float ever becomes a coefficient.  Equal values
+always have identical term dictionaries, so ``==`` is semantic equality.
 """
 
 from __future__ import annotations
@@ -75,37 +78,57 @@ def _mul_syms(s1: tuple, s2: tuple) -> tuple:
     return tuple(out)
 
 
+def _canonical(acc: dict) -> dict:
+    """Drop zero entries of an int/Fraction accumulator, demote integral Fractions."""
+    return {
+        key: c if type(c) is int or c.denominator != 1 else c.numerator
+        for key, c in acc.items()
+        if c
+    }
+
+
+def _wrap(terms: dict) -> "CoefExpr":
+    """A CoefExpr owning ``terms``, which must already be canonical."""
+    res = CoefExpr.__new__(CoefExpr)
+    res.terms = terms
+    return res
+
+
 class CoefExpr:
     """A canonical-form element of the coefficient ring."""
 
     __slots__ = ("terms",)
     __hash__ = None  # mutable container; compare by value only
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        self.terms: dict[tuple, Fraction] = {}
+    def __init__(self, terms: Mapping[tuple, object] | None = None):
+        self.terms: dict[tuple, int | Fraction] = {}
         if terms:
             for key, coef in terms.items():
+                if type(coef) is not int:
+                    if type(coef) is not Fraction:
+                        coef = Fraction(coef)  # never store a float or bool
+                    if coef.denominator == 1:
+                        coef = int(coef.numerator)
                 if coef:
-                    self.terms[key] = Fraction(coef)
+                    self.terms[key] = coef
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def rational(p, q=1) -> "CoefExpr":
-        c = Fraction(p, q)
-        return CoefExpr({(0, ()): c} if c else {})
+        return CoefExpr({(0, ()): p if q == 1 and type(p) is int else Fraction(p, q)})
 
     @staticmethod
     def const(name: str) -> "CoefExpr":
-        return CoefExpr({(0, ((const_sym(name), 1),)): Fraction(1)})
+        return _wrap({(0, ((const_sym(name), 1),)): 1})
 
     @staticmethod
     def jet(*indices: int) -> "CoefExpr":
-        return CoefExpr({(0, ((jet_sym(*indices), 1),)): Fraction(1)})
+        return _wrap({(0, ((jet_sym(*indices), 1),)): 1})
 
     @staticmethod
     def expf(k: int) -> "CoefExpr":
-        return CoefExpr({(int(k), ()): Fraction(1)})
+        return _wrap({(int(k), ()): 1})
 
     # -- basic predicates ----------------------------------------------------
 
@@ -129,21 +152,19 @@ class CoefExpr:
             return NotImplemented
         out = dict(self.terms)
         for key, coef in other.terms.items():
-            c = out.get(key, Fraction(0)) + coef
-            if c:
+            c = out.get(key, 0) + coef
+            if not c:
+                del out[key]  # only a present term can cancel
+            elif type(c) is int or c.denominator != 1:
                 out[key] = c
             else:
-                out.pop(key, None)
-        res = CoefExpr()
-        res.terms = out
-        return res
+                out[key] = c.numerator
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoefExpr":
-        res = CoefExpr()
-        res.terms = {key: -coef for key, coef in self.terms.items()}
-        return res
+        return _wrap({key: -coef for key, coef in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -161,18 +182,14 @@ class CoefExpr:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for (k1, s1), c1 in self.terms.items():
-            for (k2, s2), c2 in other.terms.items():
+            for (k2, s2), c2 in right:
                 key = (k1 + k2, _mul_syms(s1, s2))
-                c = out.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        res = CoefExpr()
-        res.terms = out
-        return res
+                out[key] = get(key, 0) + c1 * c2
+        return _wrap(_canonical(out))
 
     __rmul__ = __mul__
 
@@ -194,12 +211,13 @@ class CoefExpr:
         """Flat coordinate derivative d/dx^i (Leibniz over each monomial)."""
         if i not in COORDS:
             raise ValueError(f"coordinate {i} outside {COORDS}")
-        out = CoefExpr()
+        out: dict = {}
+        di = ((jet_sym(i), 1),)
         for (k, syms), coef in self.terms.items():
             # derivative of the e^{kf} factor
             if k:
-                key = (k, _mul_syms(syms, ((jet_sym(i), 1),)))
-                out = out + CoefExpr({key: coef * k})
+                key = (k, _mul_syms(syms, di))
+                out[key] = out.get(key, 0) + coef * k
             # derivative of each symbol factor
             for pos, (sym, power) in enumerate(syms):
                 if sym[0] != "j":
@@ -211,8 +229,8 @@ class CoefExpr:
                 else:
                     rest[pos] = (sym, power - 1)
                 key = (k, _mul_syms(tuple(rest), ((dsym, 1),)))
-                out = out + CoefExpr({key: coef * power})
-        return out
+                out[key] = out.get(key, 0) + coef * power
+        return _wrap(_canonical(out))
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":
         """Replace constant-parameter or jet symbols by ring elements."""
@@ -223,16 +241,16 @@ class CoefExpr:
             if rep is None:
                 raise TypeError(f"cannot substitute {val!r} into the ring")
             table[sym] = rep
-        out = CoefExpr()
+        pieces = []
         for (k, syms), coef in self.terms.items():
-            piece = CoefExpr({(k, ()): coef})
+            piece = _wrap({(k, ()): coef})
             for sym, power in syms:
                 if sym in table:
                     piece = piece * table[sym] ** power
                 else:
-                    piece = piece * CoefExpr({(0, ((sym, power),)): Fraction(1)})
-            out = out + piece
-        return out
+                    piece = piece * _wrap({(0, ((sym, power),)): 1})
+            pieces.append(piece)
+        return sum_exprs(pieces)
 
     def evaluate(self, assignment: Mapping) -> float:
         """Numeric value; needs every symbol (and f for e^{kf}) bound."""
@@ -335,42 +353,35 @@ def expf(k: int) -> CoefExpr:
     return CoefExpr.expf(k)
 
 
-def partial_derivative(e: CoefExpr, i: int) -> CoefExpr:
-    return e.partial(i)
+def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
+    """Sum of ring elements, accumulated in one dict."""
+    out: dict = {}
+    for e in exprs:
+        for key, coef in e.terms.items():
+            out[key] = out.get(key, 0) + coef
+    return _wrap(_canonical(out))
 
 
 def flat_laplacian(e: CoefExpr) -> CoefExpr:
-    out = CoefExpr()
-    for i in COORDS:
-        out = out + e.partial(i).partial(i)
-    return out
+    return sum_exprs(e.partial(i).partial(i) for i in COORDS)
 
 
 def grad_square() -> CoefExpr:
     """|grad f|^2 = sum_i f_i^2."""
-    out = CoefExpr()
-    for i in COORDS:
-        out = out + jet(i) * jet(i)
-    return out
+    return sum_exprs(jet(i) * jet(i) for i in COORDS)
 
 
 def hessian2() -> CoefExpr:
     """Second elementary symmetric of the Hessian: sum_{i<j} (f_ii f_jj - f_ij^2)."""
-    out = CoefExpr()
-    for i in COORDS:
-        for j in COORDS:
-            if i < j:
-                out = out + jet(i, i) * jet(j, j) - jet(i, j) * jet(i, j)
-    return out
+    return sum_exprs(
+        jet(i, i) * jet(j, j) - jet(i, j) * jet(i, j) for i in COORDS for j in COORDS if i < j
+    )
 
 
 def p_laplacian4() -> CoefExpr:
     """4-Laplacian of f: sum_i d_i(|grad f|^2 f_i)."""
     g2 = grad_square()
-    out = CoefExpr()
-    for i in COORDS:
-        out = out + (g2 * jet(i)).partial(i)
-    return out
+    return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
 
 
 def evaluate(e: CoefExpr, assignment: Mapping) -> float:
@@ -400,16 +411,11 @@ def substitute(e: CoefExpr, mapping: Mapping) -> CoefExpr:
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:
     """Keep only monomials whose jets involve coordinate 1 alone (f = f(x1))."""
-    out = CoefExpr()
-    for (k, syms), coef in e.terms.items():
-        keep = True
-        for sym, _ in syms:
-            if sym[0] == "j" and any(i != 1 for i in sym[1]):
-                keep = False
-                break
-        if keep:
-            out = out + CoefExpr({(k, syms): coef})
-    return out
+    return _wrap({
+        (k, syms): coef
+        for (k, syms), coef in e.terms.items()
+        if not any(sym[0] == "j" and any(i != 1 for i in sym[1]) for sym, _ in syms)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +468,24 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     d_lead_coef = d_items[d_lead]
 
     r = {vec(key): coef for key, coef in n.terms.items()}
-    q: dict[tuple, Fraction] = {}
+    q: dict = {}
     max_steps = 16 * (len(r) + 1) * (len(d_items) + 1) + 1024
 
     for _ in range(max_steps):
         if not r:
-            quotient = CoefExpr({key_of(v): c for v, c in q.items()})
+            quotient = _wrap(_canonical({key_of(v): c for v, c in q.items()}))
             return quotient.scale_expf(kn - kd)
         r_lead = max(r)
         diff = tuple(a - b for a, b in zip(r_lead, d_lead))
         if any(x < 0 for x in diff[:nvars]):
             return None
-        coef = r[r_lead] / d_lead_coef
-        q[diff] = q.get(diff, Fraction(0)) + coef
+        coef = Fraction(r[r_lead], d_lead_coef)  # exact; `/` on ints gives a float
+        if coef.denominator == 1:
+            coef = coef.numerator
+        q[diff] = q.get(diff, 0) + coef
         for dv, dc in d_items.items():
             t = tuple(a + b for a, b in zip(diff, dv))
-            c = r.get(t, Fraction(0)) - coef * dc
+            c = r.get(t, 0) - coef * dc
             if c:
                 r[t] = c
             else:

@@ -122,7 +122,12 @@ class ScenarioReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return strict_json(self.to_dict())
+
+
+def strict_json(obj) -> str:
+    """Indented, key-sorted JSON that a strict parser accepts (no NaN/Infinity)."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _sanitize(obj):
@@ -135,7 +140,9 @@ def _sanitize(obj):
     if isinstance(obj, CoefExpr):
         return repr(obj)
     if isinstance(obj, float):
-        return float(obj)
+        if math.isfinite(obj):
+            return float(obj)
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return repr(obj)

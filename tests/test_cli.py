@@ -164,6 +164,35 @@ def test_crosscheck_unknown_expr(capsys):
     assert rc == 2 and "unknown expression id" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "lap-e2f",
+          "--points", "0"], "--points"),
+        (["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "lap-e2f",
+          "--step", "0"], "--step"),
+        (["dump-profile", "--profile", "ball", "--params", "absA2=3", "--grid", "-3"], "--grid"),
+    ],
+    ids=["points-zero", "step-zero", "grid-negative"],
+)
+def test_unusable_numeric_argument_exits_two_with_one_error_line(argv, flag, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_step_and_tolerance_must_be_positive_and_finite(value, capsys):
+    for flag in ("--step", "--tol"):
+        rc, _out, err = run_cli(
+            ["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "lap-e2f",
+             flag, value], capsys
+        )
+        assert rc == 2 and "must be positive and finite" in err
+
+
 def test_usage_error_exits_two(capsys):
     assert cli.main(["dump-profile", "--profile", "parabolic"]) == 2
     capsys.readouterr()

@@ -226,6 +226,13 @@ def test_gauge_matrix_rank_and_products(ka):
     with pytest.raises(ValueError):
         lam_rank([[ring.const("q"), 0, 0], [0, 0, 0], [0, 0, 0]], ka)
 
+
+def test_gauge_matrix_rank_is_exact_for_integer_entries(ka):
+    # u v^T has rank one; the same elimination with float quotients leaves a
+    # rounding residue and reports rank two
+    u, v = (-7, -9, -9), (1, 3, 7)
+    assert lam_rank([[ui * vj for vj in v] for ui in u], ka) == 1
+
     cnum = k_a([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
     lam = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     la = lam_A_product(lam, cnum)

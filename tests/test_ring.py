@@ -1,7 +1,9 @@
 """Coefficient-ring unit and property tests: arithmetic, jets, division, evaluation."""
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from nilforms.ring import (
     p_laplacian4,
     rat,
     restrict_onevar,
+    substitute,
     try_divide,
 )
 
@@ -288,3 +291,84 @@ def test_two_hessian_on_radial_quadratic():
         for j in (1, 2, 3, 4):
             assign[ring.jet_sym(i, j)] = 2.0 if i == j else 0.0
     assert hessian2().evaluate(assign) == pytest.approx(24.0)
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: int, or a Fraction with denominator > 1
+
+def _is_canonical(e: CoefExpr) -> bool:
+    return all(
+        (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+        for c in e.terms.values()
+    )
+
+
+@given(ring_exprs(), ring_exprs(), st.sampled_from((1, 2, 3, 4)), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_operations_keep_coefficients_canonical(x, y, i, n):
+    results = [
+        x + y, x - y, x * y, x ** n, -x,
+        x.partial(i), substitute(x, {"a": y}), substitute(x, {"b": 3}),
+        try_divide(x * y, x) if x else CoefExpr(),
+        try_divide(x, y) if y else None,
+    ]
+    for r in results:
+        if r is not None:
+            assert _is_canonical(r), r.terms
+
+
+@given(ring_exprs(), ring_exprs())
+@settings(max_examples=80, deadline=None)
+def test_equality_is_exactly_zero_difference(x, y):
+    for a, b in ((x, y), (x, (x + y) - y), (x * y, y * x), (x, x + rat(1, 2))):
+        assert (a == b) == (a - b).is_zero()
+        assert (a == b) == (a.terms == b.terms)
+
+
+def test_constructor_converts_and_demotes_non_int_input():
+    e = CoefExpr({(0, ()): Fraction(6, 3), (1, ()): 0.5, (2, ()): True, (3, ()): 0.0})
+    assert e.terms == {(0, ()): 2, (1, ()): Fraction(1, 2), (2, ()): 1}
+    assert _is_canonical(e)
+    assert type(rat(4, 2).terms[(0, ())]) is int
+    assert type(rat(Fraction(3)).terms[(0, ())]) is int
+
+
+def test_try_divide_by_an_integer_stays_exact():
+    x = const("x")
+    q = try_divide(rat(2) * x, rat(4))
+    assert q == rat(1, 2) * x
+    coef = q.terms[(0, ((ring.const_sym("x"), 1),))]
+    assert type(coef) is Fraction and coef == Fraction(1, 2)
+    # 1/3 has no exact float, so a float quotient cannot pass this
+    q = try_divide(x + jet(1), rat(3))
+    assert q is not None and _is_canonical(q)
+    assert q * rat(3) == x + jet(1)
+
+
+def _fraction_constructions(fn) -> int:
+    """Fraction.__new__ calls made by fn(), counted by cProfile."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        fn()
+    finally:
+        prof.disable()
+    code = Fraction.__new__.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    return pstats.Stats(prof).stats.get(key, (0, 0))[1]
+
+
+def test_integer_polynomial_work_constructs_no_fractions():
+    def integer_work():
+        p = rat(3) * const("a") * jet(1) - 2 * expf(2) * jet(2) + 5
+        q = jet(1, 1) - 4 * const("b") * expf(-2) + jet(3) * jet(4)
+        r = (p * q) ** 2 - p * q * p
+        dr = sum((r.partial(i) for i in (1, 2, 3, 4)), CoefExpr())
+        lap = flat_laplacian(p * p)
+        sub = substitute(dr, {"a": 7, "b": q})
+        assert dr and lap and sub
+        assert all(_is_canonical(e) for e in (r, dr, lap, sub))
+
+    assert _fraction_constructions(integer_work) == 0
+    # the counter is live: the same product with a 1/2 coefficient does build Fractions
+    assert _fraction_constructions(lambda: (rat(1, 2) * jet(1) + 1) * (jet(2) + 3)) > 0

@@ -9,7 +9,14 @@ import pytest
 
 from nilforms.elliptic import half_period
 from nilforms.profiles import BadParams
-from nilforms.scenarios import SCENARIOS, SCHEMA_VERSION, ScenarioSpec, run_scenario
+from nilforms.scenarios import (
+    SCENARIOS,
+    SCHEMA_VERSION,
+    CheckResult,
+    ScenarioReport,
+    ScenarioSpec,
+    run_scenario,
+)
 
 EXPECTED_IDS = {
     "thm-7d-negative": [
@@ -157,3 +164,19 @@ def test_report_serialization_is_deterministic():
         assert set(chk) == {"id", "status", "residual", "details"}
     # Fractions are serialized as strings
     assert doc["values"]["absA2"] == "3"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_floats_serialize_as_strict_json():
+    rep = ScenarioReport(
+        name="probe",
+        seed=0,
+        checks=[CheckResult("nan-residual", "fail", residual=float("nan"))],
+        values={"up": float("inf"), "down": -float("inf"), "ok": 0.5, "nested": [float("nan")]},
+    )
+    doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
+    assert doc["checks"][0]["residual"] == "NaN"
+    assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
