@@ -26,11 +26,10 @@ from .connection import (
     pontryagin4,
     torsion_connection,
 )
-from .elliptic import AtPole, half_period, half_period_agm, weierstrass_p  # noqa: F401
 from .forms import FormExpr, exterior_derivative
 from .frames import CoframeSpec, abs_A_squared
 from .gstruct import direct_torsion
-from .profiles import BadParams, DilatonProfile, profile  # noqa: F401
+from .profiles import BadParams, DilatonProfile
 from .ring import CoefExpr, const, expf, jet, rat
 
 

@@ -3,7 +3,7 @@
 The cubic is 4u^3 - 4 d^2 u = 4 u (u - d)(u + d) with roots (d, 0, -d);
 the real slice through the positive root has half period
 
-    tau+ = integral_d^infinity du / sqrt(4u^3 - 4 d^2 u),
+    tau+ = integral_d^infinity du / sqrt(4u^3 - 4 d^2 u) = Gamma(1/4)^2 / (4 sqrt(2 pi d)),
 
 and p(tau+) = d.  Evaluation folds the argument into (0, 2 tau+] by
 periodicity and evenness, runs the Laurent series inside |z| <= tau+/4,
@@ -13,8 +13,6 @@ and applies at most two duplication steps.
 from __future__ import annotations
 
 import math
-
-from scipy.integrate import quad
 
 
 class AtPole(Exception):
@@ -30,13 +28,12 @@ _coef_cache: dict[float, list[float]] = {}
 
 
 def half_period(d: float) -> float:
-    """tau+ via numeric quadrature (u = d (1 + s^2) substitution)."""
+    """tau+ from the lemniscatic closed form Gamma(1/4)^2 / (4 sqrt(2 pi d))."""
     d = float(d)
     if d <= 0:
         raise ValueError("half_period needs d > 0")
     if d not in _tau_cache:
-        val, _err = quad(lambda s: 1.0 / math.sqrt((1 + s * s) * (2 + s * s)), 0.0, math.inf, limit=200)
-        _tau_cache[d] = val / math.sqrt(d)
+        _tau_cache[d] = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(2.0 * math.pi * d))
     return _tau_cache[d]
 
 

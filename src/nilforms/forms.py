@@ -281,7 +281,6 @@ def hodge_star(a: FormExpr) -> FormExpr:
     """Hodge star of the orthonormal barred coframe, oriented ebar^{1..dim}."""
     c = a.coframe
     full = tuple(range(1, c.dim + 1))
-    out = c.zero(c.dim - a.degree)
     comps: dict[tuple, CoefExpr] = {}
     for idx, g in a.comps.items():
         comp = tuple(i for i in full if i not in idx)

@@ -7,9 +7,8 @@ central-finite-difference oracles for the symbolic derivatives.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, Sequence
-
-from scipy.stats import qmc
 
 from .forms import FormExpr, exterior_derivative, wedge
 from .profiles import DilatonProfile
@@ -55,16 +54,36 @@ def form_max_abs(form: FormExpr, prof: DilatonProfile, pts, consts=None) -> floa
 # ---------------------------------------------------------------------------
 # sampling
 
+_HALTON_BASES = (2, 3, 5, 7)
+
+
+def _radical_inverse(k: int, base: int, perm: Sequence[int]) -> float:
+    """The base-b digits of k, each mapped through perm, mirrored about the point."""
+    num, den = 0, 1
+    while k:
+        k, digit = divmod(k, base)
+        num = num * base + perm[digit]
+        den *= base
+    return num / den
+
+
 def halton_points(n: int, seed: int, box, accept: Callable | None = None, max_rounds: int = 64):
-    """n Halton points mapped into box=((lo,hi),)*4, filtered by accept."""
+    """n Halton points mapped into box=((lo,hi),)*4, filtered by accept.
+
+    Coordinate j is the radical inverse of k = 1, 2, ... in the j-th prime
+    base, its digits permuted by a seeded permutation that fixes digit 0.
+    """
+    rng = random.Random(seed)
+    perms = [[0] + rng.sample(range(1, b), b - 1) for b in _HALTON_BASES]
     lows = [float(lo) for lo, _ in box]
     spans = [float(hi) - float(lo) for lo, hi in box]
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
     pts: list[tuple] = []
+    k = 0
     for _ in range(max_rounds):
-        block = sampler.random(max(n, 8))
-        for row in block:
-            p = tuple(float(lows[i] + spans[i] * row[i]) for i in range(4))
+        for _ in range(max(n, 8)):
+            k += 1
+            p = tuple(lo + span * _radical_inverse(k, b, perm)
+                      for lo, span, b, perm in zip(lows, spans, _HALTON_BASES, perms))
             if accept is None or accept(p):
                 pts.append(p)
                 if len(pts) == n:

@@ -3,7 +3,8 @@
 Each scenario bundles a frame, a dilaton profile, an auxiliary connection
 and a parameter regime, runs a fixed list of symbolic and numeric checks,
 and assembles a JSON-serializable report.  Check failures and exceptions
-are captured into the report, never raised past it.
+are captured into the report, never raised past it; a config value the
+scenario cannot use raises BadParams before any check runs.
 """
 
 from __future__ import annotations
@@ -530,8 +531,25 @@ def _fundamental_positive(checks, values, *, dim: int, seed: int, config: dict):
     _ck(checks, "profile-harmonic-exact", _harmonic)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ball_7d_config(config: dict) -> tuple[list, int]:
+    """(A, npoints) of a ball-7d config; BadParams for a value it cannot use."""
+    A = config.get("A", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    if not (isinstance(A, (list, tuple)) and len(A) == 3 and all(
+        isinstance(row, (list, tuple)) and len(row) == 3 and all(map(_is_int, row)) for row in A
+    )):
+        raise BadParams(f"ball-7d: config 'A' must be a 3x3 matrix of integers, got {A!r}")
+    n = config.get("npoints", 64)
+    if not (_is_int(n) and n > 0):
+        raise BadParams(f"ball-7d: config 'npoints' must be a positive integer, got {n!r}")
+    return A, n
+
+
 def _ball_7d(checks, values, *, seed: int, config: dict):
-    A_num = config.get("A", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    A_num, npoints = _ball_7d_config(config)
     csym = k_a()
     cnum = k_a(A_num)
     absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
@@ -565,7 +583,7 @@ def _ball_7d(checks, values, *, seed: int, config: dict):
         gn = build_g2(cnum)
         res = g2_instanton_residual(curvature(wmn), gn)
         dT = exterior_derivative(Tn)
-        pts = numeric.profile_points(prof, n=config.get("npoints", 64), seed=seed)
+        pts = numeric.profile_points(prof, n=npoints, seed=seed)
         worst = 0.0
         for x in pts:
             assi = numeric.build_assignment(prof, x)

@@ -4,8 +4,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +62,19 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
     p.write_text("[1, 2]")
     rc, _out, err = run_cli(["verify", "--scenario", "ball-7d", "--config", str(p)], capsys)
     assert rc == 2 and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [({"A": "x"}, "'A'"), ({"npoints": 0}, "'npoints'")],
+    ids=["A-not-a-matrix", "npoints-zero"],
+)
+def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, config, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    rc, out, err = run_cli(["verify", "--scenario", "ball-7d", "--config", str(p)], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
 
 
 def test_verify_out_file_matches_stdout(tmp_path, capsys):
@@ -205,3 +220,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_cli_import_needs_no_third_party_package():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nilforms.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

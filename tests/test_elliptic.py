@@ -106,3 +106,32 @@ def test_laurent_series_dominates_near_zero():
     for x in (0.05 * tau, 0.1 * tau, 0.2 * tau):
         p, _pp = weierstrass_p(x, d)
         assert abs(x * x * p - 1.0 - (d * d / 5.0) * x ** 4) < 0.05 * x ** 6
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath's complete elliptic integral and Jacobi sn
+
+ORACLE_DS = (0.01, 1.0, 100.0)
+
+
+def test_half_period_matches_mpmath_ellipk():
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        for d in ORACLE_DS:
+            exact = mp.ellipk(mp.mpf(1) / 2) / mp.sqrt(2 * mp.mpf(d))
+            assert abs((half_period(d) - exact) / exact) <= 1e-14
+
+
+def test_weierstrass_p_matches_mpmath_jacobi_sn():
+    """p(x) = -d + 2d / sn^2(x sqrt(2d) | m = 1/2) on the real slice."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        for d in ORACLE_DS:
+            tau = half_period(d)
+            dm = mp.mpf(d)
+            for k in range(1, 40):
+                x = 2 * tau * k / 40
+                sn = mp.ellipfun("sn", mp.mpf(x) * mp.sqrt(2 * dm), m=mp.mpf(1) / 2)
+                exact = -dm + 2 * dm / sn ** 2
+                p, _pp = weierstrass_p(x, d)
+                assert abs((p - exact) / exact) <= 1e-12, (d, k)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,18 @@ def test_halton_points_deterministic_and_boxed():
 def test_halton_starvation():
     with pytest.raises(RuntimeError, match="admissible"):
         numeric.halton_points(3, 0, ((-1, 1),) * 4, accept=lambda p: False, max_rounds=2)
+
+
+@pytest.mark.parametrize("base, m", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_halton_points_stratify_each_coordinate(base, m):
+    """The first b^m points put one point in each interval of width b^-m."""
+    j = (2, 3, 5, 7).index(base)
+    for seed in (0, 1, 11):
+        pts = numeric.halton_points(base ** m, seed, ((0, 1),) * 4)
+        # coordinate j of these points is a rational with denominator at most
+        # b^(m+1), and often lies on an interval edge: recover it exactly
+        exact = [Fraction(p[j]).limit_denominator(base ** (m + 1)) for p in pts]
+        assert sorted(math.floor(x * base ** m) for x in exact) == list(range(base ** m))
 
 
 def test_profile_points_respect_domain(ball, ball_pts):
