@@ -22,13 +22,11 @@ from .connection import (
     curvature,
     lam_rank,
     lam_squared,
-    levi_civita,
     pontryagin4,
-    torsion_connection,
 )
-from .forms import FormExpr, exterior_derivative
+from .forms import FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import direct_torsion
+from .gstruct import geometry
 from .profiles import BadParams, DilatonProfile
 from .ring import CoefExpr, const, expf, jet, rat
 
@@ -42,18 +40,12 @@ class ConstraintViolated(Exception):
 
 def lap_e2f() -> CoefExpr:
     """Flat Laplacian of e^{2f}."""
-    out = ring.ZERO
-    for i in ring.COORDS:
-        out = out + expf(2).partial(i).partial(i)
-    return out
+    return ring.flat_laplacian(expf(2))
 
 
 def lap_e_m2f() -> CoefExpr:
     """Flat Laplacian of e^{-2f}."""
-    out = ring.ZERO
-    for i in ring.COORDS:
-        out = out + expf(-2).partial(i).partial(i)
-    return out
+    return ring.flat_laplacian(expf(-2))
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +72,9 @@ def gauge_connection(c: CoframeSpec, instanton):
 def anomaly_form(c: CoframeSpec, alphaP, instanton) -> FormExpr:
     """dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) as a 4-form."""
     ap = _coef(alphaP)
-    T = direct_torsion(c)
-    dT = exterior_derivative(T)
-    lc = levi_civita(c)
-    p1m = pontryagin4(curvature(torsion_connection(lc, T, -1)))
+    geo = geometry(c)
     p1g = pontryagin4(curvature(gauge_connection(c, instanton)))
-    return dT - (p1m - p1g) * (ap * rat(1, 4))
+    return geo.dT - (geo.p1_minus - p1g) * (ap * rat(1, 4))
 
 
 def anomaly_residual(c: CoframeSpec, alphaP, instanton) -> CoefExpr:

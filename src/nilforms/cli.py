@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import numeric, ring
 from .anomaly import lap_e2f
-from .elliptic import half_period
+from .elliptic import half_period, weierstrass_p
 from .frames import quaternionic_heisenberg
 from .gstruct import build_g2, direct_torsion
 from .profiles import PROFILES, BadParams, profile
@@ -100,40 +100,26 @@ def _profile_rows(prof, grid: int):
         tau = half_period(d)
         for k in range(1, grid + 1):
             x1 = 2.0 * tau * k / (grid + 1)
-            from .elliptic import weierstrass_p
-
             u, up = weierstrass_p(x1, d)
             g = prof.e2f((x1, 0.0, 0.0, 0.0))
             resid = up * up - (4.0 * u ** 3 - 4.0 * d * d * u)
             rows.append((x1, u, 0.5 * math.log(g), g, resid))
         return rows
-    if prof.name == "ball":
-        absA2 = float(prof.params["absA2"])
-        expr = lap_e2f() + ring.rat(2) * ring.const("absA2")
-        for k in range(grid):
-            r = k / grid  # radius in [0, 1)
-            x = (r, 0.0, 0.0, 0.0)
-            g = prof.e2f(x)
-            assi = numeric.build_assignment(prof, x, {"absA2": absA2})
-            rows.append((r, g, 0.5 * math.log(g), g, expr.evaluate(assi)))
-        return rows
-    if prof.name == "fundamental":
-        expr = lap_e2f()
+    expr, consts = lap_e2f(), None
+    if prof.name == "ball":  # radius in [0, 1)
+        expr = expr + ring.rat(2) * ring.const("absA2")
+        consts = {"absA2": float(prof.params["absA2"])}
+        line = [(k / grid, (k / grid, 0.0, 0.0, 0.0)) for k in range(grid)]
+    elif prof.name == "fundamental":
         cent = [float(v) for v in prof.params["center"]]
-        for k in range(1, grid + 1):
-            r = 0.2 + 2.0 * k / grid
-            x = (cent[0] + r, cent[1], cent[2], cent[3])
-            g = prof.e2f(x)
-            assi = numeric.build_assignment(prof, x)
-            rows.append((r, g, 0.5 * math.log(g), g, expr.evaluate(assi)))
-        return rows
-    # constant / custom: tabulate along the first axis with a closure residual
-    expr = lap_e2f()
-    for k in range(grid):
-        x = (k / max(grid - 1, 1), 0.0, 0.0, 0.0)
+        radii = (0.2 + 2.0 * k / grid for k in range(1, grid + 1))
+        line = [(r, (cent[0] + r, cent[1], cent[2], cent[3])) for r in radii]
+    else:  # constant / custom: tabulate along the first axis with a closure residual
+        line = [(x1, (x1, 0.0, 0.0, 0.0)) for x1 in (k / max(grid - 1, 1) for k in range(grid))]
+    for t, x in line:
         g = prof.e2f(x)
-        assi = numeric.build_assignment(prof, x)
-        rows.append((x[0], g, 0.5 * math.log(g), g, expr.evaluate(assi)))
+        assi = numeric.build_assignment(prof, x, consts)
+        rows.append((t, g, 0.5 * math.log(g), g, expr.evaluate(assi)))
     return rows
 
 

@@ -14,7 +14,7 @@ Conventions (fixed throughout):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import ring
 from .forms import (
@@ -22,7 +22,6 @@ from .forms import (
     DimensionMismatch,
     FormExpr,
     exterior_derivative,
-    interior,
 )
 
 
@@ -186,13 +185,7 @@ def _lam_rows(lam, nfib: int):
         rows = [[x] for x in rows]  # flat (l1,l2,l3) means a single-column matrix
     if len(rows) != 3 or any(len(r) != nfib for r in rows):
         raise ValueError(f"lambda matrix must be 3 x {nfib}")
-    out = []
-    for r in rows:
-        conv = []
-        for x in r:
-            conv.append(x if isinstance(x, ring.CoefExpr) else ring.rat(Fraction(x)))
-        out.append(tuple(conv))
-    return tuple(out)
+    return tuple(tuple(_num(x) for x in r) for r in rows)
 
 
 def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
@@ -282,30 +275,21 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     connection table is hard-coded.
     """
     from .frames import k_a, h21
-    from .gstruct import direct_torsion
+    from .gstruct import geometry
 
-    if c.dim == 7:
-        twin = k_a()
-        rows = _lam_rows(B, 3) if not isinstance(B[0], (list, tuple)) else None
-        B_rows = [list(r) for r in B] if rows is None else [list(r) for r in rows]
-        if len(B_rows) != 3 or any(len(r) != 3 for r in B_rows):
-            raise ValueError("7-dim B must be 3x3")
-        mapping = {
-            f"a{r + 1}{m + 1}": _num(B_rows[r][m]) for r in range(3) for m in range(3)
-        }
-        B_clean = tuple(tuple(_num(x) for x in r) for r in B_rows)
-    elif c.dim == 5:
-        twin = h21()
-        vals = list(B[0]) if isinstance(B[0], (list, tuple)) else list(B)
-        if len(vals) != 3:
-            raise ValueError("5-dim B must have three entries")
-        mapping = {f"a{i + 1}": _num(vals[i]) for i in range(3)}
-        B_clean = (tuple(_num(x) for x in vals),)
-    else:
+    if c.dim not in (5, 7):
         raise DimensionMismatch("build_DB supports dims 7 and 5")
+    nrows = c.dim - 4
+    rows = B if isinstance(B[0], (list, tuple)) else [B]
+    if len(rows) != nrows or any(len(r) != 3 for r in rows):
+        raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
+    B_clean = tuple(tuple(_num(x) for x in r) for r in rows)
+    twin, names = (k_a(), "a{r}{m}") if nrows == 3 else (h21(), "a{m}")
+    mapping = {
+        names.format(r=r + 1, m=m + 1): B_clean[r][m] for r in range(nrows) for m in range(3)
+    }
 
-    lc = levi_civita(twin)
-    wm = torsion_connection(lc, direct_torsion(twin), -1)
+    wm = geometry(twin).minus
     entries = {
         (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
     }

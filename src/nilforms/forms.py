@@ -11,7 +11,7 @@ determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import ring
 from .ring import CoefExpr
@@ -277,47 +277,35 @@ def exterior_derivative(a: FormExpr) -> FormExpr:
     return FormExpr(c, a.degree + 1, {idx: ring.sum_exprs(cs) for idx, cs in parts.items()})
 
 
-def hodge_star(a: FormExpr) -> FormExpr:
-    """Hodge star of the orthonormal barred coframe, oriented ebar^{1..dim}."""
-    c = a.coframe
-    full = tuple(range(1, c.dim + 1))
+def _star(a: FormExpr, legs: tuple) -> FormExpr:
+    """Hodge star on the span of the frame legs, oriented ebar^{legs}."""
     comps: dict[tuple, CoefExpr] = {}
     for idx, g in a.comps.items():
-        comp = tuple(i for i in full if i not in idx)
-        sign = _perm_sign(idx + comp)
-        comps[comp] = comps.get(comp, ring.ZERO) + (g if sign > 0 else -g)
-    return FormExpr(c, c.dim - a.degree, {i: g for i, g in comps.items() if g})
+        comp = tuple(i for i in legs if i not in idx)
+        comps[comp] = g if _perm_sign(idx + comp) > 0 else -g
+    return FormExpr(a.coframe, len(legs) - a.degree, comps)
+
+
+def hodge_star(a: FormExpr) -> FormExpr:
+    """Hodge star of the orthonormal barred coframe, oriented ebar^{1..dim}."""
+    return _star(a, tuple(range(1, a.coframe.dim + 1)))
 
 
 def hodge_star_horizontal(a: FormExpr) -> FormExpr:
     """4-dimensional Hodge star on the span of ebar^1..ebar^4."""
-    c = a.coframe
-    out: dict[tuple, CoefExpr] = {}
-    for idx, g in a.comps.items():
-        if any(i > 4 for i in idx):
-            raise DimensionMismatch("horizontal star needs indices within 1..4")
-        comp = tuple(i for i in HORIZONTAL if i not in idx)
-        sign = _perm_sign(idx + comp)
-        out[comp] = out.get(comp, ring.ZERO) + (g if sign > 0 else -g)
-    return FormExpr(c, 4 - a.degree, {i: g for i, g in out.items() if g})
+    if any(i > 4 for idx in a.comps for i in idx):
+        raise DimensionMismatch("horizontal star needs indices within 1..4")
+    return _star(a, HORIZONTAL)
 
 
 def interior(a: FormExpr, k: int) -> FormExpr:
     """Contraction with the frame vector ebar_k."""
-    c = a.coframe
     out: dict[tuple, CoefExpr] = {}
     for idx, g in a.comps.items():
-        if k not in idx:
-            continue
-        t = idx.index(k)
-        key = idx[:t] + idx[t + 1:]
-        coef = g if t % 2 == 0 else -g
-        prev = out.get(key, ring.ZERO) + coef
-        if prev:
-            out[key] = prev
-        else:
-            out.pop(key, None)
-    return FormExpr(c, a.degree - 1, out)
+        if k in idx:
+            t = idx.index(k)
+            out[idx[:t] + idx[t + 1:]] = g if t % 2 == 0 else -g
+    return FormExpr(a.coframe, a.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ring
-from .forms import CoframeSpec, FormExpr, NotIntegrable, exterior_derivative
+from .forms import CoframeSpec, FormExpr, NotIntegrable
 
 CATALOG = ("gH", "kA", "h5", "h3", "h21", "eps6", "eps5")
 
@@ -51,14 +51,9 @@ def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
     row: dict[tuple, ring.CoefExpr] = {}
     for m, c in enumerate(coefs):
         cc = _coef(c)
-        if not cc:
-            continue
-        for pair, sign in _SIGMA_PAIRS[m].items():
-            prev = row.get(pair, ring.ZERO) + (cc if sign > 0 else -cc)
-            if prev:
-                row[pair] = prev
-            else:
-                row.pop(pair, None)
+        if cc:
+            for pair, sign in _SIGMA_PAIRS[m].items():  # the three sigmas share no pair
+                row[pair] = cc if sign > 0 else -cc
     return row
 
 
@@ -97,8 +92,7 @@ def k_a(A=None) -> CoframeSpec:
 
 
 def quaternionic_heisenberg() -> CoframeSpec:
-    c = _from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gH", {})
-    return c
+    return _from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gH", {})
 
 
 def h5(a=None, b=None) -> CoframeSpec:

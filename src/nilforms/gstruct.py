@@ -8,15 +8,23 @@ one totally skew torsion 3-form, computed uniformly by the block formula
 
 which in dimension 7 coincides with the Hodge expression
 ``star(2 df wedge Theta - d Theta)`` and in dimension 5 with
-``eta wedge d eta + 2 d^psi f wedge F``.
+``eta wedge d eta + 2 d^psi f wedge F``; the G2 and SU(2) structures'
+``torsion()`` is that second route.
+
+``structure(c)`` picks the structure of a coframe by its dimension, and a
+``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
+one coframe, each piece once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ring
+from .connection import curvature, levi_civita, pontryagin4, scalar_curvature, torsion_connection
 from .forms import (
     CoframeSpec,
     DimensionMismatch,
@@ -27,7 +35,6 @@ from .forms import (
     hodge_star,
     hodge_star_horizontal,
     omega_bar,
-    sigma_bar,
 )
 
 
@@ -54,6 +61,19 @@ class G2Structure:
     coframe: CoframeSpec
     theta: FormExpr
     star_theta: FormExpr
+
+    def residuals(self) -> dict[str, FormExpr]:
+        r1, r2 = check_integrable_pure(self)
+        return {"coclosed": r1, "pure_type": r2}
+
+    def torsion(self) -> FormExpr:
+        return torsion_3form(self)
+
+    def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
+        return g2_instanton_residual(curv, self)
+
+    def holonomy_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
+        return g2_holonomy_residual(curv, self)
 
 
 def build_g2(c: CoframeSpec) -> G2Structure:
@@ -84,7 +104,6 @@ def torsion_3form(g: G2Structure) -> FormExpr:
 
 def g2_instanton_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
     """residual(i, j, m) = sum_{k,l} Omega^i_j(ebar_k, ebar_l) Theta(ebar_k, ebar_l, ebar_m)."""
-    c = g.coframe
     out = {}
     theta = g.theta
     for (i, j) in curv.pairs():
@@ -111,7 +130,6 @@ def g2_holonomy_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
     contraction that vanishes identically for the (+)-torsion connection;
     g2_instanton_residual contracts the form slots instead.
     """
-    c = g.coframe
     out = {}
     pair_forms = {}
     for (i, j) in curv.pairs():
@@ -140,6 +158,20 @@ class SU2Structure:
     F: FormExpr
     omega2: FormExpr
     omega3: FormExpr
+
+    def residuals(self) -> dict[str, FormExpr]:
+        return su2_structure_residuals(self)
+
+    def torsion(self) -> FormExpr:
+        """T = eta wedge d eta + 2 d^psi f wedge F."""
+        deta = exterior_derivative(self.eta)
+        return self.eta.wedge(deta) + dpsi_f_form(self.coframe).wedge(self.F) * 2
+
+    def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
+        return su2_instanton_residual(curv, self)
+
+    def holonomy_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
+        return su2_holonomy_residual(curv, self)
 
 
 def build_su2(c: CoframeSpec) -> SU2Structure:
@@ -172,26 +204,33 @@ def psi_image(k: int) -> tuple[int, int]:
     return table.get(k, (0, 0))
 
 
+def _su2_split(M) -> dict[str, ring.CoefExpr]:
+    """Nonzero self-dual (w1..w3) and mixed (m1..m4) parts of the skew array M(i, j).
+
+    M lies in su(2) exactly when both vanish: it is then a combination of the
+    anti-self-dual horizontal 2-forms.
+    """
+    half = ring.rat(1, 2)
+    parts = {
+        "w1": (M(1, 2) + M(3, 4)) * half,
+        "w2": (M(1, 3) - M(2, 4)) * half,
+        "w3": (M(1, 4) + M(2, 3)) * half,
+    }
+    for k in range(1, 5):
+        parts[f"m{k}"] = M(k, 5)
+    return {label: val for label, val in parts.items() if val}
+
+
 def su2_instanton_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
     """Self-dual and mixed components of each curvature entry.
 
     Vanishing of all entries is equivalent to the psi-compatibility pair
     Omega(psi X, psi Y) = Omega(X, Y), sum_k Omega(ebar_k, psi ebar_k) = 0.
     """
-    half = ring.rat(1, 2)
     out = {}
     for (i, j) in curv.pairs():
-        om = curv.entry(i, j)
-        w1 = (om.value_at(1, 2) + om.value_at(3, 4)) * half
-        w2 = (om.value_at(1, 3) - om.value_at(2, 4)) * half
-        w3 = (om.value_at(1, 4) + om.value_at(2, 3)) * half
-        for label, val in (("w1", w1), ("w2", w2), ("w3", w3)):
-            if val:
-                out[(i, j, label)] = val
-        for k in range(1, 5):
-            val = om.value_at(k, 5)
-            if val:
-                out[(i, j, f"m{k}")] = val
+        for label, val in _su2_split(curv.entry(i, j).value_at).items():
+            out[(i, j, label)] = val
     return out
 
 
@@ -203,24 +242,12 @@ def su2_holonomy_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
     su(2) span of the anti-self-dual horizontal 2-forms; identically zero
     for the (+)-torsion connection.
     """
-    c = s.coframe
-    half = ring.rat(1, 2)
     out = {}
     for k in range(1, 6):
         for l in range(k + 1, 6):
-            def M(i, j):
-                return curv.entry(i, j).value_at(k, l)
-
-            w1 = (M(1, 2) + M(3, 4)) * half
-            w2 = (M(1, 3) - M(2, 4)) * half
-            w3 = (M(1, 4) + M(2, 3)) * half
-            for label, val in (("w1", w1), ("w2", w2), ("w3", w3)):
-                if val:
-                    out[(k, l, label)] = val
-            for i in range(1, 5):
-                val = M(i, 5)
-                if val:
-                    out[(k, l, f"m{i}")] = val
+            parts = _su2_split(lambda i, j: curv.entry(i, j).value_at(k, l))
+            for label, val in parts.items():
+                out[(k, l, label)] = val
     return out
 
 
@@ -254,6 +281,9 @@ class SU3Structure:
     psi_plus: FormExpr
     psi_minus: FormExpr
 
+    def residuals(self) -> dict[str, FormExpr]:
+        return su3_structure_residuals(self)
+
 
 def build_su3(c: CoframeSpec) -> SU3Structure:
     if c.dim != 6:
@@ -279,6 +309,82 @@ def su3_structure_residuals(s: SU3Structure) -> dict[str, FormExpr]:
 
 
 # ---------------------------------------------------------------------------
+# one structure interface and the derived geometry of a coframe
+
+def structure(c: CoframeSpec):
+    """The structure a coframe carries: G2 (7 legs), SU(3) (6) or SU(2) (5)."""
+    if c.dim == 7:
+        return build_g2(c)
+    if c.dim == 6:
+        return build_su3(c)
+    if c.dim == 5:
+        return build_su2(c)
+    raise DimensionMismatch(f"no special structure on a {c.dim}-dim coframe")
+
+
+class Geometry:
+    """Torsion, connections, curvatures, p1 and structure of one coframe.
+
+    Each attribute is derived on first use and then kept, so every caller
+    holding this object shares one derivation.
+    """
+
+    def __init__(self, c: CoframeSpec):
+        self.coframe = c
+
+    @cached_property
+    def torsion(self) -> FormExpr:
+        return direct_torsion(self.coframe)
+
+    @cached_property
+    def dT(self) -> FormExpr:
+        return exterior_derivative(self.torsion)
+
+    @cached_property
+    def lc(self):
+        return levi_civita(self.coframe)
+
+    @cached_property
+    def curv_lc(self):
+        return curvature(self.lc)
+
+    @cached_property
+    def minus(self):
+        return torsion_connection(self.lc, self.torsion, -1)
+
+    @cached_property
+    def curv_minus(self):
+        return curvature(self.minus)
+
+    @cached_property
+    def curv_plus(self):
+        return curvature(torsion_connection(self.lc, self.torsion, +1))
+
+    @cached_property
+    def p1_minus(self) -> FormExpr:
+        return pontryagin4(self.curv_minus)
+
+    @cached_property
+    def structure(self):
+        return structure(self.coframe)  # the module function: methods do not see class names
+
+
+def geometry(c: CoframeSpec) -> Geometry:
+    """The Geometry of c that some caller still holds, else a new one.
+
+    The coframe keeps only a weak reference: its forms point back at it, so
+    a strong one would make a cycle that only the cyclic collector frees.
+    Hold the returned object for as long as its derivations should be shared.
+    """
+    ref = getattr(c, "_geometry", None)
+    geo = ref() if ref is not None else None
+    if geo is None:
+        geo = Geometry(c)
+        c._geometry = weakref.ref(geo)
+    return geo
+
+
+# ---------------------------------------------------------------------------
 # scalar curvature identity probe
 
 def torsion_norm_squared(T: FormExpr) -> ring.CoefExpr:
@@ -291,16 +397,14 @@ def torsion_norm_squared(T: FormExpr) -> ring.CoefExpr:
 
 def scalar_identity_residual(c: CoframeSpec, phi_factor: Fraction) -> ring.CoefExpr:
     """s - (8 |d phi|^2 - ||T||^2 / 12 - 6 delta d phi) for phi = phi_factor * f."""
-    from .connection import curvature, levi_civita, scalar_curvature
-
-    s = scalar_curvature(curvature(levi_civita(c)))
+    geo = geometry(c)
+    s = scalar_curvature(geo.curv_lc)
     dphi = df_form(c) * ring.rat(Fraction(phi_factor))
     norm_dphi = ring.CoefExpr()
     for idx, coef in dphi.comps.items():
         norm_dphi = norm_dphi + coef * coef
-    T = direct_torsion(c)
     # codifferential on 1-forms: delta = -star d star
     codiff = -hodge_star(exterior_derivative(hodge_star(dphi)))
     delta_dphi = codiff.comps.get((), ring.ZERO)
-    rhs = 8 * norm_dphi - ring.rat(1, 12) * torsion_norm_squared(T) - 6 * delta_dphi
+    rhs = 8 * norm_dphi - ring.rat(1, 12) * torsion_norm_squared(geo.torsion) - 6 * delta_dphi
     return s - rhs

@@ -14,45 +14,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import anomaly, numeric, ring
-from .connection import (
-    build_DB,
-    build_instanton_DLambda,
-    curvature,
-    lam_rank,
-    lam_squared,
-    levi_civita,
-    pontryagin4,
-    torsion_connection,
-)
+from .connection import build_DB, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
-from .forms import FormExpr, exterior_derivative, wedge
-from .frames import (
-    abs_A_squared,
-    build_coframe,
-    contraction_eps5,
-    contraction_eps6,
-    h5,
-    h21,
-    k_a,
-    quaternionic_heisenberg,
-)
-from .gstruct import (
-    build_g2,
-    build_su2,
-    build_su3,
-    check_integrable_pure,
-    direct_torsion,
-    g2_holonomy_residual,
-    g2_instanton_residual,
-    scalar_identity_residual,
-    su2_holonomy_residual,
-    su2_instanton_residual,
-    su3_structure_residuals,
-    su2_structure_residuals,
-    torsion_3form,
-)
+from .forms import FormExpr, wedge
+from .frames import abs_A_squared, build_coframe, h21, k_a
+from .gstruct import geometry, scalar_identity_residual
 from .profiles import BadParams, profile
 from .ring import CoefExpr, const, rat
 
@@ -176,10 +145,12 @@ def _integrability(c):
     return ok, None, {"legs": len(res), "nonzero": bad}
 
 
-def _g2_structure(c):
-    g = build_g2(c)
-    r1, r2 = check_integrable_pure(g)
-    seven_vol = c.form(7, {tuple(range(1, 8)): rat(7)})
+def _integrable_pure(geo):
+    """The G2 form is integrable, of pure type and normalized."""
+    g = geo.structure
+    res = g.residuals()
+    r1, r2 = res["coclosed"], res["pure_type"]
+    seven_vol = geo.coframe.form(7, {tuple(range(1, 8)): rat(7)})
     norm_ok = wedge(g.theta, g.star_theta) == seven_vol
     ok = (not r1.comps) and (not r2.comps) and norm_ok
     return ok, None, {
@@ -189,31 +160,22 @@ def _g2_structure(c):
     }
 
 
-def _su2_structure(c):
-    s = build_su2(c)
-    res = su2_structure_residuals(s)
+def _residuals_vanish(geo):
+    res = geo.structure.residuals()
     ok, bad = _forms_all_zero(res)
     return ok, None, {"residuals": len(res), "nonzero": bad}
 
 
-def _torsion_chain(c):
+def _onshell_factor(absA2: CoefExpr) -> CoefExpr:
+    """lap e^{2f} + 2|A|^2, the factor of every on-shell-vanishing residual."""
+    return anomaly.lap_e2f() + rat(2) * absA2
+
+
+def _torsion_chain(geo):
     """Torsion block formula vs the structure route, and the dT closed form."""
-    T = direct_torsion(c)
-    if c.dim == 7:
-        g = build_g2(c)
-        route = torsion_3form(g)
-        match = route == T
-    elif c.dim == 5:
-        s = build_su2(c)
-        deta = exterior_derivative(s.eta)
-        dpsi = wedge(_dpsi(c), s.F)
-        route = wedge(s.eta, deta) + dpsi * rat(2)
-        match = route == T
-    else:
-        match = True  # 6D has no second route catalogued
-    dT = exterior_derivative(T)
-    absA2 = abs_A_squared(c)
-    want = (-(anomaly.lap_e2f() + rat(2) * absA2)).scale_expf(-4)
+    match = geo.structure.torsion() == geo.torsion
+    dT = geo.dT
+    want = (-_onshell_factor(abs_A_squared(geo.coframe))).scale_expf(-4)
     got = dT.comps.get((1, 2, 3, 4), ring.ZERO)
     pure = all(idx == (1, 2, 3, 4) for idx in dT.comps)
     closed_form = pure and (got - want).terms == {}
@@ -222,12 +184,6 @@ def _torsion_chain(c):
         "dT_pure_volume": pure,
         "dT_closed_form": closed_form,
     }
-
-
-def _dpsi(c):
-    from .forms import dpsi_f_form
-
-    return dpsi_f_form(c)
 
 
 def _factor_through(entries: dict, factor: CoefExpr):
@@ -251,12 +207,95 @@ def _instanton_zero(entries: dict):
     return ok, None, {"entries": len(entries), "nonzero": bad}
 
 
-def _nabla_pm(c):
-    T = direct_torsion(c)
-    lc = levi_civita(c)
-    wm = torsion_connection(lc, T, -1)
-    wp = torsion_connection(lc, T, +1)
-    return T, wm, wp
+# ---------------------------------------------------------------------------
+# what differs between the 7-leg (G2) and the 5-leg (SU(2)) theorems
+
+@dataclass(frozen=True)
+class _Theorem:
+    structure_check: str  # check id
+    structure_body: object  # its body: geo -> (ok, residual, details)
+    A: list  # integer fiber matrix of the numeric frame
+    lam: list  # gauge matrix Lambda of the negative regime
+    B: list  # gauge matrix B of the positive regime
+    rank2_lambda: list | None  # rank-two Lambda of the designed failure, if catalogued
+    npoints: int = 64
+    alphaP: int = 1
+
+
+_THEOREMS = {
+    7: _Theorem(
+        "structure-integrable-pure", _integrable_pure,
+        A=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        lam=[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        B=[[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        rank2_lambda=[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    ),
+    5: _Theorem(
+        "structure-residuals", _residuals_vanish,
+        A=[[1, 1, 1]], lam=[2, -1, 1], B=[0, 0, 0], rank2_lambda=None,
+    ),
+}
+
+
+def _frame(dim: int, A=None):
+    """The theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None."""
+    if dim == 7:
+        return k_a(A)
+    return h21() if A is None else h21(*A[0])
+
+
+def _frame_checks(checks: list, geo, th: _Theorem) -> None:
+    c = geo.coframe
+    _ck(checks, "frame-integrability", lambda: _integrability(c))
+    _ck(checks, th.structure_check, lambda: th.structure_body(geo))
+    _ck(checks, "torsion-chain", lambda: _torsion_chain(geo))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    try:
+        Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return True
+
+
+def _fits(value, default, entry) -> bool:
+    """value nests like default, with its lengths, and entry accepts each leaf."""
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(
+            _fits(v, d, entry) for v, d in zip(value, default)
+        )
+    return entry(value)
+
+
+def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1) -> list:
+    """The values of keys in a theorem scenario's config, defaults filled in.
+
+    Raises BadParams for a value the scenario cannot use, before any check
+    runs.  Defaults and shapes come from the dimension's row of _THEOREMS.
+    """
+    th = _THEOREMS[dim]
+    out = []
+    for key in keys:
+        default = getattr(th, key)
+        value = config.get(key, default)
+        if key == "A":
+            ok = _fits(value, default, _is_int) and any(map(any, value))
+            want = f"a nonzero {len(default)}x3 matrix of integers"
+        elif key == "npoints":
+            ok, want = _is_int(value) and value >= min_points, f"an integer >= {min_points}"
+        elif key == "alphaP":
+            ok, want = _is_number(value) and Fraction(value) > 0, "a positive number"
+        else:  # lam, B
+            ok, want = _fits(value, default, _is_number), f"numbers shaped like {default}"
+        if not ok:
+            raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
+        out.append(Fraction(value) if key == "alphaP" else value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,66 +316,45 @@ def _rational_points(seed: int, n: int = 5, bound: int = 7):
     return pts
 
 
-def _numeric_lam(config, default):
-    lam = config.get("lam", default)
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # scenario bodies
 
-def _weierstrass_negative(checks, values, *, dim: int, seed: int, config: dict, overrides):
+def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-negative / thm-5d-negative."""
-    if dim == 7:
-        csym = k_a()
-        lam_default = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-        A_num = config.get("A", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    else:
-        csym = h21()
-        lam_default = [2, -1, 1]
-        A_num = config.get("A", [[1, 1, 1]])
-    lam = _numeric_lam(config, lam_default)
+    th = _THEOREMS[dim]
+    A_num, lam, npoints = _params(name, dim, config, ("A", "lam", "npoints"), min_points=2)
     if "rank2-lambda" in overrides:
-        if dim != 7:
+        if th.rank2_lambda is None:
             raise BadParams("rank2-lambda override applies to the 7D scenario")
-        lam = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+        lam = th.rank2_lambda
     values["lam"] = lam
+    csym, cnum = _frame(dim), _frame(dim, A_num)
+    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
 
-    _ck(checks, "frame-integrability", lambda: _integrability(csym))
-    if dim == 7:
-        _ck(checks, "structure-integrable-pure", lambda: _g2_structure(csym))
-    else:
-        _ck(checks, "structure-residuals", lambda: _su2_structure(csym))
-    _ck(checks, "torsion-chain", lambda: _torsion_chain(csym))
+    _frame_checks(checks, geo, th)
 
-    T, wm, wp = _nabla_pm(csym)
-    cur_m = curvature(wm)
-    cur_p = curvature(wp)
     absA2 = abs_A_squared(csym)
-    factor = anomaly.lap_e2f() + rat(2) * absA2
+    factor = _onshell_factor(absA2)
 
     rank = lam_rank(lam, csym)
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
-    if dim == 7:
-        g = build_g2(csym)
-        dl = build_instanton_DLambda(lam, csym)
-        _ck(checks, "gauge-instanton", lambda: _instanton_zero(g2_instanton_residual(curvature(dl), g)))
-        _ck(checks, "minus-instanton-factors", lambda: _factor_through(g2_instanton_residual(cur_m, g), factor))
-        _ck(checks, "plus-holonomy-zero", lambda: _instanton_zero(g2_holonomy_residual(cur_p, g)))
-    else:
-        s = build_su2(csym)
-        dl = build_instanton_DLambda(lam, csym)
-        _ck(checks, "gauge-instanton", lambda: _instanton_zero(su2_instanton_residual(curvature(dl), s)))
-        _ck(checks, "minus-instanton-factors", lambda: _factor_through(su2_instanton_residual(cur_m, s), factor))
-        _ck(checks, "plus-holonomy-zero", lambda: _instanton_zero(su2_holonomy_residual(cur_p, s)))
+    dl = build_instanton_DLambda(lam, csym)
+    _ck(checks, "gauge-instanton", lambda: _instanton_zero(geo.structure.instanton_residual(curvature(dl))))
+    _ck(checks, "minus-instanton-factors",
+        lambda: _factor_through(geo.structure.instanton_residual(geo.curv_minus), factor))
+    _ck(checks, "plus-holonomy-zero", lambda: _instanton_zero(geo.structure.holonomy_residual(geo.curv_plus)))
 
     lam2 = lam_squared(lam, csym)
     values["p1_volume_reading"] = "unbarred"
 
+    @cache
+    def residual():
+        return anomaly.anomaly_residual(csym, const("alphaP"), ("DLambda", lam))
+
     def _anomaly_sym():
-        r = anomaly.anomaly_residual(csym, const("alphaP"), ("DLambda", lam))
+        r = residual()
         want = anomaly.displayed_residual_dlambda(csym, lam, const("alphaP"))
         ok = (r - want).terms == {}
         return ok, None, {"terms": len(r.terms)}
@@ -344,25 +362,16 @@ def _weierstrass_negative(checks, values, *, dim: int, seed: int, config: dict, 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _reduction():
-        r = anomaly.anomaly_residual(csym, const("alphaP"), ("DLambda", lam))
-        ode = anomaly.reduce_onevar(r, absA2, lam2)
+        ode = anomaly.reduce_onevar(residual(), absA2, lam2)
         ok = (ode - anomaly.solv4_ode(absA2)).terms == {}
         return ok, None, {"ode_terms": len(ode.terms)}
 
     _ck(checks, "reduction-first-integral", _reduction)
-    _ck(
-        checks,
-        "u-substitution-identity",
-        lambda: (
-            anomaly.u_identity_residual(const("absA2")).terms == {}
-            and anomaly.weierstrass_cubic_match().terms == {},
-            None,
-            {},
-        ),
-    )
+    _ck(checks, "u-substitution-identity", lambda: (
+        not anomaly.u_identity_residual(const("absA2")) and not anomaly.weierstrass_cubic_match(), None, {}
+    ))
 
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
-    cnum = k_a(A_num) if dim == 7 else h21(*A_num[0])
     absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
     lam2q = ring.evaluate_exact(lam_squared(lam, cnum), {}, 1)
     absA2n = float(absA2q)
@@ -381,7 +390,7 @@ def _weierstrass_negative(checks, values, *, dim: int, seed: int, config: dict, 
         values["tau_plus"] = tau
         values["alphaP"] = -alpha * alpha
         prof = profile("weierstrass", d=d, alpha=alpha)
-        pts = _line_points(tau, config.get("npoints", 64))
+        pts = _line_points(tau, npoints)
         worst_ode = max(abs(cubic_residual(x[0], d)) for x in pts)
         worst_per = max(
             abs(weierstrass_p(x[0] + 2 * tau, d)[0] - weierstrass_p(x[0], d)[0]) for x in pts
@@ -404,68 +413,42 @@ def _weierstrass_negative(checks, values, *, dim: int, seed: int, config: dict, 
         }
 
     _ck(checks, "weierstrass-profile-numeric", _numeric_ode)
-    _ck(
-        checks,
-        "half-period-agm",
-        lambda: (
-            abs(half_period(1.0) - half_period_agm(1.0)) <= 1e-10,
-            abs(half_period(1.0) - half_period_agm(1.0)),
-            {},
-        ),
-    )
+
+    def _half_period_agm():
+        gap = abs(half_period(1.0) - half_period_agm(1.0))
+        return gap <= 1e-10, gap, {}
+
+    _ck(checks, "half-period-agm", _half_period_agm)
 
 
-def _fundamental_positive(checks, values, *, dim: int, seed: int, config: dict):
+def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
-    if dim == 7:
-        csym = k_a()
-        B = config.get("B", [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-        A_num = config.get("A", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        cnum = k_a(A_num)
-    else:
-        csym = h21()
-        B = config.get("B", [0, 0, 0])
-        A_num = config.get("A", [[1, 1, 1]])
-        cnum = h21(*A_num[0])
+    th = _THEOREMS[dim]
+    A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"))
+    csym, cnum = _frame(dim), _frame(dim, A_num)
+    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
     absB2 = sum(Fraction(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
 
-    _ck(checks, "frame-integrability", lambda: _integrability(csym))
-    if dim == 7:
-        _ck(checks, "structure-integrable-pure", lambda: _g2_structure(csym))
-    else:
-        _ck(checks, "structure-residuals", lambda: _su2_structure(csym))
-    _ck(checks, "torsion-chain", lambda: _torsion_chain(csym))
+    _frame_checks(checks, geo, th)
 
     absA2 = abs_A_squared(csym)
     db = build_DB(B, csym)
     factor_db = anomaly.lap_e2f() + rat(2) * rat(absB2)
 
-    def _db_instanton_condition():
-        if dim == 7:
-            g = build_g2(csym)
-            entries = g2_instanton_residual(curvature(db), g)
-        else:
-            s = build_su2(csym)
-            entries = su2_instanton_residual(curvature(db), s)
-        return _factor_through(entries, factor_db)
-
-    _ck(checks, "gauge-instanton-condition", _db_instanton_condition)
+    _ck(checks, "gauge-instanton-condition",
+        lambda: _factor_through(geo.structure.instanton_residual(curvature(db)), factor_db))
 
     def _anomaly_sym():
-        r = anomaly.anomaly_residual(csym, const("alphaP"), ("DB", B))
+        r = anomaly.anomaly_residual(csym, const("alphaP"), db)
         want = anomaly.displayed_residual_db(csym, rat(absB2), const("alphaP"))
         return (r - want).terms == {}, None, {"terms": len(r.terms)}
 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _p1_difference():
-        T = direct_torsion(csym)
-        lc = levi_civita(csym)
-        p1m = pontryagin4(curvature(torsion_connection(lc, T, -1)))
-        p1g = pontryagin4(curvature(db))
-        diff = p1m - p1g
+        diff = geo.p1_minus - pontryagin4(curvature(db))
         want = ((absA2 - rat(absB2)) * anomaly.lap_e_m2f() * rat(-3)).scale_expf(-4)
         got = diff.comps.get((1, 2, 3, 4), ring.ZERO)
         pure = all(idx == (1, 2, 3, 4) for idx in diff.comps)
@@ -500,9 +483,6 @@ def _fundamental_positive(checks, values, *, dim: int, seed: int, config: dict):
         values["comparison_constant_over_alphaP"] = Fraction(3, 4)
         values["cstar_vs_comparison_ratio"] = cstar_over_alphaP / Fraction(3, 4)
         # certify residual(c*) == 0 exactly, alphaP kept symbolic via alphaP = 1
-        alphaP = Fraction(config.get("alphaP", 1))
-        if alphaP <= 0:
-            raise BadParams("positive-alphaP scenario needs alphaP > 0")
         cstar = cstar_over_alphaP * alphaP
         prof = profile("fundamental", c=cstar)
         rfull = anomaly.anomaly_residual(cnum, const("alphaP"), ("DB", B))
@@ -520,7 +500,7 @@ def _fundamental_positive(checks, values, *, dim: int, seed: int, config: dict):
     _ck(checks, "fundamental-cstar-derivation", _cstar)
 
     def _harmonic():
-        prof = profile("fundamental", alphaP=Fraction(config.get("alphaP", 1)))
+        prof = profile("fundamental", alphaP=alphaP)
         lap_p = anomaly.lap_e2f()
         vals = []
         for x in _rational_points(seed + 1):
@@ -531,39 +511,21 @@ def _fundamental_positive(checks, values, *, dim: int, seed: int, config: dict):
     _ck(checks, "profile-harmonic-exact", _harmonic)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _ball_7d_config(config: dict) -> tuple[list, int]:
-    """(A, npoints) of a ball-7d config; BadParams for a value it cannot use."""
-    A = config.get("A", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    if not (isinstance(A, (list, tuple)) and len(A) == 3 and all(
-        isinstance(row, (list, tuple)) and len(row) == 3 and all(map(_is_int, row)) for row in A
-    )):
-        raise BadParams(f"ball-7d: config 'A' must be a 3x3 matrix of integers, got {A!r}")
-    n = config.get("npoints", 64)
-    if not (_is_int(n) and n > 0):
-        raise BadParams(f"ball-7d: config 'npoints' must be a positive integer, got {n!r}")
-    return A, n
-
-
-def _ball_7d(checks, values, *, seed: int, config: dict):
-    A_num, npoints = _ball_7d_config(config)
-    csym = k_a()
-    cnum = k_a(A_num)
+def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
+    th = _THEOREMS[dim]
+    A_num, npoints = _params(name, dim, config, ("A", "npoints"))
+    csym, cnum = _frame(dim), _frame(dim, A_num)
+    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
     absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
 
-    _ck(checks, "frame-integrability", lambda: _integrability(csym))
-    _ck(checks, "structure-integrable-pure", lambda: _g2_structure(csym))
-    _ck(checks, "torsion-chain", lambda: _torsion_chain(csym))
+    _frame_checks(checks, geo, th)
 
     prof = profile("ball", absA2=absA2q)
 
     def _ball_equation():
-        expr = anomaly.lap_e2f() + rat(2) * rat(absA2q)
+        expr = _onshell_factor(rat(absA2q))
         vals = []
         for x in _rational_points(seed):
             xs = tuple(v / 2 for v in x)  # keep |x| < 1
@@ -573,38 +535,30 @@ def _ball_7d(checks, values, *, seed: int, config: dict):
 
     _ck(checks, "ball-solves-instanton-equation", _ball_equation)
 
-    T, wm, _wp = _nabla_pm(csym)
-    g = build_g2(csym)
-    factor = anomaly.lap_e2f() + rat(2) * abs_A_squared(csym)
-    _ck(checks, "minus-instanton-factors", lambda: _factor_through(g2_instanton_residual(curvature(wm), g), factor))
+    factor = _onshell_factor(abs_A_squared(csym))
+    _ck(checks, "minus-instanton-factors",
+        lambda: _factor_through(geo.structure.instanton_residual(geo.curv_minus), factor))
 
     def _numeric_residuals():
-        Tn, wmn, _ = _nabla_pm(cnum)
-        gn = build_g2(cnum)
-        res = g2_instanton_residual(curvature(wmn), gn)
-        dT = exterior_derivative(Tn)
+        res = geo_num.structure.instanton_residual(geo_num.curv_minus)
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
         worst = 0.0
         for x in pts:
             assi = numeric.build_assignment(prof, x)
             for coef in res.values():
                 worst = max(worst, abs(coef.evaluate(assi)))
-            for coef in dT.comps.values():
+            for coef in geo_num.dT.comps.values():
                 worst = max(worst, abs(coef.evaluate(assi)))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
 
     def _normalization_probe():
-        pts = numeric.profile_points(prof, n=16, seed=seed + 7)
+        assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=16, seed=seed + 7)]
         outcome = {}
         for phi_factor in (-1, -2):
             expr = scalar_identity_residual(cnum, phi_factor)
-            worst = 0.0
-            for x in pts:
-                assi = numeric.build_assignment(prof, x)
-                worst = max(worst, abs(expr.evaluate(assi)))
-            outcome[f"phi={phi_factor}f"] = worst
+            outcome[f"phi={phi_factor}f"] = max((abs(expr.evaluate(assi)) for assi in assis), default=0.0)
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
@@ -614,24 +568,34 @@ def _ball_7d(checks, values, *, seed: int, config: dict):
     _ck(checks, "dilaton-normalization-probe", _normalization_probe)
 
 
-def _contraction(checks, values, *, target_dim: int, seed: int, config: dict):
-    sym_a = const("a")
-    sym_b = const("b")
-    if target_dim == 6:
-        family = lambda eps, drop: contraction_eps6(eps, sym_a, sym_b, drop=drop)
-        direct = h5(sym_a, sym_b)
-        dropped_legs = (7,)
-        lam7 = [[1, 1, 0], [0, 0, 0], [0, 0, 0]]
-        lam_direct = [[1, 1], [0, 0], [0, 0]]
-        a_num = {"a": 1.25, "b": 0.75}
-    else:
-        a1, a2, a3 = const("a1"), const("a2"), const("a3")
-        family = lambda eps, drop: contraction_eps5(eps, a1, a2, a3, drop=drop)
-        direct = h21(a1, a2, a3)
-        dropped_legs = (6, 7)
-        lam7 = [[1, 0, 0], [2, 0, 0], [0, 0, 0]]
-        lam_direct = [1, 2, 0]
-        a_num = {"a1": 1.0, "a2": -0.5, "a3": 0.25}
+@dataclass(frozen=True)
+class _Contraction:
+    family: str  # catalogue id of the eps-family
+    direct: str  # catalogue id of its eps = 0 frame
+    symbols: tuple  # names of the symbolic frame parameters
+    dropped_legs: tuple
+    lam7: list  # Lambda on the full-leg frame
+    lam_direct: list  # the same Lambda on the contracted frame
+    a_num: dict  # numeric frame parameters of the decay check
+
+
+_CONTRACTIONS = {
+    6: _Contraction("eps6", "h5", ("a", "b"), (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
+                    [[1, 1], [0, 0], [0, 0]], {"a": 1.25, "b": 0.75}),
+    5: _Contraction("eps5", "h21", ("a1", "a2", "a3"), (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
+                    [1, 2, 0], {"a1": 1.0, "a2": -0.5, "a3": 0.25}),
+}
+
+
+def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
+    t = _CONTRACTIONS[dim]
+    syms = {s: const(s) for s in t.symbols}
+
+    def family(eps, drop):
+        return build_coframe(t.family, eps=eps, drop=drop, **syms)
+
+    c0, c_path, direct = family(0, True), family(0, False), build_coframe(t.direct, **syms)
+    geo0, geo_path, geo_direct = geometry(c0), geometry(c_path), geometry(direct)  # held to the end
 
     _ck(checks, "family-integrability", lambda: (
         all(_integrability(family(Fraction(e), False))[0] for e in (Fraction(1, 10), Fraction(1, 100), 0)),
@@ -640,37 +604,22 @@ def _contraction(checks, values, *, target_dim: int, seed: int, config: dict):
     ))
 
     def _coframe_limit():
-        c0 = family(0, True)
         same = c0.dim == direct.dim and c0.struct == direct.struct
         return same, None, {"dim": c0.dim}
 
     _ck(checks, "contracted-coframe-equals-direct", _coframe_limit)
-
-    def _torsion_limit():
-        c0 = family(0, True)
-        ok = direct_torsion(c0) == direct_torsion(direct)
-        return ok, None, {}
-
-    _ck(checks, "contracted-torsion-equals-direct", _torsion_limit)
+    _ck(checks, "contracted-torsion-equals-direct", lambda: (geo0.torsion == geo_direct.torsion, None, {}))
 
     def _structure_limit():
-        c0 = family(0, True)
-        if target_dim == 6:
-            s = build_su3(c0)
-            res = su3_structure_residuals(s)
-        else:
-            s = build_su2(c0)
-            res = su2_structure_residuals(s)
-        ok, bad = _forms_all_zero(res)
+        ok, bad = _forms_all_zero(geo0.structure.residuals())
         return ok, None, {"nonzero": bad}
 
     _ck(checks, "contracted-structure-residuals", _structure_limit)
 
     def _residual_limit():
-        c_path = family(0, False)  # full-leg frame with the degenerate rows kept
-        r_path = anomaly.anomaly_residual(c_path, const("alphaP"), ("DLambda", lam7))
-        c0 = family(0, True)
-        r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", lam_direct))
+        # full-leg frame with the degenerate rows kept, against the contracted frame
+        r_path = anomaly.anomaly_residual(c_path, const("alphaP"), ("DLambda", t.lam7))
+        r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", t.lam_direct))
         ok = (r_path - r_direct).terms == {}
         return ok, None, {"terms": len(r_direct.terms)}
 
@@ -678,26 +627,16 @@ def _contraction(checks, values, *, target_dim: int, seed: int, config: dict):
 
     def _decay():
         prof = profile("ball", absA2=3)
-        pts = numeric.profile_points(prof, n=12, seed=seed)
+        assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=12, seed=seed)]
         maxima = {}
         for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-            cn = build_coframe(
-                "eps6" if target_dim == 6 else "eps5",
-                eps=e,
-                **a_num,
-            )
-            _T, wmn, _ = _nabla_pm(cn)
-            cur = curvature(wmn)
+            cur = geometry(build_coframe(t.family, eps=e, **t.a_num)).curv_minus
             worst = 0.0
             for (i, j) in cur.pairs():
-                touches_slot = i in dropped_legs or j in dropped_legs
+                touches_slot = i in t.dropped_legs or j in t.dropped_legs
                 for idx, coef in cur.entry(i, j).comps.items():
-                    touches = touches_slot or any(l in dropped_legs for l in idx)
-                    if not touches:
-                        continue
-                    for x in pts:
-                        assi = numeric.build_assignment(prof, x)
-                        worst = max(worst, abs(coef.evaluate(assi)))
+                    if touches_slot or any(l in t.dropped_legs for l in idx):
+                        worst = max(worst, max(abs(coef.evaluate(assi)) for assi in assis))
             maxima[float(e)] = worst
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
@@ -711,6 +650,18 @@ def _contraction(checks, values, *, target_dim: int, seed: int, config: dict):
 
 # ---------------------------------------------------------------------------
 # public driver
+
+# scenario -> (body, dimension of its frames)
+_BODIES = {
+    "thm-7d-negative": (_weierstrass_negative, 7),
+    "thm-7d-positive": (_fundamental_positive, 7),
+    "ball-7d": (_ball_7d, 7),
+    "thm-5d-negative": (_weierstrass_negative, 5),
+    "thm-5d-positive": (_fundamental_positive, 5),
+    "contraction-6d": (_contraction, 6),
+    "contraction-5d": (_contraction, 5),
+}
+
 
 def run_scenario(spec, seed: int | None = None, config: dict | None = None, overrides=()) -> ScenarioReport:
     if isinstance(spec, ScenarioSpec):
@@ -729,19 +680,7 @@ def run_scenario(spec, seed: int | None = None, config: dict | None = None, over
     checks: list[CheckResult] = []
     values: dict = {}
     t0 = time.perf_counter()
-    if name == "thm-7d-negative":
-        _weierstrass_negative(checks, values, dim=7, seed=seed, config=config, overrides=overrides)
-    elif name == "thm-5d-negative":
-        _weierstrass_negative(checks, values, dim=5, seed=seed, config=config, overrides=overrides)
-    elif name == "thm-7d-positive":
-        _fundamental_positive(checks, values, dim=7, seed=seed, config=config)
-    elif name == "thm-5d-positive":
-        _fundamental_positive(checks, values, dim=5, seed=seed, config=config)
-    elif name == "ball-7d":
-        _ball_7d(checks, values, seed=seed, config=config)
-    elif name == "contraction-6d":
-        _contraction(checks, values, target_dim=6, seed=seed, config=config)
-    elif name == "contraction-5d":
-        _contraction(checks, values, target_dim=5, seed=seed, config=config)
+    body, dim = _BODIES[name]
+    body(checks, values, name=name, dim=dim, seed=seed, config=config, overrides=overrides)
     wall = time.perf_counter() - t0
     return ScenarioReport(name, seed, checks, values, overrides, wall)

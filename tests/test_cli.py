@@ -65,14 +65,28 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, key",
-    [({"A": "x"}, "'A'"), ({"npoints": 0}, "'npoints'")],
-    ids=["A-not-a-matrix", "npoints-zero"],
+    "scenario, config, key",
+    [
+        ("ball-7d", {"A": "x"}, "'A'"),
+        ("ball-7d", {"npoints": 0}, "'npoints'"),
+        ("thm-7d-negative", {"npoints": 1}, "'npoints'"),
+        ("thm-7d-negative", {"npoints": 0}, "'npoints'"),
+        ("thm-7d-negative", {"A": "x"}, "'A'"),
+        ("thm-7d-negative", {"lam": "x"}, "'lam'"),
+        ("thm-5d-positive", {"A": "x"}, "'A'"),
+        ("thm-5d-positive", {"B": "x"}, "'B'"),
+        ("thm-5d-positive", {"alphaP": -1}, "'alphaP'"),
+    ],
+    ids=[
+        "A-not-a-matrix", "npoints-zero", "7d-negative-npoints-one", "7d-negative-npoints-zero",
+        "7d-negative-A-not-a-matrix", "7d-negative-lam-not-numbers", "5d-positive-A-not-a-matrix",
+        "5d-positive-B-not-numbers", "5d-positive-alphaP-negative",
+    ],
 )
-def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, config, key):
+def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, scenario, config, key):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(config))
-    rc, out, err = run_cli(["verify", "--scenario", "ball-7d", "--config", str(p)], capsys)
+    rc, out, err = run_cli(["verify", "--scenario", scenario, "--config", str(p)], capsys)
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and key in err
 

@@ -1,6 +1,8 @@
 """Tests for the G2 / SU(2) / SU(3) structures sharing one torsion 3-form."""
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,11 +10,14 @@ import pytest
 import expected_tables as tables
 from nilforms import ring
 from nilforms.anomaly import lap_e2f
-from nilforms.connection import build_instanton_DLambda, curvature, lam_rank
-from nilforms.forms import CoframeSpec, DimensionMismatch, dpsi_f_form, omega_bar, sigma_bar
-from nilforms.frames import abs_A_squared, h5
+from nilforms.connection import build_instanton_DLambda, curvature, lam_rank, pontryagin4
+from nilforms.forms import CoframeSpec, DimensionMismatch, dpsi_f_form, exterior_derivative, omega_bar, sigma_bar
+from nilforms.frames import abs_A_squared, h5, h21
 from nilforms.gstruct import (
+    G2Structure,
     NotAntiSelfDual,
+    SU2Structure,
+    SU3Structure,
     build_g2,
     build_su2,
     build_su3,
@@ -20,9 +25,11 @@ from nilforms.gstruct import (
     direct_torsion,
     g2_holonomy_residual,
     g2_instanton_residual,
+    geometry,
     psi_compatibility_residuals,
     psi_image,
     scalar_identity_residual,
+    structure,
     su2_holonomy_residual,
     su2_instanton_residual,
     su2_structure_residuals,
@@ -205,3 +212,80 @@ def test_torsion_norm_convention(ka, ka_family):
 def test_scalar_identity_holds_for_minus_f_only(ka):
     assert not scalar_identity_residual(ka, Fraction(-1))
     assert scalar_identity_residual(ka, Fraction(-2))
+
+
+# ---------------------------------------------------------------------------
+# one structure interface
+
+def test_structure_is_picked_by_dimension(ka, h21_sym):
+    assert isinstance(structure(ka), G2Structure)
+    assert isinstance(structure(h5(1, 2)), SU3Structure)
+    assert isinstance(structure(h21_sym), SU2Structure)
+    with pytest.raises(DimensionMismatch):
+        structure(CoframeSpec(4, {}))
+
+
+def test_structure_interface_reads_the_module_residuals(ka, ka_curvatures, h21_sym, h21_curvatures):
+    for c, (cm, cp), build, instanton, holonomy in (
+        (ka, ka_curvatures, build_g2, g2_instanton_residual, g2_holonomy_residual),
+        (h21_sym, h21_curvatures, build_su2, su2_instanton_residual, su2_holonomy_residual),
+    ):
+        s = structure(c)
+        assert s.instanton_residual(cm) == instanton(cm, build(c))
+        assert s.holonomy_residual(cm) == holonomy(cm, build(c))
+        assert s.holonomy_residual(cp) == {}
+        assert s.torsion() == direct_torsion(c)
+    g = structure(ka)
+    assert list(g.residuals().values()) == list(check_integrable_pure(g))
+    assert structure(h21_sym).residuals() == su2_structure_residuals(build_su2(h21_sym))
+
+
+def test_su2_holonomy_residual_flags_a_self_dual_matrix(h21_sym):
+    # Omega^1_2 = Omega^3_4 = ebar^{12}: the matrix in every (k, l) slot is self-dual
+    class Curv:
+        def pairs(self):
+            return [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+
+        def entry(self, i, j):
+            return h21_sym.basis(1, 2) if (i, j) in ((1, 2), (3, 4)) else h21_sym.zero(2)
+
+    s = build_su2(h21_sym)
+    assert su2_holonomy_residual(Curv(), s) == {(1, 2, "w1"): ring.ONE}
+    assert su2_instanton_residual(Curv(), s) == {(1, 2, "w1"): ring.rat(1, 2), (3, 4, "w1"): ring.rat(1, 2)}
+
+
+# ---------------------------------------------------------------------------
+# the derived geometry of a coframe
+
+def test_geometry_matches_the_pipeline(h21_sym, h21_family, h21_curvatures):
+    T, lc, wm, _wp = h21_family
+    cm, cp = h21_curvatures
+    geo = geometry(h21_sym)
+    assert geo.coframe is h21_sym
+    assert geo.torsion == T and geo.dT == exterior_derivative(T)
+    assert geo.lc == lc and geo.minus == wm
+    assert geo.curv_lc == curvature(lc)
+    assert geo.curv_minus == cm and geo.curv_plus == cp
+    assert geo.p1_minus == pontryagin4(cm)
+    assert isinstance(geo.structure, SU2Structure)
+
+
+def test_geometry_is_shared_while_a_caller_holds_it():
+    c = h21()
+    geo = geometry(c)
+    assert geometry(c) is geo
+    assert geo.curv_minus is geometry(c).curv_minus
+    assert geometry(h21()) is not geo
+
+
+def test_geometry_is_freed_without_the_cyclic_collector():
+    c = h21()
+    geo = geometry(c)
+    geo.p1_minus, geo.curv_plus, geo.curv_lc, geo.dT, geo.structure  # derive every piece
+    ref = weakref.ref(geo)
+    gc.disable()
+    try:
+        del geo
+        assert ref() is None
+    finally:
+        gc.enable()

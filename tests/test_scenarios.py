@@ -1,13 +1,18 @@
 """Tests for the scenario catalogue and its deterministic reports."""
 from __future__ import annotations
 
+import cProfile
 import json
 import math
+import pstats
 from fractions import Fraction
 
 import pytest
 
+from nilforms.anomaly import anomaly_residual
+from nilforms.connection import curvature, levi_civita
 from nilforms.elliptic import half_period
+from nilforms.profiles import DilatonProfile
 from nilforms.profiles import BadParams
 from nilforms.scenarios import (
     SCENARIOS,
@@ -180,3 +185,62 @@ def test_non_finite_floats_serialize_as_strict_json():
     doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
     assert doc["checks"][0]["residual"] == "NaN"
     assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
+
+
+# most calls of (levi_civita, curvature, anomaly_residual, DilatonProfile.jets)
+# one report at seed 0 may make: each coframe's geometry is derived once, and
+# each sample point's profile jets are evaluated once per check
+DERIVATION_BUDGET = {
+    "thm-7d-negative": (2, 6, 2, 128),
+    "thm-5d-negative": (2, 6, 2, 128),
+    "thm-7d-positive": (4, 6, 2, 0),
+    "thm-5d-positive": (4, 6, 2, 0),
+    "ball-7d": (2, 3, 0, 80),
+    "contraction-6d": (5, 7, 2, 12),
+    "contraction-5d": (5, 7, 2, 12),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_derives_each_geometry_once(name):
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        run_scenario(name, seed=0)
+    finally:
+        prof.disable()
+    stats = pstats.Stats(prof).stats
+
+    def calls(fn):
+        code = fn.__code__
+        return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+
+    got = tuple(calls(fn) for fn in (levi_civita, curvature, anomaly_residual, DilatonProfile.jets))
+    assert got[0] >= 1  # the counter is live
+    assert all(n <= bound for n, bound in zip(got, DERIVATION_BUDGET[name])), got
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("thm-5d-negative", {"npoints": 1}),
+        ("thm-5d-negative", {"A": [[0, 0, 0]]}),
+        ("thm-7d-negative", {"A": [[1, 0], [0, 1]]}),
+        ("thm-7d-negative", {"lam": [1, 0, 0]}),
+        ("thm-7d-positive", {"B": [[0, 0, 0], [0, 0, 0], [0, 0, "1/0"]]}),
+        ("thm-7d-positive", {"alphaP": "x"}),
+        ("ball-7d", {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
+        ("ball-7d", {"npoints": True}),
+    ],
+)
+def test_unusable_theorem_config_raises_before_any_check(name, config):
+    with pytest.raises(BadParams, match=f"{name}: config '{next(iter(config))}'"):
+        run_scenario(name, config=config)
+
+
+def test_theorem_config_accepts_fractions_and_custom_values():
+    rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]], "B": ["1/2", 0, 1], "alphaP": "3/2"})
+    assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
+    assert rep.values["absB2"] == Fraction(5, 4) and rep.values["alphaP"] == Fraction(3, 2)
+    rep = run_scenario("thm-7d-negative", config={"npoints": 2})
+    assert rep.passed
