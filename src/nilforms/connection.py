@@ -14,6 +14,7 @@ Conventions (fixed throughout):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
 from . import ring
@@ -21,6 +22,9 @@ from .forms import (
     CoframeSpec,
     DimensionMismatch,
     FormExpr,
+    _form,
+    _parts,
+    _wedge_into,
     exterior_derivative,
 )
 
@@ -129,14 +133,15 @@ def torsion_connection(lc: ConnectionForms, T: FormExpr, sign: int) -> Connectio
 
 def curvature(conn: ConnectionForms) -> CurvatureForms:
     c = conn.coframe
+    legs = range(1, c.dim + 1)
+    om = {(i, k): conn.entry(i, k) for i in legs for k in legs if i != k}
     entries = {}
     for (i, j) in conn.pairs():
-        om = exterior_derivative(conn.entry(i, j))
-        for k in range(1, c.dim + 1):
-            if k == i or k == j:
-                continue
-            om = om + conn.entry(i, k).wedge(conn.entry(k, j))
-        entries[(i, j)] = om
+        parts = _parts(exterior_derivative(om[i, j]))
+        for k in legs:
+            if k != i and k != j:
+                _wedge_into(parts, om[i, k], om[k, j])
+        entries[(i, j)] = _form(c, 2, parts)
     return CurvatureForms(c, entries, meta=dict(conn.meta))
 
 
@@ -146,21 +151,15 @@ def riemann(curv: CurvatureForms, i: int, j: int, k: int, l: int) -> ring.CoefEx
 
 
 def scalar_curvature(curv: CurvatureForms) -> ring.CoefExpr:
-    out = ring.CoefExpr()
-    for (i, j) in curv.pairs():
-        out = out + curv.entry(i, j).value_at(i, j) * 2
-    return out
+    return ring.sum_exprs(curv.entry(i, j).value_at(i, j) * 2 for (i, j) in curv.pairs())
 
 
 def pontryagin4(curv: CurvatureForms) -> FormExpr:
     """The 4-form sum_{i<j} Omega^i_j wedge Omega^i_j (equal to 8 pi^2 p1)."""
-    c = curv.coframe
-    out = c.zero(4)
-    for (i, j) in curv.pairs():
-        om = curv.entry(i, j)
-        if om:
-            out = out + om.wedge(om)
-    return out
+    parts: dict = {}
+    for om in curv.entries.values():
+        _wedge_into(parts, om, om)
+    return _form(curv.coframe, 4, parts)
 
 
 def first_structure_residual(conn: ConnectionForms) -> dict[int, FormExpr]:
@@ -168,11 +167,11 @@ def first_structure_residual(conn: ConnectionForms) -> dict[int, FormExpr]:
     c = conn.coframe
     out = {}
     for i in range(1, c.dim + 1):
-        r = c.dbar(i)
+        parts = _parts(c.dbar(i))
         for j in range(1, c.dim + 1):
             if j != i:
-                r = r + conn.entry(i, j).wedge(c.basis(j))
-        out[i] = r
+                _wedge_into(parts, conn.entry(i, j), c.basis(j))
+        out[i] = _form(c, 2, parts)
     return out
 
 
@@ -245,26 +244,15 @@ def lam_A_product(conn_or_lam, c: CoframeSpec):
     """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
     lam = conn_or_lam.meta["lam"] if isinstance(conn_or_lam, ConnectionForms) else _lam_rows(conn_or_lam, c.dim - 4)
     A = c.params["A"]
-    out = []
-    for r in range(3):
-        row = []
-        for m in range(3):
-            s = ring.CoefExpr()
-            for col in range(len(A)):
-                s = s + lam[r][col] * A[col][m]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(ring.sum_exprs(lam[r][col] * A[col][m] for col in range(len(A))) for m in range(3))
+        for r in range(3)
+    )
 
 
 def lam_squared(conn_or_lam, c: CoframeSpec) -> ring.CoefExpr:
     """lambda^2 = |lam . A|^2, the curvature normalization of D_lam."""
-    la = lam_A_product(conn_or_lam, c)
-    out = ring.CoefExpr()
-    for row in la:
-        for e in row:
-            out = out + e * e
-    return out
+    return ring.sum_exprs(e * e for row in lam_A_product(conn_or_lam, c) for e in row)
 
 
 def build_DB(B, c: CoframeSpec) -> ConnectionForms:
@@ -274,9 +262,6 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     member of the same family and substituting the symbolic entries, so no
     connection table is hard-coded.
     """
-    from .frames import k_a, h21
-    from .gstruct import geometry
-
     if c.dim not in (5, 7):
         raise DimensionMismatch("build_DB supports dims 7 and 5")
     nrows = c.dim - 4
@@ -284,16 +269,29 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
     B_clean = tuple(tuple(_num(x) for x in r) for r in rows)
-    twin, names = (k_a(), "a{r}{m}") if nrows == 3 else (h21(), "a{m}")
+    names = "a{r}{m}" if nrows == 3 else "a{m}"
     mapping = {
         names.format(r=r + 1, m=m + 1): B_clean[r][m] for r in range(nrows) for m in range(3)
     }
 
-    wm = geometry(twin).minus
+    wm = _twin_minus(nrows)
     entries = {
         (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
     }
     return ConnectionForms(c, entries, meta={"kind": "DB", "B": B_clean})
+
+
+@cache
+def _twin_minus(nrows: int) -> ConnectionForms:
+    """nabla^- of the symbolic kA (3 fiber rows) or h21 (1 row) coframe, derived once.
+
+    Only the connection is kept, not its Geometry; build_DB substitutes into
+    copies, so the cached forms are never mutated.
+    """
+    from .frames import k_a, h21
+    from .gstruct import geometry
+
+    return geometry(k_a() if nrows == 3 else h21()).minus
 
 
 def _num(x) -> ring.CoefExpr:

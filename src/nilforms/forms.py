@@ -119,13 +119,13 @@ class CoframeSpec:
         if k in self._dbar:
             return self._dbar[k]
         w = self.weights
-        out = self.zero(2)
+        parts: dict = {}
         if w[k - 1]:
-            out = out + df_form(self).wedge(self.basis(k)) * ring.rat(w[k - 1])
+            _wedge_into(parts, df_form(self) * w[k - 1], self.basis(k))
         for (i, j), coef in self.struct.get(k, {}).items():
             ex = w[k - 1] - w[i - 1] - w[j - 1]
-            out = out + FormExpr(self, 2, {(i, j): coef * ring.expf(ex)})
-        self._dbar[k] = out
+            ring._mul_into(parts.setdefault((i, j), {}), coef, ring.expf(ex), 1)
+        out = self._dbar[k] = _form(self, 2, parts)
         return out
 
     def integrability_residuals(self) -> dict[int, "FormExpr"]:
@@ -168,11 +168,7 @@ class FormExpr:
             raise DimensionMismatch("adding forms of different degree")
         out = dict(self.comps)
         for idx, coef in other.comps.items():
-            c = out.get(idx, ring.ZERO) + coef
-            if c:
-                out[idx] = c
-            else:
-                out.pop(idx, None)
+            out[idx] = out.get(idx, ring.ZERO) + coef  # FormExpr drops the zeros
         return FormExpr(self.coframe, self.degree if self.comps else other.degree, out)
 
     def __neg__(self) -> "FormExpr":
@@ -191,21 +187,9 @@ class FormExpr:
 
     def wedge(self, other: "FormExpr") -> "FormExpr":
         self._check_mate(other)
-        deg = self.degree + other.degree
-        out: dict[tuple, CoefExpr] = {}
-        for i1, c1 in self.comps.items():
-            s1 = set(i1)
-            for i2, c2 in other.comps.items():
-                if s1 & set(i2):
-                    continue
-                sign = _merge_sign(i1, i2)
-                key = tuple(sorted(i1 + i2))
-                c = out.get(key, ring.ZERO) + (c1 * c2 if sign > 0 else -(c1 * c2))
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return FormExpr(self.coframe, deg, out)
+        parts: dict = {}
+        _wedge_into(parts, self, other)
+        return _form(self.coframe, self.degree + other.degree, parts)
 
     def value_at(self, *indices: int) -> CoefExpr:
         """Component on frame vectors (determinant convention)."""
@@ -236,45 +220,55 @@ class FormExpr:
 
 
 # ---------------------------------------------------------------------------
+# the multiply-accumulate kernel: each component of a result is a raw ring
+# accumulator (monomial key -> int/Fraction), canonicalised once at the end
+
+def _parts(a: FormExpr) -> dict:
+    """Raw accumulators holding a copy of a's components."""
+    return {idx: dict(g.terms) for idx, g in a.comps.items()}
+
+
+def _wedge_into(parts: dict, a: FormExpr, b: FormExpr) -> None:
+    """Add a ^ b to parts, the merge sign folded into each term product."""
+    for i1, c1 in a.comps.items():
+        for i2, c2 in b.comps.items():
+            if set(i1).isdisjoint(i2):
+                acc = parts.setdefault(tuple(sorted(i1 + i2)), {})
+                ring._mul_into(acc, c1, c2, _merge_sign(i1, i2))
+
+
+def _form(c: CoframeSpec, degree: int, parts: dict) -> FormExpr:
+    """The form whose components are parts, each canonicalised once."""
+    return FormExpr(c, degree, {idx: ring._wrap(ring._canonical(acc)) for idx, acc in parts.items()})
+
+
+# ---------------------------------------------------------------------------
 # calculus operators
 
 def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
     return a.wedge(b)
 
 
-def frame_derivative(c: CoframeSpec, g: CoefExpr, i: int) -> CoefExpr:
-    """ebar_i applied to a scalar: e^{-w_i f} d_i g (zero on fiber legs)."""
-    if i > 4 or i > c.dim:
-        return ring.ZERO
-    w = c.weights[i - 1]
-    return ring.expf(-w) * g.partial(i)
-
-
 def exterior_derivative(a: FormExpr) -> FormExpr:
+    """d(g ebar^I) = dg ^ ebar^I + g sum_t (-1)^t ebar^{I<t} ^ d ebar^{I_t} ^ ebar^{I>t},
+    written from the index tuples into one raw accumulator per component."""
     c = a.coframe
-    parts: dict[tuple, list] = {}  # component index -> coefficients to sum
-
-    def collect(term: FormExpr):
-        for idx, coef in term.comps.items():
-            parts.setdefault(idx, []).append(coef)
-
+    parts: dict = {}
     for idx, g in a.comps.items():
-        # derivative of the coefficient along the frame
-        for i in HORIZONTAL:
-            if i > c.dim:
-                break
-            dg = frame_derivative(c, g, i)
-            if dg:
-                collect(FormExpr(c, 1, {(i,): dg}).wedge(FormExpr(c, len(idx), {idx: ring.ONE})))
-        # derivative of the basis monomial
+        # derivative of the coefficient along the frame: e^{-w_i f} d_i g (zero on fiber legs)
+        for i in HORIZONTAL[:c.dim]:
+            if i not in idx:
+                acc = parts.setdefault(tuple(sorted(idx + (i,))), {})
+                ring._add_into(acc, g.partial(i).scale_expf(-c.weights[i - 1]), _merge_sign((i,), idx))
+        # derivative of the basis monomial: d ebar^leg is a 2-form, so it passes
+        # ebar^{I<t} with no sign and merges into the rest of I
         for t, leg in enumerate(idx):
-            left = FormExpr(c, t, {idx[:t]: ring.ONE})
-            right = FormExpr(c, len(idx) - t - 1, {idx[t + 1:]: ring.ONE})
-            piece = left.wedge(c.dbar(leg)).wedge(right)
-            if t % 2:
-                piece = -piece
-            collect(piece * g)
-    return FormExpr(c, a.degree + 1, {idx: ring.sum_exprs(cs) for idx, cs in parts.items()})
+            rest = idx[:t] + idx[t + 1:]
+            for pair, coef in c.dbar(leg).comps.items():
+                if set(pair).isdisjoint(rest):
+                    sign = _merge_sign(pair, rest) * (-1) ** t
+                    ring._mul_into(parts.setdefault(tuple(sorted(pair + rest)), {}), coef, g, sign)
+    return _form(c, a.degree + 1, parts)
 
 
 def _star(a: FormExpr, legs: tuple) -> FormExpr:

@@ -29,6 +29,8 @@ from .forms import (
     CoframeSpec,
     DimensionMismatch,
     FormExpr,
+    _form,
+    _wedge_into,
     df_form,
     dpsi_f_form,
     exterior_derivative,
@@ -47,10 +49,11 @@ class NotAntiSelfDual(Exception):
 
 def direct_torsion(c: CoframeSpec) -> FormExpr:
     """The block torsion 3-form (valid in dimensions 5, 6 and 7)."""
-    T = (dpsi_f_form(c) * 2).wedge(omega_bar(c, 1))
+    parts: dict = {}
+    _wedge_into(parts, dpsi_f_form(c) * 2, omega_bar(c, 1))
     for leg in range(5, c.dim + 1):
-        T = T + c.dbar(leg).wedge(c.basis(leg))
-    return T
+        _wedge_into(parts, c.dbar(leg), c.basis(leg))
+    return _form(c, 3, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +114,9 @@ def g2_instanton_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
         if not om and not theta:
             continue
         for m in range(1, 8):
-            total = ring.CoefExpr()
-            for (k, l), oc in om.comps.items():
-                tc = theta.value_at(k, l, m)
-                if tc:
-                    total = total + oc * tc * 2
+            total = ring.sum_exprs(
+                oc * tc * 2 for (k, l), oc in om.comps.items() if (tc := theta.value_at(k, l, m))
+            )
             if total:
                 out[(i, j, m)] = total
     return out
@@ -138,11 +139,9 @@ def g2_holonomy_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
             pair_forms.setdefault((k, l), []).append((i, j, oc))
     for (k, l), contribs in pair_forms.items():
         for m in range(1, 8):
-            total = ring.CoefExpr()
-            for (i, j, oc) in contribs:
-                tc = g.theta.value_at(i, j, m)
-                if tc:
-                    total = total + oc * tc * 2
+            total = ring.sum_exprs(
+                oc * tc * 2 for (i, j, oc) in contribs if (tc := g.theta.value_at(i, j, m))
+            )
             if total:
                 out[(k, l, m)] = total
     return out
@@ -389,10 +388,7 @@ def geometry(c: CoframeSpec) -> Geometry:
 
 def torsion_norm_squared(T: FormExpr) -> ring.CoefExpr:
     """Full contraction sum_{i,j,k} T(ebar_i, ebar_j, ebar_k)^2 = 6 sum_{i<j<k}."""
-    out = ring.CoefExpr()
-    for idx, coef in T.comps.items():
-        out = out + coef * coef * 6
-    return out
+    return ring.sum_exprs(coef * coef * 6 for coef in T.comps.values())
 
 
 def scalar_identity_residual(c: CoframeSpec, phi_factor: Fraction) -> ring.CoefExpr:
@@ -400,9 +396,7 @@ def scalar_identity_residual(c: CoframeSpec, phi_factor: Fraction) -> ring.CoefE
     geo = geometry(c)
     s = scalar_curvature(geo.curv_lc)
     dphi = df_form(c) * ring.rat(Fraction(phi_factor))
-    norm_dphi = ring.CoefExpr()
-    for idx, coef in dphi.comps.items():
-        norm_dphi = norm_dphi + coef * coef
+    norm_dphi = ring.sum_exprs(coef * coef for coef in dphi.comps.values())
     # codifferential on 1-forms: delta = -star d star
     codiff = -hodge_star(exterior_derivative(hodge_star(dphi)))
     delta_dphi = codiff.comps.get((), ring.ZERO)

@@ -87,6 +87,25 @@ def _canonical(acc: dict) -> dict:
     }
 
 
+def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
+    """Add sign * a * b (sign = +/-1) to the raw accumulator acc, term by term."""
+    get = acc.get
+    right = b.terms.items()
+    for (k1, s1), c1 in a.terms.items():
+        if sign < 0:
+            c1 = -c1
+        for (k2, s2), c2 in right:
+            key = (k1 + k2, _mul_syms(s1, s2))
+            acc[key] = get(key, 0) + c1 * c2
+
+
+def _add_into(acc: dict, a: "CoefExpr", sign: int) -> None:
+    """Add sign * a (sign = +/-1) to the raw accumulator acc."""
+    get = acc.get
+    for key, coef in a.terms.items():
+        acc[key] = get(key, 0) + (-coef if sign < 0 else coef)
+
+
 def _wrap(terms: dict) -> "CoefExpr":
     """A CoefExpr owning ``terms``, which must already be canonical."""
     res = CoefExpr.__new__(CoefExpr)
@@ -183,12 +202,7 @@ class CoefExpr:
         if other is None:
             return NotImplemented
         out: dict = {}
-        get = out.get
-        right = other.terms.items()
-        for (k1, s1), c1 in self.terms.items():
-            for (k2, s2), c2 in right:
-                key = (k1 + k2, _mul_syms(s1, s2))
-                out[key] = get(key, 0) + c1 * c2
+        _mul_into(out, self, other, 1)
         return _wrap(_canonical(out))
 
     __rmul__ = __mul__
@@ -357,8 +371,7 @@ def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
     """Sum of ring elements, accumulated in one dict."""
     out: dict = {}
     for e in exprs:
-        for key, coef in e.terms.items():
-            out[key] = out.get(key, 0) + coef
+        _add_into(out, e, 1)
     return _wrap(_canonical(out))
 
 

@@ -1,0 +1,61 @@
+"""Reference wedge and exterior derivative written independently of the form kernel.
+
+Both follow the per-pair algorithm: one ``CoefExpr`` product per index pair,
+negated when the merge sign is odd, summed into the result with ``+``.  The
+merge sign is counted here from inversions, so a sign dropped anywhere in
+``nilforms.forms`` cannot cancel out of a comparison with these.
+"""
+from __future__ import annotations
+
+from nilforms import ring
+
+
+def naive_wedge(a, b):
+    out = {}
+    for i1, c1 in a.comps.items():
+        for i2, c2 in b.comps.items():
+            if set(i1) & set(i2):
+                continue
+            inversions = sum(1 for x in i1 for y in i2 if x > y)
+            term = c1 * c2 if inversions % 2 == 0 else -(c1 * c2)
+            key = tuple(sorted(i1 + i2))
+            out[key] = out.get(key, ring.ZERO) + term
+    return a.coframe.form(a.degree + b.degree, out)
+
+
+def naive_d(a):
+    """d(g ebar^I) = dg ^ ebar^I + g sum_t (-1)^t ebar^{I<t} ^ d ebar^{I_t} ^ ebar^{I>t}."""
+    c = a.coframe
+    out = c.zero(a.degree + 1)
+    for idx, g in a.comps.items():
+        for i in range(1, min(4, c.dim) + 1):
+            dg = ring.expf(-c.weights[i - 1]) * g.partial(i)
+            out = out + naive_wedge(c.form(1, {(i,): dg}), c.form(len(idx), {idx: 1}))
+        for t, leg in enumerate(idx):
+            left = c.form(t, {idx[:t]: 1})
+            right = c.form(len(idx) - t - 1, {idx[t + 1:]: 1})
+            piece = naive_wedge(naive_wedge(left, c.dbar(leg)), right) * g
+            out = out + (-piece if t % 2 else piece)
+    return out
+
+
+def naive_curvature(conn) -> dict:
+    """Omega^i_j = d omega^i_j + sum_k omega^i_k ^ omega^k_j for i < j."""
+    dim = conn.coframe.dim
+    out = {}
+    for (i, j) in conn.pairs():
+        om = naive_d(conn.entry(i, j))
+        for k in range(1, dim + 1):
+            if k != i and k != j:
+                om = om + naive_wedge(conn.entry(i, k), conn.entry(k, j))
+        out[(i, j)] = om
+    return out
+
+
+def naive_pontryagin4(curv):
+    """sum_{i<j} Omega^i_j ^ Omega^i_j."""
+    out = curv.coframe.zero(4)
+    for (i, j) in curv.pairs():
+        om = curv.entry(i, j)
+        out = out + naive_wedge(om, om)
+    return out

@@ -1,7 +1,9 @@
 """Tests for the anomaly residual and the one-variable equation chain."""
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 
 import pytest
 
@@ -26,7 +28,7 @@ from nilforms.anomaly import (
 )
 from nilforms.connection import build_DB, build_instanton_DLambda, lam_squared
 from nilforms.elliptic import half_period
-from nilforms.frames import abs_A_squared
+from nilforms.frames import abs_A_squared, k_a
 from nilforms.profiles import BadParams, profile
 from nilforms.ring import const, expf, jet, rat
 
@@ -94,6 +96,35 @@ def test_seven_leg_dlambda_residual_matches_closed_form(ka):
     got = anomaly_residual(ka, "alphaP", ("DLambda", LAM7))
     want = displayed_residual_dlambda(ka, LAM7, "alphaP")
     assert (got - want).is_zero()
+
+
+def _calls(fn, *targets) -> list:
+    """cProfile call counts of each target function made by fn()."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        fn()
+    finally:
+        prof.disable()
+    stats = pstats.Stats(prof).stats
+    keys = [(t.__code__.co_filename, t.__code__.co_firstlineno, t.__code__.co_name) for t in targets]
+    return [stats.get(key, (0, 0))[1] for key in keys]
+
+
+def test_residual_ring_work_is_bounded():
+    # one kA/DLambda residual: the wedge and d kernel multiplies raw terms
+    # straight into each component, so few CoefExpr products are built, and
+    # the monomial products stay below the per-pair algorithm's 5,198
+    lam = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
+
+    def residual():
+        c = k_a([[1, 2, 3], [-4, 5, 6], [7, -8, 9]])
+        got = anomaly_residual(c, "alphaP", ("DLambda", lam))
+        assert got == displayed_residual_dlambda(c, lam, "alphaP")
+
+    products, monomials = _calls(residual, ring.CoefExpr.__mul__, ring._mul_syms)
+    assert 0 < products <= 600
+    assert 0 < monomials <= 4000
 
 
 def test_seven_leg_db_residual_matches_closed_form(ka):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import expected_tables as tables
+from naive_forms import naive_curvature, naive_pontryagin4
 from nilforms import ring
 from nilforms.anomaly import lap_e_m2f
 from nilforms.connection import (
@@ -202,6 +203,38 @@ def test_characteristic_form_of_rank_one_gauge_connections(ka):
         p1 = pontryagin4(curvature(build_instanton_DLambda(lam, ka)))
         want = ka.form(4, {(1, 2, 3, 4): (rat(-4) * lam_squared(lam, ka)).scale_expf(-4)})
         assert p1 == want, lam
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel against the per-pair reference
+
+KERNEL_CONNECTIONS = ("kA-levi-civita", "kA-minus", "h21-levi-civita", "h21-minus", "kA-DLambda", "kA-DB")
+
+
+@pytest.fixture(scope="module")
+def kernel_connections(ka, ka_family, h21_family):
+    _T, lc7, wm7, _wp = ka_family
+    _T, lc5, wm5, _wp = h21_family
+    lam = _random_rank_one(random.Random(31))
+    conns = (lc7, wm7, lc5, wm5, build_instanton_DLambda(lam, ka), build_DB([[1, -2, 0], [3, 1, -1], [0, 2, 1]], ka))
+    return dict(zip(KERNEL_CONNECTIONS, conns))
+
+
+@pytest.mark.parametrize("name", KERNEL_CONNECTIONS)
+def test_curvature_matches_per_pair_reference(name, kernel_connections):
+    conn = kernel_connections[name]
+    curv = curvature(conn)
+    want = naive_curvature(conn)
+    assert any(want.values())
+    assert all(curv.entry(i, j) == want[(i, j)] for (i, j) in conn.pairs())
+
+
+@pytest.mark.parametrize("name", KERNEL_CONNECTIONS)
+def test_pontryagin4_matches_per_pair_reference(name, kernel_connections):
+    curv = curvature(kernel_connections[name])
+    want = naive_pontryagin4(curv)
+    assert want
+    assert pontryagin4(curv) == want
 
 
 def test_gauge_connection_entry_pattern(ka):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naive_forms import naive_d, naive_wedge
 from nilforms import ring
 from nilforms.forms import (
     CoframeSpec,
@@ -113,6 +114,14 @@ def test_wedge_associativity_and_distributivity(a, b, c):
         assert a.wedge(b + c) == a.wedge(b) + a.wedge(c)
 
 
+@pytest.mark.parametrize("frame", [GH, H5, H21], ids=("7-leg", "6-leg", "5-leg"))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_wedge_matches_per_pair_reference(frame, data):
+    a, b = data.draw(forms_on(frame)), data.draw(forms_on(frame))
+    assert a.wedge(b) == naive_wedge(a, b)
+
+
 def test_pair_form_wedge_table():
     v4 = GH.basis(1, 2, 3, 4)
     for i in (1, 2, 3):
@@ -149,6 +158,14 @@ def test_d_is_an_antiderivation(a, b):
     lhs = exterior_derivative(a.wedge(b))
     rhs = exterior_derivative(a).wedge(b) + a.wedge(exterior_derivative(b)) * ((-1) ** a.degree)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("frame", [GH, H5, H21], ids=("7-leg", "6-leg", "5-leg"))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_d_matches_per_pair_reference(frame, data):
+    a = data.draw(forms_on(frame))
+    assert exterior_derivative(a) == naive_d(a)
 
 
 def test_d_of_scalar_is_weighted_gradient():
