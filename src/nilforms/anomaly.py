@@ -13,7 +13,6 @@ the Weierstrass cubic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import ring
 from .connection import (
@@ -114,15 +113,8 @@ def displayed_residual_db(c: CoframeSpec, absB2, alphaP) -> CoefExpr:
 
 
 def _coef(x) -> CoefExpr:
-    if isinstance(x, CoefExpr):
-        return x
-    if isinstance(x, str):
-        return const(x)
-    if isinstance(x, int):
-        return rat(x)
-    if isinstance(x, Fraction):
-        return rat(x.numerator, x.denominator)
-    raise TypeError(f"cannot use {x!r} as a ring coefficient")
+    """x as a ring element; a string names a constant symbol."""
+    return const(x) if isinstance(x, str) else ring.coerce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +122,12 @@ def _coef(x) -> CoefExpr:
 
 def split_jet_free(e: CoefExpr) -> tuple[CoefExpr, CoefExpr]:
     """(jet-free-and-expf-free part, remainder)."""
-    free = {}
-    rest = {}
-    for (k, syms), coef in e.terms.items():
-        part = free if k == 0 and all(sym[0] != "j" for sym, _ in syms) else rest
-        part[(k, syms)] = coef
-    return CoefExpr(free), CoefExpr(rest)
+    free, rest = [], []
+    for term in e.monomials():
+        _, k, powers = term
+        jet_free = k == 0 and not any(ring.is_jet(sym) for sym, _ in powers)
+        (free if jet_free else rest).append(term)
+    return ring.from_monomials(free), ring.from_monomials(rest)
 
 
 def reduce_onevar(residual: CoefExpr, absA2: CoefExpr, lam2: CoefExpr) -> CoefExpr:
@@ -151,7 +143,7 @@ def reduce_onevar(residual: CoefExpr, absA2: CoefExpr, lam2: CoefExpr) -> CoefEx
     r2 = ring.restrict_onevar(r1)
     free, rest = split_jet_free(r2)
     expected = rat(2) * _coef(absA2) - alpha2 * _coef(lam2)
-    if not (free - expected).terms == {}:
+    if free != expected:
         raise ConstraintViolated(
             f"jet-free part {free!r} differs from 2|A|^2 - alpha^2 lambda^2 = {expected!r}"
         )
@@ -192,22 +184,21 @@ def to_u_polynomial(e: CoefExpr) -> tuple[CoefExpr, int, int]:
     U = const("u")
     U1 = const("u1")
     AL = const("alpha")
+    f1 = ring.jet_sym(1)
     pieces = []
-    for (k, syms), coef in e.terms.items():
+    for coef, k, powers in e.monomials():
         if k % 2:
             raise ValueError("odd e^{kf} power cannot be written in u")
-        upow = k // 2
-        apow = k
-        piece = CoefExpr({(0, ()): coef})
-        for sym, p in syms:
-            if sym == ("j", (1,)):
-                piece = piece * U1 ** p * rat(1, 2 ** p)
-                upow -= p
-            elif sym[0] == "j":
+        p1, consts = 0, []
+        for sym, p in powers:
+            if sym == f1:
+                p1 = p
+            elif ring.is_jet(sym):
                 raise ValueError(f"jet symbol {sym} is not expressible in (u, u1)")
             else:
-                piece = piece * CoefExpr({(0, ((sym, p),)): 1})
-        pieces.append((upow, apow, piece))
+                consts.append((sym, p))
+        piece = ring.from_monomials([(coef, 0, consts)]) * U1 ** p1 * rat(1, 2 ** p1)
+        pieces.append((k // 2 - p1, k, piece))
     if not pieces:
         return ring.ZERO, 0, 0
     mu = max(0, -min(up for up, _, _ in pieces))
@@ -268,8 +259,7 @@ def solv4_profile_residual(prof: DilatonProfile, absA2: float, alpha: float, x1:
     """solv4_lhs evaluated on a one-variable profile at x^1 (zero for the
     Weierstrass profile with matching d: the first integral with C0 = 0)."""
     expr = solv4_lhs(const("absA2"))
-    jets = prof.jets((x1, 0.0, 0.0, 0.0))
-    assi = dict(jets)
-    assi[("c", "absA2")] = float(absA2)
-    assi[("c", "alpha")] = float(alpha)
+    assi = prof.jets((x1, 0.0, 0.0, 0.0))
+    assi["absA2"] = float(absA2)
+    assi["alpha"] = float(alpha)
     return expr.evaluate(assi)

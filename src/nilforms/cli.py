@@ -53,6 +53,14 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {args.scenario!r}; choose from {', '.join(SCENARIOS)}")
@@ -64,8 +72,7 @@ def cmd_verify(args) -> int:
     report = run_scenario(args.scenario, seed=args.seed, config=config, overrides=overrides)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     sys.stdout.write(text)
     for c in report.checks:
         sys.stderr.write(f"[{c.status}] {report.name}: {c.id}\n")
@@ -137,8 +144,7 @@ def cmd_dump_profile(args) -> int:
         writer.writerow([repr(float(v)) for v in row])
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -214,15 +214,9 @@ def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
 
 def lam_rank(lam, c: CoframeSpec) -> int:
     """Rank of the lambda matrix over the rationals (entries must be numbers)."""
-    rows = [list(r) for r in _lam_rows(lam, c.dim - 4)]
-    mat = []
-    for r in rows:
-        vals = []
-        for e in r:
-            if any(key != (0, ()) for key in e.terms):
-                raise ValueError("rank needs numeric lambda entries")
-            vals.append(e.terms.get((0, ()), 0))
-        mat.append(vals)
+    mat = [[e.as_fraction() for e in r] for r in _lam_rows(lam, c.dim - 4)]
+    if any(v is None for r in mat for v in r):
+        raise ValueError("rank needs numeric lambda entries")
     rank = 0
     cols = len(mat[0]) if mat else 0
     row = 0
@@ -295,9 +289,8 @@ def _twin_minus(nrows: int) -> ConnectionForms:
 
 
 def _num(x) -> ring.CoefExpr:
-    if isinstance(x, ring.CoefExpr):
-        return x
-    return ring.rat(Fraction(x))
+    """x as a ring element; a value outside the ring is read by Fraction() ("1/2", 0.5)."""
+    return ring.coerce(x if isinstance(x, ring.CoefExpr) else Fraction(x))
 
 
 def rebase(form: FormExpr, c: CoframeSpec) -> FormExpr:

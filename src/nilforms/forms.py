@@ -10,7 +10,6 @@ determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from . import ring
@@ -72,7 +71,7 @@ class CoframeSpec:
             for (i, j), coef in row.items():
                 if not (1 <= i < j <= self.dim):
                     raise DimensionMismatch(f"bad pair ({i},{j}) in row {k}")
-                c = coef if isinstance(coef, CoefExpr) else ring.rat(coef)
+                c = ring.coerce(coef)
                 if c:
                     clean[(i, j)] = c
             if clean:
@@ -89,7 +88,7 @@ class CoframeSpec:
         return FormExpr(self, degree, {})
 
     def scalar(self, g) -> "FormExpr":
-        c = g if isinstance(g, CoefExpr) else ring.rat(g)
+        c = ring.coerce(g)
         return FormExpr(self, 0, {(): c} if c else {})
 
     def basis(self, *indices: int) -> "FormExpr":
@@ -99,7 +98,7 @@ class CoframeSpec:
         for i in indices:
             if not 1 <= i <= self.dim:
                 raise DimensionMismatch(f"index {i} outside 1..{self.dim}")
-        return FormExpr(self, len(indices), {tuple(indices): ring.rat(1)})
+        return FormExpr(self, len(indices), {tuple(indices): ring.ONE})
 
     def form(self, degree: int, comps: Mapping[tuple, object]) -> "FormExpr":
         out: dict[tuple, CoefExpr] = {}
@@ -107,7 +106,7 @@ class CoframeSpec:
             key = tuple(idx)
             if list(key) != sorted(set(key)) or len(key) != degree:
                 raise DimensionMismatch(f"bad component index {key} for degree {degree}")
-            c = coef if isinstance(coef, CoefExpr) else ring.rat(coef)
+            c = ring.coerce(coef)
             if c:
                 out[key] = c
         return FormExpr(self, degree, out)
@@ -178,8 +177,9 @@ class FormExpr:
         return self + (-other)
 
     def __mul__(self, scalar) -> "FormExpr":
-        c = scalar if isinstance(scalar, CoefExpr) else ring.rat(scalar) if isinstance(scalar, (int, Fraction)) else None
-        if c is None:
+        try:
+            c = ring.coerce(scalar)
+        except TypeError:
             return NotImplemented
         return FormExpr(self.coframe, self.degree, {i: g * c for i, g in self.comps.items()})
 
@@ -346,6 +346,3 @@ def omega_bar(c: CoframeSpec, i: int) -> FormExpr:
     }
     return c.form(2, table[i])
 
-
-def vol_bar(c: CoframeSpec) -> FormExpr:
-    return c.basis(*range(1, c.dim + 1))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ring
-from .forms import CoframeSpec, FormExpr, NotIntegrable
+from .forms import CoframeSpec
 
 CATALOG = ("gH", "kA", "h5", "h3", "h21", "eps6", "eps5")
 
@@ -35,16 +35,13 @@ _SIGMA_PAIRS = (
 
 
 def _coef(x) -> ring.CoefExpr:
-    if isinstance(x, ring.CoefExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ring.rat(x)
+    """x as a ring element; a float is read as the rational (denominator <= 10^9) it rounds from, 0.1 -> 1/10."""
     if isinstance(x, float):
         frac = Fraction(x).limit_denominator(10**9)
         if float(frac) != x:
             raise ValueError(f"non-rational parameter {x!r}; pass a Fraction")
-        return ring.rat(frac)
-    raise TypeError(f"cannot use {x!r} as a structure coefficient")
+        x = frac
+    return ring.coerce(x)
 
 
 def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
@@ -179,19 +176,3 @@ def build_coframe(catalog_id: str, **params) -> CoframeSpec:
                                 params.get("a3"), params.get("drop", True))
     raise ValueError(f"unknown coframe {catalog_id!r}; known: {CATALOG}")
 
-
-def contract_family(family: str, eps, **params) -> CoframeSpec:
-    """Member of a contraction family; eps = 0 performs the leg drop."""
-    if family not in ("eps6", "eps5"):
-        raise ValueError(f"unknown contraction family {family!r}")
-    return build_coframe(family, eps=eps, **params)
-
-
-def integrability_check(c: CoframeSpec, raise_on_fail: bool = False) -> dict[int, FormExpr]:
-    """Residuals d(d ebar^k) for every leg; all must vanish."""
-    res = c.integrability_residuals()
-    if raise_on_fail:
-        bad = [k for k, r in res.items() if r]
-        if bad:
-            raise NotIntegrable(f"d(d ebar^k) != 0 for k in {bad}")
-    return res

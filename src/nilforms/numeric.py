@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .forms import FormExpr, exterior_derivative, wedge
 from .profiles import DilatonProfile
-from .ring import COORDS, CoefExpr, jet_sym
+from .ring import COORDS, CoefExpr, as_symbol, jet_sym
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
@@ -23,32 +23,13 @@ def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | No
     assi = prof.jets(x)
     if consts:
         for name, val in consts.items():
-            key = name if isinstance(name, tuple) else ("c", name)
-            assi[key] = float(val)
+            assi[as_symbol(name)] = float(val)
     return assi
 
 
 def assigner(prof: DilatonProfile, consts: dict | None = None) -> Callable:
     """x -> assignment closure for repeated evaluation."""
     return lambda x: build_assignment(prof, x, consts)
-
-
-def eval_coef(expr: CoefExpr, prof: DilatonProfile, x, consts=None) -> float:
-    return expr.evaluate(build_assignment(prof, x, consts))
-
-
-def eval_form(form: FormExpr, prof: DilatonProfile, x, consts=None) -> dict:
-    """{index tuple: numeric value} of every stored component."""
-    assi = build_assignment(prof, x, consts)
-    return {idx: coef.evaluate(assi) for idx, coef in form.comps.items()}
-
-
-def form_max_abs(form: FormExpr, prof: DilatonProfile, pts, consts=None) -> float:
-    worst = 0.0
-    for x in pts:
-        for val in eval_form(form, prof, x, consts).values():
-            worst = max(worst, abs(val))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +174,3 @@ def fd_exterior_check(a: FormExpr, assign: Callable, pts, step: float = DEFAULT_
             worst = max(worst, abs(s - f) / (1.0 + abs(s)))
     return worst
 
-
-def perturbed_assigner(assign: Callable, sym: tuple, delta: float) -> Callable:
-    """Sensitivity control: shift one bound symbol by delta."""
-
-    def wrapped(x):
-        out = dict(assign(x))
-        out[sym] = out[sym] + delta
-        return out
-
-    return wrapped

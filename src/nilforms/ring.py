@@ -16,11 +16,18 @@ All arithmetic is exact.  A coefficient is an ``int``, or a
 terms and demotes integral Fractions to ``int``, so integer work stays on
 the fast ``int`` path and no float ever becomes a coefficient.  Equal values
 always have identical term dictionaries, so ``==`` is semantic equality.
+
+How a monomial is stored is private to this module.  Other modules build
+elements with ``rat``/``const``/``jet``/``expf`` and ``coerce``, and read
+them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
+terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
+``len()`` and ``bool()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
 
 MAX_JET_ORDER = 3
@@ -131,24 +138,6 @@ class CoefExpr:
                 if coef:
                     self.terms[key] = coef
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def rational(p, q=1) -> "CoefExpr":
-        return CoefExpr({(0, ()): p if q == 1 and type(p) is int else Fraction(p, q)})
-
-    @staticmethod
-    def const(name: str) -> "CoefExpr":
-        return _wrap({(0, ((const_sym(name), 1),)): 1})
-
-    @staticmethod
-    def jet(*indices: int) -> "CoefExpr":
-        return _wrap({(0, ((jet_sym(*indices), 1),)): 1})
-
-    @staticmethod
-    def expf(k: int) -> "CoefExpr":
-        return _wrap({(int(k), ()): 1})
-
     # -- basic predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -157,18 +146,44 @@ class CoefExpr:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __len__(self) -> int:
+        """Number of monomials with a nonzero coefficient."""
+        return len(self.terms)
+
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
+        other = _operand(other)
         if other is None:
             return NotImplemented
         return self.terms == other.terms
 
+    # -- decoded terms -------------------------------------------------------
+
+    def monomials(self):
+        """Yield (coef, k, powers) for each term coef * e^{kf} * prod(sym^p).
+
+        coef is an int or a Fraction, powers a sorted tuple of (symbol, p)
+        pairs; from_monomials() rebuilds the element from these triples.
+        The storage layout behind them is private to this module.
+        """
+        for (k, powers), coef in self.terms.items():
+            yield coef, k, powers
+
+    def as_fraction(self) -> Fraction | None:
+        """The value as a Fraction when self is a rational constant, else None."""
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        if len(terms) == 1 and (0, ()) in terms:
+            return Fraction(terms[(0, ())])
+        return None
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "CoefExpr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, CoefExpr):
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.terms)
         for key, coef in other.terms.items():
             c = out.get(key, 0) + coef
@@ -186,21 +201,22 @@ class CoefExpr:
         return _wrap({key: -coef for key, coef in self.terms.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other) -> "CoefExpr":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, CoefExpr):
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         out: dict = {}
         _mul_into(out, self, other, 1)
         return _wrap(_canonical(out))
@@ -210,7 +226,7 @@ class CoefExpr:
     def __pow__(self, n: int) -> "CoefExpr":
         if n < 0:
             raise ValueError("negative powers are not in the ring")
-        res = CoefExpr.rational(1)
+        res = ONE
         base = self
         while n:
             if n & 1:
@@ -248,13 +264,7 @@ class CoefExpr:
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":
         """Replace constant-parameter or jet symbols by ring elements."""
-        table = {}
-        for key, val in mapping.items():
-            sym = _as_symbol(key)
-            rep = _coerce(val)
-            if rep is None:
-                raise TypeError(f"cannot substitute {val!r} into the ring")
-            table[sym] = rep
+        table = {as_symbol(key): coerce(val) for key, val in mapping.items()}
         pieces = []
         for (k, syms), coef in self.terms.items():
             piece = _wrap({(k, ()): coef})
@@ -270,7 +280,7 @@ class CoefExpr:
         """Numeric value; needs every symbol (and f for e^{kf}) bound."""
         import math
 
-        table = {_as_symbol(k): float(v) for k, v in assignment.items()}
+        table = {as_symbol(k): float(v) for k, v in assignment.items()}
         fsym = jet_sym()
         total = 0.0
         for key in sorted(self.terms):  # deterministic summation order
@@ -300,9 +310,7 @@ class CoefExpr:
         return (min(ks), max(ks)) if ks else (0, 0)
 
     def scale_expf(self, shift: int) -> "CoefExpr":
-        res = CoefExpr()
-        res.terms = {(k + shift, syms): c for (k, syms), c in self.terms.items()}
-        return res
+        return _wrap({(k + shift, syms): c for (k, syms), c in self.terms.items()})
 
     # -- display -------------------------------------------------------------
 
@@ -328,15 +336,30 @@ class CoefExpr:
         return " + ".join(bits)
 
 
-def _coerce(x) -> CoefExpr | None:
+def coerce(x) -> CoefExpr:
+    """x as a ring element: a CoefExpr unchanged, a rational number as a constant.
+
+    The one conversion into the ring.  Anything else (a float, a string)
+    has no single exact reading, so it raises TypeError and the caller
+    decides how to read it.
+    """
     if isinstance(x, CoefExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CoefExpr.rational(x)
-    return None
+    if isinstance(x, Rational):
+        return rat(x)
+    raise TypeError(f"cannot use {x!r} as a ring element")
 
 
-def _as_symbol(key) -> tuple:
+def _operand(x) -> CoefExpr | None:
+    """coerce(x), or None where an operator should return NotImplemented."""
+    try:
+        return coerce(x)
+    except TypeError:
+        return None
+
+
+def as_symbol(key) -> tuple:
+    """The symbol named by key: a constant's name, or a symbol as const_sym/jet_sym build it."""
     if isinstance(key, tuple) and len(key) == 2 and key[0] in ("c", "j"):
         return key
     if isinstance(key, str):
@@ -344,27 +367,45 @@ def _as_symbol(key) -> tuple:
     raise TypeError(f"not a ring symbol: {key!r}")
 
 
+def is_jet(sym) -> bool:
+    """True for a jet symbol (f or one of its derivatives), False for a named constant."""
+    return sym[0] == "j"
+
+
 # ---------------------------------------------------------------------------
-# module-level operations (functional aliases over the methods)
-
-ZERO = CoefExpr()
-ONE = CoefExpr.rational(1)
-
+# constructors and module-level operations
 
 def rat(p, q=1) -> CoefExpr:
-    return CoefExpr.rational(p, q)
+    """The rational constant p/q."""
+    return CoefExpr({(0, ()): p if q == 1 and type(p) is int else Fraction(p, q)})
 
 
 def const(name: str) -> CoefExpr:
-    return CoefExpr.const(name)
+    """The named constant parameter."""
+    return _wrap({(0, ((const_sym(name), 1),)): 1})
 
 
 def jet(*indices: int) -> CoefExpr:
-    return CoefExpr.jet(*indices)
+    """The jet f_{indices} (no indices: f itself)."""
+    return _wrap({(0, ((jet_sym(*indices), 1),)): 1})
 
 
 def expf(k: int) -> CoefExpr:
-    return CoefExpr.expf(k)
+    """e^{kf}."""
+    return _wrap({(int(k), ()): 1})
+
+
+def from_monomials(terms: Iterable[tuple]) -> CoefExpr:
+    """The sum of decoded (coef, k, powers) terms, as CoefExpr.monomials() yields them."""
+    out: dict = {}
+    for coef, k, powers in terms:
+        key = (k, tuple(sorted(powers)))
+        out[key] = out.get(key, 0) + coef
+    return CoefExpr(out)
+
+
+ZERO = CoefExpr()
+ONE = rat(1)
 
 
 def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
@@ -397,13 +438,9 @@ def p_laplacian4() -> CoefExpr:
     return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
 
 
-def evaluate(e: CoefExpr, assignment: Mapping) -> float:
-    return e.evaluate(assignment)
-
-
 def evaluate_exact(e: CoefExpr, assignment: Mapping, e2f: Fraction) -> Fraction:
     """Exact Fraction value; e^{kf} factors become e2f^{k/2} (k must be even)."""
-    table = {_as_symbol(k): Fraction(v) for k, v in assignment.items()}
+    table = {as_symbol(k): Fraction(v) for k, v in assignment.items()}
     e2f = Fraction(e2f)
     total = Fraction(0)
     for (k, syms), coef in e.terms.items():
@@ -416,10 +453,6 @@ def evaluate_exact(e: CoefExpr, assignment: Mapping, e2f: Fraction) -> Fraction:
             val *= table[sym] ** power
         total += val
     return total
-
-
-def substitute(e: CoefExpr, mapping: Mapping) -> CoefExpr:
-    return e.substitute(mapping)
 
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:

@@ -3,8 +3,9 @@
 Each scenario bundles a frame, a dilaton profile, an auxiliary connection
 and a parameter regime, runs a fixed list of symbolic and numeric checks,
 and assembles a JSON-serializable report.  Check failures and exceptions
-are captured into the report, never raised past it; a config value the
-scenario cannot use raises BadParams before any check runs.
+are captured into the report, never raised past it; a config key the
+scenario does not read, or a value it cannot use, raises BadParams before
+any check runs.
 """
 
 from __future__ import annotations
@@ -131,11 +132,7 @@ def _ck(checks: list, cid: str, fn) -> None:
 
 def _forms_all_zero(forms) -> tuple[bool, int]:
     items = forms.values() if isinstance(forms, dict) else forms
-    bad = 0
-    for f in items:
-        comps = f.comps if isinstance(f, FormExpr) else f.terms
-        if comps:
-            bad += 1
+    bad = sum(1 for f in items if f)
     return bad == 0, bad
 
 
@@ -178,7 +175,7 @@ def _torsion_chain(geo):
     want = (-_onshell_factor(abs_A_squared(geo.coframe))).scale_expf(-4)
     got = dT.comps.get((1, 2, 3, 4), ring.ZERO)
     pure = all(idx == (1, 2, 3, 4) for idx in dT.comps)
-    closed_form = pure and (got - want).terms == {}
+    closed_form = pure and got == want
     return match and closed_form, None, {
         "route_equality": match,
         "dT_pure_volume": pure,
@@ -194,7 +191,7 @@ def _factor_through(entries: dict, factor: CoefExpr):
         comps = form.comps if isinstance(form, FormExpr) else {None: form}
         for coef in comps.values():
             total += 1
-            if not coef.terms:
+            if not coef:
                 continue
             nonzero += 1
             if ring.try_divide(coef, factor) is None:
@@ -273,15 +270,19 @@ def _fits(value, default, entry) -> bool:
 
 
 def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1) -> list:
-    """The values of keys in a theorem scenario's config, defaults filled in.
+    """The values of keys, the config keys a scenario reads, defaults filled in.
 
-    Raises BadParams for a value the scenario cannot use, before any check
-    runs.  Defaults and shapes come from the dimension's row of _THEOREMS.
+    Raises BadParams, before any check runs, for a key the scenario does
+    not read or a value it cannot use.  Defaults and shapes come from the
+    dimension's row of _THEOREMS.
     """
-    th = _THEOREMS[dim]
+    unread = [key for key in config if key not in keys]
+    if unread:
+        reads = ", ".join(map(repr, keys)) if keys else "no config keys"
+        raise BadParams(f"{name}: unknown config key {', '.join(map(repr, unread))} (it reads {reads})")
     out = []
     for key in keys:
-        default = getattr(th, key)
+        default = getattr(_THEOREMS[dim], key)
         value = config.get(key, default)
         if key == "A":
             ok = _fits(value, default, _is_int) and any(map(any, value))
@@ -356,15 +357,13 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     def _anomaly_sym():
         r = residual()
         want = anomaly.displayed_residual_dlambda(csym, lam, const("alphaP"))
-        ok = (r - want).terms == {}
-        return ok, None, {"terms": len(r.terms)}
+        return r == want, None, {"terms": len(r)}
 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _reduction():
         ode = anomaly.reduce_onevar(residual(), absA2, lam2)
-        ok = (ode - anomaly.solv4_ode(absA2)).terms == {}
-        return ok, None, {"ode_terms": len(ode.terms)}
+        return ode == anomaly.solv4_ode(absA2), None, {"ode_terms": len(ode)}
 
     _ck(checks, "reduction-first-integral", _reduction)
     _ck(checks, "u-substitution-identity", lambda: (
@@ -372,8 +371,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     ))
 
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
-    absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
-    lam2q = ring.evaluate_exact(lam_squared(lam, cnum), {}, 1)
+    absA2q = abs_A_squared(cnum).as_fraction()
+    lam2q = lam_squared(lam, cnum).as_fraction()
     absA2n = float(absA2q)
     lam2n = float(lam2q)
     values["absA2"] = absA2q
@@ -443,7 +442,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     def _anomaly_sym():
         r = anomaly.anomaly_residual(csym, const("alphaP"), db)
         want = anomaly.displayed_residual_db(csym, rat(absB2), const("alphaP"))
-        return (r - want).terms == {}, None, {"terms": len(r.terms)}
+        return r == want, None, {"terms": len(r)}
 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
@@ -452,13 +451,13 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         want = ((absA2 - rat(absB2)) * anomaly.lap_e_m2f() * rat(-3)).scale_expf(-4)
         got = diff.comps.get((1, 2, 3, 4), ring.ZERO)
         pure = all(idx == (1, 2, 3, 4) for idx in diff.comps)
-        ok = pure and (got - want).terms == {}
+        ok = pure and got == want
         return ok, None, {"pure_volume": pure}
 
     _ck(checks, "p1-difference-closed-form", _p1_difference)
 
     # engine-derived constant c*: e^{2f} = c*/|x-e|^2 kills the residual
-    absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
+    absA2q = abs_A_squared(cnum).as_fraction()
 
     def _cstar():
         # residual on the profile: lap e^{2f} = 0 and lap e^{-2f} = 8/c exactly,
@@ -489,9 +488,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         worst = []
         for x in pts:
             g, jets = prof.jets_exact(x)
-            assi = dict(jets)
-            assi[("c", "alphaP")] = alphaP
-            worst.append(ring.evaluate_exact(rfull, assi, g))
+            jets["alphaP"] = alphaP
+            worst.append(ring.evaluate_exact(rfull, jets, g))
         ok = all(w == 0 for w in worst)
         values["alphaP"] = alphaP
         values["cstar"] = cstar
@@ -516,7 +514,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     A_num, npoints = _params(name, dim, config, ("A", "npoints"))
     csym, cnum = _frame(dim), _frame(dim, A_num)
     geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
-    absA2q = ring.evaluate_exact(abs_A_squared(cnum), {}, 1)
+    absA2q = abs_A_squared(cnum).as_fraction()
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
 
@@ -588,6 +586,7 @@ _CONTRACTIONS = {
 
 
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
+    _params(name, dim, config, ())
     t = _CONTRACTIONS[dim]
     syms = {s: const(s) for s in t.symbols}
 
@@ -620,8 +619,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
         # full-leg frame with the degenerate rows kept, against the contracted frame
         r_path = anomaly.anomaly_residual(c_path, const("alphaP"), ("DLambda", t.lam7))
         r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", t.lam_direct))
-        ok = (r_path - r_direct).terms == {}
-        return ok, None, {"terms": len(r_direct.terms)}
+        return r_path == r_direct, None, {"terms": len(r_direct)}
 
     _ck(checks, "contracted-anomaly-equals-direct", _residual_limit)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cProfile
 import math
 import pstats
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,17 @@ def test_gauge_connection_rejects_unknown_kind(ka):
 
 # ---------------------------------------------------------------------------
 # engine residual vs closed forms
+
+def test_coefficient_arguments_accept_numbers_and_symbol_names(ka):
+    want = displayed_residual_db(ka, rat(2), const("alphaP"))
+    assert displayed_residual_db(ka, 2, "alphaP") == want
+    assert displayed_residual_db(ka, Fraction(4, 2), const("alphaP")) == want
+    assert displayed_residual_db(ka, "absB2", Fraction(1, 3)) == displayed_residual_db(
+        ka, const("absB2"), rat(1, 3)
+    )
+    with pytest.raises(TypeError):
+        displayed_residual_db(ka, 2.5, "alphaP")
+
 
 def test_seven_leg_dlambda_residual_matches_closed_form(ka):
     got = anomaly_residual(ka, "alphaP", ("DLambda", LAM7))
@@ -202,7 +214,7 @@ def test_to_u_polynomial_semantics():
     uv, u1v, av, qv = 2.0, 3.0, 1.5, 0.7
     fval = 0.5 * math.log(av * av * uv)
     lhs = (uv ** mu) * (av ** ma) * e.evaluate(
-        {("j", (1,)): u1v / (2 * uv), ("j", ()): fval, "q": qv}
+        {ring.jet_sym(1): u1v / (2 * uv), ring.jet_sym(): fval, "q": qv}
     )
     rhs = P.evaluate({"u": uv, "u1": u1v, "alpha": av, "q": qv})
     assert abs(lhs - rhs) < 1e-9

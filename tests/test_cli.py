@@ -76,11 +76,12 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
         ("thm-5d-positive", {"A": "x"}, "'A'"),
         ("thm-5d-positive", {"B": "x"}, "'B'"),
         ("thm-5d-positive", {"alphaP": -1}, "'alphaP'"),
+        ("thm-7d-negative", {"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "'lamda'"),
     ],
     ids=[
         "A-not-a-matrix", "npoints-zero", "7d-negative-npoints-one", "7d-negative-npoints-zero",
         "7d-negative-A-not-a-matrix", "7d-negative-lam-not-numbers", "5d-positive-A-not-a-matrix",
-        "5d-positive-B-not-numbers", "5d-positive-alphaP-negative",
+        "5d-positive-B-not-numbers", "5d-positive-alphaP-negative", "7d-negative-unread-key",
     ],
 )
 def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, scenario, config, key):
@@ -96,6 +97,22 @@ def test_verify_out_file_matches_stdout(tmp_path, capsys):
     rc, out, _err = run_cli(["verify", "--scenario", "ball-7d", "--out", str(p)], capsys)
     assert rc == 0
     assert p.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "ball-7d"],
+        ["dump-profile", "--profile", "ball", "--params", "absA2=3", "--grid", "2"],
+    ],
+    ids=["verify", "dump-profile"],
+)
+def test_unwritable_out_exits_two_with_one_error_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "out.txt"
+    rc, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

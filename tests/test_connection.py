@@ -315,6 +315,20 @@ def test_substituted_matrix_connection_zero_matrix_is_flat_on_fibers():
     ).entry(1, 2)
 
 
+def test_gauge_entries_are_read_by_fraction():
+    c = h21(1, 1, 2)
+    want = build_DB([Fraction(1, 2), 0, 1], c)
+    assert build_DB(["1/2", 0, 1], c) == want
+    assert build_DB([0.5, "0", ring.ONE], c) == want
+    # a float is read exactly as Fraction() reads it: 0.1 is not 1/10
+    assert build_DB([0.1, 0, 0], c).meta["B"][0][0] == rat(Fraction(0.1))
+    assert build_instanton_DLambda(["1/3", -1, 2.5], c).meta["lam"] == (
+        (rat(1, 3),), (rat(-1),), (rat(5, 2),)
+    )
+    with pytest.raises(ValueError):
+        build_DB(["x", 0, 0], c)
+
+
 def test_substituted_matrix_shape_validation():
     c = k_a([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
@@ -341,7 +355,8 @@ def test_scalar_curvature_gradient_free_part(ka, ka_family):
 
     _T, lc, _wm, _wp = ka_family
     s = scalar_curvature(curvature(lc))
-    jet_free = ring.CoefExpr(
-        {key: v for key, v in s.terms.items() if all(sym[0] != "j" for sym, _ in key[1])}
+    jet_free = ring.from_monomials(
+        (coef, k, powers) for coef, k, powers in s.monomials()
+        if not any(ring.is_jet(sym) for sym, _ in powers)
     )
     assert jet_free == (-abs_A_squared(ka)).scale_expf(-4)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from nilforms.forms import (
     interior,
     omega_bar,
     sigma_bar,
-    vol_bar,
     wedge,
 )
 from nilforms.frames import h5, h21, quaternionic_heisenberg
@@ -73,6 +73,18 @@ def test_scalar_and_zero_forms():
     assert GH.scalar(0).is_zero()
     assert GH.scalar(rat(2)).value_at() == rat(2)
     assert not GH.zero(3)
+
+
+def test_coefficients_are_coerced_into_the_ring():
+    half = Fraction(1, 2)
+    assert GH.scalar(half) == GH.scalar(rat(1, 2))
+    assert GH.form(1, {(1,): 3, (2,): half}) == GH.form(1, {(1,): rat(3), (2,): rat(1, 2)})
+    assert GH.basis(1) * 3 == 3 * GH.basis(1) == GH.form(1, {(1,): 3})
+    assert GH.basis(1) * const("a") == GH.form(1, {(1,): const("a")})
+    assert CoframeSpec(5, {5: {(1, 2): half}}).struct == {5: {(1, 2): rat(1, 2)}}
+    for bad in (lambda: GH.scalar(0.5), lambda: GH.form(1, {(1,): "a"}), lambda: GH.basis(1) * 0.5):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_addition_degree_guard():
@@ -207,8 +219,9 @@ def test_star_involution_in_dimension_five(a):
 
 
 def test_star_of_volume_and_of_one():
-    assert hodge_star(GH.scalar(1)) == vol_bar(GH)
-    assert hodge_star(vol_bar(GH)) == GH.scalar(1)
+    vol = GH.basis(*range(1, GH.dim + 1))
+    assert hodge_star(GH.scalar(1)) == vol
+    assert hodge_star(vol) == GH.scalar(1)
 
 
 def test_horizontal_star_eigenforms():

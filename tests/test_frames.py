@@ -11,7 +11,6 @@ from nilforms.frames import (
     CATALOG,
     abs_A_squared,
     build_coframe,
-    contract_family,
     contraction_eps5,
     contraction_eps6,
     drop_degenerate_legs,
@@ -19,7 +18,6 @@ from nilforms.frames import (
     h3,
     h5,
     h21,
-    integrability_check,
     k_a,
     quaternionic_heisenberg,
 )
@@ -29,7 +27,7 @@ from nilforms.ring import const, expf, rat
 def test_catalogue_members_are_integrable():
     for name in CATALOG:
         c = build_coframe(name)
-        assert all(not r for r in integrability_check(c).values()), name
+        assert all(not r for r in c.integrability_residuals().values()), name
 
 
 def test_unknown_catalogue_id_rejected():
@@ -118,11 +116,11 @@ def test_contraction_limit_can_keep_legs():
     assert not c6.dbar(7)
 
 
-def test_contract_family_dispatch():
-    assert contract_family("eps6", 0).dim == 6
-    assert contract_family("eps5", Fraction(1, 2)).dim == 7
+def test_build_coframe_contraction_dispatch():
+    assert build_coframe("eps6", eps=0).dim == 6
+    assert build_coframe("eps5", eps=Fraction(1, 2)).dim == 7
     with pytest.raises(ValueError):
-        contract_family("eps4", 0)
+        build_coframe("eps4", eps=0)
 
 
 def test_drop_rejects_live_or_interior_legs():

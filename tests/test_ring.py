@@ -24,7 +24,6 @@ from nilforms.ring import (
     p_laplacian4,
     rat,
     restrict_onevar,
-    substitute,
     try_divide,
 )
 
@@ -308,7 +307,7 @@ def _is_canonical(e: CoefExpr) -> bool:
 def test_operations_keep_coefficients_canonical(x, y, i, n):
     results = [
         x + y, x - y, x * y, x ** n, -x,
-        x.partial(i), substitute(x, {"a": y}), substitute(x, {"b": 3}),
+        x.partial(i), x.substitute({"a": y}), x.substitute({"b": 3}),
         try_divide(x * y, x) if x else CoefExpr(),
         try_divide(x, y) if y else None,
     ]
@@ -365,10 +364,68 @@ def test_integer_polynomial_work_constructs_no_fractions():
         r = (p * q) ** 2 - p * q * p
         dr = sum((r.partial(i) for i in (1, 2, 3, 4)), CoefExpr())
         lap = flat_laplacian(p * p)
-        sub = substitute(dr, {"a": 7, "b": q})
+        sub = dr.substitute({"a": 7, "b": q})
         assert dr and lap and sub
         assert all(_is_canonical(e) for e in (r, dr, lap, sub))
 
     assert _fraction_constructions(integer_work) == 0
     # the counter is live: the same product with a 1/2 coefficient does build Fractions
     assert _fraction_constructions(lambda: (rat(1, 2) * jet(1) + 1) * (jet(2) + 3)) > 0
+
+
+# ---------------------------------------------------------------------------
+# the public view of an element: decoded terms, rational value, coercion
+
+def _rebuild(coef, k, powers) -> CoefExpr:
+    """One decoded term rebuilt from the public constructors alone."""
+    out = rat(coef) * expf(k)
+    for sym, p in powers:
+        _, data = sym
+        out = out * (jet(*data) if ring.is_jet(sym) else const(data)) ** p
+    return out
+
+
+@given(ring_exprs(max_terms=4), st.sampled_from((0, 1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_decoded_terms_rebuild_the_element(x, n):
+    x = x * jet(1, 2) ** n + x.partial(3)  # reach second-order jets and powers
+    terms = list(x.monomials())
+    assert len(terms) == len(x)
+    assert ring.sum_exprs(_rebuild(*t) for t in terms) == x
+    assert ring.from_monomials(terms) == x
+    assert ring.from_monomials(reversed(terms)) == x
+    assert ring.from_monomials((c, k, powers[::-1]) for c, k, powers in terms) == x
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c, _, _ in terms)
+
+
+def test_is_jet_tells_jets_from_constants():
+    assert ring.is_jet(ring.jet_sym()) and ring.is_jet(ring.jet_sym(1, 2))
+    assert not ring.is_jet(ring.const_sym("a"))
+    [(_, _, powers)] = (const("a") * jet(2)).monomials()
+    assert [ring.is_jet(sym) for sym, _ in powers] == [False, True]
+
+
+def test_as_fraction_reads_rational_constants_only():
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-9, 4)):
+        got = rat(value).as_fraction()
+        assert type(got) is Fraction and got == value
+    assert CoefExpr().as_fraction() == 0 and type(CoefExpr().as_fraction()) is Fraction
+    for e in (const("a"), jet(1), expf(2), expf(-2) * rat(3), rat(1) + const("a"), rat(2) + jet()):
+        assert e.as_fraction() is None
+
+
+def test_coerce_is_the_one_way_into_the_ring():
+    x = const("a") + jet(1)
+    assert ring.coerce(x) is x
+    assert ring.coerce(3) == rat(3) and ring.coerce(0) == CoefExpr()
+    assert ring.coerce(Fraction(6, 4)) == rat(3, 2)
+    assert ring.coerce(True) == rat(1)
+    for bad in (0.5, "a", None, [1]):
+        with pytest.raises(TypeError):
+            ring.coerce(bad)
+    # operators answer NotImplemented for what coerce refuses
+    assert (x == "a") is False
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        0.5 * x

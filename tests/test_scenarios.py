@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cProfile
+import hashlib
 import json
 import math
 import pstats
@@ -171,6 +172,40 @@ def test_report_serialization_is_deterministic():
     assert doc["values"]["absA2"] == "3"
 
 
+# SHA-256 of to_json() for each scenario at seeds 0 and 1, and of all of them
+# concatenated seed-major: a change meant to keep behaviour keeps every byte
+GOLDEN_SHA256 = {
+    (0, "thm-7d-negative"): "ae63e2bd402dcaf069b74ccf3db0d39b270c38b616ac4213b9ffc2fdd8d1272f",
+    (0, "thm-7d-positive"): "020e5c528921a7796e2e679e139522ab7dcbe9b932dc4a5e73933bb6ca26f6a9",
+    (0, "ball-7d"): "e6f13e2e4c699b3fe61175faa4c2a3384ab4ffaef3ebfcacbc66cfc56c4169c1",
+    (0, "thm-5d-negative"): "3e7890685481fe6b9eb7bffac54cd289249a2ad0b3106f1459aa81edab33c4bb",
+    (0, "thm-5d-positive"): "899b4f7678914483dc5315b55d147644861b2577b69979bd1c7b0e2c2d165e0c",
+    (0, "contraction-6d"): "29398f1c984c267da1e8e76de1c4db41c02da34f8eb83b366917e7e7d2b85ffa",
+    (0, "contraction-5d"): "114e21fffe5825d93a16457d69d651cc9d3c940cca02ed0f26c3f5bced2e558e",
+    (1, "thm-7d-negative"): "d08e3034329472b04b707fbc942753fded3ed124a95cf13d5ef0f9a652ba0748",
+    (1, "thm-7d-positive"): "a2946d624bd720b448038720bed664f2d63abfc73b963e6bd355f852ba842c5d",
+    (1, "ball-7d"): "77dca150fc1b926e373d72a6c05eb880db05fab0dd47cd265f12e7c664279429",
+    (1, "thm-5d-negative"): "4f89061477130d9fa3524a960243dbffacbe14846bf2cddeb29cfc1d5b49a4a2",
+    (1, "thm-5d-positive"): "529c3d8e2024ef9de900c1b77ce1842c2e8bbfdaabd32e7b0856204c1ec95fa1",
+    (1, "contraction-6d"): "153dfa91a1682ec1bcc28fdf6a079c62dbf01239f2035ce772da2737aa7d4ce6",
+    (1, "contraction-5d"): "cddc7fc3cb7366930ee9a6eb0d77fbb1c285fbf1caed59b2a1ec5a9bee945247",
+}
+GOLDEN_SHA256_ALL = "5371e5c303f6f8e2fd48bb1568686764637822037b1a32d3097da52f66bb8119"
+
+
+def test_reports_are_byte_identical_to_the_golden_digests():
+    total = hashlib.sha256()
+    changed = []
+    for seed in (0, 1):
+        for name in SCENARIOS:
+            text = run_scenario(name, seed=seed).to_json().encode()
+            total.update(text)
+            if hashlib.sha256(text).hexdigest() != GOLDEN_SHA256[(seed, name)]:
+                changed.append(f"{name} at seed {seed}")
+    assert not changed, f"reports changed: {', '.join(changed)}"
+    assert total.hexdigest() == GOLDEN_SHA256_ALL
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -236,6 +271,12 @@ def test_scenario_derives_each_geometry_once(name):
 def test_unusable_theorem_config_raises_before_any_check(name, config):
     with pytest.raises(BadParams, match=f"{name}: config '{next(iter(config))}'"):
         run_scenario(name, config=config)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_unread_config_key_raises_before_any_check(name):
+    with pytest.raises(BadParams, match=f"{name}: unknown config key 'lamda'"):
+        run_scenario(name, config={"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
 
 
 def test_theorem_config_accepts_fractions_and_custom_values():

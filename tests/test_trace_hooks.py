@@ -1,9 +1,10 @@
-"""The benchmark's traced run can still find the functions it counts.
+"""The benchmark's traced run can still find and count what it measures.
 
 perfbench/tracing.py names nilforms functions by "module:qualname" and reads
 their cProfile call counts by code object; renaming one, or wrapping it in a
 decorator without ``__code__`` (``functools.lru_cache``), breaks the traced
-run.  This test makes such a refactor fail here instead.
+run.  Its tracer also patches ``CoefExpr.__mul__`` and reads
+``CoefExpr.terms``.  These tests make such a refactor fail here instead.
 """
 from __future__ import annotations
 
@@ -28,3 +29,21 @@ def test_every_call_counter_resolves_to_a_plain_function():
             fn = tracing._resolve(path)
             assert inspect.isfunction(fn) and hasattr(fn, "__code__"), (metric, path)
             assert tracing.code_key(fn)[2] == path.split(":")[1].split(".")[-1], (metric, path)
+
+
+def test_traced_residual_counts_products_and_matches_untraced():
+    from nilforms import anomaly, frames, ring
+
+    def residual():
+        return anomaly.anomaly_residual(frames.h21(1, 2, 3), ring.const("alphaP"), ("DLambda", [1, -1, 2]))
+
+    plain = residual()
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        traced = residual()
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["mul_pairs"] > 0
+    assert tracer.spans
+    assert traced == plain
