@@ -26,7 +26,7 @@ from .connection import (
 from .forms import FormExpr
 from .frames import CoframeSpec, abs_A_squared
 from .gstruct import geometry
-from .profiles import BadParams, DilatonProfile
+from .profiles import BadParams
 from .ring import CoefExpr, const, expf, jet, rat
 
 
@@ -254,12 +254,3 @@ def d_parameter(absA2: float, alpha: float) -> float:
     one-variable solution u = weierstrass_p(x^1, d)."""
     return math.sqrt(3.0 * absA2) / (2.0 * abs(alpha))
 
-
-def solv4_profile_residual(prof: DilatonProfile, absA2: float, alpha: float, x1: float) -> float:
-    """solv4_lhs evaluated on a one-variable profile at x^1 (zero for the
-    Weierstrass profile with matching d: the first integral with C0 = 0)."""
-    expr = solv4_lhs(const("absA2"))
-    assi = prof.jets((x1, 0.0, 0.0, 0.0))
-    assi["absA2"] = float(absA2)
-    assi["alpha"] = float(alpha)
-    return expr.evaluate(assi)

@@ -184,7 +184,7 @@ def _lam_rows(lam, nfib: int):
         rows = [[x] for x in rows]  # flat (l1,l2,l3) means a single-column matrix
     if len(rows) != 3 or any(len(r) != nfib for r in rows):
         raise ValueError(f"lambda matrix must be 3 x {nfib}")
-    return tuple(tuple(_num(x) for x in r) for r in rows)
+    return tuple(tuple(ring.exact(x) for x in r) for r in rows)
 
 
 def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
@@ -262,7 +262,7 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     rows = B if isinstance(B[0], (list, tuple)) else [B]
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    B_clean = tuple(tuple(_num(x) for x in r) for r in rows)
+    B_clean = tuple(tuple(ring.exact(x) for x in r) for r in rows)
     names = "a{r}{m}" if nrows == 3 else "a{m}"
     mapping = {
         names.format(r=r + 1, m=m + 1): B_clean[r][m] for r in range(nrows) for m in range(3)
@@ -286,11 +286,6 @@ def _twin_minus(nrows: int) -> ConnectionForms:
     from .gstruct import geometry
 
     return geometry(k_a() if nrows == 3 else h21()).minus
-
-
-def _num(x) -> ring.CoefExpr:
-    """x as a ring element; a value outside the ring is read by Fraction() ("1/2", 0.5)."""
-    return ring.coerce(x if isinstance(x, ring.CoefExpr) else Fraction(x))
 
 
 def rebase(form: FormExpr, c: CoframeSpec) -> FormExpr:

@@ -142,9 +142,6 @@ class FormExpr:
         self.degree = int(degree)
         self.comps = {idx: c for idx, c in comps.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def __bool__(self) -> bool:
         return bool(self.comps)
 

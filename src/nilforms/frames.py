@@ -19,7 +19,6 @@ Catalogue ids:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import ring
@@ -34,20 +33,10 @@ _SIGMA_PAIRS = (
 )
 
 
-def _coef(x) -> ring.CoefExpr:
-    """x as a ring element; a float is read as the rational (denominator <= 10^9) it rounds from, 0.1 -> 1/10."""
-    if isinstance(x, float):
-        frac = Fraction(x).limit_denominator(10**9)
-        if float(frac) != x:
-            raise ValueError(f"non-rational parameter {x!r}; pass a Fraction")
-        x = frac
-    return ring.coerce(x)
-
-
 def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
     row: dict[tuple, ring.CoefExpr] = {}
     for m, c in enumerate(coefs):
-        cc = _coef(c)
+        cc = ring.exact(c)
         if cc:
             for pair, sign in _SIGMA_PAIRS[m].items():  # the three sigmas share no pair
                 row[pair] = cc if sign > 0 else -cc
@@ -56,7 +45,7 @@ def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
 
 def _from_rows(rows: Sequence[Sequence], name: str, params: dict) -> CoframeSpec:
     dim = 4 + len(rows)
-    rows = tuple(tuple(_coef(x) for x in r) for r in rows)
+    rows = tuple(tuple(ring.exact(x) for x in r) for r in rows)
     struct = {4 + 1 + r: _sigma_struct_row(rows[r]) for r in range(len(rows))}
     params = dict(params)
     params["A"] = rows
@@ -95,17 +84,17 @@ def quaternionic_heisenberg() -> CoframeSpec:
 def h5(a=None, b=None) -> CoframeSpec:
     a = ring.const("a") if a is None else a
     b = ring.const("b") if b is None else b
-    return _from_rows([[0, b, 0], [a, 0, -_coef(b)]], "h5", {"a": _coef(a), "b": _coef(b)})
+    return _from_rows([[0, b, 0], [a, 0, -ring.exact(b)]], "h5", {"a": ring.exact(a), "b": ring.exact(b)})
 
 
 def h3(a=None) -> CoframeSpec:
     a = ring.const("a") if a is None else a
-    return _from_rows([[0, 0, 0], [a, 0, 0]], "h3", {"a": _coef(a)})
+    return _from_rows([[0, 0, 0], [a, 0, 0]], "h3", {"a": ring.exact(a)})
 
 
 def h21(a1=None, a2=None, a3=None) -> CoframeSpec:
     vals = [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
-    coefs = [_coef(v) for v in vals]
+    coefs = [ring.exact(v) for v in vals]
     if all(not c for c in coefs):
         raise ValueError("h21 needs (a1,a2,a3) != 0")
     return _from_rows([coefs], "h21", {"a1": coefs[0], "a2": coefs[1], "a3": coefs[2]})
@@ -132,11 +121,11 @@ def drop_degenerate_legs(c: CoframeSpec, legs: Sequence[int]) -> CoframeSpec:
 def contraction_eps6(eps, a=None, b=None, drop: bool = True) -> CoframeSpec:
     a = ring.const("a") if a is None else a
     b = ring.const("b") if b is None else b
-    e = _coef(eps)
+    e = ring.exact(eps)
     c = _from_rows(
-        [[0, b, 0], [a, 0, -_coef(b)], [0, 0, e]],
+        [[0, b, 0], [a, 0, -ring.exact(b)], [0, 0, e]],
         "eps6",
-        {"a": _coef(a), "b": _coef(b), "eps": e},
+        {"a": ring.exact(a), "b": ring.exact(b), "eps": e},
     )
     if drop and not e:
         return drop_degenerate_legs(c, [7])
@@ -145,8 +134,8 @@ def contraction_eps6(eps, a=None, b=None, drop: bool = True) -> CoframeSpec:
 
 def contraction_eps5(eps, a1=None, a2=None, a3=None, drop: bool = True) -> CoframeSpec:
     vals = [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
-    coefs = [_coef(v) for v in vals]
-    e = _coef(eps)
+    coefs = [ring.exact(v) for v in vals]
+    e = ring.exact(eps)
     c = _from_rows(
         [coefs, [0, e, 0], [0, 0, e]],
         "eps5",

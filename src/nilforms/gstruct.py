@@ -180,7 +180,7 @@ def build_su2(c: CoframeSpec) -> SU2Structure:
     for idx in deta.comps:
         if any(i > 4 for i in idx):
             raise NotAntiSelfDual("d eta has a non-horizontal component")
-    if not (hodge_star_horizontal(deta) + deta).is_zero():
+    if hodge_star_horizontal(deta) + deta:
         raise NotAntiSelfDual("d eta has a self-dual component")
     return SU2Structure(c, c.basis(5), omega_bar(c, 1), omega_bar(c, 2), omega_bar(c, 3))
 

@@ -19,7 +19,8 @@ DEFAULT_TOL = 1e-6
 
 
 def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | None = None) -> dict:
-    """Profile jets at x merged with constant-symbol values."""
+    """One sample point's float table: profile jets at x plus the named
+    constants, whose names are resolved to ring symbols here, once."""
     assi = prof.jets(x)
     if consts:
         for name, val in consts.items():

@@ -18,14 +18,18 @@ the fast ``int`` path and no float ever becomes a coefficient.  Equal values
 always have identical term dictionaries, so ``==`` is semantic equality.
 
 How a monomial is stored is private to this module.  Other modules build
-elements with ``rat``/``const``/``jet``/``expf`` and ``coerce``, and read
+elements with ``rat``/``const``/``jet``/``expf``, ``coerce`` and ``exact``
+(which reads a config or constructor number exactly), and read
 them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
-``len()`` and ``bool()``.
+``len()`` and ``bool()``.  ``evaluate``/``evaluate_exact`` read a
+``{symbol: value}`` table as given; names are resolved to symbols only
+where such a table is built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
@@ -39,7 +43,7 @@ class JetOrderExceeded(Exception):
 
 
 class UnboundSymbol(Exception):
-    """Raised by evaluate() when the assignment misses a needed symbol."""
+    """Raised by evaluate() when its table misses a needed symbol."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +61,9 @@ def jet_sym(*indices: int) -> tuple:
         if i not in COORDS:
             raise ValueError(f"jet index {i} outside {COORDS}")
     return ("j", idx)
+
+
+_F = jet_sym()  # f itself, whose value an e^{kf} factor needs
 
 
 def _mul_syms(s1: tuple, s2: tuple) -> tuple:
@@ -139,9 +146,6 @@ class CoefExpr:
                     self.terms[key] = coef
 
     # -- basic predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -276,25 +280,24 @@ class CoefExpr:
             pieces.append(piece)
         return sum_exprs(pieces)
 
-    def evaluate(self, assignment: Mapping) -> float:
-        """Numeric value; needs every symbol (and f for e^{kf}) bound."""
-        import math
+    def evaluate(self, table: Mapping) -> float:
+        """Float value at a {symbol: float} table, read as given.
 
-        table = {as_symbol(k): float(v) for k, v in assignment.items()}
-        fsym = jet_sym()
+        numeric.build_assignment builds such a table once per sample point;
+        every symbol of self, and f itself for an e^{kf} factor, must be bound.
+        """
+        terms = self.terms
         total = 0.0
-        for key in sorted(self.terms):  # deterministic summation order
+        for key in sorted(terms):  # deterministic summation order
             k, syms = key
-            coef = self.terms[key]
-            val = float(coef)
-            if k:
-                if fsym not in table:
-                    raise UnboundSymbol("f value needed for e^{kf} factor")
-                val *= math.exp(k * table[fsym])
-            for sym, power in syms:
-                if sym not in table:
-                    raise UnboundSymbol(f"symbol {sym} not bound")
-                val *= table[sym] ** power
+            val = float(terms[key])
+            try:
+                if k:
+                    val *= math.exp(k * table[_F])
+                for sym, power in syms:
+                    val *= table[sym] ** power
+            except KeyError as exc:
+                raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
             total += val
         return total
 
@@ -348,6 +351,24 @@ def coerce(x) -> CoefExpr:
     if isinstance(x, Rational):
         return rat(x)
     raise TypeError(f"cannot use {x!r} as a ring element")
+
+
+def exact(x) -> CoefExpr:
+    """x as a ring element, with a number from outside the ring read exactly.
+
+    The one reading of config and constructor numbers.  A CoefExpr or
+    Rational goes through coerce(), a string through Fraction ("1/2").  A
+    float is the rational of denominator <= 10^9 it round-trips from
+    (0.1 -> 1/10); any other float raises ValueError.
+    """
+    if isinstance(x, float):
+        q = Fraction(x).limit_denominator(10**9)
+        if float(q) != x:
+            raise ValueError(f"{x!r} is no short rational; pass a Fraction or a string")
+        x = q
+    elif isinstance(x, str):
+        x = Fraction(x)
+    return coerce(x)
 
 
 def _operand(x) -> CoefExpr | None:
@@ -438,19 +459,21 @@ def p_laplacian4() -> CoefExpr:
     return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
 
 
-def evaluate_exact(e: CoefExpr, assignment: Mapping, e2f: Fraction) -> Fraction:
-    """Exact Fraction value; e^{kf} factors become e2f^{k/2} (k must be even)."""
-    table = {as_symbol(k): Fraction(v) for k, v in assignment.items()}
-    e2f = Fraction(e2f)
+def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
+    """Exact value at a {symbol: Fraction} table, read as given.
+
+    e^{kf} factors become e2f^{k/2}, so every k must be even.
+    """
     total = Fraction(0)
     for (k, syms), coef in e.terms.items():
         if k % 2:
             raise UnboundSymbol("odd e^{kf} power has no exact rational value")
         val = coef * e2f ** (k // 2)
-        for sym, power in syms:
-            if sym not in table:
-                raise UnboundSymbol(f"symbol {sym} not bound")
-            val *= table[sym] ** power
+        try:
+            for sym, power in syms:
+                val *= table[sym] ** power
+        except KeyError as exc:
+            raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
         total += val
     return total
 
@@ -481,9 +504,9 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     multivariate division in lex order runs on the remaining polynomial
     part.  Never returns a false negative on an exact multiple.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("division by the zero element")
-    if num.is_zero():
+    if not num:
         return CoefExpr()
 
     kn = num.expf_range()[0]

@@ -252,12 +252,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
+def _number(value) -> Fraction | None:
+    """value read exactly by ring.exact (0.1 -> 1/10, "1/2"), or None when it is no number."""
     try:
-        Fraction(value)
+        return ring.exact(value).as_fraction()
     except (TypeError, ValueError, ArithmeticError):
-        return False
-    return True
+        return None
+
+
+def _is_number(value) -> bool:
+    return _number(value) is not None
 
 
 def _fits(value, default, entry) -> bool:
@@ -290,12 +294,12 @@ def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1)
         elif key == "npoints":
             ok, want = _is_int(value) and value >= min_points, f"an integer >= {min_points}"
         elif key == "alphaP":
-            ok, want = _is_number(value) and Fraction(value) > 0, "a positive number"
+            ok, want = _is_number(value) and _number(value) > 0, "a positive number"
         else:  # lam, B
             ok, want = _fits(value, default, _is_number), f"numbers shaped like {default}"
         if not ok:
             raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
-        out.append(Fraction(value) if key == "alphaP" else value)
+        out.append(_number(value) if key == "alphaP" else value)
     return out
 
 
@@ -394,15 +398,13 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         worst_per = max(
             abs(weierstrass_p(x[0] + 2 * tau, d)[0] - weierstrass_p(x[0], d)[0]) for x in pts
         )
-        worst_first = max(
-            abs(anomaly.solv4_profile_residual(prof, absA2n, alpha, x[0])) for x in pts
-        )
+        # one table per line point feeds the first integral (C0 = 0) and the reduced residual
+        first = anomaly.solv4_lhs(const("absA2"))
         r = anomaly.anomaly_residual(cnum, const("alphaP"), ("DLambda", lam))
         ode = anomaly.reduce_onevar(r, rat(absA2q), rat(lam2q))
-        worst_res = 0.0
-        for x in pts:
-            assi = numeric.build_assignment(prof, x, {"alpha": alpha})
-            worst_res = max(worst_res, abs(ode.evaluate(assi)))
+        assis = [numeric.build_assignment(prof, x, {"alpha": alpha, "absA2": absA2n}) for x in pts]
+        worst_first = max(abs(first.evaluate(assi)) for assi in assis)
+        worst_res = max(abs(ode.evaluate(assi)) for assi in assis)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
         return ok, worst_ode, {
             "cubic": worst_ode,
@@ -427,7 +429,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     csym, cnum = _frame(dim), _frame(dim, A_num)
     geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
-    absB2 = sum(Fraction(x) ** 2 for row in Brows for x in row)
+    absB2 = sum(_number(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
 
     _frame_checks(checks, geo, th)
@@ -488,7 +490,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         worst = []
         for x in pts:
             g, jets = prof.jets_exact(x)
-            jets["alphaP"] = alphaP
+            jets[ring.const_sym("alphaP")] = alphaP
             worst.append(ring.evaluate_exact(rfull, jets, g))
         ok = all(w == 0 for w in worst)
         values["alphaP"] = alphaP

@@ -77,11 +77,13 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
         ("thm-5d-positive", {"B": "x"}, "'B'"),
         ("thm-5d-positive", {"alphaP": -1}, "'alphaP'"),
         ("thm-7d-negative", {"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "'lamda'"),
+        ("thm-5d-positive", {"B": [0.1 + 0.2, 0, 0]}, "'B'"),
     ],
     ids=[
         "A-not-a-matrix", "npoints-zero", "7d-negative-npoints-one", "7d-negative-npoints-zero",
         "7d-negative-A-not-a-matrix", "7d-negative-lam-not-numbers", "5d-positive-A-not-a-matrix",
         "5d-positive-B-not-numbers", "5d-positive-alphaP-negative", "7d-negative-unread-key",
+        "5d-positive-B-unreadable-float",
     ],
 )
 def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, scenario, config, key):
@@ -201,6 +203,17 @@ def test_crosscheck_exterior_derivative(capsys):
          "--expr", "theta-d", "--points", "4"], capsys
     )
     assert rc == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("expr", list(cli.CROSSCHECKS))
+def test_every_crosscheck_id_runs_and_passes(expr, capsys):
+    rc, out, _err = run_cli(
+        ["crosscheck", "--profile", "ball", "--params", "absA2=3",
+         "--expr", expr, "--points", "3"], capsys
+    )
+    doc = json.loads(out)
+    assert rc == 0 and doc["passed"] is True
+    assert doc["expr"] == expr and doc["points"] == 3
 
 
 def test_crosscheck_unknown_expr(capsys):

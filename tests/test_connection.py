@@ -320,8 +320,10 @@ def test_gauge_entries_are_read_by_fraction():
     want = build_DB([Fraction(1, 2), 0, 1], c)
     assert build_DB(["1/2", 0, 1], c) == want
     assert build_DB([0.5, "0", ring.ONE], c) == want
-    # a float is read exactly as Fraction() reads it: 0.1 is not 1/10
-    assert build_DB([0.1, 0, 0], c).meta["B"][0][0] == rat(Fraction(0.1))
+    # a float is the short rational it round-trips from, as in frames: 0.1 is 1/10
+    assert build_DB([0.1, 0, 0], c).meta["B"][0][0] == rat(1, 10)
+    with pytest.raises(ValueError):
+        build_DB([0.1 + 0.2, 0, 0], c)
     assert build_instanton_DLambda(["1/3", -1, 2.5], c).meta["lam"] == (
         (rat(1, 3),), (rat(-1),), (rat(5, 2),)
     )

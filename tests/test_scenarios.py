@@ -7,14 +7,16 @@ import json
 import math
 import pstats
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from nilforms.anomaly import anomaly_residual
+from nilforms import ring
+from nilforms.anomaly import anomaly_residual, solv4_lhs
 from nilforms.connection import curvature, levi_civita
 from nilforms.elliptic import half_period
-from nilforms.profiles import DilatonProfile
-from nilforms.profiles import BadParams
+from nilforms.profiles import BadParams, DilatonProfile
+from nilforms.ring import CoefExpr
 from nilforms.scenarios import (
     SCENARIOS,
     SCHEMA_VERSION,
@@ -222,12 +224,29 @@ def test_non_finite_floats_serialize_as_strict_json():
     assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
 
 
+@cache
+def _seed0_calls(name: str) -> dict:
+    """cProfile call counts of one report at seed 0, keyed by code object."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        run_scenario(name, seed=0)
+    finally:
+        prof.disable()
+    return {key: stat[1] for key, stat in pstats.Stats(prof).stats.items()}
+
+
+def _calls(name: str, fn) -> int:
+    code = fn.__code__
+    return _seed0_calls(name).get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+
 # most calls of (levi_civita, curvature, anomaly_residual, DilatonProfile.jets)
 # one report at seed 0 may make: each coframe's geometry is derived once, and
-# each sample point's profile jets are evaluated once per check
+# each sample point's profile jets are evaluated once
 DERIVATION_BUDGET = {
-    "thm-7d-negative": (2, 6, 2, 128),
-    "thm-5d-negative": (2, 6, 2, 128),
+    "thm-7d-negative": (2, 6, 2, 64),
+    "thm-5d-negative": (2, 6, 2, 64),
     "thm-7d-positive": (4, 6, 2, 0),
     "thm-5d-positive": (4, 6, 2, 0),
     "ball-7d": (2, 3, 0, 80),
@@ -238,21 +257,22 @@ DERIVATION_BUDGET = {
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_derives_each_geometry_once(name):
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        run_scenario(name, seed=0)
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof).stats
-
-    def calls(fn):
-        code = fn.__code__
-        return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
-
-    got = tuple(calls(fn) for fn in (levi_civita, curvature, anomaly_residual, DilatonProfile.jets))
+    got = tuple(_calls(name, fn) for fn in (levi_civita, curvature, anomaly_residual, DilatonProfile.jets))
     assert got[0] >= 1  # the counter is live
     assert all(n <= bound for n, bound in zip(got, DERIVATION_BUDGET[name])), got
+
+
+@pytest.mark.parametrize("name", ["ball-7d", "contraction-6d", "contraction-5d"])
+def test_evaluation_reads_each_point_table_as_given(name):
+    # symbol names are resolved where a point's table is built, never per evaluation
+    assert _calls(name, CoefExpr.evaluate) > 0
+    assert _calls(name, ring.as_symbol) == 0
+
+
+@pytest.mark.parametrize("name", ["thm-7d-negative", "thm-5d-negative"])
+def test_first_integral_is_built_once_per_report(name):
+    # three symbolic checks and the numeric leg each build solv4_lhs once
+    assert _calls(name, solv4_lhs) <= 4
 
 
 @pytest.mark.parametrize(
@@ -266,6 +286,9 @@ def test_scenario_derives_each_geometry_once(name):
         ("thm-7d-positive", {"alphaP": "x"}),
         ("ball-7d", {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1.5]]}),
         ("ball-7d", {"npoints": True}),
+        ("thm-5d-positive", {"B": [0.1 + 0.2, 0, 0]}),  # 3/10 is the short rational near it
+        ("thm-7d-positive", {"alphaP": 1e-12}),
+        ("thm-7d-negative", {"lam": [[1e-12, 0, 0], [0, 0, 0], [0, 0, 0]]}),
     ],
 )
 def test_unusable_theorem_config_raises_before_any_check(name, config):
@@ -277,6 +300,15 @@ def test_unusable_theorem_config_raises_before_any_check(name, config):
 def test_unread_config_key_raises_before_any_check(name):
     with pytest.raises(BadParams, match=f"{name}: unknown config key 'lamda'"):
         run_scenario(name, config={"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+
+
+def test_config_floats_read_as_the_short_rationals_they_round_trip_from():
+    rep = run_scenario("thm-5d-positive", config={"B": [0.1, 0, 0], "alphaP": 0.1})
+    assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
+    assert rep.values["absB2"] == Fraction(1, 100) and rep.values["alphaP"] == Fraction(1, 10)
+    rep = run_scenario("thm-7d-negative", config={"lam": [[0.1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
+    assert rep.values["lam2"] == Fraction(1, 100)
 
 
 def test_theorem_config_accepts_fractions_and_custom_values():
