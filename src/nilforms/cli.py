@@ -24,8 +24,8 @@ from .elliptic import half_period, weierstrass_p
 from .frames import quaternionic_heisenberg
 from .gstruct import build_g2, direct_torsion
 from .profiles import PROFILES, BadParams, profile
+from .report import SCENARIOS, strict_json
 from .ring import expf
-from .scenarios import SCENARIOS, run_scenario, strict_json
 
 
 class ConfigError(Exception):
@@ -79,6 +79,8 @@ def cmd_verify(args) -> int:
         if ov not in KNOWN_OVERRIDES:
             raise ConfigError(f"unknown override {ov!r}; known: {', '.join(KNOWN_OVERRIDES)}")
     config = _load_config(args.config)
+    from .scenarios import run_scenario  # only verify needs the scenario machinery
+
     report = run_scenario(args.scenario, seed=args.seed, config=config, overrides=overrides)
     text = report.to_json()
     if args.out:

@@ -24,6 +24,7 @@ from .forms import (
     FormExpr,
     _form,
     _parts,
+    _square_into,
     _wedge_into,
     exterior_derivative,
 )
@@ -158,7 +159,7 @@ def pontryagin4(curv: CurvatureForms) -> FormExpr:
     """The 4-form sum_{i<j} Omega^i_j wedge Omega^i_j (equal to 8 pi^2 p1)."""
     parts: dict = {}
     for om in curv.entries.values():
-        _wedge_into(parts, om, om)
+        _square_into(parts, om)
     return _form(curv.coframe, 4, parts)
 
 

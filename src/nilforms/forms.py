@@ -10,6 +10,7 @@ determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping
 
 from . import ring
@@ -35,14 +36,14 @@ def _perm_sign(seq: tuple) -> int:
     return -1 if inv % 2 else 1
 
 
-def _merge_sign(left: tuple, right: tuple) -> int:
-    """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    inv = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inv += 1
-    return -1 if inv % 2 else 1
+@cache
+def _merge(left: tuple, right: tuple) -> tuple | None:
+    """(sorted left + right, the sign of that sort) for two sorted index tuples,
+    or None when they share an index (their wedge is zero)."""
+    if not set(left).isdisjoint(right):
+        return None
+    inv = sum(1 for a in left for b in right if a > b)
+    return tuple(sorted(left + right)), -1 if inv % 2 else 1
 
 
 class CoframeSpec:
@@ -229,9 +230,24 @@ def _wedge_into(parts: dict, a: FormExpr, b: FormExpr) -> None:
     """Add a ^ b to parts, the merge sign folded into each term product."""
     for i1, c1 in a.comps.items():
         for i2, c2 in b.comps.items():
-            if set(i1).isdisjoint(i2):
-                acc = parts.setdefault(tuple(sorted(i1 + i2)), {})
-                ring._mul_into(acc, c1, c2, _merge_sign(i1, i2))
+            m = _merge(i1, i2)
+            if m:
+                ring._mul_into(parts.setdefault(m[0], {}), c1, c2, m[1])
+
+
+def _square_into(parts: dict, a: FormExpr) -> None:
+    """Add a ^ a for a 2-form a.
+
+    Even forms commute, so the pairs (A, B) and (B, A) give the same term:
+    each unordered pair of components is multiplied once, with twice the
+    merge sign.
+    """
+    comps = list(a.comps.items())
+    for n, (i1, c1) in enumerate(comps):
+        for i2, c2 in comps[n + 1:]:
+            m = _merge(i1, i2)
+            if m:
+                ring._mul_into(parts.setdefault(m[0], {}), c1, c2, 2 * m[1])
 
 
 def _form(c: CoframeSpec, degree: int, parts: dict) -> FormExpr:
@@ -254,17 +270,17 @@ def exterior_derivative(a: FormExpr) -> FormExpr:
     for idx, g in a.comps.items():
         # derivative of the coefficient along the frame: e^{-w_i f} d_i g (zero on fiber legs)
         for i in HORIZONTAL[:c.dim]:
-            if i not in idx:
-                acc = parts.setdefault(tuple(sorted(idx + (i,))), {})
-                ring._add_into(acc, g.partial(i).scale_expf(-c.weights[i - 1]), _merge_sign((i,), idx))
+            m = _merge((i,), idx)
+            if m:
+                ring._add_into(parts.setdefault(m[0], {}), g.partial(i).scale_expf(-c.weights[i - 1]), m[1])
         # derivative of the basis monomial: d ebar^leg is a 2-form, so it passes
         # ebar^{I<t} with no sign and merges into the rest of I
         for t, leg in enumerate(idx):
             rest = idx[:t] + idx[t + 1:]
             for pair, coef in c.dbar(leg).comps.items():
-                if set(pair).isdisjoint(rest):
-                    sign = _merge_sign(pair, rest) * (-1) ** t
-                    ring._mul_into(parts.setdefault(tuple(sorted(pair + rest)), {}), coef, g, sign)
+                m = _merge(pair, rest)
+                if m:
+                    ring._mul_into(parts.setdefault(m[0], {}), coef, g, m[1] * (-1) ** t)
     return _form(c, a.degree + 1, parts)
 
 

@@ -143,16 +143,17 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
     def gjets(x):
         y = [x[i] - cent[i] for i in range(4)]
         rho = sum(v * v for v in y)
+        rho2, rho3, rho4 = rho ** 2, rho ** 3, rho ** 4  # once per point, not per component
         g = c / rho
-        gi = {i: -2 * c * y[i - 1] / rho ** 2 for i in COORDS}
+        gi = {i: -2 * c * y[i - 1] / rho2 for i in COORDS}
         gij = {}
         for i in COORDS:
             for j in COORDS:
                 if j < i:
                     continue
-                val = 8 * c * y[i - 1] * y[j - 1] / rho ** 3
+                val = 8 * c * y[i - 1] * y[j - 1] / rho3
                 if i == j:
-                    val = val - 2 * c / rho ** 2
+                    val = val - 2 * c / rho2
                 gij[(i, j)] = val
         gijk = {}
         for i in COORDS:
@@ -165,7 +166,7 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
                         + (y[j - 1] if i == k else 0)
                         + (y[i - 1] if j == k else 0)
                     )
-                    gijk[(i, j, k)] = 8 * c * s / rho ** 3 - 48 * c * y[i - 1] * y[j - 1] * y[k - 1] / rho ** 4
+                    gijk[(i, j, k)] = 8 * c * s / rho3 - 48 * c * y[i - 1] * y[j - 1] * y[k - 1] / rho4
         return g, gi, gij, gijk
 
     def in_domain(x):

@@ -17,6 +17,17 @@ terms and demotes integral Fractions to ``int``, so integer work stays on
 the fast ``int`` path and no float ever becomes a coefficient.  Equal values
 always have identical term dictionaries, so ``==`` is semantic equality.
 
+A monomial e^{kf} * prod(sym^p) is stored as one ``int`` (the packed
+exponent vectors of Monagan & Pearce): every symbol gets a slot the first
+time it is seen, the lowest field holds k plus a bias, and each slot above
+it holds that symbol's power in a fixed-width field whose top bit is a
+guard.  A product of monomials is then one integer add, and a result that
+sets a guard bit (a power above ``MAX_POWER``, or k outside
+``EXPF_MIN..EXPF_MAX``) raises OverflowError instead of wrapping into the
+next field.  Decoding a key is cached, and everything whose output depends
+on term order (``evaluate``, ``repr``) walks the terms sorted by their
+decoded form, so no output depends on the order in which slots were given.
+
 How a monomial is stored is private to this module.  Other modules build
 elements with ``rat``/``const``/``jet``/``expf``, ``coerce`` and ``exact``
 (which reads a config or constructor number exactly), and read
@@ -65,31 +76,103 @@ def jet_sym(*indices: int) -> tuple:
 
 _F = jet_sym()  # f itself, whose value an e^{kf} factor needs
 
+# A monomial key: field 0 (the lowest) holds k + _BIAS, field s >= 1 the power
+# of the symbol in slot s.  Every valid field is below _TOP, so the sum of two
+# fields never carries into the next one; a sum that reaches _TOP sets the
+# field's guard bit, and a k below EXPF_MIN borrows and sets it as well.
+_W = 16  # bits per field
+_FIELD = (1 << _W) - 1
+_TOP = 1 << (_W - 1)
+_BIAS = 1 << (_W - 2)
+MAX_POWER = _TOP - 1
+EXPF_MIN, EXPF_MAX = -_BIAS, _TOP - 1 - _BIAS
+_ONE = _BIAS  # the key of the monomial 1
 
-def _mul_syms(s1: tuple, s2: tuple) -> tuple:
-    """Merge two sorted ((sym, power), ...) tuples."""
-    if not s1:
-        return s2
-    if not s2:
-        return s1
-    out = []
-    i = j = 0
-    while i < len(s1) and j < len(s2):
-        a, pa = s1[i]
-        b, pb = s2[j]
-        if a == b:
-            out.append((a, pa + pb))
-            i += 1
-            j += 1
-        elif a < b:
-            out.append(s1[i])
-            i += 1
+_SYMS: list = [None]  # slot -> symbol; slot 0 is the e^{kf} field
+_SLOT: dict = {}  # symbol -> slot
+_GUARD = _TOP  # the guard bit of every field in use
+_DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their slots)
+_DPARTIAL: dict = {i: [] for i in COORDS}  # coordinate -> per-slot table, see _dpartial
+_BEYOND = object()  # a jet whose derivative would exceed MAX_JET_ORDER
+
+
+def _slot(sym: tuple) -> int:
+    """The slot of sym, given the next free one the first time sym is seen."""
+    s = _SLOT.get(sym)
+    if s is None:
+        global _GUARD
+        s = _SLOT[sym] = len(_SYMS)
+        _SYMS.append(sym)
+        _GUARD |= _TOP << (_W * s)
+    return s
+
+
+def _overflow():
+    raise OverflowError(
+        f"monomial exponent out of range (powers <= {MAX_POWER}, e^{{kf}} with "
+        f"{EXPF_MIN} <= k <= {EXPF_MAX})"
+    )
+
+
+def _encode(k: int, powers: Iterable[tuple]) -> int:
+    """The key of e^{kf} * prod(sym^p); a repeated symbol adds its powers."""
+    if not EXPF_MIN <= k <= EXPF_MAX:
+        _overflow()
+    exps: dict = {}
+    for sym, p in powers:
+        if p < 0:
+            raise ValueError("negative powers are not in the ring")
+        s = _slot(sym)
+        exps[s] = exps.get(s, 0) + p
+    key = _ONE + k
+    for s, p in exps.items():
+        if p > MAX_POWER:
+            _overflow()
+        key += p << (_W * s)
+    return key
+
+
+def _decode(key: int) -> tuple:
+    """(k, ((symbol, power), ...) sorted by symbol, (slot, ...) in that order)."""
+    out = _DECODED.get(key)
+    if out is None:
+        found = []
+        rest, s = key >> _W, 1
+        while rest:
+            p = rest & _FIELD
+            if p:
+                found.append((_SYMS[s], p, s))
+            rest >>= _W
+            s += 1
+        found.sort()
+        out = _DECODED[key] = (
+            (key & _FIELD) - _BIAS,
+            tuple((sym, p) for sym, p, _ in found),
+            tuple(s for _, _, s in found),
+        )
+    return out
+
+
+def _dpartial(i: int) -> list:
+    """Per slot, the key change d/dx^i makes to one factor of that slot.
+
+    Slot 0 (e^{kf}) gains a power of f_i; a jet loses one power and its
+    i-derivative gains one; a constant has None, and a third-order jet
+    _BEYOND.  The table grows to cover every slot interned so far.
+    """
+    table = _DPARTIAL[i]
+    while len(table) < len(_SYMS):
+        s = len(table)
+        sym = _SYMS[s]
+        if s == 0:
+            table.append(1 << (_W * _slot(jet_sym(i))))
+        elif sym[0] != "j":
+            table.append(None)
+        elif len(sym[1]) == MAX_JET_ORDER:
+            table.append(_BEYOND)
         else:
-            out.append(s2[j])
-            j += 1
-    out.extend(s1[i:])
-    out.extend(s2[j:])
-    return tuple(out)
+            table.append((1 << (_W * _slot(jet_sym(*sym[1], i)))) - (1 << (_W * s)))
+    return table
 
 
 def _canonical(acc: dict) -> dict:
@@ -102,14 +185,18 @@ def _canonical(acc: dict) -> dict:
 
 
 def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
-    """Add sign * a * b (sign = +/-1) to the raw accumulator acc, term by term."""
+    """Add sign * a * b (sign any int) to the raw accumulator acc, term by term."""
     get = acc.get
+    guard = _GUARD
     right = b.terms.items()
-    for (k1, s1), c1 in a.terms.items():
-        if sign < 0:
-            c1 = -c1
-        for (k2, s2), c2 in right:
-            key = (k1 + k2, _mul_syms(s1, s2))
+    for m1, c1 in a.terms.items():
+        m1 -= _BIAS
+        if sign != 1:
+            c1 = c1 * sign
+        for m2, c2 in right:
+            key = m1 + m2
+            if key & guard:
+                _overflow()
             acc[key] = get(key, 0) + c1 * c2
 
 
@@ -133,8 +220,9 @@ class CoefExpr:
     __slots__ = ("terms",)
     __hash__ = None  # mutable container; compare by value only
 
-    def __init__(self, terms: Mapping[tuple, object] | None = None):
-        self.terms: dict[tuple, int | Fraction] = {}
+    def __init__(self, terms: Mapping[int, object] | None = None):
+        """From a {monomial key: number} mapping; the public constructors build the keys."""
+        self.terms: dict[int, int | Fraction] = {}
         if terms:
             for key, coef in terms.items():
                 if type(coef) is not int:
@@ -144,6 +232,10 @@ class CoefExpr:
                         coef = int(coef.numerator)
                 if coef:
                     self.terms[key] = coef
+
+    def __reduce__(self):
+        # slots are given per process, so a pickle carries the decoded terms
+        return from_monomials, (list(self.monomials()),)
 
     # -- basic predicates ----------------------------------------------------
 
@@ -169,7 +261,8 @@ class CoefExpr:
         pairs; from_monomials() rebuilds the element from these triples.
         The storage layout behind them is private to this module.
         """
-        for (k, powers), coef in self.terms.items():
+        for key, coef in self.terms.items():
+            k, powers, _ = _decode(key)
             yield coef, k, powers
 
     def as_fraction(self) -> Fraction | None:
@@ -177,8 +270,8 @@ class CoefExpr:
         terms = self.terms
         if not terms:
             return Fraction(0)
-        if len(terms) == 1 and (0, ()) in terms:
-            return Fraction(terms[(0, ())])
+        if len(terms) == 1 and _ONE in terms:
+            return Fraction(terms[_ONE])
         return None
 
     # -- arithmetic ----------------------------------------------------------
@@ -232,12 +325,13 @@ class CoefExpr:
             raise ValueError("negative powers are not in the ring")
         res = ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 res = res * base
-            base = base * base
             n >>= 1
-        return res
+            if not n:
+                return res
+            base = base * base  # only while a higher bit still needs it
 
     # -- calculus ------------------------------------------------------------
 
@@ -245,38 +339,44 @@ class CoefExpr:
         """Flat coordinate derivative d/dx^i (Leibniz over each monomial)."""
         if i not in COORDS:
             raise ValueError(f"coordinate {i} outside {COORDS}")
+        table = _dpartial(i)
+        fi = table[0]
+        guard = _GUARD
         out: dict = {}
-        di = ((jet_sym(i), 1),)
-        for (k, syms), coef in self.terms.items():
+        get = out.get
+        for key, coef in self.terms.items():
+            k, syms, slots = _decode(key)
             # derivative of the e^{kf} factor
             if k:
-                key = (k, _mul_syms(syms, di))
-                out[key] = out.get(key, 0) + coef * k
-            # derivative of each symbol factor
-            for pos, (sym, power) in enumerate(syms):
-                if sym[0] != "j":
+                new = key + fi
+                if new & guard:
+                    _overflow()
+                out[new] = get(new, 0) + coef * k
+            # derivative of each jet factor: one power of it becomes its i-derivative
+            for (sym, power), s in zip(syms, slots):
+                delta = table[s]
+                if delta is None:
                     continue
-                dsym = jet_sym(*(sym[1] + (i,)))  # may raise JetOrderExceeded
-                rest = list(syms)
-                if power == 1:
-                    del rest[pos]
-                else:
-                    rest[pos] = (sym, power - 1)
-                key = (k, _mul_syms(tuple(rest), ((dsym, 1),)))
-                out[key] = out.get(key, 0) + coef * power
+                if delta is _BEYOND:
+                    raise JetOrderExceeded(f"jet order {MAX_JET_ORDER + 1} exceeds {MAX_JET_ORDER}")
+                new = key + delta
+                if new & guard:
+                    _overflow()
+                out[new] = get(new, 0) + coef * power
         return _wrap(_canonical(out))
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":
         """Replace constant-parameter or jet symbols by ring elements."""
         table = {as_symbol(key): coerce(val) for key, val in mapping.items()}
         pieces = []
-        for (k, syms), coef in self.terms.items():
-            piece = _wrap({(k, ()): coef})
-            for sym, power in syms:
-                if sym in table:
-                    piece = piece * table[sym] ** power
-                else:
-                    piece = piece * _wrap({(0, ((sym, power),)): 1})
+        for key, coef in self.terms.items():
+            _, syms, slots = _decode(key)
+            hits = [(sym, power, s) for (sym, power), s in zip(syms, slots) if sym in table]
+            for _, power, s in hits:
+                key -= power << (_W * s)
+            piece = _wrap({key: coef})
+            for sym, power, _ in hits:
+                piece = piece * table[sym] ** power
             pieces.append(piece)
         return sum_exprs(pieces)
 
@@ -288,8 +388,8 @@ class CoefExpr:
         """
         terms = self.terms
         total = 0.0
-        for key in sorted(terms):  # deterministic summation order
-            k, syms = key
+        for key in sorted(terms, key=_decode):  # deterministic summation order
+            k, syms, _ = _decode(key)
             val = float(terms[key])
             try:
                 if k:
@@ -303,17 +403,27 @@ class CoefExpr:
 
     def symbols(self) -> set:
         out = set()
-        for (_, syms) in self.terms:
-            for sym, _ in syms:
+        for key in self.terms:
+            for sym, _ in _decode(key)[1]:
                 out.add(sym)
         return out
 
     def expf_range(self) -> tuple[int, int]:
-        ks = [k for (k, _) in self.terms]
+        ks = [(key & _FIELD) - _BIAS for key in self.terms]
         return (min(ks), max(ks)) if ks else (0, 0)
 
     def scale_expf(self, shift: int) -> "CoefExpr":
-        return _wrap({(k + shift, syms): c for (k, syms), c in self.terms.items()})
+        """self * e^{shift f}: each key's k field moves by shift."""
+        if not -_TOP < shift < _TOP:
+            _overflow()
+        guard = _GUARD
+        out = {}
+        for key, c in self.terms.items():
+            key += shift
+            if key & guard:
+                _overflow()
+            out[key] = c
+        return _wrap(out)
 
     # -- display -------------------------------------------------------------
 
@@ -321,8 +431,8 @@ class CoefExpr:
         if not self.terms:
             return "0"
         bits = []
-        for key in sorted(self.terms):
-            k, syms = key
+        for key in sorted(self.terms, key=_decode):
+            k, syms, _ = _decode(key)
             coef = self.terms[key]
             factors = []
             if coef != 1 or (not syms and k == 0):
@@ -398,29 +508,29 @@ def is_jet(sym) -> bool:
 
 def rat(p, q=1) -> CoefExpr:
     """The rational constant p/q."""
-    return CoefExpr({(0, ()): p if q == 1 and type(p) is int else Fraction(p, q)})
+    return CoefExpr({_ONE: p if q == 1 and type(p) is int else Fraction(p, q)})
 
 
 def const(name: str) -> CoefExpr:
     """The named constant parameter."""
-    return _wrap({(0, ((const_sym(name), 1),)): 1})
+    return _wrap({_encode(0, ((const_sym(name), 1),)): 1})
 
 
 def jet(*indices: int) -> CoefExpr:
     """The jet f_{indices} (no indices: f itself)."""
-    return _wrap({(0, ((jet_sym(*indices), 1),)): 1})
+    return _wrap({_encode(0, ((jet_sym(*indices), 1),)): 1})
 
 
 def expf(k: int) -> CoefExpr:
     """e^{kf}."""
-    return _wrap({(int(k), ()): 1})
+    return _wrap({_encode(int(k), ()): 1})
 
 
 def from_monomials(terms: Iterable[tuple]) -> CoefExpr:
     """The sum of decoded (coef, k, powers) terms, as CoefExpr.monomials() yields them."""
     out: dict = {}
     for coef, k, powers in terms:
-        key = (k, tuple(sorted(powers)))
+        key = _encode(k, powers)
         out[key] = out.get(key, 0) + coef
     return CoefExpr(out)
 
@@ -465,7 +575,8 @@ def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
     e^{kf} factors become e2f^{k/2}, so every k must be even.
     """
     total = Fraction(0)
-    for (k, syms), coef in e.terms.items():
+    for key, coef in e.terms.items():
+        k, syms, _ = _decode(key)
         if k % 2:
             raise UnboundSymbol("odd e^{kf} power has no exact rational value")
         val = coef * e2f ** (k // 2)
@@ -480,11 +591,11 @@ def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:
     """Keep only monomials whose jets involve coordinate 1 alone (f = f(x1))."""
-    return _wrap({
-        (k, syms): coef
-        for (k, syms), coef in e.terms.items()
-        if not any(sym[0] == "j" and any(i != 1 for i in sym[1]) for sym, _ in syms)
-    })
+    others = 0  # every field of a jet that involves another coordinate
+    for s, sym in enumerate(_SYMS):
+        if s and sym[0] == "j" and any(i != 1 for i in sym[1]):
+            others |= _FIELD << (_W * s)
+    return _wrap({key: coef for key, coef in e.terms.items() if not key & others})
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +630,7 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     nvars = len(variables)
 
     def vec(key):
-        k, syms = key
+        k, syms, _ = _decode(key)
         v = [0] * (nvars + 1)
         for sym, power in syms:
             v[index[sym]] = power
@@ -527,10 +638,7 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
         return tuple(v)
 
     def key_of(v):
-        syms = tuple(
-            (variables[pos], p) for pos, p in enumerate(v[:nvars]) if p
-        )
-        return (v[nvars], syms)
+        return _encode(v[nvars], zip(variables, v[:nvars]))
 
     d_items = {vec(key): coef for key, coef in d.terms.items()}
     d_lead = max(d_items)

@@ -10,7 +10,6 @@ any check runs.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,19 +23,10 @@ from .forms import FormExpr, wedge
 from .frames import abs_A_squared, build_coframe, h21, k_a
 from .gstruct import geometry, scalar_identity_residual
 from .profiles import BadParams, profile
+from .report import SCENARIOS, _sanitize, strict_json
 from .ring import CoefExpr, const, rat
 
 SCHEMA_VERSION = 1
-
-SCENARIOS = (
-    "thm-7d-negative",
-    "thm-7d-positive",
-    "ball-7d",
-    "thm-5d-negative",
-    "thm-5d-positive",
-    "contraction-6d",
-    "contraction-5d",
-)
 
 
 @dataclass
@@ -94,29 +84,6 @@ class ScenarioReport:
 
     def to_json(self) -> str:
         return strict_json(self.to_dict())
-
-
-def strict_json(obj) -> str:
-    """Indented, key-sorted JSON that a strict parser accepts (no NaN/Infinity)."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, CoefExpr):
-        return repr(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(obj)
-        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    return repr(obj)
 
 
 def _ck(checks: list, cid: str, fn) -> None:

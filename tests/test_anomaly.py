@@ -122,20 +122,29 @@ def _calls(fn, *targets) -> list:
     return [stats.get(key, (0, 0))[1] for key in keys]
 
 
-def test_residual_ring_work_is_bounded():
+def test_residual_ring_work_is_bounded(monkeypatch):
     # one kA/DLambda residual: the wedge and d kernel multiplies raw terms
-    # straight into each component, so few CoefExpr products are built, and
-    # the monomial products stay below the per-pair algorithm's 5,198
+    # straight into each component, so few CoefExpr products are built; p1
+    # multiplies each unordered pair of a curvature entry's components once,
+    # so the term products stay below the 3,164 of multiplying every pair twice
     lam = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
+    term_products = 0
+    mul_into = ring._mul_into
+
+    def counted(acc, a, b, sign):
+        nonlocal term_products
+        term_products += len(a) * len(b)
+        return mul_into(acc, a, b, sign)
 
     def residual():
         c = k_a([[1, 2, 3], [-4, 5, 6], [7, -8, 9]])
         got = anomaly_residual(c, "alphaP", ("DLambda", lam))
         assert got == displayed_residual_dlambda(c, lam, "alphaP")
 
-    products, monomials = _calls(residual, ring.CoefExpr.__mul__, ring._mul_syms)
+    monkeypatch.setattr(ring, "_mul_into", counted)
+    [products] = _calls(residual, ring.CoefExpr.__mul__)
     assert 0 < products <= 600
-    assert 0 < monomials <= 4000
+    assert 0 < term_products <= 2400
 
 
 def test_seven_leg_db_residual_matches_closed_form(ka):

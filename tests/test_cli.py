@@ -257,10 +257,18 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nilforms.cli", "verify", "--scenario", "contraction-6d"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
@@ -268,15 +276,32 @@ def test_module_entry_point():
 
 def test_cli_import_needs_no_third_party_package():
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, nilforms.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     tomllib = pytest.importorskip("tomllib")
     with open(root / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_only_verify_loads_the_scenario_machinery():
+    probe = (
+        "import contextlib, io, sys\n"
+        "from nilforms import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(['dump-profile', '--profile', 'ball', '--params', 'absA2=3', '--grid', '4']),\n"
+        "             cli.main(['crosscheck', '--profile', 'ball', '--params', 'absA2=3', '--expr', 'lap-e2f',\n"
+        "                       '--points', '4']),\n"
+        "             cli.main(['verify', '--scenario', 'nope'])]\n"
+        "print(codes, 'nilforms.scenarios' in sys.modules)\n"
+        "cli.main(['verify', '--scenario', 'contraction-5d'])\n"
+        "print('nilforms.scenarios' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[0, 0, 2] False"
+    assert proc.stdout.splitlines()[-1] == "True"

@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import cProfile
+import json
 import math
+import os
+import pickle
 import pstats
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -325,18 +331,21 @@ def test_equality_is_exactly_zero_difference(x, y):
 
 
 def test_constructor_converts_and_demotes_non_int_input():
-    e = CoefExpr({(0, ()): Fraction(6, 3), (1, ()): 0.5, (2, ()): True, (3, ()): 0.0})
-    assert e.terms == {(0, ()): 2, (1, ()): Fraction(1, 2), (2, ()): 1}
+    e = ring.from_monomials([(Fraction(6, 3), 0, ()), (0.5, 1, ()), (True, 2, ()), (0.0, 3, ())])
+    assert sorted(e.monomials(), key=lambda t: t[1]) == [(2, 0, ()), (Fraction(1, 2), 1, ()), (1, 2, ())]
+    assert [type(c) for c, _, _ in sorted(e.monomials(), key=lambda t: t[1])] == [int, Fraction, int]
     assert _is_canonical(e)
-    assert type(rat(4, 2).terms[(0, ())]) is int
-    assert type(rat(Fraction(3)).terms[(0, ())]) is int
+    assert [type(c) for c, _, _ in rat(4, 2).monomials()] == [int]
+    assert [type(c) for c, _, _ in rat(Fraction(3)).monomials()] == [int]
+    assert rat(4, 2).as_fraction() == 2
 
 
 def test_try_divide_by_an_integer_stays_exact():
     x = const("x")
     q = try_divide(rat(2) * x, rat(4))
     assert q == rat(1, 2) * x
-    coef = q.terms[(0, ((ring.const_sym("x"), 1),))]
+    [(coef, k, powers)] = q.monomials()
+    assert (k, powers) == (0, ((ring.const_sym("x"), 1),))
     assert type(coef) is Fraction and coef == Fraction(1, 2)
     # 1/3 has no exact float, so a float quotient cannot pass this
     q = try_divide(x + jet(1), rat(3))
@@ -442,3 +451,113 @@ def test_exact_reads_a_float_as_the_short_rational_it_round_trips_from():
             ring.exact(bad)
     with pytest.raises(TypeError):
         ring.exact([1])
+
+
+# ---------------------------------------------------------------------------
+# the packed monomial key: products, field limits, interning order
+
+def _reference_product(x: CoefExpr, y: CoefExpr) -> dict:
+    """{(k, powers): coef} of x * y, multiplied out from the decoded terms alone."""
+    out: dict = {}
+    for c1, k1, p1 in x.monomials():
+        for c2, k2, p2 in y.monomials():
+            powers = dict(p1)
+            for sym, p in p2:
+                powers[sym] = powers.get(sym, 0) + p
+            key = (k1 + k2, tuple(sorted(powers.items())))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+@given(ring_exprs(max_terms=4), ring_exprs(max_terms=4), st.sampled_from((1, 2, 3, 4)))
+@settings(max_examples=80, deadline=None)
+def test_product_monomials_match_a_reference_product(x, y, i):
+    y = y + y.partial(i) * jet(1, i)  # second-order jets and repeated symbols
+    got = {(k, powers): c for c, k, powers in (x * y).monomials()}
+    assert got == _reference_product(x, y)
+
+
+def test_exponent_fields_hold_their_maximum_and_refuse_one_more():
+    a, f1 = ring.const_sym("a"), ring.jet_sym(1)
+    top = [(3, ring.EXPF_MAX, ((a, ring.MAX_POWER), (f1, 1))), (-1, ring.EXPF_MIN, ((f1, ring.MAX_POWER),))]
+    e = ring.from_monomials(top)
+    assert sorted(e.monomials(), key=lambda t: t[1]) == sorted(top, key=lambda t: t[1])
+    assert ring.from_monomials(e.monomials()) == e
+    assert const("a") ** ring.MAX_POWER == ring.from_monomials([(1, 0, ((a, ring.MAX_POWER),))])
+    for bad in (
+        [(1, 0, ((a, ring.MAX_POWER + 1),))],
+        [(1, 0, ((a, ring.MAX_POWER), (a, 1)))],
+        [(1, ring.EXPF_MAX + 1, ())],
+        [(1, ring.EXPF_MIN - 1, ())],
+    ):
+        with pytest.raises(OverflowError):
+            ring.from_monomials(bad)
+    # products, derivatives and e^{kf} shifts refuse what leaves a field, never wrapping into the next one
+    at_max = const("a") ** ring.MAX_POWER * jet(1)
+    for overflow in (
+        lambda: at_max * const("a"),
+        lambda: expf(ring.EXPF_MAX) * expf(1),
+        lambda: expf(ring.EXPF_MIN) * expf(-1),
+        lambda: (expf(ring.EXPF_MIN) * const("a")) * expf(-1),
+        lambda: expf(ring.EXPF_MIN).scale_expf(-1),
+        lambda: expf(ring.EXPF_MAX).scale_expf(1),
+        lambda: (jet(1) ** ring.MAX_POWER * expf(1)).partial(1),
+        lambda: (jet(1, 1) ** ring.MAX_POWER * jet(1)).partial(1),
+    ):
+        with pytest.raises(OverflowError):
+            overflow()
+    assert at_max * jet(1) == ring.from_monomials([(1, 0, ((a, ring.MAX_POWER), (f1, 2)))])
+
+
+_CATALOGUE_CHILD = """
+import hashlib, json, sys
+from nilforms import ring, scenarios
+for kind, data in json.loads(sys.argv[1]):
+    ring.from_monomials([(1, 0, (((kind, tuple(data) if kind == "j" else data), 1),))])
+text = "".join(scenarios.run_scenario(name, seed=0).to_json() for name in scenarios.SCENARIOS)
+symbols = sorted(ring._SYMS[1:])
+text += repr(ring.from_monomials((n + 1, n % 3 - 1, ((s, 1),)) for n, s in enumerate(symbols)))
+print(json.dumps({"sha": hashlib.sha256(text.encode()).hexdigest(), "symbols": [list(s) for s in ring._SYMS[1:]]}))
+"""
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
+def _catalogue_in_child(symbols: list) -> dict:
+    """The catalogue's report digest in a fresh interpreter that first interns symbols in this order."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CATALOGUE_CHILD, json.dumps(symbols)],
+        capture_output=True, text=True, env=_src_env(), check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_symbol_interning_order_reaches_no_report():
+    normal = _catalogue_in_child([])
+    constants = [s for s in normal["symbols"] if s[0] == "c"]
+    jets = [s for s in normal["symbols"] if s[0] == "j"]
+    assert constants and jets
+    reordered = _catalogue_in_child(constants[::-1] + jets[::-1])
+    assert reordered["symbols"][:len(constants)] == constants[::-1]
+    assert reordered["sha"] == normal["sha"]
+
+
+def test_a_pickle_carries_decoded_terms_to_another_process():
+    x = const("zz_pickled") * jet(1, 2) ** 2 * expf(-3) + rat(1, 3) * const("a")
+    assert pickle.loads(pickle.dumps(x)) == x
+    child = (
+        "import pickle, sys\n"
+        "from nilforms.ring import const, expf, jet, rat\n"
+        "const('a'); jet(4); jet(1, 2); const('zz_pickled')  # slots in another order\n"
+        "x = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(x == const('zz_pickled') * jet(1, 2) ** 2 * expf(-3) + rat(1, 3) * const('a'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(x), capture_output=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"True"
