@@ -133,7 +133,7 @@ def _profile_rows(prof, grid: int):
         cent = [float(v) for v in prof.params["center"]]
         radii = (0.2 + 2.0 * k / grid for k in range(1, grid + 1))
         line = [(r, (cent[0] + r, cent[1], cent[2], cent[3])) for r in radii]
-    else:  # constant / custom: tabulate along the first axis with a closure residual
+    else:  # constant: tabulate along the first axis with a closure residual
         line = [(x1, (x1, 0.0, 0.0, 0.0)) for x1 in (k / max(grid - 1, 1) for k in range(grid))]
     for t, x in line:
         g = prof.e2f(x)

@@ -19,6 +19,7 @@ from typing import Mapping
 
 from . import ring
 from .forms import (
+    SIGMA,
     CoframeSpec,
     DimensionMismatch,
     FormExpr,
@@ -35,9 +36,8 @@ class _FormMatrix:
 
     degree = 1
 
-    def __init__(self, coframe: CoframeSpec, entries: Mapping[tuple, FormExpr], meta=None):
+    def __init__(self, coframe: CoframeSpec, entries: Mapping[tuple, FormExpr]):
         self.coframe = coframe
-        self.meta = dict(meta or {})
         self.entries: dict[tuple, FormExpr] = {}
         for (i, j), form in entries.items():
             if not (1 <= i < j <= coframe.dim):
@@ -97,7 +97,7 @@ def levi_civita(c: CoframeSpec) -> ConnectionForms:
                 if g:
                     comps[(k,)] = g
             entries[(i, j)] = FormExpr(c, 1, comps)
-    return ConnectionForms(c, entries, meta={"kind": "levi-civita"})
+    return ConnectionForms(c, entries)
 
 
 def torsion_slice(T: FormExpr) -> dict[tuple, FormExpr]:
@@ -129,7 +129,7 @@ def torsion_connection(lc: ConnectionForms, T: FormExpr, sign: int) -> Connectio
     entries = {
         (i, j): lc.entry(i, j) - slc[(i, j)] * half_s for (i, j) in lc.pairs()
     }
-    return ConnectionForms(c, entries, meta={"kind": f"torsion({sign:+d})"})
+    return ConnectionForms(c, entries)
 
 
 def curvature(conn: ConnectionForms) -> CurvatureForms:
@@ -143,7 +143,7 @@ def curvature(conn: ConnectionForms) -> CurvatureForms:
             if k != i and k != j:
                 _wedge_into(parts, om[i, k], om[k, j])
         entries[(i, j)] = _form(c, 2, parts)
-    return CurvatureForms(c, entries, meta=dict(conn.meta))
+    return CurvatureForms(c, entries)
 
 
 def riemann(curv: CurvatureForms, i: int, j: int, k: int, l: int) -> ring.CoefExpr:
@@ -191,26 +191,17 @@ def _lam_rows(lam, nfib: int):
 def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
     """Flat-looking auxiliary connection with fiber-leg coefficient matrix lam.
 
-    Row r of lam feeds the quaternionic sign pattern
-    omega^1_2 = -omega^3_4 = L_1, omega^1_3 = omega^2_4 = L_2,
-    omega^1_4 = -omega^2_3 = L_3 with L_r = sum_c lam[r][c] ebar^{4+c};
-    all remaining entries vanish.
+    Row r of lam gives L_r = sum_c lam[r][c] ebar^{4+c}, which fills the pairs
+    of sigma_r with its signs: omega^a_b = sign * L_r for each (a, b): sign
+    in SIGMA[r]; all remaining entries vanish.
     """
-    nfib = c.dim - 4
-    rows = _lam_rows(lam, nfib)
-    L = []
-    for r in range(3):
-        comps = {(4 + 1 + col,): rows[r][col] for col in range(nfib) if rows[r][col]}
-        L.append(FormExpr(c, 1, comps))
-    entries = {
-        (1, 2): L[0],
-        (3, 4): -L[0],
-        (1, 3): L[1],
-        (2, 4): L[1],
-        (1, 4): L[2],
-        (2, 3): -L[2],
-    }
-    return ConnectionForms(c, entries, meta={"kind": "DLambda", "lam": rows})
+    rows = _lam_rows(lam, c.dim - 4)
+    entries = {}
+    for r, pattern in SIGMA.items():
+        L = FormExpr(c, 1, {(4 + col,): x for col, x in enumerate(rows[r - 1], 1) if x})
+        for pair, sign in pattern.items():
+            entries[pair] = L * sign
+    return ConnectionForms(c, entries)
 
 
 def lam_rank(lam, c: CoframeSpec) -> int:
@@ -235,9 +226,9 @@ def lam_rank(lam, c: CoframeSpec) -> int:
     return rank
 
 
-def lam_A_product(conn_or_lam, c: CoframeSpec):
+def lam_A_product(lam, c: CoframeSpec):
     """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
-    lam = conn_or_lam.meta["lam"] if isinstance(conn_or_lam, ConnectionForms) else _lam_rows(conn_or_lam, c.dim - 4)
+    lam = _lam_rows(lam, c.dim - 4)
     A = c.params["A"]
     return tuple(
         tuple(ring.sum_exprs(lam[r][col] * A[col][m] for col in range(len(A))) for m in range(3))
@@ -245,9 +236,9 @@ def lam_A_product(conn_or_lam, c: CoframeSpec):
     )
 
 
-def lam_squared(conn_or_lam, c: CoframeSpec) -> ring.CoefExpr:
+def lam_squared(lam, c: CoframeSpec) -> ring.CoefExpr:
     """lambda^2 = |lam . A|^2, the curvature normalization of D_lam."""
-    return ring.sum_exprs(e * e for row in lam_A_product(conn_or_lam, c) for e in row)
+    return ring.sum_exprs(e * e for row in lam_A_product(lam, c) for e in row)
 
 
 def build_DB(B, c: CoframeSpec) -> ConnectionForms:
@@ -273,7 +264,7 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     entries = {
         (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
     }
-    return ConnectionForms(c, entries, meta={"kind": "DB", "B": B_clean})
+    return ConnectionForms(c, entries)
 
 
 @cache

@@ -18,6 +18,23 @@ from .ring import CoefExpr
 
 HORIZONTAL = (1, 2, 3, 4)
 
+# The quaternionic sign conventions, written here only.  SIGMA[r] and
+# OMEGA[r] give the sign of each horizontal pair in the anti-self-dual
+# sigma_r and the self-dual omega_r.  PSI[k] = (sign, image) says
+# psi ebar_k = sign * ebar_image (psi kills the legs it omits); it is
+# compatible with F = omega_1.
+SIGMA = {
+    1: {(1, 2): 1, (3, 4): -1},
+    2: {(1, 3): 1, (2, 4): 1},
+    3: {(1, 4): 1, (2, 3): -1},
+}
+OMEGA = {
+    1: {(1, 2): 1, (3, 4): 1},
+    2: {(1, 3): 1, (2, 4): -1},
+    3: {(1, 4): 1, (2, 3): 1},
+}
+PSI = {1: (-1, 2), 2: (1, 1), 3: (-1, 4), 4: (1, 3)}
+
 
 class DimensionMismatch(Exception):
     """Raised when mixing forms from different coframes or bad index counts."""
@@ -325,37 +342,16 @@ def df_form(c: CoframeSpec) -> FormExpr:
 
 
 def dpsi_f_form(c: CoframeSpec) -> FormExpr:
-    """d^psi f(X) = -df(psi X) for the standard almost-complex structure.
-
-    psi ebar_1 = -ebar_2, psi ebar_2 = ebar_1, psi ebar_3 = -ebar_4,
-    psi ebar_4 = ebar_3 (compatible with F = omegabar_1).
-    """
-    e = ring.expf(-1)
-    comps = {
-        (1,): e * ring.jet(2),
-        (2,): -(e * ring.jet(1)),
-        (3,): e * ring.jet(4),
-        (4,): -(e * ring.jet(3)),
-    }
-    return FormExpr(c, 1, comps)
+    """d^psi f(X) = -df(psi X) for the almost-complex structure PSI."""
+    df = df_form(c)
+    return FormExpr(c, 1, {(k,): df.comps[(i,)] * -s for k, (s, i) in PSI.items()})
 
 
 def sigma_bar(c: CoframeSpec, i: int) -> FormExpr:
-    """Anti-self-dual pair forms: sigma_1 = e^{12}-e^{34}, sigma_2 = e^{13}+e^{24}, sigma_3 = e^{14}-e^{23}."""
-    table = {
-        1: {(1, 2): 1, (3, 4): -1},
-        2: {(1, 3): 1, (2, 4): 1},
-        3: {(1, 4): 1, (2, 3): -1},
-    }
-    return c.form(2, table[i])
+    """The anti-self-dual pair form sigma_i of SIGMA."""
+    return c.form(2, SIGMA[i])
 
 
 def omega_bar(c: CoframeSpec, i: int) -> FormExpr:
-    """Self-dual pair forms: omega_1 = e^{12}+e^{34}, omega_2 = e^{13}-e^{24}, omega_3 = e^{14}+e^{23}."""
-    table = {
-        1: {(1, 2): 1, (3, 4): 1},
-        2: {(1, 3): 1, (2, 4): -1},
-        3: {(1, 4): 1, (2, 3): 1},
-    }
-    return c.form(2, table[i])
-
+    """The self-dual pair form omega_i of OMEGA."""
+    return c.form(2, OMEGA[i])

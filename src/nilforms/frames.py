@@ -2,8 +2,7 @@
 
 Every catalogue entry describes the fiber differentials
 ``d e^{4+r} = sum_m A[r][m] sigma_m`` against the anti-self-dual pair forms
-``sigma_1 = e^{12}-e^{34}``, ``sigma_2 = e^{13}+e^{24}``,
-``sigma_3 = e^{14}-e^{23}``; horizontal legs are closed.  The rescaled
+``sigma_m`` of ``forms.SIGMA``; horizontal legs are closed.  The rescaled
 coframe carries weights (1,1,1,1,0,..,0).
 
 Catalogue ids:
@@ -22,23 +21,17 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import ring
-from .forms import CoframeSpec
+from .forms import SIGMA, CoframeSpec
 
 CATALOG = ("gH", "kA", "h5", "h3", "h21", "eps6", "eps5")
-
-_SIGMA_PAIRS = (
-    {(1, 2): 1, (3, 4): -1},   # sigma_1
-    {(1, 3): 1, (2, 4): 1},    # sigma_2
-    {(1, 4): 1, (2, 3): -1},   # sigma_3
-)
 
 
 def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
     row: dict[tuple, ring.CoefExpr] = {}
-    for m, c in enumerate(coefs):
+    for m, c in enumerate(coefs, 1):
         cc = ring.exact(c)
         if cc:
-            for pair, sign in _SIGMA_PAIRS[m].items():  # the three sigmas share no pair
+            for pair, sign in SIGMA[m].items():  # the three sigmas share no pair
                 row[pair] = cc if sign > 0 else -cc
     return row
 

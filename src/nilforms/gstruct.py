@@ -26,6 +26,8 @@ from functools import cached_property
 from . import ring
 from .connection import curvature, levi_civita, pontryagin4, scalar_curvature, torsion_connection
 from .forms import (
+    OMEGA,
+    PSI,
     CoframeSpec,
     DimensionMismatch,
     FormExpr,
@@ -72,6 +74,17 @@ class G2Structure:
     def torsion(self) -> FormExpr:
         return torsion_3form(self)
 
+    def project(self, M: dict) -> dict[int, ring.CoefExpr]:
+        """m -> sum_{a<b} 2 M_ab Theta(ebar_a, ebar_b, ebar_m) for a skew {(a, b): coef}, nonzero ones."""
+        out = {}
+        for m in range(1, 8):
+            total = ring.sum_exprs(
+                coef * tc * 2 for (a, b), coef in M.items() if (tc := self.theta.value_at(a, b, m))
+            )
+            if total:
+                out[m] = total
+        return out
+
     def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
         return g2_instanton_residual(curv, self)
 
@@ -105,21 +118,27 @@ def torsion_3form(g: G2Structure) -> FormExpr:
     return hodge_star((df_form(c) * 2).wedge(g.theta) - exterior_derivative(g.theta))
 
 
+def _contract(curv, project, endomorphism: bool) -> dict[tuple, ring.CoefExpr]:
+    """{(a, b, label): value} over project(M) for each skew {(a, b): coef} the curvature holds.
+
+    The form slots give M = Omega^i_j for each pair (i, j) of curv.pairs();
+    the endomorphism slots give, transposed, M_ij = Omega^i_j(ebar_k, ebar_l)
+    for each vector pair (k, l).
+    """
+    slots: dict = {}
+    for (i, j) in curv.pairs():
+        comps = curv.entry(i, j).comps
+        if not endomorphism:
+            slots[(i, j)] = comps
+            continue
+        for kl, coef in comps.items():
+            slots.setdefault(kl, {})[(i, j)] = coef
+    return {(*ab, label): val for ab, M in slots.items() for label, val in project(M).items()}
+
+
 def g2_instanton_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
     """residual(i, j, m) = sum_{k,l} Omega^i_j(ebar_k, ebar_l) Theta(ebar_k, ebar_l, ebar_m)."""
-    out = {}
-    theta = g.theta
-    for (i, j) in curv.pairs():
-        om = curv.entry(i, j)
-        if not om and not theta:
-            continue
-        for m in range(1, 8):
-            total = ring.sum_exprs(
-                oc * tc * 2 for (k, l), oc in om.comps.items() if (tc := theta.value_at(k, l, m))
-            )
-            if total:
-                out[(i, j, m)] = total
-    return out
+    return _contract(curv, g.project, endomorphism=False)
 
 
 def g2_holonomy_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
@@ -131,20 +150,7 @@ def g2_holonomy_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
     contraction that vanishes identically for the (+)-torsion connection;
     g2_instanton_residual contracts the form slots instead.
     """
-    out = {}
-    pair_forms = {}
-    for (i, j) in curv.pairs():
-        om = curv.entry(i, j)
-        for (k, l), oc in om.comps.items():
-            pair_forms.setdefault((k, l), []).append((i, j, oc))
-    for (k, l), contribs in pair_forms.items():
-        for m in range(1, 8):
-            total = ring.sum_exprs(
-                oc * tc * 2 for (i, j, oc) in contribs if (tc := g.theta.value_at(i, j, m))
-            )
-            if total:
-                out[(k, l, m)] = total
-    return out
+    return _contract(curv, g.project, endomorphism=True)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,21 @@ class SU2Structure:
         """T = eta wedge d eta + 2 d^psi f wedge F."""
         deta = exterior_derivative(self.eta)
         return self.eta.wedge(deta) + dpsi_f_form(self.coframe).wedge(self.F) * 2
+
+    def project(self, M: dict) -> dict[str, ring.CoefExpr]:
+        """Nonzero self-dual (w1..w3) and mixed (m1..m4) parts of a skew {(a, b): coef}.
+
+        M lies in su(2) exactly when both vanish: it is then a combination of
+        the anti-self-dual horizontal 2-forms.
+        """
+        half = ring.rat(1, 2)
+        parts = {
+            f"w{r}": ring.sum_exprs(M[p] * sign for p, sign in pattern.items() if p in M) * half
+            for r, pattern in OMEGA.items()
+        }
+        for k in range(1, 5):
+            parts[f"m{k}"] = M.get((k, 5), ring.ZERO)
+        return {label: val for label, val in parts.items() if val}
 
     def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
         return su2_instanton_residual(curv, self)
@@ -199,25 +220,7 @@ def su2_structure_residuals(s: SU2Structure) -> dict[str, FormExpr]:
 
 def psi_image(k: int) -> tuple[int, int]:
     """(sign, index) of psi ebar_k; (0, 0) when psi kills the vector."""
-    table = {1: (-1, 2), 2: (1, 1), 3: (-1, 4), 4: (1, 3)}
-    return table.get(k, (0, 0))
-
-
-def _su2_split(M) -> dict[str, ring.CoefExpr]:
-    """Nonzero self-dual (w1..w3) and mixed (m1..m4) parts of the skew array M(i, j).
-
-    M lies in su(2) exactly when both vanish: it is then a combination of the
-    anti-self-dual horizontal 2-forms.
-    """
-    half = ring.rat(1, 2)
-    parts = {
-        "w1": (M(1, 2) + M(3, 4)) * half,
-        "w2": (M(1, 3) - M(2, 4)) * half,
-        "w3": (M(1, 4) + M(2, 3)) * half,
-    }
-    for k in range(1, 5):
-        parts[f"m{k}"] = M(k, 5)
-    return {label: val for label, val in parts.items() if val}
+    return PSI.get(k, (0, 0))
 
 
 def su2_instanton_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
@@ -226,11 +229,7 @@ def su2_instanton_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
     Vanishing of all entries is equivalent to the psi-compatibility pair
     Omega(psi X, psi Y) = Omega(X, Y), sum_k Omega(ebar_k, psi ebar_k) = 0.
     """
-    out = {}
-    for (i, j) in curv.pairs():
-        for label, val in _su2_split(curv.entry(i, j).value_at).items():
-            out[(i, j, label)] = val
-    return out
+    return _contract(curv, s.project, endomorphism=False)
 
 
 def su2_holonomy_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
@@ -241,13 +240,7 @@ def su2_holonomy_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
     su(2) span of the anti-self-dual horizontal 2-forms; identically zero
     for the (+)-torsion connection.
     """
-    out = {}
-    for k in range(1, 6):
-        for l in range(k + 1, 6):
-            parts = _su2_split(lambda i, j: curv.entry(i, j).value_at(k, l))
-            for label, val in parts.items():
-                out[(k, l, label)] = val
-    return out
+    return _contract(curv, s.project, endomorphism=True)
 
 
 def psi_compatibility_residuals(om: FormExpr) -> dict[str, ring.CoefExpr]:

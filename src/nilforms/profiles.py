@@ -8,8 +8,10 @@ chain rule
     f_ijk = g_ijk/(2g) - (g_ij g_k + g_ik g_j + g_jk g_i)/(2 g^2)
             + g_i g_j g_k / g^3.
 
-The "ball", "fundamental" and "constant" profiles have rational g-jets, so
-they can also be evaluated exactly over Fraction coordinates.
+The "ball" and "fundamental" profiles have rational g-jets, so they can
+also be evaluated exactly over Fraction coordinates; "weierstrass" and
+"constant" (whose g = e^{2 f0} is a float) are float-only, and their
+``jets_exact`` raises BadParams.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _constant(f0) -> DilatonProfile:
     return DilatonProfile("constant", {"f0": f0f}, gjets, lambda x: True, lambda x: math.inf, exact=False)
 
 
-PROFILES = ("ball", "fundamental", "weierstrass", "constant", "custom")
+PROFILES = ("ball", "fundamental", "weierstrass", "constant")
 
 
 def profile(name: str, **params) -> DilatonProfile:
@@ -239,15 +241,6 @@ def profile(name: str, **params) -> DilatonProfile:
             return _weierstrass(**params)
         if name == "constant":
             return _constant(**params)
-        if name == "custom":
-            return DilatonProfile(
-                "custom",
-                {},
-                params["gjets"],
-                params.get("in_domain", lambda x: True),
-                params.get("singular_distance", lambda x: math.inf),
-                exact=bool(params.get("exact", False)),
-            )
     except (TypeError, KeyError) as exc:
         raise BadParams(f"{name}: {exc}") from exc
     raise BadParams(f"unknown profile {name!r}; choose from {PROFILES}")

@@ -408,10 +408,6 @@ class CoefExpr:
                 out.add(sym)
         return out
 
-    def expf_range(self) -> tuple[int, int]:
-        ks = [(key & _FIELD) - _BIAS for key in self.terms]
-        return (min(ks), max(ks)) if ks else (0, 0)
-
     def scale_expf(self, shift: int) -> "CoefExpr":
         """self * e^{shift f}: each key's k field moves by shift."""
         if not -_TOP < shift < _TOP:
@@ -601,67 +597,47 @@ def restrict_onevar(e: CoefExpr) -> CoefExpr:
 # ---------------------------------------------------------------------------
 # exact division
 
-def _division_vars(*exprs: CoefExpr) -> list:
-    vs = set()
-    for e in exprs:
-        vs |= e.symbols()
-    return sorted(vs)
-
-
 def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     """Exact quotient num/den in the ring, or None when not an exact multiple.
 
-    e^{kf} powers are cleared first (they are units), then classical
-    multivariate division in lex order runs on the remaining polynomial
-    part.  Never returns a false negative on an exact multiple.
+    Classical division on the monomial keys themselves: their integer order
+    is a lex order with the e^{kf} field last, and a key difference is a
+    monomial quotient.  e^{kf} is a unit, so only a symbol field can refuse
+    a division; a quotient or remainder key that sets a guard bit (a symbol
+    power below 0 or above MAX_POWER, or k outside EXPF_MIN..EXPF_MAX)
+    returns None.  An exact multiple never does: degrees add in a domain, so
+    every q_t * d_j fits in its fields.
     """
     if not den:
         raise ZeroDivisionError("division by the zero element")
     if not num:
         return CoefExpr()
 
-    kn = num.expf_range()[0]
-    kd = den.expf_range()[0]
-    n = num.scale_expf(-kn)
-    d = den.scale_expf(-kd)
-
-    variables = _division_vars(n, d)
-    index = {v: pos for pos, v in enumerate(variables)}
-    nvars = len(variables)
-
-    def vec(key):
-        k, syms, _ = _decode(key)
-        v = [0] * (nvars + 1)
-        for sym, power in syms:
-            v[index[sym]] = power
-        v[nvars] = k  # expf exponent ranked last
-        return tuple(v)
-
-    def key_of(v):
-        return _encode(v[nvars], zip(variables, v[:nvars]))
-
-    d_items = {vec(key): coef for key, coef in d.terms.items()}
+    guard = _GUARD
+    d_items = den.terms
     d_lead = max(d_items)
     d_lead_coef = d_items[d_lead]
+    d_rest = [(key - _BIAS, coef) for key, coef in d_items.items() if key != d_lead]
 
-    r = {vec(key): coef for key, coef in n.terms.items()}
+    r = dict(num.terms)
     q: dict = {}
     max_steps = 16 * (len(r) + 1) * (len(d_items) + 1) + 1024
 
     for _ in range(max_steps):
         if not r:
-            quotient = _wrap(_canonical({key_of(v): c for v, c in q.items()}))
-            return quotient.scale_expf(kn - kd)
+            return _wrap(q)  # every coefficient is already canonical and nonzero
         r_lead = max(r)
-        diff = tuple(a - b for a, b in zip(r_lead, d_lead))
-        if any(x < 0 for x in diff[:nvars]):
+        key = r_lead - d_lead + _BIAS
+        if key & guard:
             return None
-        coef = Fraction(r[r_lead], d_lead_coef)  # exact; `/` on ints gives a float
+        coef = Fraction(r.pop(r_lead), d_lead_coef)  # exact; `/` on ints gives a float
         if coef.denominator == 1:
             coef = coef.numerator
-        q[diff] = q.get(diff, 0) + coef
-        for dv, dc in d_items.items():
-            t = tuple(a + b for a, b in zip(diff, dv))
+        q[key] = coef
+        for dk, dc in d_rest:
+            t = key + dk
+            if t & guard:
+                return None
             c = r.get(t, 0) - coef * dc
             if c:
                 r[t] = c

@@ -30,14 +30,6 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class ScenarioSpec:
-    name: str
-    seed: int = 0
-    config: dict = field(default_factory=dict)
-    overrides: tuple = ()
-
-
-@dataclass
 class CheckResult:
     id: str
     status: str  # "pass" | "fail" | "error"
@@ -630,15 +622,8 @@ _BODIES = {
 }
 
 
-def run_scenario(spec, seed: int | None = None, config: dict | None = None, overrides=()) -> ScenarioReport:
-    if isinstance(spec, ScenarioSpec):
-        name = spec.name
-        seed = spec.seed if seed is None else seed
-        config = dict(spec.config) if config is None else config
-        overrides = tuple(spec.overrides) + tuple(overrides)
-    else:
-        name = str(spec)
-    seed = 0 if seed is None else int(seed)
+def run_scenario(name: str, seed: int = 0, config: dict | None = None, overrides=()) -> ScenarioReport:
+    seed = int(seed)
     config = {} if config is None else dict(config)
     overrides = tuple(overrides)
     if name not in SCENARIOS:

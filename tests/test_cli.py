@@ -257,6 +257,12 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["dump-profile", "crosscheck"])
+def test_custom_profile_is_an_invalid_choice(command, capsys):
+    assert cli.main([command, "--profile", "custom"]) == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
+
+
 def _src_env() -> dict:
     """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
     env = dict(os.environ)

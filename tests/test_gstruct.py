@@ -254,6 +254,20 @@ def test_su2_holonomy_residual_flags_a_self_dual_matrix(h21_sym):
     assert su2_instanton_residual(Curv(), s) == {(1, 2, "w1"): ring.rat(1, 2), (3, 4, "w1"): ring.rat(1, 2)}
 
 
+def test_g2_residuals_contract_a_single_curvature_entry(ka):
+    # Omega^1_2 = ebar^{12} alone: Theta(ebar_1, ebar_2, ebar_7) = 1 is its only partner
+    class Curv:
+        def pairs(self):
+            return [(i, j) for i in range(1, 8) for j in range(i + 1, 8)]
+
+        def entry(self, i, j):
+            return ka.basis(1, 2) if (i, j) == (1, 2) else ka.zero(2)
+
+    g = build_g2(ka)
+    assert g2_instanton_residual(Curv(), g) == {(1, 2, 7): 2}
+    assert g2_holonomy_residual(Curv(), g) == {(1, 2, 7): 2}
+
+
 # ---------------------------------------------------------------------------
 # the derived geometry of a coframe
 

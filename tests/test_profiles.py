@@ -33,7 +33,7 @@ def _fd_jet_check(prof, x, coords=(1, 2, 3, 4), step=1e-5, tol=5e-8):
 # catalogue
 
 def test_catalogue_and_unknown_name():
-    assert PROFILES == ("ball", "fundamental", "weierstrass", "constant", "custom")
+    assert PROFILES == ("ball", "fundamental", "weierstrass", "constant")
     with pytest.raises(BadParams, match="unknown profile"):
         profile("parabolic")
 
@@ -133,7 +133,7 @@ def test_weierstrass_value_and_fd_jets():
 
 
 # ---------------------------------------------------------------------------
-# constant and custom
+# constant
 
 def test_constant_profile():
     prof = profile("constant", f0=0.25)
@@ -143,22 +143,3 @@ def test_constant_profile():
     assert prof.singular_distance((0, 0, 0, 0)) == math.inf
     with pytest.raises(BadParams):
         prof.jets_exact((0, 0, 0, 0))
-
-
-def test_custom_profile():
-    def gjets(x):
-        g = Fraction(1)
-        gi = {i: Fraction(0) for i in ring.COORDS}
-        gij = {(i, j): Fraction(0) for i in ring.COORDS for j in ring.COORDS if i <= j}
-        gijk = {
-            (i, j, k): Fraction(0)
-            for i in ring.COORDS for j in ring.COORDS for k in ring.COORDS
-            if i <= j <= k
-        }
-        return g, gi, gij, gijk
-
-    prof = profile("custom", gjets=gjets, exact=True)
-    g, jets = prof.jets_exact((Fraction(1, 2), 0, 0, 0))
-    assert g == 1 and all(v == 0 for v in jets.values())
-    with pytest.raises(BadParams):
-        profile("custom")

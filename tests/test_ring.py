@@ -117,8 +117,8 @@ def test_power_and_negation():
 def test_scale_expf_roundtrip_and_range():
     x = expf(2) * jet(1) + const("a")
     assert x.scale_expf(3).scale_expf(-3) == x
-    assert x.expf_range() == (0, 2)
-    assert expf(-4).expf_range() == (-4, -4)
+    assert x.scale_expf(-4) == expf(-2) * jet(1) + expf(-4) * const("a")
+    assert expf(-4).scale_expf(4) == rat(1)
 
 
 def test_repr_is_deterministic():
@@ -271,6 +271,13 @@ def test_try_divide_clears_exponential_units():
 def test_try_divide_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
         try_divide(rat(1), CoefExpr())
+
+
+def test_try_divide_refuses_a_remainder_that_leaves_its_field():
+    lo = const("td_lo")  # interned first, so hi holds the higher field and leads
+    hi = const("td_hi")
+    # the first remainder term, lo^(MAX_POWER+1), sets a guard bit: no wrap, no raise
+    assert try_divide(hi * lo ** (ring.MAX_POWER - 1), hi + lo ** 2) is None
 
 
 # ---------------------------------------------------------------------------

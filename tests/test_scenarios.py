@@ -22,7 +22,6 @@ from nilforms.scenarios import (
     SCHEMA_VERSION,
     CheckResult,
     ScenarioReport,
-    ScenarioSpec,
     run_scenario,
 )
 
@@ -152,8 +151,7 @@ def test_unknown_scenario_raises():
 
 
 def test_scenario_spec_dispatch():
-    spec = ScenarioSpec("thm-7d-negative", seed=4, overrides=("rank2-lambda",))
-    rep = run_scenario(spec)
+    rep = run_scenario("thm-7d-negative", seed=4, overrides=("rank2-lambda",))
     assert rep.seed == 4 and not rep.passed and rep.overrides == ("rank2-lambda",)
 
 
