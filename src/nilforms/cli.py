@@ -106,7 +106,7 @@ def _parse_params(spec: str | None) -> dict:
         key, val = item.split("=", 1)
         try:
             out[key.strip()] = float(Fraction(val.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad numeric value in --params: {item!r}") from exc
     return out
 
@@ -269,10 +269,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return int(args.fn(args))
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except BadParams as exc:
+    except (ConfigError, BadParams) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -229,7 +229,7 @@ def lam_rank(lam, c: CoframeSpec) -> int:
 def lam_A_product(lam, c: CoframeSpec):
     """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
     lam = _lam_rows(lam, c.dim - 4)
-    A = c.params["A"]
+    A = c.A
     return tuple(
         tuple(ring.sum_exprs(lam[r][col] * A[col][m] for col in range(len(A))) for m in range(3))
         for r in range(3)
@@ -254,13 +254,10 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     rows = B if isinstance(B[0], (list, tuple)) else [B]
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    B_clean = tuple(tuple(ring.exact(x) for x in r) for r in rows)
-    names = "a{r}{m}" if nrows == 3 else "a{m}"
-    mapping = {
-        names.format(r=r + 1, m=m + 1): B_clean[r][m] for r in range(nrows) for m in range(3)
-    }
-
     wm = _twin_minus(nrows)
+    # each entry of the twin's A is one symbol; B's entry takes its place
+    mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
+               for sym in x.symbols()}
     entries = {
         (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
     }

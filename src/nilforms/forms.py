@@ -1,9 +1,9 @@
 """Differential forms with exact coefficients on a rescaled invariant coframe.
 
 A ``CoframeSpec`` fixes a global orthonormal coframe ``ebar^1..ebar^dim``
-obtained from an invariant coframe of a 2-step nilpotent Lie group by the
-conformal rescaling ``ebar^i = e^{w_i f} e^i`` with integer weights
-(``w = (1,1,1,1,0,..)``).  Forms are dictionaries mapping sorted index
+obtained from an invariant coframe of a 2-step nilpotent Lie group, given by
+its fiber matrix A, by the conformal rescaling ``ebar^i = e^{w_i f} e^i``
+with weights ``w = (1,1,1,1,0,..)``.  Forms are dictionaries mapping sorted index
 tuples to ring coefficients; evaluation on frame vectors follows the
 determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
 """
@@ -40,10 +40,6 @@ class DimensionMismatch(Exception):
     """Raised when mixing forms from different coframes or bad index counts."""
 
 
-class NotIntegrable(Exception):
-    """Raised when a coframe's structure constants fail d(d ebar^k) = 0."""
-
-
 def _perm_sign(seq: tuple) -> int:
     inv = 0
     for a in range(len(seq)):
@@ -64,41 +60,27 @@ def _merge(left: tuple, right: tuple) -> tuple | None:
 
 
 class CoframeSpec:
-    """Structure constants and conformal weights of a rescaled coframe."""
+    """The rescaled coframe of the fiber matrix A.
 
-    def __init__(
-        self,
-        dim: int,
-        struct: Mapping[int, Mapping[tuple, object]],
-        weights: tuple | None = None,
-        params: Mapping | None = None,
-        name: str = "",
-        check: bool = True,
-    ):
-        self.dim = int(dim)
-        self.weights = tuple(weights) if weights else (1, 1, 1, 1) + (0,) * (self.dim - 4)
-        if len(self.weights) != self.dim:
-            raise DimensionMismatch("weights length != dim")
-        self.name = name
-        self.params = dict(params or {})
+    Row r of A (at most three rows of three entries) gives
+    d e^{4+r} = sum_m A[r][m] sigma_m; the horizontal legs are closed, so
+    dim = 4 + len(A) and the weights are (1,1,1,1,0,..,0).
+    """
+
+    def __init__(self, A):
+        if len(A) > 3 or any(len(row) != 3 for row in A):
+            raise DimensionMismatch(f"the fiber matrix needs at most 3 rows of 3 entries: {A!r}")
+        self.A = tuple(tuple(ring.exact(x) for x in row) for row in A)
+        self.dim = 4 + len(self.A)
+        self.weights = (1, 1, 1, 1) + (0,) * len(self.A)
+        # structure constants c^k_{ij}; the three sigmas share no pair
         self.struct: dict[int, dict[tuple, CoefExpr]] = {}
-        for k, row in struct.items():
-            if not 1 <= k <= self.dim:
-                raise DimensionMismatch(f"structure row {k} outside 1..{self.dim}")
-            clean = {}
-            for (i, j), coef in row.items():
-                if not (1 <= i < j <= self.dim):
-                    raise DimensionMismatch(f"bad pair ({i},{j}) in row {k}")
-                c = ring.coerce(coef)
-                if c:
-                    clean[(i, j)] = c
-            if clean:
-                self.struct[k] = clean
+        for k, row in enumerate(self.A, 5):
+            pairs = {pair: x if sign > 0 else -x
+                     for m, x in enumerate(row, 1) if x for pair, sign in SIGMA[m].items()}
+            if pairs:
+                self.struct[k] = pairs
         self._dbar: dict[int, FormExpr] = {}
-        if check:
-            bad = [k for k, r in self.integrability_residuals().items() if r]
-            if bad:
-                raise NotIntegrable(f"d(d ebar^k) != 0 for k in {bad}")
 
     # -- basis forms ---------------------------------------------------------
 

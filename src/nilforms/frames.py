@@ -21,42 +21,28 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import ring
-from .forms import SIGMA, CoframeSpec
+from .forms import CoframeSpec
 
 CATALOG = ("gH", "kA", "h5", "h3", "h21", "eps6", "eps5")
-
-
-def _sigma_struct_row(coefs: Sequence) -> dict[tuple, ring.CoefExpr]:
-    row: dict[tuple, ring.CoefExpr] = {}
-    for m, c in enumerate(coefs, 1):
-        cc = ring.exact(c)
-        if cc:
-            for pair, sign in SIGMA[m].items():  # the three sigmas share no pair
-                row[pair] = cc if sign > 0 else -cc
-    return row
-
-
-def _from_rows(rows: Sequence[Sequence], name: str, params: dict) -> CoframeSpec:
-    dim = 4 + len(rows)
-    rows = tuple(tuple(ring.exact(x) for x in r) for r in rows)
-    struct = {4 + 1 + r: _sigma_struct_row(rows[r]) for r in range(len(rows))}
-    params = dict(params)
-    params["A"] = rows
-    return CoframeSpec(dim, struct, params=params, name=name, check=False)
-
-
-def fiber_rows(c: CoframeSpec) -> tuple:
-    """The sigma-coefficient rows A[r][m] recorded at construction."""
-    return c.params["A"]
 
 
 def abs_A_squared(c: CoframeSpec) -> ring.CoefExpr:
     """|A|^2 = sum of squared sigma-coefficients over all fiber legs."""
     out = ring.CoefExpr()
-    for row in fiber_rows(c):
+    for row in c.A:
         for entry in row:
             out = out + entry * entry
     return out
+
+
+def _h5_rows(a, b) -> list:
+    a = ring.const("a") if a is None else a
+    b = ring.exact(ring.const("b") if b is None else b)
+    return [[0, b, 0], [a, 0, -b]]
+
+
+def _h21_row(a1, a2, a3) -> list:
+    return [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
 
 
 # ---------------------------------------------------------------------------
@@ -67,74 +53,49 @@ def k_a(A=None) -> CoframeSpec:
         A = [[ring.const(f"a{r}{m}") for m in (1, 2, 3)] for r in (1, 2, 3)]
     if len(A) != 3 or any(len(r) != 3 for r in A):
         raise ValueError("kA needs a 3x3 matrix")
-    return _from_rows(A, "kA", {})
+    return CoframeSpec(A)
 
 
 def quaternionic_heisenberg() -> CoframeSpec:
-    return _from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gH", {})
+    return CoframeSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def h5(a=None, b=None) -> CoframeSpec:
-    a = ring.const("a") if a is None else a
-    b = ring.const("b") if b is None else b
-    return _from_rows([[0, b, 0], [a, 0, -ring.exact(b)]], "h5", {"a": ring.exact(a), "b": ring.exact(b)})
+    return CoframeSpec(_h5_rows(a, b))
 
 
 def h3(a=None) -> CoframeSpec:
     a = ring.const("a") if a is None else a
-    return _from_rows([[0, 0, 0], [a, 0, 0]], "h3", {"a": ring.exact(a)})
+    return CoframeSpec([[0, 0, 0], [a, 0, 0]])
 
 
 def h21(a1=None, a2=None, a3=None) -> CoframeSpec:
-    vals = [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
-    coefs = [ring.exact(v) for v in vals]
-    if all(not c for c in coefs):
+    c = CoframeSpec([_h21_row(a1, a2, a3)])
+    if not any(c.A[0]):
         raise ValueError("h21 needs (a1,a2,a3) != 0")
-    return _from_rows([coefs], "h21", {"a1": coefs[0], "a2": coefs[1], "a3": coefs[2]})
+    return c
 
 
 def drop_degenerate_legs(c: CoframeSpec, legs: Sequence[int]) -> CoframeSpec:
     """Remove trailing fiber legs whose differential vanishes identically."""
-    legs = sorted(legs)
-    if legs != list(range(c.dim - len(legs) + 1, c.dim + 1)):
-        raise ValueError("only trailing legs can be dropped")
-    for leg in legs:
-        if c.struct.get(leg):
-            raise ValueError(f"leg {leg} has a nonzero differential")
-        for k, row in c.struct.items():
-            if any(leg in pair for pair in row):
-                raise ValueError(f"leg {leg} appears in d ebar^{k}")
-    new_dim = c.dim - len(legs)
-    struct = {k: dict(row) for k, row in c.struct.items() if k <= new_dim}
-    params = dict(c.params)
-    params["A"] = tuple(row for i, row in enumerate(c.params["A"]) if 4 + 1 + i <= new_dim)
-    return CoframeSpec(new_dim, struct, params=params, name=c.name + "|drop", check=False)
+    keep = c.dim - 4 - len(legs)
+    if keep < 0 or sorted(legs) != list(range(5 + keep, c.dim + 1)):
+        raise ValueError("only trailing fiber legs can be dropped")
+    if any(any(row) for row in c.A[keep:]):
+        raise ValueError(f"legs {sorted(legs)} have a nonzero differential")
+    return CoframeSpec(c.A[:keep])
 
 
 def contraction_eps6(eps, a=None, b=None, drop: bool = True) -> CoframeSpec:
-    a = ring.const("a") if a is None else a
-    b = ring.const("b") if b is None else b
-    e = ring.exact(eps)
-    c = _from_rows(
-        [[0, b, 0], [a, 0, -ring.exact(b)], [0, 0, e]],
-        "eps6",
-        {"a": ring.exact(a), "b": ring.exact(b), "eps": e},
-    )
-    if drop and not e:
+    c = CoframeSpec(_h5_rows(a, b) + [[0, 0, eps]])
+    if drop and not c.A[2][2]:
         return drop_degenerate_legs(c, [7])
     return c
 
 
 def contraction_eps5(eps, a1=None, a2=None, a3=None, drop: bool = True) -> CoframeSpec:
-    vals = [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
-    coefs = [ring.exact(v) for v in vals]
-    e = ring.exact(eps)
-    c = _from_rows(
-        [coefs, [0, e, 0], [0, 0, e]],
-        "eps5",
-        {"a1": coefs[0], "a2": coefs[1], "a3": coefs[2], "eps": e},
-    )
-    if drop and not e:
+    c = CoframeSpec([_h21_row(a1, a2, a3), [0, eps, 0], [0, 0, eps]])
+    if drop and not c.A[1][1]:
         return drop_degenerate_legs(c, [6, 7])
     return c
 

@@ -42,10 +42,6 @@ from .forms import (
 )
 
 
-class NotAntiSelfDual(Exception):
-    """Raised when d eta acquires a self-dual or non-horizontal component."""
-
-
 # ---------------------------------------------------------------------------
 # shared torsion
 
@@ -197,12 +193,6 @@ class SU2Structure:
 def build_su2(c: CoframeSpec) -> SU2Structure:
     if c.dim != 5:
         raise DimensionMismatch("SU(2) structure needs a 5-dim coframe")
-    deta = c.dbar(5)
-    for idx in deta.comps:
-        if any(i > 4 for i in idx):
-            raise NotAntiSelfDual("d eta has a non-horizontal component")
-    if hodge_star_horizontal(deta) + deta:
-        raise NotAntiSelfDual("d eta has a self-dual component")
     return SU2Structure(c, c.basis(5), omega_bar(c, 1), omega_bar(c, 2), omega_bar(c, 3))
 
 

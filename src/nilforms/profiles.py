@@ -216,7 +216,10 @@ def _weierstrass(d, alpha) -> DilatonProfile:
 
 def _constant(f0) -> DilatonProfile:
     f0f = float(f0)
-    g0 = math.exp(2.0 * f0f)
+    try:
+        g0 = math.exp(2.0 * f0f)
+    except OverflowError:
+        raise BadParams(f"constant: e^(2 f0) overflows a float at f0={f0f!r}") from None
 
     def gjets(x):
         gi = {i: 0.0 for i in COORDS}

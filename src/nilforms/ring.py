@@ -597,21 +597,43 @@ def restrict_onevar(e: CoefExpr) -> CoefExpr:
 # ---------------------------------------------------------------------------
 # exact division
 
+def _extremes(keys) -> tuple:
+    """(lowest k, highest k, {slot: highest power}) over monomial keys."""
+    ks, top = [], {}
+    for key in keys:
+        k, powers, slots = _decode(key)
+        ks.append(k)
+        for (_, p), s in zip(powers, slots):
+            top[s] = max(top.get(s, 0), p)
+    return min(ks), max(ks), top
+
+
 def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     """Exact quotient num/den in the ring, or None when not an exact multiple.
 
     Classical division on the monomial keys themselves: their integer order
     is a lex order with the e^{kf} field last, and a key difference is a
-    monomial quotient.  e^{kf} is a unit, so only a symbol field can refuse
-    a division; a quotient or remainder key that sets a guard bit (a symbol
-    power below 0 or above MAX_POWER, or k outside EXPF_MIN..EXPF_MAX)
-    returns None.  An exact multiple never does: degrees add in a domain, so
-    every q_t * d_j fits in its fields.
+    monomial quotient.  Degrees add in a domain, so every monomial of an
+    exact quotient lies in the box of num and den: each symbol's power is at
+    most its degree in num less its degree in den, and k lies between the
+    differences of the lowest and of the highest k's.  A quotient key that
+    leaves the box returns None (the guard-bit test on its differences from
+    the box's corners); one inside it keeps every remainder key within the
+    fields of num.  The leading remainder key falls at every step, so each
+    quotient key is new and the loop ends within the box's size.
     """
     if not den:
         raise ZeroDivisionError("division by the zero element")
     if not num:
         return CoefExpr()
+
+    n_klo, n_khi, n_top = _extremes(num.terms)
+    d_klo, d_khi, d_top = _extremes(den.terms)
+    if any(p > n_top.get(s, 0) for s, p in d_top.items()):
+        return None
+    k_lo, k_hi = max(n_klo - d_klo, EXPF_MIN), min(n_khi - d_khi, EXPF_MAX)
+    lo = _ONE + k_lo
+    hi = _ONE + k_hi + sum((p - d_top.get(s, 0)) << (_W * s) for s, p in n_top.items())
 
     guard = _GUARD
     d_items = den.terms
@@ -621,14 +643,10 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
 
     r = dict(num.terms)
     q: dict = {}
-    max_steps = 16 * (len(r) + 1) * (len(d_items) + 1) + 1024
-
-    for _ in range(max_steps):
-        if not r:
-            return _wrap(q)  # every coefficient is already canonical and nonzero
+    while r:
         r_lead = max(r)
         key = r_lead - d_lead + _BIAS
-        if key & guard:
+        if (key | (hi - key) | (key - lo)) & guard:
             return None
         coef = Fraction(r.pop(r_lead), d_lead_coef)  # exact; `/` on ints gives a float
         if coef.denominator == 1:
@@ -636,11 +654,9 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
         q[key] = coef
         for dk, dc in d_rest:
             t = key + dk
-            if t & guard:
-                return None
             c = r.get(t, 0) - coef * dc
             if c:
                 r[t] = c
             else:
                 r.pop(t, None)
-    return None
+    return _wrap(q)  # every coefficient is already canonical and nonzero

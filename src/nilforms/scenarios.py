@@ -564,7 +564,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     ))
 
     def _coframe_limit():
-        same = c0.dim == direct.dim and c0.struct == direct.struct
+        same = c0.A == direct.A
         return same, None, {"dim": c0.dim}
 
     _ck(checks, "contracted-coframe-equals-direct", _coframe_limit)

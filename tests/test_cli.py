@@ -231,8 +231,10 @@ def test_crosscheck_unknown_expr(capsys):
         (["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "lap-e2f",
           "--step", "0"], "--step"),
         (["dump-profile", "--profile", "ball", "--params", "absA2=3", "--grid", "-3"], "--grid"),
+        (["dump-profile", "--profile", "ball", "--params", "absA2=1e400"], "absA2"),
+        (["dump-profile", "--profile", "constant", "--params", "f0=1000"], "f0"),
     ],
-    ids=["points-zero", "step-zero", "grid-negative"],
+    ids=["points-zero", "step-zero", "grid-negative", "params-overflow", "constant-overflow"],
 )
 def test_unusable_numeric_argument_exits_two_with_one_error_line(argv, flag, capsys):
     rc, out, err = run_cli(argv, capsys)

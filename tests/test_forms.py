@@ -12,7 +12,6 @@ from nilforms import ring
 from nilforms.forms import (
     CoframeSpec,
     DimensionMismatch,
-    NotIntegrable,
     df_form,
     dpsi_f_form,
     exterior_derivative,
@@ -81,7 +80,7 @@ def test_coefficients_are_coerced_into_the_ring():
     assert GH.form(1, {(1,): 3, (2,): half}) == GH.form(1, {(1,): rat(3), (2,): rat(1, 2)})
     assert GH.basis(1) * 3 == 3 * GH.basis(1) == GH.form(1, {(1,): 3})
     assert GH.basis(1) * const("a") == GH.form(1, {(1,): const("a")})
-    assert CoframeSpec(5, {5: {(1, 2): half}}).struct == {5: {(1, 2): rat(1, 2)}}
+    assert CoframeSpec([[half, 0, 0]]).A == ((rat(1, 2), rat(0), rat(0)),)
     for bad in (lambda: GH.scalar(0.5), lambda: GH.form(1, {(1,): "a"}), lambda: GH.basis(1) * 0.5):
         with pytest.raises(TypeError):
             bad()
@@ -258,19 +257,12 @@ def test_rotated_gradient_form():
 
 
 # ---------------------------------------------------------------------------
-# coframe integrability guard
-
-def test_non_integrable_structure_is_rejected():
-    struct = {5: {(1, 3): rat(1)}, 6: {(2, 5): rat(1)}}
-    with pytest.raises(NotIntegrable):
-        CoframeSpec(6, struct, check=True)
-    # the same structure is accepted with the guard off
-    c = CoframeSpec(6, struct, check=False)
-    assert any(r for r in c.integrability_residuals().values())
-
+# the fiber-matrix constructor
 
 def test_structure_row_validation():
     with pytest.raises(DimensionMismatch):
-        CoframeSpec(5, {6: {(1, 2): rat(1)}})
+        CoframeSpec([[1, 0, 0]] * 4)  # more than three fiber rows
     with pytest.raises(DimensionMismatch):
-        CoframeSpec(5, {5: {(2, 1): rat(1)}})
+        CoframeSpec([[1, 0]])  # a row that is not three long
+    with pytest.raises(DimensionMismatch):
+        CoframeSpec([[1, 0, 0], [0, 1, 0, 0]])

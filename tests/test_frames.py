@@ -1,12 +1,13 @@
 """Frame-catalogue tests: structure rows, integrability, contractions, leg drops."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from nilforms import ring
-from nilforms.forms import sigma_bar
+from nilforms.forms import CoframeSpec, sigma_bar
 from nilforms.frames import (
     CATALOG,
     abs_A_squared,
@@ -14,7 +15,6 @@ from nilforms.frames import (
     contraction_eps5,
     contraction_eps6,
     drop_degenerate_legs,
-    fiber_rows,
     h3,
     h5,
     h21,
@@ -38,7 +38,7 @@ def test_unknown_catalogue_id_rejected():
 def test_seven_leg_frame_dimensions_and_rows():
     g = quaternionic_heisenberg()
     assert g.dim == 7
-    assert fiber_rows(g) == ((rat(1), rat(0), rat(0)), (rat(0), rat(1), rat(0)), (rat(0), rat(0), rat(1)))
+    assert g.A == ((rat(1), rat(0), rat(0)), (rat(0), rat(1), rat(0)), (rat(0), rat(0), rat(1)))
     assert abs_A_squared(g) == rat(3)
 
     c = k_a()
@@ -51,13 +51,21 @@ def test_seven_leg_frame_dimensions_and_rows():
 
 
 def test_fiber_differentials_mix_pair_forms():
-    A = [[1, 2, 0], [0, -1, 1], [3, 0, 0]]
-    c = k_a(A)
-    for r in (1, 2, 3):
-        want = c.zero(2)
-        for m in (1, 2, 3):
-            want = want + sigma_bar(c, m) * (rat(A[r - 1][m - 1]) * expf(-2))
-        assert c.dbar(4 + r) == want
+    rng = random.Random(7)
+    given = [[[1, 2, 0], [0, -1, 1], [3, 0, 0]]]
+    given += [[[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)] for n in (0, 1, 2, 3, 3, 3)]
+    frames = [build_coframe(name) for name in CATALOG]
+    for A in given:
+        c = CoframeSpec(A)
+        assert c.A == tuple(tuple(rat(x) for x in row) for row in A)
+        frames.append(c)
+    for c in frames:
+        assert c.dim == 4 + len(c.A)
+        for r, row in enumerate(c.A, 1):
+            want = c.zero(2)
+            for m, entry in enumerate(row, 1):
+                want = want + sigma_bar(c, m) * (entry * expf(-2))
+            assert c.dbar(4 + r) == want, (c.A, r)
 
 
 def test_k_a_shape_validation():
@@ -75,7 +83,7 @@ def test_lower_dimensional_members():
 
 
 def test_float_parameters_snap_to_simple_rationals_or_fail():
-    assert h5(0.1, 1).params["a"] == rat(1, 10)  # snaps to the nearby rational
+    assert h5(0.1, 1).A[1][0] == rat(1, 10)  # snaps to the nearby rational
     with pytest.raises(ValueError):
         h5(1e-30, 1)  # below rational resolution; demand a Fraction
 
@@ -92,11 +100,11 @@ def test_weights_rescale_first_four_legs_only():
 def test_contraction_families_interpolate():
     c6 = contraction_eps6(Fraction(1, 10))
     assert c6.dim == 7
-    assert fiber_rows(c6)[2] == (rat(0), rat(0), rat(1, 10))
+    assert c6.A[2] == (rat(0), rat(0), rat(1, 10))
 
     c5 = contraction_eps5(Fraction(1, 100), 1, 2, 3)
     assert c5.dim == 7
-    assert fiber_rows(c5)[1] == (rat(0), rat(1, 100), rat(0))
+    assert c5.A[1] == (rat(0), rat(1, 100), rat(0))
 
 
 def test_contraction_limit_drops_dead_legs():
@@ -123,9 +131,19 @@ def test_build_coframe_contraction_dispatch():
         build_coframe("eps4", eps=0)
 
 
+def test_drop_keeps_the_leading_rows():
+    c = CoframeSpec([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+    assert drop_degenerate_legs(c, [6, 7]).A == c.A[:1]
+    assert drop_degenerate_legs(c, [7]).A == c.A[:2]
+    c6 = contraction_eps6(0, rat(2), rat(3), drop=False)
+    assert drop_degenerate_legs(c6, [7]).A == c6.A[:2] == h5(2, 3).A
+
+
 def test_drop_rejects_live_or_interior_legs():
     c = quaternionic_heisenberg()
     with pytest.raises(ValueError):
         drop_degenerate_legs(c, [7])  # leg 7 has a nonzero differential
     with pytest.raises(ValueError):
         drop_degenerate_legs(contraction_eps6(0, drop=False), [6])  # not trailing
+    with pytest.raises(ValueError):
+        drop_degenerate_legs(CoframeSpec([[0, 0, 0]]), [4, 5])  # a horizontal leg

@@ -15,7 +15,6 @@ from nilforms.forms import CoframeSpec, DimensionMismatch, dpsi_f_form, exterior
 from nilforms.frames import abs_A_squared, h5, h21
 from nilforms.gstruct import (
     G2Structure,
-    NotAntiSelfDual,
     SU2Structure,
     SU3Structure,
     build_g2,
@@ -111,16 +110,6 @@ def test_su2_build_and_shape(h21_sym):
 def test_su2_requires_five_legs(ka):
     with pytest.raises(DimensionMismatch):
         build_su2(ka)
-
-
-def test_su2_rejects_self_dual_deta():
-    with pytest.raises(NotAntiSelfDual, match="self-dual"):
-        build_su2(CoframeSpec(5, {5: {(1, 2): 1, (3, 4): 1}}))
-
-
-def test_su2_rejects_non_horizontal_deta():
-    with pytest.raises(NotAntiSelfDual, match="non-horizontal"):
-        build_su2(CoframeSpec(5, {5: {(1, 5): 1}}, check=False))
 
 
 def test_su2_structure_residuals_vanish(h21_sym):
@@ -222,7 +211,7 @@ def test_structure_is_picked_by_dimension(ka, h21_sym):
     assert isinstance(structure(h5(1, 2)), SU3Structure)
     assert isinstance(structure(h21_sym), SU2Structure)
     with pytest.raises(DimensionMismatch):
-        structure(CoframeSpec(4, {}))
+        structure(CoframeSpec([]))
 
 
 def test_structure_interface_reads_the_module_residuals(ka, ka_curvatures, h21_sym, h21_curvatures):

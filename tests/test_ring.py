@@ -260,6 +260,19 @@ def test_try_divide_is_sound(x, y):
 def test_try_divide_non_multiple_returns_none():
     assert try_divide(const("a") + rat(1), const("b")) is None
     assert try_divide(jet(1), jet(2)) is None
+    x, y = const("x"), const("y")
+    assert try_divide(x ** 1200 - rat(2), x - rat(1)) is None
+    assert try_divide(x ** 1200 - rat(1), x - rat(1) + y) is None
+    assert try_divide(x ** 1200 - rat(1), x ** 1201 - rat(1)) is None
+    assert try_divide(x ** 5 * expf(1), x * expf(1) + expf(2)) is None
+
+
+def test_try_divide_returns_a_long_exact_quotient():
+    x = const("x")
+    geometric = ring.sum_exprs(x ** i for i in range(1200))
+    assert try_divide(x ** 1200 - rat(1), x - rat(1)) == geometric
+    # e^{kf} is a unit: the quotient's k is the difference of the k's
+    assert try_divide((x ** 1200 - rat(1)) * expf(3), (x - rat(1)) * expf(-1)) == geometric * expf(4)
 
 
 def test_try_divide_clears_exponential_units():
