@@ -149,6 +149,9 @@ def cmd_dump_profile(args) -> int:
     except BadParams as exc:
         raise ConfigError(str(exc)) from exc
     rows = _profile_rows(prof, args.grid)
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{prof.name}: the table leaves the float range at x={row[0]!r}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["x", "u(x)", "f(x)", "e^{2f}", "residual"])

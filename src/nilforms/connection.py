@@ -23,11 +23,10 @@ from .forms import (
     CoframeSpec,
     DimensionMismatch,
     FormExpr,
+    _d_into,
     _form,
-    _parts,
     _square_into,
     _wedge_into,
-    exterior_derivative,
 )
 
 
@@ -79,76 +78,70 @@ class CurvatureForms(_FormMatrix):
 # ---------------------------------------------------------------------------
 # Koszul formula and the torsion family
 
-def levi_civita(c: CoframeSpec) -> ConnectionForms:
-    """Metric connection forms from the Koszul formula on the orthonormal coframe."""
-    d = c.dim
-    dbar = {k: c.dbar(k) for k in range(1, d + 1)}
-    half = ring.rat(1, 2)
-    entries = {}
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            comps = {}
-            for k in range(1, d + 1):
-                g = (
-                    dbar[i].value_at(j, k)
-                    - dbar[k].value_at(i, j)
-                    + dbar[j].value_at(k, i)
-                ) * half
-                if g:
-                    comps[(k,)] = g
-            entries[(i, j)] = FormExpr(c, 1, comps)
-    return ConnectionForms(c, entries)
+def koszul(c: CoframeSpec, T: FormExpr | None = None, s: int = 0) -> ConnectionForms:
+    """nabla^{(s)} = nabla^{LC} + (s/2) T in one pass over the structure constants.
 
+    2 omega^i_j(ebar_k) = d ebar^i(j, k) - d ebar^k(i, j) + d ebar^j(k, i) - s T(i, j, k),
+    Milnor's formula for left-invariant metrics written for the rescaled frame.
+    Each component C = d ebar^l(a, b), a < b, feeds the entries (l, a; b) with
+    +C, (l, b; a) with -C and (a, b; l) with -C, where an entry (j, i) with
+    i < j means -(i, j) and a diagonal one is zero.  Each component
+    t = T(a, b, k), a < b < k, feeds (a, b; k), (a, k; b) and (b, k; a) with
+    -st, +st and -st.  2 omega is accumulated raw and halved once.
+    """
+    if s not in (-1, 0, 1):
+        raise ValueError("s must be -1, 0 or +1")
+    if s and (T is None or T.degree != 3 or T.coframe is not c):
+        raise DimensionMismatch("torsion must be a 3-form on the same coframe")
+    acc: dict = {}
 
-def torsion_slice(T: FormExpr) -> dict[tuple, FormExpr]:
-    """1-form matrix slice^i_j = sum_k T(ebar_i, ebar_j, ebar_k) ebar^k."""
-    c = T.coframe
-    out = {}
-    for i in range(1, c.dim + 1):
-        for j in range(i + 1, c.dim + 1):
-            comps = {}
-            for k in range(1, c.dim + 1):
-                g = T.value_at(i, j, k)
-                if g:
-                    comps[(k,)] = g
-            out[(i, j)] = FormExpr(c, 1, comps)
-    return out
+    def put(i, j, k, g, sign):
+        if i != j:
+            acc_ij = acc.setdefault((i, j) if i < j else (j, i), {})
+            ring._add_into(acc_ij.setdefault(k, {}), g, sign if i < j else -sign)
 
-
-def torsion_connection(lc: ConnectionForms, T: FormExpr, sign: int) -> ConnectionForms:
-    """nabla^{(s)} for s = sign in {+1, -1} with totally skew torsion 3-form T."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if T.degree != 3:
-        raise DimensionMismatch("torsion must be a 3-form")
-    c = lc.coframe
-    if T.coframe is not c:
-        raise DimensionMismatch("torsion lives on a different coframe")
-    half_s = ring.rat(sign, 2)
-    slc = torsion_slice(T)
+    for l in range(1, c.dim + 1):
+        for (a, b), g in c.dbar(l).comps.items():
+            put(l, a, b, g, 1)
+            put(l, b, a, g, -1)
+            put(a, b, l, g, -1)
+    if s:
+        for (a, b, k), t in T.comps.items():
+            put(a, b, k, t, -s)
+            put(a, k, b, t, s)
+            put(b, k, a, t, -s)
     entries = {
-        (i, j): lc.entry(i, j) - slc[(i, j)] * half_s for (i, j) in lc.pairs()
+        pair: FormExpr(c, 1, {(k,): ring._wrap(ring._halved(acc_ij[k])) for k in sorted(acc_ij)})
+        for pair, acc_ij in sorted(acc.items())
     }
     return ConnectionForms(c, entries)
 
 
+def levi_civita(c: CoframeSpec) -> ConnectionForms:
+    """Metric connection forms from the Koszul formula on the orthonormal coframe."""
+    return koszul(c)
+
+
 def curvature(conn: ConnectionForms) -> CurvatureForms:
+    """Omega^i_j = d omega^i_j + sum_k omega^i_k ^ omega^k_j for i < j, on raw accumulators.
+
+    Only the stored i < j entries are read; the skew sign of omega^i_k with
+    i > k is folded into the sign of its wedge.
+    """
     c = conn.coframe
-    legs = range(1, c.dim + 1)
-    om = {(i, k): conn.entry(i, k) for i in legs for k in legs if i != k}
+    om = conn.entries
     entries = {}
     for (i, j) in conn.pairs():
-        parts = _parts(exterior_derivative(om[i, j]))
-        for k in legs:
-            if k != i and k != j:
-                _wedge_into(parts, om[i, k], om[k, j])
+        parts: dict = {}
+        if (i, j) in om:
+            _d_into(parts, om[i, j])
+        for k in range(1, c.dim + 1):
+            left = om.get((i, k) if i < k else (k, i))
+            right = om.get((k, j) if k < j else (j, k))
+            if left and right:
+                _wedge_into(parts, left, right, (1 if i < k else -1) * (1 if k < j else -1))
         entries[(i, j)] = _form(c, 2, parts)
     return CurvatureForms(c, entries)
-
-
-def riemann(curv: CurvatureForms, i: int, j: int, k: int, l: int) -> ring.CoefExpr:
-    """R(ebar_i, ebar_j, ebar_k, ebar_l) = Omega^l_k(ebar_i, ebar_j)."""
-    return curv.entry(l, k).value_at(i, j)
 
 
 def scalar_curvature(curv: CurvatureForms) -> ring.CoefExpr:
@@ -161,19 +154,6 @@ def pontryagin4(curv: CurvatureForms) -> FormExpr:
     for om in curv.entries.values():
         _square_into(parts, om)
     return _form(curv.coframe, 4, parts)
-
-
-def first_structure_residual(conn: ConnectionForms) -> dict[int, FormExpr]:
-    """d ebar^i + omega^i_j wedge ebar^j for every leg (zero iff torsion-free)."""
-    c = conn.coframe
-    out = {}
-    for i in range(1, c.dim + 1):
-        parts = _parts(c.dbar(i))
-        for j in range(1, c.dim + 1):
-            if j != i:
-                _wedge_into(parts, conn.entry(i, j), c.basis(j))
-        out[i] = _form(c, 2, parts)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -220,18 +220,13 @@ class FormExpr:
 # the multiply-accumulate kernel: each component of a result is a raw ring
 # accumulator (monomial key -> int/Fraction), canonicalised once at the end
 
-def _parts(a: FormExpr) -> dict:
-    """Raw accumulators holding a copy of a's components."""
-    return {idx: dict(g.terms) for idx, g in a.comps.items()}
-
-
-def _wedge_into(parts: dict, a: FormExpr, b: FormExpr) -> None:
-    """Add a ^ b to parts, the merge sign folded into each term product."""
+def _wedge_into(parts: dict, a: FormExpr, b: FormExpr, sign: int = 1) -> None:
+    """Add sign * a ^ b to parts (sign an int), the merge sign folded into each term product."""
     for i1, c1 in a.comps.items():
         for i2, c2 in b.comps.items():
             m = _merge(i1, i2)
             if m:
-                ring._mul_into(parts.setdefault(m[0], {}), c1, c2, m[1])
+                ring._mul_into(parts.setdefault(m[0], {}), c1, c2, m[1] * sign)
 
 
 def _square_into(parts: dict, a: FormExpr) -> None:
@@ -262,16 +257,22 @@ def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
 
 
 def exterior_derivative(a: FormExpr) -> FormExpr:
-    """d(g ebar^I) = dg ^ ebar^I + g sum_t (-1)^t ebar^{I<t} ^ d ebar^{I_t} ^ ebar^{I>t},
+    """da, accumulated by _d_into and canonicalised once per component."""
+    parts: dict = {}
+    _d_into(parts, a)
+    return _form(a.coframe, a.degree + 1, parts)
+
+
+def _d_into(parts: dict, a: FormExpr) -> None:
+    """Add da to parts: d(g ebar^I) = dg ^ ebar^I + g sum_t (-1)^t ebar^{I<t} ^ d ebar^{I_t} ^ ebar^{I>t},
     written from the index tuples into one raw accumulator per component."""
     c = a.coframe
-    parts: dict = {}
     for idx, g in a.comps.items():
         # derivative of the coefficient along the frame: e^{-w_i f} d_i g (zero on fiber legs)
         for i in HORIZONTAL[:c.dim]:
             m = _merge((i,), idx)
             if m:
-                ring._add_into(parts.setdefault(m[0], {}), g.partial(i).scale_expf(-c.weights[i - 1]), m[1])
+                ring._partial_into(parts.setdefault(m[0], {}), g, i, -c.weights[i - 1], m[1])
         # derivative of the basis monomial: d ebar^leg is a 2-form, so it passes
         # ebar^{I<t} with no sign and merges into the rest of I
         for t, leg in enumerate(idx):
@@ -280,7 +281,6 @@ def exterior_derivative(a: FormExpr) -> FormExpr:
                 m = _merge(pair, rest)
                 if m:
                     ring._mul_into(parts.setdefault(m[0], {}), coef, g, m[1] * (-1) ** t)
-    return _form(c, a.degree + 1, parts)
 
 
 def _star(a: FormExpr, legs: tuple) -> FormExpr:

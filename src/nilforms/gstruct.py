@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import ring
-from .connection import curvature, levi_civita, pontryagin4, scalar_curvature, torsion_connection
+from .connection import curvature, koszul, levi_civita, pontryagin4, scalar_curvature
 from .forms import (
     OMEGA,
     PSI,
@@ -332,7 +332,7 @@ class Geometry:
 
     @cached_property
     def minus(self):
-        return torsion_connection(self.lc, self.torsion, -1)
+        return koszul(self.coframe, self.torsion, -1)
 
     @cached_property
     def curv_minus(self):
@@ -340,7 +340,7 @@ class Geometry:
 
     @cached_property
     def curv_plus(self):
-        return curvature(torsion_connection(self.lc, self.torsion, +1))
+        return curvature(koszul(self.coframe, self.torsion, +1))
 
     @cached_property
     def p1_minus(self) -> FormExpr:

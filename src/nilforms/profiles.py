@@ -211,6 +211,15 @@ def _weierstrass(d, alpha) -> DilatonProfile:
         z = float(x[0]) % period
         return min(z, period - z)
 
+    # refuse parameters whose jets leave the floats: probe next to the pole cut and at the half period
+    for x1 in (2e-6 * tau, tau):
+        try:
+            g, *rest = gjets((x1, 0.0, 0.0, 0.0))
+            finite = g > 0 and all(map(math.isfinite, [g, *_fjets_from_g(g, *rest).values()]))
+        except ArithmeticError:  # a division by an underflowed power
+            finite = False
+        if not finite:
+            raise BadParams(f"weierstrass: d={d!r}, alpha={alpha!r} give jets outside the float range")
     return DilatonProfile("weierstrass", {"d": d, "alpha": alpha}, gjets, in_domain, singular_distance, exact=False)
 
 
@@ -220,6 +229,8 @@ def _constant(f0) -> DilatonProfile:
         g0 = math.exp(2.0 * f0f)
     except OverflowError:
         raise BadParams(f"constant: e^(2 f0) overflows a float at f0={f0f!r}") from None
+    if g0 * g0 * g0 == 0.0:  # the chain rule divides by (e^{2 f0})^3
+        raise BadParams(f"constant: (e^(2 f0))^3 underflows a float at f0={f0f!r}")
 
     def gjets(x):
         gi = {i: 0.0 for i in COORDS}

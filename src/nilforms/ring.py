@@ -207,6 +207,60 @@ def _add_into(acc: dict, a: "CoefExpr", sign: int) -> None:
         acc[key] = get(key, 0) + (-coef if sign < 0 else coef)
 
 
+def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> None:
+    """Add sign * e^{shift f} * d/dx^i g (sign any int) to the raw accumulator acc.
+
+    Every key formed gets the guard test of the derivative at once and that
+    of the shift at the end, so this raises OverflowError or
+    JetOrderExceeded exactly where g.partial(i).scale_expf(shift) would.
+    """
+    table = _dpartial(i)
+    guard = _GUARD
+    get = acc.get
+    keys = 0  # every shifted key or'ed together: a guard bit marks a k out of range
+    for key, coef in g.terms.items():
+        k, syms, slots = _decode(key)
+        if sign != 1:
+            coef = coef * sign
+        # derivative of the e^{kf} factor
+        if k:
+            new = key + table[0]
+            if new & guard:
+                _overflow()
+            new += shift
+            keys |= new
+            acc[new] = get(new, 0) + coef * k
+        # derivative of each jet factor: one power of it becomes its i-derivative
+        for (sym, power), s in zip(syms, slots):
+            delta = table[s]
+            if delta is None:
+                continue
+            if delta is _BEYOND:
+                raise JetOrderExceeded(f"jet order {MAX_JET_ORDER + 1} exceeds {MAX_JET_ORDER}")
+            new = key + delta
+            if new & guard:
+                _overflow()
+            new += shift
+            keys |= new
+            acc[new] = get(new, 0) + coef * power
+    if keys & guard or not -_TOP < shift < _TOP:
+        _overflow()
+
+
+def _halved(acc: dict) -> dict:
+    """The canonical form of the int/Fraction accumulator acc divided by 2."""
+    out = {}
+    for key, c in acc.items():
+        if not c:
+            continue
+        if type(c) is int:
+            out[key] = Fraction(c, 2) if c & 1 else c >> 1
+        else:
+            c = c / 2
+            out[key] = c if c.denominator != 1 else c.numerator
+    return out
+
+
 def _wrap(terms: dict) -> "CoefExpr":
     """A CoefExpr owning ``terms``, which must already be canonical."""
     res = CoefExpr.__new__(CoefExpr)
@@ -339,30 +393,8 @@ class CoefExpr:
         """Flat coordinate derivative d/dx^i (Leibniz over each monomial)."""
         if i not in COORDS:
             raise ValueError(f"coordinate {i} outside {COORDS}")
-        table = _dpartial(i)
-        fi = table[0]
-        guard = _GUARD
         out: dict = {}
-        get = out.get
-        for key, coef in self.terms.items():
-            k, syms, slots = _decode(key)
-            # derivative of the e^{kf} factor
-            if k:
-                new = key + fi
-                if new & guard:
-                    _overflow()
-                out[new] = get(new, 0) + coef * k
-            # derivative of each jet factor: one power of it becomes its i-derivative
-            for (sym, power), s in zip(syms, slots):
-                delta = table[s]
-                if delta is None:
-                    continue
-                if delta is _BEYOND:
-                    raise JetOrderExceeded(f"jet order {MAX_JET_ORDER + 1} exceeds {MAX_JET_ORDER}")
-                new = key + delta
-                if new & guard:
-                    _overflow()
-                out[new] = get(new, 0) + coef * power
+        _partial_into(out, self, i, 0, 1)
         return _wrap(_canonical(out))
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":

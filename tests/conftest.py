@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from nilforms.connection import curvature, levi_civita, torsion_connection
+from nilforms.connection import curvature, koszul, levi_civita
 from nilforms.frames import k_a, h21
 from nilforms.gstruct import direct_torsion
 
@@ -18,8 +18,8 @@ def ka_family(ka):
     """(T, levi-civita, minus, plus) on the symbolic 7-leg frame."""
     T = direct_torsion(ka)
     lc = levi_civita(ka)
-    wm = torsion_connection(lc, T, -1)
-    wp = torsion_connection(lc, T, +1)
+    wm = koszul(ka, T, -1)
+    wp = koszul(ka, T, +1)
     return T, lc, wm, wp
 
 
@@ -39,8 +39,8 @@ def h21_sym():
 def h21_family(h21_sym):
     T = direct_torsion(h21_sym)
     lc = levi_civita(h21_sym)
-    wm = torsion_connection(lc, T, -1)
-    wp = torsion_connection(lc, T, +1)
+    wm = koszul(h21_sym, T, -1)
+    wp = koszul(h21_sym, T, +1)
     return T, lc, wm, wp
 
 

@@ -59,3 +59,59 @@ def naive_pontryagin4(curv):
         om = curv.entry(i, j)
         out = out + naive_wedge(om, om)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the connection layer read entry by entry, through FormExpr.value_at
+
+def naive_levi_civita(c) -> dict:
+    """Koszul: omega^i_j(ebar_k) = (d ebar^i(j, k) - d ebar^k(i, j) + d ebar^j(k, i)) / 2, i < j."""
+    d = c.dim
+    dbar = {k: c.dbar(k) for k in range(1, d + 1)}
+    half = ring.rat(1, 2)
+    out = {}
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            comps = {}
+            for k in range(1, d + 1):
+                g = (dbar[i].value_at(j, k) - dbar[k].value_at(i, j) + dbar[j].value_at(k, i)) * half
+                if g:
+                    comps[(k,)] = g
+            out[(i, j)] = c.form(1, comps)
+    return out
+
+
+def torsion_slice(T) -> dict:
+    """1-form matrix slice^i_j = sum_k T(ebar_i, ebar_j, ebar_k) ebar^k, i < j."""
+    c = T.coframe
+    out = {}
+    for i in range(1, c.dim + 1):
+        for j in range(i + 1, c.dim + 1):
+            comps = {(k,): T.value_at(i, j, k) for k in range(1, c.dim + 1)}
+            out[(i, j)] = c.form(1, comps)
+    return out
+
+
+def naive_torsion_connection(T, s) -> dict:
+    """nabla^{(s)} = omega^LC - (s/2) torsion_slice(T), entry by entry with FormExpr arithmetic."""
+    lc = naive_levi_civita(T.coframe)
+    slc = torsion_slice(T)
+    return {pair: lc[pair] - slc[pair] * ring.rat(s, 2) for pair in lc}
+
+
+def riemann(curv, i, j, k, l):
+    """R(ebar_i, ebar_j, ebar_k, ebar_l) = Omega^l_k(ebar_i, ebar_j)."""
+    return curv.entry(l, k).value_at(i, j)
+
+
+def first_structure_residual(conn) -> dict:
+    """d ebar^i + omega^i_j ^ ebar^j for every leg (zero iff torsion-free)."""
+    c = conn.coframe
+    out = {}
+    for i in range(1, c.dim + 1):
+        res = c.dbar(i)
+        for j in range(1, c.dim + 1):
+            if j != i:
+                res = res + naive_wedge(conn.entry(i, j), c.basis(j))
+        out[i] = res
+    return out

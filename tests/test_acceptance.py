@@ -12,17 +12,17 @@ import time
 from fractions import Fraction
 
 import expected_tables as tables
+from naive_forms import riemann
 from nilforms import anomaly, ring
 from nilforms.anomaly import lap_e2f, lap_e_m2f
 from nilforms.connection import (
     build_instanton_DLambda,
     curvature,
+    koszul,
     lam_rank,
     lam_squared,
     levi_civita,
     pontryagin4,
-    riemann,
-    torsion_connection,
 )
 from nilforms.elliptic import (
     cubic_residual,
@@ -62,7 +62,7 @@ def _done(num: int, t0: float, budget: float) -> None:
 def _family(c):
     T = direct_torsion(c)
     lc = levi_civita(c)
-    return T, lc, torsion_connection(lc, T, -1), torsion_connection(lc, T, +1)
+    return T, lc, koszul(c, T, -1), koszul(c, T, +1)
 
 
 def _volume_multiple(c, coef):

@@ -124,9 +124,11 @@ def _calls(fn, *targets) -> list:
 
 def test_residual_ring_work_is_bounded(monkeypatch):
     # one kA/DLambda residual: the wedge and d kernel multiplies raw terms
-    # straight into each component, so few CoefExpr products are built; p1
-    # multiplies each unordered pair of a curvature entry's components once,
-    # so the term products stay below the 3,164 of multiplying every pair twice
+    # straight into each component, and the Koszul pass halves 2 omega once
+    # instead of multiplying each entry by 1/2, so few CoefExpr products are
+    # built; p1 multiplies each unordered pair of a curvature entry's
+    # components once, so the term products stay below the 3,164 of
+    # multiplying every pair twice
     lam = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
     term_products = 0
     mul_into = ring._mul_into
@@ -143,7 +145,7 @@ def test_residual_ring_work_is_bounded(monkeypatch):
 
     monkeypatch.setattr(ring, "_mul_into", counted)
     [products] = _calls(residual, ring.CoefExpr.__mul__)
-    assert 0 < products <= 600
+    assert 0 < products <= 200
     assert 0 < term_products <= 2400
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,35 @@ def test_dump_profile_bad_params(capsys):
         ["dump-profile", "--profile", "ball", "--params", "absA2=x"], capsys
     )
     assert rc == 2 and "bad numeric value" in err
+
+
+@pytest.mark.parametrize(
+    "profile, params",
+    [
+        ("constant", "f0=-1000"),  # (e^{2 f0})^3 underflows to 0.0
+        ("weierstrass", "d=1e300,alpha=1"),  # the half period's cube underflows
+        ("weierstrass", "d=1e-300,alpha=1"),  # the Laurent series turns nan
+        ("weierstrass", "d=1,alpha=1e300"),  # alpha^2 overflows
+        ("fundamental", "alphaP=1e308"),  # c = 3 alphaP overflows
+        ("ball", "absA2=1e308"),  # the residual column overflows
+    ],
+)
+def test_dump_profile_outside_the_float_range_exits_two(tmp_path, capsys, profile, params):
+    p = tmp_path / "t.csv"
+    rc, out, err = run_cli(
+        ["dump-profile", "--profile", profile, "--params", params, "--grid", "8", "--out", str(p)], capsys
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not p.exists()
+
+
+def test_dump_profile_keeps_extreme_but_finite_parameters(capsys):
+    for profile, params in (("constant", "f0=-118"), ("constant", "f0=200"), ("weierstrass", "d=1e-20,alpha=1")):
+        rc, out, _err = run_cli(["dump-profile", "--profile", profile, "--params", params, "--grid", "8"], capsys)
+        assert rc == 0
+        cells = [float(v) for row in list(csv.reader(io.StringIO(out)))[1:] for v in row]
+        assert len(cells) == 40 and all(map(math.isfinite, cells))
 
 
 def test_params_accept_fractions(capsys):

@@ -11,9 +11,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expected_tables as tables
-from naive_forms import naive_curvature, naive_pontryagin4
+from naive_forms import (
+    first_structure_residual,
+    naive_curvature,
+    naive_pontryagin4,
+    naive_torsion_connection,
+    riemann,
+    torsion_slice,
+)
 from nilforms import ring
 from nilforms.anomaly import lap_e_m2f
 from nilforms.connection import (
@@ -21,18 +29,15 @@ from nilforms.connection import (
     build_DB,
     build_instanton_DLambda,
     curvature,
-    first_structure_residual,
+    koszul,
     lam_A_product,
     lam_rank,
     lam_squared,
     levi_civita,
     pontryagin4,
-    riemann,
-    torsion_connection,
-    torsion_slice,
 )
-from nilforms.forms import DimensionMismatch, exterior_derivative, interior, sigma_bar
-from nilforms.frames import abs_A_squared, h21, k_a
+from nilforms.forms import CoframeSpec, DimensionMismatch, exterior_derivative, interior, sigma_bar
+from nilforms.frames import abs_A_squared, contraction_eps5, h5, h21, k_a
 from nilforms.gstruct import direct_torsion
 from nilforms.ring import expf, rat
 
@@ -79,11 +84,36 @@ def test_family_torsion_two_forms(ka, ka_family):
 
 
 def test_torsion_connection_input_guards(ka, ka_family):
-    T, lc, _wm, _wp = ka_family
+    T, _lc, _wm, _wp = ka_family
     with pytest.raises(ValueError):
-        torsion_connection(lc, T, 2)
+        koszul(ka, T, 2)
     with pytest.raises(DimensionMismatch):
-        torsion_connection(lc, ka.basis(1, 2), -1)
+        koszul(ka, ka.basis(1, 2), -1)
+    with pytest.raises(DimensionMismatch):
+        koszul(k_a(), T, -1)  # a twin coframe is not T's coframe
+    with pytest.raises(DimensionMismatch):
+        koszul(ka, None, 1)
+
+
+def _assert_one_pass_matches_oracle(c):
+    T = direct_torsion(c)
+    for s in (-1, 0, 1):
+        got = koszul(c, T, s)
+        want = naive_torsion_connection(T, s)
+        assert all(got.entry(i, j) == want[(i, j)] for (i, j) in got.pairs()), (c.A, s)
+        assert any(want.values()) or not any(c.A)
+
+
+@pytest.mark.parametrize("build", [k_a, h21, h5, lambda: contraction_eps5(ring.const("eps"))])
+def test_one_pass_torsion_family_matches_entrywise_oracle_on_catalogue(build):
+    _assert_one_pass_matches_oracle(build())
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=0, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_one_pass_torsion_family_matches_entrywise_oracle(A):
+    # nabla^(s) in one Koszul pass equals lc - (s/2) torsion_slice built the old way
+    _assert_one_pass_matches_oracle(CoframeSpec(A))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +321,7 @@ def test_substituted_matrix_connection_reduces_to_minus_connection():
     # is exactly the (-)-connection of that frame
     A = [[1, 2, 0], [0, 1, 1], [1, 0, 3]]
     c = k_a(A)
-    wm = torsion_connection(levi_civita(c), direct_torsion(c), -1)
+    wm = koszul(c, direct_torsion(c), -1)
     db = build_DB(A, c)
     assert db == wm
 
@@ -299,7 +329,7 @@ def test_substituted_matrix_connection_reduces_to_minus_connection():
 def test_substituted_matrix_connection_five_legs():
     vals = (1, 1, 2)
     c = h21(*vals)
-    wm = torsion_connection(levi_civita(c), direct_torsion(c), -1)
+    wm = koszul(c, direct_torsion(c), -1)
     assert build_DB(list(vals), c) == wm
     assert build_DB([list(vals)], c) == wm  # nested shape accepted too
 
@@ -310,9 +340,7 @@ def test_substituted_matrix_connection_zero_matrix_is_flat_on_fibers():
     for pair in ((1, 5), (2, 5), (3, 6), (4, 7), (5, 6), (6, 7)):
         assert not db.entry(*pair)
     # the horizontal gradient block survives
-    assert db.entry(1, 2) == torsion_connection(
-        levi_civita(c), direct_torsion(c), -1
-    ).entry(1, 2)
+    assert db.entry(1, 2) == koszul(c, direct_torsion(c), -1).entry(1, 2)
 
 
 def test_gauge_entries_are_read_by_fraction():

@@ -529,6 +529,63 @@ def test_exponent_fields_hold_their_maximum_and_refuse_one_more():
     assert at_max * jet(1) == ring.from_monomials([(1, 0, ((a, ring.MAX_POWER), (f1, 2)))])
 
 
+_EDGE_K = st.sampled_from([ring.EXPF_MIN, ring.EXPF_MIN + 1, -1, 0, 1, 2, ring.EXPF_MAX - 1, ring.EXPF_MAX])
+_EDGE_POWER = st.sampled_from([1, 2, ring.MAX_POWER - 1, ring.MAX_POWER])
+_SYMBOLS = st.sampled_from(
+    [ring.const_sym("a"), ring.jet_sym(), ring.jet_sym(1), ring.jet_sym(2), ring.jet_sym(1, 3), ring.jet_sym(1, 2, 3)]
+)
+
+
+@st.composite
+def edge_exprs(draw):
+    """Ring elements whose e^{kf} and power fields sit at or near their limits."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        powers = draw(st.lists(st.tuples(_SYMBOLS, _EDGE_POWER), max_size=2, unique_by=lambda t: t[0]))
+        terms.append((draw(_fracs), draw(_EDGE_K), tuple(sorted(powers))))
+    return ring.from_monomials(terms)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OverflowError, JetOrderExceeded) as exc:
+        return type(exc)
+
+
+@given(
+    edge_exprs() | ring_exprs(),
+    ring_exprs(),
+    st.sampled_from(ring.COORDS),
+    st.sampled_from([
+        0, 1, -1, ring.EXPF_MIN, ring.EXPF_MAX, ring.EXPF_MIN - 1, ring.EXPF_MAX + 1,
+        ring.EXPF_MAX - ring.EXPF_MIN, ring.EXPF_MIN - ring.EXPF_MAX, 1 << 15, -(1 << 15),
+    ]),
+    st.sampled_from([1, -1, 2, -3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_partial_into_matches_partial_then_shift(g, h, i, shift, sign):
+    # the fused partial adds sign * e^{shift f} d_i g into a raw accumulator:
+    # the same terms as partial(i).scale_expf(shift), and OverflowError (or,
+    # from a third-order jet, JetOrderExceeded) on exactly the same inputs
+    def fused():
+        acc = dict(h.terms)
+        ring._partial_into(acc, g, i, shift, sign)
+        return ring._wrap(ring._canonical(acc))
+
+    assert _outcome(fused) == _outcome(lambda: h + g.partial(i).scale_expf(shift) * sign)
+
+
+def test_partial_into_keeps_the_order_of_partial_then_shift():
+    # a third-order jet is refused before an e^{kf} shift out of range, as
+    # partial(i) runs before scale_expf(shift)
+    g = expf(ring.EXPF_MAX) + jet(1, 2, 3)
+    with pytest.raises(JetOrderExceeded):
+        g.partial(1).scale_expf(1)
+    with pytest.raises(JetOrderExceeded):
+        ring._partial_into({}, g, 1, 1, 1)
+
+
 _CATALOGUE_CHILD = """
 import hashlib, json, sys
 from nilforms import ring, scenarios
