@@ -138,7 +138,7 @@ def _profile_rows(prof, grid: int):
     for t, x in line:
         g = prof.e2f(x)
         assi = numeric.build_assignment(prof, x, consts)
-        rows.append((t, g, 0.5 * math.log(g), g, expr.evaluate(assi)))
+        rows.append((t, g, assi[ring.jet_sym()], g, expr.evaluate(assi)))  # f from the jet table
     return rows
 
 
@@ -148,7 +148,10 @@ def cmd_dump_profile(args) -> int:
         prof = profile(args.profile, **params)
     except BadParams as exc:
         raise ConfigError(str(exc)) from exc
-    rows = _profile_rows(prof, args.grid)
+    try:
+        rows = _profile_rows(prof, args.grid)
+    except ArithmeticError as exc:  # e^{2f} or a jet beyond the float range
+        raise ConfigError(f"{prof.name}: the table leaves the float range ({exc})") from None
     for row in rows:
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"{prof.name}: the table leaves the float range at x={row[0]!r}")
@@ -192,7 +195,10 @@ def cmd_crosscheck(args) -> int:
         accept=lambda p: prof.in_domain(p) and prof.singular_distance(p) >= 1e-3,
     )
     check, build = CROSSCHECKS[args.expr]
-    err = getattr(numeric, check)(build(), numeric.assigner(prof), pts, step=args.step)
+    try:
+        err = getattr(numeric, check)(build(), numeric.assigner(prof), pts, step=args.step)
+    except ArithmeticError as exc:  # e^{kf} or a jet beyond the float range
+        raise ConfigError(f"{prof.name}: the crosscheck leaves the float range ({exc})") from None
     ok = err <= args.tol
     out = {
         "schema_version": 1,

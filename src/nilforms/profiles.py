@@ -1,17 +1,20 @@
-"""Radial/one-variable dilaton profiles with jets up to third order.
+"""Dilaton profiles f on (a subset of) R^4, with jets up to third order.
 
-Each profile describes f through g = e^{2f}; the jets of f follow from the
-chain rule
+Every profile is a constant plus half a logarithm, f = f0 + (s/2) log P, so
+g = e^{2f} = e^{2 f0} P^s and one chain rule (``_half_log_jets``) gives the
+jets of f from those of P; f0 never enters a division.
 
-    f_i   = g_i/(2g)
-    f_ij  = g_ij/(2g) - g_i g_j/(2 g^2)
-    f_ijk = g_ijk/(2g) - (g_ij g_k + g_ik g_j + g_jk g_i)/(2 g^2)
-            + g_i g_j g_k / g^3.
+    profile       e^{2 f0}   s    P
+    ball          1          +1   g = (|A|^2/4)(1 - r^2)
+    fundamental   c          -1   rho = |x - x0|^2
+    weierstrass   1          +1   g = alpha^2 wp(x1)
+    constant      e^{2 f0}   +1   1
 
-The "ball" and "fundamental" profiles have rational g-jets, so they can
-also be evaluated exactly over Fraction coordinates; "weierstrass" and
-"constant" (whose g = e^{2 f0} is a float) are float-only, and their
-``jets_exact`` raises BadParams.
+Ball and fundamental are also exact: P is the quadratic 1 - r^2 or rho, so
+at a rational point every jet is an integer over a power of an integer
+(``_quadratic_exact``), one Fraction per jet.  Weierstrass (wp is
+transcendental) and constant (whose e^{2 f0} is a float) are float-only, and
+their ``jets_exact`` raises BadParams.
 """
 
 from __future__ import annotations
@@ -28,82 +31,106 @@ class BadParams(Exception):
     """Raised for malformed or out-of-range profile parameters."""
 
 
-def _fjets_from_g(g, gi, gij, gijk):
-    """Jet dictionary of f = (1/2) log g from the jets of g (keys: index tuples)."""
+# (index tuple, jet symbol) for the jets of order one, two and three, built once
+_J1 = tuple(((i,), jet_sym(i)) for i in COORDS)
+_J2 = tuple(((i, j), jet_sym(i, j)) for i in COORDS for j in COORDS if i <= j)
+_J3 = tuple(((i, j, k), jet_sym(i, j, k)) for i in COORDS for j in COORDS for k in COORDS if i <= j <= k)
+_F = jet_sym()
+
+
+def _half_log_jets(g, gi, gij, gijk):
+    """{jet symbol: value} of (1/2) log g from the jets of g (keys: index tuples)."""
     jets = {}
     g2 = g * g
     g3 = g2 * g
-    for i in COORDS:
-        jets[(i,)] = gi[i] / (2 * g)
-    for i in COORDS:
-        for j in COORDS:
-            if j < i:
-                continue
-            jets[(i, j)] = gij[(i, j)] / (2 * g) - gi[i] * gi[j] / (2 * g2)
-    for i in COORDS:
-        for j in COORDS:
-            for k in COORDS:
-                if not (i <= j <= k):
-                    continue
-                s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
-                jets[(i, j, k)] = gijk[(i, j, k)] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
+    for (i,), sym in _J1:
+        jets[sym] = gi[i] / (2 * g)
+    for (i, j), sym in _J2:
+        jets[sym] = gij[(i, j)] / (2 * g) - gi[i] * gi[j] / (2 * g2)
+    for (i, j, k), sym in _J3:
+        s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
+        jets[sym] = gijk[(i, j, k)] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
     return jets
 
 
-def _sym(i, j):
-    return (i, j) if i <= j else (j, i)
+def _quadratic_exact(x, p0: int, e: int, s: int, center, scale):
+    """(g, {jet symbol: Fraction}) at a rational x for g = scale * P^s, where
+    P = p0 + e|x - center|^2 (e = +-1) must be positive, else None.
+
+    Over a common denominator, x - center = n/q and P = N/q^2 with integers n_i
+    and N; as P_i = 2e n_i/q and P_ij = 2e delta_ij, the jets of f are
+
+        f_i   = s e q n_i / N
+        f_ij  = s q^2 (e delta_ij N - 2 n_i n_j) / N^2
+        f_ijk = s q^3 (8 e n_i n_j n_k - 2 (delta_ij n_k + delta_ik n_j + delta_jk n_i) N) / N^3
+    """
+    ratios = [v.as_integer_ratio() for v in x]
+    q = math.lcm(*(b for _, b in ratios), *(cd for _, cd in center))
+    n = {i: a * (q // b) - cn * (q // cd) for i, (a, b), (cn, cd) in zip(COORDS, ratios, center)}
+    N = p0 * q * q + e * sum(v * v for v in n.values())
+    if N <= 0:
+        return None
+    sn, sd = scale.as_integer_ratio()
+    g = Fraction(sn * N, sd * q * q) if s > 0 else Fraction(sn * q * q, sd * N)
+    c1, c2, c3 = s * e * q, s * q * q, s * q * q * q
+    N2, N3 = N * N, N ** 3
+    jets = {sym: Fraction(c1 * n[i], N) for (i,), sym in _J1}
+    for (i, j), sym in _J2:
+        jets[sym] = Fraction(c2 * ((e * N if i == j else 0) - 2 * n[i] * n[j]), N2)
+    for (i, j, k), sym in _J3:
+        dn = (n[k] if i == j else 0) + (n[j] if i == k else 0) + (n[i] if j == k else 0)
+        jets[sym] = Fraction(c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N), N3)
+    return g, jets
 
 
 class DilatonProfile:
-    """A dilaton f on (a subset of) R^4 given by g = e^{2f}."""
+    """A dilaton f = f0 + (s/2) log P on (a subset of) R^4, with e^{2 f0} = scale."""
 
-    def __init__(self, name: str, params: dict, gjets: Callable, in_domain: Callable,
-                 singular_distance: Callable, exact: bool):
+    def __init__(self, name: str, params: dict, pjets: Callable, in_domain: Callable,
+                 singular_distance: Callable, *, scale=1, s: int = 1, exact_jets: Callable | None = None):
         self.name = name
         self.params = dict(params)
-        self._gjets = gjets
-        self._in_domain = in_domain
-        self._singular_distance = singular_distance
-        self.exact = exact  # True when g-jets are rational in the coordinates
+        self._pjets = pjets  # x -> the jets (P, P_i, P_ij, P_ijk) of P
+        self.in_domain = in_domain
+        self.singular_distance = singular_distance  # from x to the singular set (inf if empty)
+        self._scale = scale
+        self._s = s
+        self._exact_jets = exact_jets  # rational x -> (g, jets), or None outside the domain
+        self.exact = exact_jets is not None
 
-    def in_domain(self, x: Sequence[float]) -> bool:
-        return self._in_domain(x)
-
-    def singular_distance(self, x: Sequence[float]) -> float:
-        """Distance from x to the profile's singular set (inf if empty)."""
-        return self._singular_distance(x)
-
-    def e2f(self, x: Sequence[float]):
+    def _jets_of_p(self, x):
         if not self.in_domain(x):
             raise BadParams(f"{self.name}: point {x!r} outside the domain")
-        g, _gi, _gij, _gijk = self._gjets(x)
-        return g
+        return self._pjets(x)
+
+    def _f(self, P) -> float:
+        return 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)
+
+    def e2f(self, x: Sequence[float]):
+        """e^{2f}(x); exact at a rational x when the profile is exact."""
+        P = self._jets_of_p(x)[0]
+        return self._scale * P if self._s > 0 else self._scale / P
 
     def value(self, x: Sequence[float]) -> float:
         """f(x)."""
-        return 0.5 * math.log(self.e2f(x))
+        return self._f(self._jets_of_p(x)[0])
 
     def jets(self, x: Sequence[float]) -> dict:
         """{jet symbol: value} for f and its derivatives up to order three."""
-        if not self.in_domain(x):
-            raise BadParams(f"{self.name}: point {x!r} outside the domain")
-        g, gi, gij, gijk = self._gjets(x)
-        raw = _fjets_from_g(g, gi, gij, gijk)
-        out = {jet_sym(): 0.5 * math.log(float(g))}
-        for idx, val in raw.items():
-            out[jet_sym(*idx)] = float(val)
+        P, Pi, Pij, Pijk = self._jets_of_p(x)
+        out = {_F: self._f(P)}
+        for sym, val in _half_log_jets(P, Pi, Pij, Pijk).items():
+            out[sym] = float(val) if self._s > 0 else -float(val)
         return out
 
     def jets_exact(self, x: Sequence[Fraction]) -> tuple[Fraction, dict]:
         """(g, {jet symbol: Fraction}) with exact arithmetic; f itself is omitted."""
         if not self.exact:
             raise BadParams(f"{self.name}: no exact jet evaluation")
-        xq = [Fraction(c) for c in x]
-        if not self.in_domain(xq):
+        out = self._exact_jets(x)
+        if out is None:
             raise BadParams(f"{self.name}: point {x!r} outside the domain")
-        g, gi, gij, gijk = self._gjets(xq)
-        raw = _fjets_from_g(g, gi, gij, gijk)
-        return g, {jet_sym(*idx): val for idx, val in raw.items()}
+        return out
 
 
 def _ball(absA2) -> DilatonProfile:
@@ -115,8 +142,8 @@ def _ball(absA2) -> DilatonProfile:
         r2 = sum(c * c for c in x)
         g = (absA2 * (1 - r2)) / 4
         gi = {i: -(absA2 * x[i - 1]) / 2 for i in COORDS}
-        gij = {_sym(i, j): (-(absA2) / 2 if i == j else 0 * g) for i in COORDS for j in COORDS if i <= j}
-        gijk = {(i, j, k): 0 * g for i in COORDS for j in COORDS for k in COORDS if i <= j <= k}
+        gij = {(i, j): (-(absA2) / 2 if i == j else 0 * g) for (i, j), _ in _J2}
+        gijk = {idx: 0 * g for idx, _ in _J3}
         return g, gi, gij, gijk
 
     def in_domain(x):
@@ -125,7 +152,13 @@ def _ball(absA2) -> DilatonProfile:
     def singular_distance(x):
         return 1.0 - math.sqrt(sum(float(c) ** 2 for c in x))
 
-    return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance, exact=True)
+    quarter = absA2 / 4  # exactly: g = (|A|^2/4) P with P = 1 - r^2
+    return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance,
+                          exact_jets=lambda x: _quadratic_exact(x, 1, -1, 1, ((0, 1),) * 4, quarter))
+
+
+_HESS_RHO = {idx: 2 * (idx[0] == idx[1]) for idx, _ in _J2}
+_ZERO3 = {idx: 0 for idx, _ in _J3}
 
 
 def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
@@ -141,35 +174,11 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
         raise BadParams("fundamental: center must have four coordinates")
     c = Fraction(c) if not isinstance(c, float) else c
     cent = tuple(Fraction(e) if not isinstance(e, float) else e for e in center)
+    cent_q = tuple(e.as_integer_ratio() for e in cent)
 
-    def gjets(x):
+    def rhojets(x):
         y = [x[i] - cent[i] for i in range(4)]
-        rho = sum(v * v for v in y)
-        rho2, rho3, rho4 = rho ** 2, rho ** 3, rho ** 4  # once per point, not per component
-        g = c / rho
-        gi = {i: -2 * c * y[i - 1] / rho2 for i in COORDS}
-        gij = {}
-        for i in COORDS:
-            for j in COORDS:
-                if j < i:
-                    continue
-                val = 8 * c * y[i - 1] * y[j - 1] / rho3
-                if i == j:
-                    val = val - 2 * c / rho2
-                gij[(i, j)] = val
-        gijk = {}
-        for i in COORDS:
-            for j in COORDS:
-                for k in COORDS:
-                    if not (i <= j <= k):
-                        continue
-                    s = (
-                        (y[k - 1] if i == j else 0)
-                        + (y[j - 1] if i == k else 0)
-                        + (y[i - 1] if j == k else 0)
-                    )
-                    gijk[(i, j, k)] = 8 * c * s / rho3 - 48 * c * y[i - 1] * y[j - 1] * y[k - 1] / rho4
-        return g, gi, gij, gijk
+        return sum(v * v for v in y), {i: 2 * y[i - 1] for i in COORDS}, _HESS_RHO, _ZERO3
 
     def in_domain(x):
         return any(x[i] != cent[i] for i in range(4))
@@ -177,7 +186,8 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
     def singular_distance(x):
         return math.sqrt(sum((float(x[i]) - float(cent[i])) ** 2 for i in range(4)))
 
-    return DilatonProfile("fundamental", {"c": c, "center": cent}, gjets, in_domain, singular_distance, exact=True)
+    return DilatonProfile("fundamental", {"c": c, "center": cent}, rhojets, in_domain, singular_distance,
+                          scale=c, s=-1, exact_jets=lambda x: _quadratic_exact(x, 0, 1, -1, cent_q, c))
 
 
 def _weierstrass(d, alpha) -> DilatonProfile:
@@ -195,16 +205,11 @@ def _weierstrass(d, alpha) -> DilatonProfile:
         g = a2 * u
         gi = {i: 0.0 for i in COORDS}
         gi[1] = a2 * up
-        gij = {_sym(i, j): 0.0 for i in COORDS for j in COORDS if i <= j}
+        gij = {idx: 0.0 for idx, _ in _J2}
         gij[(1, 1)] = a2 * (6.0 * u * u - 2.0 * d * d)
-        gijk = {(i, j, k): 0.0 for i in COORDS for j in COORDS for k in COORDS if i <= j <= k}
+        gijk = {idx: 0.0 for idx, _ in _J3}
         gijk[(1, 1, 1)] = a2 * 12.0 * u * up
         return g, gi, gij, gijk
-
-    def in_domain(x):
-        period = 2.0 * tau
-        z = float(x[0]) % period
-        return min(z, period - z) > 1e-6 * tau
 
     def singular_distance(x):
         period = 2.0 * tau
@@ -215,12 +220,16 @@ def _weierstrass(d, alpha) -> DilatonProfile:
     for x1 in (2e-6 * tau, tau):
         try:
             g, *rest = gjets((x1, 0.0, 0.0, 0.0))
-            finite = g > 0 and all(map(math.isfinite, [g, *_fjets_from_g(g, *rest).values()]))
+            finite = g > 0 and all(map(math.isfinite, [g, *_half_log_jets(g, *rest).values()]))
         except ArithmeticError:  # a division by an underflowed power
             finite = False
         if not finite:
             raise BadParams(f"weierstrass: d={d!r}, alpha={alpha!r} give jets outside the float range")
-    return DilatonProfile("weierstrass", {"d": d, "alpha": alpha}, gjets, in_domain, singular_distance, exact=False)
+    return DilatonProfile("weierstrass", {"d": d, "alpha": alpha}, gjets,
+                          lambda x: singular_distance(x) > 1e-6 * tau, singular_distance)
+
+
+_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx, _ in _J2}, {idx: 0.0 for idx, _ in _J3})
 
 
 def _constant(f0) -> DilatonProfile:
@@ -229,32 +238,21 @@ def _constant(f0) -> DilatonProfile:
         g0 = math.exp(2.0 * f0f)
     except OverflowError:
         raise BadParams(f"constant: e^(2 f0) overflows a float at f0={f0f!r}") from None
-    if g0 * g0 * g0 == 0.0:  # the chain rule divides by (e^{2 f0})^3
-        raise BadParams(f"constant: (e^(2 f0))^3 underflows a float at f0={f0f!r}")
-
-    def gjets(x):
-        gi = {i: 0.0 for i in COORDS}
-        gij = {_sym(i, j): 0.0 for i in COORDS for j in COORDS if i <= j}
-        gijk = {(i, j, k): 0.0 for i in COORDS for j in COORDS for k in COORDS if i <= j <= k}
-        return g0, gi, gij, gijk
-
-    return DilatonProfile("constant", {"f0": f0f}, gjets, lambda x: True, lambda x: math.inf, exact=False)
+    if g0 == 0.0:  # f = (1/2) log e^{2 f0} needs a positive float
+        raise BadParams(f"constant: e^(2 f0) underflows a float at f0={f0f!r}")
+    return DilatonProfile("constant", {"f0": f0f}, lambda x: _ONE_JETS, lambda x: True, lambda x: math.inf,
+                          scale=g0)
 
 
-PROFILES = ("ball", "fundamental", "weierstrass", "constant")
+_BUILDERS = {"ball": _ball, "fundamental": _fundamental, "weierstrass": _weierstrass, "constant": _constant}
+PROFILES = tuple(_BUILDERS)
 
 
 def profile(name: str, **params) -> DilatonProfile:
     """Build a dilaton profile from the catalogue by name."""
+    if name not in _BUILDERS:
+        raise BadParams(f"unknown profile {name!r}; choose from {PROFILES}")
     try:
-        if name == "ball":
-            return _ball(**params)
-        if name == "fundamental":
-            return _fundamental(**params)
-        if name == "weierstrass":
-            return _weierstrass(**params)
-        if name == "constant":
-            return _constant(**params)
+        return _BUILDERS[name](**params)
     except (TypeError, KeyError) as exc:
         raise BadParams(f"{name}: {exc}") from exc
-    raise BadParams(f"unknown profile {name!r}; choose from {PROFILES}")

@@ -203,6 +203,25 @@ def test_dump_profile_keeps_extreme_but_finite_parameters(capsys):
         assert len(cells) == 40 and all(map(math.isfinite, cells))
 
 
+@pytest.mark.parametrize(
+    "profile, params",
+    [
+        ("fundamental", "c=1e-320"),  # g = c/rho is subnormal and g*g underflows
+        ("fundamental", "c=1e308"),  # f stays finite but e^{2f} overflows
+        ("ball", "absA2=1e-320"),  # the ball's g*g underflows
+    ],
+)
+def test_dump_profile_at_the_float_edge_exits_cleanly(capsys, profile, params):
+    rc, out, err = run_cli(["dump-profile", "--profile", profile, "--params", params, "--grid", "8"], capsys)
+    assert "Traceback" not in err
+    if rc == 0:
+        cells = [float(v) for row in list(csv.reader(io.StringIO(out)))[1:] for v in row]
+        assert len(cells) == 40 and all(map(math.isfinite, cells))
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_params_accept_fractions(capsys):
     rc, out, _err = run_cli(
         ["dump-profile", "--profile", "ball", "--params", "absA2=3/4", "--grid", "2"], capsys
