@@ -197,7 +197,9 @@ def cmd_crosscheck(args) -> int:
     check, build = CROSSCHECKS[args.expr]
     try:
         err = getattr(numeric, check)(build(), numeric.assigner(prof), pts, step=args.step)
-    except ArithmeticError as exc:  # e^{kf} or a jet beyond the float range
+        if not math.isfinite(err):  # an inf or nan value at some sample point
+            raise FloatingPointError(f"max_rel_error {err}")
+    except ArithmeticError as exc:  # e^{kf}, a jet or an error beyond the float range
         raise ConfigError(f"{prof.name}: the crosscheck leaves the float range ({exc})") from None
     ok = err <= args.tol
     out = {

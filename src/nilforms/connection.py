@@ -14,7 +14,6 @@ Conventions (fixed throughout):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import Mapping
 
 from . import ring
@@ -224,17 +223,20 @@ def lam_squared(lam, c: CoframeSpec) -> ring.CoefExpr:
 def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     """The nabla^- coefficient formulas with the fiber matrix replaced by B.
 
-    Computed by running the full Koszul + torsion pipeline on the symbolic
-    member of the same family and substituting the symbolic entries, so no
-    connection table is hard-coded.
+    Read from nabla^- of the symbolic member of the same family, kA (3 fiber
+    rows) or h21 (1 row), whose geometry the process holds, by substituting
+    the symbolic entries, so no connection table is hard-coded.  The held
+    forms are never mutated: substitute makes copies.
     """
+    from .gstruct import catalogue_geometry  # gstruct imports this module
+
     if c.dim not in (5, 7):
         raise DimensionMismatch("build_DB supports dims 7 and 5")
     nrows = c.dim - 4
     rows = B if isinstance(B[0], (list, tuple)) else [B]
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    wm = _twin_minus(nrows)
+    wm = catalogue_geometry("kA" if nrows == 3 else "h21").minus
     # each entry of the twin's A is one symbol; B's entry takes its place
     mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
                for sym in x.symbols()}
@@ -242,19 +244,6 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
         (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
     }
     return ConnectionForms(c, entries)
-
-
-@cache
-def _twin_minus(nrows: int) -> ConnectionForms:
-    """nabla^- of the symbolic kA (3 fiber rows) or h21 (1 row) coframe, derived once.
-
-    Only the connection is kept, not its Geometry; build_DB substitutes into
-    copies, so the cached forms are never mutated.
-    """
-    from .frames import k_a, h21
-    from .gstruct import geometry
-
-    return geometry(k_a() if nrows == 3 else h21()).minus
 
 
 def rebase(form: FormExpr, c: CoframeSpec) -> FormExpr:

@@ -13,7 +13,9 @@ which in dimension 7 coincides with the Hodge expression
 
 ``structure(c)`` picks the structure of a coframe by its dimension, and a
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
-one coframe, each piece once.
+one coframe, each piece once.  ``catalogue_geometry`` holds the Geometry of
+each catalogue frame built from the program's own parameters for the life
+of the process.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import ring
 from .connection import curvature, koszul, levi_civita, pontryagin4, scalar_curvature
@@ -40,6 +42,7 @@ from .forms import (
     hodge_star_horizontal,
     omega_bar,
 )
+from .frames import build_coframe
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +360,9 @@ def geometry(c: CoframeSpec) -> Geometry:
     The coframe keeps only a weak reference: its forms point back at it, so
     a strong one would make a cycle that only the cyclic collector frees.
     Hold the returned object for as long as its derivations should be shared.
+    A coframe built by catalogue_geometry is held for the process, so every
+    report sees the same derivations; any other coframe, one built from a
+    config's fiber matrix say, is shared only while some caller holds it.
     """
     ref = getattr(c, "_geometry", None)
     geo = ref() if ref is not None else None
@@ -364,6 +370,18 @@ def geometry(c: CoframeSpec) -> Geometry:
         geo = Geometry(c)
         c._geometry = weakref.ref(geo)
     return geo
+
+
+@cache
+def catalogue_geometry(catalog_id: str, **params) -> Geometry:
+    """The Geometry of build_coframe(catalog_id, **params), held for the process.
+
+    Only for frames whose parameters come from the program's own tables
+    (symbolic entries passed as None, which the builders turn into
+    constants), so the held set is bounded by the catalogue.  A frame built
+    from outside input goes through geometry() and is freed with its report.
+    """
+    return geometry(build_coframe(catalog_id, **params))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
 from typing import Callable, Sequence
 
 from .forms import FormExpr, exterior_derivative, wedge
@@ -89,6 +90,16 @@ def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None, m
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 
+def worst_of(worst: float, err: float) -> float:
+    """max(worst, err), except that a nan wins: max(0.0, nan) is 0.0, which passes any tolerance."""
+    return err if err > worst or err != err else worst
+
+
+def max_error(errors) -> float:
+    """The largest of some non-negative errors, 0.0 for none, nan if any is nan."""
+    return reduce(worst_of, errors, 0.0)
+
+
 def fd_partial_check(
     expr: CoefExpr,
     assign: Callable,
@@ -96,7 +107,7 @@ def fd_partial_check(
     step: float = DEFAULT_STEP,
     coords=COORDS,
 ) -> float:
-    """Max relative error of symbolic partial_i(expr) against central FD."""
+    """Max relative error of symbolic partial_i(expr) against central FD; nan if any is nan."""
     worst = 0.0
     parts = {i: expr.partial(i) for i in coords}
     for x in pts:
@@ -106,7 +117,7 @@ def fd_partial_check(
             xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
             xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
             fd = (expr.evaluate(assign(xp)) - expr.evaluate(assign(xm))) / (2 * step)
-            worst = max(worst, abs(sym - fd) / (1.0 + abs(sym)))
+            worst = worst_of(worst, abs(sym - fd) / (1.0 + abs(sym)))
     return worst
 
 
@@ -162,7 +173,7 @@ def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float = DEFAULT_S
 
 
 def fd_exterior_check(a: FormExpr, assign: Callable, pts, step: float = DEFAULT_STEP) -> float:
-    """Max relative error between engine d(a) and its FD counterpart."""
+    """Max relative error between engine d(a) and its FD counterpart; nan if any is nan."""
     da = exterior_derivative(a)
     worst = 0.0
     for x in pts:
@@ -172,6 +183,6 @@ def fd_exterior_check(a: FormExpr, assign: Callable, pts, step: float = DEFAULT_
         for idx in set(sym) | set(fdv):
             s = sym.get(idx, 0.0)
             f = fdv.get(idx, 0.0)
-            worst = max(worst, abs(s - f) / (1.0 + abs(s)))
+            worst = worst_of(worst, abs(s - f) / (1.0 + abs(s)))
     return worst
 

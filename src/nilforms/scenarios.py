@@ -20,8 +20,8 @@ from . import anomaly, numeric, ring
 from .connection import build_DB, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import FormExpr, wedge
-from .frames import abs_A_squared, build_coframe, h21, k_a
-from .gstruct import geometry, scalar_identity_residual
+from .frames import abs_A_squared, build_coframe
+from .gstruct import catalogue_geometry, geometry, scalar_identity_residual
 from .profiles import BadParams, profile
 from .report import SCENARIOS, _sanitize, strict_json
 from .ring import CoefExpr, const, rat
@@ -193,11 +193,19 @@ _THEOREMS = {
 }
 
 
-def _frame(dim: int, A=None):
-    """The theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None."""
-    if dim == 7:
-        return k_a(A)
-    return h21() if A is None else h21(*A[0])
+def _frame_geometry(dim: int, A=None):
+    """The Geometry of the theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None.
+
+    The symbolic frame and the default numeric one are held for the process;
+    a frame of any other config matrix lives as long as its report holds it.
+    """
+    cid = "kA" if dim == 7 else "h21"
+    if A is None:
+        return catalogue_geometry(cid)
+    params = {"A": tuple(map(tuple, A))} if dim == 7 else dict(zip(("a1", "a2", "a3"), A[0]))
+    if A == _THEOREMS[dim].A:
+        return catalogue_geometry(cid, **params)
+    return geometry(build_coframe(cid, **params))
 
 
 def _frame_checks(checks: list, geo, th: _Theorem) -> None:
@@ -292,8 +300,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
             raise BadParams("rank2-lambda override applies to the 7D scenario")
         lam = th.rank2_lambda
     values["lam"] = lam
-    csym, cnum = _frame(dim), _frame(dim, A_num)
-    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
+    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    csym, cnum = geo.coframe, geo_num.coframe
 
     _frame_checks(checks, geo, th)
 
@@ -353,8 +361,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         values["alphaP"] = -alpha * alpha
         prof = profile("weierstrass", d=d, alpha=alpha)
         pts = _line_points(tau, npoints)
-        worst_ode = max(abs(cubic_residual(x[0], d)) for x in pts)
-        worst_per = max(
+        worst_ode = numeric.max_error(abs(cubic_residual(x[0], d)) for x in pts)
+        worst_per = numeric.max_error(
             abs(weierstrass_p(x[0] + 2 * tau, d)[0] - weierstrass_p(x[0], d)[0]) for x in pts
         )
         # one table per line point feeds the first integral (C0 = 0) and the reduced residual
@@ -362,8 +370,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         r = anomaly.anomaly_residual(cnum, const("alphaP"), ("DLambda", lam))
         ode = anomaly.reduce_onevar(r, rat(absA2q), rat(lam2q))
         assis = [numeric.build_assignment(prof, x, {"alpha": alpha, "absA2": absA2n}) for x in pts]
-        worst_first = max(abs(first.evaluate(assi)) for assi in assis)
-        worst_res = max(abs(ode.evaluate(assi)) for assi in assis)
+        worst_first = numeric.max_error(abs(first.evaluate(assi)) for assi in assis)
+        worst_res = numeric.max_error(abs(ode.evaluate(assi)) for assi in assis)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
         return ok, worst_ode, {
             "cubic": worst_ode,
@@ -385,8 +393,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
     th = _THEOREMS[dim]
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"))
-    csym, cnum = _frame(dim), _frame(dim, A_num)
-    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
+    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    csym, cnum = geo.coframe, geo_num.coframe
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
     absB2 = sum(_number(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
@@ -473,8 +481,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     th = _THEOREMS[dim]
     A_num, npoints = _params(name, dim, config, ("A", "npoints"))
-    csym, cnum = _frame(dim), _frame(dim, A_num)
-    geo, geo_num = geometry(csym), geometry(cnum)  # held to the end, so the checks share them
+    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    csym, cnum = geo.coframe, geo_num.coframe
     absA2q = abs_A_squared(cnum).as_fraction()
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
@@ -505,9 +513,9 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
         for x in pts:
             assi = numeric.build_assignment(prof, x)
             for coef in res.values():
-                worst = max(worst, abs(coef.evaluate(assi)))
+                worst = numeric.worst_of(worst, abs(coef.evaluate(assi)))
             for coef in geo_num.dT.comps.values():
-                worst = max(worst, abs(coef.evaluate(assi)))
+                worst = numeric.worst_of(worst, abs(coef.evaluate(assi)))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
@@ -517,7 +525,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
         outcome = {}
         for phi_factor in (-1, -2):
             expr = scalar_identity_residual(cnum, phi_factor)
-            outcome[f"phi={phi_factor}f"] = max((abs(expr.evaluate(assi)) for assi in assis), default=0.0)
+            outcome[f"phi={phi_factor}f"] = numeric.max_error(abs(expr.evaluate(assi)) for assi in assis)
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
@@ -531,7 +539,6 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
 class _Contraction:
     family: str  # catalogue id of the eps-family
     direct: str  # catalogue id of its eps = 0 frame
-    symbols: tuple  # names of the symbolic frame parameters
     dropped_legs: tuple
     lam7: list  # Lambda on the full-leg frame
     lam_direct: list  # the same Lambda on the contracted frame
@@ -539,9 +546,9 @@ class _Contraction:
 
 
 _CONTRACTIONS = {
-    6: _Contraction("eps6", "h5", ("a", "b"), (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
+    6: _Contraction("eps6", "h5", (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
                     [[1, 1], [0, 0], [0, 0]], {"a": 1.25, "b": 0.75}),
-    5: _Contraction("eps5", "h21", ("a1", "a2", "a3"), (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
+    5: _Contraction("eps5", "h21", (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
                     [1, 2, 0], {"a1": 1.0, "a2": -0.5, "a3": 0.25}),
 }
 
@@ -549,16 +556,15 @@ _CONTRACTIONS = {
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     _params(name, dim, config, ())
     t = _CONTRACTIONS[dim]
-    syms = {s: const(s) for s in t.symbols}
 
-    def family(eps, drop):
-        return build_coframe(t.family, eps=eps, drop=drop, **syms)
+    def family(eps, drop=True):
+        return catalogue_geometry(t.family, eps=eps, drop=drop)
 
-    c0, c_path, direct = family(0, True), family(0, False), build_coframe(t.direct, **syms)
-    geo0, geo_path, geo_direct = geometry(c0), geometry(c_path), geometry(direct)  # held to the end
+    geo0, geo_path, geo_direct = family(0), family(0, drop=False), catalogue_geometry(t.direct)
+    c0, c_path, direct = geo0.coframe, geo_path.coframe, geo_direct.coframe
 
     _ck(checks, "family-integrability", lambda: (
-        all(_integrability(family(Fraction(e), False))[0] for e in (Fraction(1, 10), Fraction(1, 100), 0)),
+        all(_integrability(family(e, drop=False).coframe)[0] for e in (Fraction(1, 10), Fraction(1, 100), 0)),
         None,
         {},
     ))
@@ -589,14 +595,14 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
         assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=12, seed=seed)]
         maxima = {}
         for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-            cur = geometry(build_coframe(t.family, eps=e, **t.a_num)).curv_minus
-            worst = 0.0
-            for (i, j) in cur.pairs():
-                touches_slot = i in t.dropped_legs or j in t.dropped_legs
-                for idx, coef in cur.entry(i, j).comps.items():
-                    if touches_slot or any(l in t.dropped_legs for l in idx):
-                        worst = max(worst, max(abs(coef.evaluate(assi)) for assi in assis))
-            maxima[float(e)] = worst
+            cur = catalogue_geometry(t.family, eps=e, **t.a_num).curv_minus
+            maxima[float(e)] = numeric.max_error(
+                abs(coef.evaluate(assi))
+                for (i, j) in cur.pairs()
+                for idx, coef in cur.entry(i, j).comps.items()
+                if i in t.dropped_legs or j in t.dropped_legs or any(l in t.dropped_legs for l in idx)
+                for assi in assis
+            )
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
         ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0

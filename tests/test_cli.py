@@ -265,6 +265,16 @@ def test_every_crosscheck_id_runs_and_passes(expr, capsys):
     assert doc["expr"] == expr and doc["points"] == 3
 
 
+def test_crosscheck_with_a_nan_error_exits_two(capsys):
+    # e^{2f} overflows at c=1e308, so every derivative of lap e^{2f} is nan;
+    # max(0.0, nan) is 0.0, which once printed max_rel_error 0.0 and passed
+    rc, out, err = run_cli(
+        ["crosscheck", "--profile", "fundamental", "--params", "c=1e308", "--expr", "lap-e2f"], capsys
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nan" in err
+
+
 def test_crosscheck_unknown_expr(capsys):
     rc, _out, err = run_cli(
         ["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "curl"], capsys

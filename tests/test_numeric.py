@@ -100,3 +100,26 @@ def test_fd_partial_check_sees_a_perturbed_jet(ball, ball_pts):
 
     assert bad((0, 0, 0, 0))[jet_sym(1)] == pytest.approx(0.05)
     assert numeric.fd_partial_check(e, bad, ball_pts) > 1e-3
+
+
+def test_error_folds_keep_a_nan():
+    nan = float("nan")
+    assert numeric.max_error([]) == 0.0 and numeric.max_error([0.5, 2.0, 1.0]) == 2.0
+    assert math.isnan(numeric.max_error([0.5, nan, 1.0]))
+    assert math.isnan(numeric.worst_of(nan, 1.0)) and math.isnan(numeric.worst_of(1.0, nan))
+
+
+def test_fd_checks_report_a_nan_sample(ball, ball_pts):
+    good = numeric.assigner(ball)
+    last = ball_pts[-1]
+
+    def poisoned(x):  # nan jets around the last sample point only
+        out = good(x)
+        if max(abs(a - b) for a, b in zip(x, last)) < 1e-3:
+            out[jet_sym(1)] = float("nan")
+        return out
+
+    e = expf(2) * jet(1) + jet(1, 2)
+    assert math.isnan(numeric.fd_partial_check(e, poisoned, ball_pts))
+    T = direct_torsion(quaternionic_heisenberg()) * jet(1)
+    assert math.isnan(numeric.fd_exterior_check(T, poisoned, ball_pts))

@@ -2,19 +2,22 @@
 from __future__ import annotations
 
 import cProfile
+import gc
 import hashlib
 import json
 import math
 import pstats
+import weakref
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from nilforms import ring
+from nilforms import ring, scenarios
 from nilforms.anomaly import anomaly_residual, solv4_lhs
 from nilforms.connection import curvature, koszul
 from nilforms.elliptic import half_period
+from nilforms.gstruct import catalogue_geometry, direct_torsion, geometry
 from nilforms.profiles import BadParams, DilatonProfile
 from nilforms.ring import CoefExpr
 from nilforms.scenarios import (
@@ -222,21 +225,31 @@ def test_non_finite_floats_serialize_as_strict_json():
     assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
 
 
-@cache
-def _seed0_calls(name: str) -> dict:
-    """cProfile call counts of one report at seed 0, keyed by code object."""
+def _call_counts(name: str, seed: int) -> dict:
+    """cProfile call counts of one report, keyed by code object."""
     prof = cProfile.Profile()
     prof.enable()
     try:
-        run_scenario(name, seed=0)
+        run_scenario(name, seed=seed)
     finally:
         prof.disable()
     return {key: stat[1] for key, stat in pstats.Stats(prof).stats.items()}
 
 
-def _calls(name: str, fn) -> int:
+def _count(counts: dict, fn) -> int:
     code = fn.__code__
-    return _seed0_calls(name).get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+    return counts.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+
+@cache
+def _seed0_calls(name: str) -> dict:
+    """Call counts of one report at seed 0 that derives every geometry it reads."""
+    catalogue_geometry.cache_clear()
+    return _call_counts(name, 0)
+
+
+def _calls(name: str, fn) -> int:
+    return _count(_seed0_calls(name), fn)
 
 
 # most calls of (koszul, curvature, anomaly_residual, DilatonProfile.jets) one
@@ -259,6 +272,43 @@ def test_scenario_derives_each_geometry_once(name):
     got = tuple(_calls(name, fn) for fn in (koszul, curvature, anomaly_residual, DilatonProfile.jets))
     assert got[0] >= 1  # the counter is live
     assert all(n <= bound for n, bound in zip(got, DERIVATION_BUDGET[name])), got
+
+
+def test_reports_on_held_geometries_repeat_byte_for_byte():
+    catalogue_geometry.cache_clear()
+    cold = [run_scenario(name, seed=5).to_json() for name in SCENARIOS]
+    assert [run_scenario(name, seed=5).to_json() for name in SCENARIOS] == cold
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_second_report_derives_no_frame_geometry(name):
+    # every frame a default report reads is built from the program's tables, so
+    # its torsion and connections are derived once per process, whatever the seed
+    run_scenario(name, seed=0)
+    counts = _call_counts(name, 3)
+    assert (_count(counts, koszul), _count(counts, direct_torsion)) == (0, 0)
+    assert _count(counts, run_scenario) == 1  # the counter is live
+
+
+def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
+    run_scenario("thm-5d-positive")
+    held = catalogue_geometry.cache_info().currsize
+    refs = []
+
+    def watched(c):
+        geo = geometry(c)
+        refs.append(weakref.ref(geo))
+        return geo
+
+    monkeypatch.setattr(scenarios, "geometry", watched)
+    gc.disable()
+    try:
+        rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
+        assert rep.passed and len(refs) == 1
+        assert catalogue_geometry.cache_info().currsize == held
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["ball-7d", "contraction-6d", "contraction-5d"])
