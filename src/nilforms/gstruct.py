@@ -11,6 +11,11 @@ which in dimension 7 coincides with the Hodge expression
 ``eta wedge d eta + 2 d^psi f wedge F``; the G2 and SU(2) structures'
 ``torsion()`` is that second route.
 
+The G2 and SU(2) ``project`` contract a skew matrix without reading a
+form component per pair: G2 through a table of Theta's components built
+once per structure, SU(2) through the fixed self-dual patterns, each into
+raw accumulators that are canonicalised once.
+
 ``structure(c)`` picks the structure of a coframe by its dimension, and a
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
 one coframe, each piece once.  ``catalogue_geometry`` holds the Geometry of
@@ -73,15 +78,31 @@ class G2Structure:
     def torsion(self) -> FormExpr:
         return torsion_3form(self)
 
+    @cached_property
+    def contractions(self) -> dict[tuple, tuple]:
+        """(a, b) -> ((m, t, sign), ...): 2 Theta(ebar_a, ebar_b, ebar_m) = sign * t for a < b.
+
+        Each component t ebar^{ijk} (i < j < k) of Theta gives its three pairs,
+        with the sign of the permutation that sorts (a, b, m) times 2.
+        """
+        table: dict = {}
+        for (i, j, k), t in self.theta.comps.items():
+            for ab, m, sign in (((i, j), k, 2), ((i, k), j, -2), ((j, k), i, 2)):
+                table.setdefault(ab, []).append((m, t, sign))
+        return {ab: tuple(entries) for ab, entries in table.items()}
+
     def project(self, M: dict) -> dict[int, ring.CoefExpr]:
         """m -> sum_{a<b} 2 M_ab Theta(ebar_a, ebar_b, ebar_m) for a skew {(a, b): coef}, nonzero ones."""
+        table = self.contractions
+        accs: dict = {m: {} for m in range(1, 8)}
+        for ab, coef in M.items():
+            for m, t, sign in table.get(ab, ()):
+                ring._mul_into(accs[m], coef, t, sign)
         out = {}
-        for m in range(1, 8):
-            total = ring.sum_exprs(
-                coef * tc * 2 for (a, b), coef in M.items() if (tc := self.theta.value_at(a, b, m))
-            )
+        for m, acc in accs.items():
+            total = ring._canonical(acc)
             if total:
-                out[m] = total
+                out[m] = ring._wrap(total)
         return out
 
     def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
@@ -177,11 +198,13 @@ class SU2Structure:
         M lies in su(2) exactly when both vanish: it is then a combination of
         the anti-self-dual horizontal 2-forms.
         """
-        half = ring.rat(1, 2)
-        parts = {
-            f"w{r}": ring.sum_exprs(M[p] * sign for p, sign in pattern.items() if p in M) * half
-            for r, pattern in OMEGA.items()
-        }
+        parts = {}
+        for r, pattern in OMEGA.items():
+            acc: dict = {}
+            for p, sign in pattern.items():
+                if p in M:
+                    ring._add_into(acc, M[p], sign)
+            parts[f"w{r}"] = ring._wrap(ring._halved(acc))
         for k in range(1, 5):
             parts[f"m{k}"] = M.get((k, 5), ring.ZERO)
         return {label: val for label, val in parts.items() if val}

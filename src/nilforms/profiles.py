@@ -12,15 +12,19 @@ jets of f from those of P; f0 never enters a division.
 
 Ball and fundamental are also exact: P is the quadratic 1 - r^2 or rho, so
 at a rational point every jet is an integer over a power of an integer
-(``_quadratic_exact``), one Fraction per jet.  Weierstrass (wp is
-transcendental) and constant (whose e^{2 f0} is a float) are float-only, and
-their ``jets_exact`` raises BadParams.
+(``_quadratic_exact``), one Fraction per jet, and ``e2f`` there is read from
+these exact jets.  Weierstrass (wp is transcendental) and constant (whose
+e^{2 f0} is a float) are float-only, and their ``jets_exact`` raises
+BadParams.  The ball's float jets take |A|^2 and -|A|^2/2 as floats converted
+once, so at a float point they run on floats alone.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .elliptic import half_period, weierstrass_p
@@ -107,7 +111,9 @@ class DilatonProfile:
         return 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)
 
     def e2f(self, x: Sequence[float]):
-        """e^{2f}(x); exact at a rational x when the profile is exact."""
+        """e^{2f}(x); exact, from the exact jets, at a rational x when the profile is exact."""
+        if self.exact and all(isinstance(v, Rational) for v in x):
+            return self.jets_exact(x)[0]
         P = self._jets_of_p(x)[0]
         return self._scale * P if self._s > 0 else self._scale / P
 
@@ -137,12 +143,18 @@ def _ball(absA2) -> DilatonProfile:
     if absA2 <= 0:
         raise BadParams("ball: absA2 must be positive")
     absA2 = Fraction(absA2) if not isinstance(absA2, float) else absA2
+    # A Fraction meets a float by turning itself into one, so the float jets
+    # take these constants once and keep every operand and result bit for bit.
+    try:
+        fabsA2, fhess = float(absA2), float(-absA2 / 2)
+    except OverflowError:  # beyond the floats: the float jets raise where they meet it, the exact ones stay
+        fabsA2, fhess = absA2, -absA2 / 2
 
     def gjets(x):
         r2 = sum(c * c for c in x)
-        g = (absA2 * (1 - r2)) / 4
-        gi = {i: -(absA2 * x[i - 1]) / 2 for i in COORDS}
-        gij = {(i, j): (-(absA2) / 2 if i == j else 0 * g) for (i, j), _ in _J2}
+        g = (fabsA2 * (1 - r2)) / 4
+        gi = {i: -(fabsA2 * x[i - 1]) / 2 for i in COORDS}
+        gij = {(i, j): (fhess if i == j else 0 * g) for (i, j), _ in _J2}
         gijk = {idx: 0 * g for idx, _ in _J3}
         return g, gi, gij, gijk
 
@@ -249,10 +261,22 @@ PROFILES = tuple(_BUILDERS)
 
 
 def profile(name: str, **params) -> DilatonProfile:
-    """Build a dilaton profile from the catalogue by name."""
+    """Build a dilaton profile from the catalogue by name.
+
+    A parameter the builder does not take, or a missing one, raises
+    BadParams naming it.
+    """
     if name not in _BUILDERS:
         raise BadParams(f"unknown profile {name!r}; choose from {PROFILES}")
+    build = _BUILDERS[name]
+    takes = inspect.signature(build).parameters
+    for key in params:
+        if key not in takes:
+            raise BadParams(f"{name}: unknown parameter {key!r} (takes {', '.join(takes)})")
+    for key, par in takes.items():
+        if par.default is par.empty and key not in params:
+            raise BadParams(f"{name}: missing parameter {key!r}")
     try:
-        return _BUILDERS[name](**params)
+        return build(**params)
     except (TypeError, KeyError) as exc:
         raise BadParams(f"{name}: {exc}") from exc

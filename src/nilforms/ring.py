@@ -35,7 +35,8 @@ them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``len()`` and ``bool()``.  ``evaluate``/``evaluate_exact`` read a
 ``{symbol: value}`` table as given; names are resolved to symbols only
-where such a table is built.
+where such a table is built.  An element is immutable, so ``evaluate``
+keeps the float plan its first call builds.
 """
 
 from __future__ import annotations
@@ -269,10 +270,15 @@ def _wrap(terms: dict) -> "CoefExpr":
 
 
 class CoefExpr:
-    """A canonical-form element of the coefficient ring."""
+    """A canonical-form element of the coefficient ring.
 
-    __slots__ = ("terms",)
-    __hash__ = None  # mutable container; compare by value only
+    An element is never mutated after construction: no code outside
+    ``__init__`` and ``_wrap`` writes ``terms``.  So ``evaluate`` can keep the
+    float plan it builds on its first call for as long as the element lives.
+    """
+
+    __slots__ = ("terms", "_plan")
+    __hash__ = None  # compare by value only
 
     def __init__(self, terms: Mapping[int, object] | None = None):
         """From a {monomial key: number} mapping; the public constructors build the keys."""
@@ -417,20 +423,27 @@ class CoefExpr:
 
         numeric.build_assignment builds such a table once per sample point;
         every symbol of self, and f itself for an e^{kf} factor, must be bound.
+        The first call builds the float plan: one (float coef, k, ((symbol,
+        power), ...)) per term in decoded order, the deterministic summation
+        order.  Every call reads it, so no call sorts, decodes or converts.
         """
-        terms = self.terms
+        try:
+            plan = self._plan
+        except AttributeError:
+            plan = self._plan = tuple(
+                (float(coef), k, syms)
+                for (k, syms, _), coef in sorted((_decode(key), coef) for key, coef in self.terms.items())
+            )
         total = 0.0
-        for key in sorted(terms, key=_decode):  # deterministic summation order
-            k, syms, _ = _decode(key)
-            val = float(terms[key])
-            try:
+        try:
+            for val, k, syms in plan:
                 if k:
                     val *= math.exp(k * table[_F])
                 for sym, power in syms:
                     val *= table[sym] ** power
-            except KeyError as exc:
-                raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
-            total += val
+                total += val
+        except KeyError as exc:
+            raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
         return total
 
     def symbols(self) -> set:

@@ -1,13 +1,20 @@
-"""Reference wedge and exterior derivative written independently of the form kernel.
+"""Reference implementations the tests compare the program's kernels against.
 
-Both follow the per-pair algorithm: one ``CoefExpr`` product per index pair,
-negated when the merge sign is odd, summed into the result with ``+``.  The
-merge sign is counted here from inversions, so a sign dropped anywhere in
-``nilforms.forms`` cannot cancel out of a comparison with these.
+The wedge and exterior derivative follow the per-pair algorithm: one
+``CoefExpr`` product per index pair, negated when the merge sign is odd,
+summed into the result with ``+``.  The merge sign is counted here from
+inversions, so a sign dropped anywhere in ``nilforms.forms`` cannot cancel
+out of a comparison with these.  The float evaluation, the ball's float jets
+and the G2/SU(2) projections are the per-call loops the cached plans and
+tables replaced, with every float operation in the same order.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from nilforms import ring
+from nilforms.forms import OMEGA
 
 
 def naive_wedge(a, b):
@@ -115,3 +122,69 @@ def first_structure_residual(conn) -> dict:
                 res = res + naive_wedge(conn.entry(i, j), c.basis(j))
         out[i] = res
     return out
+
+
+# ---------------------------------------------------------------------------
+# float evaluation, ball jets and structure projections, one call at a time
+
+def evaluate_reference(e, table) -> float:
+    """CoefExpr.evaluate term by term: sorted, decoded and converted on every call."""
+    terms = e.terms
+    total = 0.0
+    for key in sorted(terms, key=ring._decode):
+        k, syms, _ = ring._decode(key)
+        val = float(terms[key])
+        try:
+            if k:
+                val *= math.exp(k * table[ring.jet_sym()])
+            for sym, power in syms:
+                val *= table[sym] ** power
+        except KeyError as exc:
+            raise ring.UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
+        total += val
+    return total
+
+
+def ball_jets_reference(absA2, x) -> dict:
+    """The ball's float jets of f with |A|^2 kept as given, so a Fraction meets each float as it comes."""
+    absA2 = Fraction(absA2) if not isinstance(absA2, float) else absA2
+    r2 = sum(c * c for c in x)
+    g = (absA2 * (1 - r2)) / 4
+    gi = {i: -(absA2 * x[i - 1]) / 2 for i in ring.COORDS}
+
+    def gij(i, j):
+        return -(absA2) / 2 if i == j else 0 * g
+
+    out = {ring.jet_sym(): 0.5 * math.log(1) + 0.5 * 1 * math.log(g)}
+    g2 = g * g
+    g3 = g2 * g
+    for i in ring.COORDS:
+        out[ring.jet_sym(i)] = float(gi[i] / (2 * g))
+        for j in ring.COORDS[i - 1:]:
+            out[ring.jet_sym(i, j)] = float(gij(i, j) / (2 * g) - gi[i] * gi[j] / (2 * g2))
+            for k in ring.COORDS[j - 1:]:
+                s = gij(i, j) * gi[k] + gij(i, k) * gi[j] + gij(j, k) * gi[i]
+                out[ring.jet_sym(i, j, k)] = float((0 * g) / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3)
+    return out
+
+
+def g2_project_reference(theta, M) -> dict:
+    """G2Structure.project through Theta.value_at for every pair and every m."""
+    out = {}
+    for m in range(1, 8):
+        total = ring.sum_exprs(coef * tc * 2 for (a, b), coef in M.items() if (tc := theta.value_at(a, b, m)))
+        if total:
+            out[m] = total
+    return out
+
+
+def su2_project_reference(M) -> dict:
+    """SU2Structure.project: each self-dual part summed with ring products, then halved."""
+    half = ring.rat(1, 2)
+    parts = {
+        f"w{r}": ring.sum_exprs(M[p] * sign for p, sign in pattern.items() if p in M) * half
+        for r, pattern in OMEGA.items()
+    }
+    for k in range(1, 5):
+        parts[f"m{k}"] = M.get((k, 5), ring.ZERO)
+    return {label: val for label, val in parts.items() if val}

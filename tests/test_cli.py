@@ -175,6 +175,26 @@ def test_dump_profile_bad_params(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dump-profile", "--profile", "ball"], "ball: missing parameter 'absA2'"),
+        (["dump-profile", "--profile", "ball", "--params", "absA2=3,foo=2"],
+         "ball: unknown parameter 'foo' (takes absA2)"),
+        (["crosscheck", "--profile", "ball", "--expr", "lap-e2f", "--params", "absA2=3,foo=2"],
+         "ball: unknown parameter 'foo' (takes absA2)"),
+        (["crosscheck", "--profile", "weierstrass", "--expr", "lap-e2f", "--params", "d=1"],
+         "weierstrass: missing parameter 'alpha'"),
+        (["dump-profile", "--profile", "fundamental", "--params", "alpha=1"],
+         "fundamental: unknown parameter 'alpha' (takes alphaP, c, center)"),
+    ],
+)
+def test_profile_parameter_errors_name_the_parameter(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "profile, params",
     [
         ("constant", "f0=-1000"),  # (e^{2 f0})^3 underflows to 0.0

@@ -6,9 +6,11 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expected_tables as tables
-from nilforms import ring
+import naive_forms
+from nilforms import gstruct, ring, scenarios
 from nilforms.anomaly import lap_e2f
 from nilforms.connection import build_instanton_DLambda, curvature, lam_rank, pontryagin4
 from nilforms.forms import CoframeSpec, DimensionMismatch, dpsi_f_form, exterior_derivative, omega_bar, sigma_bar
@@ -20,6 +22,7 @@ from nilforms.gstruct import (
     build_g2,
     build_su2,
     build_su3,
+    catalogue_geometry,
     check_integrable_pure,
     direct_torsion,
     g2_holonomy_residual,
@@ -36,6 +39,8 @@ from nilforms.gstruct import (
     torsion_3form,
     torsion_norm_squared,
 )
+from nilforms.report import SCENARIOS
+from nilforms.scenarios import run_scenario
 
 
 def _onshell_factor(c):
@@ -255,6 +260,63 @@ def test_g2_residuals_contract_a_single_curvature_entry(ka):
     g = build_g2(ka)
     assert g2_instanton_residual(Curv(), g) == {(1, 2, 7): 2}
     assert g2_holonomy_residual(Curv(), g) == {(1, 2, 7): 2}
+
+
+# ---------------------------------------------------------------------------
+# projection tables against the per-pair value_at contraction
+
+_coefs = st.sampled_from(
+    [ring.ZERO, ring.ONE, ring.rat(-3, 2), ring.const("a"), ring.jet(1) * ring.expf(-2) + ring.rat(1, 3),
+     ring.jet(2, 3) - ring.const("b") * ring.expf(1)]
+)
+
+
+@st.composite
+def skew_matrices(draw, dim):
+    """A sparse skew {(a, b): coef} with a < b <= dim; zero entries included."""
+    pairs = [(a, b) for a in range(1, dim + 1) for b in range(a + 1, dim + 1)]
+    return {ab: draw(_coefs) for ab in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))}
+
+
+def _reference_project(struct):
+    if isinstance(struct, G2Structure):
+        return lambda M: naive_forms.g2_project_reference(struct.theta, M)
+    return naive_forms.su2_project_reference
+
+
+@given(skew_matrices(7), skew_matrices(5))
+@settings(max_examples=60, deadline=None)
+def test_projection_tables_match_the_value_at_contraction(ka, h21_sym, m7, m5):
+    for struct, M in ((build_g2(ka), m7), (build_su2(h21_sym), m5)):
+        got, want = struct.project(M), _reference_project(struct)(M)
+        assert list(got.items()) == list(want.items())
+
+
+def test_residuals_of_every_held_geometry_match_the_value_at_contraction(monkeypatch):
+    held = {}
+
+    def recording(catalog_id, **params):
+        geo = catalogue_geometry(catalog_id, **params)
+        held[id(geo)] = geo
+        return geo
+
+    monkeypatch.setattr(scenarios, "catalogue_geometry", recording)
+    monkeypatch.setattr(gstruct, "catalogue_geometry", recording)
+    for name in SCENARIOS:
+        run_scenario(name, seed=0)
+    assert len(held) == 19
+    compared = 0
+    for geo in held.values():
+        struct = geo.structure
+        if not hasattr(struct, "project"):
+            continue
+        reference = _reference_project(struct)
+        for curv in (geo.curv_minus, geo.curv_plus):
+            for endomorphism, residual in ((False, struct.instanton_residual), (True, struct.holonomy_residual)):
+                got, want = residual(curv), gstruct._contract(curv, reference, endomorphism)
+                assert list(got.items()) == list(want.items())
+                compared += 1
+    assert compared >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import naive_forms
 from nilforms import ring
 from nilforms.anomaly import lap_e2f
 from nilforms.elliptic import half_period, weierstrass_p
+from nilforms.numeric import profile_points
 from nilforms.profiles import PROFILES, BadParams, profile
 from nilforms.ring import jet_sym
 from nilforms.scenarios import _rational_points
@@ -74,6 +76,16 @@ def test_ball_solves_laplace_identity_exactly():
 
 def test_ball_fd_jets():
     _fd_jet_check(profile("ball", absA2=3), (0.21, -0.1, 0.05, 0.3))
+
+
+@pytest.mark.parametrize("absA2", [Fraction(7, 3), 3, Fraction(1, 10**9), 0.7])
+def test_ball_float_jets_match_the_mixed_fraction_formula_bit_for_bit(absA2):
+    prof = profile("ball", absA2=absA2)
+    for x in profile_points(prof, n=12, seed=2):
+        want = naive_forms.ball_jets_reference(absA2, x)
+        got = prof.jets(x)
+        assert {sym: float.hex(v) for sym, v in got.items()} == {sym: float.hex(v) for sym, v in want.items()}
+        assert float.hex(prof.value(x)) == float.hex(want[jet_sym()])
 
 
 # ---------------------------------------------------------------------------

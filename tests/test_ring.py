@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cProfile
+import functools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import naive_forms
 from nilforms import ring
 from nilforms.ring import (
     CoefExpr,
@@ -210,6 +212,59 @@ def test_evaluate_missing_symbol_raises():
         (const("q") * jet(1)).evaluate({("j", (1,)): 1.0})
     with pytest.raises(UnboundSymbol):
         expf(2).evaluate({})  # f value needed for the exponential
+
+
+_PLAN_SYMS = (ring.const_sym("a"), ring.const_sym("b"), ring.jet_sym(), ring.jet_sym(1), ring.jet_sym(1, 2),
+              ring.jet_sym(2, 3, 4))
+
+
+@st.composite
+def float_plan_cases(draw):
+    """(element, tables): int and Fraction coefficients, e^{kf} and powers <= 3, several tables."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        coef = draw(st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=12)))
+        powers = [(sym, draw(st.integers(0, 3))) for sym in _PLAN_SYMS if draw(st.booleans())]
+        terms.append((coef, draw(st.integers(-3, 3)), powers))
+    values = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    tables = draw(st.lists(st.fixed_dictionaries({sym: values for sym in _PLAN_SYMS}), min_size=2, max_size=4))
+    return ring.from_monomials(terms), tables
+
+
+@given(float_plan_cases())
+@settings(max_examples=80, deadline=None)
+def test_evaluate_plan_matches_the_per_term_loop_bit_for_bit(case):
+    e, tables = case
+    for table in tables + tables[:1]:  # the first table again, on the kept plan
+        assert float.hex(e.evaluate(table)) == float.hex(naive_forms.evaluate_reference(e, table))
+
+
+@given(float_plan_cases(), st.sampled_from(_PLAN_SYMS))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_plan_raises_for_an_unbound_symbol_on_every_call(case, missing):
+    e, tables = case
+    e.evaluate(tables[0])  # the plan now exists
+    short = {sym: v for sym, v in tables[1].items() if sym != missing}
+    needs_it = missing in e.symbols() or (missing == ring.jet_sym() and any(k for _, k, _ in e.monomials()))
+    for _ in range(2):
+        if needs_it:
+            for fn in (e.evaluate, functools.partial(naive_forms.evaluate_reference, e)):
+                with pytest.raises(UnboundSymbol):
+                    fn(short)
+        else:
+            assert float.hex(e.evaluate(short)) == float.hex(naive_forms.evaluate_reference(e, short))
+
+
+def test_evaluate_raises_for_f_under_an_exponential_before_and_after_the_plan():
+    e = expf(-2) * rat(3, 7) + const("a") ** 3
+    table = {ring.const_sym("a"): 0.5}
+    for _ in range(2):
+        with pytest.raises(UnboundSymbol):
+            e.evaluate(table)
+    full = {**table, ring.jet_sym(): 0.25}
+    assert float.hex(e.evaluate(full)) == float.hex(naive_forms.evaluate_reference(e, full))
+    with pytest.raises(UnboundSymbol):
+        e.evaluate(table)
 
 
 def test_evaluate_exact_returns_fractions():

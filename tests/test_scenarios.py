@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import numbers
 import pstats
 import weakref
 from fractions import Fraction
@@ -17,6 +18,7 @@ from nilforms import ring, scenarios
 from nilforms.anomaly import anomaly_residual, solv4_lhs
 from nilforms.connection import curvature, koszul
 from nilforms.elliptic import half_period
+from nilforms.forms import FormExpr
 from nilforms.gstruct import catalogue_geometry, direct_torsion, geometry
 from nilforms.profiles import BadParams, DilatonProfile
 from nilforms.ring import CoefExpr
@@ -288,6 +290,28 @@ def test_a_second_report_derives_no_frame_geometry(name):
     counts = _call_counts(name, 3)
     assert (_count(counts, koszul), _count(counts, direct_torsion)) == (0, 0)
     assert _count(counts, run_scenario) == 1  # the counter is live
+
+
+# most calls a warm ball-7d report (seed 1 after seed 0) may make of the
+# fixed work its float evaluation and G2 contractions would otherwise redo:
+# component reads of Theta, Fraction-to-float conversions, key decodings
+WARM_BALL_BUDGET = {FormExpr.value_at: 100, numbers.Rational.__float__: 20, ring._decode: 1000}
+
+
+def test_a_warm_ball_report_redoes_no_fixed_float_or_contraction_work():
+    run_scenario("ball-7d", seed=0)
+    counts = _call_counts("ball-7d", 1)
+    got = {fn.__qualname__: _count(counts, fn) for fn in WARM_BALL_BUDGET}
+    assert _count(counts, CoefExpr.evaluate) > 0 and _count(counts, DilatonProfile.jets) > 0  # the counters are live
+    assert all(got[fn.__qualname__] <= bound for fn, bound in WARM_BALL_BUDGET.items()), got
+
+
+def test_a_ball_beyond_the_floats_fails_its_float_checks_alone():
+    # |A|^2 = 10^400 has no float: the exact checks still pass and the float ones report an error
+    rep = run_scenario("ball-7d", config={"A": [[10**200, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    status = {c.id: c.status for c in rep.checks}
+    assert status["ball-solves-instanton-equation"] == "pass"
+    assert status["instanton-and-closed-torsion-numeric"] == "error"
 
 
 def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
