@@ -15,36 +15,16 @@ from __future__ import annotations
 import math
 
 from . import ring
-from .connection import (
-    build_DB,
-    build_instanton_DLambda,
-    curvature,
-    lam_rank,
-    lam_squared,
-    pontryagin4,
-)
+from .connection import build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .forms import FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import geometry
+from .gstruct import build_DB, geometry
 from .profiles import BadParams
-from .ring import CoefExpr, const, expf, jet, rat
+from .ring import CoefExpr, const, expf, jet, lap_e2f, lap_e_m2f, rat
 
 
 class ConstraintViolated(Exception):
     """The jet-free part of a reduced residual is not the expected constant."""
-
-
-# ---------------------------------------------------------------------------
-# scalar Laplacian combinations
-
-def lap_e2f() -> CoefExpr:
-    """Flat Laplacian of e^{2f}."""
-    return ring.flat_laplacian(expf(2))
-
-
-def lap_e_m2f() -> CoefExpr:
-    """Flat Laplacian of e^{-2f}."""
-    return ring.flat_laplacian(expf(-2))
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +38,11 @@ def gauge_connection(c: CoframeSpec, instanton):
     if hasattr(instanton, "entry"):
         return instanton
     kind, mat = instanton
-    key = kind.lower().replace("_", "").replace("-", "")
-    if key == "dlambda":
+    if kind == "DLambda":
         if lam_rank(mat, c) > 1:
             raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
         return build_instanton_DLambda(mat, c)
-    if key == "db":
+    if kind == "DB":
         return build_DB(mat, c)
     raise BadParams(f"unknown instanton kind {kind!r}")
 

@@ -6,6 +6,8 @@ Subcommands:
   crosscheck    compare symbolic derivatives against finite differences
 
 Exit codes: 0 all checks pass, 1 any check failed, 2 configuration error.
+Only verify and the torsion-d and theta-d crosschecks load modules that
+dump-profile does not, each when it runs.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ import sys
 from fractions import Fraction
 
 from . import numeric, ring
-from .anomaly import lap_e2f
 from .elliptic import half_period, weierstrass_p
-from .frames import quaternionic_heisenberg
-from .gstruct import build_g2, direct_torsion
 from .profiles import PROFILES, BadParams, profile
 from .report import SCENARIOS, strict_json
-from .ring import expf
 
 
 class ConfigError(Exception):
@@ -34,16 +32,31 @@ class ConfigError(Exception):
 
 KNOWN_OVERRIDES = ("rank2-lambda",)
 
+
+def _torsion_gh():
+    from .frames import quaternionic_heisenberg
+    from .gstruct import direct_torsion
+
+    return direct_torsion(quaternionic_heisenberg())
+
+
+def _theta_gh():
+    from .frames import quaternionic_heisenberg
+    from .gstruct import build_g2
+
+    return build_g2(quaternionic_heisenberg()).theta
+
+
 # crosscheck id -> (finite-difference check in numeric, builder of the expression it checks);
 # both are looked up by name when a crosscheck runs, so a wrapper set on a module
 # attribute (the benchmark's traced run) sees every call
 CROSSCHECKS = {
-    "e2f-partials": ("fd_partial_check", lambda: expf(2)),
-    "lap-e2f": ("fd_partial_check", lambda: lap_e2f()),
+    "e2f-partials": ("fd_partial_check", lambda: ring.expf(2)),
+    "lap-e2f": ("fd_partial_check", lambda: ring.lap_e2f()),
     "grad-square": ("fd_partial_check", lambda: ring.grad_square()),
     "p-laplacian4": ("fd_partial_check", lambda: ring.p_laplacian4()),
-    "torsion-d": ("fd_exterior_check", lambda: direct_torsion(quaternionic_heisenberg())),
-    "theta-d": ("fd_exterior_check", lambda: build_g2(quaternionic_heisenberg()).theta),
+    "torsion-d": ("fd_exterior_check", _torsion_gh),
+    "theta-d": ("fd_exterior_check", _theta_gh),
 }
 
 
@@ -124,7 +137,7 @@ def _profile_rows(prof, grid: int):
             resid = up * up - (4.0 * u ** 3 - 4.0 * d * d * u)
             rows.append((x1, u, 0.5 * math.log(g), g, resid))
         return rows
-    expr, consts = lap_e2f(), None
+    expr, consts = ring.lap_e2f(), None
     if prof.name == "ball":  # radius in [0, 1)
         expr = expr + ring.rat(2) * ring.const("absA2")
         consts = {"absA2": float(prof.params["absA2"])}
@@ -143,11 +156,7 @@ def _profile_rows(prof, grid: int):
 
 
 def cmd_dump_profile(args) -> int:
-    params = _parse_params(args.params)
-    try:
-        prof = profile(args.profile, **params)
-    except BadParams as exc:
-        raise ConfigError(str(exc)) from exc
+    prof = profile(args.profile, **_parse_params(args.params))
     try:
         rows = _profile_rows(prof, args.grid)
     except ArithmeticError as exc:  # e^{2f} or a jet beyond the float range
@@ -180,20 +189,22 @@ def _crosscheck_box(prof):
     return ((-0.2, 0.2),) * 4
 
 
+def _check_step(prof, pts, h: float) -> None:
+    """Refuse a step that leaves some coordinate of a sample point where it is, or
+    reaches the profile's singular set from one: either makes the stencil meaningless."""
+    for x in pts:
+        if any(c + h == c or c - h == c for c in x):
+            raise ConfigError(f"{prof.name}: --step {h!r} does not move the sample point {x!r}")
+        if h >= prof.singular_distance(x):
+            raise ConfigError(f"{prof.name}: --step {h!r} reaches the singular set from {x!r}")
+
+
 def cmd_crosscheck(args) -> int:
-    params = _parse_params(args.params)
-    try:
-        prof = profile(args.profile, **params)
-    except BadParams as exc:
-        raise ConfigError(str(exc)) from exc
+    prof = profile(args.profile, **_parse_params(args.params))
     if args.expr not in CROSSCHECKS:
         raise ConfigError(f"unknown expression id {args.expr!r}; known: {', '.join(CROSSCHECKS)}")
-    pts = numeric.halton_points(
-        args.points,
-        args.seed,
-        _crosscheck_box(prof),
-        accept=lambda p: prof.in_domain(p) and prof.singular_distance(p) >= 1e-3,
-    )
+    pts = numeric.profile_points(prof, n=args.points, seed=args.seed, box=_crosscheck_box(prof))
+    _check_step(prof, pts, args.step)
     check, build = CROSSCHECKS[args.expr]
     try:
         err = getattr(numeric, check)(build(), numeric.assigner(prof), pts, step=args.step)

@@ -116,7 +116,7 @@ def koszul(c: CoframeSpec, T: FormExpr | None = None, s: int = 0) -> ConnectionF
     return ConnectionForms(c, entries)
 
 
-def levi_civita(c: CoframeSpec) -> ConnectionForms:
+def levi_civita(c: CoframeSpec) -> ConnectionForms:  # kept: perfbench/tracing.py counts it by name
     """Metric connection forms from the Koszul formula on the orthonormal coframe."""
     return koszul(c)
 
@@ -218,36 +218,3 @@ def lam_A_product(lam, c: CoframeSpec):
 def lam_squared(lam, c: CoframeSpec) -> ring.CoefExpr:
     """lambda^2 = |lam . A|^2, the curvature normalization of D_lam."""
     return ring.sum_exprs(e * e for row in lam_A_product(lam, c) for e in row)
-
-
-def build_DB(B, c: CoframeSpec) -> ConnectionForms:
-    """The nabla^- coefficient formulas with the fiber matrix replaced by B.
-
-    Read from nabla^- of the symbolic member of the same family, kA (3 fiber
-    rows) or h21 (1 row), whose geometry the process holds, by substituting
-    the symbolic entries, so no connection table is hard-coded.  The held
-    forms are never mutated: substitute makes copies.
-    """
-    from .gstruct import catalogue_geometry  # gstruct imports this module
-
-    if c.dim not in (5, 7):
-        raise DimensionMismatch("build_DB supports dims 7 and 5")
-    nrows = c.dim - 4
-    rows = B if isinstance(B[0], (list, tuple)) else [B]
-    if len(rows) != nrows or any(len(r) != 3 for r in rows):
-        raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    wm = catalogue_geometry("kA" if nrows == 3 else "h21").minus
-    # each entry of the twin's A is one symbol; B's entry takes its place
-    mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
-               for sym in x.symbols()}
-    entries = {
-        (i, j): rebase(wm.entry(i, j).substitute(mapping), c) for (i, j) in wm.pairs()
-    }
-    return ConnectionForms(c, entries)
-
-
-def rebase(form: FormExpr, c: CoframeSpec) -> FormExpr:
-    """Transplant a form's components onto another coframe of equal dimension."""
-    if form.coframe.dim != c.dim:
-        raise DimensionMismatch("rebase needs equal dimensions")
-    return FormExpr(c, form.degree, dict(form.comps))

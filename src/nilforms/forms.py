@@ -87,10 +87,6 @@ class CoframeSpec:
     def zero(self, degree: int) -> "FormExpr":
         return FormExpr(self, degree, {})
 
-    def scalar(self, g) -> "FormExpr":
-        c = ring.coerce(g)
-        return FormExpr(self, 0, {(): c} if c else {})
-
     def basis(self, *indices: int) -> "FormExpr":
         """ebar^{i1...ip} for strictly increasing indices."""
         if list(indices) != sorted(set(indices)):
@@ -304,16 +300,6 @@ def hodge_star_horizontal(a: FormExpr) -> FormExpr:
     return _star(a, HORIZONTAL)
 
 
-def interior(a: FormExpr, k: int) -> FormExpr:
-    """Contraction with the frame vector ebar_k."""
-    out: dict[tuple, CoefExpr] = {}
-    for idx, g in a.comps.items():
-        if k in idx:
-            t = idx.index(k)
-            out[idx[:t] + idx[t + 1:]] = g if t % 2 == 0 else -g
-    return FormExpr(a.coframe, a.degree - 1, out)
-
-
 # ---------------------------------------------------------------------------
 # standard gadgets on the rescaled coframe
 
@@ -327,11 +313,6 @@ def dpsi_f_form(c: CoframeSpec) -> FormExpr:
     """d^psi f(X) = -df(psi X) for the almost-complex structure PSI."""
     df = df_form(c)
     return FormExpr(c, 1, {(k,): df.comps[(i,)] * -s for k, (s, i) in PSI.items()})
-
-
-def sigma_bar(c: CoframeSpec, i: int) -> FormExpr:
-    """The anti-self-dual pair form sigma_i of SIGMA."""
-    return c.form(2, SIGMA[i])
 
 
 def omega_bar(c: CoframeSpec, i: int) -> FormExpr:

@@ -23,8 +23,6 @@ from typing import Sequence
 from . import ring
 from .forms import CoframeSpec
 
-CATALOG = ("gH", "kA", "h5", "h3", "h21", "eps6", "eps5")
-
 
 def abs_A_squared(c: CoframeSpec) -> ring.CoefExpr:
     """|A|^2 = sum of squared sigma-coefficients over all fiber legs."""
@@ -86,36 +84,27 @@ def drop_degenerate_legs(c: CoframeSpec, legs: Sequence[int]) -> CoframeSpec:
     return CoframeSpec(c.A[:keep])
 
 
-def contraction_eps6(eps, a=None, b=None, drop: bool = True) -> CoframeSpec:
+def contraction_eps6(eps=0, a=None, b=None, drop: bool = True) -> CoframeSpec:
     c = CoframeSpec(_h5_rows(a, b) + [[0, 0, eps]])
     if drop and not c.A[2][2]:
         return drop_degenerate_legs(c, [7])
     return c
 
 
-def contraction_eps5(eps, a1=None, a2=None, a3=None, drop: bool = True) -> CoframeSpec:
+def contraction_eps5(eps=0, a1=None, a2=None, a3=None, drop: bool = True) -> CoframeSpec:
     c = CoframeSpec([_h21_row(a1, a2, a3), [0, eps, 0], [0, 0, eps]])
     if drop and not c.A[1][1]:
         return drop_degenerate_legs(c, [6, 7])
     return c
 
 
-def build_coframe(catalog_id: str, **params) -> CoframeSpec:
-    if catalog_id == "gH":
-        return quaternionic_heisenberg()
-    if catalog_id == "kA":
-        return k_a(params.get("A"))
-    if catalog_id == "h5":
-        return h5(params.get("a"), params.get("b"))
-    if catalog_id == "h3":
-        return h3(params.get("a"))
-    if catalog_id == "h21":
-        return h21(params.get("a1"), params.get("a2"), params.get("a3"))
-    if catalog_id == "eps6":
-        return contraction_eps6(params.get("eps", 0), params.get("a"), params.get("b"),
-                                params.get("drop", True))
-    if catalog_id == "eps5":
-        return contraction_eps5(params.get("eps", 0), params.get("a1"), params.get("a2"),
-                                params.get("a3"), params.get("drop", True))
-    raise ValueError(f"unknown coframe {catalog_id!r}; known: {CATALOG}")
+_BUILDERS = {"gH": quaternionic_heisenberg, "kA": k_a, "h5": h5, "h3": h3, "h21": h21,
+             "eps6": contraction_eps6, "eps5": contraction_eps5}
+CATALOG = tuple(_BUILDERS)
 
+
+def build_coframe(catalog_id: str, **params) -> CoframeSpec:
+    """The catalogue coframe catalog_id; params are its builder's keywords."""
+    if catalog_id not in _BUILDERS:
+        raise ValueError(f"unknown coframe {catalog_id!r}; known: {CATALOG}")
+    return _BUILDERS[catalog_id](**params)

@@ -20,7 +20,12 @@ raw accumulators that are canonicalised once.
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
 one coframe, each piece once.  ``catalogue_geometry`` holds the Geometry of
 each catalogue frame built from the program's own parameters for the life
-of the process.
+of the process; ``build_DB`` reads its gauge connection from the held
+nabla^- of kA or h21.
+
+The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
+``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
+stay because perfbench/tracing.py counts their calls by name; the methods delegate to them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import ring
-from .connection import curvature, koszul, levi_civita, pontryagin4, scalar_curvature
+from .connection import ConnectionForms, curvature, koszul, levi_civita, pontryagin4, scalar_curvature
 from .forms import (
     OMEGA,
     PSI,
@@ -72,11 +77,15 @@ class G2Structure:
     star_theta: FormExpr
 
     def residuals(self) -> dict[str, FormExpr]:
-        r1, r2 = check_integrable_pure(self)
-        return {"coclosed": r1, "pure_type": r2}
+        """d star Theta - 2 df wedge star Theta and d Theta wedge Theta."""
+        two_df = df_form(self.coframe) * 2
+        return {"coclosed": exterior_derivative(self.star_theta) - two_df.wedge(self.star_theta),
+                "pure_type": exterior_derivative(self.theta).wedge(self.theta)}
 
     def torsion(self) -> FormExpr:
-        return torsion_3form(self)
+        """T = star(2 df wedge Theta - d Theta)."""
+        two_df = df_form(self.coframe) * 2
+        return hodge_star(two_df.wedge(self.theta) - exterior_derivative(self.theta))
 
     @cached_property
     def contractions(self) -> dict[tuple, tuple]:
@@ -122,20 +131,6 @@ def build_g2(c: CoframeSpec) -> G2Structure:
         + c.basis(5, 6, 7)
     )
     return G2Structure(c, theta, hodge_star(theta))
-
-
-def check_integrable_pure(g: G2Structure) -> tuple[FormExpr, FormExpr]:
-    """Residuals (d star Theta - 2 df wedge star Theta, d Theta wedge Theta)."""
-    c = g.coframe
-    r1 = exterior_derivative(g.star_theta) - (df_form(c) * 2).wedge(g.star_theta)
-    r2 = exterior_derivative(g.theta).wedge(g.theta)
-    return r1, r2
-
-
-def torsion_3form(g: G2Structure) -> FormExpr:
-    """T = star(2 df wedge Theta - d Theta)."""
-    c = g.coframe
-    return hodge_star((df_form(c) * 2).wedge(g.theta) - exterior_derivative(g.theta))
 
 
 def _contract(curv, project, endomorphism: bool) -> dict[tuple, ring.CoefExpr]:
@@ -234,11 +229,6 @@ def su2_structure_residuals(s: SU2Structure) -> dict[str, FormExpr]:
     return out
 
 
-def psi_image(k: int) -> tuple[int, int]:
-    """(sign, index) of psi ebar_k; (0, 0) when psi kills the vector."""
-    return PSI.get(k, (0, 0))
-
-
 def su2_instanton_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
     """Self-dual and mixed components of each curvature entry.
 
@@ -264,14 +254,14 @@ def psi_compatibility_residuals(om: FormExpr) -> dict[str, ring.CoefExpr]:
     out = {}
     trace = ring.CoefExpr()
     for k in range(1, 6):
-        sk, ik = psi_image(k)
+        sk, ik = PSI.get(k, (0, 0))
         if sk:
             trace = trace + om.value_at(k, ik) * sk
     out["trace"] = trace
     for k in range(1, 6):
         for l in range(k + 1, 6):
-            sk, ik = psi_image(k)
-            sl, il = psi_image(l)
+            sk, ik = PSI.get(k, (0, 0))
+            sl, il = PSI.get(l, (0, 0))
             lhs = om.value_at(ik, il) * (sk * sl) if sk and sl else ring.CoefExpr()
             diff = lhs - om.value_at(k, l)
             if diff:
@@ -405,6 +395,29 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
     from outside input goes through geometry() and is freed with its report.
     """
     return geometry(build_coframe(catalog_id, **params))
+
+
+def build_DB(B, c: CoframeSpec) -> ConnectionForms:
+    """The nabla^- coefficient formulas with the fiber matrix replaced by B.
+
+    Read from nabla^- of the symbolic member of the same family, kA (3 fiber
+    rows) or h21 (1 row), whose geometry the process holds, by substituting
+    the symbolic entries, so no connection table is hard-coded.  The held
+    forms are never mutated: substitute makes copies.
+    """
+    if c.dim not in (5, 7):
+        raise DimensionMismatch("build_DB supports dims 7 and 5")
+    nrows = c.dim - 4
+    rows = B if isinstance(B[0], (list, tuple)) else [B]
+    if len(rows) != nrows or any(len(r) != 3 for r in rows):
+        raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
+    wm = catalogue_geometry("kA" if nrows == 3 else "h21").minus
+    # each entry of the twin's A is one symbol; B's entry takes its place
+    mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
+               for sym in x.symbols()}
+    # the twin's forms carried over to c, which has its dimension
+    return ConnectionForms(c, {pair: FormExpr(c, 1, wm.entries[pair].substitute(mapping).comps)
+                               for pair in wm.entries})
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ def max_error(errors) -> float:
     return reduce(worst_of, errors, 0.0)
 
 
+def _central_difference(e: CoefExpr, assign: Callable, x, i: int, step: float) -> float:
+    """(e(x + step e_i) - e(x - step e_i)) / (2 step)."""
+    xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
+    xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
+    return (e.evaluate(assign(xp)) - e.evaluate(assign(xm))) / (2 * step)
+
+
 def fd_partial_check(
     expr: CoefExpr,
     assign: Callable,
@@ -114,9 +121,7 @@ def fd_partial_check(
         base = assign(x)
         for i in coords:
             sym = parts[i].evaluate(base)
-            xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
-            xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
-            fd = (expr.evaluate(assign(xp)) - expr.evaluate(assign(xm))) / (2 * step)
+            fd = _central_difference(expr, assign, x, i, step)
             worst = worst_of(worst, abs(sym - fd) / (1.0 + abs(sym)))
     return worst
 
@@ -159,9 +164,7 @@ def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float = DEFAULT_S
         for i in COORDS:
             if i in J:
                 continue
-            xp = tuple(cc + (step if k == i - 1 else 0.0) for k, cc in enumerate(x))
-            xm = tuple(cc - (step if k == i - 1 else 0.0) for k, cc in enumerate(x))
-            fd = (coef.evaluate(assign(xp)) - coef.evaluate(assign(xm))) / (2 * step)
+            fd = _central_difference(coef, assign, x, i, step)
             weight = math.exp(-c.weights[i - 1] * fval)
             merged = tuple(sorted((i,) + J))
             sign = 1

@@ -21,7 +21,6 @@ once, so at a float point they run on floats alone.
 
 from __future__ import annotations
 
-import inspect
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -269,12 +268,13 @@ def profile(name: str, **params) -> DilatonProfile:
     if name not in _BUILDERS:
         raise BadParams(f"unknown profile {name!r}; choose from {PROFILES}")
     build = _BUILDERS[name]
-    takes = inspect.signature(build).parameters
+    code = build.__code__  # the builders take plain positional-or-keyword parameters
+    takes = code.co_varnames[:code.co_argcount]
     for key in params:
         if key not in takes:
             raise BadParams(f"{name}: unknown parameter {key!r} (takes {', '.join(takes)})")
-    for key, par in takes.items():
-        if par.default is par.empty and key not in params:
+    for key in takes[:len(takes) - len(build.__defaults__ or ())]:
+        if key not in params:
             raise BadParams(f"{name}: missing parameter {key!r}")
     try:
         return build(**params)

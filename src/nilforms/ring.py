@@ -510,8 +510,11 @@ def exact(x) -> CoefExpr:
     The one reading of config and constructor numbers.  A CoefExpr or
     Rational goes through coerce(), a string through Fraction ("1/2").  A
     float is the rational of denominator <= 10^9 it round-trips from
-    (0.1 -> 1/10); any other float raises ValueError.
+    (0.1 -> 1/10); any other float raises ValueError.  A bool raises
+    TypeError: JSON's true is no number.
     """
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is no number")
     if isinstance(x, float):
         q = Fraction(x).limit_denominator(10**9)
         if float(q) != x:
@@ -590,6 +593,16 @@ def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
 
 def flat_laplacian(e: CoefExpr) -> CoefExpr:
     return sum_exprs(e.partial(i).partial(i) for i in COORDS)
+
+
+def lap_e2f() -> CoefExpr:
+    """Flat Laplacian of e^{2f}."""
+    return flat_laplacian(expf(2))
+
+
+def lap_e_m2f() -> CoefExpr:
+    """Flat Laplacian of e^{-2f}."""
+    return flat_laplacian(expf(-2))
 
 
 def grad_square() -> CoefExpr:

@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import cache
 
 from . import anomaly, numeric, ring
-from .connection import build_DB, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
+from .connection import build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import FormExpr, wedge
 from .frames import abs_A_squared, build_coframe
-from .gstruct import catalogue_geometry, geometry, scalar_identity_residual
+from .gstruct import build_DB, catalogue_geometry, geometry, scalar_identity_residual
 from .profiles import BadParams, profile
 from .report import SCENARIOS, _sanitize, strict_json
 from .ring import CoefExpr, const, rat
@@ -124,7 +124,7 @@ def _residuals_vanish(geo):
 
 def _onshell_factor(absA2: CoefExpr) -> CoefExpr:
     """lap e^{2f} + 2|A|^2, the factor of every on-shell-vanishing residual."""
-    return anomaly.lap_e2f() + rat(2) * absA2
+    return ring.lap_e2f() + rat(2) * absA2
 
 
 def _torsion_chain(geo):
@@ -227,10 +227,6 @@ def _number(value) -> Fraction | None:
         return None
 
 
-def _is_number(value) -> bool:
-    return _number(value) is not None
-
-
 def _fits(value, default, entry) -> bool:
     """value nests like default, with its lengths, and entry accepts each leaf."""
     if isinstance(default, list):
@@ -261,9 +257,10 @@ def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1)
         elif key == "npoints":
             ok, want = _is_int(value) and value >= min_points, f"an integer >= {min_points}"
         elif key == "alphaP":
-            ok, want = _is_number(value) and _number(value) > 0, "a positive number"
+            ok, want = _number(value) is not None and _number(value) > 0, "a positive number"
         else:  # lam, B
-            ok, want = _fits(value, default, _is_number), f"numbers shaped like {default}"
+            ok = _fits(value, default, lambda v: _number(v) is not None)
+            want = f"numbers shaped like {default}"
         if not ok:
             raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
         out.append(_number(value) if key == "alphaP" else value)
@@ -403,7 +400,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
     absA2 = abs_A_squared(csym)
     db = build_DB(B, csym)
-    factor_db = anomaly.lap_e2f() + rat(2) * rat(absB2)
+    factor_db = ring.lap_e2f() + rat(2) * rat(absB2)
 
     _ck(checks, "gauge-instanton-condition",
         lambda: _factor_through(geo.structure.instanton_residual(curvature(db)), factor_db))
@@ -417,7 +414,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
     def _p1_difference():
         diff = geo.p1_minus - pontryagin4(curvature(db))
-        want = ((absA2 - rat(absB2)) * anomaly.lap_e_m2f() * rat(-3)).scale_expf(-4)
+        want = ((absA2 - rat(absB2)) * ring.lap_e_m2f() * rat(-3)).scale_expf(-4)
         got = diff.comps.get((1, 2, 3, 4), ring.ZERO)
         pure = all(idx == (1, 2, 3, 4) for idx in diff.comps)
         ok = pure and got == want
@@ -433,8 +430,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         # measured from the engine polynomials on the c = 1 profile
         prof1 = profile("fundamental", c=1)
         pts = _rational_points(seed)
-        lap_p = anomaly.lap_e2f()
-        lap_m = anomaly.lap_e_m2f()
+        lap_p = ring.lap_e2f()
+        lap_m = ring.lap_e_m2f()
         harm = []
         k_vals = set()
         for x in pts:
@@ -468,7 +465,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
     def _harmonic():
         prof = profile("fundamental", alphaP=alphaP)
-        lap_p = anomaly.lap_e2f()
+        lap_p = ring.lap_e2f()
         vals = []
         for x in _rational_points(seed + 1):
             g, jets = prof.jets_exact(x)

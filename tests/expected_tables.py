@@ -6,8 +6,9 @@ pipeline against an independent record rather than against itself.
 """
 from __future__ import annotations
 
+from naive_forms import sigma_bar
 from nilforms import ring
-from nilforms.forms import sigma_bar
+from nilforms.frames import abs_A_squared
 
 f = ring.jet
 ef = ring.expf
@@ -180,7 +181,4 @@ def torsion_fixture(c):
 
 def torsion_divergence_fixture(c):
     """d of the torsion fixture: -(lap e^{2f} + 2|A|^2) e^{-4f} ebar^{1234}."""
-    from nilforms.anomaly import lap_e2f
-    from nilforms.frames import abs_A_squared
-
-    return c.form(4, {(1, 2, 3, 4): -((lap_e2f() + rat(2) * abs_A_squared(c)).scale_expf(-4))})
+    return c.form(4, {(1, 2, 3, 4): -((ring.lap_e2f() + rat(2) * abs_A_squared(c)).scale_expf(-4))})

@@ -6,7 +6,8 @@ summed into the result with ``+``.  The merge sign is counted here from
 inversions, so a sign dropped anywhere in ``nilforms.forms`` cannot cancel
 out of a comparison with these.  The float evaluation, the ball's float jets
 and the G2/SU(2) projections are the per-call loops the cached plans and
-tables replaced, with every float operation in the same order.
+tables replaced, with every float operation in the same order.  The
+interior product and the sigma_i pair forms are used by the tests alone.
 """
 from __future__ import annotations
 
@@ -14,7 +15,22 @@ import math
 from fractions import Fraction
 
 from nilforms import ring
-from nilforms.forms import OMEGA
+from nilforms.forms import OMEGA, SIGMA
+
+
+def interior(a, k: int):
+    """Contraction with the frame vector ebar_k."""
+    out = {}
+    for idx, g in a.comps.items():
+        if k in idx:
+            t = idx.index(k)
+            out[idx[:t] + idx[t + 1:]] = g if t % 2 == 0 else -g
+    return a.coframe.form(a.degree - 1, out)
+
+
+def sigma_bar(c, i: int):
+    """The anti-self-dual pair form sigma_i of SIGMA."""
+    return c.form(2, SIGMA[i])
 
 
 def naive_wedge(a, b):

@@ -12,9 +12,8 @@ import time
 from fractions import Fraction
 
 import expected_tables as tables
-from naive_forms import riemann
+from naive_forms import interior, riemann
 from nilforms import anomaly, ring
-from nilforms.anomaly import lap_e2f, lap_e_m2f
 from nilforms.connection import (
     build_instanton_DLambda,
     curvature,
@@ -30,7 +29,7 @@ from nilforms.elliptic import (
     half_period_agm,
     weierstrass_p,
 )
-from nilforms.forms import exterior_derivative, hodge_star, interior
+from nilforms.forms import exterior_derivative, hodge_star
 from nilforms.frames import (
     abs_A_squared,
     h3,
@@ -49,7 +48,7 @@ from nilforms.gstruct import (
     su2_instanton_residual,
 )
 from nilforms.profiles import profile
-from nilforms.ring import const, expf, jet, rat
+from nilforms.ring import const, expf, jet, lap_e2f, lap_e_m2f, rat
 from nilforms.scenarios import run_scenario
 
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from nilforms import ring
 from nilforms.connection import (
-    build_DB,
     build_instanton_DLambda,
     curvature,
     koszul,
@@ -34,7 +33,7 @@ from nilforms.frames import (
     k_a,
     quaternionic_heisenberg,
 )
-from nilforms.gstruct import direct_torsion
+from nilforms.gstruct import build_DB, direct_torsion
 
 CATALOGUE = {
     "gH": quaternionic_heisenberg,

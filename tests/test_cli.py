@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -79,12 +80,16 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
         ("thm-5d-positive", {"alphaP": -1}, "'alphaP'"),
         ("thm-7d-negative", {"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "'lamda'"),
         ("thm-5d-positive", {"B": [0.1 + 0.2, 0, 0]}, "'B'"),
+        ("thm-5d-positive", {"B": [True, False, False]}, "'B'"),
+        ("thm-5d-positive", {"alphaP": True}, "'alphaP'"),
+        ("thm-5d-negative", {"lam": [True, 0, 0]}, "'lam'"),
     ],
     ids=[
         "A-not-a-matrix", "npoints-zero", "7d-negative-npoints-one", "7d-negative-npoints-zero",
         "7d-negative-A-not-a-matrix", "7d-negative-lam-not-numbers", "5d-positive-A-not-a-matrix",
         "5d-positive-B-not-numbers", "5d-positive-alphaP-negative", "7d-negative-unread-key",
-        "5d-positive-B-unreadable-float",
+        "5d-positive-B-unreadable-float", "5d-positive-B-booleans", "5d-positive-alphaP-boolean",
+        "5d-negative-lam-boolean",
     ],
 )
 def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, scenario, config, key):
@@ -295,6 +300,23 @@ def test_crosscheck_with_a_nan_error_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nan" in err
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("1e300", "reaches the singular set"),  # once an elliptic.AtPole traceback
+        ("1e-320", "does not move the sample point"),  # once passed: x +- h == x, every difference 0
+    ],
+    ids=["step-reaches-the-pole", "step-moves-nothing"],
+)
+def test_crosscheck_step_that_breaks_the_stencil_exits_two(step, message, capsys):
+    rc, out, err = run_cli(
+        ["crosscheck", "--profile", "weierstrass", "--params", "d=1,alpha=1", "--expr", "theta-d",
+         "--step", step], capsys
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: weierstrass: --step ") and err.count("\n") == 1 and message in err
+
+
 def test_crosscheck_unknown_expr(capsys):
     rc, _out, err = run_cli(
         ["crosscheck", "--profile", "ball", "--params", "absA2=3", "--expr", "curl"], capsys
@@ -376,19 +398,52 @@ def test_cli_import_needs_no_third_party_package():
 
 
 def test_only_verify_loads_the_scenario_machinery():
+    # what neither the import nor dump-profile nor a scalar crosscheck needs
+    unused = ("nilforms.anomaly", "nilforms.gstruct", "nilforms.connection", "nilforms.frames",
+              "nilforms.scenarios", "inspect", "dataclasses")
     probe = (
         "import contextlib, io, sys\n"
+        f"unused = {unused!r}\n"
         "from nilforms import cli\n"
+        "loaded = [[m for m in unused if m in sys.modules]]\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    codes = [cli.main(['dump-profile', '--profile', 'ball', '--params', 'absA2=3', '--grid', '4']),\n"
-        "             cli.main(['crosscheck', '--profile', 'ball', '--params', 'absA2=3', '--expr', 'lap-e2f',\n"
-        "                       '--points', '4']),\n"
-        "             cli.main(['verify', '--scenario', 'nope'])]\n"
+        "    codes = [cli.main(['dump-profile', '--profile', 'ball', '--params', 'absA2=3', '--grid', '4'])]\n"
+        "    loaded.append([m for m in unused if m in sys.modules])\n"
+        "    codes.append(cli.main(['crosscheck', '--profile', 'ball', '--params', 'absA2=3', '--expr', 'lap-e2f',\n"
+        "                           '--points', '4']))\n"
+        "    loaded.append([m for m in unused if m in sys.modules])\n"
+        "    codes.append(cli.main(['verify', '--scenario', 'nope']))\n"
+        "print(loaded)\n"
         "print(codes, 'nilforms.scenarios' in sys.modules)\n"
         "cli.main(['verify', '--scenario', 'contraction-5d'])\n"
         "print('nilforms.scenarios' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[0, 0, 2] False"
-    assert proc.stdout.splitlines()[-1] == "True"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[[], [], []]"  # after the import, after dump-profile, after crosscheck
+    assert lines[1] == "[0, 0, 2] False"
+    assert lines[-1] == "True"
+
+
+# sha256 of the stdout of PINNED_ARGV, concatenated in order.  A change that
+# should leave the CLI's output alone must leave this digest alone.
+PINNED_SHA256 = "a7a1ad6dd734a8bafdb231f358dc6461873c8a4745faacdf8a1cc8878ea025c2"
+PINNED_ARGV = [
+    ["dump-profile", "--profile", name, "--params", params, "--grid", "16"]
+    for name, params in (("weierstrass", "d=1,alpha=1"), ("ball", "absA2=3"), ("fundamental", "c=1"),
+                         ("constant", "f0=0"))
+] + [
+    ["crosscheck", "--profile", name, "--params", params, "--expr", expr, "--points", "4"]
+    for name, params in (("ball", "absA2=3"), ("fundamental", "c=1")) for expr in cli.CROSSCHECKS
+]
+
+
+def test_cli_output_bytes_are_pinned(capsys):
+    assert len(PINNED_ARGV) == 16
+    digest = hashlib.sha256()
+    for argv in PINNED_ARGV:
+        rc, out, _err = run_cli(argv, capsys)
+        assert rc == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_SHA256

@@ -16,17 +16,17 @@ from hypothesis import given, settings, strategies as st
 import expected_tables as tables
 from naive_forms import (
     first_structure_residual,
+    interior,
     naive_curvature,
     naive_pontryagin4,
     naive_torsion_connection,
     riemann,
+    sigma_bar,
     torsion_slice,
 )
 from nilforms import ring
-from nilforms.anomaly import lap_e_m2f
 from nilforms.connection import (
     CurvatureForms,
-    build_DB,
     build_instanton_DLambda,
     curvature,
     koszul,
@@ -36,10 +36,10 @@ from nilforms.connection import (
     levi_civita,
     pontryagin4,
 )
-from nilforms.forms import CoframeSpec, DimensionMismatch, exterior_derivative, interior, sigma_bar
+from nilforms.forms import CoframeSpec, DimensionMismatch, exterior_derivative
 from nilforms.frames import abs_A_squared, contraction_eps5, h5, h21, k_a
-from nilforms.gstruct import direct_torsion
-from nilforms.ring import expf, rat
+from nilforms.gstruct import build_DB, direct_torsion
+from nilforms.ring import expf, lap_e_m2f, rat
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from naive_forms import sigma_bar
 from nilforms import ring
-from nilforms.forms import CoframeSpec, sigma_bar
+from nilforms.forms import CoframeSpec
 from nilforms.frames import (
     CATALOG,
     abs_A_squared,
@@ -129,6 +130,14 @@ def test_build_coframe_contraction_dispatch():
     assert build_coframe("eps5", eps=Fraction(1, 2)).dim == 7
     with pytest.raises(ValueError):
         build_coframe("eps4", eps=0)
+
+
+def test_build_coframe_refuses_a_keyword_its_builder_does_not_take():
+    assert build_coframe("eps6").dim == 6  # eps defaults to 0, as in contraction_eps6
+    with pytest.raises(TypeError):
+        build_coframe("gH", eps=1)
+    with pytest.raises(TypeError):
+        build_coframe("h21", a=1)
 
 
 def test_drop_keeps_the_leading_rows():

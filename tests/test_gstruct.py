@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 import expected_tables as tables
 import naive_forms
 from nilforms import gstruct, ring, scenarios
-from nilforms.anomaly import lap_e2f
 from nilforms.connection import build_instanton_DLambda, curvature, lam_rank, pontryagin4
-from nilforms.forms import CoframeSpec, DimensionMismatch, dpsi_f_form, exterior_derivative, omega_bar, sigma_bar
+from nilforms.forms import PSI, CoframeSpec, DimensionMismatch, dpsi_f_form, exterior_derivative, omega_bar
 from nilforms.frames import abs_A_squared, h5, h21
 from nilforms.gstruct import (
     G2Structure,
@@ -23,20 +22,17 @@ from nilforms.gstruct import (
     build_su2,
     build_su3,
     catalogue_geometry,
-    check_integrable_pure,
     direct_torsion,
     g2_holonomy_residual,
     g2_instanton_residual,
     geometry,
     psi_compatibility_residuals,
-    psi_image,
     scalar_identity_residual,
     structure,
     su2_holonomy_residual,
     su2_instanton_residual,
     su2_structure_residuals,
     su3_structure_residuals,
-    torsion_3form,
     torsion_norm_squared,
 )
 from nilforms.report import SCENARIOS
@@ -45,7 +41,7 @@ from nilforms.scenarios import run_scenario
 
 def _onshell_factor(c):
     """The scalar that multiplies every on-shell-vanishing residual."""
-    return lap_e2f() + ring.rat(2) * abs_A_squared(c)
+    return ring.lap_e2f() + ring.rat(2) * abs_A_squared(c)
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +60,13 @@ def test_g2_requires_seven_legs(h21_sym):
 
 
 def test_g2_is_integrable_pure(ka):
-    r1, r2 = check_integrable_pure(build_g2(ka))
-    assert not r1 and not r2
+    res = build_g2(ka).residuals()
+    assert sorted(res) == ["coclosed", "pure_type"] and not any(res.values())
 
 
 def test_torsion_routes_agree(ka, ka_family):
     T, _lc, _wm, _wp = ka_family
-    hodge_route = torsion_3form(build_g2(ka))
+    hodge_route = build_g2(ka).torsion()
     assert not (hodge_route - T)
     assert not (T - tables.torsion_fixture(ka))
 
@@ -152,16 +148,13 @@ def test_su2_gauge_triple_is_instanton(h21_sym):
 # psi compatibility
 
 def test_psi_image_table():
-    assert psi_image(1) == (-1, 2)
-    assert psi_image(2) == (1, 1)
-    assert psi_image(3) == (-1, 4)
-    assert psi_image(4) == (1, 3)
-    assert psi_image(5) == (0, 0)
+    # psi ebar_k = sign * ebar_image on the horizontal legs; psi kills ebar_5
+    assert PSI == {1: (-1, 2), 2: (1, 1), 3: (-1, 4), 4: (1, 3)}
 
 
 def test_psi_compatibility_on_basis_forms(h21_sym):
     for m in (1, 2, 3):
-        res = psi_compatibility_residuals(sigma_bar(h21_sym, m))
+        res = psi_compatibility_residuals(naive_forms.sigma_bar(h21_sym, m))
         assert all(not v for v in res.values())
     res = psi_compatibility_residuals(omega_bar(h21_sym, 1))
     assert res["trace"] == ring.rat(-4)
@@ -229,8 +222,7 @@ def test_structure_interface_reads_the_module_residuals(ka, ka_curvatures, h21_s
         assert s.holonomy_residual(cm) == holonomy(cm, build(c))
         assert s.holonomy_residual(cp) == {}
         assert s.torsion() == direct_torsion(c)
-    g = structure(ka)
-    assert list(g.residuals().values()) == list(check_integrable_pure(g))
+    assert structure(ka).residuals() == build_g2(ka).residuals()
     assert structure(h21_sym).residuals() == su2_structure_residuals(build_su2(h21_sym))
 
 

@@ -12,11 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import naive_forms
 from nilforms import ring
-from nilforms.anomaly import lap_e2f
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
 from nilforms.profiles import PROFILES, BadParams, profile
-from nilforms.ring import jet_sym
+from nilforms.ring import jet_sym, lap_e2f
 from nilforms.scenarios import _rational_points
 
 

@@ -528,6 +528,12 @@ def test_exact_reads_a_float_as_the_short_rational_it_round_trips_from():
         ring.exact([1])
 
 
+def test_exact_refuses_a_bool():
+    for flag in (True, False):  # JSON's true and false are no numbers, though bool subclasses int
+        with pytest.raises(TypeError):
+            ring.exact(flag)
+
+
 # ---------------------------------------------------------------------------
 # the packed monomial key: products, field limits, interning order
 
