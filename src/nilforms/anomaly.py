@@ -211,13 +211,10 @@ def _u_rhs(absA2, mu: int, ma: int) -> CoefExpr:
     return pref * bracket
 
 
-def weierstrass_cubic_match(absA2=None) -> CoefExpr:
+def weierstrass_cubic_match() -> CoefExpr:
     """Difference between the cleared u-form of solv4_lhs with
     |A|^2 = (4/3) alpha^2 d^2 and (alpha^4 u'/4)(4u^3 - 4 d^2 u - u'^2)."""
-    if absA2 is None:
-        absA2 = const("absA2")
-    a2 = _coef(absA2)
-    P, mu, ma = to_u_polynomial(solv4_lhs(a2))
+    P, mu, ma = to_u_polynomial(solv4_lhs(const("absA2")))
     dd = const("d") ** 2
     P2 = P.substitute({"absA2": rat(4, 3) * const("alpha") ** 2 * dd})
     U, U1, AL = const("u"), const("u1"), const("alpha")

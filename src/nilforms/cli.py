@@ -117,8 +117,11 @@ def _parse_params(spec: str | None) -> dict:
         if "=" not in item:
             raise ConfigError(f"bad --params entry {item!r} (need k=v)")
         key, val = item.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"repeated --params key {key!r}")
         try:
-            out[key.strip()] = float(Fraction(val.strip()))
+            out[key] = float(Fraction(val.strip()))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad numeric value in --params: {item!r}") from exc
     return out

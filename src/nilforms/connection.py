@@ -67,7 +67,7 @@ class _FormMatrix:
 
 
 class ConnectionForms(_FormMatrix):
-    degree = 1
+    """The connection 1-forms omega^i_j."""
 
 
 class CurvatureForms(_FormMatrix):

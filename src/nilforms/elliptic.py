@@ -23,7 +23,7 @@ _SERIES_KMAX = 8          # Laurent terms up to z^(2k-2) = z^14
 _SERIES_RADIUS = 0.25     # fraction of tau+ where the series is trusted
 _POLE_TOL = 1e-9          # fraction of tau+ treated as "at the pole"
 
-_tau_cache: dict[float, float] = {}
+_GAMMA_QUARTER_SQ = math.gamma(0.25) ** 2
 _coef_cache: dict[float, list[float]] = {}
 
 
@@ -32,9 +32,7 @@ def half_period(d: float) -> float:
     d = float(d)
     if d <= 0:
         raise ValueError("half_period needs d > 0")
-    if d not in _tau_cache:
-        _tau_cache[d] = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(2.0 * math.pi * d))
-    return _tau_cache[d]
+    return _GAMMA_QUARTER_SQ / (4.0 * math.sqrt(2.0 * math.pi * d))
 
 
 def half_period_agm(d: float) -> float:
@@ -48,22 +46,18 @@ def half_period_agm(d: float) -> float:
     return K / math.sqrt(2.0 * float(d))
 
 
-def laurent_coefficients(d: float, kmax: int = _SERIES_KMAX) -> list[float]:
-    """c_k for p(z) = z^-2 + sum_{k>=2} c_k z^{2k-2} (index = position k)."""
+def laurent_coefficients(d: float) -> list[float]:
+    """c_k for p(z) = z^-2 + sum_{k>=2} c_k z^{2k-2} (index = position k), k <= _SERIES_KMAX."""
     d = float(d)
-    key = d
-    if key in _coef_cache and len(_coef_cache[key]) > kmax:
-        return _coef_cache[key]
+    if d in _coef_cache:
+        return _coef_cache[d]
     g2 = 4.0 * d * d
-    c = [0.0] * (kmax + 1)
-    if kmax >= 2:
-        c[2] = g2 / 20.0
-    if kmax >= 3:
-        c[3] = 0.0  # g3 = 0
-    for k in range(4, kmax + 1):
+    c = [0.0] * (_SERIES_KMAX + 1)
+    c[2] = g2 / 20.0  # c[3] stays 0: g3 = 0
+    for k in range(4, _SERIES_KMAX + 1):
         s = sum(c[m] * c[k - m] for m in range(2, k - 1))
         c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    _coef_cache[key] = c
+    _coef_cache[d] = c
     return c
 
 

@@ -196,11 +196,8 @@ class FormExpr:
             return ring.ZERO
         return coef if _perm_sign(tuple(indices)) > 0 else -coef
 
-    def map_coefs(self, fn) -> "FormExpr":
-        return FormExpr(self.coframe, self.degree, {i: fn(c) for i, c in self.comps.items()})
-
     def substitute(self, mapping) -> "FormExpr":
-        return self.map_coefs(lambda c: c.substitute(mapping))
+        return FormExpr(self.coframe, self.degree, {i: c.substitute(mapping) for i, c in self.comps.items()})
 
     def __repr__(self) -> str:
         if not self.comps:
@@ -247,10 +244,6 @@ def _form(c: CoframeSpec, degree: int, parts: dict) -> FormExpr:
 
 # ---------------------------------------------------------------------------
 # calculus operators
-
-def wedge(a: FormExpr, b: FormExpr) -> FormExpr:
-    return a.wedge(b)
-
 
 def exterior_derivative(a: FormExpr) -> FormExpr:
     """da, accumulated by _d_into and canonicalised once per component."""

@@ -11,7 +11,7 @@ import random
 from functools import reduce
 from typing import Callable, Sequence
 
-from .forms import FormExpr, exterior_derivative, wedge
+from .forms import FormExpr, exterior_derivative
 from .profiles import DilatonProfile
 from .ring import COORDS, CoefExpr, as_symbol, jet_sym
 
@@ -29,9 +29,9 @@ def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | No
     return assi
 
 
-def assigner(prof: DilatonProfile, consts: dict | None = None) -> Callable:
+def assigner(prof: DilatonProfile) -> Callable:
     """x -> assignment closure for repeated evaluation."""
-    return lambda x: build_assignment(prof, x, consts)
+    return lambda x: build_assignment(prof, x)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +74,8 @@ def halton_points(n: int, seed: int, box, accept: Callable | None = None, max_ro
     raise RuntimeError(f"could not find {n} admissible sample points")
 
 
-def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None, min_dist: float = 1e-3):
-    """Deterministic points inside the profile domain, min_dist from the
+def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None):
+    """Deterministic points inside the profile domain, at least 1e-3 from the
     singular set."""
     if box is None:
         box = ((-0.45, 0.45),) * 4
@@ -83,7 +83,7 @@ def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None, m
         n,
         seed,
         box,
-        accept=lambda p: prof.in_domain(p) and prof.singular_distance(p) >= min_dist,
+        accept=lambda p: prof.in_domain(p) and prof.singular_distance(p) >= 1e-3,
     )
 
 
@@ -112,14 +112,13 @@ def fd_partial_check(
     assign: Callable,
     pts,
     step: float = DEFAULT_STEP,
-    coords=COORDS,
 ) -> float:
     """Max relative error of symbolic partial_i(expr) against central FD; nan if any is nan."""
     worst = 0.0
-    parts = {i: expr.partial(i) for i in coords}
+    parts = {i: expr.partial(i) for i in COORDS}
     for x in pts:
         base = assign(x)
-        for i in coords:
+        for i in COORDS:
             sym = parts[i].evaluate(base)
             fd = _central_difference(expr, assign, x, i, step)
             worst = worst_of(worst, abs(sym - fd) / (1.0 + abs(sym)))
@@ -132,16 +131,16 @@ def _basis_differential(c, J: tuple) -> FormExpr:
     for t, leg in enumerate(J):
         piece = c.dbar(leg)
         for before in reversed(J[:t]):
-            piece = wedge(c.basis(before), piece)
+            piece = c.basis(before).wedge(piece)
         for after in J[t + 1:]:
-            piece = wedge(piece, c.basis(after))
+            piece = piece.wedge(c.basis(after))
         if t % 2:
             piece = -piece
         out = out + piece
     return out
 
 
-def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float = DEFAULT_STEP) -> dict:
+def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float) -> dict:
     """Components of d(a) at x with coefficient derivatives from central FD.
 
     The structure-equation part (d of the basis legs) is evaluated exactly;

@@ -106,9 +106,6 @@ class DilatonProfile:
             raise BadParams(f"{self.name}: point {x!r} outside the domain")
         return self._pjets(x)
 
-    def _f(self, P) -> float:
-        return 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)
-
     def e2f(self, x: Sequence[float]):
         """e^{2f}(x); exact, from the exact jets, at a rational x when the profile is exact."""
         if self.exact and all(isinstance(v, Rational) for v in x):
@@ -116,14 +113,10 @@ class DilatonProfile:
         P = self._jets_of_p(x)[0]
         return self._scale * P if self._s > 0 else self._scale / P
 
-    def value(self, x: Sequence[float]) -> float:
-        """f(x)."""
-        return self._f(self._jets_of_p(x)[0])
-
     def jets(self, x: Sequence[float]) -> dict:
         """{jet symbol: value} for f and its derivatives up to order three."""
         P, Pi, Pij, Pijk = self._jets_of_p(x)
-        out = {_F: self._f(P)}
+        out = {_F: 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)}
         for sym, val in _half_log_jets(P, Pi, Pij, Pijk).items():
             out[sym] = float(val) if self._s > 0 else -float(val)
         return out
@@ -173,6 +166,8 @@ _ZERO3 = {idx: 0 for idx, _ in _J3}
 
 
 def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
+    if alphaP is not None and c is not None:
+        raise BadParams("fundamental: give alphaP or c, not both")
     if c is None:
         if alphaP is None:
             raise BadParams("fundamental: give alphaP (with c = 3 alphaP) or c directly")

@@ -509,15 +509,16 @@ def exact(x) -> CoefExpr:
 
     The one reading of config and constructor numbers.  A CoefExpr or
     Rational goes through coerce(), a string through Fraction ("1/2").  A
-    float is the rational of denominator <= 10^9 it round-trips from
-    (0.1 -> 1/10); any other float raises ValueError.  A bool raises
-    TypeError: JSON's true is no number.
+    float is the decimal it prints as, read exactly (0.1 -> 1/10), when
+    that has denominator <= 10^9; any other float (pi, 1/3, 1e-12, nan,
+    inf) raises ValueError.  A bool raises TypeError: JSON's true is no
+    number.
     """
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is no number")
     if isinstance(x, float):
-        q = Fraction(x).limit_denominator(10**9)
-        if float(q) != x:
+        q = Fraction(repr(x))  # nan and inf raise ValueError here
+        if q.denominator > 10**9:
             raise ValueError(f"{x!r} is no short rational; pass a Fraction or a string")
         x = q
     elif isinstance(x, str):

@@ -19,7 +19,7 @@ from functools import cache
 from . import anomaly, numeric, ring
 from .connection import build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
-from .forms import FormExpr, wedge
+from .forms import FormExpr
 from .frames import abs_A_squared, build_coframe
 from .gstruct import build_DB, catalogue_geometry, geometry, scalar_identity_residual
 from .profiles import BadParams, profile
@@ -89,16 +89,15 @@ def _ck(checks: list, cid: str, fn) -> None:
 # ---------------------------------------------------------------------------
 # shared check bodies
 
-def _forms_all_zero(forms) -> tuple[bool, int]:
-    items = forms.values() if isinstance(forms, dict) else forms
-    bad = sum(1 for f in items if f)
+def _forms_all_zero(forms: dict) -> tuple[bool, int]:
+    bad = sum(1 for f in forms.values() if f)
     return bad == 0, bad
 
 
-def _integrability(c):
-    res = c.integrability_residuals()
-    ok, bad = _forms_all_zero(res)
-    return ok, None, {"legs": len(res), "nonzero": bad}
+def _all_zero(forms: dict, counted: str):
+    """Every value of forms vanishes; the details count them under the key counted, and the nonzero ones."""
+    ok, bad = _forms_all_zero(forms)
+    return ok, None, {counted: len(forms), "nonzero": bad}
 
 
 def _integrable_pure(geo):
@@ -107,19 +106,13 @@ def _integrable_pure(geo):
     res = g.residuals()
     r1, r2 = res["coclosed"], res["pure_type"]
     seven_vol = geo.coframe.form(7, {tuple(range(1, 8)): rat(7)})
-    norm_ok = wedge(g.theta, g.star_theta) == seven_vol
+    norm_ok = g.theta.wedge(g.star_theta) == seven_vol
     ok = (not r1.comps) and (not r2.comps) and norm_ok
     return ok, None, {
         "coclosed_terms": len(r1.comps),
         "pure_type_terms": len(r2.comps),
         "normalization_7vol": norm_ok,
     }
-
-
-def _residuals_vanish(geo):
-    res = geo.structure.residuals()
-    ok, bad = _forms_all_zero(res)
-    return ok, None, {"residuals": len(res), "nonzero": bad}
 
 
 def _onshell_factor(absA2: CoefExpr) -> CoefExpr:
@@ -158,11 +151,6 @@ def _factor_through(entries: dict, factor: CoefExpr):
     return True, None, {"coefficients": total, "nonzero": nonzero}
 
 
-def _instanton_zero(entries: dict):
-    ok, bad = _forms_all_zero(entries)
-    return ok, None, {"entries": len(entries), "nonzero": bad}
-
-
 # ---------------------------------------------------------------------------
 # what differs between the 7-leg (G2) and the 5-leg (SU(2)) theorems
 
@@ -187,7 +175,7 @@ _THEOREMS = {
         rank2_lambda=[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
     ),
     5: _Theorem(
-        "structure-residuals", _residuals_vanish,
+        "structure-residuals", lambda geo: _all_zero(geo.structure.residuals(), "residuals"),
         A=[[1, 1, 1]], lam=[2, -1, 1], B=[0, 0, 0], rank2_lambda=None,
     ),
 }
@@ -208,11 +196,15 @@ def _frame_geometry(dim: int, A=None):
     return geometry(build_coframe(cid, **params))
 
 
-def _frame_checks(checks: list, geo, th: _Theorem) -> None:
+def _theorem_frames(checks: list, dim: int, A_num) -> tuple:
+    """The symbolic and numeric Geometry of a theorem, after the three checks on the symbolic frame."""
+    th = _THEOREMS[dim]
+    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)
     c = geo.coframe
-    _ck(checks, "frame-integrability", lambda: _integrability(c))
+    _ck(checks, "frame-integrability", lambda: _all_zero(c.integrability_residuals(), "legs"))
     _ck(checks, th.structure_check, lambda: th.structure_body(geo))
     _ck(checks, "torsion-chain", lambda: _torsion_chain(geo))
+    return geo, geo_num
 
 
 def _is_int(value) -> bool:
@@ -270,17 +262,17 @@ def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1)
 # ---------------------------------------------------------------------------
 # numeric helpers
 
-def _line_points(tau: float, n: int = 64):
+def _line_points(tau: float, n: int):
     return [(0.1 * tau + 1.8 * tau * k / (n - 1), 0.0, 0.0, 0.0) for k in range(n)]
 
 
-def _rational_points(seed: int, n: int = 5, bound: int = 7):
-    """Deterministic rational sample points away from the origin."""
+def _rational_points(seed: int):
+    """Five deterministic rational sample points away from the origin."""
     pts = []
     s = seed % 97 + 2
-    for k in range(n):
-        num = [((s + 3 * k + i) % bound) + 1 for i in range(4)]
-        den = [((s * (k + 2) + i) % bound) + 2 for i in range(4)]
+    for k in range(5):
+        num = [((s + 3 * k + i) % 7) + 1 for i in range(4)]
+        den = [((s * (k + 2) + i) % 7) + 2 for i in range(4)]
         pts.append(tuple(Fraction(num[i], den[i] + num[i]) for i in range(4)))
     return pts
 
@@ -297,10 +289,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
             raise BadParams("rank2-lambda override applies to the 7D scenario")
         lam = th.rank2_lambda
     values["lam"] = lam
-    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
-
-    _frame_checks(checks, geo, th)
 
     absA2 = abs_A_squared(csym)
     factor = _onshell_factor(absA2)
@@ -310,10 +300,12 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
     dl = build_instanton_DLambda(lam, csym)
-    _ck(checks, "gauge-instanton", lambda: _instanton_zero(geo.structure.instanton_residual(curvature(dl))))
+    _ck(checks, "gauge-instanton",
+        lambda: _all_zero(geo.structure.instanton_residual(curvature(dl)), "entries"))
     _ck(checks, "minus-instanton-factors",
         lambda: _factor_through(geo.structure.instanton_residual(geo.curv_minus), factor))
-    _ck(checks, "plus-holonomy-zero", lambda: _instanton_zero(geo.structure.holonomy_residual(geo.curv_plus)))
+    _ck(checks, "plus-holonomy-zero",
+        lambda: _all_zero(geo.structure.holonomy_residual(geo.curv_plus), "entries"))
 
     lam2 = lam_squared(lam, csym)
     values["p1_volume_reading"] = "unbarred"
@@ -388,22 +380,18 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
 
 def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
-    th = _THEOREMS[dim]
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"))
-    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
     absB2 = sum(_number(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
 
-    _frame_checks(checks, geo, th)
-
     absA2 = abs_A_squared(csym)
     db = build_DB(B, csym)
-    factor_db = ring.lap_e2f() + rat(2) * rat(absB2)
 
     _ck(checks, "gauge-instanton-condition",
-        lambda: _factor_through(geo.structure.instanton_residual(curvature(db)), factor_db))
+        lambda: _factor_through(geo.structure.instanton_residual(curvature(db)), _onshell_factor(rat(absB2))))
 
     def _anomaly_sym():
         r = anomaly.anomaly_residual(csym, const("alphaP"), db)
@@ -476,15 +464,12 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
 
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
-    th = _THEOREMS[dim]
     A_num, npoints = _params(name, dim, config, ("A", "npoints"))
-    geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)  # held to the end
+    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
     absA2q = abs_A_squared(cnum).as_fraction()
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
-
-    _frame_checks(checks, geo, th)
 
     prof = profile("ball", absA2=absA2q)
 
@@ -537,16 +522,15 @@ class _Contraction:
     family: str  # catalogue id of the eps-family
     direct: str  # catalogue id of its eps = 0 frame
     dropped_legs: tuple
-    lam7: list  # Lambda on the full-leg frame
-    lam_direct: list  # the same Lambda on the contracted frame
+    lam7: list  # Lambda on the full-leg frame; zero in the dropped legs' columns
     a_num: dict  # numeric frame parameters of the decay check
 
 
 _CONTRACTIONS = {
     6: _Contraction("eps6", "h5", (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
-                    [[1, 1], [0, 0], [0, 0]], {"a": 1.25, "b": 0.75}),
+                    {"a": 1.25, "b": 0.75}),
     5: _Contraction("eps5", "h21", (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
-                    [1, 2, 0], {"a1": 1.0, "a2": -0.5, "a3": 0.25}),
+                    {"a1": 1.0, "a2": -0.5, "a3": 0.25}),
 }
 
 
@@ -561,7 +545,8 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     c0, c_path, direct = geo0.coframe, geo_path.coframe, geo_direct.coframe
 
     _ck(checks, "family-integrability", lambda: (
-        all(_integrability(family(e, drop=False).coframe)[0] for e in (Fraction(1, 10), Fraction(1, 100), 0)),
+        all(_forms_all_zero(family(e, drop=False).coframe.integrability_residuals())[0]
+            for e in (Fraction(1, 10), Fraction(1, 100), 0)),
         None,
         {},
     ))
@@ -582,7 +567,8 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     def _residual_limit():
         # full-leg frame with the degenerate rows kept, against the contracted frame
         r_path = anomaly.anomaly_residual(c_path, const("alphaP"), ("DLambda", t.lam7))
-        r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", t.lam_direct))
+        lam_direct = [row[:c0.dim - 4] for row in t.lam7]  # the same Lambda on the contracted frame
+        r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", lam_direct))
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
     _ck(checks, "contracted-anomaly-equals-direct", _residual_limit)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilforms import anomaly, numeric, ring
+from nilforms import numeric, ring
 from nilforms.anomaly import (
     ConstraintViolated,
     anomaly_residual,
@@ -246,7 +246,6 @@ def test_u_identity_holds_exactly():
 
 def test_weierstrass_cubic_match_is_exact():
     assert not weierstrass_cubic_match()
-    assert not weierstrass_cubic_match(const("absA2"))
 
 
 # ---------------------------------------------------------------------------

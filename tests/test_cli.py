@@ -191,6 +191,9 @@ def test_dump_profile_bad_params(capsys):
          "weierstrass: missing parameter 'alpha'"),
         (["dump-profile", "--profile", "fundamental", "--params", "alpha=1"],
          "fundamental: unknown parameter 'alpha' (takes alphaP, c, center)"),
+        (["dump-profile", "--profile", "fundamental", "--params", "c=1,alphaP=2"],
+         "fundamental: give alphaP or c, not both"),
+        (["dump-profile", "--profile", "fundamental", "--params", "c=1,c=2"], "repeated --params key 'c'"),
     ],
 )
 def test_profile_parameter_errors_name_the_parameter(argv, message, capsys):

@@ -33,7 +33,6 @@ from nilforms.connection import (
     lam_A_product,
     lam_rank,
     lam_squared,
-    levi_civita,
     pontryagin4,
 )
 from nilforms.forms import CoframeSpec, DimensionMismatch, exterior_derivative

@@ -18,7 +18,6 @@ from nilforms.forms import (
     hodge_star,
     hodge_star_horizontal,
     omega_bar,
-    wedge,
 )
 from nilforms.frames import h5, h21, quaternionic_heisenberg
 from nilforms.ring import const, expf, jet, rat

@@ -521,7 +521,7 @@ def test_exact_reads_a_float_as_the_short_rational_it_round_trips_from():
     assert ring.exact(0.1) == rat(1, 10) and ring.exact(-2.5) == rat(-5, 2)
     assert ring.exact("1/3") == rat(1, 3) and ring.exact(Fraction(2, 6)) == rat(1, 3)
     assert ring.exact(4) == rat(4)
-    for bad in (0.1 + 0.2, 1e-12, float("nan")):  # no rational of denominator <= 10^9 gives it back
+    for bad in (0.1 + 0.2, 1e-12, float("nan"), float("inf"), math.pi, 1 / 3):  # no short decimal
         with pytest.raises(ValueError):
             ring.exact(bad)
     with pytest.raises(TypeError):
