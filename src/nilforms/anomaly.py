@@ -13,12 +13,13 @@ the Weierstrass cubic.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import ring
-from .connection import build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
-from .forms import FormExpr
+from .connection import ConnectionForms, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
+from .forms import DimensionMismatch, FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import build_DB, geometry
+from .gstruct import build_DB, catalogue_geometry, geometry
 from .profiles import BadParams
 from .ring import CoefExpr, const, expf, jet, lap_e2f, lap_e_m2f, rat
 
@@ -28,40 +29,95 @@ class ConstraintViolated(Exception):
 
 
 # ---------------------------------------------------------------------------
-# the anomaly residual
+# the gauge connection and the anomaly residual
 
-def gauge_connection(c: CoframeSpec, instanton):
-    """Build the auxiliary connection named by ('DLambda', rows) / ('DB', rows).
+class Gauge:
+    """The auxiliary connection D named by ('DLambda', rows) or ('DB', rows) on one coframe.
 
-    An already-built connection matrix passes through unchanged.
+    Its connection, curvature, p1, instanton residual and anomaly residual
+    (alphaP symbolic) are each derived on first use and then kept.  D_Lambda
+    is built whatever its rank, since the instanton test reads a rank-two
+    one too; the anomaly residual refuses it, on every call, because a
+    cached_property keeps no exception.  The gauge keeps its coframe and
+    finds the coframe's Geometry through geometry(), so a Geometry holding
+    gauges (catalogue_gauge) makes no reference cycle with them.
     """
-    if hasattr(instanton, "entry"):
-        return instanton
-    kind, mat = instanton
-    if kind == "DLambda":
-        if lam_rank(mat, c) > 1:
-            raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
-        return build_instanton_DLambda(mat, c)
-    if kind == "DB":
-        return build_DB(mat, c)
-    raise BadParams(f"unknown instanton kind {kind!r}")
+
+    def __init__(self, c: CoframeSpec, kind: str, rows):
+        if kind not in ("DLambda", "DB"):
+            raise BadParams(f"unknown instanton kind {kind!r}")
+        self.coframe, self.kind, self.rows = c, kind, rows
+
+    @cached_property
+    def connection(self) -> ConnectionForms:
+        if self.kind == "DB":
+            return build_DB(self.rows, self.coframe)
+        return build_instanton_DLambda(self.rows, self.coframe)
+
+    # the module functions: methods do not see the class's names
+    @cached_property
+    def curvature(self):
+        return curvature(self.connection)
+
+    @cached_property
+    def p1(self) -> FormExpr:
+        return pontryagin4(self.curvature)
+
+    @cached_property
+    def instanton_residual(self) -> dict:
+        return geometry(self.coframe).structure.instanton_residual(self.curvature)
+
+    @cached_property
+    def anomaly_residual(self) -> CoefExpr:
+        return anomaly_residual(self.coframe, const("alphaP"), self)
 
 
-def anomaly_form(c: CoframeSpec, alphaP, instanton) -> FormExpr:
-    """dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) as a 4-form."""
+def catalogue_gauge(catalog_id: str, kind: str, rows, **params) -> Gauge:
+    """The Gauge of (kind, rows) on catalogue_geometry(catalog_id, **params), held with that Geometry.
+
+    Only for rows from the program's own tables, so the held set stays
+    bounded by the catalogue; catalogue_geometry.cache_clear() drops the
+    gauges with their frames.  A gauge from a config is a Gauge of its own
+    report, freed with it.
+    """
+    geo = catalogue_geometry(catalog_id, **params)
+    key = (kind, tuple(tuple(r) if isinstance(r, (list, tuple)) else r for r in rows))
+    if key not in geo.gauges:
+        geo.gauges[key] = Gauge(geo.coframe, kind, key[1])
+    return geo.gauges[key]
+
+
+def _anomaly_gauge(c: CoframeSpec, gauge) -> Gauge:
+    """gauge, a Gauge on c or (kind, rows), as a Gauge; a DLambda of rank above one is refused."""
+    if not isinstance(gauge, Gauge):
+        kind, rows = gauge
+        gauge = Gauge(c, kind, rows)
+    elif gauge.coframe is not c:
+        raise DimensionMismatch("the gauge lives on a different coframe")
+    if gauge.kind == "DLambda" and lam_rank(gauge.rows, c) > 1:
+        raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
+    return gauge
+
+
+def anomaly_form(c: CoframeSpec, alphaP, gauge) -> FormExpr:
+    """dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) as a 4-form.
+
+    D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
+    this call alone.
+    """
     ap = _coef(alphaP)
     geo = geometry(c)
-    p1g = pontryagin4(curvature(gauge_connection(c, instanton)))
+    p1g = _anomaly_gauge(c, gauge).p1
     return geo.dT - (geo.p1_minus - p1g) * (ap * rat(1, 4))
 
 
-def anomaly_residual(c: CoframeSpec, alphaP, instanton) -> CoefExpr:
+def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     """Coefficient r with anomaly_form = -r e^{-4f} ebar^{1234}.
 
     Raises ValueError when the 4-form is not a pure volume multiple of the
     horizontal legs (it always is for the catalogued frames).
     """
-    F = anomaly_form(c, alphaP, instanton)
+    F = anomaly_form(c, alphaP, gauge)
     for idx in F.comps:
         if idx != (1, 2, 3, 4):
             raise ValueError(f"anomaly form has a non-volume component on {idx}")

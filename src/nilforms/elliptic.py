@@ -24,7 +24,7 @@ _SERIES_RADIUS = 0.25     # fraction of tau+ where the series is trusted
 _POLE_TOL = 1e-9          # fraction of tau+ treated as "at the pole"
 
 _GAMMA_QUARTER_SQ = math.gamma(0.25) ** 2
-_coef_cache: dict[float, list[float]] = {}
+_last_coefs: dict[float, list[float]] = {}  # the coefficients of the last d only: a report uses one d
 
 
 def half_period(d: float) -> float:
@@ -49,15 +49,16 @@ def half_period_agm(d: float) -> float:
 def laurent_coefficients(d: float) -> list[float]:
     """c_k for p(z) = z^-2 + sum_{k>=2} c_k z^{2k-2} (index = position k), k <= _SERIES_KMAX."""
     d = float(d)
-    if d in _coef_cache:
-        return _coef_cache[d]
+    if d in _last_coefs:
+        return _last_coefs[d]
     g2 = 4.0 * d * d
     c = [0.0] * (_SERIES_KMAX + 1)
     c[2] = g2 / 20.0  # c[3] stays 0: g3 = 0
     for k in range(4, _SERIES_KMAX + 1):
         s = sum(c[m] * c[k - m] for m in range(2, k - 1))
         c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    _coef_cache[d] = c
+    _last_coefs.clear()
+    _last_coefs[d] = c
     return c
 
 

@@ -18,10 +18,14 @@ raw accumulators that are canonicalised once.
 
 ``structure(c)`` picks the structure of a coframe by its dimension, and a
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
-one coframe, each piece once.  ``catalogue_geometry`` holds the Geometry of
-each catalogue frame built from the program's own parameters for the life
-of the process; ``build_DB`` reads its gauge connection from the held
-nabla^- of kA or h21.
+one coframe and the structure's residuals on it, each piece once.
+``catalogue_geometry`` holds the Geometry of each catalogue frame built
+from the program's own parameters for the life of the process, and with it,
+in ``Geometry.gauges``, each gauge ``anomaly.catalogue_gauge`` derives on
+that frame from a matrix of the program's tables; ``cache_clear()`` drops
+both.  A gauge from a config is not held: a report may bring any matrix,
+so holding it would grow the held set with every report.  ``build_DB``
+reads its gauge connection from the held nabla^- of kA or h21.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
@@ -321,14 +325,17 @@ def structure(c: CoframeSpec):
 
 
 class Geometry:
-    """Torsion, connections, curvatures, p1 and structure of one coframe.
+    """Torsion, connections, curvatures, p1, structure and structure residuals of one coframe.
 
     Each attribute is derived on first use and then kept, so every caller
-    holding this object shares one derivation.
+    holding this object shares one derivation.  ``gauges`` holds the gauges
+    ``anomaly.catalogue_gauge`` derives on a catalogue frame from the
+    program's own tables; it stays empty on every other frame.
     """
 
     def __init__(self, c: CoframeSpec):
         self.coframe = c
+        self.gauges: dict = {}
 
     @cached_property
     def torsion(self) -> FormExpr:
@@ -366,6 +373,34 @@ class Geometry:
     def structure(self):
         return structure(self.coframe)  # the module function: methods do not see class names
 
+    @cached_property
+    def integrability_residuals(self) -> dict[int, FormExpr]:
+        return self.coframe.integrability_residuals()
+
+    @cached_property
+    def structure_residuals(self) -> dict[str, FormExpr]:
+        return self.structure.residuals()
+
+    @cached_property
+    def structure_torsion(self) -> FormExpr:
+        """The structure's own route to the torsion 3-form."""
+        return self.structure.torsion()
+
+    @cached_property
+    def instanton_minus(self) -> dict[tuple, ring.CoefExpr]:
+        """The structure's instanton residual of nabla^-."""
+        return self.structure.instanton_residual(self.curv_minus)
+
+    @cached_property
+    def holonomy_plus(self) -> dict[tuple, ring.CoefExpr]:
+        """The structure's holonomy residual of nabla^+."""
+        return self.structure.holonomy_residual(self.curv_plus)
+
+    @cached_property
+    def scalar_identity(self) -> dict[int, ring.CoefExpr]:
+        """phi_factor -> scalar_identity_residual for phi = -f and phi = -2f."""
+        return {phi: scalar_identity_residual(self.coframe, phi) for phi in (-1, -2)}
+
 
 def geometry(c: CoframeSpec) -> Geometry:
     """The Geometry of c that some caller still holds, else a new one.
@@ -393,6 +428,8 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
     (symbolic entries passed as None, which the builders turn into
     constants), so the held set is bounded by the catalogue.  A frame built
     from outside input goes through geometry() and is freed with its report.
+    The Geometry keeps the gauges anomaly.catalogue_gauge derives on it, so
+    cache_clear() drops them with it.
     """
     return geometry(build_coframe(catalog_id, **params))
 

@@ -14,14 +14,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 
 from . import anomaly, numeric, ring
-from .connection import build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
+from .connection import lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import FormExpr
 from .frames import abs_A_squared, build_coframe
-from .gstruct import build_DB, catalogue_geometry, geometry, scalar_identity_residual
+from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
 from .report import SCENARIOS, _sanitize, strict_json
 from .ring import CoefExpr, const, rat
@@ -103,7 +102,7 @@ def _all_zero(forms: dict, counted: str):
 def _integrable_pure(geo):
     """The G2 form is integrable, of pure type and normalized."""
     g = geo.structure
-    res = g.residuals()
+    res = geo.structure_residuals
     r1, r2 = res["coclosed"], res["pure_type"]
     seven_vol = geo.coframe.form(7, {tuple(range(1, 8)): rat(7)})
     norm_ok = g.theta.wedge(g.star_theta) == seven_vol
@@ -122,7 +121,7 @@ def _onshell_factor(absA2: CoefExpr) -> CoefExpr:
 
 def _torsion_chain(geo):
     """Torsion block formula vs the structure route, and the dT closed form."""
-    match = geo.structure.torsion() == geo.torsion
+    match = geo.structure_torsion == geo.torsion
     dT = geo.dT
     want = (-_onshell_factor(abs_A_squared(geo.coframe))).scale_expf(-4)
     got = dT.comps.get((1, 2, 3, 4), ring.ZERO)
@@ -175,33 +174,51 @@ _THEOREMS = {
         rank2_lambda=[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
     ),
     5: _Theorem(
-        "structure-residuals", lambda geo: _all_zero(geo.structure.residuals(), "residuals"),
+        "structure-residuals", lambda geo: _all_zero(geo.structure_residuals, "residuals"),
         A=[[1, 1, 1]], lam=[2, -1, 1], B=[0, 0, 0], rank2_lambda=None,
     ),
 }
 
 
-def _frame_geometry(dim: int, A=None):
-    """The Geometry of the theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None.
+def _frame(dim: int, A=None) -> tuple[str, dict, bool]:
+    """(catalogue id, params, held) of the theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None.
 
     The symbolic frame and the default numeric one are held for the process;
     a frame of any other config matrix lives as long as its report holds it.
     """
     cid = "kA" if dim == 7 else "h21"
     if A is None:
-        return catalogue_geometry(cid)
+        return cid, {}, True
     params = {"A": tuple(map(tuple, A))} if dim == 7 else dict(zip(("a1", "a2", "a3"), A[0]))
-    if A == _THEOREMS[dim].A:
-        return catalogue_geometry(cid, **params)
-    return geometry(build_coframe(cid, **params))
+    return cid, params, A == _THEOREMS[dim].A
+
+
+def _frame_geometry(dim: int, A=None):
+    """The Geometry of the theorem's frame, held or the report's own as _frame says."""
+    cid, params, held = _frame(dim, A)
+    return catalogue_geometry(cid, **params) if held else geometry(build_coframe(cid, **params))
+
+
+def _theorem_gauges(dim: int, A_num, geos, kind: str, rows, tabled: bool) -> list:
+    """The gauge (kind, rows) on each of geos, the theorem's symbolic frame and its numeric one of matrix A_num.
+
+    A gauge is held with its frame for the process when the frame and the
+    rows both come from the program's tables (tabled says the rows do);
+    any other is the report's own and is freed with it.
+    """
+    out = []
+    for A, geo in zip((None, A_num), geos):
+        cid, params, held = _frame(dim, A)
+        out.append(anomaly.catalogue_gauge(cid, kind, rows, **params) if held and tabled
+                   else anomaly.Gauge(geo.coframe, kind, rows))
+    return out
 
 
 def _theorem_frames(checks: list, dim: int, A_num) -> tuple:
     """The symbolic and numeric Geometry of a theorem, after the three checks on the symbolic frame."""
     th = _THEOREMS[dim]
     geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)
-    c = geo.coframe
-    _ck(checks, "frame-integrability", lambda: _all_zero(c.integrability_residuals(), "legs"))
+    _ck(checks, "frame-integrability", lambda: _all_zero(geo.integrability_residuals, "legs"))
     _ck(checks, th.structure_check, lambda: th.structure_body(geo))
     _ck(checks, "torsion-chain", lambda: _torsion_chain(geo))
     return geo, geo_num
@@ -290,6 +307,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         lam = th.rank2_lambda
     values["lam"] = lam
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
+    tabled = "lam" not in config or "rank2-lambda" in overrides
+    gauge, gauge_num = _theorem_gauges(dim, A_num, (geo, geo_num), "DLambda", lam, tabled)
     csym, cnum = geo.coframe, geo_num.coframe
 
     absA2 = abs_A_squared(csym)
@@ -299,30 +318,22 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
-    dl = build_instanton_DLambda(lam, csym)
-    _ck(checks, "gauge-instanton",
-        lambda: _all_zero(geo.structure.instanton_residual(curvature(dl)), "entries"))
-    _ck(checks, "minus-instanton-factors",
-        lambda: _factor_through(geo.structure.instanton_residual(geo.curv_minus), factor))
-    _ck(checks, "plus-holonomy-zero",
-        lambda: _all_zero(geo.structure.holonomy_residual(geo.curv_plus), "entries"))
+    _ck(checks, "gauge-instanton", lambda: _all_zero(gauge.instanton_residual, "entries"))
+    _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, factor))
+    _ck(checks, "plus-holonomy-zero", lambda: _all_zero(geo.holonomy_plus, "entries"))
 
     lam2 = lam_squared(lam, csym)
     values["p1_volume_reading"] = "unbarred"
 
-    @cache
-    def residual():
-        return anomaly.anomaly_residual(csym, const("alphaP"), ("DLambda", lam))
-
     def _anomaly_sym():
-        r = residual()
+        r = gauge.anomaly_residual
         want = anomaly.displayed_residual_dlambda(csym, lam, const("alphaP"))
         return r == want, None, {"terms": len(r)}
 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _reduction():
-        ode = anomaly.reduce_onevar(residual(), absA2, lam2)
+        ode = anomaly.reduce_onevar(gauge.anomaly_residual, absA2, lam2)
         return ode == anomaly.solv4_ode(absA2), None, {"ode_terms": len(ode)}
 
     _ck(checks, "reduction-first-integral", _reduction)
@@ -356,8 +367,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         )
         # one table per line point feeds the first integral (C0 = 0) and the reduced residual
         first = anomaly.solv4_lhs(const("absA2"))
-        r = anomaly.anomaly_residual(cnum, const("alphaP"), ("DLambda", lam))
-        ode = anomaly.reduce_onevar(r, rat(absA2q), rat(lam2q))
+        ode = anomaly.reduce_onevar(gauge_num.anomaly_residual, rat(absA2q), rat(lam2q))
         assis = [numeric.build_assignment(prof, x, {"alpha": alpha, "absA2": absA2n}) for x in pts]
         worst_first = numeric.max_error(abs(first.evaluate(assi)) for assi in assis)
         worst_res = numeric.max_error(abs(ode.evaluate(assi)) for assi in assis)
@@ -383,25 +393,25 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"))
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
+    gauge, gauge_num = _theorem_gauges(dim, A_num, (geo, geo_num), "DB", B, "B" not in config)
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
     absB2 = sum(_number(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
 
     absA2 = abs_A_squared(csym)
-    db = build_DB(B, csym)
 
     _ck(checks, "gauge-instanton-condition",
-        lambda: _factor_through(geo.structure.instanton_residual(curvature(db)), _onshell_factor(rat(absB2))))
+        lambda: _factor_through(gauge.instanton_residual, _onshell_factor(rat(absB2))))
 
     def _anomaly_sym():
-        r = anomaly.anomaly_residual(csym, const("alphaP"), db)
+        r = gauge.anomaly_residual
         want = anomaly.displayed_residual_db(csym, rat(absB2), const("alphaP"))
         return r == want, None, {"terms": len(r)}
 
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _p1_difference():
-        diff = geo.p1_minus - pontryagin4(curvature(db))
+        diff = geo.p1_minus - gauge.p1
         want = ((absA2 - rat(absB2)) * ring.lap_e_m2f() * rat(-3)).scale_expf(-4)
         got = diff.comps.get((1, 2, 3, 4), ring.ZERO)
         pure = all(idx == (1, 2, 3, 4) for idx in diff.comps)
@@ -438,7 +448,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         # certify residual(c*) == 0 exactly, alphaP kept symbolic via alphaP = 1
         cstar = cstar_over_alphaP * alphaP
         prof = profile("fundamental", c=cstar)
-        rfull = anomaly.anomaly_residual(cnum, const("alphaP"), ("DB", B))
+        rfull = gauge_num.anomaly_residual
         worst = []
         for x in pts:
             g, jets = prof.jets_exact(x)
@@ -485,11 +495,10 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     _ck(checks, "ball-solves-instanton-equation", _ball_equation)
 
     factor = _onshell_factor(abs_A_squared(csym))
-    _ck(checks, "minus-instanton-factors",
-        lambda: _factor_through(geo.structure.instanton_residual(geo.curv_minus), factor))
+    _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, factor))
 
     def _numeric_residuals():
-        res = geo_num.structure.instanton_residual(geo_num.curv_minus)
+        res = geo_num.instanton_minus
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
         worst = 0.0
         for x in pts:
@@ -506,7 +515,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
         assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=16, seed=seed + 7)]
         outcome = {}
         for phi_factor in (-1, -2):
-            expr = scalar_identity_residual(cnum, phi_factor)
+            expr = geo_num.scalar_identity[phi_factor]
             outcome[f"phi={phi_factor}f"] = numeric.max_error(abs(expr.evaluate(assi)) for assi in assis)
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
@@ -541,11 +550,11 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     def family(eps, drop=True):
         return catalogue_geometry(t.family, eps=eps, drop=drop)
 
-    geo0, geo_path, geo_direct = family(0), family(0, drop=False), catalogue_geometry(t.direct)
-    c0, c_path, direct = geo0.coframe, geo_path.coframe, geo_direct.coframe
+    geo0, geo_direct = family(0), catalogue_geometry(t.direct)
+    c0, direct = geo0.coframe, geo_direct.coframe
 
     _ck(checks, "family-integrability", lambda: (
-        all(_forms_all_zero(family(e, drop=False).coframe.integrability_residuals())[0]
+        all(_forms_all_zero(family(e, drop=False).integrability_residuals)[0]
             for e in (Fraction(1, 10), Fraction(1, 100), 0)),
         None,
         {},
@@ -559,16 +568,16 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     _ck(checks, "contracted-torsion-equals-direct", lambda: (geo0.torsion == geo_direct.torsion, None, {}))
 
     def _structure_limit():
-        ok, bad = _forms_all_zero(geo0.structure.residuals())
+        ok, bad = _forms_all_zero(geo0.structure_residuals)
         return ok, None, {"nonzero": bad}
 
     _ck(checks, "contracted-structure-residuals", _structure_limit)
 
     def _residual_limit():
         # full-leg frame with the degenerate rows kept, against the contracted frame
-        r_path = anomaly.anomaly_residual(c_path, const("alphaP"), ("DLambda", t.lam7))
         lam_direct = [row[:c0.dim - 4] for row in t.lam7]  # the same Lambda on the contracted frame
-        r_direct = anomaly.anomaly_residual(c0, const("alphaP"), ("DLambda", lam_direct))
+        r_path, r_direct = (anomaly.catalogue_gauge(t.family, "DLambda", lam, eps=0, drop=drop).anomaly_residual
+                            for lam, drop in ((t.lam7, False), (lam_direct, True)))
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
     _ck(checks, "contracted-anomaly-equals-direct", _residual_limit)

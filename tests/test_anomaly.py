@@ -11,11 +11,11 @@ import pytest
 from nilforms import numeric, ring
 from nilforms.anomaly import (
     ConstraintViolated,
+    Gauge,
     anomaly_residual,
     d_parameter,
     displayed_residual_db,
     displayed_residual_dlambda,
-    gauge_connection,
     reduce_onevar,
     solv4_lhs,
     solv4_ode,
@@ -26,6 +26,7 @@ from nilforms.anomaly import (
 )
 from nilforms.connection import build_instanton_DLambda, lam_squared
 from nilforms.elliptic import half_period
+from nilforms.forms import DimensionMismatch
 from nilforms.frames import abs_A_squared, k_a
 from nilforms.gstruct import build_DB
 from nilforms.profiles import BadParams, profile
@@ -62,32 +63,45 @@ def _same_connection(a, b) -> bool:
 
 
 def test_gauge_connection_dlambda_dispatch(ka):
-    built = gauge_connection(ka, ("DLambda", LAM7))
+    built = Gauge(ka, "DLambda", LAM7).connection
     assert _same_connection(built, build_instanton_DLambda(LAM7, ka))
     with pytest.raises(BadParams, match="unknown instanton kind"):
-        gauge_connection(ka, ("d-lambda", LAM7))  # the kind is spelled exactly
+        Gauge(ka, "d-lambda", LAM7)  # the kind is spelled exactly
 
 
 def test_gauge_connection_db_dispatch(ka):
-    built = gauge_connection(ka, ("DB", B7))
+    built = Gauge(ka, "DB", B7).connection
     assert _same_connection(built, build_DB(B7, ka))
     with pytest.raises(BadParams, match="unknown instanton kind"):
-        gauge_connection(ka, ("d_b", B7))
+        Gauge(ka, "d_b", B7)
 
 
-def test_gauge_connection_passthrough(ka):
-    conn = build_instanton_DLambda(LAM7, ka)
-    assert gauge_connection(ka, conn) is conn
+def test_anomaly_residual_reads_the_gauge_it_is_given(ka):
+    gauge = Gauge(ka, "DLambda", LAM7)
+    got = anomaly_residual(ka, "alphaP", gauge)
+    assert got == anomaly_residual(ka, "alphaP", ("DLambda", LAM7))
+    assert {"connection", "curvature", "p1"} <= set(vars(gauge))  # derived on the gauge and kept
+    assert gauge.anomaly_residual == got and gauge.anomaly_residual is gauge.anomaly_residual
+    with pytest.raises(DimensionMismatch, match="different coframe"):
+        anomaly_residual(k_a(), "alphaP", gauge)
 
 
 def test_gauge_connection_rejects_rank_two(ka):
+    rank_two = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
     with pytest.raises(BadParams, match="rank"):
-        gauge_connection(ka, ("DLambda", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        anomaly_residual(ka, "alphaP", ("DLambda", rank_two))
+    gauge = Gauge(ka, "DLambda", rank_two)
+    assert gauge.instanton_residual  # the connection itself is built: it is no instanton
+    for _ in range(2):  # refused again on every read, never kept
+        with pytest.raises(BadParams, match="rank"):
+            gauge.anomaly_residual
 
 
 def test_gauge_connection_rejects_unknown_kind(ka):
     with pytest.raises(BadParams, match="unknown instanton kind"):
-        gauge_connection(ka, ("DQ", LAM7))
+        Gauge(ka, "DQ", LAM7)
+    with pytest.raises(BadParams, match="unknown instanton kind"):
+        anomaly_residual(ka, "alphaP", ("DQ", LAM7))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +185,10 @@ def test_five_leg_zero_gauge_residual_matches_closed_form(h21_sym):
 
 def test_non_volume_anomaly_form_is_rejected(ka, ka_family):
     _T, lc, _wm, _wp = ka_family
+    gauge = Gauge(ka, "DB", B7)
+    gauge.connection = lc  # in place of D_B: its p1 is no volume multiple
     with pytest.raises(ValueError, match="non-volume"):
-        anomaly_residual(ka, "alphaP", lc)
+        anomaly_residual(ka, "alphaP", gauge)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nilforms import elliptic
 from nilforms.elliptic import (
     AtPole,
     cubic_residual,
@@ -87,6 +88,24 @@ def test_laurent_coefficients():
         assert c[3] == 0.0
         assert c[4] == pytest.approx(d ** 4 / 75.0, rel=1e-12)
         assert c[5] == 0.0
+
+
+def _recurrence(d: float) -> list:
+    """c_k by the recurrence c_2 = g2/20, c_3 = 0, c_k = 3 sum_{m=2}^{k-2} c_m c_{k-m} / ((2k+1)(k-3))."""
+    c = [0.0] * 9
+    c[2] = 4.0 * d * d / 20.0
+    for k in range(4, 9):
+        c[k] = 3.0 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
+    return c
+
+
+def test_laurent_coefficients_keep_only_the_last_d():
+    for k in range(1, 201):
+        d = k / 7
+        got = laurent_coefficients(d)
+        assert [x.hex() for x in got] == [x.hex() for x in _recurrence(d)]
+        assert laurent_coefficients(d) is got  # the last d is not recomputed
+        assert len(elliptic._last_coefs) <= 1
 
 
 def test_d_scaling_law():

@@ -8,17 +8,19 @@ import json
 import math
 import numbers
 import pstats
+import random
 import weakref
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from nilforms import ring, scenarios
-from nilforms.anomaly import anomaly_residual, solv4_lhs
-from nilforms.connection import curvature, koszul
+from nilforms import gstruct, ring, scenarios
+from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
+from nilforms.connection import curvature, koszul, pontryagin4
 from nilforms.elliptic import half_period
-from nilforms.forms import FormExpr
+from nilforms.forms import CoframeSpec, FormExpr
+from nilforms.frames import h21, k_a
 from nilforms.gstruct import catalogue_geometry, direct_torsion, geometry
 from nilforms.profiles import BadParams, DilatonProfile
 from nilforms.ring import CoefExpr
@@ -259,10 +261,10 @@ def _calls(name: str, fn) -> int:
 # derives, each coframe's geometry derived once, and each sample point's
 # profile jets evaluated once
 DERIVATION_BUDGET = {
-    "thm-7d-negative": (3, 6, 2, 64),
-    "thm-5d-negative": (3, 6, 2, 64),
-    "thm-7d-positive": (3, 6, 2, 0),
-    "thm-5d-positive": (3, 6, 2, 0),
+    "thm-7d-negative": (3, 5, 2, 64),
+    "thm-5d-negative": (3, 5, 2, 64),
+    "thm-7d-positive": (3, 4, 2, 0),
+    "thm-5d-positive": (3, 4, 2, 0),
     "ball-7d": (3, 3, 0, 80),
     "contraction-6d": (5, 7, 2, 12),
     "contraction-5d": (5, 7, 2, 12),
@@ -282,14 +284,27 @@ def test_reports_on_held_geometries_repeat_byte_for_byte():
     assert [run_scenario(name, seed=5).to_json() for name in SCENARIOS] == cold
 
 
+# what a report derives its frames' connections, gauges and structure
+# residuals with: a default report reads them all on frames and gauges built
+# from the program's tables, which the process holds
+HELD_DERIVATIONS = (
+    koszul, direct_torsion, curvature, pontryagin4, anomaly_residual,
+    gstruct.g2_instanton_residual, gstruct.g2_holonomy_residual,
+    gstruct.su2_instanton_residual, gstruct.su2_holonomy_residual,
+    gstruct.su2_structure_residuals, gstruct.su3_structure_residuals,
+    gstruct.G2Structure.residuals, gstruct.G2Structure.torsion, gstruct.SU2Structure.torsion,
+    CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual,
+)
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_a_second_report_derives_no_frame_geometry(name):
-    # every frame a default report reads is built from the program's tables, so
-    # its torsion and connections are derived once per process, whatever the seed
+    # so each is derived once per process, whatever the seed
     run_scenario(name, seed=0)
     counts = _call_counts(name, 3)
-    assert (_count(counts, koszul), _count(counts, direct_torsion)) == (0, 0)
+    got = {fn.__qualname__: _count(counts, fn) for fn in HELD_DERIVATIONS}
     assert _count(counts, run_scenario) == 1  # the counter is live
+    assert not any(got.values()), got
 
 
 # most calls a warm ball-7d report (seed 1 after seed 0) may make of the
@@ -314,23 +329,65 @@ def test_a_ball_beyond_the_floats_fails_its_float_checks_alone():
     assert status["instanton-and-closed-torsion-numeric"] == "error"
 
 
+def _held_set() -> tuple[int, int]:
+    """(catalogue frames held, Gauge objects alive); with the cyclic collector off, only held gauges outlive their report."""
+    return catalogue_geometry.cache_info().currsize, sum(isinstance(o, Gauge) for o in gc.get_objects())
+
+
+def _drawn_residual(rng: random.Random, k: int) -> None:
+    """One exact anomaly residual on a drawn kA or h21 frame with a drawn gauge, as the fresh-frames benchmark makes."""
+    def vec():
+        return [rng.choice([v for v in range(-9, 10) if v]) for _ in range(3)]
+
+    kind = ("DLambda", "DB")[k % 2]
+    if k % 4 < 2:
+        c = k_a([vec(), vec(), vec()])
+        u, v = vec(), vec()
+        mat = [[x * y for y in v] for x in u] if kind == "DLambda" else [u, v, vec()]  # Lambda of rank one
+    else:
+        c, mat = h21(*vec()), vec()
+    assert anomaly_residual(c, "alphaP", (kind, mat))
+
+
 def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
-    run_scenario("thm-5d-positive")
-    held = catalogue_geometry.cache_info().currsize
-    refs = []
+    for name in ("thm-5d-positive", "thm-7d-negative", "thm-7d-positive"):
+        run_scenario(name)
+    refs, gauge_refs = [], []
 
     def watched(c):
         geo = geometry(c)
         refs.append(weakref.ref(geo))
         return geo
 
+    theorem_gauges = scenarios._theorem_gauges
+
+    def watched_gauges(*args):
+        gauges = theorem_gauges(*args)
+        gauge_refs.extend(weakref.ref(g) for g in gauges)
+        return gauges
+
     monkeypatch.setattr(scenarios, "geometry", watched)
+    monkeypatch.setattr(scenarios, "_theorem_gauges", watched_gauges)
     gc.disable()
     try:
+        held = _held_set()
         rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
         assert rep.passed and len(refs) == 1
-        assert catalogue_geometry.cache_info().currsize == held
+        assert _held_set() == held
         assert refs[0]() is None
+        # a config gauge on the default (held) frames: the report's own, freed with it
+        for name, config in (("thm-7d-negative", {"lam": [[2, 0, 0], [1, 0, 0], [0, 0, 0]]}),
+                             ("thm-7d-positive", {"B": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]})):
+            gauge_refs.clear()
+            rep = run_scenario(name, config=config)
+            assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
+            assert len(gauge_refs) == 2 and all(ref() is None for ref in gauge_refs)
+            assert _held_set() == held
+        # drawn frames and gauges are never held
+        rng = random.Random(20)
+        for k in range(20):
+            _drawn_residual(rng, k)
+        assert _held_set() == held
     finally:
         gc.enable()
 
