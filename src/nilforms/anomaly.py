@@ -19,7 +19,7 @@ from . import ring
 from .connection import ConnectionForms, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
 from .forms import DimensionMismatch, FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import build_DB, catalogue_geometry, geometry
+from .gstruct import Geometry, build_DB, geometry
 from .profiles import BadParams
 from .ring import CoefExpr, const, expf, jet, lap_e2f, lap_e_m2f, rat
 
@@ -40,7 +40,7 @@ class Gauge:
     one too; the anomaly residual refuses it, on every call, because a
     cached_property keeps no exception.  The gauge keeps its coframe and
     finds the coframe's Geometry through geometry(), so a Geometry holding
-    gauges (catalogue_gauge) makes no reference cycle with them.
+    gauges (held_gauge) makes no reference cycle with them.
     """
 
     def __init__(self, c: CoframeSpec, kind: str, rows):
@@ -72,15 +72,11 @@ class Gauge:
         return anomaly_residual(self.coframe, const("alphaP"), self)
 
 
-def catalogue_gauge(catalog_id: str, kind: str, rows, **params) -> Gauge:
-    """The Gauge of (kind, rows) on catalogue_geometry(catalog_id, **params), held with that Geometry.
+def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:
+    """The Gauge of (kind, rows) on geo's coframe, kept in geo.gauges for as long as geo lives.
 
-    Only for rows from the program's own tables, so the held set stays
-    bounded by the catalogue; catalogue_geometry.cache_clear() drops the
-    gauges with their frames.  A gauge from a config is a Gauge of its own
-    report, freed with it.
+    Only for rows from the program's own tables (see gstruct's hold rule).
     """
-    geo = catalogue_geometry(catalog_id, **params)
     key = (kind, tuple(tuple(r) if isinstance(r, (list, tuple)) else r for r in rows))
     if key not in geo.gauges:
         geo.gauges[key] = Gauge(geo.coframe, kind, key[1])

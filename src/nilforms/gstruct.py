@@ -19,13 +19,17 @@ raw accumulators that are canonicalised once.
 ``structure(c)`` picks the structure of a coframe by its dimension, and a
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
 one coframe and the structure's residuals on it, each piece once.
-``catalogue_geometry`` holds the Geometry of each catalogue frame built
-from the program's own parameters for the life of the process, and with it,
-in ``Geometry.gauges``, each gauge ``anomaly.catalogue_gauge`` derives on
-that frame from a matrix of the program's tables; ``cache_clear()`` drops
-both.  A gauge from a config is not held: a report may bring any matrix,
-so holding it would grow the held set with every report.  ``build_DB``
-reads its gauge connection from the held nabla^- of kA or h21.
+``build_DB`` reads its gauge connection from the held nabla^- of kA or h21.
+
+The hold rule: a frame or gauge built only from the program's tables lives
+for the process, and one built from a config lives with its report, since a
+report may bring any matrix and holding it would grow the held set with
+every report.  ``catalogue_geometry`` holds the Geometry of each frame of
+the first kind.  A gauge of table rows is kept in its frame's
+``Geometry.gauges`` (``anomaly.held_gauge``), so it lives exactly as long
+as that frame: for the process on a catalogue frame, for the report on a
+config frame; ``catalogue_geometry.cache_clear()`` drops the held frames
+with their gauges.  A gauge of config rows is its report's alone.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
@@ -56,7 +60,7 @@ from .forms import (
     hodge_star_horizontal,
     omega_bar,
 )
-from .frames import build_coframe
+from .frames import FREE_FRAME, build_coframe
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +333,7 @@ class Geometry:
 
     Each attribute is derived on first use and then kept, so every caller
     holding this object shares one derivation.  ``gauges`` holds the gauges
-    ``anomaly.catalogue_gauge`` derives on a catalogue frame from the
-    program's own tables; it stays empty on every other frame.
+    of table rows on this coframe (``anomaly.held_gauge``).
     """
 
     def __init__(self, c: CoframeSpec):
@@ -408,9 +411,6 @@ def geometry(c: CoframeSpec) -> Geometry:
     The coframe keeps only a weak reference: its forms point back at it, so
     a strong one would make a cycle that only the cyclic collector frees.
     Hold the returned object for as long as its derivations should be shared.
-    A coframe built by catalogue_geometry is held for the process, so every
-    report sees the same derivations; any other coframe, one built from a
-    config's fiber matrix say, is shared only while some caller holds it.
     """
     ref = getattr(c, "_geometry", None)
     geo = ref() if ref is not None else None
@@ -426,10 +426,7 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
 
     Only for frames whose parameters come from the program's own tables
     (symbolic entries passed as None, which the builders turn into
-    constants), so the held set is bounded by the catalogue.  A frame built
-    from outside input goes through geometry() and is freed with its report.
-    The Geometry keeps the gauges anomaly.catalogue_gauge derives on it, so
-    cache_clear() drops them with it.
+    constants), so the held set is bounded by the catalogue.
     """
     return geometry(build_coframe(catalog_id, **params))
 
@@ -437,8 +434,8 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
 def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     """The nabla^- coefficient formulas with the fiber matrix replaced by B.
 
-    Read from nabla^- of the symbolic member of the same family, kA (3 fiber
-    rows) or h21 (1 row), whose geometry the process holds, by substituting
+    Read from nabla^- of the symbolic member of the same family,
+    frames.FREE_FRAME[c.dim], whose geometry the process holds, by substituting
     the symbolic entries, so no connection table is hard-coded.  The held
     forms are never mutated: substitute makes copies.
     """
@@ -448,7 +445,7 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     rows = B if isinstance(B[0], (list, tuple)) else [B]
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    wm = catalogue_geometry("kA" if nrows == 3 else "h21").minus
+    wm = catalogue_geometry(FREE_FRAME[c.dim]).minus
     # each entry of the twin's A is one symbol; B's entry takes its place
     mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
                for sym in x.symbols()}

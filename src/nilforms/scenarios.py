@@ -3,9 +3,9 @@
 Each scenario bundles a frame, a dilaton profile, an auxiliary connection
 and a parameter regime, runs a fixed list of symbolic and numeric checks,
 and assembles a JSON-serializable report.  Check failures and exceptions
-are captured into the report, never raised past it; a config key the
-scenario does not read, or a value it cannot use, raises BadParams before
-any check runs.
+are captured into the report, never raised past it; a config key or an
+override the scenario does not read, or a value it cannot use, raises
+BadParams before any check runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import anomaly, numeric, ring
 from .connection import lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import FormExpr
-from .frames import abs_A_squared, build_coframe
+from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
 from .report import SCENARIOS, _sanitize, strict_json
@@ -180,38 +180,24 @@ _THEOREMS = {
 }
 
 
-def _frame(dim: int, A=None) -> tuple[str, dict, bool]:
-    """(catalogue id, params, held) of the theorem's frame, kA (7 legs) or h21 (5 legs); symbolic when A is None.
-
-    The symbolic frame and the default numeric one are held for the process;
-    a frame of any other config matrix lives as long as its report holds it.
-    """
-    cid = "kA" if dim == 7 else "h21"
-    if A is None:
-        return cid, {}, True
-    params = {"A": tuple(map(tuple, A))} if dim == 7 else dict(zip(("a1", "a2", "a3"), A[0]))
-    return cid, params, A == _THEOREMS[dim].A
-
-
 def _frame_geometry(dim: int, A=None):
-    """The Geometry of the theorem's frame, held or the report's own as _frame says."""
-    cid, params, held = _frame(dim, A)
-    return catalogue_geometry(cid, **params) if held else geometry(build_coframe(cid, **params))
+    """The Geometry of the theorem's frame of dim legs: symbolic when A is None, else of fiber matrix A.
 
-
-def _theorem_gauges(dim: int, A_num, geos, kind: str, rows, tabled: bool) -> list:
-    """The gauge (kind, rows) on each of geos, the theorem's symbolic frame and its numeric one of matrix A_num.
-
-    A gauge is held with its frame for the process when the frame and the
-    rows both come from the program's tables (tabled says the rows do);
-    any other is the report's own and is freed with it.
+    The symbolic frame and the default numeric one come from the program's tables.
     """
-    out = []
-    for A, geo in zip((None, A_num), geos):
-        cid, params, held = _frame(dim, A)
-        out.append(anomaly.catalogue_gauge(cid, kind, rows, **params) if held and tabled
-                   else anomaly.Gauge(geo.coframe, kind, rows))
-    return out
+    cid = FREE_FRAME[dim]
+    if A is None:
+        return catalogue_geometry(cid)
+    params = {"A": tuple(map(tuple, A))} if dim == 7 else dict(zip(("a1", "a2", "a3"), A[0]))
+    if A == _THEOREMS[dim].A:
+        return catalogue_geometry(cid, **params)
+    return geometry(build_coframe(cid, **params))
+
+
+def _theorem_gauges(geos, kind: str, rows, tabled: bool) -> list:
+    """The gauge (kind, rows) on each of geos, kept in its Geometry when tabled: the rows are the program's."""
+    return [anomaly.held_gauge(geo, kind, rows) if tabled else anomaly.Gauge(geo.coframe, kind, rows)
+            for geo in geos]
 
 
 def _theorem_frames(checks: list, dim: int, A_num) -> tuple:
@@ -245,17 +231,23 @@ def _fits(value, default, entry) -> bool:
     return entry(value)
 
 
-def _params(name: str, dim: int, config: dict, keys: tuple, min_points: int = 1) -> list:
+def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, min_points: int = 1) -> list:
     """The values of keys, the config keys a scenario reads, defaults filled in.
 
-    Raises BadParams, before any check runs, for a key the scenario does
-    not read or a value it cannot use.  Defaults and shapes come from the
-    dimension's row of _THEOREMS.
+    Raises BadParams, before any check runs, for a key or an override the
+    scenario does not read or a value it cannot use.  Defaults and shapes
+    come from the dimension's row of _THEOREMS.
     """
     unread = [key for key in config if key not in keys]
     if unread:
         reads = ", ".join(map(repr, keys)) if keys else "no config keys"
         raise BadParams(f"{name}: unknown config key {', '.join(map(repr, unread))} (it reads {reads})")
+    # the one catalogued override, rank2-lambda, sets lam to the theorem's rank-two Lambda
+    rank2 = "lam" in keys and _THEOREMS[dim].rank2_lambda is not None
+    unread = [ov for ov in overrides if ov != "rank2-lambda" or not rank2]
+    if unread:
+        reads = "'rank2-lambda'" if rank2 else "none; rank2-lambda applies to the 7D negative theorem alone"
+        raise BadParams(f"{name}: unknown override {', '.join(map(repr, unread))} (it reads {reads})")
     out = []
     for key in keys:
         default = getattr(_THEOREMS[dim], key)
@@ -283,6 +275,23 @@ def _line_points(tau: float, n: int):
     return [(0.1 * tau + 1.8 * tau * k / (n - 1), 0.0, 0.0, 0.0) for k in range(n)]
 
 
+def _exact_sweep(prof, points, exprs, consts=None) -> list:
+    """[[e at x for x in points] for e in exprs] on prof's exact jets, with consts {symbol: value} added."""
+    cols = [[] for _ in exprs]
+    for x in points:
+        g, jets = prof.jets_exact(x)
+        if consts:
+            jets.update(consts)
+        for col, e in zip(cols, exprs):
+            col.append(ring.evaluate_exact(e, jets, g))
+    return cols
+
+
+def _float_sweep(exprs, tables) -> float:
+    """numeric.max_error of |e| over each of exprs at each float table, tables outermost."""
+    return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in exprs)
+
+
 def _rational_points(seed: int):
     """Five deterministic rational sample points away from the origin."""
     pts = []
@@ -299,16 +308,13 @@ def _rational_points(seed: int):
 
 def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-negative / thm-5d-negative."""
-    th = _THEOREMS[dim]
-    A_num, lam, npoints = _params(name, dim, config, ("A", "lam", "npoints"), min_points=2)
+    A_num, lam, npoints = _params(name, dim, config, ("A", "lam", "npoints"), overrides, min_points=2)
     if "rank2-lambda" in overrides:
-        if th.rank2_lambda is None:
-            raise BadParams("rank2-lambda override applies to the 7D scenario")
-        lam = th.rank2_lambda
+        lam = _THEOREMS[dim].rank2_lambda
     values["lam"] = lam
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     tabled = "lam" not in config or "rank2-lambda" in overrides
-    gauge, gauge_num = _theorem_gauges(dim, A_num, (geo, geo_num), "DLambda", lam, tabled)
+    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam, tabled)
     csym, cnum = geo.coframe, geo_num.coframe
 
     absA2 = abs_A_squared(csym)
@@ -369,8 +375,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         first = anomaly.solv4_lhs(const("absA2"))
         ode = anomaly.reduce_onevar(gauge_num.anomaly_residual, rat(absA2q), rat(lam2q))
         assis = [numeric.build_assignment(prof, x, {"alpha": alpha, "absA2": absA2n}) for x in pts]
-        worst_first = numeric.max_error(abs(first.evaluate(assi)) for assi in assis)
-        worst_res = numeric.max_error(abs(ode.evaluate(assi)) for assi in assis)
+        worst_first = _float_sweep((first,), assis)
+        worst_res = _float_sweep((ode,), assis)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
         return ok, worst_ode, {
             "cubic": worst_ode,
@@ -390,10 +396,10 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
 
 def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
-    A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"))
+    A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
-    gauge, gauge_num = _theorem_gauges(dim, A_num, (geo, geo_num), "DB", B, "B" not in config)
+    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B, "B" not in config)
     Brows = B if isinstance(B[0], (list, tuple)) else [B]
     absB2 = sum(_number(x) ** 2 for row in Brows for x in row)
     values["absB2"] = absB2
@@ -428,14 +434,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         # measured from the engine polynomials on the c = 1 profile
         prof1 = profile("fundamental", c=1)
         pts = _rational_points(seed)
-        lap_p = ring.lap_e2f()
-        lap_m = ring.lap_e_m2f()
-        harm = []
-        k_vals = set()
-        for x in pts:
-            g, jets = prof1.jets_exact(x)
-            harm.append(ring.evaluate_exact(lap_p, jets, g))
-            k_vals.add(ring.evaluate_exact(lap_m, jets, g))
+        harm, k_list = _exact_sweep(prof1, pts, (ring.lap_e2f(), ring.lap_e_m2f()))
+        k_vals = set(k_list)
         if any(h != 0 for h in harm) or len(k_vals) != 1:
             return False, None, {"harmonic": [str(h) for h in harm]}
         kconst = k_vals.pop()  # lap e^{-2f} on the c=1 profile; scales as k/c
@@ -448,12 +448,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         # certify residual(c*) == 0 exactly, alphaP kept symbolic via alphaP = 1
         cstar = cstar_over_alphaP * alphaP
         prof = profile("fundamental", c=cstar)
-        rfull = gauge_num.anomaly_residual
-        worst = []
-        for x in pts:
-            g, jets = prof.jets_exact(x)
-            jets[ring.const_sym("alphaP")] = alphaP
-            worst.append(ring.evaluate_exact(rfull, jets, g))
+        (worst,) = _exact_sweep(prof, pts, (gauge_num.anomaly_residual,), {ring.const_sym("alphaP"): alphaP})
         ok = all(w == 0 for w in worst)
         values["alphaP"] = alphaP
         values["cstar"] = cstar
@@ -463,18 +458,14 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
     def _harmonic():
         prof = profile("fundamental", alphaP=alphaP)
-        lap_p = ring.lap_e2f()
-        vals = []
-        for x in _rational_points(seed + 1):
-            g, jets = prof.jets_exact(x)
-            vals.append(ring.evaluate_exact(lap_p, jets, g))
+        (vals,) = _exact_sweep(prof, _rational_points(seed + 1), (ring.lap_e2f(),))
         return all(v == 0 for v in vals), None, {"points": len(vals)}
 
     _ck(checks, "profile-harmonic-exact", _harmonic)
 
 
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
-    A_num, npoints = _params(name, dim, config, ("A", "npoints"))
+    A_num, npoints = _params(name, dim, config, ("A", "npoints"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
     absA2q = abs_A_squared(cnum).as_fraction()
@@ -484,12 +475,8 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     prof = profile("ball", absA2=absA2q)
 
     def _ball_equation():
-        expr = _onshell_factor(rat(absA2q))
-        vals = []
-        for x in _rational_points(seed):
-            xs = tuple(v / 2 for v in x)  # keep |x| < 1
-            g, jets = prof.jets_exact(xs)
-            vals.append(ring.evaluate_exact(expr, jets, g))
+        pts = [tuple(v / 2 for v in x) for x in _rational_points(seed)]  # keep |x| < 1
+        (vals,) = _exact_sweep(prof, pts, (_onshell_factor(rat(absA2q)),))
         return all(v == 0 for v in vals), None, {"points": len(vals)}
 
     _ck(checks, "ball-solves-instanton-equation", _ball_equation)
@@ -498,15 +485,9 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, factor))
 
     def _numeric_residuals():
-        res = geo_num.instanton_minus
+        exprs = [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
-        worst = 0.0
-        for x in pts:
-            assi = numeric.build_assignment(prof, x)
-            for coef in res.values():
-                worst = numeric.worst_of(worst, abs(coef.evaluate(assi)))
-            for coef in geo_num.dT.comps.values():
-                worst = numeric.worst_of(worst, abs(coef.evaluate(assi)))
+        worst = _float_sweep(exprs, (numeric.build_assignment(prof, x) for x in pts))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
@@ -515,8 +496,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
         assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=16, seed=seed + 7)]
         outcome = {}
         for phi_factor in (-1, -2):
-            expr = geo_num.scalar_identity[phi_factor]
-            outcome[f"phi={phi_factor}f"] = numeric.max_error(abs(expr.evaluate(assi)) for assi in assis)
+            outcome[f"phi={phi_factor}f"] = _float_sweep((geo_num.scalar_identity[phi_factor],), assis)
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
@@ -544,7 +524,7 @@ _CONTRACTIONS = {
 
 
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
-    _params(name, dim, config, ())
+    _params(name, dim, config, (), overrides)
     t = _CONTRACTIONS[dim]
 
     def family(eps, drop=True):
@@ -576,7 +556,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     def _residual_limit():
         # full-leg frame with the degenerate rows kept, against the contracted frame
         lam_direct = [row[:c0.dim - 4] for row in t.lam7]  # the same Lambda on the contracted frame
-        r_path, r_direct = (anomaly.catalogue_gauge(t.family, "DLambda", lam, eps=0, drop=drop).anomaly_residual
+        r_path, r_direct = (anomaly.held_gauge(family(0, drop), "DLambda", lam).anomaly_residual
                             for lam, drop in ((t.lam7, False), (lam_direct, True)))
         return r_path == r_direct, None, {"terms": len(r_direct)}
 

@@ -56,6 +56,14 @@ def test_verify_unknown_override_is_config_error(capsys):
     assert rc == 2 and "unknown override" in err
 
 
+@pytest.mark.parametrize("scenario", ["thm-7d-positive", "ball-7d", "thm-5d-negative", "thm-5d-positive",
+                                      "contraction-6d", "contraction-5d"])
+def test_verify_override_the_scenario_does_not_read_is_config_error(scenario, capsys):
+    rc, out, err = run_cli(["verify", "--scenario", scenario, "--set", "rank2-lambda"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {scenario}: unknown override 'rank2-lambda'") and err.count("\n") == 1
+
+
 def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
     p = tmp_path / "conf.json"
     p.write_text("{not json")

@@ -152,6 +152,16 @@ def test_rank_two_override_rejected_in_five_dims():
         run_scenario("thm-5d-negative", overrides=("rank2-lambda",))
 
 
+@pytest.mark.parametrize("name, override", [
+    *((name, "rank2-lambda") for name in SCENARIOS if name != "thm-7d-negative"),
+    ("thm-7d-negative", "rank2-lamda"),
+])
+def test_an_override_the_scenario_does_not_read_is_refused(name, override):
+    # refused before any check runs, as an unread config key is
+    with pytest.raises(BadParams, match=f"{name}: unknown override '{override}'"):
+        run_scenario(name, overrides=(override,))
+
+
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError, match="unknown scenario"):
         run_scenario("thm-9d")
@@ -360,10 +370,12 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
         return geo
 
     theorem_gauges = scenarios._theorem_gauges
+    kept = []  # per gauge: is it kept in its frame's Geometry?
 
-    def watched_gauges(*args):
-        gauges = theorem_gauges(*args)
+    def watched_gauges(geos, *args):
+        gauges = theorem_gauges(geos, *args)
         gauge_refs.extend(weakref.ref(g) for g in gauges)
+        kept.extend(g in geo.gauges.values() for geo, g in zip(geos, gauges))
         return gauges
 
     monkeypatch.setattr(scenarios, "geometry", watched)
@@ -374,7 +386,8 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
         rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
         assert rep.passed and len(refs) == 1
         assert _held_set() == held
-        assert refs[0]() is None
+        # the default B's gauge on the config frame is kept in that frame's Geometry, and both are freed
+        assert kept == [True, True] and refs[0]() is None and gauge_refs[1]() is None
         # a config gauge on the default (held) frames: the report's own, freed with it
         for name, config in (("thm-7d-negative", {"lam": [[2, 0, 0], [1, 0, 0], [0, 0, 0]]}),
                              ("thm-7d-positive", {"B": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]})):

@@ -102,3 +102,23 @@ def test_a_catalogue_round_passes_the_benchmark_gates():
     catalogue_geometry.cache_clear()
     gc.collect()
     assert [ref() for ref in held if ref() is not None] == []
+
+
+def test_a_cold_traced_round_calls_nothing_round_the_wrappers():
+    # a cold round builds every catalogue frame under the tracer, so a builder
+    # captured at import (a table of functions) would be called round its wrapper
+    tracing = _tracing()
+    catalogue_geometry.cache_clear()
+    tracer, prof = tracing.Tracer(), cProfile.Profile()
+    tracer.install()
+    try:
+        prof.enable()
+        try:
+            for seed, name in enumerate(SCENARIOS):
+                scenarios.run_scenario(name, seed=seed)
+        finally:
+            prof.disable()
+    finally:
+        tracer.uninstall()
+    assert "frames.k_a" in tracer.wrapped  # the builders are wrapped
+    assert tracing.uncovered(pstats.Stats(prof), tracer.spans, tracer.wrapped) == []
