@@ -34,11 +34,12 @@ class ConstraintViolated(Exception):
 class Gauge:
     """The auxiliary connection D named by ('DLambda', rows) or ('DB', rows) on one coframe.
 
-    Its connection, curvature, p1, instanton residual and anomaly residual
-    (alphaP symbolic) are each derived on first use and then kept.  D_Lambda
-    is built whatever its rank, since the instanton test reads a rank-two
-    one too; the anomaly residual refuses it, on every call, because a
-    cached_property keeps no exception.  The gauge keeps its coframe and
+    Its connection, curvature, p1, instanton residual, anomaly residual
+    (alphaP symbolic) and, for D_Lambda, the one-variable reduction of that
+    residual are each derived on first use and then kept.  D_Lambda is built
+    whatever its rank, since the instanton test reads a rank-two one too;
+    the anomaly residual and its reduction refuse it, on every read, because
+    a cached_property keeps no exception.  The gauge keeps its coframe and
     finds the coframe's Geometry through geometry(), so a Geometry holding
     gauges (held_gauge) makes no reference cycle with them.
     """
@@ -70,6 +71,14 @@ class Gauge:
     @cached_property
     def anomaly_residual(self) -> CoefExpr:
         return anomaly_residual(self.coframe, const("alphaP"), self)
+
+    @cached_property
+    def reduced_residual(self) -> CoefExpr:
+        """reduce_onevar of the anomaly residual with the coframe's |A|^2 and the rows' lambda^2."""
+        if self.kind != "DLambda":
+            raise BadParams("the one-variable reduction needs a DLambda gauge")
+        c = self.coframe
+        return reduce_onevar(self.anomaly_residual, abs_A_squared(c), lam_squared(self.rows, c))
 
 
 def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:

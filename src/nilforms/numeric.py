@@ -12,17 +12,25 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .forms import FormExpr, exterior_derivative
-from .profiles import DilatonProfile
-from .ring import COORDS, CoefExpr, as_symbol, jet_sym
+from .profiles import JETS, DilatonProfile
+from .ring import COORDS, CoefExpr, as_symbol, is_jet, jet_sym
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
 
 
-def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | None = None) -> dict:
-    """One sample point's float table: profile jets at x plus the named
-    constants, whose names are resolved to ring symbols here, once."""
-    assi = prof.jets(x)
+def jets_read(exprs) -> tuple:
+    """The jets other than f that some of exprs reads, sorted: what a sweep over them asks a profile for."""
+    out = set()
+    for e in exprs:
+        out |= e.symbols()
+    return tuple(sorted(sym for sym in out if is_jet(sym) and sym[1]))
+
+
+def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | None = None, want=JETS) -> dict:
+    """One sample point's float table: f and the profile jets in want at x,
+    plus the named constants, whose names are resolved to ring symbols here, once."""
+    assi = prof.jets(x, want)
     if consts:
         for name, val in consts.items():
             assi[as_symbol(name)] = float(val)
@@ -55,7 +63,10 @@ def halton_points(n: int, seed: int, box, accept: Callable | None = None, max_ro
 
     Coordinate j is the radical inverse of k = 1, 2, ... in the j-th prime
     base, its digits permuted by a seeded permutation that fixes digit 0.
+    A box of other than four (lo, hi) pairs raises ValueError.
     """
+    if len(box) != len(_HALTON_BASES) or any(len(pair) != 2 for pair in box):
+        raise ValueError(f"the box must be four (lo, hi) pairs, got {box!r}")
     rng = random.Random(seed)
     perms = [[0] + rng.sample(range(1, b), b - 1) for b in _HALTON_BASES]
     lows = [float(lo) for lo, _ in box]

@@ -17,6 +17,10 @@ these exact jets.  Weierstrass (wp is transcendental) and constant (whose
 e^{2 f0} is a float) are float-only, and their ``jets_exact`` raises
 BadParams.  The ball's float jets take |A|^2 and -|A|^2/2 as floats converted
 once, so at a float point they run on floats alone.
+
+``jets`` and ``jets_exact`` build only the jets a caller asks for (and f,
+in floats), each by the formula the full table uses, so a jet has the same
+value whatever else is asked; the full table is the request for all of JETS.
 """
 
 from __future__ import annotations
@@ -34,31 +38,41 @@ class BadParams(Exception):
     """Raised for malformed or out-of-range profile parameters."""
 
 
-# (index tuple, jet symbol) for the jets of order one, two and three, built once
-_J1 = tuple(((i,), jet_sym(i)) for i in COORDS)
-_J2 = tuple(((i, j), jet_sym(i, j)) for i in COORDS for j in COORDS if i <= j)
-_J3 = tuple(((i, j, k), jet_sym(i, j, k)) for i in COORDS for j in COORDS for k in COORDS if i <= j <= k)
+# the sorted index tuples of order two and three
+_I2 = tuple((i, j) for i in COORDS for j in COORDS if i <= j)
+_I3 = tuple((i, j, k) for i in COORDS for j in COORDS for k in COORDS if i <= j <= k)
 _F = jet_sym()
+# every jet of f of order one to three, in table order: the full table is a request for them all
+JETS = tuple(jet_sym(*idx) for idx in tuple((i,) for i in COORDS) + _I2 + _I3)
 
 
-def _half_log_jets(g, gi, gij, gijk):
-    """{jet symbol: value} of (1/2) log g from the jets of g (keys: index tuples)."""
+def _half_log_jets(g, gi, gij, gijk, want=JETS):
+    """{jet symbol: value} of (1/2) log g for the jets in want, from the jets of g (keys: index tuples).
+
+    A symbol of want that is not a jet of order one to three (f itself) is skipped.
+    """
     jets = {}
     g2 = g * g
     g3 = g2 * g
-    for (i,), sym in _J1:
-        jets[sym] = gi[i] / (2 * g)
-    for (i, j), sym in _J2:
-        jets[sym] = gij[(i, j)] / (2 * g) - gi[i] * gi[j] / (2 * g2)
-    for (i, j, k), sym in _J3:
-        s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
-        jets[sym] = gijk[(i, j, k)] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
+    for sym in want:
+        idx = sym[1]
+        order = len(idx)
+        if order == 1:
+            jets[sym] = gi[idx[0]] / (2 * g)
+        elif order == 2:
+            i, j = idx
+            jets[sym] = gij[idx] / (2 * g) - gi[i] * gi[j] / (2 * g2)
+        elif order == 3:
+            i, j, k = idx
+            s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
+            jets[sym] = gijk[idx] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
     return jets
 
 
-def _quadratic_exact(x, p0: int, e: int, s: int, center, scale):
-    """(g, {jet symbol: Fraction}) at a rational x for g = scale * P^s, where
-    P = p0 + e|x - center|^2 (e = +-1) must be positive, else None.
+def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
+    """(g, {jet symbol: Fraction} for the jets in want) at a rational x for
+    g = scale * P^s, where P = p0 + e|x - center|^2 (e = +-1) must be positive,
+    else None.  A symbol of want that is not a jet of order one to three is skipped.
 
     Over a common denominator, x - center = n/q and P = N/q^2 with integers n_i
     and N; as P_i = 2e n_i/q and P_ij = 2e delta_ij, the jets of f are
@@ -77,12 +91,19 @@ def _quadratic_exact(x, p0: int, e: int, s: int, center, scale):
     g = Fraction(sn * N, sd * q * q) if s > 0 else Fraction(sn * q * q, sd * N)
     c1, c2, c3 = s * e * q, s * q * q, s * q * q * q
     N2, N3 = N * N, N ** 3
-    jets = {sym: Fraction(c1 * n[i], N) for (i,), sym in _J1}
-    for (i, j), sym in _J2:
-        jets[sym] = Fraction(c2 * ((e * N if i == j else 0) - 2 * n[i] * n[j]), N2)
-    for (i, j, k), sym in _J3:
-        dn = (n[k] if i == j else 0) + (n[j] if i == k else 0) + (n[i] if j == k else 0)
-        jets[sym] = Fraction(c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N), N3)
+    jets = {}
+    for sym in want:
+        idx = sym[1]
+        order = len(idx)
+        if order == 1:
+            jets[sym] = Fraction(c1 * n[idx[0]], N)
+        elif order == 2:
+            i, j = idx
+            jets[sym] = Fraction(c2 * ((e * N if i == j else 0) - 2 * n[i] * n[j]), N2)
+        elif order == 3:
+            i, j, k = idx
+            dn = (n[k] if i == j else 0) + (n[j] if i == k else 0) + (n[i] if j == k else 0)
+            jets[sym] = Fraction(c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N), N3)
     return g, jets
 
 
@@ -98,7 +119,7 @@ class DilatonProfile:
         self.singular_distance = singular_distance  # from x to the singular set (inf if empty)
         self._scale = scale
         self._s = s
-        self._exact_jets = exact_jets  # rational x -> (g, jets), or None outside the domain
+        self._exact_jets = exact_jets  # (rational x, wanted jets) -> (g, jets), or None outside the domain
         self.exact = exact_jets is not None
 
     def _jets_of_p(self, x):
@@ -113,19 +134,20 @@ class DilatonProfile:
         P = self._jets_of_p(x)[0]
         return self._scale * P if self._s > 0 else self._scale / P
 
-    def jets(self, x: Sequence[float]) -> dict:
-        """{jet symbol: value} for f and its derivatives up to order three."""
+    def jets(self, x: Sequence[float], want=JETS) -> dict:
+        """{jet symbol: value} for f and the jets in want (by default every
+        derivative up to order three); each value is the same whatever else is asked."""
         P, Pi, Pij, Pijk = self._jets_of_p(x)
         out = {_F: 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)}
-        for sym, val in _half_log_jets(P, Pi, Pij, Pijk).items():
+        for sym, val in _half_log_jets(P, Pi, Pij, Pijk, want).items():
             out[sym] = float(val) if self._s > 0 else -float(val)
         return out
 
-    def jets_exact(self, x: Sequence[Fraction]) -> tuple[Fraction, dict]:
-        """(g, {jet symbol: Fraction}) with exact arithmetic; f itself is omitted."""
+    def jets_exact(self, x: Sequence[Fraction], want=JETS) -> tuple[Fraction, dict]:
+        """(g, {jet symbol: Fraction} for the jets in want) with exact arithmetic; f itself is omitted."""
         if not self.exact:
             raise BadParams(f"{self.name}: no exact jet evaluation")
-        out = self._exact_jets(x)
+        out = self._exact_jets(x, want)
         if out is None:
             raise BadParams(f"{self.name}: point {x!r} outside the domain")
         return out
@@ -146,8 +168,8 @@ def _ball(absA2) -> DilatonProfile:
         r2 = sum(c * c for c in x)
         g = (fabsA2 * (1 - r2)) / 4
         gi = {i: -(fabsA2 * x[i - 1]) / 2 for i in COORDS}
-        gij = {(i, j): (fhess if i == j else 0 * g) for (i, j), _ in _J2}
-        gijk = {idx: 0 * g for idx, _ in _J3}
+        gij = {(i, j): (fhess if i == j else 0 * g) for (i, j) in _I2}
+        gijk = {idx: 0 * g for idx in _I3}
         return g, gi, gij, gijk
 
     def in_domain(x):
@@ -158,11 +180,11 @@ def _ball(absA2) -> DilatonProfile:
 
     quarter = absA2 / 4  # exactly: g = (|A|^2/4) P with P = 1 - r^2
     return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance,
-                          exact_jets=lambda x: _quadratic_exact(x, 1, -1, 1, ((0, 1),) * 4, quarter))
+                          exact_jets=lambda x, want: _quadratic_exact(x, want, 1, -1, 1, ((0, 1),) * 4, quarter))
 
 
-_HESS_RHO = {idx: 2 * (idx[0] == idx[1]) for idx, _ in _J2}
-_ZERO3 = {idx: 0 for idx, _ in _J3}
+_HESS_RHO = {idx: 2 * (idx[0] == idx[1]) for idx in _I2}
+_ZERO3 = {idx: 0 for idx in _I3}
 
 
 def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
@@ -193,7 +215,7 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
         return math.sqrt(sum((float(x[i]) - float(cent[i])) ** 2 for i in range(4)))
 
     return DilatonProfile("fundamental", {"c": c, "center": cent}, rhojets, in_domain, singular_distance,
-                          scale=c, s=-1, exact_jets=lambda x: _quadratic_exact(x, 0, 1, -1, cent_q, c))
+                          scale=c, s=-1, exact_jets=lambda x, want: _quadratic_exact(x, want, 0, 1, -1, cent_q, c))
 
 
 def _weierstrass(d, alpha) -> DilatonProfile:
@@ -211,9 +233,9 @@ def _weierstrass(d, alpha) -> DilatonProfile:
         g = a2 * u
         gi = {i: 0.0 for i in COORDS}
         gi[1] = a2 * up
-        gij = {idx: 0.0 for idx, _ in _J2}
+        gij = {idx: 0.0 for idx in _I2}
         gij[(1, 1)] = a2 * (6.0 * u * u - 2.0 * d * d)
-        gijk = {idx: 0.0 for idx, _ in _J3}
+        gijk = {idx: 0.0 for idx in _I3}
         gijk[(1, 1, 1)] = a2 * 12.0 * u * up
         return g, gi, gij, gijk
 
@@ -235,7 +257,7 @@ def _weierstrass(d, alpha) -> DilatonProfile:
                           lambda x: singular_distance(x) > 1e-6 * tau, singular_distance)
 
 
-_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx, _ in _J2}, {idx: 0.0 for idx, _ in _J3})
+_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx in _I2}, {idx: 0.0 for idx in _I3})
 
 
 def _constant(f0) -> DilatonProfile:

@@ -35,8 +35,10 @@ them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``len()`` and ``bool()``.  ``evaluate``/``evaluate_exact`` read a
 ``{symbol: value}`` table as given; names are resolved to symbols only
-where such a table is built.  An element is immutable, so ``evaluate``
-keeps the float plan its first call builds.
+where such a table is built.  An element is immutable, so it keeps what
+their first calls work out: the float plan of ``evaluate``, the integer
+plan of ``evaluate_exact`` and the symbol set of ``symbols()``, which a
+sweep reads to ask a profile for only the jets it needs.
 """
 
 from __future__ import annotations
@@ -273,11 +275,12 @@ class CoefExpr:
     """A canonical-form element of the coefficient ring.
 
     An element is never mutated after construction: no code outside
-    ``__init__`` and ``_wrap`` writes ``terms``.  So ``evaluate`` can keep the
-    float plan it builds on its first call for as long as the element lives.
+    ``__init__`` and ``_wrap`` writes ``terms``.  So ``evaluate``,
+    ``evaluate_exact`` and ``symbols`` can keep what their first call works
+    out for as long as the element lives.
     """
 
-    __slots__ = ("terms", "_plan")
+    __slots__ = ("terms", "_plan", "_exact_plan", "_symbols")
     __hash__ = None  # compare by value only
 
     def __init__(self, terms: Mapping[int, object] | None = None):
@@ -446,12 +449,13 @@ class CoefExpr:
             raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
         return total
 
-    def symbols(self) -> set:
-        out = set()
-        for key in self.terms:
-            for sym, _ in _decode(key)[1]:
-                out.add(sym)
-        return out
+    def symbols(self) -> frozenset:
+        """The symbols that occur in some term (f only as a jet factor, not for e^{kf})."""
+        try:
+            return self._symbols
+        except AttributeError:
+            out = self._symbols = frozenset(sym for key in self.terms for sym, _ in _decode(key)[1])
+            return out
 
     def scale_expf(self, shift: int) -> "CoefExpr":
         """self * e^{shift f}: each key's k field moves by shift."""
@@ -624,24 +628,60 @@ def p_laplacian4() -> CoefExpr:
     return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
 
 
+def _plan_exact(e: CoefExpr) -> tuple:
+    """(L, odd, terms) for evaluate_exact: L the lcm of e's coefficient
+    denominators, odd whether a term has an odd k, and per term, in the order
+    of e.terms, (coef * L as an int, (k/2, total degree) or None for an odd k,
+    ((symbol, power), ...))."""
+    L = math.lcm(*(c.denominator for c in e.terms.values() if type(c) is not int))
+    terms = []
+    for key, coef in e.terms.items():
+        k, syms, _ = _decode(key)
+        bucket = None if k % 2 else (k // 2, sum(p for _, p in syms))
+        terms.append((coef * L if type(coef) is int else coef.numerator * (L // coef.denominator), bucket, syms))
+    return L, any(bucket is None for _, bucket, _ in terms), tuple(terms)
+
+
 def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
     """Exact value at a {symbol: Fraction} table, read as given.
 
-    e^{kf} factors become e2f^{k/2}, so every k must be even.
+    e^{kf} factors become e2f^{k/2}, so every k must be even.  The values e
+    reads are put over one common denominator D, so each term
+    coef * prod (n_s/D)^p sums in integers, by (k/2, total degree), and one
+    Fraction holds the result.  A missing symbol or an odd k raises
+    UnboundSymbol at the first term, in term order, that has one.
     """
-    total = Fraction(0)
-    for key, coef in e.terms.items():
-        k, syms, _ = _decode(key)
-        if k % 2:
-            raise UnboundSymbol("odd e^{kf} power has no exact rational value")
-        val = coef * e2f ** (k // 2)
-        try:
-            for sym, power in syms:
-                val *= table[sym] ** power
-        except KeyError as exc:
-            raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
-        total += val
-    return total
+    try:
+        L, odd, plan = e._exact_plan
+    except AttributeError:
+        L, odd, plan = e._exact_plan = _plan_exact(e)
+    try:
+        vals = {sym: table[sym] for sym in e.symbols()}
+    except KeyError:
+        odd = True
+    if odd:
+        for _, bucket, syms in plan:
+            if bucket is None:
+                raise UnboundSymbol("odd e^{kf} power has no exact rational value")
+            for sym, _ in syms:
+                if sym not in table:
+                    raise UnboundSymbol(f"symbol {sym} not bound")
+    D = math.lcm(*(v.denominator for v in vals.values()))
+    nums = {sym: v.numerator * (D // v.denominator) for sym, v in vals.items()}
+    buckets: dict = {}
+    for c, bucket, syms in plan:
+        for sym, p in syms:
+            c *= nums[sym] if p == 1 else nums[sym] ** p
+        buckets[bucket] = buckets.get(bucket, 0) + c
+    if not buckets:
+        return Fraction(0)
+    # over L * D^dmax * a^A * b^B, with e2f = a/b, A = max(0, -min h) and B = max(0, max h)
+    a, b = e2f.numerator, e2f.denominator
+    A = max(0, -min(h for h, _ in buckets))
+    B = max(0, max(h for h, _ in buckets))
+    dmax = max(deg for _, deg in buckets)
+    num = sum(c * D ** (dmax - deg) * a ** (h + A) * b ** (B - h) for (h, deg), c in buckets.items())
+    return Fraction(num, L * D ** dmax * a ** A * b ** B)
 
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:

@@ -235,13 +235,16 @@ def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, mi
     """The values of keys, the config keys a scenario reads, defaults filled in.
 
     Raises BadParams, before any check runs, for a key or an override the
-    scenario does not read or a value it cannot use.  Defaults and shapes
-    come from the dimension's row of _THEOREMS.
+    scenario does not read, a repeated override or a value it cannot use.
+    Defaults and shapes come from the dimension's row of _THEOREMS.
     """
     unread = [key for key in config if key not in keys]
     if unread:
         reads = ", ".join(map(repr, keys)) if keys else "no config keys"
         raise BadParams(f"{name}: unknown config key {', '.join(map(repr, unread))} (it reads {reads})")
+    repeated = list(dict.fromkeys(ov for ov in overrides if overrides.count(ov) > 1))
+    if repeated:
+        raise BadParams(f"{name}: repeated override {', '.join(map(repr, repeated))}")
     # the one catalogued override, rank2-lambda, sets lam to the theorem's rank-two Lambda
     rank2 = "lam" in keys and _THEOREMS[dim].rank2_lambda is not None
     unread = [ov for ov in overrides if ov != "rank2-lambda" or not rank2]
@@ -276,15 +279,22 @@ def _line_points(tau: float, n: int):
 
 
 def _exact_sweep(prof, points, exprs, consts=None) -> list:
-    """[[e at x for x in points] for e in exprs] on prof's exact jets, with consts {symbol: value} added."""
+    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read, plus consts {symbol: value}."""
+    want = numeric.jets_read(exprs)
     cols = [[] for _ in exprs]
     for x in points:
-        g, jets = prof.jets_exact(x)
+        g, jets = prof.jets_exact(x, want)
         if consts:
             jets.update(consts)
         for col, e in zip(cols, exprs):
             col.append(ring.evaluate_exact(e, jets, g))
     return cols
+
+
+def _tables(prof, points, exprs, consts=None) -> list:
+    """The float table of each of points, with the jets of prof that exprs read and consts {name: value}."""
+    want = numeric.jets_read(exprs)
+    return [numeric.build_assignment(prof, x, consts, want) for x in points]
 
 
 def _float_sweep(exprs, tables) -> float:
@@ -328,7 +338,6 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, factor))
     _ck(checks, "plus-holonomy-zero", lambda: _all_zero(geo.holonomy_plus, "entries"))
 
-    lam2 = lam_squared(lam, csym)
     values["p1_volume_reading"] = "unbarred"
 
     def _anomaly_sym():
@@ -339,7 +348,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "anomaly-residual-closed-form", _anomaly_sym)
 
     def _reduction():
-        ode = anomaly.reduce_onevar(gauge.anomaly_residual, absA2, lam2)
+        ode = gauge.reduced_residual
         return ode == anomaly.solv4_ode(absA2), None, {"ode_terms": len(ode)}
 
     _ck(checks, "reduction-first-integral", _reduction)
@@ -373,8 +382,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         )
         # one table per line point feeds the first integral (C0 = 0) and the reduced residual
         first = anomaly.solv4_lhs(const("absA2"))
-        ode = anomaly.reduce_onevar(gauge_num.anomaly_residual, rat(absA2q), rat(lam2q))
-        assis = [numeric.build_assignment(prof, x, {"alpha": alpha, "absA2": absA2n}) for x in pts]
+        ode = gauge_num.reduced_residual
+        assis = _tables(prof, pts, (first, ode), {"alpha": alpha, "absA2": absA2n})
         worst_first = _float_sweep((first,), assis)
         worst_res = _float_sweep((ode,), assis)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
@@ -487,16 +496,15 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     def _numeric_residuals():
         exprs = [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
-        worst = _float_sweep(exprs, (numeric.build_assignment(prof, x) for x in pts))
+        worst = _float_sweep(exprs, _tables(prof, pts, exprs))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
 
     def _normalization_probe():
-        assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=16, seed=seed + 7)]
-        outcome = {}
-        for phi_factor in (-1, -2):
-            outcome[f"phi={phi_factor}f"] = _float_sweep((geo_num.scalar_identity[phi_factor],), assis)
+        exprs = {phi_factor: geo_num.scalar_identity[phi_factor] for phi_factor in (-1, -2)}
+        assis = _tables(prof, numeric.profile_points(prof, n=16, seed=seed + 7), exprs.values())
+        outcome = {f"phi={phi_factor}f": _float_sweep((e,), assis) for phi_factor, e in exprs.items()}
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
@@ -564,17 +572,19 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
 
     def _decay():
         prof = profile("ball", absA2=3)
-        assis = [numeric.build_assignment(prof, x) for x in numeric.profile_points(prof, n=12, seed=seed)]
-        maxima = {}
+        dropped = {}  # eps -> the curvature coefficients on a dropped leg
         for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
             cur = catalogue_geometry(t.family, eps=e, **t.a_num).curv_minus
-            maxima[float(e)] = numeric.max_error(
-                abs(coef.evaluate(assi))
+            dropped[float(e)] = [
+                coef
                 for (i, j) in cur.pairs()
                 for idx, coef in cur.entry(i, j).comps.items()
                 if i in t.dropped_legs or j in t.dropped_legs or any(l in t.dropped_legs for l in idx)
-                for assi in assis
-            )
+            ]
+        pts = numeric.profile_points(prof, n=12, seed=seed)
+        assis = _tables(prof, pts, [coef for coefs in dropped.values() for coef in coefs])
+        maxima = {e: numeric.max_error(abs(coef.evaluate(assi)) for coef in cs for assi in assis)
+                  for e, cs in dropped.items()}
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
         ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0

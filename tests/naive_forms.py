@@ -6,7 +6,8 @@ summed into the result with ``+``.  The merge sign is counted here from
 inversions, so a sign dropped anywhere in ``nilforms.forms`` cannot cancel
 out of a comparison with these.  The float evaluation, the ball's float jets
 and the G2/SU(2) projections are the per-call loops the cached plans and
-tables replaced, with every float operation in the same order.  The
+tables replaced, with every float operation in the same order; the exact
+evaluation is the term-by-term Fraction walk the integer sums replaced.  The
 interior product and the sigma_i pair forms are used by the tests alone.
 """
 from __future__ import annotations
@@ -153,6 +154,23 @@ def evaluate_reference(e, table) -> float:
         try:
             if k:
                 val *= math.exp(k * table[ring.jet_sym()])
+            for sym, power in syms:
+                val *= table[sym] ** power
+        except KeyError as exc:
+            raise ring.UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
+        total += val
+    return total
+
+
+def evaluate_exact_reference(e, table, e2f) -> Fraction:
+    """ring.evaluate_exact term by term in Fractions, in the order of e.terms."""
+    total = Fraction(0)
+    for key, coef in e.terms.items():
+        k, syms, _ = ring._decode(key)
+        if k % 2:
+            raise ring.UnboundSymbol("odd e^{kf} power has no exact rational value")
+        val = coef * e2f ** (k // 2)
+        try:
             for sym, power in syms:
                 val *= table[sym] ** power
         except KeyError as exc:

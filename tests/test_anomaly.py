@@ -226,6 +226,20 @@ def test_five_leg_reduce_onevar_equals_solv4_ode(h21_sym):
     assert not (red - solv4_ode(abs_A_squared(h21_sym)))
 
 
+def test_a_gauge_keeps_its_one_variable_reduction(ka, h21_sym):
+    for c, lam in ((ka, LAM7), (h21_sym, LAM5)):
+        gauge = Gauge(c, "DLambda", lam)
+        red = gauge.reduced_residual
+        assert red == reduce_onevar(gauge.anomaly_residual, abs_A_squared(c), lam_squared(lam, c))
+        assert gauge.reduced_residual is red  # derived once
+    rank_two = Gauge(ka, "DLambda", [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for _ in range(2):  # refused again on every read, never kept
+        with pytest.raises(BadParams, match="rank"):
+            rank_two.reduced_residual
+    with pytest.raises(BadParams, match="DLambda"):
+        Gauge(ka, "DB", B7).reduced_residual
+
+
 def test_reduce_onevar_checks_the_constraint(ka):
     r = anomaly_residual(ka, "alphaP", ("DLambda", LAM7))
     with pytest.raises(ConstraintViolated):

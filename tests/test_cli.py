@@ -64,6 +64,13 @@ def test_verify_override_the_scenario_does_not_read_is_config_error(scenario, ca
     assert err.startswith(f"error: {scenario}: unknown override 'rank2-lambda'") and err.count("\n") == 1
 
 
+def test_verify_repeated_override_is_config_error(capsys):
+    rc, out, err = run_cli(["verify", "--scenario", "thm-7d-negative", "--set", "rank2-lambda",
+                            "--set", "rank2-lambda"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: thm-7d-negative: repeated override 'rank2-lambda'\n"
+
+
 def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
     p = tmp_path / "conf.json"
     p.write_text("{not json")

@@ -55,6 +55,13 @@ def test_halton_points_deterministic_and_boxed():
     assert a != c
 
 
+@pytest.mark.parametrize("pairs", [3, 5])
+def test_a_box_of_other_than_four_pairs_is_refused(pairs):
+    # a sample point has four coordinates: zipping a box of 3 pairs made 3-D points, one of 5 dropped a pair
+    with pytest.raises(ValueError, match="four"):
+        numeric.halton_points(2, 0, ((-1, 1),) * pairs)
+
+
 def test_halton_starvation():
     with pytest.raises(RuntimeError, match="admissible"):
         numeric.halton_points(3, 0, ((-1, 1),) * 4, accept=lambda p: False, max_rounds=2)

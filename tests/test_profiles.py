@@ -14,7 +14,7 @@ import naive_forms
 from nilforms import ring
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
-from nilforms.profiles import PROFILES, BadParams, profile
+from nilforms.profiles import JETS, PROFILES, BadParams, profile
 from nilforms.ring import jet_sym, lap_e2f
 from nilforms.scenarios import _rational_points
 
@@ -247,3 +247,37 @@ def test_exact_jets_build_one_fraction_per_jet(name, params, shrink):
     pts = [tuple(v / shrink for v in x) for x in _rational_points(0)]  # the ball needs |x| < 1
     calls = _fraction_news(lambda: [prof.jets_exact(x) for x in pts])
     assert calls <= 60 * len(pts)
+
+
+# ---------------------------------------------------------------------------
+# jets on request
+
+_ONE_OF_EACH = {
+    "ball": profile("ball", absA2=Fraction(7, 3)),
+    "fundamental": profile("fundamental", c=Fraction(5, 2), center=(Fraction(1, 3), 0, Fraction(-1, 4), 0)),
+    "weierstrass": profile("weierstrass", d=0.8, alpha=1.3),
+    "constant": profile("constant", f0=-0.4),
+}
+_requests = st.lists(st.sampled_from((jet_sym(), *JETS)), unique=True)  # f may be asked for too
+_float_coord = st.floats(-0.45, 0.45, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(PROFILES), want=_requests, x=st.tuples(*[_float_coord] * 4))
+def test_requested_float_jets_are_the_full_tables_bits(name, want, x):
+    prof = _ONE_OF_EACH[name]
+    assume(prof.in_domain(x) and prof.singular_distance(x) >= 1e-3)
+    full, got = prof.jets(x), prof.jets(x, want)
+    assert set(got) == {jet_sym(), *want}
+    assert {sym: float.hex(v) for sym, v in got.items()} == {sym: float.hex(full[sym]) for sym in got}
+
+
+@settings(max_examples=40, deadline=None)
+@given(want=_requests, xb=st.tuples(*[_ball_coord] * 4), xf=st.tuples(*[_coord] * 4))
+def test_requested_exact_jets_are_the_full_table_restricted(want, xb, xf):
+    for name, x in (("ball", xb), ("fundamental", xf)):
+        prof = _ONE_OF_EACH[name]
+        if not prof.in_domain(x):
+            continue
+        g, full = prof.jets_exact(x)
+        assert prof.jets_exact(x, want) == (g, {sym: full[sym] for sym in want if sym != jet_sym()}), name

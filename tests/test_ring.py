@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import naive_forms
 from nilforms import ring
+from nilforms.profiles import profile
 from nilforms.ring import (
     CoefExpr,
     JetOrderExceeded,
@@ -284,6 +285,56 @@ def test_evaluate_exact_rejects_odd_exponential_powers():
 def test_evaluate_exact_missing_symbol_raises():
     with pytest.raises(UnboundSymbol):
         evaluate_exact(const("missing"), {}, Fraction(1))
+
+
+_exact_atoms = st.sampled_from([const("a"), const("b"), jet(1), jet(2, 3), jet(1, 1, 4), jet()])
+_exact_values = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+
+
+@st.composite
+def exact_exprs(draw, odd: bool):
+    """Ring elements with Fraction coefficients and e^{kf} factors of k in -6..6, even unless odd."""
+    e = CoefExpr()
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(-6, 6) if odd else st.integers(-3, 3).map(lambda h: 2 * h))
+        m = rat(draw(_fracs)) * expf(k)
+        for _ in range(draw(st.integers(0, 3))):
+            m = m * draw(_exact_atoms)
+        e = e + m
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), odd=st.booleans())
+def test_evaluate_exact_matches_the_term_by_term_walk(data, odd):
+    # the integer sums against the Fraction walk they replaced: equal values, or
+    # the same UnboundSymbol for a missing symbol or an odd k
+    e = data.draw(exact_exprs(odd))
+    syms = sorted(e.symbols())
+    table = dict(zip(syms, data.draw(st.lists(_exact_values, min_size=len(syms), max_size=len(syms)))))
+    missing = data.draw(st.sampled_from([None, *syms]))
+    if missing is not None:
+        del table[missing]
+    e2f = data.draw(_exact_values.filter(bool))
+    try:
+        want = naive_forms.evaluate_exact_reference(e, table, e2f)
+    except UnboundSymbol as exc:
+        for _ in range(2):  # the first call and one on the plan it keeps
+            with pytest.raises(UnboundSymbol) as got:
+                evaluate_exact(e, table, e2f)
+            assert str(got.value) == str(exc)
+        return
+    for _ in range(2):
+        got = evaluate_exact(e, table, e2f)
+        assert type(got) is Fraction and got == want
+
+
+def test_evaluate_exact_builds_one_fraction_per_call():
+    e = p_laplacian4() * rat(3, 7) + hessian2() * expf(-2) * const("a") + flat_laplacian(expf(2)) * rat(-1, 5)
+    x = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 7))
+    g, table = profile("fundamental", c=3).jets_exact(x)
+    table[ring.const_sym("a")] = Fraction(-2, 3)
+    assert _fraction_constructions(lambda: [evaluate_exact(e, table, g) for _ in range(5)]) == 5
 
 
 # ---------------------------------------------------------------------------

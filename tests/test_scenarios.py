@@ -15,7 +15,7 @@ from functools import cache
 
 import pytest
 
-from nilforms import gstruct, ring, scenarios
+from nilforms import anomaly, gstruct, ring, scenarios
 from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
 from nilforms.connection import curvature, koszul, pontryagin4
 from nilforms.elliptic import half_period
@@ -162,6 +162,12 @@ def test_an_override_the_scenario_does_not_read_is_refused(name, override):
         run_scenario(name, overrides=(override,))
 
 
+def test_a_repeated_override_is_refused():
+    # once, not recorded twice, as a repeated --params key is refused
+    with pytest.raises(BadParams, match="thm-7d-negative: repeated override 'rank2-lambda'"):
+        run_scenario("thm-7d-negative", overrides=("rank2-lambda", "rank2-lambda"))
+
+
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError, match="unknown scenario"):
         run_scenario("thm-9d")
@@ -221,6 +227,43 @@ def test_reports_are_byte_identical_to_the_golden_digests():
                 changed.append(f"{name} at seed {seed}")
     assert not changed, f"reports changed: {', '.join(changed)}"
     assert total.hexdigest() == GOLDEN_SHA256_ALL
+
+
+# the sweeps' sample points depend on the seed: two more seeds, and the designed failure at each
+GOLDEN_SHA256_MORE = {
+    (5, "thm-7d-negative"): "c8fd95a102bf4b333fada700e171d13c2d43830f945478bf8326f6652511051e",
+    (5, "thm-7d-positive"): "589a49c00ea860c510a06497622fe05588da2eb03b7c2d579478a9a9ecf8add8",
+    (5, "ball-7d"): "25492f7497a2009762b43c94cb7947b473f209583fcfbdc0302907c1854e6037",
+    (5, "thm-5d-negative"): "f67207313c7ff13dfadfb62cc9abf25a7301d84c9754f7af0d5f461d7021cd62",
+    (5, "thm-5d-positive"): "09245da280ab931bb52aa707fa43e8387c232ed2151d4a9a5825ccf70beeb689",
+    (5, "contraction-6d"): "9efcb5b2d966a039ed6dae7df0edc19db0b73f7738026270816acbfd5227e394",
+    (5, "contraction-5d"): "361801e5f87d4fd4f578ccdbc0896897c197a41327a0b35fc692b5f35ad5ea95",
+    (5, "thm-7d-negative+rank2-lambda"): "9234138780055b0f4299c0af5f53e8c7521dd14f1a476ebb86829bcd2b9282b2",
+    (12345, "thm-7d-negative"): "444336271683a3f7b90bacf50082ada2f6ed32d2ea8dac52b56c223538f3a132",
+    (12345, "thm-7d-positive"): "276c804394e90f3c10921208e8c11f3742bb02493e6bdb40e486d3c918f7f777",
+    (12345, "ball-7d"): "d0a37f406932c7ec76d2d44969cc9b54e9ff76d00a42176c69ebaaf01c2ae8a6",
+    (12345, "thm-5d-negative"): "9be79cfbfba86a9c62bb790e1dc371d0b02438e5e83a6127c749af28460a4cda",
+    (12345, "thm-5d-positive"): "91dfe63f10966e915370f69a72075e314a0b243505e2db69ca9c0e1523b5a9be",
+    (12345, "contraction-6d"): "f7ab05b05f7407131df50732b344c24e1bb14331f69e9991a203a7182a1d780f",
+    (12345, "contraction-5d"): "6b16b0a90aaf60a1b5342ae71955e9330d8a0fd5b721dbfc3a20ccdc2a51ec58",
+    (12345, "thm-7d-negative+rank2-lambda"): "942277593f507d2dca4c7a7e6a219db4ca54303baa42f2da32c2586b11abc708",
+}
+GOLDEN_SHA256_MORE_ALL = "acb2b9b6fe63975af2fcc6f3b42057a1d64c94c008a8aa8364a920d4d0719b57"
+
+
+def test_reports_at_two_more_seeds_are_byte_identical_to_their_digests():
+    total = hashlib.sha256()
+    changed = []
+    for seed in (5, 12345):
+        runs = [(name, ()) for name in SCENARIOS] + [("thm-7d-negative", ("rank2-lambda",))]
+        for name, overrides in runs:
+            text = run_scenario(name, seed=seed, overrides=overrides).to_json().encode()
+            total.update(text)
+            label = "+".join((name, *overrides))
+            if hashlib.sha256(text).hexdigest() != GOLDEN_SHA256_MORE[(seed, label)]:
+                changed.append(f"{label} at seed {seed}")
+    assert not changed, f"reports changed: {', '.join(changed)}"
+    assert total.hexdigest() == GOLDEN_SHA256_MORE_ALL
 
 
 def _reject_constant(name):
@@ -303,7 +346,7 @@ HELD_DERIVATIONS = (
     gstruct.su2_instanton_residual, gstruct.su2_holonomy_residual,
     gstruct.su2_structure_residuals, gstruct.su3_structure_residuals,
     gstruct.G2Structure.residuals, gstruct.G2Structure.torsion, gstruct.SU2Structure.torsion,
-    CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual,
+    CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual, anomaly.reduce_onevar,
 )
 
 
