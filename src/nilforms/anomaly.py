@@ -16,10 +16,18 @@ import math
 from functools import cached_property
 
 from . import ring
-from .connection import ConnectionForms, build_instanton_DLambda, curvature, lam_rank, lam_squared, pontryagin4
+from .connection import (
+    ConnectionForms,
+    _lam_rows,
+    build_instanton_DLambda,
+    curvature,
+    lam_rank,
+    lam_squared,
+    pontryagin4,
+)
 from .forms import DimensionMismatch, FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import Geometry, build_DB, geometry
+from .gstruct import Geometry, _db_rows, build_DB, geometry, specialised
 from .profiles import BadParams
 from .ring import CoefExpr, const, expf, jet, lap_e2f, lap_e_m2f, rat
 
@@ -36,12 +44,15 @@ class Gauge:
 
     Its connection, curvature, p1, instanton residual, anomaly residual
     (alphaP symbolic) and, for D_Lambda, the one-variable reduction of that
-    residual are each derived on first use and then kept.  D_Lambda is built
-    whatever its rank, since the instanton test reads a rank-two one too;
-    the anomaly residual and its reduction refuse it, on every read, because
-    a cached_property keeps no exception.  The gauge keeps its coframe and
-    finds the coframe's Geometry through geometry(), so a Geometry holding
-    gauges (held_gauge) makes no reference cycle with them.
+    residual are each derived on first use and then kept.  On a frame whose
+    Geometry has a family (a numeric kA or h21), p1 is instead the family
+    gauge's (family_gauge), specialised to the frame's numbers and the rows'.
+    D_Lambda is built whatever its rank, since the instanton test reads a
+    rank-two one too; the anomaly residual and its reduction refuse it, on
+    every read, because a cached_property keeps no exception.  The gauge
+    keeps its coframe and finds the coframe's Geometry through geometry(),
+    so a Geometry holding gauges (held_gauge) makes no reference cycle with
+    them.
     """
 
     def __init__(self, c: CoframeSpec, kind: str, rows):
@@ -62,7 +73,11 @@ class Gauge:
 
     @cached_property
     def p1(self) -> FormExpr:
-        return pontryagin4(self.curvature)
+        geo = geometry(self.coframe)
+        values = _row_values(self.kind, self.rows, self.coframe) if geo.family is not None else None
+        if values is None:
+            return pontryagin4(self.curvature)
+        return specialised(family_gauge(geo.family, self.kind).p1, self.coframe, {**geo.values, **values})
 
     @cached_property
     def instanton_residual(self) -> dict:
@@ -90,6 +105,54 @@ def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:
     if key not in geo.gauges:
         geo.gauges[key] = Gauge(geo.coframe, kind, key[1])
     return geo.gauges[key]
+
+
+def family_gauge(family: Geometry, kind: str) -> Gauge:
+    """The gauge of kind with symbolic rows on a family frame, kept in family.gauges.
+
+    D_Lambda's rows are Lambda = u v^T with symbols Lu1..Lu3 and Lv1..,
+    which every Lambda of rank at most one specialises; D_B's are the
+    symbols B11.., one per entry.  Derived on first use, never at import.
+    """
+    key = (kind, None)  # table rows are numbers, so no held gauge has this key
+    if key not in family.gauges:
+        nfib = family.coframe.dim - 4
+        if kind == "DLambda":
+            rows = tuple(tuple(const(f"Lu{r}") * const(f"Lv{col}") for col in range(1, nfib + 1)) for r in (1, 2, 3))
+        else:
+            rows = tuple(tuple(const(f"B{r}{m}") for m in (1, 2, 3)) for r in range(1, nfib + 1))
+        family.gauges[key] = Gauge(family.coframe, kind, rows)
+    return family.gauges[key]
+
+
+def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
+    """{family_gauge symbol: number} that gives the numeric rows, or None when there is none.
+
+    A Lambda is factored exactly as u v^T: u is the column of its first
+    nonzero entry, over the gcd of that column when its entries are
+    integers, and v that entry's row over u's entry; Lambda = 0 has u = 0.
+    So an integer Lambda gets integer u and v, and its substituted p1 is
+    summed in ints rather than Fractions.  A Lambda of rank two, or rows
+    holding a symbol, has no such values.
+    """
+    read = _db_rows(rows, c) if kind == "DB" else _lam_rows(rows, c.dim - 4)
+    mat = [[x.as_fraction() for x in r] for r in read]
+    if any(x is None for r in mat for x in r):
+        return None
+    if kind == "DB":
+        return {ring.const_sym(f"B{r}{m}"): x for r, row in enumerate(mat, 1) for m, x in enumerate(row, 1)}
+    pivot = next(((r, col) for r, row in enumerate(mat) for col, x in enumerate(row) if x), None)
+    if pivot is None:
+        u, v = [0] * 3, [0] * len(mat[0])
+    else:
+        r0, c0 = pivot
+        col = [row[c0] for row in mat]
+        g = math.gcd(*(x.numerator for x in col)) if all(x.denominator == 1 for x in col) else 1
+        u = [x / g for x in col]
+        v = [x / u[r0] for x in mat[r0]]
+        if any(x != a * b for row, a in zip(mat, u) for x, b in zip(row, v)):
+            return None  # rank two
+    return {ring.const_sym(f"L{side}{n}"): x for side, vec in (("u", u), ("v", v)) for n, x in enumerate(vec, 1)}
 
 
 def _anomaly_gauge(c: CoframeSpec, gauge) -> Gauge:

@@ -19,17 +19,30 @@ raw accumulators that are canonicalised once.
 ``structure(c)`` picks the structure of a coframe by its dimension, and a
 ``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
 one coframe and the structure's residuals on it, each piece once.
-``build_DB`` reads its gauge connection from the held nabla^- of kA or h21.
+
+Derived once per family, then substituted: every form of that chain is a
+polynomial in the fiber matrix (the Koszul 1/2 is its only division), so
+putting numbers in commutes with the derivation.  The Geometry of a
+numeric frame of dimension 7 or 5 derives nothing: each field is the held
+symbolic kA's or h21's, specialised to the frame's entries by
+``CoefExpr.substitute`` (``_field``), and a gauge's p1 on it is the family's
+symbolic-rows gauge's (``anomaly.family_gauge``).  Frames with a symbol in
+their fiber matrix, and the 6-leg ones, derive directly.  ``build_DB``
+reads its gauge connection from the held nabla^- of kA or h21 the same way.
 
 The hold rule: a frame or gauge built only from the program's tables lives
 for the process, and one built from a config lives with its report, since a
 report may bring any matrix and holding it would grow the held set with
 every report.  ``catalogue_geometry`` holds the Geometry of each frame of
-the first kind.  A gauge of table rows is kept in its frame's
-``Geometry.gauges`` (``anomaly.held_gauge``), so it lives exactly as long
-as that frame: for the process on a catalogue frame, for the report on a
-config frame; ``catalogue_geometry.cache_clear()`` drops the held frames
-with their gauges.  A gauge of config rows is its report's alone.
+the first kind, the kA and h21 families among them.  A gauge of table rows
+is kept in its frame's ``Geometry.gauges`` (``anomaly.held_gauge``), so it
+lives exactly as long as that frame: for the process on a catalogue frame,
+for the report on a config frame.  The symbolic-rows gauges are table
+gauges of the family frames, derived on first use and kept in their
+``gauges``, one per family and kind.  A config frame's Geometry refers to
+its family, never the other way, so it is still freed with its report.
+``catalogue_geometry.cache_clear()`` drops the held frames with their
+gauges.  A gauge of config rows is its report's alone.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
@@ -328,47 +341,98 @@ def structure(c: CoframeSpec):
     raise DimensionMismatch(f"no special structure on a {c.dim}-dim coframe")
 
 
+def specialised(value, c: CoframeSpec, values: dict):
+    """value, read on a family frame, on the coframe c with each symbol of values put to its value.
+
+    value is a form, a connection or curvature matrix, a ring element or a
+    dict of these; a form or matrix drops the entries that become zero, a
+    dict keeps every key.
+    """
+    if isinstance(value, FormExpr):
+        return FormExpr(c, value.degree, {idx: g.substitute(values) for idx, g in value.comps.items()})
+    if isinstance(value, ring.CoefExpr):
+        return value.substitute(values)
+    if isinstance(value, dict):
+        return {key: specialised(v, c, values) for key, v in value.items()}
+    return type(value)(c, {pair: specialised(form, c, values) for pair, form in value.entries.items()})
+
+
+def _family(c: CoframeSpec) -> tuple:
+    """(the Geometry of c's free family, {its symbol: c's number}) when every entry of c is a number
+    and c.dim names a family in FREE_FRAME, else (None, None)."""
+    nums = [x.as_fraction() for row in c.A for x in row]
+    if c.dim not in FREE_FRAME or None in nums:
+        return None, None
+    family = catalogue_geometry(FREE_FRAME[c.dim])
+    # each entry of the family's fiber matrix is one symbol
+    syms = [sym for row in family.coframe.A for x in row for sym in x.symbols()]
+    return family, dict(zip(syms, nums))
+
+
+def _field(derive):
+    """A Geometry field, derived on first use and then kept.
+
+    The one place the route is chosen: on a frame with a family, the field
+    is the family's, specialised to the frame's numbers; on any other frame
+    derive computes it.
+    """
+    name = derive.__name__
+
+    def field(self):
+        if self.family is None:
+            return derive(self)
+        return specialised(getattr(self.family, name), self.coframe, self.values)
+
+    field.__doc__ = derive.__doc__
+    return cached_property(field)
+
+
 class Geometry:
     """Torsion, connections, curvatures, p1, structure and structure residuals of one coframe.
 
     Each attribute is derived on first use and then kept, so every caller
-    holding this object shares one derivation.  ``gauges`` holds the gauges
-    of table rows on this coframe (``anomaly.held_gauge``).
+    holding this object shares one derivation.  On a numeric frame of
+    dimension 7 or 5, ``family`` is the held Geometry of the symbolic kA or
+    h21 and ``values`` puts the frame's numbers in for the family's symbols;
+    every field but the structure is then read off the family's (``_field``).
+    Elsewhere ``family`` and ``values`` are None.  ``gauges`` holds the
+    gauges of table rows on this coframe (``anomaly.held_gauge``).
     """
 
     def __init__(self, c: CoframeSpec):
         self.coframe = c
         self.gauges: dict = {}
+        self.family, self.values = _family(c)
 
-    @cached_property
+    @_field
     def torsion(self) -> FormExpr:
         return direct_torsion(self.coframe)
 
-    @cached_property
+    @_field
     def dT(self) -> FormExpr:
         return exterior_derivative(self.torsion)
 
-    @cached_property
+    @_field
     def lc(self):
         return levi_civita(self.coframe)
 
-    @cached_property
+    @_field
     def curv_lc(self):
         return curvature(self.lc)
 
-    @cached_property
+    @_field
     def minus(self):
         return koszul(self.coframe, self.torsion, -1)
 
-    @cached_property
+    @_field
     def curv_minus(self):
         return curvature(self.minus)
 
-    @cached_property
+    @_field
     def curv_plus(self):
         return curvature(koszul(self.coframe, self.torsion, +1))
 
-    @cached_property
+    @_field
     def p1_minus(self) -> FormExpr:
         return pontryagin4(self.curv_minus)
 
@@ -376,30 +440,34 @@ class Geometry:
     def structure(self):
         return structure(self.coframe)  # the module function: methods do not see class names
 
-    @cached_property
+    @_field
     def integrability_residuals(self) -> dict[int, FormExpr]:
         return self.coframe.integrability_residuals()
 
-    @cached_property
+    @_field
     def structure_residuals(self) -> dict[str, FormExpr]:
         return self.structure.residuals()
 
-    @cached_property
+    @_field
     def structure_torsion(self) -> FormExpr:
         """The structure's own route to the torsion 3-form."""
         return self.structure.torsion()
 
-    @cached_property
+    @_field
     def instanton_minus(self) -> dict[tuple, ring.CoefExpr]:
-        """The structure's instanton residual of nabla^-."""
+        """The structure's instanton residual of nabla^-, its nonzero entries.
+
+        Each entry of the kA or h21 family's has a jet term free of the fiber
+        matrix, so no entry vanishes when the family's is specialised.
+        """
         return self.structure.instanton_residual(self.curv_minus)
 
-    @cached_property
+    @_field
     def holonomy_plus(self) -> dict[tuple, ring.CoefExpr]:
-        """The structure's holonomy residual of nabla^+."""
+        """The structure's holonomy residual of nabla^+, its nonzero entries (none on kA or h21)."""
         return self.structure.holonomy_residual(self.curv_plus)
 
-    @cached_property
+    @_field
     def scalar_identity(self) -> dict[int, ring.CoefExpr]:
         """phi_factor -> scalar_identity_residual for phi = -f and phi = -2f."""
         return {phi: scalar_identity_residual(self.coframe, phi) for phi in (-1, -2)}
@@ -431,27 +499,35 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
     return geometry(build_coframe(catalog_id, **params))
 
 
-def build_DB(B, c: CoframeSpec) -> ConnectionForms:
-    """The nabla^- coefficient formulas with the fiber matrix replaced by B.
-
-    Read from nabla^- of the symbolic member of the same family,
-    frames.FREE_FRAME[c.dim], whose geometry the process holds, by substituting
-    the symbolic entries, so no connection table is hard-coded.  The held
-    forms are never mutated: substitute makes copies.
-    """
+def _db_rows(B, c: CoframeSpec) -> tuple:
+    """B as (dim - 4) rows of 3 ring elements, read by ring.exact; a flat B is one row."""
     if c.dim not in (5, 7):
         raise DimensionMismatch("build_DB supports dims 7 and 5")
     nrows = c.dim - 4
     rows = B if isinstance(B[0], (list, tuple)) else [B]
     if len(rows) != nrows or any(len(r) != 3 for r in rows):
         raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
+    return tuple(tuple(ring.exact(b) for b in row) for row in rows)
+
+
+def build_DB(B, c: CoframeSpec) -> ConnectionForms:
+    """The nabla^- coefficient formulas with the fiber matrix replaced by B.
+
+    Read from nabla^- of the symbolic member of the same family,
+    frames.FREE_FRAME[c.dim], whose geometry the process holds, by
+    substituting B's entries for its symbols, so no connection table is
+    hard-coded.  B may hold symbols: the family's own D_B gauge has a
+    symbolic B, and the p1 of every D_B gauge on a numeric frame is that
+    gauge's, specialised (anomaly.Gauge.p1), so this is called for gauges
+    on symbolic frames and for that family gauge.  The held forms are never
+    mutated: substitute makes copies.
+    """
+    rows = _db_rows(B, c)
     wm = catalogue_geometry(FREE_FRAME[c.dim]).minus
     # each entry of the twin's A is one symbol; B's entry takes its place
-    mapping = {sym: ring.exact(b) for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow)
-               for sym in x.symbols()}
+    mapping = {sym: b for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow) for sym in x.symbols()}
     # the twin's forms carried over to c, which has its dimension
-    return ConnectionForms(c, {pair: FormExpr(c, 1, wm.entries[pair].substitute(mapping).comps)
-                               for pair in wm.entries})
+    return specialised(wm, c, mapping)
 
 
 # ---------------------------------------------------------------------------

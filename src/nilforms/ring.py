@@ -33,7 +33,9 @@ elements with ``rat``/``const``/``jet``/``expf``, ``coerce`` and ``exact``
 (which reads a config or constructor number exactly), and read
 them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
-``len()`` and ``bool()``.  ``evaluate``/``evaluate_exact`` read a
+``len()`` and ``bool()``.  ``substitute`` puts an exact number in for
+a symbol in one pass over the packed keys, the way a numeric frame is read
+off its symbolic family.  ``evaluate``/``evaluate_exact`` read a
 ``{symbol: value}`` table as given; names are resolved to symbols only
 where such a table is built.  An element is immutable, so it keeps what
 their first calls work out: the float plan of ``evaluate``, the integer
@@ -407,19 +409,54 @@ class CoefExpr:
         return _wrap(_canonical(out))
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":
-        """Replace constant-parameter or jet symbols by ring elements."""
-        table = {as_symbol(key): coerce(val) for key, val in mapping.items()}
-        pieces = []
+        """Replace constant-parameter or jet symbols by ring elements.
+
+        A symbol put to a number leaves each term in one pass over the packed
+        keys: the term clears the symbol's field and multiplies its
+        coefficient by value^power, the way a numeric frame is read off its
+        symbolic family.  Only a symbol put to a non-constant element builds
+        ring products.  The sum is canonicalised once.
+        """
+        numbers, exprs = {}, {}  # slot -> value; a symbol no element holds has no slot
+        for key, val in mapping.items():
+            s = _SLOT.get(key)  # a symbol as symbols() gives it; a name is resolved first
+            if s is None:
+                s = _SLOT.get(as_symbol(key))
+            if not isinstance(val, Rational):
+                val = coerce(val)  # a float raises TypeError
+                q = val.as_fraction()
+                if q is None:
+                    if s is not None:
+                        exprs[s] = val
+                    continue
+                val = q
+            if s is not None:
+                numbers[s] = val if type(val) is int or val.denominator != 1 else val.numerator
+        out: dict = {}
+        get = out.get
         for key, coef in self.terms.items():
-            _, syms, slots = _decode(key)
-            hits = [(sym, power, s) for (sym, power), s in zip(syms, slots) if sym in table]
-            for _, power, s in hits:
-                key -= power << (_W * s)
-            piece = _wrap({key: coef})
-            for sym, power, _ in hits:
-                piece = piece * table[sym] ** power
-            pieces.append(piece)
-        return sum_exprs(pieces)
+            hits = ()
+            for s in _decode(key)[2]:
+                val = numbers.get(s)
+                if val is None and s not in exprs:
+                    continue
+                shift = _W * s
+                p = key >> shift & _FIELD
+                key -= p << shift
+                if val is None:
+                    hits += ((s, p),)
+                else:
+                    coef *= val if p == 1 else val ** p
+            if not coef:
+                continue
+            if hits:
+                piece = _wrap({key: coef})
+                for s, p in hits:
+                    piece = piece * exprs[s] ** p
+                _add_into(out, piece, 1)
+            else:
+                out[key] = get(key, 0) + coef
+        return _wrap(_canonical(out))
 
     def evaluate(self, table: Mapping) -> float:
         """Float value at a {symbol: float} table, read as given.
@@ -600,14 +637,26 @@ def flat_laplacian(e: CoefExpr) -> CoefExpr:
     return sum_exprs(e.partial(i).partial(i) for i in COORDS)
 
 
+# the jet forms below read no input, so each is built once per process on its
+# first call and then shared: an element is immutable
+_JET_FORMS: dict = {}
+
+
+def _jet_form(name: str, build) -> CoefExpr:
+    e = _JET_FORMS.get(name)
+    if e is None:
+        e = _JET_FORMS[name] = build()
+    return e
+
+
 def lap_e2f() -> CoefExpr:
     """Flat Laplacian of e^{2f}."""
-    return flat_laplacian(expf(2))
+    return _jet_form("lap_e2f", lambda: flat_laplacian(expf(2)))
 
 
 def lap_e_m2f() -> CoefExpr:
     """Flat Laplacian of e^{-2f}."""
-    return flat_laplacian(expf(-2))
+    return _jet_form("lap_e_m2f", lambda: flat_laplacian(expf(-2)))
 
 
 def grad_square() -> CoefExpr:
@@ -617,15 +666,18 @@ def grad_square() -> CoefExpr:
 
 def hessian2() -> CoefExpr:
     """Second elementary symmetric of the Hessian: sum_{i<j} (f_ii f_jj - f_ij^2)."""
-    return sum_exprs(
+    return _jet_form("hessian2", lambda: sum_exprs(
         jet(i, i) * jet(j, j) - jet(i, j) * jet(i, j) for i in COORDS for j in COORDS if i < j
-    )
+    ))
 
 
 def p_laplacian4() -> CoefExpr:
     """4-Laplacian of f: sum_i d_i(|grad f|^2 f_i)."""
-    g2 = grad_square()
-    return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
+    def build():
+        g2 = grad_square()
+        return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
+
+    return _jet_form("p_laplacian4", build)
 
 
 def _plan_exact(e: CoefExpr) -> tuple:

@@ -9,6 +9,11 @@ and the G2/SU(2) projections are the per-call loops the cached plans and
 tables replaced, with every float operation in the same order; the exact
 evaluation is the term-by-term Fraction walk the integer sums replaced.  The
 interior product and the sigma_i pair forms are used by the tests alone.
+
+The direct route derives a numeric frame's geometry and gauge p1 on that
+frame itself, torsion -> Koszul -> curvature -> p1, where the program reads
+them off the symbolic kA or h21 family by exact substitution: it is the
+independent second derivation those specialised fields are compared with.
 """
 from __future__ import annotations
 
@@ -16,7 +21,9 @@ import math
 from fractions import Fraction
 
 from nilforms import ring
-from nilforms.forms import OMEGA, SIGMA
+from nilforms.connection import ConnectionForms, build_instanton_DLambda, curvature, koszul, pontryagin4, scalar_curvature
+from nilforms.forms import OMEGA, SIGMA, CoframeSpec, FormExpr, df_form, exterior_derivative, hodge_star
+from nilforms.gstruct import direct_torsion, structure, torsion_norm_squared
 
 
 def interior(a, k: int):
@@ -222,3 +229,52 @@ def su2_project_reference(M) -> dict:
     for k in range(1, 5):
         parts[f"m{k}"] = M.get((k, 5), ring.ZERO)
     return {label: val for label, val in parts.items() if val}
+
+
+# ---------------------------------------------------------------------------
+# the direct route on a numeric frame
+
+def direct_scalar_identity(c, phi_factor, curv_lc, T):
+    """s - (8 |d phi|^2 - ||T||^2 / 12 - 6 delta d phi) for phi = phi_factor * f, from the given curvature and torsion."""
+    dphi = df_form(c) * ring.rat(phi_factor)
+    norm_dphi = ring.sum_exprs(coef * coef for coef in dphi.comps.values())
+    delta_dphi = (-hodge_star(exterior_derivative(hodge_star(dphi)))).comps.get((), ring.ZERO)
+    rhs = 8 * norm_dphi - ring.rat(1, 12) * torsion_norm_squared(T) - 6 * delta_dphi
+    return scalar_curvature(curv_lc) - rhs
+
+
+def direct_fields(c) -> dict:
+    """Each field of gstruct.Geometry but the structure, derived on c itself."""
+    T = direct_torsion(c)
+    lc, minus = koszul(c), koszul(c, T, -1)
+    curv_lc, curv_minus, curv_plus = curvature(lc), curvature(minus), curvature(koszul(c, T, +1))
+    s = structure(c)
+    return {
+        "torsion": T,
+        "dT": exterior_derivative(T),
+        "lc": lc,
+        "curv_lc": curv_lc,
+        "minus": minus,
+        "curv_minus": curv_minus,
+        "curv_plus": curv_plus,
+        "p1_minus": pontryagin4(curv_minus),
+        "integrability_residuals": c.integrability_residuals(),
+        "structure_residuals": s.residuals(),
+        "structure_torsion": s.torsion(),
+        "instanton_minus": s.instanton_residual(curv_minus),
+        "holonomy_plus": s.holonomy_residual(curv_plus),
+        "scalar_identity": {phi: direct_scalar_identity(c, phi, curv_lc, T) for phi in (-1, -2)},
+    }
+
+
+def direct_DB(B, c) -> ConnectionForms:
+    """D_B: nabla^- of the frame of fiber matrix B, derived there by Koszul and moved to c."""
+    cb = CoframeSpec(B if isinstance(B[0], (list, tuple)) else [B])
+    wm = koszul(cb, direct_torsion(cb), -1)
+    return ConnectionForms(c, {pair: FormExpr(c, 1, form.comps) for pair, form in wm.entries.items()})
+
+
+def direct_gauge_p1(c, kind, rows):
+    """p1 of D_Lambda or D_B on c, from its connection's curvature."""
+    conn = build_instanton_DLambda(rows, c) if kind == "DLambda" else direct_DB(rows, c)
+    return pontryagin4(curvature(conn))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilforms import numeric, ring
+from nilforms import gstruct, numeric, ring
 from nilforms.anomaly import (
     ConstraintViolated,
     Gauge,
@@ -28,7 +28,7 @@ from nilforms.connection import build_instanton_DLambda, lam_squared
 from nilforms.elliptic import half_period
 from nilforms.forms import DimensionMismatch
 from nilforms.frames import abs_A_squared, k_a
-from nilforms.gstruct import build_DB
+from nilforms.gstruct import build_DB, geometry
 from nilforms.profiles import BadParams, profile
 from nilforms.ring import const, expf, jet, lap_e2f, lap_e_m2f, rat
 
@@ -137,14 +137,8 @@ def _calls(fn, *targets) -> list:
     return [stats.get(key, (0, 0))[1] for key in keys]
 
 
-def test_residual_ring_work_is_bounded(monkeypatch):
-    # one kA/DLambda residual: the wedge and d kernel multiplies raw terms
-    # straight into each component, and the Koszul pass halves 2 omega once
-    # instead of multiplying each entry by 1/2, so few CoefExpr products are
-    # built; p1 multiplies each unordered pair of a curvature entry's
-    # components once, so the term products stay below the 3,164 of
-    # multiplying every pair twice
-    lam = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
+def _count_residual_work(monkeypatch, residual) -> tuple:
+    """(CoefExpr products, term products) that residual() builds."""
     term_products = 0
     mul_into = ring._mul_into
 
@@ -153,15 +147,47 @@ def test_residual_ring_work_is_bounded(monkeypatch):
         term_products += len(a) * len(b)
         return mul_into(acc, a, b, sign)
 
+    monkeypatch.setattr(ring, "_mul_into", counted)
+    [products] = _calls(residual, ring.CoefExpr.__mul__)
+    return products, term_products
+
+
+def _ka_dlambda_residual(route):
+    lam = [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]
+
     def residual():
         c = k_a([[1, 2, 3], [-4, 5, 6], [7, -8, 9]])
+        assert (geometry(c).family is None) == (route == "direct")
         got = anomaly_residual(c, "alphaP", ("DLambda", lam))
         assert got == displayed_residual_dlambda(c, lam, "alphaP")
 
-    monkeypatch.setattr(ring, "_mul_into", counted)
-    [products] = _calls(residual, ring.CoefExpr.__mul__)
+    return residual
+
+
+def test_residual_ring_work_is_bounded(monkeypatch):
+    # one kA/DLambda residual derived on its own frame, the route of frames
+    # with a symbol and of 6-leg frames: the wedge and d kernel multiplies raw
+    # terms straight into each component, and the Koszul pass halves 2 omega
+    # once instead of multiplying each entry by 1/2, so few CoefExpr products
+    # are built; p1 multiplies each unordered pair of a curvature entry's
+    # components once, so the term products stay below the 3,164 of
+    # multiplying every pair twice
+    monkeypatch.setattr(gstruct, "_family", lambda c: (None, None))
+    products, term_products = _count_residual_work(monkeypatch, _ka_dlambda_residual("direct"))
     assert 0 < products <= 200
     assert 0 < term_products <= 2400
+
+
+def test_specialised_residual_ring_work_is_bounded(monkeypatch):
+    # the same residual once the symbolic kA family and its gauge are
+    # derived: dT, p1(nabla^-) and p1(D_Lambda) are read off them by
+    # substituting numbers, which builds no ring product, so what is left is
+    # the closed form and the anomaly form's few products
+    residual = _ka_dlambda_residual("specialised")
+    residual()  # derives the family
+    products, term_products = _count_residual_work(monkeypatch, residual)
+    assert 0 < products <= 60
+    assert 0 < term_products <= 200
 
 
 def test_seven_leg_db_residual_matches_closed_form(ka):

@@ -42,6 +42,9 @@ def test_verify_override_fails_with_exit_one(capsys):
     doc = json.loads(out)
     assert doc["passed"] is False
     assert doc["overrides"] == ["rank2-lambda"]
+    # the rank test reads the numeric rows, whatever route the gauge's p1 takes
+    status = {c["id"]: c["status"] for c in doc["checks"]}
+    assert status["gauge-rank-one"] == "fail"
 
 
 def test_verify_unknown_scenario_is_config_error(capsys):

@@ -199,6 +199,70 @@ def test_substitute_then_evaluate_matches_direct_evaluate(x):
     assert math.isclose(y.evaluate(assign2), x.evaluate(assign2), rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _to_sympy(sp, e):
+    """e as a sympy expression: constants and jets as symbols, e^{kf} as exp(k f)."""
+    f = sp.Symbol("f")
+
+    def sym(s):
+        kind, data = s
+        if kind == "c":
+            return sp.Symbol(f"c_{data}")
+        return sp.Symbol("f_" + "".join(map(str, data))) if data else f
+
+    return sp.Add(*(sp.Rational(coef) * sp.exp(k * f) * sp.Mul(*(sym(s) ** p for s, p in powers))
+                    for coef, k, powers in e.monomials()))
+
+
+# a value put in for a symbol: a number, a constant element, or an element with symbols
+_values = st.one_of(_fracs, _fracs.map(rat), ring_exprs(max_terms=2, max_factors=2))
+
+
+@given(ring_exprs(max_terms=4), st.dictionaries(st.sampled_from(("a", "b")), _values, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_substitute_equals_sympy_subs(x, values):
+    sp = pytest.importorskip("sympy")
+    x = x * x  # powers above one
+    got = x.substitute(values)
+    assert _is_canonical(got)
+    subs = {sp.Symbol(f"c_{name}"): _to_sympy(sp, ring.coerce(v)) for name, v in values.items()}
+    assert sp.expand(_to_sympy(sp, x).subs(subs, simultaneous=True) - _to_sympy(sp, got)) == 0
+
+
+def test_substitute_reads_names_and_symbols_and_refuses_a_float():
+    x = const("a") ** 3 * jet(1) - const("b") * expf(2) + const("a") * const("b")
+    want = rat(8) * jet(1) - rat(1, 2) * expf(2) + rat(1)
+    assert x.substitute({"a": 2, ring.const_sym("b"): Fraction(1, 2)}) == want
+    assert x.substitute({"a": rat(2), "b": rat(1, 2)}) == want
+    assert x.substitute({"a": 0, "b": 0}) == ring.ZERO
+    assert x.substitute({"never_seen": 5}) == x
+    with pytest.raises(TypeError):
+        x.substitute({"a": 0.5})
+
+
+def test_substituting_numbers_builds_no_ring_product(monkeypatch):
+    x = (const("a") * jet(1) + const("b") ** 2 * expf(2) + rat(1, 3)) ** 3
+    want = x.substitute({"a": const("c")}).substitute({"c": 2, "b": Fraction(-5, 4)})
+    products = 0
+    mul = ring.CoefExpr.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ring.CoefExpr, "__mul__", counted)
+    assert x.substitute({"a": 2, "b": Fraction(-5, 4)}) == want
+    assert products == 0
+    x.substitute({"a": const("c")})
+    assert products > 0  # a symbol put to a non-constant element multiplies
+
+
+def test_the_input_free_jet_forms_are_built_once_and_shared():
+    # an element is immutable, so the one built on the first call is safe to share
+    for fn in (ring.lap_e2f, ring.lap_e_m2f, hessian2, p_laplacian4):
+        assert fn() is fn()
+
+
 @given(ring_exprs(), ring_exprs())
 @settings(max_examples=60, deadline=None)
 def test_evaluate_is_a_homomorphism(x, y):

@@ -20,7 +20,7 @@ from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
 from nilforms.connection import curvature, koszul, pontryagin4
 from nilforms.elliptic import half_period
 from nilforms.forms import CoframeSpec, FormExpr
-from nilforms.frames import h21, k_a
+from nilforms.frames import FREE_FRAME, h21, k_a
 from nilforms.gstruct import catalogue_geometry, direct_torsion, geometry
 from nilforms.profiles import BadParams, DilatonProfile
 from nilforms.ring import CoefExpr
@@ -311,16 +311,17 @@ def _calls(name: str, fn) -> int:
 
 # most calls of (koszul, curvature, anomaly_residual, DilatonProfile.jets) one
 # report at seed 0 may make: one Koszul pass per connection the report
-# derives, each coframe's geometry derived once, and each sample point's
-# profile jets evaluated once
+# derives, each coframe's geometry derived once, numeric kA/h21 frames and
+# their gauges read off the symbolic family with no derivation of their own,
+# and each sample point's profile jets evaluated once
 DERIVATION_BUDGET = {
-    "thm-7d-negative": (3, 5, 2, 64),
-    "thm-5d-negative": (3, 5, 2, 64),
-    "thm-7d-positive": (3, 4, 2, 0),
-    "thm-5d-positive": (3, 4, 2, 0),
-    "ball-7d": (3, 3, 0, 80),
-    "contraction-6d": (5, 7, 2, 12),
-    "contraction-5d": (5, 7, 2, 12),
+    "thm-7d-negative": (2, 4, 2, 64),
+    "thm-5d-negative": (2, 4, 2, 64),
+    "thm-7d-positive": (1, 3, 2, 0),
+    "thm-5d-positive": (1, 3, 2, 0),
+    "ball-7d": (2, 2, 0, 80),
+    "contraction-6d": (3, 5, 2, 12),
+    "contraction-5d": (3, 5, 2, 12),
 }
 
 
@@ -387,6 +388,11 @@ def _held_set() -> tuple[int, int]:
     return catalogue_geometry.cache_info().currsize, sum(isinstance(o, Gauge) for o in gc.get_objects())
 
 
+def _family_gauges() -> int:
+    """The symbolic-rows gauges held on the kA and h21 family frames (anomaly.family_gauge)."""
+    return sum(rows is None for cid in FREE_FRAME.values() for _kind, rows in catalogue_geometry(cid).gauges)
+
+
 def _drawn_residual(rng: random.Random, k: int) -> None:
     """One exact anomaly residual on a drawn kA or h21 frame with a drawn gauge, as the fresh-frames benchmark makes."""
     def vec():
@@ -402,14 +408,32 @@ def _drawn_residual(rng: random.Random, k: int) -> None:
     assert anomaly_residual(c, "alphaP", (kind, mat))
 
 
+def test_a_drawn_residual_derives_nothing_once_its_family_is_derived():
+    rng = random.Random(7)
+    for k in range(4):  # each kind of frame and gauge once: the families and their gauges
+        _drawn_residual(rng, k)
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        for k in range(4, 12):
+            _drawn_residual(rng, k)
+    finally:
+        prof.disable()
+    counts = {key: stat[1] for key, stat in pstats.Stats(prof).stats.items()}
+    assert _count(counts, anomaly_residual) == 8  # the counter is live
+    assert {fn.__name__: _count(counts, fn) for fn in (koszul, curvature, pontryagin4)} == {
+        "koszul": 0, "curvature": 0, "pontryagin4": 0}
+
+
 def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
     for name in ("thm-5d-positive", "thm-7d-negative", "thm-7d-positive"):
         run_scenario(name)
-    refs, gauge_refs = [], []
+    refs, gauge_refs, specialised = [], [], []
 
     def watched(c):
         geo = geometry(c)
         refs.append(weakref.ref(geo))
+        specialised.append(geo.family is not None)
         return geo
 
     theorem_gauges = scenarios._theorem_gauges
@@ -425,9 +449,9 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
     monkeypatch.setattr(scenarios, "_theorem_gauges", watched_gauges)
     gc.disable()
     try:
-        held = _held_set()
+        held, family_gauges = _held_set(), _family_gauges()
         rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
-        assert rep.passed and len(refs) == 1
+        assert rep.passed and len(refs) == 1 and specialised == [True]
         assert _held_set() == held
         # the default B's gauge on the config frame is kept in that frame's Geometry, and both are freed
         assert kept == [True, True] and refs[0]() is None and gauge_refs[1]() is None
@@ -439,11 +463,13 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
             assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
             assert len(gauge_refs) == 2 and all(ref() is None for ref in gauge_refs)
             assert _held_set() == held
-        # drawn frames and gauges are never held
+        # drawn frames and gauges are never held: the held set grows by the
+        # family gauges they are read off, one per family and kind, alone
         rng = random.Random(20)
         for k in range(20):
             _drawn_residual(rng, k)
-        assert _held_set() == held
+        assert _family_gauges() == 4
+        assert _held_set() == (held[0], held[1] + _family_gauges() - family_gauges)
     finally:
         gc.enable()
 
