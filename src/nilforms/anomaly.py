@@ -29,7 +29,7 @@ from .forms import DimensionMismatch, FormExpr
 from .frames import CoframeSpec, abs_A_squared
 from .gstruct import Geometry, _db_rows, build_DB, geometry, specialised
 from .profiles import BadParams
-from .ring import CoefExpr, const, expf, jet, lap_e2f, lap_e_m2f, rat
+from .ring import CoefExpr, const, expf, jet, lap_e_m2f, rat
 
 
 class ConstraintViolated(Exception):
@@ -43,10 +43,11 @@ class Gauge:
     """The auxiliary connection D named by ('DLambda', rows) or ('DB', rows) on one coframe.
 
     Its connection, curvature, p1, instanton residual, anomaly residual
-    (alphaP symbolic) and, for D_Lambda, the one-variable reduction of that
-    residual are each derived on first use and then kept.  On a frame whose
-    Geometry has a family (a numeric kA or h21), p1 is instead the family
-    gauge's (family_gauge), specialised to the frame's numbers and the rows'.
+    (alphaP symbolic), the closed form that residual is compared with and,
+    for D_Lambda, the one-variable reduction of the residual are each
+    derived on first use and then kept.  On a frame whose Geometry has a
+    family (a numeric kA or h21), p1 is instead the family gauge's
+    (family_gauge), specialised to the frame's numbers and the rows'.
     D_Lambda is built whatever its rank, since the instanton test reads a
     rank-two one too; the anomaly residual and its reduction refuse it, on
     every read, because a cached_property keeps no exception.  The gauge
@@ -86,6 +87,15 @@ class Gauge:
     @cached_property
     def anomaly_residual(self) -> CoefExpr:
         return anomaly_residual(self.coframe, const("alphaP"), self)
+
+    @cached_property
+    def displayed_residual(self) -> CoefExpr:
+        """The paper's closed form of anomaly_residual: displayed_residual_dlambda, or _db of the rows' |B|^2."""
+        c = self.coframe
+        if self.kind == "DLambda":
+            return displayed_residual_dlambda(c, self.rows, const("alphaP"))
+        absB2 = ring.sum_exprs(b * b for row in _db_rows(self.rows, c) for b in row)
+        return displayed_residual_db(c, absB2, const("alphaP"))
 
     @cached_property
     def reduced_residual(self) -> CoefExpr:
@@ -167,25 +177,16 @@ def _anomaly_gauge(c: CoframeSpec, gauge) -> Gauge:
     return gauge
 
 
-def anomaly_form(c: CoframeSpec, alphaP, gauge) -> FormExpr:
-    """dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) as a 4-form.
+def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
+    """Coefficient r with dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) = -r e^{-4f} ebar^{1234}.
 
     D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
-    this call alone.
+    this call alone.  Raises ValueError when the 4-form is not a pure volume
+    multiple of the horizontal legs (it always is for the catalogued frames).
     """
-    ap = _coef(alphaP)
     geo = geometry(c)
     p1g = _anomaly_gauge(c, gauge).p1
-    return geo.dT - (geo.p1_minus - p1g) * (ap * rat(1, 4))
-
-
-def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
-    """Coefficient r with anomaly_form = -r e^{-4f} ebar^{1234}.
-
-    Raises ValueError when the 4-form is not a pure volume multiple of the
-    horizontal legs (it always is for the catalogued frames).
-    """
-    F = anomaly_form(c, alphaP, gauge)
+    F = geo.dT - (geo.p1_minus - p1g) * (_coef(alphaP) * rat(1, 4))
     for idx in F.comps:
         if idx != (1, 2, 3, 4):
             raise ValueError(f"anomaly form has a non-volume component on {idx}")
@@ -204,7 +205,7 @@ def displayed_residual_dlambda(c: CoframeSpec, lam, alphaP) -> CoefExpr:
         - rat(3) * absA2 * lap_e_m2f()
         + rat(4) * lam2
     )
-    return lap_e2f() + rat(2) * absA2 + ap * rat(1, 4) * bracket
+    return ring.onshell_factor(absA2) + ap * rat(1, 4) * bracket
 
 
 def displayed_residual_db(c: CoframeSpec, absB2, alphaP) -> CoefExpr:
@@ -212,7 +213,7 @@ def displayed_residual_db(c: CoframeSpec, absB2, alphaP) -> CoefExpr:
     ap = _coef(alphaP)
     absA2 = abs_A_squared(c)
     diff = absA2 - _coef(absB2)
-    return lap_e2f() + rat(2) * absA2 - rat(3, 4) * ap * diff * lap_e_m2f()
+    return ring.onshell_factor(absA2) - rat(3, 4) * ap * diff * lap_e_m2f()
 
 
 def _coef(x) -> CoefExpr:
@@ -336,17 +337,9 @@ def _u_rhs(absA2, mu: int, ma: int) -> CoefExpr:
 
 
 def weierstrass_cubic_match() -> CoefExpr:
-    """Difference between the cleared u-form of solv4_lhs with
-    |A|^2 = (4/3) alpha^2 d^2 and (alpha^4 u'/4)(4u^3 - 4 d^2 u - u'^2)."""
-    P, mu, ma = to_u_polynomial(solv4_lhs(const("absA2")))
-    dd = const("d") ** 2
-    P2 = P.substitute({"absA2": rat(4, 3) * const("alpha") ** 2 * dd})
-    U, U1, AL = const("u"), const("u1"), const("alpha")
-    rhs = (
-        AL ** 4 * U1 * rat(1, 4) * U ** (mu - 3) * AL ** (ma - 2)
-        * (rat(4) * U ** 3 - rat(4) * dd * U - U1 ** 2)
-    )
-    return P2 - rhs
+    """u_identity_residual at |A|^2 = (4/3) alpha^2 d^2, where its bracket is
+    alpha^4 (4u^3 - 4 d^2 u - u'^2): the Weierstrass cubic with g2 = 4d^2, g3 = 0."""
+    return u_identity_residual(rat(4, 3) * const("alpha") ** 2 * const("d") ** 2)
 
 
 def d_parameter(absA2: float, alpha: float) -> float:

@@ -135,7 +135,7 @@ def _profile_rows(prof, grid: int):
         return rows
     expr, consts = ring.lap_e2f(), None
     if prof.name == "ball":  # radius in [0, 1)
-        expr = expr + ring.rat(2) * ring.const("absA2")
+        expr = ring.onshell_factor(ring.const("absA2"))
         consts = {"absA2": float(prof.params["absA2"])}
         line = [(k / grid, (k / grid, 0.0, 0.0, 0.0)) for k in range(grid)]
     elif prof.name == "fundamental":

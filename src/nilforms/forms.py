@@ -196,9 +196,6 @@ class FormExpr:
             return ring.ZERO
         return coef if _perm_sign(tuple(indices)) > 0 else -coef
 
-    def substitute(self, mapping) -> "FormExpr":
-        return FormExpr(self.coframe, self.degree, {i: c.substitute(mapping) for i, c in self.comps.items()})
-
     def __repr__(self) -> str:
         if not self.comps:
             return "0"

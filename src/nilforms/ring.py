@@ -659,6 +659,11 @@ def lap_e_m2f() -> CoefExpr:
     return _jet_form("lap_e_m2f", lambda: flat_laplacian(expf(-2)))
 
 
+def onshell_factor(absA2: CoefExpr) -> CoefExpr:
+    """lap e^{2f} + 2|A|^2, the factor of every on-shell-vanishing residual."""
+    return lap_e2f() + rat(2) * absA2
+
+
 def grad_square() -> CoefExpr:
     """|grad f|^2 = sum_i f_i^2."""
     return sum_exprs(jet(i) * jet(i) for i in COORDS)

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilforms import gstruct, numeric, ring
+from nilforms import gstruct, numeric, ring, scenarios
 from nilforms.anomaly import (
     ConstraintViolated,
     Gauge,
+    _u_rhs,
     anomaly_residual,
     d_parameter,
     displayed_residual_db,
@@ -27,7 +28,7 @@ from nilforms.anomaly import (
 from nilforms.connection import build_instanton_DLambda, lam_squared
 from nilforms.elliptic import half_period
 from nilforms.forms import DimensionMismatch
-from nilforms.frames import abs_A_squared, k_a
+from nilforms.frames import abs_A_squared, h21, k_a
 from nilforms.gstruct import build_DB, geometry
 from nilforms.profiles import BadParams, profile
 from nilforms.ring import const, expf, jet, lap_e2f, lap_e_m2f, rat
@@ -209,6 +210,43 @@ def test_five_leg_zero_gauge_residual_matches_closed_form(h21_sym):
     assert not (got - want)
 
 
+# (frame, kind, rows, |B|^2 read by hand); the numeric frames read p1 off their family
+CLOSED_FORM_CASES = {
+    "kA-DLambda": ("ka", "DLambda", LAM7, None),
+    "kA-DB": ("ka", "DB", B7, 17),
+    "h21-DLambda": ("h21_sym", "DLambda", LAM5, None),
+    "h21-DB-float-and-string": ("h21_sym", "DB", [0.5, "1/3", 2], Fraction(1, 4) + Fraction(1, 9) + 4),
+    "numeric-kA-DB-float-and-string": ("kA-numeric", "DB", [[0.5, "1/3", 0], [0, 1, 0], [1, 0, "1/3"]],
+                                       Fraction(1, 4) + Fraction(1, 9) + 1 + 1 + Fraction(1, 9)),
+    "numeric-kA-DLambda": ("kA-numeric", "DLambda", [[1, 2, 3], [2, 4, 6], [-1, -2, -3]], None),
+    "numeric-h21-DLambda": ("h21-numeric", "DLambda", [Fraction(5, 4), 0, -1], None),
+}
+NUMERIC_FRAMES = {"kA-numeric": lambda: k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]]), "h21-numeric": lambda: h21(1, -2, 3)}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_a_gauge_holds_the_closed_form_of_its_residual(case, request):
+    frame, kind, rows, absB2 = CLOSED_FORM_CASES[case]
+    c = NUMERIC_FRAMES[frame]() if frame in NUMERIC_FRAMES else request.getfixturevalue(frame)
+    gauge = Gauge(c, kind, rows)
+    if kind == "DLambda":
+        want = displayed_residual_dlambda(c, rows, const("alphaP"))
+    else:
+        want = displayed_residual_db(c, rat(absB2), const("alphaP"))
+    assert gauge.displayed_residual == want
+    assert gauge.displayed_residual is gauge.displayed_residual  # derived once and kept
+    assert gauge.anomaly_residual == want  # and it is the residual's closed form
+
+
+def test_a_rank_two_lambda_closed_form_check_reports_the_rank_refusal(ka):
+    gauge = Gauge(ka, "DLambda", [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    checks = []
+    scenarios._ck(checks, "anomaly-residual-closed-form", lambda: scenarios._closed_form(gauge))
+    [check] = checks
+    assert check.status == "error" and "rank <= 1" in check.details["exception"]
+    assert "displayed_residual" not in vars(gauge)  # the residual is read first, and refuses
+
+
 def test_non_volume_anomaly_form_is_rejected(ka, ka_family):
     _T, lc, _wm, _wp = ka_family
     gauge = Gauge(ka, "DB", B7)
@@ -302,6 +340,17 @@ def test_u_identity_holds_exactly():
 
 def test_weierstrass_cubic_match_is_exact():
     assert not weierstrass_cubic_match()
+
+
+def test_weierstrass_cubic_match_is_the_u_identity_at_the_cubic_norm():
+    alpha2, dd = const("alpha") ** 2, const("d") ** 2
+    absA2 = rat(4, 3) * alpha2 * dd
+    assert weierstrass_cubic_match() == u_identity_residual(const("absA2")).substitute({"absA2": absA2})
+    # at that |A|^2 the bracket of the displayed identity is alpha^4 (4u^3 - 4 d^2 u - u'^2)
+    _P, mu, ma = to_u_polynomial(solv4_lhs(const("absA2")))
+    U, U1, AL = const("u"), const("u1"), const("alpha")
+    cubic = AL ** 4 * U1 * rat(1, 4) * U ** (mu - 3) * AL ** (ma - 2) * (rat(4) * U ** 3 - rat(4) * dd * U - U1 ** 2)
+    assert _u_rhs(absA2, mu, ma) == cubic
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_su3_requires_six_legs(ka):
 def test_torsion_norm_convention(ka, ka_family):
     T, _lc, _wm, _wp = ka_family
     kill_jets = {ring.jet_sym(i): 0 for i in range(1, 5)}
-    N0 = torsion_norm_squared(T.substitute(kill_jets))
+    N0 = torsion_norm_squared(gstruct.specialised(T, ka, kill_jets))
     assert not (N0.scale_expf(4) - ring.rat(12) * abs_A_squared(ka))
 
 

@@ -124,3 +124,10 @@ def test_no_module_level_container_holds_a_public_function(tmp_path):
     assert found == [(7, "h5"), (7, "k_a"), (7, "ring.lap_e2f")]  # the walk sees each kind of hold
     held = [(path.name, *hit) for path in sorted(SRC.glob("*.py")) for hit in _held_functions(path, public)]
     assert held == []
+
+
+def test_the_on_shell_factor_is_built_in_one_function():
+    # lap e^{2f} + 2|A|^2 is ring.onshell_factor; every other site calls it
+    hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if "lap_e2f() +" in line]
+    assert hits == [("ring.py", "return lap_e2f() + rat(2) * absA2")]

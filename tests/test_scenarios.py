@@ -348,6 +348,7 @@ HELD_DERIVATIONS = (
     gstruct.su2_structure_residuals, gstruct.su3_structure_residuals,
     gstruct.G2Structure.residuals, gstruct.G2Structure.torsion, gstruct.SU2Structure.torsion,
     CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual, anomaly.reduce_onevar,
+    anomaly.displayed_residual_dlambda, anomaly.displayed_residual_db,
 )
 
 

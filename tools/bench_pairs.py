@@ -13,11 +13,16 @@ the repository gains no worktree entry.
 The output file collects one entry per workload and seed, so several runs
 can write to one file: every pair's end-to-end metrics, and per metric the
 medians and quartiles of each side, the ratio of the medians and how many
-pairs the change won, with the direction each metric is better in read from
-BENCHMARK.json.  ``claim_holds`` says whether the change won at least nine
-pairs in ten and its median moved by more than the parent's interquartile
-range.  Provenance records both commits, the Python version and the host.
-Standard library only.
+pairs the change won, with the direction each metric is better in and its
+bound read from BENCHMARK.json.  ``claim_holds`` says whether the change won
+at least nine pairs in ten and its median moved by more than the parent's
+interquartile range.  ``no_regression`` is the verdict on a change that
+claims no gain: ``pass`` when the change's median is worse than the
+parent's by at most the bound (a fraction of the parent's median),
+``fail`` when by more, and ``unresolved`` when the parent's interquartile
+range, as a fraction of its median, is wider than the bound, so the runs
+cannot tell.  Provenance records both commits, the Python version and the
+host.  Standard library only.
 """
 
 from __future__ import annotations
@@ -80,20 +85,31 @@ def _quartiles(xs: list) -> list:
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
 
 
-def summarise(pairs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, the median ratio and the change's wins."""
+def _verdict(q_old: list, worse_by: float, bound: float) -> str:
+    """pass / fail on the bound, or unresolved when the parent's own spread is wider than it."""
+    if (q_old[2] - q_old[0]) > bound * abs(q_old[1]):
+        return "unresolved"
+    return "pass" if worse_by <= bound else "fail"
+
+
+def summarise(pairs: list, metrics: dict) -> dict:
+    """Per metric of metrics (name -> BENCHMARK.json entry): each side's median and quartiles,
+    the median ratio, the change's wins, how much worse its median is and the no-regression verdict."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         if not all(name in p["parent"]["metrics"] and name in p["change"]["metrics"] for p in pairs):
             continue
         old = [p["parent"]["metrics"][name] for p in pairs]
         new = [p["change"]["metrics"][name] for p in pairs]
+        direction = spec["better"]
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         q_old, q_new = _quartiles(old), _quartiles(new)
         gain = sign * (q_new[1] - q_old[1])
+        worse_by = -gain / abs(q_old[1]) if q_old[1] else 0.0
         out[name] = {
             "better": direction,
+            "bound": spec["bound"],
             "parent_median": q_old[1],
             "parent_quartiles": [q_old[0], q_old[2]],
             "change_median": q_new[1],
@@ -102,6 +118,8 @@ def summarise(pairs: list, better: dict) -> dict:
             "wins": wins,
             "pairs": len(pairs),
             "claim_holds": wins >= 0.9 * len(pairs) and gain > q_old[2] - q_old[0],
+            "worse_by": worse_by,
+            "no_regression": _verdict(q_old, worse_by, spec["bound"]),
         }
     return out
 
@@ -117,7 +135,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     parent = _git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
@@ -149,7 +167,7 @@ def main(argv=None) -> int:
             "host": {"platform": platform.platform(), "machine": platform.machine(), "cpus": os.cpu_count()},
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         },
-        "summary": summarise(pairs, better),
+        "summary": summarise(pairs, metrics),
         "pairs": pairs,
     }
     doc = {}
@@ -162,7 +180,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for name, s in entry["summary"].items():
         print(f"{name}: parent {s['parent_median']:.6g}, change {s['change_median']:.6g}, "
-              f"ratio {s['median_ratio']}, wins {s['wins']}/{s['pairs']}, claim_holds {s['claim_holds']}")
+              f"ratio {s['median_ratio']}, wins {s['wins']}/{s['pairs']}, claim_holds {s['claim_holds']}, "
+              f"no_regression {s['no_regression']}")
     return 0
 
 
