@@ -18,16 +18,16 @@ from functools import cached_property
 from . import ring
 from .connection import (
     ConnectionForms,
-    _lam_rows,
     build_instanton_DLambda,
     curvature,
+    gauge_rows,
     lam_rank,
     lam_squared,
     pontryagin4,
 )
 from .forms import DimensionMismatch, FormExpr
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import Geometry, _db_rows, build_DB, geometry, specialised
+from .gstruct import Geometry, build_DB, geometry, specialised
 from .profiles import BadParams
 from .ring import CoefExpr, const, expf, jet, lap_e_m2f, rat
 
@@ -94,7 +94,7 @@ class Gauge:
         c = self.coframe
         if self.kind == "DLambda":
             return displayed_residual_dlambda(c, self.rows, const("alphaP"))
-        absB2 = ring.sum_exprs(b * b for row in _db_rows(self.rows, c) for b in row)
+        absB2 = ring.sum_exprs(b * b for row in gauge_rows("DB", self.rows, c) for b in row)
         return displayed_residual_db(c, absB2, const("alphaP"))
 
     @cached_property
@@ -145,8 +145,7 @@ def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
     summed in ints rather than Fractions.  A Lambda of rank two, or rows
     holding a symbol, has no such values.
     """
-    read = _db_rows(rows, c) if kind == "DB" else _lam_rows(rows, c.dim - 4)
-    mat = [[x.as_fraction() for x in r] for r in read]
+    mat = [[x.as_fraction() for x in r] for r in gauge_rows(kind, rows, c)]
     if any(x is None for r in mat for x in r):
         return None
     if kind == "DB":

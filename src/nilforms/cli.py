@@ -39,9 +39,9 @@ def _torsion_gh():
 
 def _theta_gh():
     from .frames import quaternionic_heisenberg
-    from .gstruct import build_g2
+    from .gstruct import G2Structure
 
-    return build_g2(quaternionic_heisenberg()).theta
+    return G2Structure(quaternionic_heisenberg()).theta
 
 
 # crosscheck id -> (finite-difference check in numeric, builder of the expression it checks);

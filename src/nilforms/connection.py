@@ -158,12 +158,23 @@ def pontryagin4(curv: CurvatureForms) -> FormExpr:
 # ---------------------------------------------------------------------------
 # auxiliary instanton connections
 
-def _lam_rows(lam, nfib: int):
-    rows = list(lam)
-    if nfib == 1 and rows and not isinstance(rows[0], (list, tuple)):
-        rows = [[x] for x in rows]  # flat (l1,l2,l3) means a single-column matrix
-    if len(rows) != 3 or any(len(r) != nfib for r in rows):
-        raise ValueError(f"lambda matrix must be 3 x {nfib}")
+def gauge_rows(kind: str, mat, c: CoframeSpec) -> tuple:
+    """The gauge matrix mat of kind on c as rows of ring elements, read by ring.exact.
+
+    Lambda ("DLambda") is 3 x (dim - 4), B ("DB") is (dim - 4) x 3.  A flat
+    mat is the one row when one row is expected, else the one column.
+    Raises ValueError naming the shape when mat has any other.
+    """
+    nfib = c.dim - 4
+    nrows, ncols = {"DLambda": (3, nfib), "DB": (nfib, 3)}[kind]
+    rows = list(mat) if isinstance(mat, (list, tuple)) else None
+    if rows is not None and not any(isinstance(r, (list, tuple)) for r in rows):
+        if nrows == 1:
+            rows = [rows]
+        elif ncols == 1:
+            rows = [[x] for x in rows]
+    if rows is None or len(rows) != nrows or any(not isinstance(r, (list, tuple)) or len(r) != ncols for r in rows):
+        raise ValueError(f"a {kind} matrix on a {c.dim}-dim coframe must be {nrows}x{ncols}")
     return tuple(tuple(ring.exact(x) for x in r) for r in rows)
 
 
@@ -174,7 +185,7 @@ def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
     of sigma_r with its signs: omega^a_b = sign * L_r for each (a, b): sign
     in SIGMA[r]; all remaining entries vanish.
     """
-    rows = _lam_rows(lam, c.dim - 4)
+    rows = gauge_rows("DLambda", lam, c)
     entries = {}
     for r, pattern in SIGMA.items():
         L = FormExpr(c, 1, {(4 + col,): x for col, x in enumerate(rows[r - 1], 1) if x})
@@ -185,7 +196,7 @@ def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
 
 def lam_rank(lam, c: CoframeSpec) -> int:
     """Rank of the lambda matrix over the rationals (entries must be numbers)."""
-    mat = [[e.as_fraction() for e in r] for r in _lam_rows(lam, c.dim - 4)]
+    mat = [[e.as_fraction() for e in r] for r in gauge_rows("DLambda", lam, c)]
     if any(v is None for r in mat for v in r):
         raise ValueError("rank needs numeric lambda entries")
     rank = 0
@@ -207,7 +218,7 @@ def lam_rank(lam, c: CoframeSpec) -> int:
 
 def lam_A_product(lam, c: CoframeSpec):
     """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
-    lam = _lam_rows(lam, c.dim - 4)
+    lam = gauge_rows("DLambda", lam, c)
     A = c.A
     return tuple(
         tuple(ring.sum_exprs(lam[r][col] * A[col][m] for col in range(len(A))) for m in range(3))

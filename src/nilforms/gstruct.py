@@ -16,9 +16,11 @@ form component per pair: G2 through a table of Theta's components built
 once per structure, SU(2) through the fixed self-dual patterns, each into
 raw accumulators that are canonicalised once.
 
-``structure(c)`` picks the structure of a coframe by its dimension, and a
-``Geometry`` derives the torsion -> nabla^{+/-} -> curvature -> p1 chain of
-one coframe and the structure's residuals on it, each piece once.
+``G2Structure(c)``, ``SU3Structure(c)`` and ``SU2Structure(c)`` each check
+the coframe's dimension and build their forms; ``structure(c)`` looks the
+class up by that dimension.  A ``Geometry`` derives the torsion ->
+nabla^{+/-} -> curvature -> p1 chain of one coframe and the structure's
+residuals on it, each piece once.
 
 Derived once per family, then substituted: every form of that chain is a
 polynomial in the fiber matrix (the Koszul 1/2 is its only division), so
@@ -52,12 +54,11 @@ stay because perfbench/tracing.py counts their calls by name; the methods delega
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
 from . import ring
-from .connection import ConnectionForms, curvature, koszul, levi_civita, pontryagin4, scalar_curvature
+from .connection import ConnectionForms, curvature, gauge_rows, koszul, levi_civita, pontryagin4, scalar_curvature
 from .forms import (
     OMEGA,
     PSI,
@@ -91,11 +92,20 @@ def direct_torsion(c: CoframeSpec) -> FormExpr:
 # ---------------------------------------------------------------------------
 # G2 (dimension 7)
 
-@dataclass
 class G2Structure:
-    coframe: CoframeSpec
-    theta: FormExpr
-    star_theta: FormExpr
+    """The G2 form Theta of a 7-leg coframe and its Hodge dual."""
+
+    def __init__(self, c: CoframeSpec):
+        if c.dim != 7:
+            raise DimensionMismatch("G2 structure needs a 7-dim coframe")
+        self.coframe = c
+        self.theta = (
+            omega_bar(c, 1).wedge(c.basis(7))
+            + omega_bar(c, 2).wedge(c.basis(5))
+            - omega_bar(c, 3).wedge(c.basis(6))
+            + c.basis(5, 6, 7)
+        )
+        self.star_theta = hodge_star(self.theta)
 
     def residuals(self) -> dict[str, FormExpr]:
         """d star Theta - 2 df wedge star Theta and d Theta wedge Theta."""
@@ -142,18 +152,6 @@ class G2Structure:
         return g2_holonomy_residual(curv, self)
 
 
-def build_g2(c: CoframeSpec) -> G2Structure:
-    if c.dim != 7:
-        raise DimensionMismatch("G2 structure needs a 7-dim coframe")
-    theta = (
-        omega_bar(c, 1).wedge(c.basis(7))
-        + omega_bar(c, 2).wedge(c.basis(5))
-        - omega_bar(c, 3).wedge(c.basis(6))
-        + c.basis(5, 6, 7)
-    )
-    return G2Structure(c, theta, hodge_star(theta))
-
-
 def _contract(curv, project, endomorphism: bool) -> dict[tuple, ring.CoefExpr]:
     """{(a, b, label): value} over project(M) for each skew {(a, b): coef} the curvature holds.
 
@@ -192,13 +190,14 @@ def g2_holonomy_residual(curv, g: G2Structure) -> dict[tuple, ring.CoefExpr]:
 # ---------------------------------------------------------------------------
 # SU(2) (dimension 5)
 
-@dataclass
 class SU2Structure:
-    coframe: CoframeSpec
-    eta: FormExpr
-    F: FormExpr
-    omega2: FormExpr
-    omega3: FormExpr
+    """The almost-contact quadruple (eta, F = omegabar_1, omegabar_2, omegabar_3) of a 5-leg coframe."""
+
+    def __init__(self, c: CoframeSpec):
+        if c.dim != 5:
+            raise DimensionMismatch("SU(2) structure needs a 5-dim coframe")
+        self.coframe = c
+        self.eta, self.F, self.omega2, self.omega3 = c.basis(5), omega_bar(c, 1), omega_bar(c, 2), omega_bar(c, 3)
 
     def residuals(self) -> dict[str, FormExpr]:
         return su2_structure_residuals(self)
@@ -230,12 +229,6 @@ class SU2Structure:
 
     def holonomy_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
         return su2_holonomy_residual(curv, self)
-
-
-def build_su2(c: CoframeSpec) -> SU2Structure:
-    if c.dim != 5:
-        raise DimensionMismatch("SU(2) structure needs a 5-dim coframe")
-    return SU2Structure(c, c.basis(5), omega_bar(c, 1), omega_bar(c, 2), omega_bar(c, 3))
 
 
 def su2_structure_residuals(s: SU2Structure) -> dict[str, FormExpr]:
@@ -293,24 +286,19 @@ def psi_compatibility_residuals(om: FormExpr) -> dict[str, ring.CoefExpr]:
 # ---------------------------------------------------------------------------
 # SU(3) (dimension 6)
 
-@dataclass
 class SU3Structure:
-    coframe: CoframeSpec
-    F: FormExpr
-    psi_plus: FormExpr
-    psi_minus: FormExpr
+    """The SU(3) triple (F, Psi+, Psi-) of a 6-leg coframe."""
+
+    def __init__(self, c: CoframeSpec):
+        if c.dim != 6:
+            raise DimensionMismatch("SU(3) structure needs a 6-dim coframe")
+        self.coframe = c
+        self.F = omega_bar(c, 1) + c.basis(5, 6)
+        self.psi_plus = omega_bar(c, 2).wedge(c.basis(5)) - omega_bar(c, 3).wedge(c.basis(6))
+        self.psi_minus = omega_bar(c, 2).wedge(c.basis(6)) + omega_bar(c, 3).wedge(c.basis(5))
 
     def residuals(self) -> dict[str, FormExpr]:
         return su3_structure_residuals(self)
-
-
-def build_su3(c: CoframeSpec) -> SU3Structure:
-    if c.dim != 6:
-        raise DimensionMismatch("SU(3) structure needs a 6-dim coframe")
-    F = omega_bar(c, 1) + c.basis(5, 6)
-    psi_p = omega_bar(c, 2).wedge(c.basis(5)) - omega_bar(c, 3).wedge(c.basis(6))
-    psi_m = omega_bar(c, 2).wedge(c.basis(6)) + omega_bar(c, 3).wedge(c.basis(5))
-    return SU3Structure(c, F, psi_p, psi_m)
 
 
 def su3_structure_residuals(s: SU3Structure) -> dict[str, FormExpr]:
@@ -330,15 +318,14 @@ def su3_structure_residuals(s: SU3Structure) -> dict[str, FormExpr]:
 # ---------------------------------------------------------------------------
 # one structure interface and the derived geometry of a coframe
 
+_STRUCTURES = {7: G2Structure, 6: SU3Structure, 5: SU2Structure}
+
+
 def structure(c: CoframeSpec):
     """The structure a coframe carries: G2 (7 legs), SU(3) (6) or SU(2) (5)."""
-    if c.dim == 7:
-        return build_g2(c)
-    if c.dim == 6:
-        return build_su3(c)
-    if c.dim == 5:
-        return build_su2(c)
-    raise DimensionMismatch(f"no special structure on a {c.dim}-dim coframe")
+    if c.dim not in _STRUCTURES:
+        raise DimensionMismatch(f"no special structure on a {c.dim}-dim coframe")
+    return _STRUCTURES[c.dim](c)
 
 
 def specialised(value, c: CoframeSpec, values: dict):
@@ -499,17 +486,6 @@ def catalogue_geometry(catalog_id: str, **params) -> Geometry:
     return geometry(build_coframe(catalog_id, **params))
 
 
-def _db_rows(B, c: CoframeSpec) -> tuple:
-    """B as (dim - 4) rows of 3 ring elements, read by ring.exact; a flat B is one row."""
-    if c.dim not in (5, 7):
-        raise DimensionMismatch("build_DB supports dims 7 and 5")
-    nrows = c.dim - 4
-    rows = B if isinstance(B[0], (list, tuple)) else [B]
-    if len(rows) != nrows or any(len(r) != 3 for r in rows):
-        raise ValueError(f"{c.dim}-dim B must be {nrows}x3")
-    return tuple(tuple(ring.exact(b) for b in row) for row in rows)
-
-
 def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     """The nabla^- coefficient formulas with the fiber matrix replaced by B.
 
@@ -522,7 +498,9 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     on symbolic frames and for that family gauge.  The held forms are never
     mutated: substitute makes copies.
     """
-    rows = _db_rows(B, c)
+    if c.dim not in FREE_FRAME:
+        raise DimensionMismatch("build_DB supports dims 7 and 5")
+    rows = gauge_rows("DB", B, c)
     wm = catalogue_geometry(FREE_FRAME[c.dim]).minus
     # each entry of the twin's A is one symbol; B's entry takes its place
     mapping = {sym: b for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow) for sym in x.symbols()}

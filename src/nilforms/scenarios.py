@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import anomaly, numeric, ring
-from .connection import lam_rank, lam_squared
+from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
-from .forms import FormExpr
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
-from .gstruct import _db_rows, catalogue_geometry, geometry
+from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
 from .report import SCENARIOS, _sanitize, strict_json
 from .ring import CoefExpr, const, rat
@@ -28,16 +27,14 @@ from .ring import CoefExpr, const, rat
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # "pass" | "fail" | "error"
-    residual: float | None = None
-    details: dict = field(default_factory=dict)
+    residual: float | None
+    details: dict
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     seed: int
     checks: list
@@ -136,26 +133,18 @@ def _torsion_chain(geo):
 
 
 def _factor_through(entries: dict, factor: CoefExpr):
-    """Every nonzero coefficient must be an exact ring multiple of factor."""
-    total = 0
-    nonzero = 0
-    for form in entries.values():
-        comps = form.comps if isinstance(form, FormExpr) else {None: form}
-        for coef in comps.values():
-            total += 1
-            if not coef:
-                continue
-            nonzero += 1
-            if ring.try_divide(coef, factor) is None:
-                return False, None, {"nonzero": nonzero, "unfactored": repr(coef)}
-    return True, None, {"coefficients": total, "nonzero": nonzero}
+    """Every nonzero ring element of entries must be an exact ring multiple of factor."""
+    nonzero = [coef for coef in entries.values() if coef]
+    for n, coef in enumerate(nonzero, 1):
+        if ring.try_divide(coef, factor) is None:
+            return False, None, {"nonzero": n, "unfactored": repr(coef)}
+    return True, None, {"coefficients": len(entries), "nonzero": len(nonzero)}
 
 
 # ---------------------------------------------------------------------------
 # what differs between the 7-leg (G2) and the 5-leg (SU(2)) theorems
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(NamedTuple):
     structure_check: str  # check id
     structure_body: object  # its body: geo -> (ok, residual, details)
     A: list  # integer fiber matrix of the numeric frame
@@ -354,12 +343,11 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
     absA2q = abs_A_squared(cnum).as_fraction()
     lam2q = lam_squared(lam, cnum).as_fraction()
-    absA2n = float(absA2q)
-    lam2n = float(lam2q)
     values["absA2"] = absA2q
     values["lam2"] = lam2q
 
     def _numeric_ode():
+        absA2n, lam2n = float(absA2q), float(lam2q)  # either may be beyond the floats
         if lam2n <= 0:
             raise BadParams("constraint needs lam^2 > 0")
         alpha = math.sqrt(2.0 * absA2n / lam2n)
@@ -404,7 +392,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B, "B" not in config)
-    absB2 = ring.sum_exprs(b * b for row in _db_rows(B, csym) for b in row).as_fraction()
+    absB2 = ring.sum_exprs(b * b for row in gauge_rows("DB", B, csym) for b in row).as_fraction()
     values["absB2"] = absB2
 
     absA2 = abs_A_squared(csym)
@@ -503,8 +491,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     _ck(checks, "dilaton-normalization-probe", _normalization_probe)
 
 
-@dataclass(frozen=True)
-class _Contraction:
+class _Contraction(NamedTuple):
     family: str  # catalogue id of the eps-family
     direct: str  # catalogue id of its eps = 0 frame
     dropped_legs: tuple
@@ -572,8 +559,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
             ]
         pts = numeric.profile_points(prof, n=12, seed=seed)
         assis = _tables(prof, pts, [coef for coefs in dropped.values() for coef in coefs])
-        maxima = {e: numeric.max_error(abs(coef.evaluate(assi)) for coef in cs for assi in assis)
-                  for e, cs in dropped.items()}
+        maxima = {e: _float_sweep(cs, assis) for e, cs in dropped.items()}
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
         ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0

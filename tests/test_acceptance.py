@@ -39,8 +39,8 @@ from nilforms.frames import (
     quaternionic_heisenberg,
 )
 from nilforms.gstruct import (
-    build_g2,
-    build_su2,
+    G2Structure,
+    SU2Structure,
     direct_torsion,
     g2_holonomy_residual,
     g2_instanton_residual,
@@ -150,7 +150,7 @@ def test_criterion_04_instanton_conditions():
     t0 = time.perf_counter()
     c = k_a()
     _T, _lc, wm, wp = _family(c)
-    g = build_g2(c)
+    g = G2Structure(c)
     cur_m, cur_p = curvature(wm), curvature(wp)
 
     lam1 = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -176,7 +176,7 @@ def test_criterion_04_instanton_conditions():
 
     c5 = h21()
     _T5, _lc5, wm5, wp5 = _family(c5)
-    s = build_su2(c5)
+    s = SU2Structure(c5)
     assert su2_instanton_residual(curvature(build_instanton_DLambda([2, -1, 1], c5)), s) == {}
     factor5 = lap_e2f() + rat(2) * abs_A_squared(c5)
     res5 = su2_instanton_residual(curvature(wm5), s)

@@ -25,10 +25,10 @@ from nilforms.anomaly import (
     u_identity_residual,
     weierstrass_cubic_match,
 )
-from nilforms.connection import build_instanton_DLambda, lam_squared
+from nilforms.connection import build_instanton_DLambda, gauge_rows, lam_squared
 from nilforms.elliptic import half_period
 from nilforms.forms import DimensionMismatch
-from nilforms.frames import abs_A_squared, h21, k_a
+from nilforms.frames import abs_A_squared, h5, h21, k_a
 from nilforms.gstruct import build_DB, geometry
 from nilforms.profiles import BadParams, profile
 from nilforms.ring import const, expf, jet, lap_e2f, lap_e_m2f, rat
@@ -103,6 +103,33 @@ def test_gauge_connection_rejects_unknown_kind(ka):
         Gauge(ka, "DQ", LAM7)
     with pytest.raises(BadParams, match="unknown instanton kind"):
         anomaly_residual(ka, "alphaP", ("DQ", LAM7))
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: build_DB([], h21(1, 2, 3)), "1x3"),
+    (lambda: Gauge(h21(1, 2, 3), "DB", []).p1, "1x3"),
+    (lambda: build_instanton_DLambda([1, 2, 3], k_a(I3)), "3x3"),
+    (lambda: anomaly_residual(k_a(I3), 1, ("DLambda", [1, 2, 3])), "3x3"),
+    (lambda: build_instanton_DLambda([[1, 2, 3], 4, [5, 6, 7]], k_a(I3)), "3x3"),
+    (lambda: build_DB(7, k_a(I3)), "3x3"),
+], ids=["DB-empty", "DB-gauge-empty", "DLambda-flat", "DLambda-flat-residual", "DLambda-ragged", "DB-scalar"])
+def test_a_misshapen_gauge_matrix_is_refused_with_its_shape(call, shape):
+    with pytest.raises(ValueError, match=f"must be {shape}"):
+        call()
+
+
+def test_a_flat_gauge_matrix_is_the_one_row_or_the_one_column():
+    c5 = h21(1, 2, 3)
+    assert gauge_rows("DB", [1, 2, 3], c5) == ((rat(1), rat(2), rat(3)),)
+    assert gauge_rows("DLambda", [1, 2, 3], c5) == ((rat(1),), (rat(2),), (rat(3),))
+
+
+def test_build_db_needs_a_seven_or_five_leg_coframe():
+    with pytest.raises(DimensionMismatch, match="dims 7 and 5"):
+        build_DB(B7[:2], h5(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,13 @@ def test_only_verify_loads_the_scenario_machinery():
         "    codes.append(cli.main(['verify', '--scenario', 'nope']))\n"
         "print(loaded)\n"
         "print(codes, 'nilforms.scenarios' in sys.modules)\n"
-        "cli.main(['verify', '--scenario', 'contraction-5d'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    cli.main(['verify', '--scenario', 'contraction-5d'])\n"
+        "    after = [[m for m in ('dataclasses', 'inspect') if m in sys.modules]]\n"
+        "    cli.main(['crosscheck', '--profile', 'fundamental', '--params', 'c=1', '--expr', 'theta-d',\n"
+        "              '--points', '4'])\n"
+        "    after.append([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "print(after)\n"
         "print('nilforms.scenarios' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env())
@@ -444,6 +450,7 @@ def test_only_verify_loads_the_scenario_machinery():
     lines = proc.stdout.splitlines()
     assert lines[0] == "[[], [], []]"  # after the import, after dump-profile, after crosscheck
     assert lines[1] == "[0, 0, 2] False"
+    assert lines[2] == "[[], []]"  # a cold verify and a theta-d crosscheck import neither
     assert lines[-1] == "True"
 
 

@@ -18,9 +18,6 @@ from nilforms.gstruct import (
     G2Structure,
     SU2Structure,
     SU3Structure,
-    build_g2,
-    build_su2,
-    build_su3,
     catalogue_geometry,
     direct_torsion,
     g2_holonomy_residual,
@@ -48,7 +45,7 @@ def _onshell_factor(c):
 # G2 (7 legs)
 
 def test_g2_form_normalization(ka):
-    g = build_g2(ka)
+    g = G2Structure(ka)
     assert len(g.theta.comps) == 7
     vol7 = ka.form(7, {tuple(range(1, 8)): ring.rat(7)})
     assert not (g.theta.wedge(g.star_theta) - vol7)
@@ -56,29 +53,29 @@ def test_g2_form_normalization(ka):
 
 def test_g2_requires_seven_legs(h21_sym):
     with pytest.raises(DimensionMismatch):
-        build_g2(h21_sym)
+        G2Structure(h21_sym)
 
 
 def test_g2_is_integrable_pure(ka):
-    res = build_g2(ka).residuals()
+    res = G2Structure(ka).residuals()
     assert sorted(res) == ["coclosed", "pure_type"] and not any(res.values())
 
 
 def test_torsion_routes_agree(ka, ka_family):
     T, _lc, _wm, _wp = ka_family
-    hodge_route = build_g2(ka).torsion()
+    hodge_route = G2Structure(ka).torsion()
     assert not (hodge_route - T)
     assert not (T - tables.torsion_fixture(ka))
 
 
 def test_plus_connection_preserves_g2(ka, ka_curvatures):
     _cm, cp = ka_curvatures
-    assert g2_holonomy_residual(cp, build_g2(ka)) == {}
+    assert g2_holonomy_residual(cp, G2Structure(ka)) == {}
 
 
 def test_minus_instanton_residual_has_onshell_factor(ka, ka_curvatures):
     cm, _cp = ka_curvatures
-    res = g2_instanton_residual(cm, build_g2(ka))
+    res = g2_instanton_residual(cm, G2Structure(ka))
     assert res
     factor = _onshell_factor(ka)
     assert all(ring.try_divide(v, factor) is not None for v in res.values())
@@ -88,21 +85,21 @@ def test_rank_one_gauge_connection_is_instanton(ka):
     lam = [[2, 1, -1], [0, 0, 0], [0, 0, 0]]
     assert lam_rank(lam, ka) == 1
     cur = curvature(build_instanton_DLambda(lam, ka))
-    assert g2_instanton_residual(cur, build_g2(ka)) == {}
+    assert g2_instanton_residual(cur, G2Structure(ka)) == {}
 
 
 def test_rank_two_gauge_connection_fails_instanton(ka):
     lam = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
     assert lam_rank(lam, ka) == 2
     cur = curvature(build_instanton_DLambda(lam, ka))
-    assert g2_instanton_residual(cur, build_g2(ka))
+    assert g2_instanton_residual(cur, G2Structure(ka))
 
 
 # ---------------------------------------------------------------------------
 # SU(2) (5 legs)
 
 def test_su2_build_and_shape(h21_sym):
-    s = build_su2(h21_sym)
+    s = SU2Structure(h21_sym)
     assert not (s.eta - h21_sym.basis(5))
     assert not (s.F - omega_bar(h21_sym, 1))
     assert not (s.omega3 - omega_bar(h21_sym, 3))
@@ -110,30 +107,30 @@ def test_su2_build_and_shape(h21_sym):
 
 def test_su2_requires_five_legs(ka):
     with pytest.raises(DimensionMismatch):
-        build_su2(ka)
+        SU2Structure(ka)
 
 
 def test_su2_structure_residuals_vanish(h21_sym):
-    res = su2_structure_residuals(build_su2(h21_sym))
+    res = su2_structure_residuals(SU2Structure(h21_sym))
     assert sorted(res) == ["asd", "domega1", "domega2", "domega3"]
     assert not any(res.values())
 
 
 def test_five_leg_torsion_routes_agree(h21_sym, h21_family):
     T, _lc, _wm, _wp = h21_family
-    s = build_su2(h21_sym)
+    s = SU2Structure(h21_sym)
     contact_route = s.eta.wedge(h21_sym.dbar(5)) + (dpsi_f_form(h21_sym) * 2).wedge(s.F)
     assert not (T - contact_route)
 
 
 def test_plus_connection_preserves_su2(h21_sym, h21_curvatures):
     _cm, cp = h21_curvatures
-    assert su2_holonomy_residual(cp, build_su2(h21_sym)) == {}
+    assert su2_holonomy_residual(cp, SU2Structure(h21_sym)) == {}
 
 
 def test_su2_minus_instanton_residual_has_onshell_factor(h21_sym, h21_curvatures):
     cm, _cp = h21_curvatures
-    res = su2_instanton_residual(cm, build_su2(h21_sym))
+    res = su2_instanton_residual(cm, SU2Structure(h21_sym))
     assert res
     factor = _onshell_factor(h21_sym)
     assert all(ring.try_divide(v, factor) is not None for v in res.values())
@@ -141,7 +138,7 @@ def test_su2_minus_instanton_residual_has_onshell_factor(h21_sym, h21_curvatures
 
 def test_su2_gauge_triple_is_instanton(h21_sym):
     cur = curvature(build_instanton_DLambda([2, -1, 1], h21_sym))
-    assert su2_instanton_residual(cur, build_su2(h21_sym)) == {}
+    assert su2_instanton_residual(cur, SU2Structure(h21_sym)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def test_psi_compatibility_on_basis_forms(h21_sym):
 
 
 def test_psi_compatibility_matches_instanton_residual(h21_sym, h21_curvatures):
-    s = build_su2(h21_sym)
+    s = SU2Structure(h21_sym)
     for cur in h21_curvatures:
         flagged = {(i, j) for (i, j, _lab) in su2_instanton_residual(cur, s)}
         for (i, j) in cur.pairs():
@@ -175,7 +172,7 @@ def test_psi_compatibility_matches_instanton_residual(h21_sym, h21_curvatures):
 # SU(3) (6 legs)
 
 def test_su3_structure_residuals_vanish():
-    s = build_su3(h5(1, 2))
+    s = SU3Structure(h5(1, 2))
     res = su3_structure_residuals(s)
     assert sorted(res) == ["F3", "FPsiMinus", "FPsiPlus", "dPsiMinus", "dPsiPlus"]
     assert not any(res.values())
@@ -183,7 +180,7 @@ def test_su3_structure_residuals_vanish():
 
 def test_su3_requires_six_legs(ka):
     with pytest.raises(DimensionMismatch):
-        build_su3(ka)
+        SU3Structure(ka)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +211,16 @@ def test_structure_is_picked_by_dimension(ka, h21_sym):
 
 def test_structure_interface_reads_the_module_residuals(ka, ka_curvatures, h21_sym, h21_curvatures):
     for c, (cm, cp), build, instanton, holonomy in (
-        (ka, ka_curvatures, build_g2, g2_instanton_residual, g2_holonomy_residual),
-        (h21_sym, h21_curvatures, build_su2, su2_instanton_residual, su2_holonomy_residual),
+        (ka, ka_curvatures, G2Structure, g2_instanton_residual, g2_holonomy_residual),
+        (h21_sym, h21_curvatures, SU2Structure, su2_instanton_residual, su2_holonomy_residual),
     ):
         s = structure(c)
         assert s.instanton_residual(cm) == instanton(cm, build(c))
         assert s.holonomy_residual(cm) == holonomy(cm, build(c))
         assert s.holonomy_residual(cp) == {}
         assert s.torsion() == direct_torsion(c)
-    assert structure(ka).residuals() == build_g2(ka).residuals()
-    assert structure(h21_sym).residuals() == su2_structure_residuals(build_su2(h21_sym))
+    assert structure(ka).residuals() == G2Structure(ka).residuals()
+    assert structure(h21_sym).residuals() == su2_structure_residuals(SU2Structure(h21_sym))
 
 
 def test_su2_holonomy_residual_flags_a_self_dual_matrix(h21_sym):
@@ -235,7 +232,7 @@ def test_su2_holonomy_residual_flags_a_self_dual_matrix(h21_sym):
         def entry(self, i, j):
             return h21_sym.basis(1, 2) if (i, j) in ((1, 2), (3, 4)) else h21_sym.zero(2)
 
-    s = build_su2(h21_sym)
+    s = SU2Structure(h21_sym)
     assert su2_holonomy_residual(Curv(), s) == {(1, 2, "w1"): ring.ONE}
     assert su2_instanton_residual(Curv(), s) == {(1, 2, "w1"): ring.rat(1, 2), (3, 4, "w1"): ring.rat(1, 2)}
 
@@ -249,7 +246,7 @@ def test_g2_residuals_contract_a_single_curvature_entry(ka):
         def entry(self, i, j):
             return ka.basis(1, 2) if (i, j) == (1, 2) else ka.zero(2)
 
-    g = build_g2(ka)
+    g = G2Structure(ka)
     assert g2_instanton_residual(Curv(), g) == {(1, 2, 7): 2}
     assert g2_holonomy_residual(Curv(), g) == {(1, 2, 7): 2}
 
@@ -279,7 +276,7 @@ def _reference_project(struct):
 @given(skew_matrices(7), skew_matrices(5))
 @settings(max_examples=60, deadline=None)
 def test_projection_tables_match_the_value_at_contraction(ka, h21_sym, m7, m5):
-    for struct, M in ((build_g2(ka), m7), (build_su2(h21_sym), m5)):
+    for struct, M in ((G2Structure(ka), m7), (SU2Structure(h21_sym), m5)):
         got, want = struct.project(M), _reference_project(struct)(M)
         assert list(got.items()) == list(want.items())
 

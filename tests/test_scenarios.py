@@ -274,7 +274,7 @@ def test_non_finite_floats_serialize_as_strict_json():
     rep = ScenarioReport(
         name="probe",
         seed=0,
-        checks=[CheckResult("nan-residual", "fail", residual=float("nan"))],
+        checks=[CheckResult("nan-residual", "fail", residual=float("nan"), details={})],
         values={"up": float("inf"), "down": -float("inf"), "ok": 0.5, "nested": [float("nan")]},
     )
     doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
@@ -382,6 +382,19 @@ def test_a_ball_beyond_the_floats_fails_its_float_checks_alone():
     status = {c.id: c.status for c in rep.checks}
     assert status["ball-solves-instanton-equation"] == "pass"
     assert status["instanton-and-closed-torsion-numeric"] == "error"
+
+
+@pytest.mark.parametrize("name, config", [
+    ("thm-7d-negative", {"A": [[10**200, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    ("thm-7d-negative", {"lam": [[10**200, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("thm-5d-negative", {"A": [[10**200, 1, 1]]}),
+], ids=["7d-A", "7d-lam", "5d-A"])
+def test_a_negative_theorem_beyond_the_floats_fails_its_float_check_alone(name, config):
+    # |A|^2 or lambda^2 has no float: only the Weierstrass check reads them as floats
+    rep = run_scenario(name, config=config)
+    numeric_check = next(c for c in rep.checks if c.id == "weierstrass-profile-numeric")
+    assert numeric_check.status == "error" and "OverflowError" in numeric_check.details["exception"]
+    assert all(c.status == "pass" for c in rep.checks if c is not numeric_check)
 
 
 def _held_set() -> tuple[int, int]:
