@@ -25,7 +25,7 @@ from .connection import (
     lam_squared,
     pontryagin4,
 )
-from .forms import DimensionMismatch, FormExpr
+from .forms import HORIZONTAL, DimensionMismatch, FormExpr, horizontal_volume
 from .frames import CoframeSpec, abs_A_squared
 from .gstruct import Geometry, build_DB, geometry, specialised
 from .profiles import BadParams
@@ -186,11 +186,11 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     geo = geometry(c)
     p1g = _anomaly_gauge(c, gauge).p1
     F = geo.dT - (geo.p1_minus - p1g) * (_coef(alphaP) * rat(1, 4))
-    for idx in F.comps:
-        if idx != (1, 2, 3, 4):
-            raise ValueError(f"anomaly form has a non-volume component on {idx}")
-    comp = F.comps.get((1, 2, 3, 4), ring.ZERO)
-    return (-comp).scale_expf(4)
+    volume = horizontal_volume(F)
+    if volume is None:
+        idx = next(idx for idx in F.comps if idx != HORIZONTAL)
+        raise ValueError(f"anomaly form has a non-volume component on {idx}")
+    return -volume
 
 
 def displayed_residual_dlambda(c: CoframeSpec, lam, alphaP) -> CoefExpr:

@@ -18,6 +18,14 @@ from .ring import CoefExpr
 
 HORIZONTAL = (1, 2, 3, 4)
 
+
+def horizontal_volume(F: FormExpr) -> CoefExpr | None:
+    """c with F = c e^{-4f} ebar^{1234}, which is c dx^{1234}, or None when F has any other component."""
+    if any(idx != HORIZONTAL for idx in F.comps):
+        return None
+    return F.comps.get(HORIZONTAL, ring.ZERO).scale_expf(4)
+
+
 # The quaternionic sign conventions, written here only.  SIGMA[r] and
 # OMEGA[r] give the sign of each horizontal pair in the anti-self-dual
 # sigma_r and the self-dual omega_r.  PSI[k] = (sign, image) says

@@ -26,11 +26,7 @@ from .forms import CoframeSpec
 
 def abs_A_squared(c: CoframeSpec) -> ring.CoefExpr:
     """|A|^2 = sum of squared sigma-coefficients over all fiber legs."""
-    out = ring.CoefExpr()
-    for row in c.A:
-        for entry in row:
-            out = out + entry * entry
-    return out
+    return ring.sum_exprs(entry * entry for row in c.A for entry in row)
 
 
 def _h5_rows(a, b) -> list:

@@ -32,19 +32,19 @@ symbolic-rows gauge's (``anomaly.family_gauge``).  Frames with a symbol in
 their fiber matrix, and the 6-leg ones, derive directly.  ``build_DB``
 reads its gauge connection from the held nabla^- of kA or h21 the same way.
 
-The hold rule: a frame or gauge built only from the program's tables lives
-for the process, and one built from a config lives with its report, since a
-report may bring any matrix and holding it would grow the held set with
-every report.  ``catalogue_geometry`` holds the Geometry of each frame of
-the first kind, the kA and h21 families among them.  A gauge of table rows
-is kept in its frame's ``Geometry.gauges`` (``anomaly.held_gauge``), so it
-lives exactly as long as that frame: for the process on a catalogue frame,
-for the report on a config frame.  The symbolic-rows gauges are table
-gauges of the family frames, derived on first use and kept in their
-``gauges``, one per family and kind.  A config frame's Geometry refers to
-its family, never the other way, so it is still freed with its report.
-``catalogue_geometry.cache_clear()`` drops the held frames with their
-gauges.  A gauge of config rows is its report's alone.
+The hold rule, by value: a frame or gauge whose matrix equals one of the
+program's table matrices lives for the process, and any other lives with
+its report, since a report may bring any matrix and holding it would grow
+the held set with every report.  ``catalogue_geometry`` holds the Geometry
+of each frame of the first kind, the kA and h21 families among them.  A
+gauge of a table matrix is kept in its frame's ``Geometry.gauges``
+(``anomaly.held_gauge``), so it lives exactly as long as that frame: for
+the process on a catalogue frame, for the report on a config frame.  The
+symbolic-rows gauges are table gauges of the family frames, derived on
+first use and kept in their ``gauges``, one per family and kind.  A config
+frame's Geometry refers to its family, never the other way, so it is still
+freed with its report.  ``catalogue_geometry.cache_clear()`` drops the held
+frames with their gauges.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``

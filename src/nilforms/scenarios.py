@@ -11,17 +11,17 @@ BadParams before any check runs.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import anomaly, numeric, ring
 from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
+from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
-from .report import SCENARIOS, _sanitize, strict_json
+from .report import SCENARIOS, strict_json
 from .ring import CoefExpr, const, rat
 
 SCHEMA_VERSION = 1
@@ -40,14 +40,13 @@ class ScenarioReport(NamedTuple):
     checks: list
     values: dict
     overrides: tuple = ()
-    wall_time: float = 0.0  # informational only; excluded from serialization
 
     @property
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return strict_json({
             "schema_version": SCHEMA_VERSION,
             "scenario": self.name,
             "seed": self.seed,
@@ -58,20 +57,9 @@ class ScenarioReport(NamedTuple):
                 "passed": sum(1 for c in self.checks if c.status == "pass"),
                 "failed": sum(1 for c in self.checks if c.status != "pass"),
             },
-            "checks": [
-                {
-                    "id": c.id,
-                    "status": c.status,
-                    "residual": _sanitize(c.residual),
-                    "details": _sanitize(c.details),
-                }
-                for c in self.checks
-            ],
-            "values": _sanitize(self.values),
-        }
-
-    def to_json(self) -> str:
-        return strict_json(self.to_dict())
+            "checks": [c._asdict() for c in self.checks],
+            "values": self.values,
+        })
 
 
 def _ck(checks: list, cid: str, fn) -> None:
@@ -120,16 +108,18 @@ def _closed_form(gauge):
 def _torsion_chain(geo):
     """Torsion block formula vs the structure route, and the dT closed form."""
     match = geo.structure_torsion == geo.torsion
-    dT = geo.dT
-    want = (-ring.onshell_factor(abs_A_squared(geo.coframe))).scale_expf(-4)
-    got = dT.comps.get((1, 2, 3, 4), ring.ZERO)
-    pure = all(idx == (1, 2, 3, 4) for idx in dT.comps)
-    closed_form = pure and got == want
+    volume = horizontal_volume(geo.dT)
+    closed_form = volume is not None and volume == -ring.onshell_factor(abs_A_squared(geo.coframe))
     return match and closed_form, None, {
         "route_equality": match,
-        "dT_pure_volume": pure,
+        "dT_pure_volume": volume is not None,
         "dT_closed_form": closed_form,
     }
+
+
+def _minus_instanton_factors(geo):
+    """Every entry of nabla^-'s instanton residual is a ring multiple of the on-shell factor of |A|^2."""
+    return _factor_through(geo.instanton_minus, ring.onshell_factor(abs_A_squared(geo.coframe)))
 
 
 def _factor_through(entries: dict, factor: CoefExpr):
@@ -184,9 +174,19 @@ def _frame_geometry(dim: int, A=None):
     return geometry(build_coframe(cid, **params))
 
 
-def _theorem_gauges(geos, kind: str, rows, tabled: bool) -> list:
-    """The gauge (kind, rows) on each of geos, kept in its Geometry when tabled: the rows are the program's."""
-    return [anomaly.held_gauge(geo, kind, rows) if tabled else anomaly.Gauge(geo.coframe, kind, rows)
+def _theorem_gauges(geos, kind: str, rows) -> list:
+    """The gauge (kind, rows) on each of geos, under the hold rule of frames and gauges alike.
+
+    A frame or gauge whose matrix equals one of the program's table matrices
+    lives for the process, and any other lives with its report.  So rows
+    equal to one of the theorem table's matrices of kind (lam or
+    rank2_lambda for DLambda, B for DB) give a gauge kept in its frame's
+    Geometry (anomaly.held_gauge), which lives as long as that frame (the
+    report's own, for a config frame); other rows give a gauge of the report.
+    """
+    th = _THEOREMS[geos[0].coframe.dim]
+    held = rows in ((th.lam, th.rank2_lambda) if kind == "DLambda" else (th.B,))
+    return [anomaly.held_gauge(geo, kind, rows) if held else anomaly.Gauge(geo.coframe, kind, rows)
             for geo in geos]
 
 
@@ -212,22 +212,16 @@ def _number(value) -> Fraction | None:
         return None
 
 
-def _fits(value, default, entry) -> bool:
-    """value nests like default, with its lengths, and entry accepts each leaf."""
-    if isinstance(default, list):
-        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(
-            _fits(v, d, entry) for v, d in zip(value, default)
-        )
-    return entry(value)
-
-
 def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, min_points: int = 1) -> list:
     """The values of keys, the config keys a scenario reads, defaults filled in.
 
     Raises BadParams, before any check runs, for a key or an override the
     scenario does not read, a repeated override or a value it cannot use.
-    Defaults and shapes come from the dimension's row of _THEOREMS.
+    Defaults come from the dimension's row of _THEOREMS.  lam and B are read
+    by connection.gauge_rows, as a Gauge reads them; the override
+    rank2-lambda sets lam to the theorem's rank-two Lambda.
     """
+    th = _THEOREMS.get(dim)  # None for the contractions, which read no key
     unread = [key for key in config if key not in keys]
     if unread:
         reads = ", ".join(map(repr, keys)) if keys else "no config keys"
@@ -235,29 +229,35 @@ def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, mi
     repeated = list(dict.fromkeys(ov for ov in overrides if overrides.count(ov) > 1))
     if repeated:
         raise BadParams(f"{name}: repeated override {', '.join(map(repr, repeated))}")
-    # the one catalogued override, rank2-lambda, sets lam to the theorem's rank-two Lambda
-    rank2 = "lam" in keys and _THEOREMS[dim].rank2_lambda is not None
+    rank2 = "lam" in keys and th.rank2_lambda is not None
     unread = [ov for ov in overrides if ov != "rank2-lambda" or not rank2]
     if unread:
         reads = "'rank2-lambda'" if rank2 else "none; rank2-lambda applies to the 7D negative theorem alone"
         raise BadParams(f"{name}: unknown override {', '.join(map(repr, unread))} (it reads {reads})")
     out = []
     for key in keys:
-        default = getattr(_THEOREMS[dim], key)
-        value = config.get(key, default)
+        value = config.get(key, getattr(th, key))
         if key == "A":
-            ok = _fits(value, default, _is_int) and any(map(any, value))
-            want = f"a nonzero {len(default)}x3 matrix of integers"
+            ok = isinstance(value, (list, tuple)) and len(value) == dim - 4 and all(
+                isinstance(row, (list, tuple)) and len(row) == 3 and all(map(_is_int, row)) for row in value
+            ) and any(map(any, value))
+            want = f"a nonzero {dim - 4}x3 matrix of integers"
         elif key == "npoints":
             ok, want = _is_int(value) and value >= min_points, f"an integer >= {min_points}"
         elif key == "alphaP":
             ok, want = _number(value) is not None and _number(value) > 0, "a positive number"
         else:  # lam, B
-            ok = _fits(value, default, lambda v: _number(v) is not None)
-            want = f"numbers shaped like {default}"
+            kind, want = "DLambda" if key == "lam" else "DB", "a matrix of numbers"
+            try:
+                rows = gauge_rows(kind, value, _frame_geometry(dim).coframe)
+                ok = all(x.as_fraction() is not None for row in rows for x in row)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                ok, want = False, f"{want} ({exc})"
         if not ok:
             raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
         out.append(_number(value) if key == "alphaP" else value)
+    if "rank2-lambda" in overrides:
+        out[keys.index("lam")] = th.rank2_lambda
     return out
 
 
@@ -309,22 +309,17 @@ def _rational_points(seed: int):
 def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-negative / thm-5d-negative."""
     A_num, lam, npoints = _params(name, dim, config, ("A", "lam", "npoints"), overrides, min_points=2)
-    if "rank2-lambda" in overrides:
-        lam = _THEOREMS[dim].rank2_lambda
     values["lam"] = lam
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    tabled = "lam" not in config or "rank2-lambda" in overrides
-    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam, tabled)
+    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam)
     csym, cnum = geo.coframe, geo_num.coframe
-
-    absA2 = abs_A_squared(csym)
 
     rank = lam_rank(lam, csym)
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
     _ck(checks, "gauge-instanton", lambda: _all_zero(gauge.instanton_residual, "entries"))
-    _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, ring.onshell_factor(absA2)))
+    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo))
     _ck(checks, "plus-holonomy-zero", lambda: _all_zero(geo.holonomy_plus, "entries"))
 
     values["p1_volume_reading"] = "unbarred"
@@ -333,7 +328,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
 
     def _reduction():
         ode = gauge.reduced_residual
-        return ode == anomaly.solv4_ode(absA2), None, {"ode_terms": len(ode)}
+        return ode == anomaly.solv4_ode(abs_A_squared(csym)), None, {"ode_terms": len(ode)}
 
     _ck(checks, "reduction-first-integral", _reduction)
     _ck(checks, "u-substitution-identity", lambda: (
@@ -391,11 +386,9 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
-    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B, "B" not in config)
+    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
     absB2 = ring.sum_exprs(b * b for row in gauge_rows("DB", B, csym) for b in row).as_fraction()
     values["absB2"] = absB2
-
-    absA2 = abs_A_squared(csym)
 
     _ck(checks, "gauge-instanton-condition",
         lambda: _factor_through(gauge.instanton_residual, ring.onshell_factor(rat(absB2))))
@@ -403,12 +396,9 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge))
 
     def _p1_difference():
-        diff = geo.p1_minus - gauge.p1
-        want = ((absA2 - rat(absB2)) * ring.lap_e_m2f() * rat(-3)).scale_expf(-4)
-        got = diff.comps.get((1, 2, 3, 4), ring.ZERO)
-        pure = all(idx == (1, 2, 3, 4) for idx in diff.comps)
-        ok = pure and got == want
-        return ok, None, {"pure_volume": pure}
+        volume = horizontal_volume(geo.p1_minus - gauge.p1)
+        want = (abs_A_squared(csym) - rat(absB2)) * ring.lap_e_m2f() * rat(-3)
+        return volume is not None and volume == want, None, {"pure_volume": volume is not None}
 
     _ck(checks, "p1-difference-closed-form", _p1_difference)
 
@@ -453,8 +443,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     A_num, npoints = _params(name, dim, config, ("A", "npoints"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    csym, cnum = geo.coframe, geo_num.coframe
-    absA2q = abs_A_squared(cnum).as_fraction()
+    absA2q = abs_A_squared(geo_num.coframe).as_fraction()
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
 
@@ -467,8 +456,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
 
     _ck(checks, "ball-solves-instanton-equation", _ball_equation)
 
-    factor = ring.onshell_factor(abs_A_squared(csym))
-    _ck(checks, "minus-instanton-factors", lambda: _factor_through(geo.instanton_minus, factor))
+    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo))
 
     def _numeric_residuals():
         exprs = [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]
@@ -594,8 +582,6 @@ def run_scenario(name: str, seed: int = 0, config: dict | None = None, overrides
 
     checks: list[CheckResult] = []
     values: dict = {}
-    t0 = time.perf_counter()
     body, dim = _BODIES[name]
     body(checks, values, name=name, dim=dim, seed=seed, config=config, overrides=overrides)
-    wall = time.perf_counter() - t0
-    return ScenarioReport(name, seed, checks, values, overrides, wall)
+    return ScenarioReport(name, seed, checks, values, overrides)

@@ -17,6 +17,7 @@ from nilforms.forms import (
     exterior_derivative,
     hodge_star,
     hodge_star_horizontal,
+    horizontal_volume,
     omega_bar,
 )
 from nilforms.frames import h5, h21, quaternionic_heisenberg
@@ -226,6 +227,14 @@ def test_horizontal_star_eigenforms():
         assert hodge_star_horizontal(omega_bar(GH, i)) == omega_bar(GH, i)
     with pytest.raises(DimensionMismatch):
         hodge_star_horizontal(GH.basis(1, 5))
+
+
+def test_horizontal_volume_reads_the_unbarred_coefficient():
+    c = const("a") * jet(1)
+    vol = GH.form(4, {(1, 2, 3, 4): c * expf(-4)})
+    assert horizontal_volume(vol) == c
+    assert horizontal_volume(GH.zero(4)) == ring.ZERO
+    assert horizontal_volume(vol + GH.form(4, {(1, 2, 3, 5): c})) is None
 
 
 def test_interior_contractions():

@@ -131,3 +131,11 @@ def test_the_on_shell_factor_is_built_in_one_function():
     hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
             for line in path.read_text(encoding="utf-8").splitlines() if "lap_e2f() +" in line]
     assert hits == [("ring.py", "return lap_e2f() + rat(2) * absA2")]
+
+
+def test_the_horizontal_legs_are_spelled_in_one_place():
+    # (1, 2, 3, 4) is forms.HORIZONTAL or ring.COORDS; every other site reads one of them,
+    # and a pure volume 4-form is read by forms.horizontal_volume
+    hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines() if "(1, 2, 3, 4)" in line]
+    assert hits == [("forms.py", "HORIZONTAL = (1, 2, 3, 4)"), ("ring.py", "COORDS = (1, 2, 3, 4)")]

@@ -515,6 +515,8 @@ def test_first_integral_is_built_once_per_report(name):
         ("thm-5d-positive", {"B": [0.1 + 0.2, 0, 0]}),  # 3/10 is the short rational near it
         ("thm-7d-positive", {"alphaP": 1e-12}),
         ("thm-7d-negative", {"lam": [[1e-12, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+        ("thm-5d-positive", {"A": [5]}),
+        ("thm-7d-negative", {"lam": [[1, 0, 0], [0, 0], [0, 0, 0]]}),
     ],
 )
 def test_unusable_theorem_config_raises_before_any_check(name, config):
@@ -526,6 +528,37 @@ def test_unusable_theorem_config_raises_before_any_check(name, config):
 def test_unread_config_key_raises_before_any_check(name):
     with pytest.raises(BadParams, match=f"{name}: unknown config key 'lamda'"):
         run_scenario(name, config={"lamda": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+
+
+def test_a_config_gauge_matrix_is_read_in_every_shape_its_gauge_reads():
+    # gauge_rows reads a 5-leg Lambda as three entries or as one column, and B as three entries or one row
+    for name, key, nested, flat in (("thm-5d-negative", "lam", [[2], [-1], [1]], [2, -1, 1]),
+                                    ("thm-5d-positive", "B", [[1, 2, 0]], [1, 2, 0])):
+        got, want = (run_scenario(name, config={key: mat}) for mat in (nested, flat))
+        assert got.checks == want.checks
+    assert got.values == want.values and got.values["absB2"] == 5
+
+
+def test_a_config_gauge_equal_to_a_table_gauge_is_the_held_one(monkeypatch):
+    default = run_scenario("thm-7d-negative")
+    theorem_gauges, got = scenarios._theorem_gauges, []
+
+    def watched_gauges(geos, *args):
+        gauges = theorem_gauges(geos, *args)
+        got.extend((geo, g) for geo, g in zip(geos, gauges))
+        return gauges
+
+    monkeypatch.setattr(scenarios, "_theorem_gauges", watched_gauges)
+    gc.disable()
+    try:
+        held = _held_set()
+        kA_gauges = dict(catalogue_geometry("kA").gauges)
+        rep = run_scenario("thm-7d-negative", config={"lam": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
+        assert rep.to_json() == default.to_json()
+        assert len(got) == 2 and all(g in geo.gauges.values() for geo, g in got)
+        assert catalogue_geometry("kA").gauges == kA_gauges and _held_set() == held
+    finally:
+        gc.enable()
 
 
 def test_config_floats_read_as_the_short_rationals_they_round_trip_from():
