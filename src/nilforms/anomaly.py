@@ -43,9 +43,11 @@ class Gauge:
     """The auxiliary connection D named by ('DLambda', rows) or ('DB', rows) on one coframe.
 
     Its connection, curvature, p1, instanton residual, anomaly residual
-    (alphaP symbolic), the closed form that residual is compared with and,
-    for D_Lambda, the one-variable reduction of the residual are each
-    derived on first use and then kept.  On a frame whose Geometry has a
+    (alphaP symbolic) and the closed form that residual is compared with
+    are each derived on first use and then kept; so are, for D_Lambda, the
+    one-variable reduction of the residual and its closed form, and for
+    D_B, |B|^2 and the quotients of the instanton residual by the on-shell
+    factor of |B|^2.  On a frame whose Geometry has a
     family (a numeric kA or h21), p1 is instead the family gauge's
     (family_gauge), specialised to the frame's numbers and the rows'.
     D_Lambda is built whatever its rank, since the instanton test reads a
@@ -89,13 +91,22 @@ class Gauge:
         return anomaly_residual(self.coframe, const("alphaP"), self)
 
     @cached_property
+    def abs_B_squared(self) -> CoefExpr:
+        """|B|^2, the sum of the squared entries of a D_B gauge's rows."""
+        return ring.sum_exprs(b * b for row in gauge_rows("DB", self.rows, self.coframe) for b in row)
+
+    @cached_property
+    def instanton_quotients(self) -> dict:
+        """Each nonzero entry of instanton_residual over the on-shell factor of |B|^2 (ring.exact_quotients)."""
+        return ring.exact_quotients(self.instanton_residual, ring.onshell_factor(self.abs_B_squared))
+
+    @cached_property
     def displayed_residual(self) -> CoefExpr:
-        """The paper's closed form of anomaly_residual: displayed_residual_dlambda, or _db of the rows' |B|^2."""
+        """The paper's closed form of anomaly_residual: displayed_residual_dlambda, or _db of |B|^2."""
         c = self.coframe
         if self.kind == "DLambda":
             return displayed_residual_dlambda(c, self.rows, const("alphaP"))
-        absB2 = ring.sum_exprs(b * b for row in gauge_rows("DB", self.rows, c) for b in row)
-        return displayed_residual_db(c, absB2, const("alphaP"))
+        return displayed_residual_db(c, self.abs_B_squared, const("alphaP"))
 
     @cached_property
     def reduced_residual(self) -> CoefExpr:
@@ -104,6 +115,11 @@ class Gauge:
             raise BadParams("the one-variable reduction needs a DLambda gauge")
         c = self.coframe
         return reduce_onevar(self.anomaly_residual, abs_A_squared(c), lam_squared(self.rows, c))
+
+    @cached_property
+    def displayed_reduction(self) -> CoefExpr:
+        """The closed form of reduced_residual: solv4_ode of the coframe's |A|^2."""
+        return solv4_ode(abs_A_squared(self.coframe))
 
 
 def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:
@@ -273,6 +289,11 @@ def solv4_ode(absA2) -> CoefExpr:
     return solv4_lhs(absA2).partial(1)
 
 
+def first_integral() -> CoefExpr:
+    """solv4_lhs with |A|^2 the constant absA2, built once per process on first use (ring.held)."""
+    return ring.held("solv4_lhs(absA2)", lambda: solv4_lhs(const("absA2")))
+
+
 # ---------------------------------------------------------------------------
 # u-substitution: e^{2f} = alpha^2 u
 
@@ -339,6 +360,15 @@ def weierstrass_cubic_match() -> CoefExpr:
     """u_identity_residual at |A|^2 = (4/3) alpha^2 d^2, where its bracket is
     alpha^4 (4u^3 - 4 d^2 u - u'^2): the Weierstrass cubic with g2 = 4d^2, g3 = 0."""
     return u_identity_residual(rat(4, 3) * const("alpha") ** 2 * const("d") ** 2)
+
+
+def u_substitution_residuals() -> tuple[CoefExpr, CoefExpr]:
+    """(u_identity_residual with |A|^2 the constant absA2, weierstrass_cubic_match()).
+
+    Both read no input, so the pair is built once per process on first use
+    (ring.held); the substitution identity holds when both are zero.
+    """
+    return ring.held("u_substitution", lambda: (u_identity_residual(const("absA2")), weierstrass_cubic_match()))
 
 
 def d_parameter(absA2: float, alpha: float) -> float:

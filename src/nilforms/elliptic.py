@@ -107,9 +107,13 @@ def weierstrass_p(x: float, d: float) -> tuple[float, float]:
     return p, sign * pp
 
 
-def cubic_residual(x: float, d: float) -> float:
-    """p'^2 - (4 p^3 - 4 d^2 p) at x, relative to the cubic's size."""
-    p, pp = weierstrass_p(x, d)
+def cubic_residual(x, d: float) -> float:
+    """p'^2 - (4 p^3 - 4 d^2 p) at x, relative to the cubic's size.
+
+    x is a point of the real slice, or the pair (p, p') that weierstrass_p
+    gives at one, so a caller that holds the pair does not evaluate p again.
+    """
+    p, pp = x if isinstance(x, tuple) else weierstrass_p(x, d)
     lhs = pp * pp
     rhs = 4.0 * p ** 3 - 4.0 * d * d * p
     scale = max(abs(lhs), abs(rhs), 1.0)

@@ -74,7 +74,7 @@ from .forms import (
     hodge_star_horizontal,
     omega_bar,
 )
-from .frames import FREE_FRAME, build_coframe
+from .frames import FREE_FRAME, abs_A_squared, build_coframe
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +448,11 @@ class Geometry:
         matrix, so no entry vanishes when the family's is specialised.
         """
         return self.structure.instanton_residual(self.curv_minus)
+
+    @cached_property
+    def instanton_minus_quotients(self) -> dict[tuple, ring.CoefExpr | None]:
+        """Each nonzero entry of instanton_minus over the on-shell factor of |A|^2 (ring.exact_quotients)."""
+        return ring.exact_quotients(self.instanton_minus, ring.onshell_factor(abs_A_squared(self.coframe)))
 
     @_field
     def holonomy_plus(self) -> dict[tuple, ring.CoefExpr]:

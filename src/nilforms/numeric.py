@@ -29,7 +29,13 @@ def jets_read(exprs) -> tuple:
 
 def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | None = None, want=JETS) -> dict:
     """One sample point's float table: f and the profile jets in want at x,
-    plus the named constants, whose names are resolved to ring symbols here, once."""
+    plus the named constants, whose names are resolved to ring symbols here, once.
+
+    Evaluate every element of a sweep at this point on this one table:
+    CoefExpr.evaluate keeps each e^{kf} it computes in it, under the int key
+    k, so the point calls math.exp once per k.  Build a new table for
+    another point, never change f in this one.
+    """
     assi = prof.jets(x, want)
     if consts:
         for name, val in consts.items():

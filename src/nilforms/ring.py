@@ -36,11 +36,13 @@ terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``len()`` and ``bool()``.  ``substitute`` puts an exact number in for
 a symbol in one pass over the packed keys, the way a numeric frame is read
 off its symbolic family.  ``evaluate``/``evaluate_exact`` read a
-``{symbol: value}`` table as given; names are resolved to symbols only
-where such a table is built.  An element is immutable, so it keeps what
-their first calls work out: the float plan of ``evaluate``, the integer
-plan of ``evaluate_exact`` and the symbol set of ``symbols()``, which a
-sweep reads to ask a profile for only the jets it needs.
+``{symbol: value}`` table; names are resolved to symbols only where such a
+table is built, and ``evaluate`` keeps each e^{kf} it computes in its float
+table, under the int key k, for every later term that reads it.  An
+element is immutable, so it keeps what their first calls work out: the
+float plan of ``evaluate``, the integer plan of ``evaluate_exact`` and the
+symbol set of ``symbols()``, which a sweep reads to ask a profile for only
+the jets it needs.
 """
 
 from __future__ import annotations
@@ -458,14 +460,18 @@ class CoefExpr:
                 out[key] = get(key, 0) + coef
         return _wrap(_canonical(out))
 
-    def evaluate(self, table: Mapping) -> float:
-        """Float value at a {symbol: float} table, read as given.
+    def evaluate(self, table: dict) -> float:
+        """Float value at a {symbol: float} table.
 
         numeric.build_assignment builds such a table once per sample point;
         every symbol of self, and f itself for an e^{kf} factor, must be bound.
         The first call builds the float plan: one (float coef, k, ((symbol,
         power), ...)) per term in decoded order, the deterministic summation
         order.  Every call reads it, so no call sorts, decodes or converts.
+        e^{kf} is math.exp(k * table[f]), computed once per table and k: the
+        first term that needs it stores it in the table under the int key k,
+        and every later term and element evaluated on that table reads it
+        there.  So a table's f must not change once it has been evaluated on.
         """
         try:
             plan = self._plan
@@ -478,7 +484,10 @@ class CoefExpr:
         try:
             for val, k, syms in plan:
                 if k:
-                    val *= math.exp(k * table[_F])
+                    ekf = table.get(k)
+                    if ekf is None:
+                        ekf = table[k] = math.exp(k * table[_F])
+                    val *= ekf
                 for sym, power in syms:
                     val *= table[sym] ** power
                 total += val
@@ -549,7 +558,8 @@ def exact(x) -> CoefExpr:
     """x as a ring element, with a number from outside the ring read exactly.
 
     The one reading of config and constructor numbers.  A CoefExpr or
-    Rational goes through coerce(), a string through Fraction ("1/2").  A
+    Rational goes through coerce(), a string through Fraction ("1/2"; a zero
+    denominator, "1/0", raises ValueError naming the string).  A
     float is the decimal it prints as, read exactly (0.1 -> 1/10), when
     that has denominator <= 10^9; any other float (pi, 1/3, 1e-12, nan,
     inf) raises ValueError.  A bool raises TypeError: JSON's true is no
@@ -563,7 +573,10 @@ def exact(x) -> CoefExpr:
             raise ValueError(f"{x!r} is no short rational; pass a Fraction or a string")
         x = q
     elif isinstance(x, str):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     return coerce(x)
 
 
@@ -637,26 +650,30 @@ def flat_laplacian(e: CoefExpr) -> CoefExpr:
     return sum_exprs(e.partial(i).partial(i) for i in COORDS)
 
 
-# the jet forms below read no input, so each is built once per process on its
-# first call and then shared: an element is immutable
-_JET_FORMS: dict = {}
+_HELD: dict = {}  # name -> the value held(name, build) made
 
 
-def _jet_form(name: str, build) -> CoefExpr:
-    e = _JET_FORMS.get(name)
-    if e is None:
-        e = _JET_FORMS[name] = build()
-    return e
+def held(name: str, build):
+    """build(), made on the first call for name in the process and then shared.
+
+    For a value that reads no input and never changes, such as a ring
+    element (which is immutable): the jet forms below and the closed forms
+    of the anomaly chain.  Nothing is built at import.
+    """
+    value = _HELD.get(name)
+    if value is None:
+        value = _HELD[name] = build()
+    return value
 
 
 def lap_e2f() -> CoefExpr:
     """Flat Laplacian of e^{2f}."""
-    return _jet_form("lap_e2f", lambda: flat_laplacian(expf(2)))
+    return held("lap_e2f", lambda: flat_laplacian(expf(2)))
 
 
 def lap_e_m2f() -> CoefExpr:
     """Flat Laplacian of e^{-2f}."""
-    return _jet_form("lap_e_m2f", lambda: flat_laplacian(expf(-2)))
+    return held("lap_e_m2f", lambda: flat_laplacian(expf(-2)))
 
 
 def onshell_factor(absA2: CoefExpr) -> CoefExpr:
@@ -671,7 +688,7 @@ def grad_square() -> CoefExpr:
 
 def hessian2() -> CoefExpr:
     """Second elementary symmetric of the Hessian: sum_{i<j} (f_ii f_jj - f_ij^2)."""
-    return _jet_form("hessian2", lambda: sum_exprs(
+    return held("hessian2", lambda: sum_exprs(
         jet(i, i) * jet(j, j) - jet(i, j) * jet(i, j) for i in COORDS for j in COORDS if i < j
     ))
 
@@ -682,7 +699,7 @@ def p_laplacian4() -> CoefExpr:
         g2 = grad_square()
         return sum_exprs((g2 * jet(i)).partial(i) for i in COORDS)
 
-    return _jet_form("p_laplacian4", build)
+    return held("p_laplacian4", build)
 
 
 def _plan_exact(e: CoefExpr) -> tuple:
@@ -816,3 +833,11 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
             else:
                 r.pop(t, None)
     return _wrap(q)  # every coefficient is already canonical and nonzero
+
+
+def exact_quotients(entries: Mapping, den: CoefExpr) -> dict:
+    """{key: try_divide(value, den)} for each nonzero ring element of entries, in their order.
+
+    None marks an entry that is no exact multiple of den.
+    """
+    return {key: try_divide(value, den) for key, value in entries.items() if value}

@@ -22,7 +22,7 @@ from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
 from .report import SCENARIOS, strict_json
-from .ring import CoefExpr, const, rat
+from .ring import rat
 
 SCHEMA_VERSION = 1
 
@@ -119,16 +119,19 @@ def _torsion_chain(geo):
 
 def _minus_instanton_factors(geo):
     """Every entry of nabla^-'s instanton residual is a ring multiple of the on-shell factor of |A|^2."""
-    return _factor_through(geo.instanton_minus, ring.onshell_factor(abs_A_squared(geo.coframe)))
+    return _factor_through(geo.instanton_minus, geo.instanton_minus_quotients)
 
 
-def _factor_through(entries: dict, factor: CoefExpr):
-    """Every nonzero ring element of entries must be an exact ring multiple of factor."""
-    nonzero = [coef for coef in entries.values() if coef]
-    for n, coef in enumerate(nonzero, 1):
-        if ring.try_divide(coef, factor) is None:
-            return False, None, {"nonzero": n, "unfactored": repr(coef)}
-    return True, None, {"coefficients": len(entries), "nonzero": len(nonzero)}
+def _factor_through(entries: dict, quotients: dict):
+    """Every nonzero ring element of entries is an exact ring multiple of a factor.
+
+    quotients holds, for each nonzero entry in order, its quotient by that
+    factor, or None (ring.exact_quotients); the Geometry or Gauge keeps them.
+    """
+    for n, (key, q) in enumerate(quotients.items(), 1):
+        if q is None:
+            return False, None, {"nonzero": n, "unfactored": repr(entries[key])}
+    return True, None, {"coefficients": len(entries), "nonzero": len(quotients)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +221,9 @@ def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, mi
     Raises BadParams, before any check runs, for a key or an override the
     scenario does not read, a repeated override or a value it cannot use.
     Defaults come from the dimension's row of _THEOREMS.  lam and B are read
-    by connection.gauge_rows, as a Gauge reads them; the override
-    rank2-lambda sets lam to the theorem's rank-two Lambda.
+    by connection.gauge_rows, as a Gauge reads them, and B must have
+    |B|^2 < |A|^2, A read before it; the override rank2-lambda sets lam to
+    the theorem's rank-two Lambda.
     """
     th = _THEOREMS.get(dim)  # None for the contractions, which read no key
     unread = [key for key in config if key not in keys]
@@ -253,6 +257,10 @@ def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, mi
                 ok = all(x.as_fraction() is not None for row in rows for x in row)
             except (TypeError, ValueError, ArithmeticError) as exc:
                 ok, want = False, f"{want} ({exc})"
+            if ok and key == "B":  # c* is proportional to |A|^2 - |B|^2, which must be positive
+                absA2 = sum(a * a for row in out[keys.index("A")] for a in row)
+                ok = ring.sum_exprs(b * b for row in rows for b in row).as_fraction() < absA2
+                want = f"a matrix of numbers with |B|^2 < |A|^2 = {absA2}"
         if not ok:
             raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
         out.append(_number(value) if key == "alphaP" else value)
@@ -328,12 +336,10 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
 
     def _reduction():
         ode = gauge.reduced_residual
-        return ode == anomaly.solv4_ode(abs_A_squared(csym)), None, {"ode_terms": len(ode)}
+        return ode == gauge.displayed_reduction, None, {"ode_terms": len(ode)}
 
     _ck(checks, "reduction-first-integral", _reduction)
-    _ck(checks, "u-substitution-identity", lambda: (
-        not anomaly.u_identity_residual(const("absA2")) and not anomaly.weierstrass_cubic_match(), None, {}
-    ))
+    _ck(checks, "u-substitution-identity", lambda: (not any(anomaly.u_substitution_residuals()), None, {}))
 
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
     absA2q = abs_A_squared(cnum).as_fraction()
@@ -354,12 +360,13 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
         values["alphaP"] = -alpha * alpha
         prof = profile("weierstrass", d=d, alpha=alpha)
         pts = _line_points(tau, npoints)
-        worst_ode = numeric.max_error(abs(cubic_residual(x[0], d)) for x in pts)
+        wps = [weierstrass_p(x[0], d) for x in pts]  # (p, p') once per line point
+        worst_ode = numeric.max_error(abs(cubic_residual(wp, d)) for wp in wps)
         worst_per = numeric.max_error(
-            abs(weierstrass_p(x[0] + 2 * tau, d)[0] - weierstrass_p(x[0], d)[0]) for x in pts
+            abs(weierstrass_p(x[0] + 2 * tau, d)[0] - wp[0]) for x, wp in zip(pts, wps)
         )
         # one table per line point feeds the first integral (C0 = 0) and the reduced residual
-        first = anomaly.solv4_lhs(const("absA2"))
+        first = anomaly.first_integral()
         ode = gauge_num.reduced_residual
         assis = _tables(prof, pts, (first, ode), {"alpha": alpha, "absA2": absA2n})
         worst_first = _float_sweep((first,), assis)
@@ -387,17 +394,17 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
     csym, cnum = geo.coframe, geo_num.coframe
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
-    absB2 = ring.sum_exprs(b * b for row in gauge_rows("DB", B, csym) for b in row).as_fraction()
+    absB2 = gauge.abs_B_squared.as_fraction()
     values["absB2"] = absB2
 
     _ck(checks, "gauge-instanton-condition",
-        lambda: _factor_through(gauge.instanton_residual, ring.onshell_factor(rat(absB2))))
+        lambda: _factor_through(gauge.instanton_residual, gauge.instanton_quotients))
 
     _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge))
 
     def _p1_difference():
         volume = horizontal_volume(geo.p1_minus - gauge.p1)
-        want = (abs_A_squared(csym) - rat(absB2)) * ring.lap_e_m2f() * rat(-3)
+        want = (abs_A_squared(csym) - gauge.abs_B_squared) * ring.lap_e_m2f() * rat(-3)
         return volume is not None and volume == want, None, {"pure_volume": volume is not None}
 
     _ck(checks, "p1-difference-closed-form", _p1_difference)

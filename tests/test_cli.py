@@ -101,13 +101,15 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
         ("thm-5d-positive", {"B": [True, False, False]}, "'B'"),
         ("thm-5d-positive", {"alphaP": True}, "'alphaP'"),
         ("thm-5d-negative", {"lam": [True, 0, 0]}, "'lam'"),
+        ("thm-5d-positive", {"B": [[1, 2, 0]]}, "'B' must be a matrix of numbers with |B|^2 < |A|^2 = 3"),
+        ("thm-7d-positive", {"B": [[0, 0, 0], [0, 0, 0], [0, 0, "1/0"]]}, "'1/0' has a zero denominator"),
     ],
     ids=[
         "A-not-a-matrix", "npoints-zero", "7d-negative-npoints-one", "7d-negative-npoints-zero",
         "7d-negative-A-not-a-matrix", "7d-negative-lam-not-numbers", "5d-positive-A-not-a-matrix",
         "5d-positive-B-not-numbers", "5d-positive-alphaP-negative", "7d-negative-unread-key",
         "5d-positive-B-unreadable-float", "5d-positive-B-booleans", "5d-positive-alphaP-boolean",
-        "5d-negative-lam-boolean",
+        "5d-negative-lam-boolean", "5d-positive-B-norm-above-A", "7d-positive-B-zero-denominator",
     ],
 )
 def test_verify_unusable_ball_config_exits_two_with_one_error_line(tmp_path, capsys, scenario, config, key):

@@ -304,6 +304,27 @@ def test_evaluate_plan_matches_the_per_term_loop_bit_for_bit(case):
         assert float.hex(e.evaluate(table)) == float.hex(naive_forms.evaluate_reference(e, table))
 
 
+def test_evaluate_computes_each_e_kf_once_per_table(monkeypatch):
+    # elements evaluated on one table share e^{kf}: one math.exp per distinct k, and every value
+    # is bit for bit the per-term loop's, which calls math.exp for each term with k != 0
+    exprs = [expf(2) * const("a") + expf(-2) * jet(1) - expf(2) * rat(1, 3),
+             expf(-2) * jet(1, 2) ** 2 + const("a"), ring.lap_e2f(), ring.lap_e_m2f(), expf(4) + expf(2) * jet(1)]
+    values = {**profile("ball", absA2=3).jets((0.1, 0.2, -0.15, 0.05)), ring.const_sym("a"): 0.75}
+    want = [float.hex(naive_forms.evaluate_reference(e, values)) for e in exprs]
+    exp, calls = math.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    table = dict(values)
+    assert [float.hex(e.evaluate(table)) for e in exprs] == want
+    f = values[ring.jet_sym()]
+    assert sorted(calls) == sorted(k * f for k in (-2, 2, 4))
+    assert [float.hex(e.evaluate(table)) for e in exprs] == want and len(calls) == 3  # read off the table
+
+
 @given(float_plan_cases(), st.sampled_from(_PLAN_SYMS))
 @settings(max_examples=40, deadline=None)
 def test_evaluate_plan_raises_for_an_unbound_symbol_on_every_call(case, missing):
@@ -641,6 +662,13 @@ def test_exact_reads_a_float_as_the_short_rational_it_round_trips_from():
             ring.exact(bad)
     with pytest.raises(TypeError):
         ring.exact([1])
+
+
+def test_exact_names_a_string_with_a_zero_denominator():
+    # Fraction("1/0") raises ZeroDivisionError('Fraction(1, 0)'), which names neither the string nor the fault
+    for text in ("1/0", "-3/0"):
+        with pytest.raises(ValueError, match=f"'{text}' has a zero denominator"):
+            ring.exact(text)
 
 
 def test_exact_refuses_a_bool():

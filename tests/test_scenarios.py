@@ -349,6 +349,8 @@ HELD_DERIVATIONS = (
     gstruct.G2Structure.residuals, gstruct.G2Structure.torsion, gstruct.SU2Structure.torsion,
     CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual, anomaly.reduce_onevar,
     anomaly.displayed_residual_dlambda, anomaly.displayed_residual_db,
+    anomaly.u_identity_residual, anomaly.weierstrass_cubic_match, solv4_lhs, anomaly.solv4_ode,
+    ring.try_divide,
 )
 
 
@@ -497,7 +499,8 @@ def test_evaluation_reads_each_point_table_as_given(name):
 
 @pytest.mark.parametrize("name", ["thm-7d-negative", "thm-5d-negative"])
 def test_first_integral_is_built_once_per_report(name):
-    # three symbolic checks and the numeric leg each build solv4_lhs once
+    # the reduction's closed form builds solv4_lhs once per gauge, and the held first integral and
+    # u-substitution pair (two) once per process
     assert _calls(name, solv4_lhs) <= 4
 
 
@@ -517,6 +520,11 @@ def test_first_integral_is_built_once_per_report(name):
         ("thm-7d-negative", {"lam": [[1e-12, 0, 0], [0, 0, 0], [0, 0, 0]]}),
         ("thm-5d-positive", {"A": [5]}),
         ("thm-7d-negative", {"lam": [[1, 0, 0], [0, 0], [0, 0, 0]]}),
+        # c* is proportional to |A|^2 - |B|^2, so B needs |B|^2 < |A|^2
+        ("thm-5d-positive", {"B": [[1, 2, 0]]}),
+        ("thm-5d-positive", {"B": [1, 1, 1]}),
+        ("thm-5d-positive", {"B": [0, 1, 1], "A": [[1, 0, 0]]}),
+        ("thm-7d-positive", {"B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
     ],
 )
 def test_unusable_theorem_config_raises_before_any_check(name, config):
@@ -531,12 +539,13 @@ def test_unread_config_key_raises_before_any_check(name):
 
 
 def test_a_config_gauge_matrix_is_read_in_every_shape_its_gauge_reads():
-    # gauge_rows reads a 5-leg Lambda as three entries or as one column, and B as three entries or one row
-    for name, key, nested, flat in (("thm-5d-negative", "lam", [[2], [-1], [1]], [2, -1, 1]),
-                                    ("thm-5d-positive", "B", [[1, 2, 0]], [1, 2, 0])):
-        got, want = (run_scenario(name, config={key: mat}) for mat in (nested, flat))
+    # gauge_rows reads a 5-leg Lambda as three entries or as one column, and B as three entries or one row;
+    # |B|^2 = 5 needs |A|^2 above it, so the B case brings its A
+    for name, key, nested, flat, config in (("thm-5d-negative", "lam", [[2], [-1], [1]], [2, -1, 1], {}),
+                                            ("thm-5d-positive", "B", [[1, 2, 0]], [1, 2, 0], {"A": [[1, 2, 1]]})):
+        got, want = (run_scenario(name, config={**config, key: mat}) for mat in (nested, flat))
         assert got.checks == want.checks
-    assert got.values == want.values and got.values["absB2"] == 5
+    assert got.passed and got.values == want.values and got.values["absB2"] == 5
 
 
 def test_a_config_gauge_equal_to_a_table_gauge_is_the_held_one(monkeypatch):
