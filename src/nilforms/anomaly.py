@@ -44,10 +44,11 @@ class Gauge:
 
     Its connection, curvature, p1, instanton residual, anomaly residual
     (alphaP symbolic) and the closed form that residual is compared with
-    are each derived on first use and then kept; so are, for D_Lambda, the
-    one-variable reduction of the residual and its closed form, and for
-    D_B, |B|^2 and the quotients of the instanton residual by the on-shell
-    factor of |B|^2.  On a frame whose Geometry has a
+    are each derived on first use and then kept, and so is whether the two
+    agree; so are, for D_Lambda, the one-variable reduction of the residual
+    and its closed form, and for D_B, |B|^2, the quotients of the instanton
+    residual by the on-shell factor of |B|^2, and the p1 difference with
+    nabla^- and its closed form.  On a frame whose Geometry has a
     family (a numeric kA or h21), p1 is instead the family gauge's
     (family_gauge), specialised to the frame's numbers and the rows'.
     D_Lambda is built whatever its rank, since the instanton test reads a
@@ -107,6 +108,21 @@ class Gauge:
         if self.kind == "DLambda":
             return displayed_residual_dlambda(c, self.rows, const("alphaP"))
         return displayed_residual_db(c, self.abs_B_squared, const("alphaP"))
+
+    @cached_property
+    def residual_is_closed_form(self) -> bool:
+        """anomaly_residual equals displayed_residual; a rank-two D_Lambda raises its refusal on every read."""
+        return self.anomaly_residual == self.displayed_residual
+
+    @cached_property
+    def p1_difference(self) -> CoefExpr | None:
+        """The horizontal volume coefficient of p1(nabla^-) - p1(D); None when that 4-form has another component."""
+        return horizontal_volume(geometry(self.coframe).p1_minus - self.p1)
+
+    @cached_property
+    def displayed_p1_difference(self) -> CoefExpr:
+        """The closed form of a D_B gauge's p1_difference: -3 (|A|^2 - |B|^2) lap e^{-2f}."""
+        return (abs_A_squared(self.coframe) - self.abs_B_squared) * lap_e_m2f() * rat(-3)
 
     @cached_property
     def reduced_residual(self) -> CoefExpr:

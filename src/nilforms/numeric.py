@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .forms import FormExpr, exterior_derivative
 from .profiles import JETS, DilatonProfile
-from .ring import COORDS, CoefExpr, as_symbol, is_jet, jet_sym
+from .ring import COORDS, CoefExpr, as_symbol, distinct_up_to_sign, is_jet, jet_sym
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
@@ -25,6 +25,23 @@ def jets_read(exprs) -> tuple:
     for e in exprs:
         out |= e.symbols()
     return tuple(sorted(sym for sym in out if is_jet(sym) and sym[1]))
+
+
+class Sweep:
+    """What a float sweep evaluates: one element of each {e, -e} class of
+    some elements (ring.distinct_up_to_sign), and the jets they read.
+
+    A sweep takes the largest |e|, which is the same over these as over
+    every element.  Build it where its elements are held and keep it there
+    (the Geometry keeps its own), so no sweep deduplicates or asks
+    jets_read again.
+    """
+
+    __slots__ = ("exprs", "jets", "__weakref__")
+
+    def __init__(self, elements):
+        self.exprs = distinct_up_to_sign(elements)
+        self.jets = jets_read(self.exprs)
 
 
 def build_assignment(prof: DilatonProfile, x: Sequence[float], consts: dict | None = None, want=JETS) -> dict:

@@ -646,6 +646,25 @@ def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
     return _wrap(_canonical(out))
 
 
+def distinct_up_to_sign(elements: Iterable[CoefExpr]) -> tuple:
+    """One element of each class {e, -e} among elements: the first one seen, in first-seen order.
+
+    |e.evaluate(t)| and |(-e).evaluate(t)| are the same float bit for bit:
+    the float plan is in decoded-key order, the same for e and -e, and
+    float(-q) == -float(q), with products and sums rounding symmetrically.
+    So the largest |e| over these is the largest over elements.  The zero
+    element is its own class.
+    """
+    seen, out = set(), []
+    for e in elements:
+        key = frozenset(e.terms.items())
+        if key not in seen:
+            seen.add(key)
+            seen.add(frozenset((k, -c) for k, c in e.terms.items()))
+            out.append(e)
+    return tuple(out)
+
+
 def flat_laplacian(e: CoefExpr) -> CoefExpr:
     return sum_exprs(e.partial(i).partial(i) for i in COORDS)
 

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from . import anomaly, numeric, ring
 from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
-from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
@@ -86,11 +85,9 @@ def _all_zero(forms: dict, counted: str):
 
 def _integrable_pure(geo):
     """The G2 form is integrable, of pure type and normalized."""
-    g = geo.structure
     res = geo.structure_residuals
     r1, r2 = res["coclosed"], res["pure_type"]
-    seven_vol = geo.coframe.form(7, {tuple(range(1, 8)): rat(7)})
-    norm_ok = g.theta.wedge(g.star_theta) == seven_vol
+    norm_ok = geo.structure.normalized
     ok = (not r1.comps) and (not r2.comps) and norm_ok
     return ok, None, {
         "coclosed_terms": len(r1.comps),
@@ -101,18 +98,16 @@ def _integrable_pure(geo):
 
 def _closed_form(gauge):
     """Anomaly residual vs the gauge's closed form; read first, so a rank-two D_Lambda errors with its refusal."""
-    r = gauge.anomaly_residual
-    return r == gauge.displayed_residual, None, {"terms": len(r)}
+    ok = gauge.residual_is_closed_form
+    return ok, None, {"terms": len(gauge.anomaly_residual)}
 
 
 def _torsion_chain(geo):
     """Torsion block formula vs the structure route, and the dT closed form."""
-    match = geo.structure_torsion == geo.torsion
-    volume = horizontal_volume(geo.dT)
-    closed_form = volume is not None and volume == -ring.onshell_factor(abs_A_squared(geo.coframe))
+    match, closed_form = geo.torsion_routes_agree, geo.dT_closed_form
     return match and closed_form, None, {
         "route_equality": match,
-        "dT_pure_volume": volume is not None,
+        "dT_pure_volume": geo.dT_volume is not None,
         "dT_closed_form": closed_form,
     }
 
@@ -289,15 +284,22 @@ def _exact_sweep(prof, points, exprs, consts=None) -> list:
     return cols
 
 
-def _tables(prof, points, exprs, consts=None) -> list:
-    """The float table of each of points, with the jets of prof that exprs read and consts {name: value}."""
-    want = numeric.jets_read(exprs)
+def _tables(prof, points, sweeps, consts=None) -> list:
+    """The float table of each of points, with the jets of prof that some of sweeps read and consts {name: value}."""
+    want = tuple(sorted({jet for sweep in sweeps for jet in sweep.jets}))
     return [numeric.build_assignment(prof, x, consts, want) for x in points]
 
 
-def _float_sweep(exprs, tables) -> float:
-    """numeric.max_error of |e| over each of exprs at each float table, tables outermost."""
-    return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in exprs)
+def _float_sweep(sweep, tables) -> float:
+    """numeric.max_error of |e| over the elements of a numeric.Sweep at each float table, tables outermost.
+
+    The sweep holds one element of each {e, -e} class, and |e| and |-e|
+    evaluate to the same float, so this is the largest |e| over every
+    element it was built from, bit for bit; max_error depends on neither
+    order nor repeats, nan included.  The Geometry keeps the sweeps of its
+    own elements (instanton_dT_sweep, dropped_leg_sweep).
+    """
+    return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in sweep.exprs)
 
 
 def _rational_points(seed: int):
@@ -366,11 +368,10 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
             abs(weierstrass_p(x[0] + 2 * tau, d)[0] - wp[0]) for x, wp in zip(pts, wps)
         )
         # one table per line point feeds the first integral (C0 = 0) and the reduced residual
-        first = anomaly.first_integral()
-        ode = gauge_num.reduced_residual
+        first, ode = numeric.Sweep((anomaly.first_integral(),)), numeric.Sweep((gauge_num.reduced_residual,))
         assis = _tables(prof, pts, (first, ode), {"alpha": alpha, "absA2": absA2n})
-        worst_first = _float_sweep((first,), assis)
-        worst_res = _float_sweep((ode,), assis)
+        worst_first = _float_sweep(first, assis)
+        worst_res = _float_sweep(ode, assis)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
         return ok, worst_ode, {
             "cubic": worst_ode,
@@ -392,7 +393,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    csym, cnum = geo.coframe, geo_num.coframe
+    cnum = geo_num.coframe
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
     absB2 = gauge.abs_B_squared.as_fraction()
     values["absB2"] = absB2
@@ -403,9 +404,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge))
 
     def _p1_difference():
-        volume = horizontal_volume(geo.p1_minus - gauge.p1)
-        want = (abs_A_squared(csym) - gauge.abs_B_squared) * ring.lap_e_m2f() * rat(-3)
-        return volume is not None and volume == want, None, {"pure_volume": volume is not None}
+        volume = gauge.p1_difference
+        return volume is not None and volume == gauge.displayed_p1_difference, None, {"pure_volume": volume is not None}
 
     _ck(checks, "p1-difference-closed-form", _p1_difference)
 
@@ -466,22 +466,24 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo))
 
     def _numeric_residuals():
-        exprs = [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]
+        sweep = geo_num.instanton_dT_sweep
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
-        worst = _float_sweep(exprs, _tables(prof, pts, exprs))
+        worst = _float_sweep(sweep, _tables(prof, pts, (sweep,)))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
 
     def _normalization_probe():
-        exprs = {phi_factor: geo_num.scalar_identity[phi_factor] for phi_factor in (-1, -2)}
-        assis = _tables(prof, numeric.profile_points(prof, n=16, seed=seed + 7), exprs.values())
-        outcome = {f"phi={phi_factor}f": _float_sweep((e,), assis) for phi_factor, e in exprs.items()}
+        sweeps = {phi_factor: numeric.Sweep((e,)) for phi_factor, e in geo_num.scalar_identity.items()}
+        assis = _tables(prof, numeric.profile_points(prof, n=16, seed=seed + 7), sweeps.values())
+        outcome = {f"phi={phi_factor}f": _float_sweep(sweep, assis) for phi_factor, sweep in sweeps.items()}
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
-        # the probe records the outcome; it passes when exactly one choice fits
-        return len(satisfied) == 1, min(outcome.values()), outcome
+        # the probe records the outcome; it passes when exactly one choice fits, and its residual
+        # is the smallest that is not nan (min would keep a nan that comes first)
+        best = min((v for v in outcome.values() if v == v), default=math.nan)
+        return len(satisfied) == 1, best, outcome
 
     _ck(checks, "dilaton-normalization-probe", _normalization_probe)
 
@@ -543,18 +545,13 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
 
     def _decay():
         prof = profile("ball", absA2=3)
-        dropped = {}  # eps -> the curvature coefficients on a dropped leg
-        for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-            cur = catalogue_geometry(t.family, eps=e, **t.a_num).curv_minus
-            dropped[float(e)] = [
-                coef
-                for (i, j) in cur.pairs()
-                for idx, coef in cur.entry(i, j).comps.items()
-                if i in t.dropped_legs or j in t.dropped_legs or any(l in t.dropped_legs for l in idx)
-            ]
+        dropped = {  # eps -> the sweep of the curvature coefficients on a dropped leg
+            float(e): catalogue_geometry(t.family, eps=e, **t.a_num).dropped_leg_sweep(t.dropped_legs)
+            for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+        }
         pts = numeric.profile_points(prof, n=12, seed=seed)
-        assis = _tables(prof, pts, [coef for coefs in dropped.values() for coef in coefs])
-        maxima = {e: _float_sweep(cs, assis) for e, cs in dropped.items()}
+        assis = _tables(prof, pts, dropped.values())
+        maxima = {e: _float_sweep(sweep, assis) for e, sweep in dropped.items()}
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
         ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0

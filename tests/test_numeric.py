@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilforms import numeric, ring
 from nilforms.frames import quaternionic_heisenberg
@@ -114,6 +115,26 @@ def test_error_folds_keep_a_nan():
     assert numeric.max_error([]) == 0.0 and numeric.max_error([0.5, 2.0, 1.0]) == 2.0
     assert math.isnan(numeric.max_error([0.5, nan, 1.0]))
     assert math.isnan(numeric.worst_of(nan, 1.0)) and math.isnan(numeric.worst_of(1.0, nan))
+
+
+_ERRORS = st.lists(st.one_of(st.floats(0.0, allow_infinity=True), st.just(math.nan), st.just(math.inf)), max_size=8)
+
+
+def _hex_or_nan(x: float) -> str:
+    return "nan" if math.isnan(x) else float.hex(x)
+
+
+@given(_ERRORS, st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_max_error_depends_on_neither_order_nor_repeats(errors, rng):
+    # a float sweep may evaluate its elements in any order, each once or more
+    want = _hex_or_nan(numeric.max_error(errors))
+    shuffled = rng.sample(errors, len(errors))
+    repeated = errors + [rng.choice(errors) for _ in errors] if errors else []
+    rng.shuffle(repeated)
+    assert _hex_or_nan(numeric.max_error(shuffled)) == want
+    assert _hex_or_nan(numeric.max_error(repeated)) == want
+    assert _hex_or_nan(numeric.max_error(iter(errors))) == want
 
 
 def test_fd_checks_report_a_nan_sample(ball, ball_pts):

@@ -325,6 +325,36 @@ def test_evaluate_computes_each_e_kf_once_per_table(monkeypatch):
     assert [float.hex(e.evaluate(table)) for e in exprs] == want and len(calls) == 3  # read off the table
 
 
+def _abs_value(e: CoefExpr, table: dict) -> str:
+    """|e| at a copy of table as float.hex, "nan" for any nan, or the name of the exception evaluate raised."""
+    try:
+        value = abs(e.evaluate(dict(table)))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return "nan" if math.isnan(value) else float.hex(value)
+
+
+_WIDE_FLOATS = st.one_of(st.floats(-1.5, 1.5), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(float_plan_cases(), st.lists(st.fixed_dictionaries({sym: _WIDE_FLOATS for sym in _PLAN_SYMS}), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_an_element_and_its_negative_evaluate_to_one_absolute_value_bit_for_bit(case, wide):
+    # what lets a float sweep evaluate one element of each {e, -e}: its largest |e| is unchanged
+    e, tables = case
+    for table in tables + wide:
+        assert _abs_value(-e, table) == _abs_value(e, table)
+
+
+def test_distinct_up_to_sign_keeps_the_first_of_each_class_in_order():
+    a, b = const("a") + jet(1), expf(2) * rat(1, 3) - jet(2)
+    a2, minus_a, minus_b = const("a") + jet(1), -(const("a") + jet(1)), -b
+    zero = CoefExpr()
+    got = ring.distinct_up_to_sign([b, minus_a, a2, zero, a, -zero, minus_b, ring.ZERO])
+    assert [id(x) for x in got] == [id(b), id(minus_a), id(zero)]
+    assert ring.distinct_up_to_sign([]) == () and ring.distinct_up_to_sign(iter([a])) == (a,)
+
+
 @given(float_plan_cases(), st.sampled_from(_PLAN_SYMS))
 @settings(max_examples=40, deadline=None)
 def test_evaluate_plan_raises_for_an_unbound_symbol_on_every_call(case, missing):

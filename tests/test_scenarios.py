@@ -17,9 +17,9 @@ import pytest
 
 from nilforms import anomaly, gstruct, ring, scenarios
 from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
-from nilforms.connection import curvature, koszul, pontryagin4
+from nilforms.connection import CurvatureForms, curvature, koszul, pontryagin4
 from nilforms.elliptic import half_period
-from nilforms.forms import CoframeSpec, FormExpr
+from nilforms.forms import CoframeSpec, FormExpr, horizontal_volume
 from nilforms.frames import FREE_FRAME, h21, k_a
 from nilforms.gstruct import catalogue_geometry, direct_torsion, geometry
 from nilforms.profiles import BadParams, DilatonProfile
@@ -351,6 +351,8 @@ HELD_DERIVATIONS = (
     anomaly.displayed_residual_dlambda, anomaly.displayed_residual_db,
     anomaly.u_identity_residual, anomaly.weierstrass_cubic_match, solv4_lhs, anomaly.solv4_ode,
     ring.try_divide,
+    # the fixed values the torsion, normalization and p1-difference checks compare
+    horizontal_volume, FormExpr.wedge, FormExpr.__sub__,
 )
 
 
@@ -376,6 +378,70 @@ def test_a_warm_ball_report_redoes_no_fixed_float_or_contraction_work():
     got = {fn.__qualname__: _count(counts, fn) for fn in WARM_BALL_BUDGET}
     assert _count(counts, CoefExpr.evaluate) > 0 and _count(counts, DilatonProfile.jets) > 0  # the counters are live
     assert all(got[fn.__qualname__] <= bound for fn, bound in WARM_BALL_BUDGET.items()), got
+
+
+def test_a_warm_round_evaluates_each_distinct_element_once_up_to_sign():
+    # the 13 float sweeps of a round evaluate 3,832 elements at their tables, 856 once e and -e
+    # are folded: each sweep reads the tuple its Geometry holds
+    for name in SCENARIOS:
+        run_scenario(name, seed=0)
+    rounds = [sum(_count(_call_counts(name, 3), CoefExpr.evaluate) for name in SCENARIOS) for _ in range(2)]
+    assert 0 < rounds[0] <= 900 and rounds[1] == rounds[0]
+
+
+@pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
+def test_a_warm_contraction_report_reads_its_dropped_legs_off_the_geometry(name):
+    run_scenario(name, seed=0)
+    counts = _call_counts(name, 3)
+    assert _count(counts, CoefExpr.evaluate) > 0  # the counter is live
+    assert _count(counts, CurvatureForms.pairs) == 0 and _count(counts, CurvatureForms.entry) == 0
+
+
+def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
+    run_scenario("ball-7d")
+    geos, held = [], []  # weakrefs to the report's Geometries; per sweep, (weakref, kept on one of them)
+    float_sweep = scenarios._float_sweep
+
+    def watched(c):
+        geo = geometry(c)
+        geos.append(weakref.ref(geo))
+        return geo
+
+    def watched_sweep(sweep, tables):
+        kept = any(ref().__dict__.get("instanton_dT_sweep") is sweep for ref in geos if ref() is not None)
+        held.append((weakref.ref(sweep), kept))
+        return float_sweep(sweep, tables)
+
+    monkeypatch.setattr(scenarios, "geometry", watched)
+    monkeypatch.setattr(scenarios, "_float_sweep", watched_sweep)
+    gc.disable()
+    try:
+        frames_held = catalogue_geometry.cache_info().currsize
+        rep = run_scenario("ball-7d", config={"A": [[1, 2, 0], [0, 1, 0], [0, 0, 1]]})
+        assert rep.passed and len(geos) == 1
+        assert [kept for _, kept in held] == [True, False, False]  # the residual sweep, then the probe's two
+        assert all(ref() is None for ref, _ in held) and geos[0]() is None
+        assert catalogue_geometry.cache_info().currsize == frames_held
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("nan_phi", [-1, -2])
+def test_the_normalization_probe_reports_the_fitting_residual_beside_a_nan(monkeypatch, nan_phi):
+    # min() keeps a nan that comes first, so a nan for phi = -f would hide a fitting phi = -2f
+    geo = scenarios._frame_geometry(7, scenarios._THEOREMS[7].A)
+    float_sweep = scenarios._float_sweep
+
+    def patched(sweep, tables):
+        for phi, e in geo.scalar_identity.items():
+            if sweep.exprs == (e,):
+                return math.nan if phi == nan_phi else 1e-12
+        return float_sweep(sweep, tables)
+
+    monkeypatch.setattr(scenarios, "_float_sweep", patched)
+    probe = next(c for c in run_scenario("ball-7d").checks if c.id == "dilaton-normalization-probe")
+    assert probe.status == "pass" and probe.residual == 1e-12
+    assert math.isnan(probe.details[f"phi={nan_phi}f"])
 
 
 def test_a_ball_beyond_the_floats_fails_its_float_checks_alone():
