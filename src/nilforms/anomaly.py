@@ -28,8 +28,7 @@ from .connection import (
 from .forms import HORIZONTAL, DimensionMismatch, FormExpr, horizontal_volume
 from .frames import CoframeSpec, abs_A_squared
 from .gstruct import Geometry, build_DB, geometry, specialised
-from .profiles import BadParams
-from .ring import CoefExpr, const, expf, jet, lap_e_m2f, rat
+from .ring import BadParams, CoefExpr, const, expf, jet, lap_e_m2f, rat
 
 
 class ConstraintViolated(Exception):
@@ -43,26 +42,21 @@ class Gauge:
     """The auxiliary connection D named by ('DLambda', rows) or ('DB', rows) on one coframe.
 
     Its connection, curvature, p1, instanton residual, anomaly residual
-    (alphaP symbolic) and the closed form that residual is compared with
-    are each derived on first use and then kept, and so is whether the two
-    agree; so are, for D_Lambda, the one-variable reduction of the residual
-    and its closed form, and for D_B, |B|^2, the quotients of the instanton
-    residual by the on-shell factor of |B|^2, and the p1 difference with
-    nabla^- and its closed form.  On a frame whose Geometry has a
-    family (a numeric kA or h21), p1 is instead the family gauge's
-    (family_gauge), specialised to the frame's numbers and the rows'.
-    D_Lambda is built whatever its rank, since the instanton test reads a
-    rank-two one too; the anomaly residual and its reduction refuse it, on
-    every read, because a cached_property keeps no exception.  The gauge
-    keeps its coframe and finds the coframe's Geometry through geometry(),
-    so a Geometry holding gauges (held_gauge) makes no reference cycle with
-    them.
+    (alphaP symbolic), that residual's closed form and, for D_Lambda, its
+    one-variable reduction are each derived on first use and then kept.  On
+    a numeric kA or h21 frame, p1 is the family gauge's, specialised
+    (family_gauge).  A rank-two D_Lambda is built, since the instanton test
+    reads it, but its anomaly residual is refused on every read: a
+    cached_property keeps no exception.  ``held`` keeps the outcomes of the
+    checks that read this gauge alone.  The gauge finds its coframe's
+    Geometry through geometry(), so a Geometry holding it makes no cycle.
     """
 
     def __init__(self, c: CoframeSpec, kind: str, rows):
         if kind not in ("DLambda", "DB"):
             raise BadParams(f"unknown instanton kind {kind!r}")
         self.coframe, self.kind, self.rows = c, kind, rows
+        self.held: dict = {}
 
     @cached_property
     def connection(self) -> ConnectionForms:
@@ -97,11 +91,6 @@ class Gauge:
         return ring.sum_exprs(b * b for row in gauge_rows("DB", self.rows, self.coframe) for b in row)
 
     @cached_property
-    def instanton_quotients(self) -> dict:
-        """Each nonzero entry of instanton_residual over the on-shell factor of |B|^2 (ring.exact_quotients)."""
-        return ring.exact_quotients(self.instanton_residual, ring.onshell_factor(self.abs_B_squared))
-
-    @cached_property
     def displayed_residual(self) -> CoefExpr:
         """The paper's closed form of anomaly_residual: displayed_residual_dlambda, or _db of |B|^2."""
         c = self.coframe
@@ -110,32 +99,12 @@ class Gauge:
         return displayed_residual_db(c, self.abs_B_squared, const("alphaP"))
 
     @cached_property
-    def residual_is_closed_form(self) -> bool:
-        """anomaly_residual equals displayed_residual; a rank-two D_Lambda raises its refusal on every read."""
-        return self.anomaly_residual == self.displayed_residual
-
-    @cached_property
-    def p1_difference(self) -> CoefExpr | None:
-        """The horizontal volume coefficient of p1(nabla^-) - p1(D); None when that 4-form has another component."""
-        return horizontal_volume(geometry(self.coframe).p1_minus - self.p1)
-
-    @cached_property
-    def displayed_p1_difference(self) -> CoefExpr:
-        """The closed form of a D_B gauge's p1_difference: -3 (|A|^2 - |B|^2) lap e^{-2f}."""
-        return (abs_A_squared(self.coframe) - self.abs_B_squared) * lap_e_m2f() * rat(-3)
-
-    @cached_property
     def reduced_residual(self) -> CoefExpr:
         """reduce_onevar of the anomaly residual with the coframe's |A|^2 and the rows' lambda^2."""
         if self.kind != "DLambda":
             raise BadParams("the one-variable reduction needs a DLambda gauge")
         c = self.coframe
         return reduce_onevar(self.anomaly_residual, abs_A_squared(c), lam_squared(self.rows, c))
-
-    @cached_property
-    def displayed_reduction(self) -> CoefExpr:
-        """The closed form of reduced_residual: solv4_ode of the coframe's |A|^2."""
-        return solv4_ode(abs_A_squared(self.coframe))
 
 
 def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:

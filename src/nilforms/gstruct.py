@@ -43,8 +43,10 @@ the process on a catalogue frame, for the report on a config frame.  The
 symbolic-rows gauges are table gauges of the family frames, derived on
 first use and kept in their ``gauges``, one per family and kind.  A config
 frame's Geometry refers to its family, never the other way, so it is still
-freed with its report.  ``catalogue_geometry.cache_clear()`` drops the held
-frames with their gauges.
+freed with its report.  The outcome of a check that reads one frame or gauge
+alone, and a float sweep of its elements, is kept the same way, in that
+Geometry's or Gauge's ``held`` dict.  ``catalogue_geometry.cache_clear()``
+drops the held frames with their gauges and everything they hold.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
@@ -72,11 +74,9 @@ from .forms import (
     exterior_derivative,
     hodge_star,
     hodge_star_horizontal,
-    horizontal_volume,
     omega_bar,
 )
-from .frames import FREE_FRAME, abs_A_squared, build_coframe
-from .numeric import Sweep
+from .frames import FREE_FRAME, build_coframe
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,6 @@ class G2Structure:
             if total:
                 out[m] = ring._wrap(total)
         return out
-
-    @cached_property
-    def normalized(self) -> bool:
-        """Theta wedge star Theta = 7 ebar^{1..7}, tested once per structure."""
-        return self.theta.wedge(self.star_theta) == self.coframe.form(7, {tuple(range(1, 8)): ring.rat(7)})
 
     def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
         return g2_instanton_residual(curv, self)
@@ -391,17 +386,14 @@ class Geometry:
     every field but the structure is then read off the family's (``_field``).
     Elsewhere ``family`` and ``values`` are None.  ``gauges`` holds the
     gauges of table rows on this coframe (``anomaly.held_gauge``), and
-    ``leg_sweeps`` the float sweeps of ``dropped_leg_sweep``.  The fixed
-    comparisons of the torsion check and the float sweeps of its own
-    elements are kept too, so they live exactly as long as the coframe's
-    Geometry: for the process on a catalogue frame, for the report on a
-    config frame.
+    ``held`` the outcomes of the checks that read this coframe alone and the
+    float sweeps of its elements.
     """
 
     def __init__(self, c: CoframeSpec):
         self.coframe = c
         self.gauges: dict = {}
-        self.leg_sweeps: dict = {}
+        self.held: dict = {}
         self.family, self.values = _family(c)
 
     @_field
@@ -411,22 +403,6 @@ class Geometry:
     @_field
     def dT(self) -> FormExpr:
         return exterior_derivative(self.torsion)
-
-    @cached_property
-    def torsion_routes_agree(self) -> bool:
-        """The block torsion equals the structure's own route to it."""
-        return self.structure_torsion == self.torsion
-
-    @cached_property
-    def dT_volume(self) -> ring.CoefExpr | None:
-        """dT's coefficient on the horizontal volume (forms.horizontal_volume); None when dT has another component."""
-        return horizontal_volume(self.dT)
-
-    @cached_property
-    def dT_closed_form(self) -> bool:
-        """Whether dT_volume is the paper's closed form -(lap e^{2f} + 2|A|^2), the negated on-shell factor."""
-        volume = self.dT_volume
-        return volume is not None and volume == -ring.onshell_factor(abs_A_squared(self.coframe))
 
     @_field
     def lc(self):
@@ -477,31 +453,6 @@ class Geometry:
         matrix, so no entry vanishes when the family's is specialised.
         """
         return self.structure.instanton_residual(self.curv_minus)
-
-    @cached_property
-    def instanton_minus_quotients(self) -> dict[tuple, ring.CoefExpr | None]:
-        """Each nonzero entry of instanton_minus over the on-shell factor of |A|^2 (ring.exact_quotients)."""
-        return ring.exact_quotients(self.instanton_minus, ring.onshell_factor(abs_A_squared(self.coframe)))
-
-    @cached_property
-    def instanton_dT_sweep(self) -> Sweep:
-        """The float sweep of instanton_minus's entries and dT's components."""
-        return Sweep([*self.instanton_minus.values(), *self.dT.comps.values()])
-
-    def dropped_leg_sweep(self, legs: tuple) -> Sweep:
-        """The float sweep of the coefficients of curv_minus that touch a leg of legs, kept per legs.
-
-        A coefficient of component idx of entry (i, j) touches leg l when l
-        is i, j or in idx.
-        """
-        sweep = self.leg_sweeps.get(legs)
-        if sweep is None:
-            cur = self.curv_minus
-            sweep = self.leg_sweeps[legs] = Sweep(
-                coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
-                if any(leg in legs for leg in (i, j, *idx))
-            )
-        return sweep
 
     @_field
     def holonomy_plus(self) -> dict[tuple, ring.CoefExpr]:

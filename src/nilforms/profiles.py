@@ -31,11 +31,7 @@ from numbers import Rational
 from typing import Callable, Sequence
 
 from .elliptic import half_period, weierstrass_p
-from .ring import COORDS, jet_sym
-
-
-class BadParams(Exception):
-    """Raised for malformed or out-of-range profile parameters."""
+from .ring import COORDS, BadParams, jet_sym
 
 
 # the sorted index tuples of order two and three

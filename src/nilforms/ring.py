@@ -554,6 +554,10 @@ def coerce(x) -> CoefExpr:
     raise TypeError(f"cannot use {x!r} as a ring element")
 
 
+class BadParams(Exception):
+    """Raised for malformed or out-of-range parameters of a profile, gauge or scenario."""
+
+
 def exact(x) -> CoefExpr:
     """x as a ring element, with a number from outside the ring read exactly.
 
@@ -853,10 +857,3 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
                 r.pop(t, None)
     return _wrap(q)  # every coefficient is already canonical and nonzero
 
-
-def exact_quotients(entries: Mapping, den: CoefExpr) -> dict:
-    """{key: try_divide(value, den)} for each nonzero ring element of entries, in their order.
-
-    None marks an entry that is no exact multiple of den.
-    """
-    return {key: try_divide(value, den) for key, value in entries.items() if value}

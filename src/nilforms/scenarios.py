@@ -17,6 +17,7 @@ from typing import NamedTuple
 from . import anomaly, numeric, ring
 from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
+from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry
 from .profiles import BadParams, profile
@@ -61,12 +62,33 @@ class ScenarioReport(NamedTuple):
         })
 
 
-def _ck(checks: list, cid: str, fn) -> None:
-    try:
-        ok, residual, details = fn()
-        checks.append(CheckResult(cid, "pass" if ok else "fail", residual, details))
-    except Exception as exc:  # captured into the report, never thrown past it
-        checks.append(CheckResult(cid, "error", None, {"exception": repr(exc)}))
+def _ck(checks: list, cid: str, fn, held_by=None) -> None:
+    """Run the check cid, fn() -> (ok, residual, details), and append its result to checks.
+
+    When fn reads only the values of held_by, a Geometry or Gauge, its
+    (status, residual, details) is kept in held_by.held, so it lives as
+    long as held_by does (gstruct's hold rule), and each report gets its own
+    copy of details.  An error is never kept: it is raised again on every report.
+    """
+    outcome = held_by.held.get(cid) if held_by is not None else None
+    if outcome is None:
+        try:
+            ok, residual, details = fn()
+        except Exception as exc:  # captured into the report, never thrown past it
+            checks.append(CheckResult(cid, "error", None, {"exception": repr(exc)}))
+            return
+        outcome = ("pass" if ok else "fail", residual, details)
+        if held_by is not None:
+            held_by.held[cid] = outcome
+    status, residual, details = outcome
+    checks.append(CheckResult(cid, status, residual, dict(details)))
+
+
+def _held(holder, key: str, build):
+    """holder.held[key], built by build() on first use: it lives as long as holder, a Geometry or Gauge."""
+    if key not in holder.held:
+        holder.held[key] = build()
+    return holder.held[key]
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +107,10 @@ def _all_zero(forms: dict, counted: str):
 
 def _integrable_pure(geo):
     """The G2 form is integrable, of pure type and normalized."""
+    g = geo.structure
     res = geo.structure_residuals
     r1, r2 = res["coclosed"], res["pure_type"]
-    norm_ok = geo.structure.normalized
+    norm_ok = g.theta.wedge(g.star_theta) == geo.coframe.form(7, {tuple(range(1, 8)): rat(7)})
     ok = (not r1.comps) and (not r2.comps) and norm_ok
     return ok, None, {
         "coclosed_terms": len(r1.comps),
@@ -98,35 +121,34 @@ def _integrable_pure(geo):
 
 def _closed_form(gauge):
     """Anomaly residual vs the gauge's closed form; read first, so a rank-two D_Lambda errors with its refusal."""
-    ok = gauge.residual_is_closed_form
-    return ok, None, {"terms": len(gauge.anomaly_residual)}
+    r = gauge.anomaly_residual
+    return r == gauge.displayed_residual, None, {"terms": len(r)}
 
 
 def _torsion_chain(geo):
     """Torsion block formula vs the structure route, and the dT closed form."""
-    match, closed_form = geo.torsion_routes_agree, geo.dT_closed_form
+    match = geo.structure_torsion == geo.torsion
+    volume = horizontal_volume(geo.dT)
+    closed_form = volume is not None and volume == -ring.onshell_factor(abs_A_squared(geo.coframe))
     return match and closed_form, None, {
         "route_equality": match,
-        "dT_pure_volume": geo.dT_volume is not None,
+        "dT_pure_volume": volume is not None,
         "dT_closed_form": closed_form,
     }
 
 
 def _minus_instanton_factors(geo):
     """Every entry of nabla^-'s instanton residual is a ring multiple of the on-shell factor of |A|^2."""
-    return _factor_through(geo.instanton_minus, geo.instanton_minus_quotients)
+    return _factor_through(geo.instanton_minus, ring.onshell_factor(abs_A_squared(geo.coframe)))
 
 
-def _factor_through(entries: dict, quotients: dict):
-    """Every nonzero ring element of entries is an exact ring multiple of a factor.
-
-    quotients holds, for each nonzero entry in order, its quotient by that
-    factor, or None (ring.exact_quotients); the Geometry or Gauge keeps them.
-    """
-    for n, (key, q) in enumerate(quotients.items(), 1):
-        if q is None:
-            return False, None, {"nonzero": n, "unfactored": repr(entries[key])}
-    return True, None, {"coefficients": len(entries), "nonzero": len(quotients)}
+def _factor_through(entries: dict, factor):
+    """Every nonzero ring element of entries must be an exact ring multiple of factor."""
+    nonzero = [coef for coef in entries.values() if coef]
+    for n, coef in enumerate(nonzero, 1):
+        if ring.try_divide(coef, factor) is None:
+            return False, None, {"nonzero": n, "unfactored": repr(coef)}
+    return True, None, {"coefficients": len(entries), "nonzero": len(nonzero)}
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +214,9 @@ def _theorem_frames(checks: list, dim: int, A_num) -> tuple:
     """The symbolic and numeric Geometry of a theorem, after the three checks on the symbolic frame."""
     th = _THEOREMS[dim]
     geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)
-    _ck(checks, "frame-integrability", lambda: _all_zero(geo.integrability_residuals, "legs"))
-    _ck(checks, th.structure_check, lambda: th.structure_body(geo))
-    _ck(checks, "torsion-chain", lambda: _torsion_chain(geo))
+    _ck(checks, "frame-integrability", lambda: _all_zero(geo.integrability_residuals, "legs"), geo)
+    _ck(checks, th.structure_check, lambda: th.structure_body(geo), geo)
+    _ck(checks, "torsion-chain", lambda: _torsion_chain(geo), geo)
     return geo, geo_num
 
 
@@ -296,10 +318,22 @@ def _float_sweep(sweep, tables) -> float:
     The sweep holds one element of each {e, -e} class, and |e| and |-e|
     evaluate to the same float, so this is the largest |e| over every
     element it was built from, bit for bit; max_error depends on neither
-    order nor repeats, nan included.  The Geometry keeps the sweeps of its
-    own elements (instanton_dT_sweep, dropped_leg_sweep).
+    order nor repeats, nan included.  A frame's Geometry keeps the sweeps
+    of its own elements (_held).
     """
     return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in sweep.exprs)
+
+
+def _decay_sweep(geo, legs: tuple):
+    """The float sweep of the coefficients of geo's curv_minus that touch a leg of legs, kept in geo.held.
+
+    A coefficient of component idx of entry (i, j) touches leg l when l is
+    i, j or in idx.
+    """
+    cur = geo.curv_minus
+    return _held(geo, "dropped-leg-sweep", lambda: numeric.Sweep(
+        coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
+        if any(leg in legs for leg in (i, j, *idx))))
 
 
 def _rational_points(seed: int):
@@ -328,19 +362,19 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
-    _ck(checks, "gauge-instanton", lambda: _all_zero(gauge.instanton_residual, "entries"))
-    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo))
-    _ck(checks, "plus-holonomy-zero", lambda: _all_zero(geo.holonomy_plus, "entries"))
+    _ck(checks, "gauge-instanton", lambda: _all_zero(gauge.instanton_residual, "entries"), gauge)
+    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo), geo)
+    _ck(checks, "plus-holonomy-zero", lambda: _all_zero(geo.holonomy_plus, "entries"), geo)
 
     values["p1_volume_reading"] = "unbarred"
 
-    _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge))
+    _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge), gauge)
 
     def _reduction():
         ode = gauge.reduced_residual
-        return ode == gauge.displayed_reduction, None, {"ode_terms": len(ode)}
+        return ode == anomaly.solv4_ode(abs_A_squared(csym)), None, {"ode_terms": len(ode)}
 
-    _ck(checks, "reduction-first-integral", _reduction)
+    _ck(checks, "reduction-first-integral", _reduction, gauge)
     _ck(checks, "u-substitution-identity", lambda: (not any(anomaly.u_substitution_residuals()), None, {}))
 
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
@@ -393,21 +427,22 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    cnum = geo_num.coframe
+    csym, cnum = geo.coframe, geo_num.coframe
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
     absB2 = gauge.abs_B_squared.as_fraction()
     values["absB2"] = absB2
 
     _ck(checks, "gauge-instanton-condition",
-        lambda: _factor_through(gauge.instanton_residual, gauge.instanton_quotients))
+        lambda: _factor_through(gauge.instanton_residual, ring.onshell_factor(gauge.abs_B_squared)), gauge)
 
-    _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge))
+    _ck(checks, "anomaly-residual-closed-form", lambda: _closed_form(gauge), gauge)
 
     def _p1_difference():
-        volume = gauge.p1_difference
-        return volume is not None and volume == gauge.displayed_p1_difference, None, {"pure_volume": volume is not None}
+        volume = horizontal_volume(geo.p1_minus - gauge.p1)
+        want = (abs_A_squared(csym) - gauge.abs_B_squared) * ring.lap_e_m2f() * rat(-3)
+        return volume is not None and volume == want, None, {"pure_volume": volume is not None}
 
-    _ck(checks, "p1-difference-closed-form", _p1_difference)
+    _ck(checks, "p1-difference-closed-form", _p1_difference, gauge)
 
     # engine-derived constant c*: e^{2f} = c*/|x-e|^2 kills the residual
     absA2q = abs_A_squared(cnum).as_fraction()
@@ -463,10 +498,11 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
 
     _ck(checks, "ball-solves-instanton-equation", _ball_equation)
 
-    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo))
+    _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo), geo)
 
     def _numeric_residuals():
-        sweep = geo_num.instanton_dT_sweep
+        sweep = _held(geo_num, "instanton-dT-sweep", lambda: numeric.Sweep(
+            [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]))
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
         worst = _float_sweep(sweep, _tables(prof, pts, (sweep,)))
         return worst <= 1e-9, worst, {"points": len(pts)}
@@ -519,20 +555,20 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
             for e in (Fraction(1, 10), Fraction(1, 100), 0)),
         None,
         {},
-    ))
+    ), geo0)
 
     def _coframe_limit():
         same = c0.A == direct.A
         return same, None, {"dim": c0.dim}
 
-    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit)
-    _ck(checks, "contracted-torsion-equals-direct", lambda: (geo0.torsion == geo_direct.torsion, None, {}))
+    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, geo0)
+    _ck(checks, "contracted-torsion-equals-direct", lambda: (geo0.torsion == geo_direct.torsion, None, {}), geo0)
 
     def _structure_limit():
         ok, bad = _forms_all_zero(geo0.structure_residuals)
         return ok, None, {"nonzero": bad}
 
-    _ck(checks, "contracted-structure-residuals", _structure_limit)
+    _ck(checks, "contracted-structure-residuals", _structure_limit, geo0)
 
     def _residual_limit():
         # full-leg frame with the degenerate rows kept, against the contracted frame
@@ -541,12 +577,12 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
                             for lam, drop in ((t.lam7, False), (lam_direct, True)))
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
-    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit)
+    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo0)
 
     def _decay():
         prof = profile("ball", absA2=3)
         dropped = {  # eps -> the sweep of the curvature coefficients on a dropped leg
-            float(e): catalogue_geometry(t.family, eps=e, **t.a_num).dropped_leg_sweep(t.dropped_legs)
+            float(e): _decay_sweep(catalogue_geometry(t.family, eps=e, **t.a_num), t.dropped_legs)
             for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
         }
         pts = numeric.profile_points(prof, n=12, seed=seed)

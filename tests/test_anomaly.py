@@ -1,13 +1,12 @@
 """Tests for the anomaly residual and the one-variable equation chain."""
 from __future__ import annotations
 
-import cProfile
 import math
-import pstats
 from fractions import Fraction
 
 import pytest
 
+from call_counts import call_counts, count
 from nilforms import gstruct, numeric, ring, scenarios
 from nilforms.anomaly import (
     ConstraintViolated,
@@ -152,19 +151,6 @@ def test_seven_leg_dlambda_residual_matches_closed_form(ka):
     assert not (got - want)
 
 
-def _calls(fn, *targets) -> list:
-    """cProfile call counts of each target function made by fn()."""
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        fn()
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof).stats
-    keys = [(t.__code__.co_filename, t.__code__.co_firstlineno, t.__code__.co_name) for t in targets]
-    return [stats.get(key, (0, 0))[1] for key in keys]
-
-
 def _count_residual_work(monkeypatch, residual) -> tuple:
     """(CoefExpr products, term products) that residual() builds."""
     term_products = 0
@@ -176,7 +162,7 @@ def _count_residual_work(monkeypatch, residual) -> tuple:
         return mul_into(acc, a, b, sign)
 
     monkeypatch.setattr(ring, "_mul_into", counted)
-    [products] = _calls(residual, ring.CoefExpr.__mul__)
+    products = count(call_counts(residual), ring.CoefExpr.__mul__)
     return products, term_products
 
 

@@ -6,11 +6,16 @@ purpose: each subcommand loads what it runs when it runs.  An imported name
 that a module never uses is an edge with no reason left; no linter is
 required to run the tests, so an ``ast`` walk finds those.  So does one for a
 module-level table that holds a public function: it captures the function at
-import, so a wrapper later set on the module attribute misses its calls.
+import, so a wrapper later set on the module attribute misses its calls.  The
+exact layers load no float layer: a fresh interpreter that imports the
+anomaly chain loads neither the profiles nor the numeric sweeps.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,3 +144,13 @@ def test_the_horizontal_legs_are_spelled_in_one_place():
     hits = [(path.name, line.strip()) for path in sorted(SRC.glob("*.py"))
             for line in path.read_text(encoding="utf-8").splitlines() if "(1, 2, 3, 4)" in line]
     assert hits == [("forms.py", "HORIZONTAL = (1, 2, 3, 4)"), ("ring.py", "COORDS = (1, 2, 3, 4)")]
+
+
+def test_the_exact_anomaly_chain_loads_no_float_layer():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    float_layer = ("nilforms.numeric", "nilforms.profiles", "nilforms.elliptic")
+    probe = f"import sys, nilforms.anomaly\nprint([m for m in {float_layer!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,16 +1,15 @@
 """Tests for the dilaton profiles and their jet chain rule."""
 from __future__ import annotations
 
-import cProfile
 import functools
 import math
-import pstats
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import naive_forms
+from call_counts import call_counts, count
 from nilforms import ring
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
@@ -234,18 +233,11 @@ def test_exact_jets_match_sympy_derivatives(absA2, c, center, xb, xf):
         assert jets == {jet_sym(*idx): _exact_value(e, at, memo) for idx, e in d.items()}, name
 
 
-def _fraction_news(fn) -> int:
-    prof = cProfile.Profile()
-    prof.runcall(fn)
-    return sum(nc for (path, _line, func), (_cc, nc, *_rest) in pstats.Stats(prof).stats.items()
-               if func == "__new__" and path.endswith("fractions.py"))
-
-
 @pytest.mark.parametrize("name, params, shrink", [("ball", {"absA2": 3}, 2), ("fundamental", {"c": 1}, 1)])
 def test_exact_jets_build_one_fraction_per_jet(name, params, shrink):
     prof = profile(name, **params)
     pts = [tuple(v / shrink for v in x) for x in _rational_points(0)]  # the ball needs |x| < 1
-    calls = _fraction_news(lambda: [prof.jets_exact(x) for x in pts])
+    calls = count(call_counts(lambda: [prof.jets_exact(x) for x in pts]), Fraction.__new__)
     assert calls <= 60 * len(pts)
 
 

@@ -1,13 +1,11 @@
 """Coefficient-ring unit and property tests: arithmetic, jets, division, evaluation."""
 from __future__ import annotations
 
-import cProfile
 import functools
 import json
 import math
 import os
 import pickle
-import pstats
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import naive_forms
+from call_counts import call_counts, count
 from nilforms import ring
 from nilforms.profiles import profile
 from nilforms.ring import (
@@ -449,7 +448,7 @@ def test_evaluate_exact_builds_one_fraction_per_call():
     x = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 7))
     g, table = profile("fundamental", c=3).jets_exact(x)
     table[ring.const_sym("a")] = Fraction(-2, 3)
-    assert _fraction_constructions(lambda: [evaluate_exact(e, table, g) for _ in range(5)]) == 5
+    assert count(call_counts(lambda: [evaluate_exact(e, table, g) for _ in range(5)]), Fraction.__new__) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +593,6 @@ def test_try_divide_by_an_integer_stays_exact():
     assert q * rat(3) == x + jet(1)
 
 
-def _fraction_constructions(fn) -> int:
-    """Fraction.__new__ calls made by fn(), counted by cProfile."""
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        fn()
-    finally:
-        prof.disable()
-    code = Fraction.__new__.__code__
-    key = (code.co_filename, code.co_firstlineno, code.co_name)
-    return pstats.Stats(prof).stats.get(key, (0, 0))[1]
-
-
 def test_integer_polynomial_work_constructs_no_fractions():
     def integer_work():
         p = rat(3) * const("a") * jet(1) - 2 * expf(2) * jet(2) + 5
@@ -618,9 +604,9 @@ def test_integer_polynomial_work_constructs_no_fractions():
         assert dr and lap and sub
         assert all(_is_canonical(e) for e in (r, dr, lap, sub))
 
-    assert _fraction_constructions(integer_work) == 0
+    assert count(call_counts(integer_work), Fraction.__new__) == 0
     # the counter is live: the same product with a 1/2 coefficient does build Fractions
-    assert _fraction_constructions(lambda: (rat(1, 2) * jet(1) + 1) * (jet(2) + 3)) > 0
+    assert count(call_counts(lambda: (rat(1, 2) * jet(1) + 1) * (jet(2) + 3)), Fraction.__new__) > 0
 
 
 # ---------------------------------------------------------------------------

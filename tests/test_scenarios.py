@@ -1,13 +1,11 @@
 """Tests for the scenario catalogue and its deterministic reports."""
 from __future__ import annotations
 
-import cProfile
 import gc
 import hashlib
 import json
 import math
 import numbers
-import pstats
 import random
 import weakref
 from fractions import Fraction
@@ -15,6 +13,7 @@ from functools import cache
 
 import pytest
 
+from call_counts import call_counts, count
 from nilforms import anomaly, gstruct, ring, scenarios
 from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
 from nilforms.connection import CurvatureForms, curvature, koszul, pontryagin4
@@ -282,31 +281,20 @@ def test_non_finite_floats_serialize_as_strict_json():
     assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
 
 
-def _call_counts(name: str, seed: int) -> dict:
-    """cProfile call counts of one report, keyed by code object."""
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        run_scenario(name, seed=seed)
-    finally:
-        prof.disable()
-    return {key: stat[1] for key, stat in pstats.Stats(prof).stats.items()}
-
-
-def _count(counts: dict, fn) -> int:
-    code = fn.__code__
-    return counts.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+def _report_calls(name: str, seed: int) -> dict:
+    """The call counts of one report (call_counts)."""
+    return call_counts(lambda: run_scenario(name, seed=seed))
 
 
 @cache
 def _seed0_calls(name: str) -> dict:
     """Call counts of one report at seed 0 that derives every geometry it reads."""
     catalogue_geometry.cache_clear()
-    return _call_counts(name, 0)
+    return _report_calls(name, 0)
 
 
 def _calls(name: str, fn) -> int:
-    return _count(_seed0_calls(name), fn)
+    return count(_seed0_calls(name), fn)
 
 
 # most calls of (koszul, curvature, anomaly_residual, DilatonProfile.jets) one
@@ -350,9 +338,9 @@ HELD_DERIVATIONS = (
     CoframeSpec.integrability_residuals, gstruct.scalar_identity_residual, anomaly.reduce_onevar,
     anomaly.displayed_residual_dlambda, anomaly.displayed_residual_db,
     anomaly.u_identity_residual, anomaly.weierstrass_cubic_match, solv4_lhs, anomaly.solv4_ode,
-    ring.try_divide,
-    # the fixed values the torsion, normalization and p1-difference checks compare
-    horizontal_volume, FormExpr.wedge, FormExpr.__sub__,
+    # what the factoring, torsion, normalization and p1-difference checks compute: each
+    # check's outcome is held with the frame or gauge it reads (scenarios._ck)
+    ring.try_divide, horizontal_volume, FormExpr.wedge, FormExpr.__sub__,
 )
 
 
@@ -360,9 +348,9 @@ HELD_DERIVATIONS = (
 def test_a_second_report_derives_no_frame_geometry(name):
     # so each is derived once per process, whatever the seed
     run_scenario(name, seed=0)
-    counts = _call_counts(name, 3)
-    got = {fn.__qualname__: _count(counts, fn) for fn in HELD_DERIVATIONS}
-    assert _count(counts, run_scenario) == 1  # the counter is live
+    counts = _report_calls(name, 3)
+    got = {fn.__qualname__: count(counts, fn) for fn in HELD_DERIVATIONS}
+    assert count(counts, run_scenario) == 1  # the counter is live
     assert not any(got.values()), got
 
 
@@ -374,9 +362,9 @@ WARM_BALL_BUDGET = {FormExpr.value_at: 100, numbers.Rational.__float__: 20, ring
 
 def test_a_warm_ball_report_redoes_no_fixed_float_or_contraction_work():
     run_scenario("ball-7d", seed=0)
-    counts = _call_counts("ball-7d", 1)
-    got = {fn.__qualname__: _count(counts, fn) for fn in WARM_BALL_BUDGET}
-    assert _count(counts, CoefExpr.evaluate) > 0 and _count(counts, DilatonProfile.jets) > 0  # the counters are live
+    counts = _report_calls("ball-7d", 1)
+    got = {fn.__qualname__: count(counts, fn) for fn in WARM_BALL_BUDGET}
+    assert count(counts, CoefExpr.evaluate) > 0 and count(counts, DilatonProfile.jets) > 0  # the counters are live
     assert all(got[fn.__qualname__] <= bound for fn, bound in WARM_BALL_BUDGET.items()), got
 
 
@@ -385,16 +373,41 @@ def test_a_warm_round_evaluates_each_distinct_element_once_up_to_sign():
     # are folded: each sweep reads the tuple its Geometry holds
     for name in SCENARIOS:
         run_scenario(name, seed=0)
-    rounds = [sum(_count(_call_counts(name, 3), CoefExpr.evaluate) for name in SCENARIOS) for _ in range(2)]
+    rounds = [sum(count(_report_calls(name, 3), CoefExpr.evaluate) for name in SCENARIOS) for _ in range(2)]
     assert 0 < rounds[0] <= 900 and rounds[1] == rounds[0]
+
+
+# the bodies of the seed-free checks, whose outcomes are held with the frame or gauge they read
+SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._integrable_pure,
+                    scenarios._torsion_chain, scenarios._factor_through, scenarios._closed_form)
+
+
+def test_a_warm_round_reruns_no_seed_free_check():
+    # so a round at a new seed makes 32,918 Python calls, the same on a repeat; the cyclic
+    # collector is off, since the finalizers it runs on other tests' garbage would count too
+    for name in SCENARIOS:
+        run_scenario(name, seed=0)
+    rounds = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            counts = call_counts(lambda: [run_scenario(name, seed=3) for name in SCENARIOS])
+            assert count(counts, run_scenario) == len(SCENARIOS)  # the counter is live
+            got = {fn.__name__: count(counts, fn) for fn in SEED_FREE_BODIES}
+            assert not any(got.values()), got
+            rounds.append(sum(counts.values()))
+    finally:
+        gc.enable()
+    assert rounds[0] <= 33_000 and rounds[1] == rounds[0]
 
 
 @pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
 def test_a_warm_contraction_report_reads_its_dropped_legs_off_the_geometry(name):
     run_scenario(name, seed=0)
-    counts = _call_counts(name, 3)
-    assert _count(counts, CoefExpr.evaluate) > 0  # the counter is live
-    assert _count(counts, CurvatureForms.pairs) == 0 and _count(counts, CurvatureForms.entry) == 0
+    counts = _report_calls(name, 3)
+    assert count(counts, CoefExpr.evaluate) > 0  # the counter is live
+    assert count(counts, CurvatureForms.pairs) == 0 and count(counts, CurvatureForms.entry) == 0
 
 
 def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
@@ -408,7 +421,7 @@ def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
         return geo
 
     def watched_sweep(sweep, tables):
-        kept = any(ref().__dict__.get("instanton_dT_sweep") is sweep for ref in geos if ref() is not None)
+        kept = any(v is sweep for ref in geos if ref() is not None for v in ref().held.values())
         held.append((weakref.ref(sweep), kept))
         return float_sweep(sweep, tables)
 
@@ -424,6 +437,38 @@ def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
         assert catalogue_geometry.cache_info().currsize == frames_held
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_editing_a_reports_details_leaves_the_next_report_unchanged(name):
+    # a held outcome's details are copied into each report, so no report can edit the held ones
+    catalogue_geometry.cache_clear()
+    first = run_scenario(name, seed=0)
+    text = first.to_json()
+    for check in first.checks:
+        check.details.clear()
+        check.details["edited"] = True
+    assert run_scenario(name, seed=0).to_json() == text
+
+
+def test_a_held_gauge_keeps_its_instanton_outcome_and_never_its_refusal(monkeypatch):
+    # the rank-two Lambda's gauge is held on kA: the body of its gauge-instanton check runs on
+    # the first report alone, and the closed-form check raises its refusal again on every report
+    catalogue_geometry.cache_clear()
+    all_zero, read = scenarios._all_zero, []
+
+    def watched(forms, counted):
+        read.append(forms)
+        return all_zero(forms, counted)
+
+    monkeypatch.setattr(scenarios, "_all_zero", watched)
+    reports = [run_scenario("thm-7d-negative", overrides=("rank2-lambda",)) for _ in range(2)]
+    gauge = anomaly.held_gauge(catalogue_geometry("kA"), "DLambda", scenarios._THEOREMS[7].rank2_lambda)
+    assert sum(forms is gauge.instanton_residual for forms in read) == 1
+    closed = [next(c for c in rep.checks if c.id == "anomaly-residual-closed-form") for rep in reports]
+    assert [c.status for c in closed] == ["error", "error"] and closed[0] == closed[1]
+    assert closed[0].details["exception"] == "BadParams('DLambda: the coefficient matrix must have rank <= 1')"
+    assert "anomaly-residual-closed-form" not in gauge.held and "gauge-instanton" in gauge.held
 
 
 @pytest.mark.parametrize("nan_phi", [-1, -2])
@@ -494,16 +539,9 @@ def test_a_drawn_residual_derives_nothing_once_its_family_is_derived():
     rng = random.Random(7)
     for k in range(4):  # each kind of frame and gauge once: the families and their gauges
         _drawn_residual(rng, k)
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        for k in range(4, 12):
-            _drawn_residual(rng, k)
-    finally:
-        prof.disable()
-    counts = {key: stat[1] for key, stat in pstats.Stats(prof).stats.items()}
-    assert _count(counts, anomaly_residual) == 8  # the counter is live
-    assert {fn.__name__: _count(counts, fn) for fn in (koszul, curvature, pontryagin4)} == {
+    counts = call_counts(lambda: [_drawn_residual(rng, k) for k in range(4, 12)])
+    assert count(counts, anomaly_residual) == 8  # the counter is live
+    assert {fn.__name__: count(counts, fn) for fn in (koszul, curvature, pontryagin4)} == {
         "koszul": 0, "curvature": 0, "pontryagin4": 0}
 
 
