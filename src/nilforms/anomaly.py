@@ -48,7 +48,8 @@ class Gauge:
     (family_gauge).  A rank-two D_Lambda is built, since the instanton test
     reads it, but its anomaly residual is refused on every read: a
     cached_property keeps no exception.  ``held`` keeps the outcomes of the
-    checks that read this gauge alone.  The gauge finds its coframe's
+    checks that read this gauge alone, and the Weierstrass check's float
+    maxima per point count.  The gauge finds its coframe's
     Geometry through geometry(), so a Geometry holding it makes no cycle.
     """
 

@@ -24,7 +24,7 @@ _SERIES_RADIUS = 0.25     # fraction of tau+ where the series is trusted
 _POLE_TOL = 1e-9          # fraction of tau+ treated as "at the pole"
 
 _GAMMA_QUARTER_SQ = math.gamma(0.25) ** 2
-_last_coefs: dict[float, list[float]] = {}  # the coefficients of the last d only: a report uses one d
+_last_coefs: dict[float, tuple[float, ...]] = {}  # the coefficients of the last d only: a report uses one d
 
 
 def half_period(d: float) -> float:
@@ -46,8 +46,11 @@ def half_period_agm(d: float) -> float:
     return K / math.sqrt(2.0 * float(d))
 
 
-def laurent_coefficients(d: float) -> list[float]:
-    """c_k for p(z) = z^-2 + sum_{k>=2} c_k z^{2k-2} (index = position k), k <= _SERIES_KMAX."""
+def laurent_coefficients(d: float) -> tuple[float, ...]:
+    """c_k for p(z) = z^-2 + sum_{k>=2} c_k z^{2k-2} (index = position k), k <= _SERIES_KMAX.
+
+    The tuple is the one kept for the last d, so no caller can edit a later p at that d.
+    """
     d = float(d)
     if d in _last_coefs:
         return _last_coefs[d]
@@ -58,7 +61,7 @@ def laurent_coefficients(d: float) -> list[float]:
         s = sum(c[m] * c[k - m] for m in range(2, k - 1))
         c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
     _last_coefs.clear()
-    _last_coefs[d] = c
+    _last_coefs[d] = c = tuple(c)
     return c
 
 

@@ -16,12 +16,16 @@ METRICS = {
 }
 
 
-def _summarise(parent: list, change: list, name: str) -> dict:
+def _tool():
     spec = importlib.util.spec_from_file_location("_bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _summarise(parent: list, change: list, name: str) -> dict:
     pairs = [{"parent": {"metrics": {name: a}}, "change": {"metrics": {name: b}}} for a, b in zip(parent, change)]
-    return module.summarise(pairs, METRICS)
+    return _tool().summarise(pairs, METRICS)
 
 
 STEADY = [100.0, 101.0, 99.0, 100.0, 100.0]
@@ -50,3 +54,18 @@ def test_a_change_exactly_at_the_bound_passes():
     s = _summarise([100.0] * 5, [75.0] * 5, "throughput_per_s")["throughput_per_s"]
     assert s["worse_by"] == pytest.approx(0.25) and s["no_regression"] == "pass"
     assert s["wins"] == 0 and s["median_ratio"] == pytest.approx(0.75)
+
+
+def _run(failed: int, attempted: int) -> dict:
+    return {"correct": not failed, "attempted": attempted, "failed": failed, "metrics": {"throughput_per_s": 100.0}}
+
+
+def test_summary_gives_each_sides_share_of_failed_operations():
+    pairs = [{"parent": _run(0, 100), "change": _run(3, 100)},
+             {"parent": _run(0, 300), "change": _run(1, 300)}]
+    out = _tool().summarise(pairs, METRICS)
+    assert out["operations"] == {
+        "parent": {"failed_share": 0.0, "all_correct": True},
+        "change": {"failed_share": 4 / 400, "all_correct": False},
+    }
+    assert set(out) == {"operations", "throughput_per_s"}

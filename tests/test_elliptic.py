@@ -108,6 +108,14 @@ def test_laurent_coefficients_keep_only_the_last_d():
         assert len(elliptic._last_coefs) <= 1
 
 
+def test_the_kept_coefficients_cannot_be_edited_by_a_caller():
+    d = 1.7
+    before = weierstrass_p(0.3, d)
+    with pytest.raises(TypeError):
+        laurent_coefficients(d)[2] = 0.0
+    assert weierstrass_p(0.3, d) == before
+
+
 def test_d_scaling_law():
     tau1 = half_period(1.0)
     for d in (0.5, 2.3):

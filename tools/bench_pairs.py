@@ -41,6 +41,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join("perfbench", "run.py")
+SIDES = ("parent", "change")
 
 
 def _git(*args: str) -> str:
@@ -94,8 +95,17 @@ def _verdict(q_old: list, worse_by: float, bound: float) -> str:
 
 def summarise(pairs: list, metrics: dict) -> dict:
     """Per metric of metrics (name -> BENCHMARK.json entry): each side's median and quartiles,
-    the median ratio, the change's wins, how much worse its median is and the no-regression verdict."""
+    the median ratio, the change's wins, how much worse its median is and the no-regression verdict.
+
+    When the pairs carry their operation counts, "operations" gives per side the share of
+    attempted operations that failed, over all pairs, and whether every run was correct.
+    """
     out = {}
+    if all("attempted" in p[side] for p in pairs for side in SIDES):
+        out["operations"] = {side: {
+            "failed_share": sum(p[side]["failed"] for p in pairs) / max(1, sum(p[side]["attempted"] for p in pairs)),
+            "all_correct": all(p[side]["correct"] for p in pairs),
+        } for side in SIDES}
     for name, spec in metrics.items():
         if not all(name in p["parent"]["metrics"] and name in p["change"]["metrics"] for p in pairs):
             continue
@@ -151,7 +161,7 @@ def main(argv=None) -> int:
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {pair[side]['metrics'].get('throughput_per_s', float('nan')):.1f}/s"
-                for side in ("parent", "change")), flush=True)
+                for side in SIDES), flush=True)
 
     entry = {
         "workload": args.workload,
@@ -178,7 +188,11 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for name, s in entry["summary"].items():
+    summary = dict(entry["summary"])
+    ops = summary.pop("operations")
+    print("operations: " + ", ".join(f"{side} failed_share {ops[side]['failed_share']:.6g} "
+                                     f"all_correct {ops[side]['all_correct']}" for side in SIDES))
+    for name, s in summary.items():
         print(f"{name}: parent {s['parent_median']:.6g}, change {s['change_median']:.6g}, "
               f"ratio {s['median_ratio']}, wins {s['wins']}/{s['pairs']}, claim_holds {s['claim_holds']}, "
               f"no_regression {s['no_regression']}")
