@@ -44,13 +44,16 @@ class Gauge:
     Its connection, curvature, p1, instanton residual, anomaly residual
     (alphaP symbolic), that residual's closed form and, for D_Lambda, its
     one-variable reduction are each derived on first use and then kept.  On
-    a numeric kA or h21 frame, p1 is the family gauge's, specialised
-    (family_gauge).  A rank-two D_Lambda is built, since the instanton test
-    reads it, but its anomaly residual is refused on every read: a
-    cached_property keeps no exception.  ``held`` keeps the outcomes of the
-    checks that read this gauge alone, and the Weierstrass check's float
-    maxima per point count.  The gauge finds its coframe's
-    Geometry through geometry(), so a Geometry holding it makes no cycle.
+    a numeric kA or h21 frame the rows' values for the family gauge's
+    symbols (``row_values``) are worked out once, and p1 and the anomaly
+    residual are both read off the family gauge (family_gauge) by
+    substituting them with the frame's numbers.  A rank-two D_Lambda is
+    built, since the instanton test reads it, but its anomaly residual is
+    refused on every read: a cached_property keeps no exception.  ``held``
+    keeps the outcomes of the checks that read this gauge alone, and the
+    Weierstrass check's float maxima per point count.  The gauge finds its
+    coframe's Geometry through geometry(), so a Geometry holding it makes no
+    cycle.
     """
 
     def __init__(self, c: CoframeSpec, kind: str, rows):
@@ -71,12 +74,29 @@ class Gauge:
         return curvature(self.connection)
 
     @cached_property
+    def row_values(self) -> dict | None:
+        """{family gauge symbol: number} (_row_values) on a frame with a family, else None."""
+        if geometry(self.coframe).family is None:
+            return None
+        return _row_values(self.kind, self.rows, self.coframe)
+
+    @cached_property
     def p1(self) -> FormExpr:
-        geo = geometry(self.coframe)
-        values = _row_values(self.kind, self.rows, self.coframe) if geo.family is not None else None
+        values = self.row_values
         if values is None:
             return pontryagin4(self.curvature)
+        geo = geometry(self.coframe)
         return specialised(family_gauge(geo.family, self.kind).p1, self.coframe, {**geo.values, **values})
+
+    @cached_property
+    def family_residual(self) -> CoefExpr:
+        """The residual body on this gauge's own p1 with alphaP symbolic, and no rank test.
+
+        Read on the family gauges (family_gauge) alone, whose Lambda = u v^T
+        has rank at most one by construction: anomaly_residual reads every
+        numeric frame's residual off it.
+        """
+        return _residual(geometry(self.coframe), self.p1, const("alphaP"))
 
     @cached_property
     def instanton_residual(self) -> dict:
@@ -167,27 +187,24 @@ def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
 
 
 def _anomaly_gauge(c: CoframeSpec, gauge) -> Gauge:
-    """gauge, a Gauge on c or (kind, rows), as a Gauge; a DLambda of rank above one is refused."""
+    """gauge, a Gauge on c or (kind, rows), as a Gauge; a DLambda of rank above one or with a symbol is refused.
+
+    A Lambda with row values is u v^T, of rank at most one, so only one
+    without them is ranked (lam_rank, which also refuses a symbol).
+    """
     if not isinstance(gauge, Gauge):
         kind, rows = gauge
         gauge = Gauge(c, kind, rows)
     elif gauge.coframe is not c:
         raise DimensionMismatch("the gauge lives on a different coframe")
-    if gauge.kind == "DLambda" and lam_rank(gauge.rows, c) > 1:
+    if gauge.kind == "DLambda" and gauge.row_values is None and lam_rank(gauge.rows, c) > 1:
         raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
     return gauge
 
 
-def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
-    """Coefficient r with dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) = -r e^{-4f} ebar^{1234}.
-
-    D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
-    this call alone.  Raises ValueError when the 4-form is not a pure volume
-    multiple of the horizontal legs (it always is for the catalogued frames).
-    """
-    geo = geometry(c)
-    p1g = _anomaly_gauge(c, gauge).p1
-    F = geo.dT - (geo.p1_minus - p1g) * (_coef(alphaP) * rat(1, 4))
+def _residual(geo: Geometry, p1g: FormExpr, alphaP: CoefExpr) -> CoefExpr:
+    """-(the volume coefficient) of dT - (alphaP/4)(p1(nabla^-) - p1g) on geo's coframe."""
+    F = geo.dT - (geo.p1_minus - p1g) * (alphaP * rat(1, 4))
     volume = horizontal_volume(F)
     if volume is None:
         idx = next(idx for idx in F.comps if idx != HORIZONTAL)
@@ -195,17 +212,41 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     return -volume
 
 
+def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
+    """Coefficient r with dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) = -r e^{-4f} ebar^{1234}.
+
+    D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
+    this call alone; a Lambda of rank two, or with a symbol, is refused
+    first.  On a numeric kA or h21 frame r is one substitution of the
+    family gauge's held residual (Gauge.family_residual): the frame's
+    numbers, the rows' values and any alphaP other than the symbol alphaP
+    go in together.  Elsewhere it is read off c's own dT and p1.  Raises
+    ValueError when the 4-form is not a pure volume multiple of the
+    horizontal legs (it always is for the catalogued frames).
+    """
+    geo = geometry(c)  # held for the call, so the gauge's reads share it
+    gauge = _anomaly_gauge(c, gauge)
+    ap = _coef(alphaP)
+    values = gauge.row_values
+    if values is None:
+        return _residual(geo, gauge.p1, ap)
+    values = {**geo.values, **values}
+    if ap != const("alphaP"):
+        values[ring.const_sym("alphaP")] = ap
+    return family_gauge(geo.family, gauge.kind).family_residual.substitute(values)
+
+
+def _fixed_bracket() -> CoefExpr:
+    """8 hessian2 + 8 p_laplacian4, the input-free part of the D_Lambda closed form's bracket (ring.held)."""
+    return ring.held("8 hessian2 + 8 p_laplacian4", lambda: rat(8) * ring.hessian2() + rat(8) * ring.p_laplacian4())
+
+
 def displayed_residual_dlambda(c: CoframeSpec, lam, alphaP) -> CoefExpr:
     """Closed-form DLambda residual used as the comparison target."""
     ap = _coef(alphaP)
     absA2 = abs_A_squared(c)
     lam2 = lam_squared(lam, c)
-    bracket = (
-        rat(8) * ring.hessian2()
-        + rat(8) * ring.p_laplacian4()
-        - rat(3) * absA2 * lap_e_m2f()
-        + rat(4) * lam2
-    )
+    bracket = _fixed_bracket() - rat(3) * absA2 * lap_e_m2f() + rat(4) * lam2
     return ring.onshell_factor(absA2) + ap * rat(1, 4) * bracket
 
 

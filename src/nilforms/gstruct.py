@@ -27,8 +27,8 @@ polynomial in the fiber matrix (the Koszul 1/2 is its only division), so
 putting numbers in commutes with the derivation.  The Geometry of a
 numeric frame of dimension 7 or 5 derives nothing: each field is the held
 symbolic kA's or h21's, specialised to the frame's entries by
-``CoefExpr.substitute`` (``_field``), and a gauge's p1 on it is the family's
-symbolic-rows gauge's (``anomaly.family_gauge``).  Frames with a symbol in
+``CoefExpr.substitute`` (``_field``), and a gauge's p1 and anomaly residual
+on it are the family's symbolic-rows gauge's (``anomaly.family_gauge``).  Frames with a symbol in
 their fiber matrix, and the 6-leg ones, derive directly.  ``build_DB``
 reads its gauge connection from the held nabla^- of kA or h21 the same way.
 

@@ -16,6 +16,12 @@ All arithmetic is exact.  A coefficient is an ``int``, or a
 terms and demotes integral Fractions to ``int``, so integer work stays on
 the fast ``int`` path and no float ever becomes a coefficient.  Equal values
 always have identical term dictionaries, so ``==`` is semantic equality.
+Rational work is done on integers all the same: a product with a Fraction
+on either side multiplies the integer numerators of both elements over the
+lcm of each one's denominators (kept on the element, which is immutable)
+and makes each result coefficient once, as an int or one Fraction; a
+substitution of numbers is one integer pass divided once at the end; and a
+sum stores a coefficient new to its key as it is.
 
 A monomial e^{kf} * prod(sym^p) is stored as one ``int`` (the packed
 exponent vectors of Monagan & Pearce): every symbol gets a slot the first
@@ -33,16 +39,16 @@ elements with ``rat``/``const``/``jet``/``expf``, ``coerce`` and ``exact``
 (which reads a config or constructor number exactly), and read
 them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
-``len()`` and ``bool()``.  ``substitute`` puts an exact number in for
-a symbol in one pass over the packed keys, the way a numeric frame is read
-off its symbolic family.  ``evaluate``/``evaluate_exact`` read a
+``len()`` and ``bool()``.  ``substitute`` puts exact numbers in for
+symbols in one integer pass over the packed keys, the way a numeric frame
+and its anomaly residual are read off their symbolic family.  ``evaluate``/``evaluate_exact`` read a
 ``{symbol: value}`` table; names are resolved to symbols only where such a
 table is built, and ``evaluate`` keeps each e^{kf} it computes in its float
 table, under the int key k, for every later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
-float plan of ``evaluate``, the integer plan of ``evaluate_exact`` and the
-symbol set of ``symbols()``, which a sweep reads to ask a profile for only
-the jets it needs.
+float plan of ``evaluate``, the integer plans of ``evaluate_exact``,
+``substitute`` and rational products, and the symbol set of ``symbols()``,
+which a sweep reads to ask a profile for only the jets it needs.
 """
 
 from __future__ import annotations
@@ -99,6 +105,7 @@ _SYMS: list = [None]  # slot -> symbol; slot 0 is the e^{kf} field
 _SLOT: dict = {}  # symbol -> slot
 _GUARD = _TOP  # the guard bit of every field in use
 _DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their slots)
+_FACTORS: dict = {}  # key -> ((slot, power, power << field), ...), shared by every substitution plan
 _DPARTIAL: dict = {i: [] for i in COORDS}  # coordinate -> per-slot table, see _dpartial
 _BEYOND = object()  # a jet whose derivative would exceed MAX_JET_ORDER
 
@@ -191,12 +198,45 @@ def _canonical(acc: dict) -> dict:
     }
 
 
+def _numerators(e: "CoefExpr") -> tuple:
+    """(L, ((key, coef * L), ...)): L the lcm of e's coefficient denominators, each numerator an int.
+
+    In the order of e.terms.  An element is immutable, so the first call keeps it.
+    """
+    try:
+        return e._ints
+    except AttributeError:
+        pass
+    L = 1
+    for c in e.terms.values():
+        if type(c) is not int and L % c.denominator:
+            L = math.lcm(L, c.denominator)
+    if L == 1:
+        out = e._ints = (1, e.terms.items())  # a view: the terms never change
+    else:
+        out = e._ints = (L, tuple(
+            (key, c * L if type(c) is int else c.numerator * (L // c.denominator)) for key, c in e.terms.items()
+        ))
+    return out
+
+
 def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
-    """Add sign * a * b (sign any int) to the raw accumulator acc, term by term."""
+    """Add sign * a * b (sign any int) to the raw accumulator acc, term by term.
+
+    When a or b holds a Fraction, the term products are made on integer
+    numerators (_numerators) and each result coefficient is made once over
+    the product of the two denominators, instead of a Fraction per product.
+    """
+    left, right = a.terms.items(), b.terms.items()
+    for _, c in left:
+        if type(c) is not int:
+            return _mul_rational(acc, a, b, sign)
+    for _, c in right:
+        if type(c) is not int:
+            return _mul_rational(acc, a, b, sign)
     get = acc.get
     guard = _GUARD
-    right = b.terms.items()
-    for m1, c1 in a.terms.items():
+    for m1, c1 in left:
         m1 -= _BIAS
         if sign != 1:
             c1 = c1 * sign
@@ -207,11 +247,115 @@ def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
             acc[key] = get(key, 0) + c1 * c2
 
 
+def _mul_rational(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
+    """_mul_into when a or b holds a Fraction: integer products, one coefficient per key."""
+    La, left = _numerators(a)
+    Lb, right = _numerators(b)
+    sums: dict = {}
+    get = sums.get
+    guard = _GUARD
+    for m1, n1 in left:
+        m1 -= _BIAS
+        n1 *= sign
+        for m2, n2 in right:
+            key = m1 + m2
+            if key & guard:
+                _overflow()
+            sums[key] = get(key, 0) + n1 * n2
+    D = La * Lb
+    for key, n in sums.items():  # zero sums are kept, as in any raw accumulator
+        c = n if D == 1 else n // D if not n % D else Fraction(n, D)
+        if key in acc:
+            acc[key] += c
+        else:
+            acc[key] = c
+
+
 def _add_into(acc: dict, a: "CoefExpr", sign: int) -> None:
-    """Add sign * a (sign = +/-1) to the raw accumulator acc."""
-    get = acc.get
+    """Add sign * a (sign = +/-1) to the raw accumulator acc; a key new to acc takes the coefficient as it is."""
     for key, coef in a.terms.items():
-        acc[key] = get(key, 0) + (-coef if sign < 0 else coef)
+        if sign < 0:
+            coef = -coef
+        if key in acc:
+            acc[key] += coef
+        else:
+            acc[key] = coef
+
+
+def _substitution_plan(e: "CoefExpr") -> tuple:
+    """(L, {slot: highest power in e}, _numerators(e)'s (key, numerator) terms, their factors).
+
+    A term's factors are ((slot, power, power << field), ...), one tuple per
+    distinct key shared by every plan (_FACTORS).  An element is immutable,
+    so the first call keeps the plan.
+    """
+    try:
+        return e._subst
+    except AttributeError:
+        pass
+    L, items = _numerators(e)
+    top: dict = {}
+    factors = []
+    for key, _ in items:
+        pairs = _FACTORS.get(key)
+        if pairs is None:
+            _, powers, slots = _decode(key)
+            pairs = _FACTORS[key] = tuple((s, p, p << (_W * s)) for (_, p), s in zip(powers, slots))
+        for s, p, _ in pairs:
+            if p > top.get(s, 0):
+                top[s] = p
+        factors.append(pairs)
+    out = e._subst = (L, top, items, tuple(factors))
+    return out
+
+
+def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
+    """e with each slot of numbers put to its int or Fraction value, in one integer pass.
+
+    For a value p/q of a slot whose highest power in e is P, a term with
+    power j (0 where the symbol is absent) has its numerator multiplied by
+    p^j q^(P-j), so every sum is an integer over the one denominator
+    L * Q, Q = prod q^P (L from _numerators), by which each result
+    coefficient is divided once.  Each numerator starts as n * Q, and a
+    symbol present replaces its factor q^P by p^j q^(P-j).  e itself when
+    no symbol of numbers occurs in it.
+    """
+    if not numbers:
+        return e
+    L, top, items, factors = _substitution_plan(e)
+    scale = [None] * (max(top, default=0) + 1)  # slot -> [p^j q^(P-j) for j = 0..P]
+    Q, hit = 1, False
+    for s, P in top.items():
+        v = numbers.get(s)
+        if v is None:
+            continue
+        hit = True
+        if type(v) is int:
+            p, q = v, 1
+        else:
+            p, q = v.numerator, v.denominator
+            Q *= q ** P
+        scale[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
+    if not hit:
+        return e
+    D = L * Q
+    sums: dict = {}
+    for (key, n), pairs in zip(items, factors):
+        n *= Q
+        for s, p, field in pairs:
+            row = scale[s]
+            if row is not None:
+                n = n // row[0] * row[p]  # row[0] = q^P divides n exactly
+                key -= field
+        if not n:
+            continue
+        if key in sums:
+            sums[key] += n
+        else:
+            sums[key] = n
+    if D == 1:
+        return _wrap({key: n for key, n in sums.items() if n})
+    return _wrap({key: n // D if not n % D else Fraction(n, D) for key, n in sums.items() if n})
 
 
 def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> None:
@@ -280,11 +424,12 @@ class CoefExpr:
 
     An element is never mutated after construction: no code outside
     ``__init__`` and ``_wrap`` writes ``terms``.  So ``evaluate``,
-    ``evaluate_exact`` and ``symbols`` can keep what their first call works
-    out for as long as the element lives.
+    ``evaluate_exact``, ``substitute``, the rational products and
+    ``symbols`` can keep what their first call works out for as long as the
+    element lives.
     """
 
-    __slots__ = ("terms", "_plan", "_exact_plan", "_symbols")
+    __slots__ = ("terms", "_plan", "_exact_plan", "_symbols", "_ints", "_subst")
     __hash__ = None  # compare by value only
 
     def __init__(self, terms: Mapping[int, object] | None = None):
@@ -350,7 +495,10 @@ class CoefExpr:
                 return NotImplemented
         out = dict(self.terms)
         for key, coef in other.terms.items():
-            c = out.get(key, 0) + coef
+            if key not in out:
+                out[key] = coef  # canonical already
+                continue
+            c = out[key] + coef
             if not c:
                 del out[key]  # only a present term can cancel
             elif type(c) is int or c.denominator != 1:
@@ -413,11 +561,13 @@ class CoefExpr:
     def substitute(self, mapping: Mapping) -> "CoefExpr":
         """Replace constant-parameter or jet symbols by ring elements.
 
-        A symbol put to a number leaves each term in one pass over the packed
-        keys: the term clears the symbol's field and multiplies its
-        coefficient by value^power, the way a numeric frame is read off its
+        The symbols put to numbers leave in one integer pass over the packed
+        keys (_put_numbers), the way a numeric frame is read off its
         symbolic family.  Only a symbol put to a non-constant element builds
-        ring products.  The sum is canonicalised once.
+        ring products, after that pass: each term clears the symbol's field
+        and is multiplied by element^power, and the sum is canonicalised
+        once.  So the substitution is simultaneous: a number never enters an
+        element put in.
         """
         numbers, exprs = {}, {}  # slot -> value; a symbol no element holds has no slot
         for key, val in mapping.items():
@@ -434,30 +584,27 @@ class CoefExpr:
                 val = q
             if s is not None:
                 numbers[s] = val if type(val) is int or val.denominator != 1 else val.numerator
+        e = _put_numbers(self, numbers)
+        if not exprs:
+            return e
         out: dict = {}
-        get = out.get
-        for key, coef in self.terms.items():
+        for key, coef in e.terms.items():
             hits = ()
             for s in _decode(key)[2]:
-                val = numbers.get(s)
-                if val is None and s not in exprs:
-                    continue
-                shift = _W * s
-                p = key >> shift & _FIELD
-                key -= p << shift
-                if val is None:
+                if s in exprs:
+                    shift = _W * s
+                    p = key >> shift & _FIELD
+                    key -= p << shift
                     hits += ((s, p),)
-                else:
-                    coef *= val if p == 1 else val ** p
-            if not coef:
-                continue
             if hits:
                 piece = _wrap({key: coef})
                 for s, p in hits:
                     piece = piece * exprs[s] ** p
                 _add_into(out, piece, 1)
+            elif key in out:
+                out[key] += coef
             else:
-                out[key] = get(key, 0) + coef
+                out[key] = coef
         return _wrap(_canonical(out))
 
     def evaluate(self, table: dict) -> float:
@@ -730,12 +877,11 @@ def _plan_exact(e: CoefExpr) -> tuple:
     denominators, odd whether a term has an odd k, and per term, in the order
     of e.terms, (coef * L as an int, (k/2, total degree) or None for an odd k,
     ((symbol, power), ...))."""
-    L = math.lcm(*(c.denominator for c in e.terms.values() if type(c) is not int))
+    L, items = _numerators(e)
     terms = []
-    for key, coef in e.terms.items():
+    for key, n in items:
         k, syms, _ = _decode(key)
-        bucket = None if k % 2 else (k // 2, sum(p for _, p in syms))
-        terms.append((coef * L if type(coef) is int else coef.numerator * (L // coef.denominator), bucket, syms))
+        terms.append((n, None if k % 2 else (k // 2, sum(p for _, p in syms)), syms))
     return L, any(bucket is None for _, bucket, _ in terms), tuple(terms)
 
 

@@ -7,13 +7,16 @@ inversions, so a sign dropped anywhere in ``nilforms.forms`` cannot cancel
 out of a comparison with these.  The float evaluation, the ball's float jets
 and the G2/SU(2) projections are the per-call loops the cached plans and
 tables replaced, with every float operation in the same order; the exact
-evaluation is the term-by-term Fraction walk the integer sums replaced.  The
-interior product and the sigma_i pair forms are used by the tests alone.
+evaluation is the term-by-term Fraction walk the integer sums replaced, and
+the ring products, sums and substitutions are the Fraction-per-term walks
+the integer-numerator kernels replaced.  The interior product and the
+sigma_i pair forms are used by the tests alone.
 
-The direct route derives a numeric frame's geometry and gauge p1 on that
-frame itself, torsion -> Koszul -> curvature -> p1, where the program reads
-them off the symbolic kA or h21 family by exact substitution: it is the
-independent second derivation those specialised fields are compared with.
+The direct route derives a numeric frame's geometry, gauge p1 and anomaly
+residual on that frame itself, torsion -> Koszul -> curvature -> p1, where
+the program reads them off the symbolic kA or h21 family by exact
+substitution: it is the independent second derivation those specialised
+values are compared with.
 """
 from __future__ import annotations
 
@@ -149,6 +152,50 @@ def first_structure_residual(conn) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the ring kernels, one Fraction per term
+
+def mul_reference(a, b):
+    """a * b from the decoded terms: one Fraction product per pair of terms."""
+    return ring.from_monomials(
+        (Fraction(c1) * Fraction(c2), k1 + k2, p1 + p2)
+        for c1, k1, p1 in a.monomials() for c2, k2, p2 in b.monomials()
+    )
+
+
+def sum_reference(*exprs):
+    """The sum of exprs from their decoded terms, in Fractions."""
+    return ring.from_monomials((Fraction(c), k, p) for e in exprs for c, k, p in e.monomials())
+
+
+def substitute_reference(e, mapping: dict):
+    """e.substitute(mapping), mapping constant names to numbers or ring elements, term by term.
+
+    A number (or constant element) multiplies the term's Fraction
+    coefficient once per power; a non-constant element is multiplied in
+    with mul_reference.
+    """
+    pieces = []
+    for coef, k, powers in e.monomials():
+        coef, rest, elements = Fraction(coef), [], []
+        for sym, p in powers:
+            val = mapping.get(sym[1]) if not ring.is_jet(sym) else None
+            if val is None:
+                rest.append((sym, p))
+                continue
+            q = ring.coerce(val).as_fraction()
+            if q is None:
+                elements += [val] * p
+            else:
+                for _ in range(p):
+                    coef *= q
+        piece = ring.from_monomials([(coef, k, rest)])
+        for val in elements:
+            piece = mul_reference(piece, val)
+        pieces.append(piece)
+    return sum_reference(*pieces)
+
+
+# ---------------------------------------------------------------------------
 # float evaluation, ball jets and structure projections, one call at a time
 
 def evaluate_reference(e, table) -> float:
@@ -278,3 +325,19 @@ def direct_gauge_p1(c, kind, rows):
     """p1 of D_Lambda or D_B on c, from its connection's curvature."""
     conn = build_instanton_DLambda(rows, c) if kind == "DLambda" else direct_DB(rows, c)
     return pontryagin4(curvature(conn))
+
+
+def direct_residuals(c, kind, rows, alphaPs) -> list:
+    """The anomaly residual of D on c for each alphaP, from direct_fields and direct_gauge_p1.
+
+    dT - (alphaP/4)(p1(nabla^-) - p1(D)) = -r e^{-4f} ebar^{1234}, and every
+    other component of it must vanish.
+    """
+    fields = direct_fields(c)
+    diff = fields["p1_minus"] - direct_gauge_p1(c, kind, rows)
+    out = []
+    for alphaP in alphaPs:
+        F = fields["dT"] - diff * (ring.coerce(alphaP) * ring.rat(1, 4))
+        assert not any(g for idx, g in F.comps.items() if idx != (1, 2, 3, 4)), "non-volume anomaly form"
+        out.append(-F.comps.get((1, 2, 3, 4), ring.ZERO) * ring.expf(4))
+    return out

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from call_counts import call_counts, count
-from nilforms import gstruct, numeric, ring, scenarios
+from nilforms import anomaly, gstruct, numeric, ring, scenarios
 from nilforms.anomaly import (
     ConstraintViolated,
     Gauge,
@@ -194,14 +194,49 @@ def test_residual_ring_work_is_bounded(monkeypatch):
 
 def test_specialised_residual_ring_work_is_bounded(monkeypatch):
     # the same residual once the symbolic kA family and its gauge are
-    # derived: dT, p1(nabla^-) and p1(D_Lambda) are read off them by
+    # derived: it is read off the family gauge's held residual by
     # substituting numbers, which builds no ring product, so what is left is
-    # the closed form and the anomaly form's few products
+    # the closed form's few products
     residual = _ka_dlambda_residual("specialised")
     residual()  # derives the family
     products, term_products = _count_residual_work(monkeypatch, residual)
     assert 0 < products <= 60
     assert 0 < term_products <= 200
+
+
+# a fixed fresh-frames round: each (frame, gauge) pair once, with integer inputs
+FRESH_ROUND = (
+    (lambda: k_a([[1, -2, 3], [4, 5, -6], [7, 8, 9]]), "DLambda", [[2, -4, 6], [3, -6, 9], [-1, 2, -3]]),
+    (lambda: k_a([[2, 0, 1], [-3, 1, 4], [5, -1, 2]]), "DB", [[1, 2, -3], [0, 4, 5], [-6, 7, 8]]),
+    (lambda: h21(3, -1, 2), "DLambda", [4, -2, 6]),
+    (lambda: h21(-5, 2, 7), "DB", [1, -3, 2]),
+)
+# the round built 558 Fractions when each ring product and substitution made one per term
+FRESH_ROUND_FRACTIONS = 558 // 2
+
+
+def _fresh_round():
+    """Each FRESH_ROUND operation as the fresh-frames benchmark makes it: a residual and its closed form."""
+    for frame, kind, rows in FRESH_ROUND:
+        c = frame()
+        got = anomaly_residual(c, "alphaP", (kind, rows))
+        if kind == "DLambda":
+            want = displayed_residual_dlambda(c, rows, "alphaP")
+        else:
+            want = displayed_residual_db(c, sum(x * x for row in gauge_rows(kind, rows, c) for x in row), "alphaP")
+        assert got == want
+
+
+def test_a_fresh_frames_round_builds_at_most_half_the_fractions():
+    _fresh_round()  # derives the families, their gauges and their residuals
+    made = [count(call_counts(_fresh_round), Fraction.__new__) for _ in range(2)]
+    assert 0 < made[0] <= FRESH_ROUND_FRACTIONS and made[1] == made[0]
+
+
+def test_the_dlambda_closed_form_holds_its_input_free_part():
+    fixed = anomaly._fixed_bracket()
+    assert fixed is anomaly._fixed_bracket()
+    assert fixed == rat(8) * ring.hessian2() + rat(8) * ring.p_laplacian4()
 
 
 def test_seven_leg_db_residual_matches_closed_form(ka):

@@ -1,9 +1,9 @@
 """Numeric frames and gauges read off the symbolic kA / h21 family, against the direct route.
 
-A Geometry on a numeric frame of dimension 7 or 5, and a Gauge's p1 on it,
-come from the held symbolic family by exact substitution; every field must
-equal the derivation on the frame itself (naive_forms.direct_fields,
-direct_gauge_p1) exactly.
+A Geometry on a numeric frame of dimension 7 or 5, a Gauge's p1 on it and
+its anomaly residual come from the held symbolic family by exact
+substitution; every field must equal the derivation on the frame itself
+(naive_forms.direct_fields, direct_gauge_p1, direct_residuals) exactly.
 """
 from __future__ import annotations
 
@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_forms
+from call_counts import call_counts, count
 from nilforms import anomaly, gstruct, ring, scenarios
-from nilforms.anomaly import Gauge, family_gauge
+from nilforms.anomaly import Gauge, anomaly_residual, family_gauge
 from nilforms.forms import CoframeSpec, exterior_derivative
 from nilforms.frames import FREE_FRAME, build_coframe, h5, h21, k_a
 from nilforms.gstruct import catalogue_geometry, geometry
+from nilforms.ring import BadParams, const, jet, rat
 
 _ENTRIES = (0, 1, -1, 2, -3, Fraction(5, 4), Fraction(-1, 3))
 
@@ -82,6 +84,58 @@ def test_a_drawn_gauge_p1_matches_the_direct_route(case):
     A, kind, rows = case
     c = CoframeSpec(A)
     assert Gauge(c, kind, rows).p1 == naive_forms.direct_gauge_p1(c, kind, rows)
+
+
+@given(frames_and_gauges())
+@settings(max_examples=25, deadline=None)
+def test_a_drawn_residual_read_off_the_family_matches_the_direct_route(case):
+    # alphaP the symbol (the held residual as it is), a Fraction and an element
+    # with a jet, each put in by the one substitution of the held residual
+    A, kind, rows = case
+    c = CoframeSpec(A)
+    assert Gauge(c, kind, rows).row_values is not None  # the family route
+    alphas = (const("alphaP"), Fraction(3, 2), const("beta") - rat(1, 3) * jet(1))
+    want = naive_forms.direct_residuals(c, kind, rows, alphas)
+    assert [anomaly_residual(c, alphaP, (kind, rows)) for alphaP in alphas] == want
+
+
+def test_a_rank_two_or_symbolic_lambda_on_a_numeric_frame_is_refused_on_every_read():
+    c = k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    rank_two = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    gauge = Gauge(c, "DLambda", rank_two)
+    symbolic = Gauge(c, "DLambda", [[const("x"), 0, 0], [0, 0, 0], [0, 0, 0]])
+    for _ in range(2):  # a cached_property keeps no exception
+        with pytest.raises(BadParams, match="rank <= 1"):
+            gauge.anomaly_residual
+        with pytest.raises(BadParams, match="rank <= 1"):
+            anomaly_residual(c, "alphaP", ("DLambda", rank_two))
+        with pytest.raises(ValueError, match="rank needs numeric lambda entries"):
+            symbolic.anomaly_residual
+    assert gauge.row_values is None and symbolic.row_values is None
+
+
+def test_the_family_residual_is_built_once_per_family_and_kind(monkeypatch):
+    # new family gauges, so this test builds their residuals; the held ones come back after it
+    for cid in FREE_FRAME.values():
+        for kind in ("DLambda", "DB"):
+            monkeypatch.delitem(catalogue_geometry(cid).gauges, (kind, None))
+    cases = [
+        (k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]]), "DLambda", [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]),
+        (k_a([[3, 0, 1], [1, -1, 0], [0, 2, 5]]), "DLambda", [[0, 0, 0], [1, -1, 2], [0, 0, 0]]),
+        (k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]]), "DB", [[1, 0, 2], [0, 1, 0], [3, 0, 1]]),
+        (k_a([[3, 0, 1], [1, -1, 0], [0, 2, 5]]), "DB", [[0, 1, 0], [2, 0, 0], [0, 0, -1]]),
+        (h21(1, -2, 3), "DLambda", [2, -1, 1]),
+        (h21(4, 0, -1), "DLambda", [1, 1, Fraction(1, 2)]),
+        (h21(1, -2, 3), "DB", [1, 0, 2]),
+        (h21(4, 0, -1), "DB", [0, Fraction(-5, 4), 1]),
+    ]
+    counts = call_counts(lambda: [anomaly_residual(c, "alphaP", (kind, rows)) for c, kind, rows in cases])
+    assert count(counts, anomaly_residual) == len(cases)  # the counter is live
+    assert count(counts, anomaly._residual) == 4
+    for cid in FREE_FRAME.values():
+        for kind in ("DLambda", "DB"):
+            gauge = family_gauge(catalogue_geometry(cid), kind)
+            assert "family_residual" in vars(gauge)  # held on the family gauge
 
 
 @pytest.mark.parametrize("c, kind, rows", [

@@ -562,6 +562,55 @@ def test_operations_keep_coefficients_canonical(x, y, i, n):
             assert _is_canonical(r), r.terms
 
 
+# the integer-numerator kernels against the Fraction-per-term walks of naive_forms,
+# on drawn elements whose coefficients mix ints and Fractions
+
+@given(ring_exprs(), ring_exprs(), ring_exprs())
+@settings(max_examples=80, deadline=None)
+def test_products_and_sums_match_the_fraction_per_term_reference(x, y, z):
+    x2 = x * x  # powers above one, denominators up to 25
+    got = [x * y, x2 * y, y * x2, x + y, x2 + y, x - y, ring.sum_exprs((x, y, z, x2))]
+    want = [
+        naive_forms.mul_reference(x, y),
+        naive_forms.mul_reference(naive_forms.mul_reference(x, x), y),
+        naive_forms.mul_reference(y, naive_forms.mul_reference(x, x)),
+        naive_forms.sum_reference(x, y),
+        naive_forms.sum_reference(naive_forms.mul_reference(x, x), y),
+        naive_forms.sum_reference(x, naive_forms.mul_reference(rat(-1), y)),
+        naive_forms.sum_reference(x, y, z, naive_forms.mul_reference(x, x)),
+    ]
+    assert got == want
+    assert all(_is_canonical(e) for e in got)
+
+
+@given(ring_exprs(), ring_exprs(), ring_exprs(), _fracs, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, -1)))
+@settings(max_examples=80, deadline=None)
+def test_mul_and_add_into_an_accumulator_that_holds_fractions(x, y, z, q, sign, zsign):
+    # the accumulator holds the Fraction q (integral or not) at every key of x * y
+    # and of z, as the form kernels' raw accumulators do between products
+    held = {key: q for key in (*(x * y).terms, *z.terms)}
+    acc = dict(held)
+    ring._mul_into(acc, x, y, sign)
+    ring._add_into(acc, z, zsign)
+    got = ring._wrap(ring._canonical(acc))
+    assert _is_canonical(got)
+    ref = naive_forms.mul_reference
+    assert got == naive_forms.sum_reference(CoefExpr(held), ref(ref(rat(sign), x), y), ref(rat(zsign), z))
+
+
+# a value put in for a symbol: an int, a Fraction, a constant element or an element with symbols
+_subst_values = st.one_of(st.integers(-4, 4), _fracs, _fracs.map(rat), ring_exprs(max_terms=2, max_factors=2))
+
+
+@given(ring_exprs(max_terms=4), st.dictionaries(st.sampled_from(("a", "b")), _subst_values, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_the_fraction_per_term_reference(x, values):
+    x = x * x  # powers above one, so a symbol's highest power differs between terms
+    got = x.substitute(values)
+    assert _is_canonical(got)
+    assert got == naive_forms.substitute_reference(x, values)
+
+
 @given(ring_exprs(), ring_exprs())
 @settings(max_examples=80, deadline=None)
 def test_equality_is_exactly_zero_difference(x, y):
