@@ -27,7 +27,7 @@ from .connection import (
 )
 from .forms import HORIZONTAL, DimensionMismatch, FormExpr, horizontal_volume
 from .frames import CoframeSpec, abs_A_squared
-from .gstruct import Geometry, build_DB, geometry, specialised
+from .gstruct import Geometry, build_DB, geometry, held_in
 from .ring import BadParams, CoefExpr, const, expf, jet, lap_e_m2f, rat
 
 
@@ -43,17 +43,13 @@ class Gauge:
 
     Its connection, curvature, p1, instanton residual, anomaly residual
     (alphaP symbolic), that residual's closed form and, for D_Lambda, its
-    one-variable reduction are each derived on first use and then kept.  On
-    a numeric kA or h21 frame the rows' values for the family gauge's
-    symbols (``row_values``) are worked out once, and p1 and the anomaly
-    residual are both read off the family gauge (family_gauge) by
-    substituting them with the frame's numbers.  A rank-two D_Lambda is
-    built, since the instanton test reads it, but its anomaly residual is
-    refused on every read: a cached_property keeps no exception.  ``held``
-    keeps the outcomes of the checks that read this gauge alone, and the
-    Weierstrass check's float maxima per point count.  The gauge finds its
-    coframe's Geometry through geometry(), so a Geometry holding it makes no
-    cycle.
+    one-variable reduction are each derived on first use and then kept.  A
+    rank-two D_Lambda is built, since the instanton test reads it, but its
+    anomaly residual is refused on every read: a cached_property keeps no
+    exception.  ``held`` keeps the outcomes of the checks that read this
+    gauge alone, and the Weierstrass check's float maxima per point count.
+    The gauge finds its coframe's Geometry through geometry(), so a Geometry
+    holding it makes no cycle.
     """
 
     def __init__(self, c: CoframeSpec, kind: str, rows):
@@ -74,29 +70,8 @@ class Gauge:
         return curvature(self.connection)
 
     @cached_property
-    def row_values(self) -> dict | None:
-        """{family gauge symbol: number} (_row_values) on a frame with a family, else None."""
-        if geometry(self.coframe).family is None:
-            return None
-        return _row_values(self.kind, self.rows, self.coframe)
-
-    @cached_property
     def p1(self) -> FormExpr:
-        values = self.row_values
-        if values is None:
-            return pontryagin4(self.curvature)
-        geo = geometry(self.coframe)
-        return specialised(family_gauge(geo.family, self.kind).p1, self.coframe, {**geo.values, **values})
-
-    @cached_property
-    def family_residual(self) -> CoefExpr:
-        """The residual body on this gauge's own p1 with alphaP symbolic, and no rank test.
-
-        Read on the family gauges (family_gauge) alone, whose Lambda = u v^T
-        has rank at most one by construction: anomaly_residual reads every
-        numeric frame's residual off it.
-        """
-        return _residual(geometry(self.coframe), self.p1, const("alphaP"))
+        return pontryagin4(self.curvature)
 
     @cached_property
     def instanton_residual(self) -> dict:
@@ -129,42 +104,42 @@ class Gauge:
 
 
 def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:
-    """The Gauge of (kind, rows) on geo's coframe, kept in geo.gauges for as long as geo lives.
+    """The Gauge of (kind, rows) on geo's coframe, kept in geo.held for as long as geo lives.
 
     Only for rows from the program's own tables (see gstruct's hold rule).
     """
-    key = (kind, tuple(tuple(r) if isinstance(r, (list, tuple)) else r for r in rows))
-    if key not in geo.gauges:
-        geo.gauges[key] = Gauge(geo.coframe, kind, key[1])
-    return geo.gauges[key]
+    rows = tuple([tuple(r) if isinstance(r, (list, tuple)) else r for r in rows])
+    return held_in(geo, (kind, rows), lambda: Gauge(geo.coframe, kind, rows))
 
 
-def family_gauge(family: Geometry, kind: str) -> Gauge:
-    """The gauge of kind with symbolic rows on a family frame, kept in family.gauges.
+def family_residual(family: Geometry, kind: str) -> CoefExpr:
+    """The anomaly residual (alphaP symbolic) of the gauge of kind with symbolic rows on a family frame.
 
     D_Lambda's rows are Lambda = u v^T with symbols Lu1..Lu3 and Lv1..,
-    which every Lambda of rank at most one specialises; D_B's are the
-    symbols B11.., one per entry.  Derived on first use, never at import.
+    which every Lambda of rank at most one specialises, so no rank test;
+    D_B's are the symbols B11.., one per entry.  Built on first use, never
+    at import, from a Gauge of this call alone, and only the residual is
+    kept, in family.held.
     """
-    key = (kind, None)  # table rows are numbers, so no held gauge has this key
-    if key not in family.gauges:
+    def build() -> CoefExpr:
         nfib = family.coframe.dim - 4
         if kind == "DLambda":
             rows = tuple(tuple(const(f"Lu{r}") * const(f"Lv{col}") for col in range(1, nfib + 1)) for r in (1, 2, 3))
         else:
             rows = tuple(tuple(const(f"B{r}{m}") for m in (1, 2, 3)) for r in range(1, nfib + 1))
-        family.gauges[key] = Gauge(family.coframe, kind, rows)
-    return family.gauges[key]
+        return _residual(family, Gauge(family.coframe, kind, rows).p1, const("alphaP"))
+
+    return held_in(family, ("family-residual", kind), build)
 
 
 def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
-    """{family_gauge symbol: number} that gives the numeric rows, or None when there is none.
+    """{family_residual symbol: number} that gives the numeric rows, or None when there is none.
 
     A Lambda is factored exactly as u v^T: u is the column of its first
     nonzero entry, over the gcd of that column when its entries are
     integers, and v that entry's row over u's entry; Lambda = 0 has u = 0.
-    So an integer Lambda gets integer u and v, and its substituted p1 is
-    summed in ints rather than Fractions.  A Lambda of rank two, or rows
+    So an integer Lambda gets integer u and v, and its substituted residual
+    is summed in ints rather than Fractions.  A Lambda of rank two, or rows
     holding a symbol, has no such values.
     """
     mat = [[x.as_fraction() for x in r] for r in gauge_rows(kind, rows, c)]
@@ -186,22 +161,6 @@ def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
     return {ring.const_sym(f"L{side}{n}"): x for side, vec in (("u", u), ("v", v)) for n, x in enumerate(vec, 1)}
 
 
-def _anomaly_gauge(c: CoframeSpec, gauge) -> Gauge:
-    """gauge, a Gauge on c or (kind, rows), as a Gauge; a DLambda of rank above one or with a symbol is refused.
-
-    A Lambda with row values is u v^T, of rank at most one, so only one
-    without them is ranked (lam_rank, which also refuses a symbol).
-    """
-    if not isinstance(gauge, Gauge):
-        kind, rows = gauge
-        gauge = Gauge(c, kind, rows)
-    elif gauge.coframe is not c:
-        raise DimensionMismatch("the gauge lives on a different coframe")
-    if gauge.kind == "DLambda" and gauge.row_values is None and lam_rank(gauge.rows, c) > 1:
-        raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
-    return gauge
-
-
 def _residual(geo: Geometry, p1g: FormExpr, alphaP: CoefExpr) -> CoefExpr:
     """-(the volume coefficient) of dT - (alphaP/4)(p1(nabla^-) - p1g) on geo's coframe."""
     F = geo.dT - (geo.p1_minus - p1g) * (alphaP * rat(1, 4))
@@ -217,23 +176,31 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
 
     D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
     this call alone; a Lambda of rank two, or with a symbol, is refused
-    first.  On a numeric kA or h21 frame r is one substitution of the
-    family gauge's held residual (Gauge.family_residual): the frame's
-    numbers, the rows' values and any alphaP other than the symbol alphaP
-    go in together.  Elsewhere it is read off c's own dT and p1.  Raises
-    ValueError when the 4-form is not a pure volume multiple of the
+    first.  The one place a gauge meets its family: on a numeric kA or h21
+    frame with numeric rows, r is one substitution of the family's held
+    residual (family_residual), the frame's numbers, the rows' values
+    (_row_values) and any alphaP other than the symbol alphaP going in
+    together; a Lambda with row values is u v^T, so only one without them
+    is ranked.  Elsewhere r is read off c's own dT and the gauge's p1.
+    Raises ValueError when the 4-form is not a pure volume multiple of the
     horizontal legs (it always is for the catalogued frames).
     """
+    if not isinstance(gauge, Gauge):
+        kind, rows = gauge
+        gauge = Gauge(c, kind, rows)
+    elif gauge.coframe is not c:
+        raise DimensionMismatch("the gauge lives on a different coframe")
     geo = geometry(c)  # held for the call, so the gauge's reads share it
-    gauge = _anomaly_gauge(c, gauge)
+    values = None if geo.family is None else _row_values(gauge.kind, gauge.rows, c)
+    if gauge.kind == "DLambda" and values is None and lam_rank(gauge.rows, c) > 1:
+        raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
     ap = _coef(alphaP)
-    values = gauge.row_values
     if values is None:
         return _residual(geo, gauge.p1, ap)
     values = {**geo.values, **values}
     if ap != const("alphaP"):
         values[ring.const_sym("alphaP")] = ap
-    return family_gauge(geo.family, gauge.kind).family_residual.substitute(values)
+    return family_residual(geo.family, gauge.kind).substitute(values)
 
 
 def _fixed_bracket() -> CoefExpr:

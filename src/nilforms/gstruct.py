@@ -27,26 +27,29 @@ polynomial in the fiber matrix (the Koszul 1/2 is its only division), so
 putting numbers in commutes with the derivation.  The Geometry of a
 numeric frame of dimension 7 or 5 derives nothing: each field is the held
 symbolic kA's or h21's, specialised to the frame's entries by
-``CoefExpr.substitute`` (``_field``), and a gauge's p1 and anomaly residual
-on it are the family's symbolic-rows gauge's (``anomaly.family_gauge``).  Frames with a symbol in
-their fiber matrix, and the 6-leg ones, derive directly.  ``build_DB``
-reads its gauge connection from the held nabla^- of kA or h21 the same way.
+``CoefExpr.substitute`` (``_field``).  A gauge on such a frame meets the
+family in one place, ``anomaly.anomaly_residual``, which reads its residual
+off the family's held one (``anomaly.family_residual``).  Frames with a
+symbol in their fiber matrix, and the 6-leg ones, derive directly.
+``build_DB`` reads its gauge connection from the held nabla^- of kA or h21
+the same way.
 
 The hold rule, by value: a frame or gauge whose matrix equals one of the
 program's table matrices lives for the process, and any other lives with
 its report, since a report may bring any matrix and holding it would grow
 the held set with every report.  ``catalogue_geometry`` holds the Geometry
-of each frame of the first kind, the kA and h21 families among them.  A
-gauge of a table matrix is kept in its frame's ``Geometry.gauges``
-(``anomaly.held_gauge``), so it lives exactly as long as that frame: for
-the process on a catalogue frame, for the report on a config frame.  The
-symbolic-rows gauges are table gauges of the family frames, derived on
-first use and kept in their ``gauges``, one per family and kind.  A config
-frame's Geometry refers to its family, never the other way, so it is still
-freed with its report.  The outcome of a check that reads one frame or gauge
-alone, and a float sweep of its elements, is kept the same way, in that
-Geometry's or Gauge's ``held`` dict.  ``catalogue_geometry.cache_clear()``
-drops the held frames with their gauges and everything they hold.
+of each frame of the first kind, the kA and h21 families among them.  All
+that is held for one frame lives in its Geometry's ``held`` dict, so it
+lives exactly as long as that frame: for the process on a catalogue frame,
+for the report on a config frame.  That is the gauges of table matrices
+(``anomaly.held_gauge``), the outcomes of the checks that read the frame
+alone, the float sweeps of its elements and, on a family frame, the
+family's residual per gauge kind.  A Gauge keeps the outcomes of the checks
+that read it alone in its own ``held``.  Every such value is kept one way,
+through ``held_in``.  A config frame's Geometry refers to its family, never
+the other way, so it is still freed with its report.
+``catalogue_geometry.cache_clear()`` drops the held frames and everything
+they hold.
 
 The module functions ``g2_/su2_instanton_residual``, ``g2_/su2_holonomy_residual``,
 ``su2_/su3_structure_residuals``, ``psi_compatibility_residuals`` and ``scalar_identity_residual``
@@ -376,6 +379,16 @@ def _field(derive):
     return cached_property(field)
 
 
+def held_in(holder, key, build):
+    """holder.held[key], built by build() on first use: it lives as long as holder, a Geometry or Gauge.
+
+    A build() that raises keeps nothing.
+    """
+    if key not in holder.held:
+        holder.held[key] = build()
+    return holder.held[key]
+
+
 class Geometry:
     """Torsion, connections, curvatures, p1, structure and structure residuals of one coframe.
 
@@ -384,15 +397,12 @@ class Geometry:
     dimension 7 or 5, ``family`` is the held Geometry of the symbolic kA or
     h21 and ``values`` puts the frame's numbers in for the family's symbols;
     every field but the structure is then read off the family's (``_field``).
-    Elsewhere ``family`` and ``values`` are None.  ``gauges`` holds the
-    gauges of table rows on this coframe (``anomaly.held_gauge``), and
-    ``held`` the outcomes of the checks that read this coframe alone and the
-    float sweeps of its elements.
+    Elsewhere ``family`` and ``values`` are None.  ``held`` is the one store
+    of what is kept with this coframe (see the hold rule above).
     """
 
     def __init__(self, c: CoframeSpec):
         self.coframe = c
-        self.gauges: dict = {}
         self.held: dict = {}
         self.family, self.values = _family(c)
 
@@ -497,11 +507,9 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     Read from nabla^- of the symbolic member of the same family,
     frames.FREE_FRAME[c.dim], whose geometry the process holds, by
     substituting B's entries for its symbols, so no connection table is
-    hard-coded.  B may hold symbols: the family's own D_B gauge has a
-    symbolic B, and the p1 of every D_B gauge on a numeric frame is that
-    gauge's, specialised (anomaly.Gauge.p1), so this is called for gauges
-    on symbolic frames and for that family gauge.  The held forms are never
-    mutated: substitute makes copies.
+    hard-coded.  B may hold symbols, as the family's own D_B rows do
+    (anomaly.family_residual).  The held forms are never mutated:
+    substitute makes copies.
     """
     if c.dim not in FREE_FRAME:
         raise DimensionMismatch("build_DB supports dims 7 and 5")

@@ -194,7 +194,11 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
         c = 3 * alphaP  # the constant for which the anomaly residual vanishes
     if c <= 0:
         raise BadParams("fundamental: c must be positive")
-    if len(center) != 4:
+    try:
+        four = len(center) == 4
+    except TypeError:  # a number, not coordinates
+        four = False
+    if not four:
         raise BadParams("fundamental: center must have four coordinates")
     c = Fraction(c) if not isinstance(c, float) else c
     cent = tuple(Fraction(e) if not isinstance(e, float) else e for e in center)

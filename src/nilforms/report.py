@@ -10,8 +10,6 @@ import json
 import math
 from fractions import Fraction
 
-from .ring import CoefExpr
-
 SCENARIOS = (
     "thm-7d-negative",
     "thm-7d-positive",
@@ -29,16 +27,15 @@ def strict_json(obj) -> str:
 
 
 def _sanitize(obj):
-    """obj with every value JSON can hold as it is: a Fraction or ring element as
-    its string, a non-finite float as "NaN"/"Infinity"/"-Infinity"."""
+    """obj with every value JSON can hold as it is: a Fraction as its string, a
+    non-finite float as "NaN"/"Infinity"/"-Infinity", anything else (a ring
+    element) as its repr."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, CoefExpr):
-        return repr(obj)
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float(obj)

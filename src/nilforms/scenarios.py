@@ -19,7 +19,7 @@ from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
-from .gstruct import catalogue_geometry, geometry
+from .gstruct import catalogue_geometry, geometry, held_in
 from .profiles import BadParams, profile
 from .report import SCENARIOS, strict_json
 from .ring import rat
@@ -66,33 +66,16 @@ def _ck(checks: list, cid: str, fn, held_by=None) -> None:
     """Run the check cid, fn() -> (ok, residual, details), and append its result to checks.
 
     When fn reads only the values of held_by, a Geometry or Gauge, its
-    (status, residual, details) is kept in held_by.held, so it lives as
-    long as held_by does (gstruct's hold rule), and each report gets its own
-    copy of details.  An error is never kept: it is raised again on every report.
+    output is kept in held_by.held (held_in), and each report gets its own
+    copy of details.  An error is never kept: it is raised again on every
+    report.
     """
-    outcome = held_by.held.get(cid) if held_by is not None else None
-    if outcome is None:
-        try:
-            ok, residual, details = fn()
-        except Exception as exc:  # captured into the report, never thrown past it
-            checks.append(CheckResult(cid, "error", None, {"exception": repr(exc)}))
-            return
-        outcome = ("pass" if ok else "fail", residual, details)
-        if held_by is not None:
-            held_by.held[cid] = outcome
-    status, residual, details = outcome
-    checks.append(CheckResult(cid, status, residual, dict(details)))
-
-
-def _held(holder, key, build):
-    """holder.held[key], built by build() on first use: it lives as long as holder, a Geometry or Gauge.
-
-    key is a check id, or a tuple of one and what else the held value reads
-    (a point count).  A build() that raises keeps nothing.
-    """
-    if key not in holder.held:
-        holder.held[key] = build()
-    return holder.held[key]
+    try:
+        ok, residual, details = fn() if held_by is None else held_in(held_by, cid, fn)
+    except Exception as exc:  # captured into the report, never thrown past it
+        checks.append(CheckResult(cid, "error", None, {"exception": repr(exc)}))
+        return
+    checks.append(CheckResult(cid, "pass" if ok else "fail", residual, dict(details)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +306,7 @@ def _float_sweep(sweep, tables) -> float:
     evaluate to the same float, so this is the largest |e| over every
     element it was built from, bit for bit; max_error depends on neither
     order nor repeats, nan included.  A frame's Geometry keeps the sweeps
-    of its own elements (_held).
+    of its own elements (held_in).
     """
     return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in sweep.exprs)
 
@@ -335,7 +318,7 @@ def _decay_sweep(geo, legs: tuple):
     i, j or in idx.
     """
     cur = geo.curv_minus
-    return _held(geo, "dropped-leg-sweep", lambda: numeric.Sweep(
+    return held_in(geo, "dropped-leg-sweep", lambda: numeric.Sweep(
         coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
         if any(leg in legs for leg in (i, j, *idx))))
 
@@ -413,7 +396,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
             return worst_ode, worst_per, _float_sweep(first, assis), _float_sweep(ode, assis)
 
         # alpha, d and tau read only the numeric gauge's |A|^2 and lam^2, so its maxima are held with it
-        worst_ode, worst_per, worst_first, worst_res = _held(
+        worst_ode, worst_per, worst_first, worst_res = held_in(
             gauge_num, ("weierstrass-profile-numeric", npoints), maxima)
         ok = worst_ode <= 1e-9 and worst_per <= 1e-8 and worst_first <= 1e-7 and worst_res <= 1e-6
         return ok, worst_ode, {
@@ -510,7 +493,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo), geo)
 
     def _numeric_residuals():
-        sweep = _held(geo_num, "instanton-dT-sweep", lambda: numeric.Sweep(
+        sweep = held_in(geo_num, "instanton-dT-sweep", lambda: numeric.Sweep(
             [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]))
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
         worst = _float_sweep(sweep, _tables(prof, pts, (sweep,)))

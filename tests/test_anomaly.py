@@ -193,10 +193,10 @@ def test_residual_ring_work_is_bounded(monkeypatch):
 
 
 def test_specialised_residual_ring_work_is_bounded(monkeypatch):
-    # the same residual once the symbolic kA family and its gauge are
-    # derived: it is read off the family gauge's held residual by
-    # substituting numbers, which builds no ring product, so what is left is
-    # the closed form's few products
+    # the same residual once the symbolic kA family and its residual are
+    # derived: it is read off the family's held residual by substituting
+    # numbers, which builds no ring product, so what is left is the closed
+    # form's few products
     residual = _ka_dlambda_residual("specialised")
     residual()  # derives the family
     products, term_products = _count_residual_work(monkeypatch, residual)

@@ -214,6 +214,8 @@ def test_dump_profile_bad_params(capsys):
         (["dump-profile", "--profile", "fundamental", "--params", "c=1,alphaP=2"],
          "fundamental: give alphaP or c, not both"),
         (["dump-profile", "--profile", "fundamental", "--params", "c=1,c=2"], "repeated --params key 'c'"),
+        (["dump-profile", "--profile", "fundamental", "--params", "c=1,center=2"],
+         "fundamental: center must have four coordinates"),
     ],
 )
 def test_profile_parameter_errors_name_the_parameter(argv, message, capsys):

@@ -1,9 +1,10 @@
 """Numeric frames and gauges read off the symbolic kA / h21 family, against the direct route.
 
-A Geometry on a numeric frame of dimension 7 or 5, a Gauge's p1 on it and
-its anomaly residual come from the held symbolic family by exact
-substitution; every field must equal the derivation on the frame itself
-(naive_forms.direct_fields, direct_gauge_p1, direct_residuals) exactly.
+A Geometry on a numeric frame of dimension 7 or 5, and the anomaly
+residual of a numeric gauge on it, come from the held symbolic family by
+exact substitution; every field, each gauge's p1 and each residual must
+equal the derivation on the frame itself (naive_forms.direct_fields,
+direct_gauge_p1, direct_residuals) exactly.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import naive_forms
 from call_counts import call_counts, count
 from nilforms import anomaly, gstruct, ring, scenarios
-from nilforms.anomaly import Gauge, anomaly_residual, family_gauge
+from nilforms.anomaly import Gauge, anomaly_residual, family_residual
 from nilforms.forms import CoframeSpec, exterior_derivative
 from nilforms.frames import FREE_FRAME, build_coframe, h5, h21, k_a
 from nilforms.gstruct import catalogue_geometry, geometry
@@ -93,7 +94,7 @@ def test_a_drawn_residual_read_off_the_family_matches_the_direct_route(case):
     # with a jet, each put in by the one substitution of the held residual
     A, kind, rows = case
     c = CoframeSpec(A)
-    assert Gauge(c, kind, rows).row_values is not None  # the family route
+    assert anomaly._row_values(kind, rows, c) is not None  # the family route
     alphas = (const("alphaP"), Fraction(3, 2), const("beta") - rat(1, 3) * jet(1))
     want = naive_forms.direct_residuals(c, kind, rows, alphas)
     assert [anomaly_residual(c, alphaP, (kind, rows)) for alphaP in alphas] == want
@@ -111,14 +112,30 @@ def test_a_rank_two_or_symbolic_lambda_on_a_numeric_frame_is_refused_on_every_re
             anomaly_residual(c, "alphaP", ("DLambda", rank_two))
         with pytest.raises(ValueError, match="rank needs numeric lambda entries"):
             symbolic.anomaly_residual
-    assert gauge.row_values is None and symbolic.row_values is None
+    assert anomaly._row_values("DLambda", rank_two, c) is None
+    assert anomaly._row_values("DLambda", symbolic.rows, c) is None
+
+
+@pytest.mark.parametrize("c", [
+    h21(1, -2, 3),
+    k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]]),
+], ids=["h21", "kA"])
+def test_a_symbolic_db_on_a_numeric_frame_takes_the_direct_route(c):
+    # a symbol in B has no row values, so the residual is built on c from the gauge's own p1
+    rows = [[1, const("b"), 0]] + [[0, 2, -1]] * (c.dim - 5)
+    assert anomaly._row_values("DB", rows, c) is None
+    alphas = (const("alphaP"), Fraction(3, 2))
+    counts = call_counts(lambda: [anomaly_residual(c, alphaP, ("DB", rows)) for alphaP in alphas])
+    assert count(counts, anomaly._residual) == 2 and count(counts, family_residual) == 0
+    got = [anomaly_residual(c, alphaP, ("DB", rows)) for alphaP in alphas]
+    assert got == naive_forms.direct_residuals(c, "DB", rows, alphas)
 
 
 def test_the_family_residual_is_built_once_per_family_and_kind(monkeypatch):
-    # new family gauges, so this test builds their residuals; the held ones come back after it
+    # no held family residuals, so this test builds them; the held ones come back after it
     for cid in FREE_FRAME.values():
         for kind in ("DLambda", "DB"):
-            monkeypatch.delitem(catalogue_geometry(cid).gauges, (kind, None))
+            monkeypatch.delitem(catalogue_geometry(cid).held, ("family-residual", kind), raising=False)
     cases = [
         (k_a([[1, 2, 0], [0, 1, 1], [2, 0, 1]]), "DLambda", [[1, 2, 3], [2, 4, 6], [-1, -2, -3]]),
         (k_a([[3, 0, 1], [1, -1, 0], [0, 2, 5]]), "DLambda", [[0, 0, 0], [1, -1, 2], [0, 0, 0]]),
@@ -133,9 +150,9 @@ def test_the_family_residual_is_built_once_per_family_and_kind(monkeypatch):
     assert count(counts, anomaly_residual) == len(cases)  # the counter is live
     assert count(counts, anomaly._residual) == 4
     for cid in FREE_FRAME.values():
+        held = catalogue_geometry(cid).held
         for kind in ("DLambda", "DB"):
-            gauge = family_gauge(catalogue_geometry(cid), kind)
-            assert "family_residual" in vars(gauge)  # held on the family gauge
+            assert held[("family-residual", kind)] is family_residual(catalogue_geometry(cid), kind)
 
 
 @pytest.mark.parametrize("c, kind, rows", [
@@ -166,12 +183,13 @@ def test_an_integer_lambda_is_factored_in_integers(c, rows):
     assert [[a * b for b in v] for a in u] == flat
 
 
-def test_the_family_gauges_are_held_on_the_family_frame():
+def test_the_family_residuals_are_held_on_the_family_frame():
     family = catalogue_geometry("h21")
-    gauge = family_gauge(family, "DLambda")
-    assert family_gauge(family, "DLambda") is gauge and family.gauges[("DLambda", None)] is gauge
-    assert Gauge(h21(1, 2, 3), "DLambda", [1, 2, 3]).p1  # read off it
-    assert family.gauges[("DLambda", None)] is gauge
+    residual = family_residual(family, "DLambda")
+    assert family_residual(family, "DLambda") is residual
+    assert family.held[("family-residual", "DLambda")] is residual
+    assert Gauge(h21(1, 2, 3), "DLambda", [1, 2, 3]).anomaly_residual  # read off it
+    assert family.held[("family-residual", "DLambda")] is residual
 
 
 @pytest.mark.parametrize("c", [

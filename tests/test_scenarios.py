@@ -270,15 +270,17 @@ def _reject_constant(name):
 
 
 def test_non_finite_floats_serialize_as_strict_json():
+    # a ring element is written as its repr, the wire module's fallback for any other value
+    expr = ring.const("x") * ring.rat(1, 2) - ring.jet(1)
     rep = ScenarioReport(
         name="probe",
         seed=0,
         checks=[CheckResult("nan-residual", "fail", residual=float("nan"), details={})],
-        values={"up": float("inf"), "down": -float("inf"), "ok": 0.5, "nested": [float("nan")]},
+        values={"up": float("inf"), "down": -float("inf"), "ok": 0.5, "nested": [float("nan")], "expr": expr},
     )
     doc = json.loads(rep.to_json(), parse_constant=_reject_constant)
     assert doc["checks"][0]["residual"] == "NaN"
-    assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"]}
+    assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"], "expr": repr(expr)}
 
 
 def _report_calls(name: str, seed: int) -> dict:
@@ -474,7 +476,7 @@ def test_a_rank_two_lambda_keeps_no_weierstrass_maxima():
 def test_a_config_gauges_weierstrass_maxima_are_freed_with_its_report(monkeypatch):
     run_scenario("thm-7d-negative")
     holders = []  # (weakref to the gauge, the maxima kept in it)
-    held = scenarios._held
+    held = scenarios.held_in
 
     def watched(holder, key, build):
         value = held(holder, key, build)
@@ -482,7 +484,7 @@ def test_a_config_gauges_weierstrass_maxima_are_freed_with_its_report(monkeypatc
             holders.append((weakref.ref(holder), holder.held[key] is value))
         return value
 
-    monkeypatch.setattr(scenarios, "_held", watched)
+    monkeypatch.setattr(scenarios, "held_in", watched)
     gc.disable()
     try:
         frames_held = catalogue_geometry.cache_info().currsize
@@ -570,9 +572,32 @@ def _held_set() -> tuple[int, int]:
     return catalogue_geometry.cache_info().currsize, sum(isinstance(o, Gauge) for o in gc.get_objects())
 
 
-def _family_gauges() -> int:
-    """The symbolic-rows gauges held on the kA and h21 family frames (anomaly.family_gauge)."""
-    return sum(rows is None for cid in FREE_FRAME.values() for _kind, rows in catalogue_geometry(cid).gauges)
+def _family_residuals() -> int:
+    """The residuals held on the kA and h21 family frames (anomaly.family_residual)."""
+    return sum(("family-residual", kind) in catalogue_geometry(cid).held
+               for cid in FREE_FRAME.values() for kind in ("DLambda", "DB"))
+
+
+def _holds(geo, gauge) -> bool:
+    """Is gauge kept in geo.held (anomaly.held_gauge)?"""
+    return any(value is gauge for value in geo.held.values())
+
+
+def test_a_family_frame_holds_its_two_residuals_and_no_symbolic_rows_gauge():
+    # a family residual is built from a Gauge of symbolic rows that is not kept: after a cold
+    # round a family frame holds both residuals, and its only Gauges are its theorem's table gauges
+    catalogue_geometry.cache_clear()
+    for name in SCENARIOS:
+        run_scenario(name, seed=0)
+    for dim, cid in FREE_FRAME.items():
+        held = catalogue_geometry(cid).held
+        for kind in ("DLambda", "DB"):
+            assert isinstance(held[("family-residual", kind)], CoefExpr)
+        th = scenarios._THEOREMS[dim]
+        gauges = [g for g in held.values() if isinstance(g, Gauge)]
+        assert sorted(g.kind for g in gauges) == ["DB", "DLambda"]
+        assert all(g is anomaly.held_gauge(catalogue_geometry(cid), g.kind, th.lam if g.kind == "DLambda" else th.B)
+                   for g in gauges)
 
 
 def _drawn_residual(rng: random.Random, k: int) -> None:
@@ -617,14 +642,14 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
     def watched_gauges(geos, *args):
         gauges = theorem_gauges(geos, *args)
         gauge_refs.extend(weakref.ref(g) for g in gauges)
-        kept.extend(g in geo.gauges.values() for geo, g in zip(geos, gauges))
+        kept.extend(_holds(geo, g) for geo, g in zip(geos, gauges))
         return gauges
 
     monkeypatch.setattr(scenarios, "geometry", watched)
     monkeypatch.setattr(scenarios, "_theorem_gauges", watched_gauges)
     gc.disable()
     try:
-        held, family_gauges = _held_set(), _family_gauges()
+        held = _held_set()
         rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
         assert rep.passed and len(refs) == 1 and specialised == [True]
         assert _held_set() == held
@@ -638,13 +663,13 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
             assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
             assert len(gauge_refs) == 2 and all(ref() is None for ref in gauge_refs)
             assert _held_set() == held
-        # drawn frames and gauges are never held: the held set grows by the
-        # family gauges they are read off, one per family and kind, alone
+        # drawn frames and gauges are never held, and the family residuals they are
+        # read off, one per family and kind, are held without a Gauge
         rng = random.Random(20)
         for k in range(20):
             _drawn_residual(rng, k)
-        assert _family_gauges() == 4
-        assert _held_set() == (held[0], held[1] + _family_gauges() - family_gauges)
+        assert _family_residuals() == 4
+        assert _held_set() == held
     finally:
         gc.enable()
 
@@ -720,11 +745,11 @@ def test_a_config_gauge_equal_to_a_table_gauge_is_the_held_one(monkeypatch):
     gc.disable()
     try:
         held = _held_set()
-        kA_gauges = dict(catalogue_geometry("kA").gauges)
+        kA_held = dict(catalogue_geometry("kA").held)
         rep = run_scenario("thm-7d-negative", config={"lam": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
         assert rep.to_json() == default.to_json()
-        assert len(got) == 2 and all(g in geo.gauges.values() for geo, g in got)
-        assert catalogue_geometry("kA").gauges == kA_gauges and _held_set() == held
+        assert len(got) == 2 and all(_holds(geo, g) for geo, g in got)
+        assert catalogue_geometry("kA").held == kA_held and _held_set() == held
     finally:
         gc.enable()
 
