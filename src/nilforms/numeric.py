@@ -134,11 +134,20 @@ def max_error(errors) -> float:
     return reduce(worst_of, errors, 0.0)
 
 
-def _central_difference(e: CoefExpr, assign: Callable, x, i: int, step: float) -> float:
-    """(e(x + step e_i) - e(x - step e_i)) / (2 step)."""
-    xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
-    xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
-    return (e.evaluate(assign(xp)) - e.evaluate(assign(xm))) / (2 * step)
+def _stencil(assign: Callable, x, step: float) -> dict:
+    """{i: (table at x + step e_i, table at x - step e_i)} for each coordinate i."""
+    out = {}
+    for i in COORDS:
+        xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
+        xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
+        out[i] = (assign(xp), assign(xm))
+    return out
+
+
+def _central_difference(e: CoefExpr, tables: tuple, step: float) -> float:
+    """(e(x + step e_i) - e(x - step e_i)) / (2 step) on the pair of tables _stencil gives for i."""
+    plus, minus = tables
+    return (e.evaluate(plus) - e.evaluate(minus)) / (2 * step)
 
 
 def fd_partial_check(
@@ -152,9 +161,10 @@ def fd_partial_check(
     parts = {i: expr.partial(i) for i in COORDS}
     for x in pts:
         base = assign(x)
+        stencil = _stencil(assign, x, step)
         for i in COORDS:
             sym = parts[i].evaluate(base)
-            fd = _central_difference(expr, assign, x, i, step)
+            fd = _central_difference(expr, stencil[i], step)
             worst = worst_of(worst, abs(sym - fd) / (1.0 + abs(sym)))
     return worst
 
@@ -174,16 +184,10 @@ def _basis_differential(c, J: tuple) -> FormExpr:
     return out
 
 
-def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float) -> dict:
-    """Components of d(a) at x with coefficient derivatives from central FD.
-
-    The structure-equation part (d of the basis legs) is evaluated exactly;
-    only the frame derivatives of the coefficient functions are replaced by
-    finite differences, so the comparison isolates the symbolic
-    differentiation of coefficients.
-    """
-    c = a.coframe
-    base = assign(x)
+def _fd_exterior_values(a: FormExpr, dbasis: dict, base: dict, stencil: dict, step: float) -> dict:
+    """Components of d(a) at one point, from its table base and _stencil, with
+    dbasis {J: d(ebar^J)} for the components of a."""
+    weights = a.coframe.weights
     fval = base[jet_sym()]
     acc: dict[tuple, float] = {}
 
@@ -192,13 +196,13 @@ def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float) -> dict:
 
     for J, coef in a.comps.items():
         aJ = coef.evaluate(base)
-        for K, ce in _basis_differential(c, J).comps.items():
+        for K, ce in dbasis[J].comps.items():
             add(K, aJ * ce.evaluate(base))
         for i in COORDS:
             if i in J:
                 continue
-            fd = _central_difference(coef, assign, x, i, step)
-            weight = math.exp(-c.weights[i - 1] * fval)
+            fd = _central_difference(coef, stencil[i], step)
+            weight = math.exp(-weights[i - 1] * fval)
             merged = tuple(sorted((i,) + J))
             sign = 1
             for leg in J:
@@ -209,16 +213,23 @@ def fd_exterior_values(a: FormExpr, assign: Callable, x, step: float) -> dict:
 
 
 def fd_exterior_check(a: FormExpr, assign: Callable, pts, step: float = DEFAULT_STEP) -> float:
-    """Max relative error between engine d(a) and its FD counterpart; nan if any is nan."""
+    """Max relative error between engine d(a) and its FD counterpart; nan if any is nan.
+
+    The counterpart evaluates the structure-equation part (d of the basis
+    legs) exactly and replaces only the frame derivatives of the coefficient
+    functions by central finite differences, so the comparison isolates the
+    symbolic differentiation of coefficients.  Each point's table and its
+    stencil are built once, and each d(ebar^J) once per call.
+    """
     da = exterior_derivative(a)
+    dbasis = {J: _basis_differential(a.coframe, J) for J in a.comps}
     worst = 0.0
     for x in pts:
         base = assign(x)
         sym = {idx: coef.evaluate(base) for idx, coef in da.comps.items()}
-        fdv = fd_exterior_values(a, assign, x, step)
+        fdv = _fd_exterior_values(a, dbasis, base, _stencil(assign, x, step), step)
         for idx in set(sym) | set(fdv):
             s = sym.get(idx, 0.0)
             f = fdv.get(idx, 0.0)
             worst = worst_of(worst, abs(s - f) / (1.0 + abs(s)))
     return worst
-

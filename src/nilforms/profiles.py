@@ -11,12 +11,14 @@ jets of f from those of P; f0 never enters a division.
     constant      e^{2 f0}   +1   1
 
 Ball and fundamental are also exact: P is the quadratic 1 - r^2 or rho, so
-at a rational point every jet is an integer over a power of an integer
-(``_quadratic_exact``), one Fraction per jet, and ``e2f`` there is read from
-these exact jets.  Weierstrass (wp is transcendental) and constant (whose
-e^{2 f0} is a float) are float-only, and their ``jets_exact`` raises
-BadParams.  The ball's float jets take |A|^2 and -|A|^2/2 as floats converted
-once, so at a float point they run on floats alone.
+at a rational point every jet is an integer over a power of an integer N
+(``_quadratic_exact``): the exact table is those integers over the one
+denominator N^3, and g, which ``e2f`` there reads, is the point's one
+Fraction.  Weierstrass (wp is transcendental) and constant (whose e^{2 f0}
+is a float) are float-only, and their ``jets_exact`` raises BadParams.
+The ball's float jets take |A|^2 and -|A|^2/2 as floats converted once,
+so at a float point they run on floats alone, and its P-jets of order two
+and three, which x does not change, are built once per profile.
 
 ``jets`` and ``jets_exact`` build only the jets a caller asks for (and f,
 in floats), each by the formula the full table uses, so a jet has the same
@@ -66,9 +68,10 @@ def _half_log_jets(g, gi, gij, gijk, want=JETS):
 
 
 def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
-    """(g, {jet symbol: Fraction} for the jets in want) at a rational x for
-    g = scale * P^s, where P = p0 + e|x - center|^2 (e = +-1) must be positive,
-    else None.  A symbol of want that is not a jet of order one to three is skipped.
+    """(g, D, {jet symbol: int}) at a rational x for g = scale * P^s, where
+    P = p0 + e|x - center|^2 (e = +-1) must be positive, else None: each jet
+    in want is its int over D = N^3.  A symbol of want that is not a jet of
+    order one to three is skipped.
 
     Over a common denominator, x - center = n/q and P = N/q^2 with integers n_i
     and N; as P_i = 2e n_i/q and P_ij = 2e delta_ij, the jets of f are
@@ -76,6 +79,8 @@ def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
         f_i   = s e q n_i / N
         f_ij  = s q^2 (e delta_ij N - 2 n_i n_j) / N^2
         f_ijk = s q^3 (8 e n_i n_j n_k - 2 (delta_ij n_k + delta_ik n_j + delta_jk n_i) N) / N^3
+
+    D does not depend on want, so a jet's numerator is the same whatever else is asked.
     """
     ratios = [v.as_integer_ratio() for v in x]
     q = math.lcm(*(b for _, b in ratios), *(cd for _, cd in center))
@@ -85,22 +90,21 @@ def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
         return None
     sn, sd = scale.as_integer_ratio()
     g = Fraction(sn * N, sd * q * q) if s > 0 else Fraction(sn * q * q, sd * N)
-    c1, c2, c3 = s * e * q, s * q * q, s * q * q * q
-    N2, N3 = N * N, N ** 3
+    c1, c2, c3 = s * e * q * N * N, s * q * q * N, s * q * q * q
     jets = {}
     for sym in want:
         idx = sym[1]
         order = len(idx)
         if order == 1:
-            jets[sym] = Fraction(c1 * n[idx[0]], N)
+            jets[sym] = c1 * n[idx[0]]
         elif order == 2:
             i, j = idx
-            jets[sym] = Fraction(c2 * ((e * N if i == j else 0) - 2 * n[i] * n[j]), N2)
+            jets[sym] = c2 * ((e * N if i == j else 0) - 2 * n[i] * n[j])
         elif order == 3:
             i, j, k = idx
             dn = (n[k] if i == j else 0) + (n[j] if i == k else 0) + (n[i] if j == k else 0)
-            jets[sym] = Fraction(c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N), N3)
-    return g, jets
+            jets[sym] = c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N)
+    return g, N ** 3, jets
 
 
 class DilatonProfile:
@@ -115,7 +119,7 @@ class DilatonProfile:
         self.singular_distance = singular_distance  # from x to the singular set (inf if empty)
         self._scale = scale
         self._s = s
-        self._exact_jets = exact_jets  # (rational x, wanted jets) -> (g, jets), or None outside the domain
+        self._exact_jets = exact_jets  # (rational x, wanted jets) -> (g, D, numerators), or None outside the domain
         self.exact = exact_jets is not None
 
     def _jets_of_p(self, x):
@@ -139,8 +143,9 @@ class DilatonProfile:
             out[sym] = float(val) if self._s > 0 else -float(val)
         return out
 
-    def jets_exact(self, x: Sequence[Fraction], want=JETS) -> tuple[Fraction, dict]:
-        """(g, {jet symbol: Fraction} for the jets in want) with exact arithmetic; f itself is omitted."""
+    def jets_exact(self, x: Sequence[Fraction], want=JETS) -> tuple[Fraction, int, dict]:
+        """(g, D, {jet symbol: int}) with exact arithmetic: each jet in want is
+        its int over the one denominator D, which want does not change; f itself is omitted."""
         if not self.exact:
             raise BadParams(f"{self.name}: no exact jet evaluation")
         out = self._exact_jets(x, want)
@@ -160,13 +165,13 @@ def _ball(absA2) -> DilatonProfile:
     except OverflowError:  # beyond the floats: the float jets raise where they meet it, the exact ones stay
         fabsA2, fhess = absA2, -absA2 / 2
 
+    # P_ij and P_ijk do not depend on x; in the domain g is a positive float, so 0.0 is 0 * g
+    gij = {(i, j): (fhess if i == j else 0.0) for (i, j) in _I2}
+
     def gjets(x):
         r2 = sum(c * c for c in x)
         g = (fabsA2 * (1 - r2)) / 4
-        gi = {i: -(fabsA2 * x[i - 1]) / 2 for i in COORDS}
-        gij = {(i, j): (fhess if i == j else 0 * g) for (i, j) in _I2}
-        gijk = {idx: 0 * g for idx in _I3}
-        return g, gi, gij, gijk
+        return g, {i: -(fabsA2 * x[i - 1]) / 2 for i in COORDS}, gij, _ZERO3_FLOAT
 
     def in_domain(x):
         return sum(c * c for c in x) < 1
@@ -181,6 +186,7 @@ def _ball(absA2) -> DilatonProfile:
 
 _HESS_RHO = {idx: 2 * (idx[0] == idx[1]) for idx in _I2}
 _ZERO3 = {idx: 0 for idx in _I3}
+_ZERO3_FLOAT = {idx: 0.0 for idx in _I3}
 
 
 def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
@@ -257,7 +263,7 @@ def _weierstrass(d, alpha) -> DilatonProfile:
                           lambda x: singular_distance(x) > 1e-6 * tau, singular_distance)
 
 
-_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx in _I2}, {idx: 0.0 for idx in _I3})
+_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx in _I2}, _ZERO3_FLOAT)
 
 
 def _constant(f0) -> DilatonProfile:

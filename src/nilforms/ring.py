@@ -41,8 +41,9 @@ them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
 terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``len()`` and ``bool()``.  ``substitute`` puts exact numbers in for
 symbols in one integer pass over the packed keys, the way a numeric frame
-and its anomaly residual are read off their symbolic family.  ``evaluate``/``evaluate_exact`` read a
-``{symbol: value}`` table; names are resolved to symbols only where such a
+and its anomaly residual are read off their symbolic family.  ``evaluate``
+reads a ``{symbol: float}`` table and ``evaluate_exact`` a ``{symbol: int}``
+table over one denominator; names are resolved to symbols only where such a
 table is built, and ``evaluate`` keeps each e^{kf} it computes in its float
 table, under the int key k, for every later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
@@ -885,11 +886,11 @@ def _plan_exact(e: CoefExpr) -> tuple:
     return L, any(bucket is None for _, bucket, _ in terms), tuple(terms)
 
 
-def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
-    """Exact value at a {symbol: Fraction} table, read as given.
+def evaluate_exact(e: CoefExpr, nums: Mapping, D: int, e2f: Fraction) -> Fraction:
+    """Exact value at a table of values over one denominator: symbol s is
+    nums[s] / D, an int over a positive int, read as given.
 
-    e^{kf} factors become e2f^{k/2}, so every k must be even.  The values e
-    reads are put over one common denominator D, so each term
+    e^{kf} factors become e2f^{k/2}, so every k must be even.  Each term
     coef * prod (n_s/D)^p sums in integers, by (k/2, total degree), and one
     Fraction holds the result.  A missing symbol or an odd k raises
     UnboundSymbol at the first term, in term order, that has one.
@@ -898,24 +899,22 @@ def evaluate_exact(e: CoefExpr, table: Mapping, e2f: Fraction) -> Fraction:
         L, odd, plan = e._exact_plan
     except AttributeError:
         L, odd, plan = e._exact_plan = _plan_exact(e)
-    try:
-        vals = {sym: table[sym] for sym in e.symbols()}
-    except KeyError:
-        odd = True
+    buckets: dict = {}
+    if not odd:
+        try:
+            for c, bucket, syms in plan:
+                for sym, p in syms:
+                    c *= nums[sym] if p == 1 else nums[sym] ** p
+                buckets[bucket] = buckets.get(bucket, 0) + c
+        except KeyError:
+            odd = True
     if odd:
         for _, bucket, syms in plan:
             if bucket is None:
                 raise UnboundSymbol("odd e^{kf} power has no exact rational value")
             for sym, _ in syms:
-                if sym not in table:
+                if sym not in nums:
                     raise UnboundSymbol(f"symbol {sym} not bound")
-    D = math.lcm(*(v.denominator for v in vals.values()))
-    nums = {sym: v.numerator * (D // v.denominator) for sym, v in vals.items()}
-    buckets: dict = {}
-    for c, bucket, syms in plan:
-        for sym, p in syms:
-            c *= nums[sym] if p == 1 else nums[sym] ** p
-        buckets[bucket] = buckets.get(bucket, 0) + c
     if not buckets:
         return Fraction(0)
     # over L * D^dmax * a^A * b^B, with e2f = a/b, A = max(0, -min h) and B = max(0, max h)

@@ -281,15 +281,21 @@ def _line_points(tau: float, n: int):
 
 
 def _exact_sweep(prof, points, exprs, consts=None) -> list:
-    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read, plus consts {symbol: value}."""
+    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read, plus consts {symbol: value}.
+
+    Each point's table holds the jets and consts as ints over one denominator.
+    """
     want = numeric.jets_read(exprs)
     cols = [[] for _ in exprs]
     for x in points:
-        g, jets = prof.jets_exact(x, want)
+        g, D, nums = prof.jets_exact(x, want)
         if consts:
-            jets.update(consts)
+            L = math.lcm(D, *(v.denominator for v in consts.values()))
+            nums = {sym: n * (L // D) for sym, n in nums.items()}
+            nums.update((sym, v.numerator * (L // v.denominator)) for sym, v in consts.items())
+            D = L
         for col, e in zip(cols, exprs):
-            col.append(ring.evaluate_exact(e, jets, g))
+            col.append(ring.evaluate_exact(e, nums, D, g))
     return cols
 
 

@@ -9,8 +9,9 @@ and the G2/SU(2) projections are the per-call loops the cached plans and
 tables replaced, with every float operation in the same order; the exact
 evaluation is the term-by-term Fraction walk the integer sums replaced, and
 the ring products, sums and substitutions are the Fraction-per-term walks
-the integer-numerator kernels replaced.  The interior product and the
-sigma_i pair forms are used by the tests alone.
+the integer-numerator kernels replaced.  Strict JSON is the copy-then-dump
+the one-walk writer replaced.  The interior product and the sigma_i pair
+forms are used by the tests alone.
 
 The direct route derives a numeric frame's geometry, gauge p1 and anomaly
 residual on that frame itself, torsion -> Koszul -> curvature -> p1, where
@@ -20,6 +21,7 @@ values are compared with.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -216,8 +218,8 @@ def evaluate_reference(e, table) -> float:
     return total
 
 
-def evaluate_exact_reference(e, table, e2f) -> Fraction:
-    """ring.evaluate_exact term by term in Fractions, in the order of e.terms."""
+def evaluate_exact_reference(e, nums, D, e2f) -> Fraction:
+    """ring.evaluate_exact term by term in Fractions, in the order of e.terms, each symbol's value nums[sym] / D."""
     total = Fraction(0)
     for key, coef in e.terms.items():
         k, syms, _ = ring._decode(key)
@@ -226,7 +228,7 @@ def evaluate_exact_reference(e, table, e2f) -> Fraction:
         val = coef * e2f ** (k // 2)
         try:
             for sym, power in syms:
-                val *= table[sym] ** power
+                val *= Fraction(nums[sym], D) ** power
         except KeyError as exc:
             raise ring.UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
         total += val
@@ -341,3 +343,27 @@ def direct_residuals(c, kind, rows, alphaPs) -> list:
         assert not any(g for idx, g in F.comps.items() if idx != (1, 2, 3, 4)), "non-volume anomaly form"
         out.append(-F.comps.get((1, 2, 3, 4), ring.ZERO) * ring.expf(4))
     return out
+
+
+def strict_json_reference(obj) -> str:
+    """report.strict_json as a copy of obj that JSON can hold, dumped by the json module."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _sanitize(obj):
+    """obj with every value JSON can hold as it is: a Fraction as its string, a
+    non-finite float as "NaN"/"Infinity"/"-Infinity", anything else (a ring
+    element) as its repr."""
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(obj)
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, (int, str, bool)) or obj is None:
+        return obj
+    return repr(obj)

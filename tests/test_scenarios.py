@@ -12,9 +12,11 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive_forms
 from call_counts import call_counts, count
-from nilforms import anomaly, elliptic, gstruct, numeric, ring, scenarios
+from nilforms import anomaly, elliptic, gstruct, numeric, report, ring, scenarios
 from nilforms.anomaly import Gauge, anomaly_residual, solv4_lhs
 from nilforms.connection import CurvatureForms, curvature, koszul, pontryagin4
 from nilforms.elliptic import half_period
@@ -283,6 +285,28 @@ def test_non_finite_floats_serialize_as_strict_json():
     assert doc["values"] == {"up": "Infinity", "down": "-Infinity", "ok": 0.5, "nested": ["NaN"], "expr": repr(expr)}
 
 
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.fractions(max_denominator=50), st.text(), st.just(ring.const("x") * ring.rat(1, 2) - ring.jet(1)),
+)
+_json_keys = st.one_of(st.text(max_size=4), st.integers(-2, 2), st.sampled_from(["1", "-1", "True", "None"]),
+                       st.booleans(), st.none(), st.just(Fraction(1, 2)))
+_json_payloads = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_strict_json_writes_the_bytes_of_the_sanitized_dump(payload):
+    # against the copy-then-dump it replaced: str(key) with the last equal key winning
+    # (1 and "1"), bools apart from ints, non-ASCII and control characters escaped
+    assert report.strict_json(payload) == naive_forms.strict_json_reference(payload)
+
+
 def _report_calls(name: str, seed: int) -> dict:
     """The call counts of one report (call_counts)."""
     return call_counts(lambda: run_scenario(name, seed=seed))
@@ -385,11 +409,12 @@ SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._i
 
 
 def test_a_warm_round_reruns_no_seed_free_check():
-    # so a round at a new seed makes 22,614 Python calls, the same on a repeat; the cyclic
-    # collector is off, since the finalizers it runs on other tests' garbage would count too
+    # so a round at a new seed makes 19,841 Python calls and builds 330 Fractions (an exact
+    # table's jets are ints, g its one Fraction), the same on a repeat; the cyclic collector
+    # is off, since the finalizers it runs on other tests' garbage would count too
     for name in SCENARIOS:
         run_scenario(name, seed=0)
-    rounds = []
+    rounds, fractions = [], []
     gc.collect()
     gc.disable()
     try:
@@ -399,9 +424,11 @@ def test_a_warm_round_reruns_no_seed_free_check():
             got = {fn.__name__: count(counts, fn) for fn in SEED_FREE_BODIES}
             assert not any(got.values()), got
             rounds.append(sum(counts.values()))
+            fractions.append(count(counts, Fraction.__new__))
     finally:
         gc.enable()
-    assert rounds[0] <= 23_000 and rounds[1] == rounds[0]
+    assert rounds[0] <= 20_400 and rounds[1] == rounds[0]
+    assert 0 < fractions[0] <= 339 and fractions[1] == fractions[0]
 
 
 @pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
