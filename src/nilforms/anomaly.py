@@ -13,6 +13,7 @@ the Weierstrass cubic.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 
 from . import ring
@@ -142,7 +143,7 @@ def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
     is summed in ints rather than Fractions.  A Lambda of rank two, or rows
     holding a symbol, has no such values.
     """
-    mat = [[x.as_fraction() for x in r] for r in gauge_rows(kind, rows, c)]
+    mat = [[x.as_number() for x in r] for r in gauge_rows(kind, rows, c)]
     if any(x is None for r in mat for x in r):
         return None
     if kind == "DB":
@@ -153,9 +154,9 @@ def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
     else:
         r0, c0 = pivot
         col = [row[c0] for row in mat]
-        g = math.gcd(*(x.numerator for x in col)) if all(x.denominator == 1 for x in col) else 1
-        u = [x / g for x in col]
-        v = [x / u[r0] for x in mat[r0]]
+        g = math.gcd(*col) if all(type(x) is int for x in col) else 1
+        u = [x // g for x in col] if g > 1 else col
+        v = [x // u[r0] if not x % u[r0] else Fraction(x, u[r0]) for x in mat[r0]]
         if any(x != a * b for row, a in zip(mat, u) for x, b in zip(row, v)):
             return None  # rank two
     return {ring.const_sym(f"L{side}{n}"): x for side, vec in (("u", u), ("v", v)) for n, x in enumerate(vec, 1)}

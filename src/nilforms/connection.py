@@ -110,7 +110,7 @@ def koszul(c: CoframeSpec, T: FormExpr | None = None, s: int = 0) -> ConnectionF
             put(a, k, b, t, s)
             put(b, k, a, t, -s)
     entries = {
-        pair: FormExpr(c, 1, {(k,): ring._wrap(ring._halved(acc_ij[k])) for k in sorted(acc_ij)})
+        pair: FormExpr(c, 1, {(k,): ring._canonical(acc_ij[k], 2) for k in sorted(acc_ij)})
         for pair, acc_ij in sorted(acc.items())
     }
     return ConnectionForms(c, entries)

@@ -216,7 +216,8 @@ class FormExpr:
 
 # ---------------------------------------------------------------------------
 # the multiply-accumulate kernel: each component of a result is a raw ring
-# accumulator (monomial key -> int/Fraction), canonicalised once at the end
+# accumulator, filled by ring._mul_into/_partial_into and read once at the
+# end by ring._canonical
 
 def _wedge_into(parts: dict, a: FormExpr, b: FormExpr, sign: int = 1) -> None:
     """Add sign * a ^ b to parts (sign an int), the merge sign folded into each term product."""
@@ -244,7 +245,7 @@ def _square_into(parts: dict, a: FormExpr) -> None:
 
 def _form(c: CoframeSpec, degree: int, parts: dict) -> FormExpr:
     """The form whose components are parts, each canonicalised once."""
-    return FormExpr(c, degree, {idx: ring._wrap(ring._canonical(acc)) for idx, acc in parts.items()})
+    return FormExpr(c, degree, {idx: ring._canonical(acc) for idx, acc in parts.items()})
 
 
 # ---------------------------------------------------------------------------

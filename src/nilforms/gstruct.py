@@ -147,7 +147,7 @@ class G2Structure:
         for m, acc in accs.items():
             total = ring._canonical(acc)
             if total:
-                out[m] = ring._wrap(total)
+                out[m] = total
         return out
 
     def instanton_residual(self, curv) -> dict[tuple, ring.CoefExpr]:
@@ -224,7 +224,7 @@ class SU2Structure:
             for p, sign in pattern.items():
                 if p in M:
                     ring._add_into(acc, M[p], sign)
-            parts[f"w{r}"] = ring._wrap(ring._halved(acc))
+            parts[f"w{r}"] = ring._canonical(acc, 2)
         for k in range(1, 5):
             parts[f"m{k}"] = M.get((k, 5), ring.ZERO)
         return {label: val for label, val in parts.items() if val}
@@ -352,7 +352,7 @@ def specialised(value, c: CoframeSpec, values: dict):
 def _family(c: CoframeSpec) -> tuple:
     """(the Geometry of c's free family, {its symbol: c's number}) when every entry of c is a number
     and c.dim names a family in FREE_FRAME, else (None, None)."""
-    nums = [x.as_fraction() for row in c.A for x in row]
+    nums = [x.as_number() for row in c.A for x in row]
     if c.dim not in FREE_FRAME or None in nums:
         return None, None
     family = catalogue_geometry(FREE_FRAME[c.dim])

@@ -11,17 +11,24 @@ ingredients:
 * integer powers of ``e^f``, carried as a per-monomial exponent so that
   ``e^{k f}`` factors multiply additively and divide exactly.
 
-All arithmetic is exact.  A coefficient is an ``int``, or a
-``fractions.Fraction`` whose denominator is not 1: every operation drops zero
-terms and demotes integral Fractions to ``int``, so integer work stays on
-the fast ``int`` path and no float ever becomes a coefficient.  Equal values
-always have identical term dictionaries, so ``==`` is semantic equality.
-Rational work is done on integers all the same: a product with a Fraction
-on either side multiplies the integer numerators of both elements over the
-lcm of each one's denominators (kept on the element, which is immutable)
-and makes each result coefficient once, as an int or one Fraction; a
-substitution of numbers is one integer pass divided once at the end; and a
-sum stores a coefficient new to its key as it is.
+All arithmetic is exact.  An element holds integer numerators over one
+denominator: ``terms`` maps each monomial key to a nonzero ``int`` and
+``den`` is a positive ``int`` with gcd(den, *numerators) = 1, so den is 1
+for an integral element (zero included) and equal values always have
+identical (den, terms): ``==`` is semantic equality.  Rational and integer
+work run the same integer loops, and no float ever becomes a coefficient.
+A ``fractions.Fraction`` is made only where a rational number enters
+(``rat(p, q)``, ``exact``), where a coefficient or value is read out
+(``monomials()``, ``as_fraction()``, ``repr``, ``evaluate_exact``), and
+for the quotient coefficients of ``try_divide``.
+
+The kernels that ring products, derivatives and the form operators run
+(``_mul_into``, ``_add_into``, ``_partial_into``) add integer numerators
+into a raw accumulator ``{D: {key: int}}``, in the bucket of their
+operands' denominator D.  ``_canonical(acc, scale)`` is its one reader: it
+puts the buckets over their lcm, divides by the int scale (2 for the
+Koszul 1/2 and the su(2) projection) and reduces by the gcd.  Other
+modules pass accumulators to these functions and never read their layout.
 
 A monomial e^{kf} * prod(sym^p) is stored as one ``int`` (the packed
 exponent vectors of Monagan & Pearce): every symbol gets a slot the first
@@ -36,19 +43,20 @@ decoded form, so no output depends on the order in which slots were given.
 
 How a monomial is stored is private to this module.  Other modules build
 elements with ``rat``/``const``/``jet``/``expf``, ``coerce`` and ``exact``
-(which reads a config or constructor number exactly), and read
-them through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)``
-terms, rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
-``len()`` and ``bool()``.  ``substitute`` puts exact numbers in for
-symbols in one integer pass over the packed keys, the way a numeric frame
-and its anomaly residual are read off their symbolic family.  ``evaluate``
-reads a ``{symbol: float}`` table and ``evaluate_exact`` a ``{symbol: int}``
-table over one denominator; names are resolved to symbols only where such a
+(which reads a config or constructor number exactly), and read them
+through ``CoefExpr.monomials()`` (decoded ``(coef, k, powers)`` terms,
+rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
+``as_number()`` (the same value, an int where it is integral), ``len()``
+and ``bool()``.  ``substitute`` puts exact numbers in for symbols in one
+integer pass over the packed keys, the way a numeric frame and its anomaly
+residual are read off their symbolic family.  ``evaluate`` reads a
+``{symbol: float}`` table and ``evaluate_exact`` a ``{symbol: int}`` table
+over one denominator; names are resolved to symbols only where such a
 table is built, and ``evaluate`` keeps each e^{kf} it computes in its float
 table, under the int key k, for every later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
-float plan of ``evaluate``, the integer plans of ``evaluate_exact``,
-``substitute`` and rational products, and the symbol set of ``symbols()``,
+float plan of ``evaluate``, the integer plans of ``evaluate_exact`` and
+``substitute``, and the symbol set of ``symbols()``,
 which a sweep reads to ask a profile for only the jets it needs.
 """
 
@@ -105,8 +113,7 @@ _ONE = _BIAS  # the key of the monomial 1
 _SYMS: list = [None]  # slot -> symbol; slot 0 is the e^{kf} field
 _SLOT: dict = {}  # symbol -> slot
 _GUARD = _TOP  # the guard bit of every field in use
-_DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their slots)
-_FACTORS: dict = {}  # key -> ((slot, power, power << field), ...), shared by every substitution plan
+_DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their (slot, power, field) factors)
 _DPARTIAL: dict = {i: [] for i in COORDS}  # coordinate -> per-slot table, see _dpartial
 _BEYOND = object()  # a jet whose derivative would exceed MAX_JET_ORDER
 
@@ -148,7 +155,7 @@ def _encode(k: int, powers: Iterable[tuple]) -> int:
 
 
 def _decode(key: int) -> tuple:
-    """(k, ((symbol, power), ...) sorted by symbol, (slot, ...) in that order)."""
+    """(k, ((symbol, power), ...) sorted by symbol, ((slot, power, power << field), ...) in that order)."""
     out = _DECODED.get(key)
     if out is None:
         found = []
@@ -163,7 +170,7 @@ def _decode(key: int) -> tuple:
         out = _DECODED[key] = (
             (key & _FIELD) - _BIAS,
             tuple((sym, p) for sym, p, _ in found),
-            tuple(s for _, _, s in found),
+            tuple((s, p, p << (_W * s)) for _, p, s in found),
         )
     return out
 
@@ -190,54 +197,49 @@ def _dpartial(i: int) -> list:
     return table
 
 
-def _canonical(acc: dict) -> dict:
-    """Drop zero entries of an int/Fraction accumulator, demote integral Fractions."""
-    return {
-        key: c if type(c) is int or c.denominator != 1 else c.numerator
-        for key, c in acc.items()
-        if c
-    }
+def _wrap(terms: dict, den: int = 1) -> "CoefExpr":
+    """The element terms / den (terms nonzero int numerators, den > 0), reduced by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {key: n // g for key, n in terms.items()}
+    res = CoefExpr.__new__(CoefExpr)
+    res.terms = terms
+    res.den = den
+    return res
 
 
-def _numerators(e: "CoefExpr") -> tuple:
-    """(L, ((key, coef * L), ...)): L the lcm of e's coefficient denominators, each numerator an int.
+def _canonical(acc: dict, scale: int = 1) -> "CoefExpr":
+    """The element a raw accumulator {D: {key: int}} holds, divided by the int scale.
 
-    In the order of e.terms.  An element is immutable, so the first call keeps it.
+    The one reader of an accumulator: its buckets go over the lcm of their
+    denominators, zero sums are dropped and _wrap reduces by the gcd.
     """
-    try:
-        return e._ints
-    except AttributeError:
-        pass
-    L = 1
-    for c in e.terms.values():
-        if type(c) is not int and L % c.denominator:
-            L = math.lcm(L, c.denominator)
-    if L == 1:
-        out = e._ints = (1, e.terms.items())  # a view: the terms never change
-    else:
-        out = e._ints = (L, tuple(
-            (key, c * L if type(c) is int else c.numerator * (L // c.denominator)) for key, c in e.terms.items()
-        ))
-    return out
+    if len(acc) == 1:
+        [(L, bucket)] = acc.items()
+        return _wrap({key: n for key, n in bucket.items() if n}, L * scale)
+    L = math.lcm(*acc)
+    sums: dict = {}
+    for D, bucket in acc.items():
+        f = L // D
+        for key, n in bucket.items():
+            sums[key] = sums.get(key, 0) + n * f
+    return _wrap({key: n for key, n in sums.items() if n}, L * scale)
+
+
+def _number(n: int, den: int):
+    """n / den as an int when it is integral, else as a Fraction."""
+    return n // den if not n % den else Fraction(n, den)
 
 
 def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
-    """Add sign * a * b (sign any int) to the raw accumulator acc, term by term.
-
-    When a or b holds a Fraction, the term products are made on integer
-    numerators (_numerators) and each result coefficient is made once over
-    the product of the two denominators, instead of a Fraction per product.
-    """
-    left, right = a.terms.items(), b.terms.items()
-    for _, c in left:
-        if type(c) is not int:
-            return _mul_rational(acc, a, b, sign)
-    for _, c in right:
-        if type(c) is not int:
-            return _mul_rational(acc, a, b, sign)
-    get = acc.get
+    """Add sign * a * b (sign any int) to the raw accumulator acc: integer products over a.den * b.den."""
+    bucket = acc.setdefault(a.den * b.den, {})
+    get = bucket.get
     guard = _GUARD
-    for m1, c1 in left:
+    right = b.terms.items()
+    for m1, c1 in a.terms.items():
         m1 -= _BIAS
         if sign != 1:
             c1 = c1 * sign
@@ -245,69 +247,17 @@ def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
             key = m1 + m2
             if key & guard:
                 _overflow()
-            acc[key] = get(key, 0) + c1 * c2
-
-
-def _mul_rational(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
-    """_mul_into when a or b holds a Fraction: integer products, one coefficient per key."""
-    La, left = _numerators(a)
-    Lb, right = _numerators(b)
-    sums: dict = {}
-    get = sums.get
-    guard = _GUARD
-    for m1, n1 in left:
-        m1 -= _BIAS
-        n1 *= sign
-        for m2, n2 in right:
-            key = m1 + m2
-            if key & guard:
-                _overflow()
-            sums[key] = get(key, 0) + n1 * n2
-    D = La * Lb
-    for key, n in sums.items():  # zero sums are kept, as in any raw accumulator
-        c = n if D == 1 else n // D if not n % D else Fraction(n, D)
-        if key in acc:
-            acc[key] += c
-        else:
-            acc[key] = c
+            bucket[key] = get(key, 0) + c1 * c2
 
 
 def _add_into(acc: dict, a: "CoefExpr", sign: int) -> None:
-    """Add sign * a (sign = +/-1) to the raw accumulator acc; a key new to acc takes the coefficient as it is."""
-    for key, coef in a.terms.items():
-        if sign < 0:
-            coef = -coef
-        if key in acc:
-            acc[key] += coef
+    """Add sign * a (sign = +/-1) to the raw accumulator acc."""
+    bucket = acc.setdefault(a.den, {})
+    for key, n in a.terms.items():
+        if key in bucket:
+            bucket[key] += n * sign
         else:
-            acc[key] = coef
-
-
-def _substitution_plan(e: "CoefExpr") -> tuple:
-    """(L, {slot: highest power in e}, _numerators(e)'s (key, numerator) terms, their factors).
-
-    A term's factors are ((slot, power, power << field), ...), one tuple per
-    distinct key shared by every plan (_FACTORS).  An element is immutable,
-    so the first call keeps the plan.
-    """
-    try:
-        return e._subst
-    except AttributeError:
-        pass
-    L, items = _numerators(e)
-    top: dict = {}
-    factors = []
-    for key, _ in items:
-        pairs = _FACTORS.get(key)
-        if pairs is None:
-            _, powers, slots = _decode(key)
-            pairs = _FACTORS[key] = tuple((s, p, p << (_W * s)) for (_, p), s in zip(powers, slots))
-        for s, p, _ in pairs:
-            if p > top.get(s, 0):
-                top[s] = p
-        factors.append(pairs)
-    out = e._subst = (L, top, items, tuple(factors))
-    return out
+            bucket[key] = n * sign
 
 
 def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
@@ -316,47 +266,46 @@ def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
     For a value p/q of a slot whose highest power in e is P, a term with
     power j (0 where the symbol is absent) has its numerator multiplied by
     p^j q^(P-j), so every sum is an integer over the one denominator
-    L * Q, Q = prod q^P (L from _numerators), by which each result
-    coefficient is divided once.  Each numerator starts as n * Q, and a
-    symbol present replaces its factor q^P by p^j q^(P-j).  e itself when
-    no symbol of numbers occurs in it.
+    e.den * Q, Q = prod q^P.  Each numerator starts as n * Q, and a symbol
+    present replaces its factor q^P by p^j q^(P-j).  e itself when no
+    symbol of numbers occurs in it.  The first call keeps e's plan: per
+    slot its highest power, and per term the factors _decode gives (one
+    tuple per key, shared by every plan).
     """
     if not numbers:
         return e
-    L, top, items, factors = _substitution_plan(e)
-    scale = [None] * (max(top, default=0) + 1)  # slot -> [p^j q^(P-j) for j = 0..P]
-    Q, hit = 1, False
+    try:
+        top, factors = e._subst
+    except AttributeError:
+        factors = tuple(_decode(key)[2] for key in e.terms)
+        top = {}
+        for pairs in factors:
+            for s, p, _ in pairs:
+                if p > top.get(s, 0):
+                    top[s] = p
+        e._subst = top, factors
+    scale, Q = [None] * (max(top, default=0) + 1), 1  # slot -> [p^j q^(P-j) for j = 0..P]
     for s, P in top.items():
         v = numbers.get(s)
-        if v is None:
-            continue
-        hit = True
-        if type(v) is int:
-            p, q = v, 1
-        else:
+        if v is not None:
             p, q = v.numerator, v.denominator
             Q *= q ** P
-        scale[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
-    if not hit:
+            scale[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
+    if not any(scale):
         return e
-    D = L * Q
     sums: dict = {}
-    for (key, n), pairs in zip(items, factors):
+    for (key, n), pairs in zip(e.terms.items(), factors):
         n *= Q
         for s, p, field in pairs:
             row = scale[s]
             if row is not None:
                 n = n // row[0] * row[p]  # row[0] = q^P divides n exactly
                 key -= field
-        if not n:
-            continue
         if key in sums:
             sums[key] += n
         else:
             sums[key] = n
-    if D == 1:
-        return _wrap({key: n for key, n in sums.items() if n})
-    return _wrap({key: n // D if not n % D else Fraction(n, D) for key, n in sums.items() if n})
+    return _canonical({e.den * Q: sums})
 
 
 def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> None:
@@ -368,12 +317,13 @@ def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> No
     """
     table = _dpartial(i)
     guard = _GUARD
-    get = acc.get
+    bucket = acc.setdefault(g.den, {})
+    get = bucket.get
     keys = 0  # every shifted key or'ed together: a guard bit marks a k out of range
-    for key, coef in g.terms.items():
-        k, syms, slots = _decode(key)
+    for key, n in g.terms.items():
+        k, _, factors = _decode(key)
         if sign != 1:
-            coef = coef * sign
+            n = n * sign
         # derivative of the e^{kf} factor
         if k:
             new = key + table[0]
@@ -381,9 +331,9 @@ def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> No
                 _overflow()
             new += shift
             keys |= new
-            acc[new] = get(new, 0) + coef * k
+            bucket[new] = get(new, 0) + n * k
         # derivative of each jet factor: one power of it becomes its i-derivative
-        for (sym, power), s in zip(syms, slots):
+        for s, power, _ in factors:
             delta = table[s]
             if delta is None:
                 continue
@@ -394,57 +344,37 @@ def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> No
                 _overflow()
             new += shift
             keys |= new
-            acc[new] = get(new, 0) + coef * power
+            bucket[new] = get(new, 0) + n * power
     if keys & guard or not -_TOP < shift < _TOP:
         _overflow()
 
 
-def _halved(acc: dict) -> dict:
-    """The canonical form of the int/Fraction accumulator acc divided by 2."""
-    out = {}
-    for key, c in acc.items():
-        if not c:
-            continue
-        if type(c) is int:
-            out[key] = Fraction(c, 2) if c & 1 else c >> 1
-        else:
-            c = c / 2
-            out[key] = c if c.denominator != 1 else c.numerator
-    return out
-
-
-def _wrap(terms: dict) -> "CoefExpr":
-    """A CoefExpr owning ``terms``, which must already be canonical."""
-    res = CoefExpr.__new__(CoefExpr)
-    res.terms = terms
-    return res
-
-
 class CoefExpr:
-    """A canonical-form element of the coefficient ring.
+    """A canonical-form element of the coefficient ring: integer numerators over one denominator.
 
-    An element is never mutated after construction: no code outside
-    ``__init__`` and ``_wrap`` writes ``terms``.  So ``evaluate``,
-    ``evaluate_exact``, ``substitute``, the rational products and
-    ``symbols`` can keep what their first call works out for as long as the
-    element lives.
+    ``terms`` maps each monomial key to a nonzero int numerator and ``den``
+    is their common positive denominator, with gcd(den, *numerators) = 1,
+    so den is 1 for an integral element (zero included) and equal values
+    have identical (den, terms).  An element is never mutated after
+    construction: no code outside ``__init__`` and ``_wrap`` writes
+    ``terms`` or ``den``.  So ``evaluate``, ``evaluate_exact``,
+    ``substitute`` and ``symbols`` can keep what their first call works out
+    for as long as the element lives.
     """
 
-    __slots__ = ("terms", "_plan", "_exact_plan", "_symbols", "_ints", "_subst")
+    __slots__ = ("terms", "den", "_plan", "_exact_plan", "_symbols", "_subst")
     __hash__ = None  # compare by value only
 
     def __init__(self, terms: Mapping[int, object] | None = None):
         """From a {monomial key: number} mapping; the public constructors build the keys."""
-        self.terms: dict[int, int | Fraction] = {}
-        if terms:
-            for key, coef in terms.items():
-                if type(coef) is not int:
-                    if type(coef) is not Fraction:
-                        coef = Fraction(coef)  # never store a float or bool
-                    if coef.denominator == 1:
-                        coef = int(coef.numerator)
-                if coef:
-                    self.terms[key] = coef
+        acc: dict = {}
+        for key, coef in (terms or {}).items():
+            if type(coef) is not int and type(coef) is not Fraction:
+                coef = Fraction(coef)  # never store a float or bool
+            acc.setdefault(coef.denominator, {})[key] = coef.numerator
+        e = _canonical(acc)
+        self.terms: dict[int, int] = e.terms
+        self.den: int = e.den
 
     def __reduce__(self):
         # slots are given per process, so a pickle carries the decoded terms
@@ -463,7 +393,7 @@ class CoefExpr:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     # -- decoded terms -------------------------------------------------------
 
@@ -474,18 +404,23 @@ class CoefExpr:
         pairs; from_monomials() rebuilds the element from these triples.
         The storage layout behind them is private to this module.
         """
-        for key, coef in self.terms.items():
+        den = self.den
+        for key, n in self.terms.items():
             k, powers, _ = _decode(key)
-            yield coef, k, powers
+            yield _number(n, den), k, powers
+
+    def as_number(self) -> int | Fraction | None:
+        """The value as an int, or a Fraction when not integral, when self is a rational constant, else None."""
+        terms = self.terms
+        if len(terms) > 1 or terms and _ONE not in terms:
+            return None
+        n = terms.get(_ONE, 0)
+        return n if self.den == 1 else Fraction(n, self.den)  # in lowest terms, so never integral
 
     def as_fraction(self) -> Fraction | None:
         """The value as a Fraction when self is a rational constant, else None."""
-        terms = self.terms
-        if not terms:
-            return Fraction(0)
-        if len(terms) == 1 and _ONE in terms:
-            return Fraction(terms[_ONE])
-        return None
+        q = self.as_number()
+        return Fraction(q) if type(q) is int else q
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -494,24 +429,30 @@ class CoefExpr:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
+        den, g = self.den, 1
+        if den == other.den:
+            out = dict(self.terms)
+        else:  # both over the lcm of the denominators
+            L = math.lcm(den, other.den)
+            out = {key: n * (L // den) for key, n in self.terms.items()}
+            den, g = L, L // other.den
+        for key, n in other.terms.items():
+            if g != 1:
+                n *= g
             if key not in out:
-                out[key] = coef  # canonical already
+                out[key] = n
                 continue
-            c = out[key] + coef
-            if not c:
-                del out[key]  # only a present term can cancel
-            elif type(c) is int or c.denominator != 1:
-                out[key] = c
+            n += out[key]
+            if n:
+                out[key] = n
             else:
-                out[key] = c.numerator
-        return _wrap(out)
+                del out[key]  # only a present term can cancel
+        return _wrap(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoefExpr":
-        return _wrap({key: -coef for key, coef in self.terms.items()})
+        return _wrap({key: -n for key, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _operand(other)
@@ -530,9 +471,9 @@ class CoefExpr:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        out: dict = {}
-        _mul_into(out, self, other, 1)
-        return _wrap(_canonical(out))
+        acc: dict = {}
+        _mul_into(acc, self, other, 1)
+        return _canonical(acc)
 
     __rmul__ = __mul__
 
@@ -555,9 +496,9 @@ class CoefExpr:
         """Flat coordinate derivative d/dx^i (Leibniz over each monomial)."""
         if i not in COORDS:
             raise ValueError(f"coordinate {i} outside {COORDS}")
-        out: dict = {}
-        _partial_into(out, self, i, 0, 1)
-        return _wrap(_canonical(out))
+        acc: dict = {}
+        _partial_into(acc, self, i, 0, 1)
+        return _canonical(acc)
 
     def substitute(self, mapping: Mapping) -> "CoefExpr":
         """Replace constant-parameter or jet symbols by ring elements.
@@ -575,38 +516,36 @@ class CoefExpr:
             s = _SLOT.get(key)  # a symbol as symbols() gives it; a name is resolved first
             if s is None:
                 s = _SLOT.get(as_symbol(key))
-            if not isinstance(val, Rational):
-                val = coerce(val)  # a float raises TypeError
-                q = val.as_fraction()
-                if q is None:
+            if type(val) is not int and not isinstance(val, Rational):
+                x = coerce(val)  # a float raises TypeError
+                val = x.as_number()
+                if val is None:
                     if s is not None:
-                        exprs[s] = val
+                        exprs[s] = x
                     continue
-                val = q
             if s is not None:
-                numbers[s] = val if type(val) is int or val.denominator != 1 else val.numerator
+                numbers[s] = val
         e = _put_numbers(self, numbers)
         if not exprs:
             return e
-        out: dict = {}
-        for key, coef in e.terms.items():
+        acc: dict = {}
+        bucket = acc.setdefault(e.den, {})
+        for key, n in e.terms.items():
             hits = ()
-            for s in _decode(key)[2]:
+            for s, _, _ in _decode(key)[2]:
                 if s in exprs:
                     shift = _W * s
                     p = key >> shift & _FIELD
                     key -= p << shift
                     hits += ((s, p),)
             if hits:
-                piece = _wrap({key: coef})
+                piece = _wrap({key: n}, e.den)
                 for s, p in hits:
                     piece = piece * exprs[s] ** p
-                _add_into(out, piece, 1)
-            elif key in out:
-                out[key] += coef
+                _add_into(acc, piece, 1)
             else:
-                out[key] = coef
-        return _wrap(_canonical(out))
+                bucket[key] = bucket.get(key, 0) + n
+        return _canonical(acc)
 
     def evaluate(self, table: dict) -> float:
         """Float value at a {symbol: float} table.
@@ -624,9 +563,9 @@ class CoefExpr:
         try:
             plan = self._plan
         except AttributeError:
+            den = self.den  # int true division rounds correctly: n / den is float(Fraction(n, den))
             plan = self._plan = tuple(
-                (float(coef), k, syms)
-                for (k, syms, _), coef in sorted((_decode(key), coef) for key, coef in self.terms.items())
+                (n / den, k, syms) for (k, syms, _), n in sorted((_decode(key), n) for key, n in self.terms.items())
             )
         total = 0.0
         try:
@@ -657,12 +596,12 @@ class CoefExpr:
             _overflow()
         guard = _GUARD
         out = {}
-        for key, c in self.terms.items():
+        for key, n in self.terms.items():
             key += shift
             if key & guard:
                 _overflow()
-            out[key] = c
-        return _wrap(out)
+            out[key] = n
+        return _wrap(out, self.den)
 
     # -- display -------------------------------------------------------------
 
@@ -672,17 +611,14 @@ class CoefExpr:
         bits = []
         for key in sorted(self.terms, key=_decode):
             k, syms, _ = _decode(key)
-            coef = self.terms[key]
+            coef = _number(self.terms[key], self.den)
             factors = []
             if coef != 1 or (not syms and k == 0):
                 factors.append(str(coef))
             if k:
                 factors.append(f"E({k}f)" if k != 1 else "E(f)")
             for sym, power in syms:
-                if sym[0] == "c":
-                    name = sym[1]
-                else:
-                    name = "f" + "".join(str(i) for i in sym[1]) if sym[1] else "f"
+                name = sym[1] if sym[0] == "c" else "f" + "".join(str(i) for i in sym[1])
                 factors.append(name if power == 1 else f"{name}^{power}")
             bits.append("*".join(factors) if factors else "1")
         return " + ".join(bits)
@@ -697,7 +633,7 @@ def coerce(x) -> CoefExpr:
     """
     if isinstance(x, CoefExpr):
         return x
-    if isinstance(x, Rational):
+    if type(x) is int or isinstance(x, Rational):
         return rat(x)
     raise TypeError(f"cannot use {x!r} as a ring element")
 
@@ -759,7 +695,9 @@ def is_jet(sym) -> bool:
 
 def rat(p, q=1) -> CoefExpr:
     """The rational constant p/q."""
-    return CoefExpr({_ONE: p if q == 1 and type(p) is int else Fraction(p, q)})
+    if q == 1 and type(p) is int:
+        return _wrap({_ONE: p} if p else {})
+    return CoefExpr({_ONE: Fraction(p, q)})
 
 
 def const(name: str) -> CoefExpr:
@@ -792,10 +730,10 @@ ONE = rat(1)
 
 def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
     """Sum of ring elements, accumulated in one dict."""
-    out: dict = {}
+    acc: dict = {}
     for e in exprs:
-        _add_into(out, e, 1)
-    return _wrap(_canonical(out))
+        _add_into(acc, e, 1)
+    return _canonical(acc)
 
 
 def distinct_up_to_sign(elements: Iterable[CoefExpr]) -> tuple:
@@ -809,10 +747,10 @@ def distinct_up_to_sign(elements: Iterable[CoefExpr]) -> tuple:
     """
     seen, out = set(), []
     for e in elements:
-        key = frozenset(e.terms.items())
+        key = (e.den, frozenset(e.terms.items()))
         if key not in seen:
             seen.add(key)
-            seen.add(frozenset((k, -c) for k, c in e.terms.items()))
+            seen.add((e.den, frozenset((k, -n) for k, n in e.terms.items())))
             out.append(e)
     return tuple(out)
 
@@ -874,16 +812,14 @@ def p_laplacian4() -> CoefExpr:
 
 
 def _plan_exact(e: CoefExpr) -> tuple:
-    """(L, odd, terms) for evaluate_exact: L the lcm of e's coefficient
-    denominators, odd whether a term has an odd k, and per term, in the order
-    of e.terms, (coef * L as an int, (k/2, total degree) or None for an odd k,
-    ((symbol, power), ...))."""
-    L, items = _numerators(e)
+    """(odd, terms) for evaluate_exact: odd whether a term has an odd k, and
+    per term, in the order of e.terms, (its numerator, (k/2, total degree)
+    or None for an odd k, ((symbol, power), ...))."""
     terms = []
-    for key, n in items:
+    for key, n in e.terms.items():
         k, syms, _ = _decode(key)
         terms.append((n, None if k % 2 else (k // 2, sum(p for _, p in syms)), syms))
-    return L, any(bucket is None for _, bucket, _ in terms), tuple(terms)
+    return any(bucket is None for _, bucket, _ in terms), tuple(terms)
 
 
 def evaluate_exact(e: CoefExpr, nums: Mapping, D: int, e2f: Fraction) -> Fraction:
@@ -896,9 +832,9 @@ def evaluate_exact(e: CoefExpr, nums: Mapping, D: int, e2f: Fraction) -> Fractio
     UnboundSymbol at the first term, in term order, that has one.
     """
     try:
-        L, odd, plan = e._exact_plan
+        odd, plan = e._exact_plan
     except AttributeError:
-        L, odd, plan = e._exact_plan = _plan_exact(e)
+        odd, plan = e._exact_plan = _plan_exact(e)
     buckets: dict = {}
     if not odd:
         try:
@@ -917,13 +853,13 @@ def evaluate_exact(e: CoefExpr, nums: Mapping, D: int, e2f: Fraction) -> Fractio
                     raise UnboundSymbol(f"symbol {sym} not bound")
     if not buckets:
         return Fraction(0)
-    # over L * D^dmax * a^A * b^B, with e2f = a/b, A = max(0, -min h) and B = max(0, max h)
+    # over e.den * D^dmax * a^A * b^B, with e2f = a/b, A = max(0, -min h) and B = max(0, max h)
     a, b = e2f.numerator, e2f.denominator
     A = max(0, -min(h for h, _ in buckets))
     B = max(0, max(h for h, _ in buckets))
     dmax = max(deg for _, deg in buckets)
     num = sum(c * D ** (dmax - deg) * a ** (h + A) * b ** (B - h) for (h, deg), c in buckets.items())
-    return Fraction(num, L * D ** dmax * a ** A * b ** B)
+    return Fraction(num, e.den * D ** dmax * a ** A * b ** B)
 
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:
@@ -932,7 +868,7 @@ def restrict_onevar(e: CoefExpr) -> CoefExpr:
     for s, sym in enumerate(_SYMS):
         if s and sym[0] == "j" and any(i != 1 for i in sym[1]):
             others |= _FIELD << (_W * s)
-    return _wrap({key: coef for key, coef in e.terms.items() if not key & others})
+    return _wrap({key: n for key, n in e.terms.items() if not key & others}, e.den)
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +878,9 @@ def _extremes(keys) -> tuple:
     """(lowest k, highest k, {slot: highest power}) over monomial keys."""
     ks, top = [], {}
     for key in keys:
-        k, powers, slots = _decode(key)
+        k, _, factors = _decode(key)
         ks.append(k)
-        for (_, p), s in zip(powers, slots):
+        for s, p, _ in factors:
             top[s] = max(top.get(s, 0), p)
     return min(ks), max(ks), top
 
@@ -961,7 +897,9 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
     leaves the box returns None (the guard-bit test on its differences from
     the box's corners); one inside it keeps every remainder key within the
     fields of num.  The leading remainder key falls at every step, so each
-    quotient key is new and the loop ends within the box's size.
+    quotient key is new and the loop ends within the box's size.  The
+    division runs on the integer numerators of num and den, and the
+    quotient is then scaled by den.den / num.den.
     """
     if not den:
         raise ZeroDivisionError("division by the zero element")
@@ -1000,5 +938,8 @@ def try_divide(num: CoefExpr, den: CoefExpr) -> CoefExpr | None:
                 r[t] = c
             else:
                 r.pop(t, None)
-    return _wrap(q)  # every coefficient is already canonical and nonzero
+    acc: dict = {}  # q divides the numerators: the quotient is q * den.den / num.den
+    for key, c in q.items():
+        acc.setdefault(c.denominator, {})[key] = c.numerator * den.den
+    return _canonical(acc, num.den)
 

@@ -202,11 +202,9 @@ def substitute_reference(e, mapping: dict):
 
 def evaluate_reference(e, table) -> float:
     """CoefExpr.evaluate term by term: sorted, decoded and converted on every call."""
-    terms = e.terms
     total = 0.0
-    for key in sorted(terms, key=ring._decode):
-        k, syms, _ = ring._decode(key)
-        val = float(terms[key])
+    for coef, k, syms in sorted(e.monomials(), key=lambda t: t[1:]):
+        val = float(coef)
         try:
             if k:
                 val *= math.exp(k * table[ring.jet_sym()])
@@ -221,8 +219,7 @@ def evaluate_reference(e, table) -> float:
 def evaluate_exact_reference(e, nums, D, e2f) -> Fraction:
     """ring.evaluate_exact term by term in Fractions, in the order of e.terms, each symbol's value nums[sym] / D."""
     total = Fraction(0)
-    for key, coef in e.terms.items():
-        k, syms, _ = ring._decode(key)
+    for coef, k, syms in e.monomials():
         if k % 2:
             raise ring.UnboundSymbol("odd e^{kf} power has no exact rational value")
         val = coef * e2f ** (k // 2)

@@ -211,8 +211,10 @@ FRESH_ROUND = (
     (lambda: h21(3, -1, 2), "DLambda", [4, -2, 6]),
     (lambda: h21(-5, 2, 7), "DB", [1, -3, 2]),
 )
-# the round built 558 Fractions when each ring product and substitution made one per term
-FRESH_ROUND_FRACTIONS = 558 // 2
+# the round built 558 Fractions when each ring product and substitution made one per term, and
+# 99 when each numeric matrix entry was read as a Fraction; what is left is one per rat(p, q)
+# constant of the closed forms
+FRESH_ROUND_FRACTIONS = 4
 
 
 def _fresh_round():

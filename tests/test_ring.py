@@ -542,12 +542,14 @@ def test_two_hessian_on_radial_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# canonical coefficients: int, or a Fraction with denominator > 1
+# the canonical form: nonzero int numerators over one positive denominator,
+# in lowest terms, so an integral element (zero included) has denominator 1
 
 def _is_canonical(e: CoefExpr) -> bool:
-    return all(
-        (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
-        for c in e.terms.values()
+    return (
+        type(e.den) is int and e.den > 0
+        and all(type(n) is int and n != 0 for n in e.terms.values())
+        and math.gcd(e.den, *e.terms.values()) == 1
     )
 
 
@@ -591,14 +593,34 @@ def test_products_and_sums_match_the_fraction_per_term_reference(x, y, z):
 def test_mul_and_add_into_an_accumulator_that_holds_fractions(x, y, z, q, sign, zsign):
     # the accumulator holds the Fraction q (integral or not) at every key of x * y
     # and of z, as the form kernels' raw accumulators do between products
-    held = {key: q for key in (*(x * y).terms, *z.terms)}
-    acc = dict(held)
+    held = CoefExpr({key: q for key in (*(x * y).terms, *z.terms)})
+    acc = {held.den: dict(held.terms)}
     ring._mul_into(acc, x, y, sign)
     ring._add_into(acc, z, zsign)
-    got = ring._wrap(ring._canonical(acc))
+    got = ring._canonical(acc)
     assert _is_canonical(got)
     ref = naive_forms.mul_reference
-    assert got == naive_forms.sum_reference(CoefExpr(held), ref(ref(rat(sign), x), y), ref(rat(zsign), z))
+    assert got == naive_forms.sum_reference(held, ref(ref(rat(sign), x), y), ref(rat(zsign), z))
+
+
+@given(st.lists(st.tuples(ring_exprs(), ring_exprs(), st.sampled_from((1, -1, 2, -3))), max_size=4),
+       st.lists(st.tuples(ring_exprs(), st.sampled_from((1, -1))), max_size=4), st.sampled_from((1, 2)))
+@settings(max_examples=80, deadline=None)
+def test_one_accumulator_over_several_denominators_read_with_a_scale(products, sums, scale):
+    # products and sums of elements over different denominators land in different
+    # buckets of one accumulator; the reader puts them over one denominator and
+    # divides by the scale, as the Koszul formula and the su(2) projection halve
+    acc: dict = {}
+    for x, y, sign in products:
+        ring._mul_into(acc, x, y, sign)
+    for z, sign in sums:
+        ring._add_into(acc, z, sign)
+    got = ring._canonical(acc, scale)
+    assert _is_canonical(got)
+    ref = naive_forms.mul_reference
+    want = naive_forms.sum_reference(
+        *(ref(ref(rat(sign), x), y) for x, y, sign in products), *(ref(rat(sign), z) for z, sign in sums))
+    assert got == naive_forms.mul_reference(want, rat(1, scale))
 
 
 # a value put in for a symbol: an int, a Fraction, a constant element or an element with symbols
@@ -619,7 +641,7 @@ def test_substitute_matches_the_fraction_per_term_reference(x, values):
 def test_equality_is_exactly_zero_difference(x, y):
     for a, b in ((x, y), (x, (x + y) - y), (x * y, y * x), (x, x + rat(1, 2))):
         assert (a == b) == (not (a - b))
-        assert (a == b) == (a.terms == b.terms)
+        assert (a == b) == ((a.den, a.terms) == (b.den, b.terms))
 
 
 def test_constructor_converts_and_demotes_non_int_input():
@@ -643,6 +665,22 @@ def test_try_divide_by_an_integer_stays_exact():
     q = try_divide(x + jet(1), rat(3))
     assert q is not None and _is_canonical(q)
     assert q * rat(3) == x + jet(1)
+
+
+def test_try_divide_with_rational_numerator_and_denominator():
+    # the numerators divide, and the quotient is scaled by den's denominator over num's
+    x, y = const("x"), jet(1)
+    den = rat(3, 4) * x + rat(1, 2) * y  # (3x + 2y) / 4
+    want = rat(2, 3) * y - rat(5, 6) * expf(2)  # (4y - 5e^{2f}) / 6
+    num = want * den  # (12xy + 8y^2 - 15x e^{2f} - 10y e^{2f}) / 24
+    assert (num.den, den.den, want.den) == (24, 4, 6)
+    q = try_divide(num, den)
+    assert q == want and _is_canonical(q)
+    assert try_divide(num, want) == den
+    assert try_divide(num + rat(1, 7) * x, den) is None
+    # a rational quotient of rational elements can be integral
+    assert try_divide(rat(3, 2) * x * y, rat(1, 2) * y) == rat(3) * x
+    assert try_divide(rat(3, 2) * x * y, rat(1, 2) * y).den == 1
 
 
 def test_integer_polynomial_work_constructs_no_fractions():
@@ -841,9 +879,9 @@ def test_partial_into_matches_partial_then_shift(g, h, i, shift, sign):
     # the same terms as partial(i).scale_expf(shift), and OverflowError (or,
     # from a third-order jet, JetOrderExceeded) on exactly the same inputs
     def fused():
-        acc = dict(h.terms)
+        acc = {h.den: dict(h.terms)}
         ring._partial_into(acc, g, i, shift, sign)
-        return ring._wrap(ring._canonical(acc))
+        return ring._canonical(acc)
 
     assert _outcome(fused) == _outcome(lambda: h + g.partial(i).scale_expf(shift) * sign)
 

@@ -409,7 +409,7 @@ SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._i
 
 
 def test_a_warm_round_reruns_no_seed_free_check():
-    # so a round at a new seed makes 19,841 Python calls and builds 330 Fractions (an exact
+    # so a round at a new seed makes 20,276 Python calls and builds 330 Fractions (an exact
     # table's jets are ints, g its one Fraction), the same on a repeat; the cyclic collector
     # is off, since the finalizers it runs on other tests' garbage would count too
     for name in SCENARIOS:
