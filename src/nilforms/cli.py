@@ -122,8 +122,8 @@ def _parse_params(spec: str | None) -> dict:
 
 def _profile_rows(prof, grid: int):
     """(x, u, f, e^{2f}, residual) rows; u echoes e^{2f} off the elliptic slice."""
-    rows = []
     if prof.name == "weierstrass":
+        rows = []
         d = prof.params["d"]
         tau = half_period(d)
         for k in range(1, grid + 1):
@@ -144,11 +144,10 @@ def _profile_rows(prof, grid: int):
         line = [(r, (cent[0] + r, cent[1], cent[2], cent[3])) for r in radii]
     else:  # constant: tabulate along the first axis with a closure residual
         line = [(x1, (x1, 0.0, 0.0, 0.0)) for x1 in (k / max(grid - 1, 1) for k in range(grid))]
-    for t, x in line:
-        g = prof.e2f(x)
-        assi = numeric.build_assignment(prof, x, consts)
-        rows.append((t, g, assi[ring.jet_sym()], g, expr.evaluate(assi)))  # f from the jet table
-    return rows
+    gs = [prof.e2f(x) for _, x in line]
+    table = numeric.build_assignment(prof, [x for _, x in line], consts)
+    # f from the jet table
+    return [(t, g, f, g, v) for (t, _), g, f, v in zip(line, gs, table[ring.jet_sym()], expr.evaluate(table))]
 
 
 def cmd_dump_profile(args) -> int:

@@ -43,9 +43,11 @@ that is held for one frame lives in its Geometry's ``held`` dict, so it
 lives exactly as long as that frame: for the process on a catalogue frame,
 for the report on a config frame.  That is the gauges of table matrices
 (``anomaly.held_gauge``), the outcomes of the checks that read the frame
-alone, the float sweeps of its elements and, on a family frame, the
-family's residual per gauge kind.  A Gauge keeps the outcomes of the checks
-that read it alone in its own ``held``.  Every such value is kept one way,
+alone and the seed-free values a report reads off it (|A|^2), the float
+sweeps of its elements and, on a family frame, the family's residual per
+gauge kind.  A Gauge keeps the outcomes of the checks and the values (the
+rank or lambda^2 of its matrix) that read it alone in its own ``held``.
+Every such value is kept one way,
 through ``held_in``.  A config frame's Geometry refers to its family, never
 the other way, so it is still freed with its report.
 ``catalogue_geometry.cache_clear()`` drops the held frames and everything

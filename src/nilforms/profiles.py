@@ -10,15 +10,21 @@ jets of f from those of P; f0 never enters a division.
     weierstrass   1          +1   g = alpha^2 wp(x1)
     constant      e^{2 f0}   +1   1
 
+A float table is columns over a point set: ``jets(points, want)`` gives
+{symbol: [value at each point]}, each column built by one comprehension
+over the points, with the operations and their order that the chain rule
+applies at each point.  So a value does not depend on the other points of
+the set or on what else is asked for.
+
 Ball and fundamental are also exact: P is the quadratic 1 - r^2 or rho, so
-at a rational point every jet is an integer over a power of an integer N
-(``_quadratic_exact``): the exact table is those integers over the one
-denominator N^3, and g, which ``e2f`` there reads, is the point's one
-Fraction.  Weierstrass (wp is transcendental) and constant (whose e^{2 f0}
-is a float) are float-only, and their ``jets_exact`` raises BadParams.
-The ball's float jets take |A|^2 and -|A|^2/2 as floats converted once,
-so at a float point they run on floats alone, and its P-jets of order two
-and three, which x does not change, are built once per profile.
+at a rational point, given as integer numerators over one denominator q,
+every jet is an integer over a power of an integer N (``_quadratic_exact``):
+the exact table is those integers over the one denominator N^3, and g,
+which ``e2f`` there reads, is the point's one Fraction.  Weierstrass (wp is
+transcendental) and constant (whose e^{2 f0} is a float) are float-only,
+and their ``jets_exact`` raises BadParams.  The ball's float jets take
+|A|^2 and -|A|^2/2 as floats converted once, so at float points they run
+on floats alone.
 
 ``jets`` and ``jets_exact`` build only the jets a caller asks for (and f,
 in floats), each by the formula the full table uses, so a jet has the same
@@ -45,30 +51,47 @@ JETS = tuple(jet_sym(*idx) for idx in tuple((i,) for i in COORDS) + _I2 + _I3)
 
 
 def _half_log_jets(g, gi, gij, gijk, want=JETS):
-    """{jet symbol: value} of (1/2) log g for the jets in want, from the jets of g (keys: index tuples).
+    """{jet symbol: column} of (1/2) log g for the jets in want, from the columns
+    of the jets of g (keys: index tuples), one value per point.
 
-    A symbol of want that is not a jet of order one to three (f itself) is skipped.
+    Each column is one comprehension over the points, with the operations of
+    the one-point chain rule in its order.  A symbol of want that is not a
+    jet of order one to three (f itself) is skipped.
     """
+    two = [2 * v for v in g]
+    two2 = [2 * (v * v) for v in g]
+    g3 = [v * v * v for v in g]
     jets = {}
-    g2 = g * g
-    g3 = g2 * g
     for sym in want:
         idx = sym[1]
         order = len(idx)
         if order == 1:
-            jets[sym] = gi[idx[0]] / (2 * g)
+            jets[sym] = [a / t for a, t in zip(gi[idx[0]], two)]
         elif order == 2:
             i, j = idx
-            jets[sym] = gij[idx] / (2 * g) - gi[i] * gi[j] / (2 * g2)
+            jets[sym] = [b / t - a1 * a2 / t2 for b, a1, a2, t, t2 in zip(gij[idx], gi[i], gi[j], two, two2)]
         elif order == 3:
             i, j, k = idx
-            s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
-            jets[sym] = gijk[idx] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
+            jets[sym] = [c / t - (bij * ak + bik * aj + bjk * ai) / t2 + ai * aj * ak / t3
+                         for c, bij, bik, bjk, ai, aj, ak, t, t2, t3
+                         in zip(gijk[idx], gij[(i, j)], gij[(i, k)], gij[(j, k)], gi[i], gi[j], gi[k], two, two2, g3)]
     return jets
 
 
-def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
-    """(g, D, {jet symbol: int}) at a rational x for g = scale * P^s, where
+def _columns(values: dict, n: int) -> dict:
+    """{key: [value] * n}: the columns of jets of P that are the same at every point."""
+    return {key: [v] * n for key, v in values.items()}
+
+
+def over_one_denominator(x) -> tuple:
+    """A point of rationals as (integer numerators, their one positive denominator), the form jets_exact reads."""
+    ratios = [v.as_integer_ratio() for v in x]
+    q = math.lcm(*(b for _, b in ratios))
+    return tuple(a * (q // b) for a, b in ratios), q
+
+
+def _quadratic_exact(point, want, p0: int, e: int, s: int, center, scale):
+    """(g, D, {jet symbol: int}) at a rational point x = (numerators, denominator) for g = scale * P^s, where
     P = p0 + e|x - center|^2 (e = +-1) must be positive, else None: each jet
     in want is its int over D = N^3.  A symbol of want that is not a jet of
     order one to three is skipped.
@@ -82,9 +105,9 @@ def _quadratic_exact(x, want, p0: int, e: int, s: int, center, scale):
 
     D does not depend on want, so a jet's numerator is the same whatever else is asked.
     """
-    ratios = [v.as_integer_ratio() for v in x]
-    q = math.lcm(*(b for _, b in ratios), *(cd for _, cd in center))
-    n = {i: a * (q // b) - cn * (q // cd) for i, (a, b), (cn, cd) in zip(COORDS, ratios, center)}
+    xs, d = point
+    q = math.lcm(d, *(cd for _, cd in center))
+    n = {i: a * (q // d) - cn * (q // cd) for i, a, (cn, cd) in zip(COORDS, xs, center)}
     N = p0 * q * q + e * sum(v * v for v in n.values())
     if N <= 0:
         return None
@@ -114,43 +137,55 @@ class DilatonProfile:
                  singular_distance: Callable, *, scale=1, s: int = 1, exact_jets: Callable | None = None):
         self.name = name
         self.params = dict(params)
-        self._pjets = pjets  # x -> the jets (P, P_i, P_ij, P_ijk) of P
+        self._pjets = pjets  # points -> the columns (P, {i: P_i}, {ij: P_ij}, {ijk: P_ijk}) of P's jets
         self.in_domain = in_domain
         self.singular_distance = singular_distance  # from x to the singular set (inf if empty)
         self._scale = scale
         self._s = s
-        self._exact_jets = exact_jets  # (rational x, wanted jets) -> (g, D, numerators), or None outside the domain
+        self._exact_jets = exact_jets  # (rational point, wanted jets) -> (g, D, numerators), or None outside the domain
         self.exact = exact_jets is not None
 
-    def _jets_of_p(self, x):
-        if not self.in_domain(x):
-            raise BadParams(f"{self.name}: point {x!r} outside the domain")
-        return self._pjets(x)
+    def _jets_of_p(self, points):
+        for x in points:
+            if not self.in_domain(x):
+                raise BadParams(f"{self.name}: point {x!r} outside the domain")
+        return self._pjets(points)
 
     def e2f(self, x: Sequence[float]):
         """e^{2f}(x); exact, from the exact jets, at a rational x when the profile is exact."""
         if self.exact and all(isinstance(v, Rational) for v in x):
-            return self.jets_exact(x)[0]
-        P = self._jets_of_p(x)[0]
+            return self.jets_exact(over_one_denominator(x), ())[0]
+        P = self._jets_of_p((x,))[0][0]
         return self._scale * P if self._s > 0 else self._scale / P
 
-    def jets(self, x: Sequence[float], want=JETS) -> dict:
-        """{jet symbol: value} for f and the jets in want (by default every
-        derivative up to order three); each value is the same whatever else is asked."""
-        P, Pi, Pij, Pijk = self._jets_of_p(x)
-        out = {_F: 0.5 * math.log(self._scale) + 0.5 * self._s * math.log(P)}
-        for sym, val in _half_log_jets(P, Pi, Pij, Pijk, want).items():
-            out[sym] = float(val) if self._s > 0 else -float(val)
+    def jets(self, points: Sequence[Sequence[float]], want=JETS) -> dict:
+        """{symbol: [value at each of points]} for f and the jets in want (by
+        default every derivative up to order three): a float table of columns.
+
+        Each value is the one-point chain rule's at its point, whatever else
+        is asked and whatever the other points are.  A point outside the
+        domain raises BadParams naming it.
+        """
+        P, Pi, Pij, Pijk = self._jets_of_p(points)
+        half_log_scale, half_s = 0.5 * math.log(self._scale), 0.5 * self._s
+        out = {_F: [half_log_scale + half_s * math.log(p) for p in P]}
+        jets = _half_log_jets(P, Pi, Pij, Pijk, want)
+        if self._s < 0 or not all(type(p) is float for p in P):  # float() is the identity on a float P's jets
+            jets = {sym: [float(v) if self._s > 0 else -float(v) for v in col] for sym, col in jets.items()}
+        out.update(jets)
         return out
 
-    def jets_exact(self, x: Sequence[Fraction], want=JETS) -> tuple[Fraction, int, dict]:
-        """(g, D, {jet symbol: int}) with exact arithmetic: each jet in want is
-        its int over the one denominator D, which want does not change; f itself is omitted."""
+    def jets_exact(self, point: tuple, want=JETS) -> tuple[Fraction, int, dict]:
+        """(g, D, {jet symbol: int}) with exact arithmetic at a rational point
+        (integer numerators, one positive denominator; over_one_denominator
+        gives it): each jet in want is its int over the one denominator D,
+        which want does not change; f itself is omitted."""
         if not self.exact:
             raise BadParams(f"{self.name}: no exact jet evaluation")
-        out = self._exact_jets(x, want)
+        out = self._exact_jets(point, want)
         if out is None:
-            raise BadParams(f"{self.name}: point {x!r} outside the domain")
+            nums, q = point
+            raise BadParams(f"{self.name}: point {tuple(Fraction(n, q) for n in nums)!r} outside the domain")
         return out
 
 
@@ -168,16 +203,19 @@ def _ball(absA2) -> DilatonProfile:
     # P_ij and P_ijk do not depend on x; in the domain g is a positive float, so 0.0 is 0 * g
     gij = {(i, j): (fhess if i == j else 0.0) for (i, j) in _I2}
 
-    def gjets(x):
-        r2 = sum(c * c for c in x)
-        g = (fabsA2 * (1 - r2)) / 4
-        return g, {i: -(fabsA2 * x[i - 1]) / 2 for i in COORDS}, gij, _ZERO3_FLOAT
+    def gjets(xs):
+        n = len(xs)
+        g = [(fabsA2 * (1 - sum((a * a, b * b, c * c, d * d)))) / 4 for a, b, c, d in xs]
+        gi = {i: [-(fabsA2 * x[i - 1]) / 2 for x in xs] for i in COORDS}
+        return g, gi, _columns(gij, n), _columns(_ZERO3_FLOAT, n)
 
     def in_domain(x):
-        return sum(c * c for c in x) < 1
+        a, b, c, d = x
+        return sum((a * a, b * b, c * c, d * d)) < 1
 
     def singular_distance(x):
-        return 1.0 - math.sqrt(sum(float(c) ** 2 for c in x))
+        a, b, c, d = map(float, x)
+        return 1.0 - math.sqrt(sum((a ** 2, b ** 2, c ** 2, d ** 2)))
 
     quarter = absA2 / 4  # exactly: g = (|A|^2/4) P with P = 1 - r^2
     return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance,
@@ -210,9 +248,11 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
     cent = tuple(Fraction(e) if not isinstance(e, float) else e for e in center)
     cent_q = tuple(e.as_integer_ratio() for e in cent)
 
-    def rhojets(x):
-        y = [x[i] - cent[i] for i in range(4)]
-        return sum(v * v for v in y), {i: 2 * y[i - 1] for i in COORDS}, _HESS_RHO, _ZERO3
+    def rhojets(xs):
+        ys = [[x[i] - cent[i] for i in range(4)] for x in xs]
+        rho = [sum(v * v for v in y) for y in ys]
+        n = len(xs)
+        return rho, {i: [2 * y[i - 1] for y in ys] for i in COORDS}, _columns(_HESS_RHO, n), _columns(_ZERO3, n)
 
     def in_domain(x):
         return any(x[i] != cent[i] for i in range(4))
@@ -234,16 +274,13 @@ def _weierstrass(d, alpha) -> DilatonProfile:
     a2 = alpha * alpha
     tau = half_period(d)
 
-    def gjets(x):
-        u, up = weierstrass_p(float(x[0]), d)
-        g = a2 * u
-        gi = {i: 0.0 for i in COORDS}
-        gi[1] = a2 * up
-        gij = {idx: 0.0 for idx in _I2}
-        gij[(1, 1)] = a2 * (6.0 * u * u - 2.0 * d * d)
-        gijk = {idx: 0.0 for idx in _I3}
-        gijk[(1, 1, 1)] = a2 * 12.0 * u * up
-        return g, gi, gij, gijk
+    def gjets(xs):
+        _, gi, gij, gijk = _unit_jets(xs)
+        wps = [weierstrass_p(float(x[0]), d) for x in xs]
+        gi[1] = [a2 * up for _, up in wps]
+        gij[(1, 1)] = [a2 * (6.0 * u * u - 2.0 * d * d) for u, _ in wps]
+        gijk[(1, 1, 1)] = [a2 * 12.0 * u * up for u, up in wps]
+        return [a2 * u for u, _ in wps], gi, gij, gijk
 
     def singular_distance(x):
         period = 2.0 * tau
@@ -253,8 +290,8 @@ def _weierstrass(d, alpha) -> DilatonProfile:
     # refuse parameters whose jets leave the floats: probe next to the pole cut and at the half period
     for x1 in (2e-6 * tau, tau):
         try:
-            g, *rest = gjets((x1, 0.0, 0.0, 0.0))
-            finite = g > 0 and all(map(math.isfinite, [g, *_half_log_jets(g, *rest).values()]))
+            g, *rest = gjets([(x1, 0.0, 0.0, 0.0)])
+            finite = g[0] > 0 and all(map(math.isfinite, [*g, *(col[0] for col in _half_log_jets(g, *rest).values())]))
         except ArithmeticError:  # a division by an underflowed power
             finite = False
         if not finite:
@@ -263,7 +300,11 @@ def _weierstrass(d, alpha) -> DilatonProfile:
                           lambda x: singular_distance(x) > 1e-6 * tau, singular_distance)
 
 
-_ONE_JETS = (1.0, {i: 0.0 for i in COORDS}, {idx: 0.0 for idx in _I2}, _ZERO3_FLOAT)
+def _unit_jets(xs):
+    """The columns of the jets of P = 1 at xs."""
+    n = len(xs)
+    zeros = dict.fromkeys(COORDS, 0.0), dict.fromkeys(_I2, 0.0), _ZERO3_FLOAT
+    return [1.0] * n, *(_columns(z, n) for z in zeros)
 
 
 def _constant(f0) -> DilatonProfile:
@@ -274,7 +315,7 @@ def _constant(f0) -> DilatonProfile:
         raise BadParams(f"constant: e^(2 f0) overflows a float at f0={f0f!r}") from None
     if g0 == 0.0:  # f = (1/2) log e^{2 f0} needs a positive float
         raise BadParams(f"constant: e^(2 f0) underflows a float at f0={f0f!r}")
-    return DilatonProfile("constant", {"f0": f0f}, lambda x: _ONE_JETS, lambda x: True, lambda x: math.inf,
+    return DilatonProfile("constant", {"f0": f0f}, _unit_jets, lambda x: True, lambda x: math.inf,
                           scale=g0)
 
 

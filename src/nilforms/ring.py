@@ -49,11 +49,13 @@ rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``as_number()`` (the same value, an int where it is integral), ``len()``
 and ``bool()``.  ``substitute`` puts exact numbers in for symbols in one
 integer pass over the packed keys, the way a numeric frame and its anomaly
-residual are read off their symbolic family.  ``evaluate`` reads a
-``{symbol: float}`` table and ``evaluate_exact`` a ``{symbol: int}`` table
-over one denominator; names are resolved to symbols only where such a
-table is built, and ``evaluate`` keeps each e^{kf} it computes in its float
-table, under the int key k, for every later term that reads it.  An
+residual are read off their symbolic family.  ``evaluate`` reads a float
+table of columns over a point set, ``{symbol: [one float per point]}``, and
+returns one float per point; ``evaluate_exact`` reads a ``{symbol: int}``
+table over one denominator.  Names are resolved to symbols only where such
+a table is built, and ``evaluate`` keeps each column of e^{kf} (under the
+int key k) or of a symbol's power it computes in its table, for every
+later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
 float plan of ``evaluate``, the integer plans of ``evaluate_exact`` and
 ``substitute``, and the symbol set of ``symbols()``,
@@ -234,8 +236,12 @@ def _number(n: int, den: int):
 
 
 def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
-    """Add sign * a * b (sign any int) to the raw accumulator acc: integer products over a.den * b.den."""
-    bucket = acc.setdefault(a.den * b.den, {})
+    """Add sign * a * b (sign any int) to the raw accumulator acc: integer products over a.den * b.den.
+
+    Like _add_into and _partial_into, it finds its bucket with no call when
+    acc has it, as a caller that seeds its one bucket (CoefExpr.__mul__) does.
+    """
+    bucket = acc[D] if (D := a.den * b.den) in acc else acc.setdefault(D, {})
     get = bucket.get
     guard = _GUARD
     right = b.terms.items()
@@ -252,7 +258,7 @@ def _mul_into(acc: dict, a: "CoefExpr", b: "CoefExpr", sign: int) -> None:
 
 def _add_into(acc: dict, a: "CoefExpr", sign: int) -> None:
     """Add sign * a (sign = +/-1) to the raw accumulator acc."""
-    bucket = acc.setdefault(a.den, {})
+    bucket = acc[D] if (D := a.den) in acc else acc.setdefault(D, {})
     for key, n in a.terms.items():
         if key in bucket:
             bucket[key] += n * sign
@@ -317,7 +323,7 @@ def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> No
     """
     table = _dpartial(i)
     guard = _GUARD
-    bucket = acc.setdefault(g.den, {})
+    bucket = acc[D] if (D := g.den) in acc else acc.setdefault(D, {})
     get = bucket.get
     keys = 0  # every shifted key or'ed together: a guard bit marks a k out of range
     for key, n in g.terms.items():
@@ -471,7 +477,7 @@ class CoefExpr:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        acc: dict = {}
+        acc = {self.den * other.den: {}}  # its one bucket, seeded
         _mul_into(acc, self, other, 1)
         return _canonical(acc)
 
@@ -496,7 +502,7 @@ class CoefExpr:
         """Flat coordinate derivative d/dx^i (Leibniz over each monomial)."""
         if i not in COORDS:
             raise ValueError(f"coordinate {i} outside {COORDS}")
-        acc: dict = {}
+        acc = {self.den: {}}
         _partial_into(acc, self, i, 0, 1)
         return _canonical(acc)
 
@@ -528,8 +534,8 @@ class CoefExpr:
         e = _put_numbers(self, numbers)
         if not exprs:
             return e
-        acc: dict = {}
-        bucket = acc.setdefault(e.den, {})
+        bucket: dict = {}
+        acc = {e.den: bucket}
         for key, n in e.terms.items():
             hits = ()
             for s, _, _ in _decode(key)[2]:
@@ -547,18 +553,24 @@ class CoefExpr:
                 bucket[key] = bucket.get(key, 0) + n
         return _canonical(acc)
 
-    def evaluate(self, table: dict) -> float:
-        """Float value at a {symbol: float} table.
+    def evaluate(self, table: dict) -> list:
+        """One float per point of a float table of columns, {symbol: [float at each point]}.
 
-        numeric.build_assignment builds such a table once per sample point;
-        every symbol of self, and f itself for an e^{kf} factor, must be bound.
-        The first call builds the float plan: one (float coef, k, ((symbol,
-        power), ...)) per term in decoded order, the deterministic summation
-        order.  Every call reads it, so no call sorts, decodes or converts.
-        e^{kf} is math.exp(k * table[f]), computed once per table and k: the
-        first term that needs it stores it in the table under the int key k,
-        and every later term and element evaluated on that table reads it
-        there.  So a table's f must not change once it has been evaluated on.
+        numeric.build_assignment builds such a table once per point set; every
+        column has one float per point, and every symbol of self, and f itself
+        for an e^{kf} factor, must be bound.  The first call builds the float
+        plan: one (float coef, k, ((symbol, power), ...)) per term in decoded
+        order, the deterministic summation order.  Every call reads it, so no
+        call sorts, decodes or converts.  The plan is walked once per term over
+        the columns: at each point a term is coef * e^{kf} * sym^power * ...,
+        multiplied left to right, and added into that point's total in plan
+        order, so each point gets the operations, in their order, of
+        evaluating there alone.  The column of e^{kf}, math.exp(k * f) at each
+        point, and that of a sym^power with power above one are computed once
+        per table: the first term that needs one stores it in the table, under
+        the int key k or the key (sym, power), and every later term and
+        element evaluated on that table reads it there.  So a table's columns
+        must not change once it has been evaluated on.
         """
         try:
             plan = self._plan
@@ -567,20 +579,33 @@ class CoefExpr:
             plan = self._plan = tuple(
                 (n / den, k, syms) for (k, syms, _), n in sorted((_decode(key), n) for key, n in self.terms.items())
             )
-        total = 0.0
+        npts = len(next(iter(table.values()), ()))
         try:
+            totals = [0.0] * npts
             for val, k, syms in plan:
+                factors = []  # the columns of e^{kf} and each sym^power, a computed one kept in the table
                 if k:
-                    ekf = table.get(k)
-                    if ekf is None:
-                        ekf = table[k] = math.exp(k * table[_F])
-                    val *= ekf
+                    col = table.get(k)
+                    if col is None:
+                        col = table[k] = [math.exp(k * f) for f in table[_F]]
+                    factors.append(col)
                 for sym, power in syms:
-                    val *= table[sym] ** power
-                total += val
+                    if power == 1:  # x ** 1 is x
+                        factors.append(table[sym])
+                        continue
+                    col = table.get((sym, power))
+                    if col is None:
+                        col = table[sym, power] = [x ** power for x in table[sym]]
+                    factors.append(col)
+                # val * c0 * c1 * ..., left to right, the last product added into the total
+                *head, last = factors or [[1.0] * npts]  # a constant term: val * 1.0 is val
+                prods = [val * x for x in head[0]] if head else [val] * npts
+                for col in head[1:]:
+                    prods = [p * x for p, x in zip(prods, col)]
+                totals = [t + p * x for t, p, x in zip(totals, prods, last)]
         except KeyError as exc:
             raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
-        return total
+        return totals
 
     def symbols(self) -> frozenset:
         """The symbols that occur in some term (f only as a jet factor, not for e^{kf})."""

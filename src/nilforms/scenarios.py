@@ -283,7 +283,9 @@ def _line_points(tau: float, n: int):
 def _exact_sweep(prof, points, exprs, consts=None) -> list:
     """[[e at x for x in points] for e in exprs] on the exact jets of prof they read, plus consts {symbol: value}.
 
-    Each point's table holds the jets and consts as ints over one denominator.
+    Each point, (integer numerators, one denominator) as _rational_points
+    gives it, has a table that holds the jets and consts as ints over one
+    denominator.
     """
     want = numeric.jets_read(exprs)
     cols = [[] for _ in exprs]
@@ -299,14 +301,14 @@ def _exact_sweep(prof, points, exprs, consts=None) -> list:
     return cols
 
 
-def _tables(prof, points, sweeps, consts=None) -> list:
-    """The float table of each of points, with the jets of prof that some of sweeps read and consts {name: value}."""
+def _table(prof, points, sweeps, consts=None) -> dict:
+    """The float table of points, with the jets of prof that some of sweeps read and consts {name: value}."""
     want = tuple(sorted({jet for sweep in sweeps for jet in sweep.jets}))
-    return [numeric.build_assignment(prof, x, consts, want) for x in points]
+    return numeric.build_assignment(prof, points, consts, want)
 
 
-def _float_sweep(sweep, tables) -> float:
-    """numeric.max_error of |e| over the elements of a numeric.Sweep at each float table, tables outermost.
+def _float_sweep(sweep, table) -> float:
+    """numeric.max_error of |e| over the elements of a numeric.Sweep at each point of a float table.
 
     The sweep holds one element of each {e, -e} class, and |e| and |-e|
     evaluate to the same float, so this is the largest |e| over every
@@ -314,7 +316,7 @@ def _float_sweep(sweep, tables) -> float:
     order nor repeats, nan included.  A frame's Geometry keeps the sweeps
     of its own elements (held_in).
     """
-    return numeric.max_error(abs(e.evaluate(t)) for t in tables for e in sweep.exprs)
+    return numeric.max_error(abs(v) for e in sweep.exprs for v in e.evaluate(table))
 
 
 def _decay_sweep(geo, legs: tuple):
@@ -330,13 +332,14 @@ def _decay_sweep(geo, legs: tuple):
 
 
 def _rational_points(seed: int):
-    """Five deterministic rational sample points away from the origin."""
+    """Five deterministic rational sample points away from the origin, each as (integer numerators, one denominator)."""
     pts = []
     s = seed % 97 + 2
     for k in range(5):
         num = [((s + 3 * k + i) % 7) + 1 for i in range(4)]
-        den = [((s * (k + 2) + i) % 7) + 2 for i in range(4)]
-        pts.append(tuple(Fraction(num[i], den[i] + num[i]) for i in range(4)))
+        den = [((s * (k + 2) + i) % 7) + 2 + num[i] for i in range(4)]
+        q = math.lcm(*den)
+        pts.append((tuple(n * (q // d) for n, d in zip(num, den)), q))
     return pts
 
 
@@ -351,7 +354,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam)
     csym, cnum = geo.coframe, geo_num.coframe
 
-    rank = lam_rank(lam, csym)
+    rank = held_in(gauge, "lam-rank", lambda: lam_rank(lam, csym))
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 
@@ -370,9 +373,9 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "reduction-first-integral", _reduction, gauge)
     _ck(checks, "u-substitution-identity", lambda: (not any(anomaly.u_substitution_residuals()), None, {}))
 
-    # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2
-    absA2q = abs_A_squared(cnum).as_fraction()
-    lam2q = lam_squared(lam, cnum).as_fraction()
+    # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2; |A|^2 and lam^2 are held
+    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(cnum).as_fraction())
+    lam2q = held_in(gauge_num, "lam-squared", lambda: lam_squared(lam, cnum).as_fraction())
     values["absA2"] = absA2q
     values["lam2"] = lam2q
 
@@ -396,10 +399,10 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
             worst_per = numeric.max_error(
                 abs(weierstrass_p(x[0] + 2 * tau, d)[0] - wp[0]) for x, wp in zip(pts, wps)
             )
-            # one table per line point feeds the first integral (C0 = 0) and the reduced residual
+            # one table of the line points feeds the first integral (C0 = 0) and the reduced residual
             first, ode = numeric.Sweep((anomaly.first_integral(),)), numeric.Sweep((gauge_num.reduced_residual,))
-            assis = _tables(prof, pts, (first, ode), {"alpha": alpha, "absA2": absA2n})
-            return worst_ode, worst_per, _float_sweep(first, assis), _float_sweep(ode, assis)
+            table = _table(prof, pts, (first, ode), {"alpha": alpha, "absA2": absA2n})
+            return worst_ode, worst_per, _float_sweep(first, table), _float_sweep(ode, table)
 
         # alpha, d and tau read only the numeric gauge's |A|^2 and lam^2, so its maxima are held with it
         worst_ode, worst_per, worst_first, worst_res = held_in(
@@ -443,7 +446,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "p1-difference-closed-form", _p1_difference, gauge)
 
     # engine-derived constant c*: e^{2f} = c*/|x-e|^2 kills the residual
-    absA2q = abs_A_squared(cnum).as_fraction()
+    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(cnum).as_fraction())
 
     def _cstar():
         # residual on the profile: lap e^{2f} = 0 and lap e^{-2f} = 8/c exactly,
@@ -483,14 +486,14 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     A_num, npoints = _params(name, dim, config, ("A", "npoints"), overrides)
     geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    absA2q = abs_A_squared(geo_num.coframe).as_fraction()
+    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(geo_num.coframe).as_fraction())
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
 
     prof = profile("ball", absA2=absA2q)
 
     def _ball_equation():
-        pts = [tuple(v / 2 for v in x) for x in _rational_points(seed)]  # keep |x| < 1
+        pts = [(nums, 2 * q) for nums, q in _rational_points(seed)]  # halved, to keep |x| < 1
         (vals,) = _exact_sweep(prof, pts, (ring.onshell_factor(rat(absA2q)),))
         return all(v == 0 for v in vals), None, {"points": len(vals)}
 
@@ -502,15 +505,15 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
         sweep = held_in(geo_num, "instanton-dT-sweep", lambda: numeric.Sweep(
             [*geo_num.instanton_minus.values(), *geo_num.dT.comps.values()]))
         pts = numeric.profile_points(prof, n=npoints, seed=seed)
-        worst = _float_sweep(sweep, _tables(prof, pts, (sweep,)))
+        worst = _float_sweep(sweep, _table(prof, pts, (sweep,)))
         return worst <= 1e-9, worst, {"points": len(pts)}
 
     _ck(checks, "instanton-and-closed-torsion-numeric", _numeric_residuals)
 
     def _normalization_probe():
         sweeps = {phi_factor: numeric.Sweep((e,)) for phi_factor, e in geo_num.scalar_identity.items()}
-        assis = _tables(prof, numeric.profile_points(prof, n=16, seed=seed + 7), sweeps.values())
-        outcome = {f"phi={phi_factor}f": _float_sweep(sweep, assis) for phi_factor, sweep in sweeps.items()}
+        table = _table(prof, numeric.profile_points(prof, n=16, seed=seed + 7), sweeps.values())
+        outcome = {f"phi={phi_factor}f": _float_sweep(sweep, table) for phi_factor, sweep in sweeps.items()}
         satisfied = [k for k, v in outcome.items() if v <= 1e-8]
         values["scalar_identity_normalization"] = satisfied
         values["scalar_identity_residuals"] = outcome
@@ -584,8 +587,8 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
             for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
         }
         pts = numeric.profile_points(prof, n=12, seed=seed)
-        assis = _tables(prof, pts, dropped.values())
-        maxima = {e: _float_sweep(sweep, assis) for e, sweep in dropped.items()}
+        table = _table(prof, pts, dropped.values())
+        maxima = {e: _float_sweep(sweep, table) for e, sweep in dropped.items()}
         r1 = maxima[0.1] / maxima[0.01]
         r2 = maxima[0.01] / maxima[0.001]
         ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0

@@ -4,9 +4,11 @@ The wedge and exterior derivative follow the per-pair algorithm: one
 ``CoefExpr`` product per index pair, negated when the merge sign is odd,
 summed into the result with ``+``.  The merge sign is counted here from
 inversions, so a sign dropped anywhere in ``nilforms.forms`` cannot cancel
-out of a comparison with these.  The float evaluation, the ball's float jets
-and the G2/SU(2) projections are the per-call loops the cached plans and
-tables replaced, with every float operation in the same order; the exact
+out of a comparison with these.  The float evaluation, the ball's float jets,
+the chain rule of a profile's jets and the G2/SU(2) projections are the
+per-call, one-point loops the cached plans and column tables replaced, with
+every float operation in the same order; the Halton radical inverse is the
+digit-by-digit loop its integer recurrence replaced; the exact
 evaluation is the term-by-term Fraction walk the integer sums replaced, and
 the ring products, sums and substitutions are the Fraction-per-term walks
 the integer-numerator kernels replaced.  Strict JSON is the copy-then-dump
@@ -26,6 +28,7 @@ import math
 from fractions import Fraction
 
 from nilforms import ring
+from nilforms.elliptic import weierstrass_p
 from nilforms.connection import ConnectionForms, build_instanton_DLambda, curvature, koszul, pontryagin4, scalar_curvature
 from nilforms.forms import OMEGA, SIGMA, CoframeSpec, FormExpr, df_form, exterior_derivative, hodge_star
 from nilforms.gstruct import direct_torsion, structure, torsion_norm_squared
@@ -200,6 +203,39 @@ def substitute_reference(e, mapping: dict):
 # ---------------------------------------------------------------------------
 # float evaluation, ball jets and structure projections, one call at a time
 
+def column_table(tables) -> dict:
+    """One float table of columns from one-point tables with the same symbols: {symbol: [value per table]}."""
+    return {sym: [t[sym] for t in tables] for sym in tables[0]} if tables else {}
+
+
+def radical_inverse(k: int, base: int, perm) -> float:
+    """The base-b digits of k, each mapped through perm, mirrored about the point."""
+    num, den = 0, 1
+    while k:
+        k, digit = divmod(k, base)
+        num = num * base + perm[digit]
+        den *= base
+    return num / den
+
+
+def half_log_jets(g, gi, gij, gijk) -> dict:
+    """{jet symbol: value} of (1/2) log g at one point from the jets of g there (keys: index tuples)."""
+    jets = {}
+    g2 = g * g
+    g3 = g2 * g
+    for idx in [(i,) for i in ring.COORDS] + list(gij) + list(gijk):
+        if len(idx) == 1:
+            jets[ring.jet_sym(*idx)] = gi[idx[0]] / (2 * g)
+        elif len(idx) == 2:
+            i, j = idx
+            jets[ring.jet_sym(*idx)] = gij[idx] / (2 * g) - gi[i] * gi[j] / (2 * g2)
+        else:
+            i, j, k = idx
+            s = gij[(i, j)] * gi[k] + gij[(i, k)] * gi[j] + gij[(j, k)] * gi[i]
+            jets[ring.jet_sym(*idx)] = gijk[idx] / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3
+    return jets
+
+
 def evaluate_reference(e, table) -> float:
     """CoefExpr.evaluate term by term: sorted, decoded and converted on every call."""
     total = 0.0
@@ -252,6 +288,37 @@ def ball_jets_reference(absA2, x) -> dict:
             for k in ring.COORDS[j - 1:]:
                 s = gij(i, j) * gi[k] + gij(i, k) * gi[j] + gij(j, k) * gi[i]
                 out[ring.jet_sym(i, j, k)] = float((0 * g) / (2 * g) - s / (2 * g2) + gi[i] * gi[j] * gi[k] / g3)
+    return out
+
+
+def profile_jets_reference(prof, x) -> dict:
+    """prof's float table at the one point x: f and every jet, by the one-point
+    jets of P and the chain rule half_log_jets, as each profile computed them."""
+    I2 = [(i, j) for i in ring.COORDS for j in ring.COORDS if i <= j]
+    I3 = [(i, j, k) for (i, j) in I2 for k in ring.COORDS if j <= k]
+    scale, s = 1, 1
+    if prof.name == "ball":
+        return ball_jets_reference(prof.params["absA2"], x)
+    if prof.name == "fundamental":
+        cent = prof.params["center"]
+        y = [x[i] - cent[i] for i in range(4)]
+        g, gi = sum(v * v for v in y), {i: 2 * y[i - 1] for i in ring.COORDS}
+        gij, gijk = {idx: 2 * (idx[0] == idx[1]) for idx in I2}, dict.fromkeys(I3, 0)
+        scale, s = prof.params["c"], -1
+    elif prof.name == "weierstrass":
+        d, a2 = prof.params["d"], prof.params["alpha"] * prof.params["alpha"]
+        u, up = weierstrass_p(float(x[0]), d)
+        g = a2 * u
+        gi, gij, gijk = dict.fromkeys(ring.COORDS, 0.0), dict.fromkeys(I2, 0.0), dict.fromkeys(I3, 0.0)
+        gi[1] = a2 * up
+        gij[(1, 1)] = a2 * (6.0 * u * u - 2.0 * d * d)
+        gijk[(1, 1, 1)] = a2 * 12.0 * u * up
+    else:
+        g, gi, gij, gijk = 1.0, dict.fromkeys(ring.COORDS, 0.0), dict.fromkeys(I2, 0.0), dict.fromkeys(I3, 0.0)
+        scale = math.exp(2.0 * prof.params["f0"])
+    out = {ring.jet_sym(): 0.5 * math.log(scale) + 0.5 * s * math.log(g)}
+    for sym, val in half_log_jets(g, gi, gij, gijk).items():
+        out[sym] = float(val) if s > 0 else -float(val)
     return out
 
 

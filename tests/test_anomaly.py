@@ -369,10 +369,9 @@ def test_to_u_polynomial_semantics():
     uv, u1v, av, qv = 2.0, 3.0, 1.5, 0.7
     fval = 0.5 * math.log(av * av * uv)
     c = ring.const_sym
-    lhs = (uv ** mu) * (av ** ma) * e.evaluate(
-        {ring.jet_sym(1): u1v / (2 * uv), ring.jet_sym(): fval, c("q"): qv}
-    )
-    rhs = P.evaluate({c("u"): uv, c("u1"): u1v, c("alpha"): av, c("q"): qv})
+    [value] = e.evaluate({ring.jet_sym(1): [u1v / (2 * uv)], ring.jet_sym(): [fval], c("q"): [qv]})
+    lhs = (uv ** mu) * (av ** ma) * value
+    [rhs] = P.evaluate({c("u"): [uv], c("u1"): [u1v], c("alpha"): [av], c("q"): [qv]})
     assert abs(lhs - rhs) < 1e-9
 
 
@@ -421,6 +420,6 @@ def test_weierstrass_profile_satisfies_first_integral():
     prof = profile("weierstrass", d=d, alpha=alpha)
     tau = half_period(d)
     first = solv4_lhs(const("absA2"))
-    for x in (0.3 * tau, 0.9 * tau, 1.5 * tau):
-        assi = numeric.build_assignment(prof, (x, 0.0, 0.0, 0.0), {"absA2": absA2, "alpha": alpha})
-        assert abs(first.evaluate(assi)) < 1e-9
+    pts = [(x, 0.0, 0.0, 0.0) for x in (0.3 * tau, 0.9 * tau, 1.5 * tau)]
+    values = first.evaluate(numeric.build_assignment(prof, pts, {"absA2": absA2, "alpha": alpha}))
+    assert len(values) == 3 and all(abs(v) < 1e-9 for v in values)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_forms
 from nilforms import numeric, ring
 from nilforms.frames import quaternionic_heisenberg
 from nilforms.gstruct import direct_torsion
@@ -27,23 +29,23 @@ def ball_pts(ball):
 
 
 def test_build_assignment_merges_consts(ball):
-    assi = numeric.build_assignment(ball, (0, 0, 0, 0), {"q": 2, const_sym("p"): 3})
-    assert assi[const_sym("q")] == 2.0
-    assert assi[const_sym("p")] == 3.0
-    assert assi[jet_sym()] == pytest.approx(0.5 * math.log(0.75))
-    assert assi[jet_sym(1)] == 0.0
+    assi = numeric.build_assignment(ball, [(0, 0, 0, 0), (0.5, 0, 0, 0)], {"q": 2, const_sym("p"): 3})
+    assert assi[const_sym("q")] == [2.0, 2.0]
+    assert assi[const_sym("p")] == [3.0, 3.0]
+    assert assi[jet_sym()] == [pytest.approx(0.5 * math.log(0.75)), pytest.approx(0.5 * math.log(0.75 * 0.75))]
+    assert assi[jet_sym(1)][0] == 0.0 and assi[jet_sym(1)][1] < 0.0
 
 
 def test_build_assignment_feeds_evaluate(ball):
-    x = (0.1, 0.0, -0.1, 0.0)
-    g = float(ball.e2f(x))
-    assi = numeric.build_assignment(ball, x, {"q": 2})
+    pts = [(0.1, 0.0, -0.1, 0.0), (0.0, 0.3, 0.0, -0.2), (0.0, 0.0, 0.0, 0.0)]
+    g = [float(ball.e2f(x)) for x in pts]
+    assi = numeric.build_assignment(ball, pts, {"q": 2})
     assert expf(2).evaluate(assi) == pytest.approx(g)
-    assert (const("q") * expf(2)).evaluate(assi) == pytest.approx(2 * g)
+    assert (const("q") * expf(2)).evaluate(assi) == pytest.approx([2 * v for v in g])
     gh = quaternionic_heisenberg()
     form = gh.form(1, {(1,): expf(2), (2,): ring.rat(5)})
     vals = {idx: coef.evaluate(assi) for idx, coef in form.comps.items()}
-    assert vals == {(1,): pytest.approx(g), (2,): 5.0}
+    assert vals == {(1,): pytest.approx(g), (2,): [5.0] * 3}
 
 
 def test_halton_points_deterministic_and_boxed():
@@ -66,6 +68,46 @@ def test_a_box_of_other_than_four_pairs_is_refused(pairs):
 def test_halton_starvation():
     with pytest.raises(RuntimeError, match="admissible"):
         numeric.halton_points(3, 0, ((-1, 1),) * 4, accept=lambda p: False, max_rounds=2)
+
+
+def _halton_reference(n, seed, box, accept, max_rounds=64):
+    """halton_points by the digit-by-digit radical inverse, one point at a time."""
+    rng = random.Random(seed)
+    bases = (2, 3, 5, 7)
+    perms = [[0] + rng.sample(range(1, b), b - 1) for b in bases]
+    pts, k = [], 0
+    for _ in range(max_rounds):
+        for _ in range(max(n, 8)):
+            k += 1
+            p = tuple(float(lo) + (float(hi) - float(lo)) * naive_forms.radical_inverse(k, b, perm)
+                      for (lo, hi), b, perm in zip(box, bases, perms))
+            if accept(p):
+                pts.append(p)
+                if len(pts) == n:
+                    return pts
+    raise RuntimeError("starved")
+
+
+def test_halton_points_are_the_digit_loops_bit_for_bit():
+    # the recurrence on exact integers divides once, as the digit loop does, and accept
+    # is still asked of each point in turn (here it rejects about half of them)
+    rng, rejected = random.Random(7), 0
+    for seed in range(120):
+        n = rng.choice([1, 3, 8, 16, 64, 150])
+        box = tuple((rng.uniform(-2, 0), rng.uniform(0, 2)) for _ in range(4))
+        asked = []
+
+        def accept(p):
+            asked.append(p)
+            return sum(c * c for c in p) < 1.5
+
+        got = numeric.halton_points(n, seed, box, accept)
+        want_asked = []
+        want = _halton_reference(n, seed, box, lambda p: want_asked.append(p) or sum(c * c for c in p) < 1.5)
+        assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want], seed
+        assert asked == want_asked
+        rejected += len(asked) - len(got)
+    assert rejected > 1000
 
 
 @pytest.mark.parametrize("base, m", [(2, 5), (3, 3), (5, 2), (7, 2)])
@@ -101,12 +143,12 @@ def test_fd_partial_check_sees_a_perturbed_jet(ball, ball_pts):
     e = expf(2) * jet(1) + jet(1, 2)
     good = numeric.assigner(ball)
 
-    def bad(x):
-        out = good(x)
-        out[jet_sym(1)] += 0.05
+    def bad(points):
+        out = good(points)
+        out[jet_sym(1)] = [v + 0.05 for v in out[jet_sym(1)]]
         return out
 
-    assert bad((0, 0, 0, 0))[jet_sym(1)] == pytest.approx(0.05)
+    assert bad([(0, 0, 0, 0)])[jet_sym(1)] == [pytest.approx(0.05)]
     assert numeric.fd_partial_check(e, bad, ball_pts) > 1e-3
 
 
@@ -141,10 +183,11 @@ def test_fd_checks_report_a_nan_sample(ball, ball_pts):
     good = numeric.assigner(ball)
     last = ball_pts[-1]
 
-    def poisoned(x):  # nan jets around the last sample point only
-        out = good(x)
-        if max(abs(a - b) for a, b in zip(x, last)) < 1e-3:
-            out[jet_sym(1)] = float("nan")
+    def poisoned(points):  # nan jets around the last sample point only
+        out = good(points)
+        for p, x in enumerate(points):
+            if max(abs(a - b) for a, b in zip(x, last)) < 1e-3:
+                out[jet_sym(1)][p] = float("nan")
         return out
 
     e = expf(2) * jet(1) + jet(1, 2)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,18 +14,28 @@ from call_counts import call_counts, count
 from nilforms import ring
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
-from nilforms.profiles import JETS, PROFILES, BadParams, profile
+from nilforms.profiles import JETS, PROFILES, BadParams, over_one_denominator, profile
 from nilforms.ring import jet_sym, lap_e2f
 from nilforms.scenarios import _rational_points
 
 
+def _at(prof, x, want=JETS) -> dict:
+    """prof's float table at the one point x: {symbol: value}."""
+    return {sym: col[0] for sym, col in prof.jets([x], want).items()}
+
+
+def _exact_at(prof, x, want=JETS):
+    """prof.jets_exact at a point of rationals."""
+    return prof.jets_exact(over_one_denominator(x), want)
+
+
 def _fd_jet_check(prof, x, coords=(1, 2, 3, 4), step=1e-5, tol=5e-8):
     """First/second/third jets against central differences of lower jets."""
-    base = prof.jets(x)
+    base = _at(prof, x)
     for i in coords:
         xp = tuple(c + (step if k == i - 1 else 0.0) for k, c in enumerate(x))
         xm = tuple(c - (step if k == i - 1 else 0.0) for k, c in enumerate(x))
-        up, um = prof.jets(xp), prof.jets(xm)
+        up, um = _at(prof, xp), _at(prof, xm)
         for idx in [()] + [(j,) for j in coords] + [(j, k) for j in coords for k in coords if j <= k]:
             if len(idx) == 3:
                 continue
@@ -67,7 +78,7 @@ def test_ball_rejects_nonpositive_absA2():
 def test_ball_solves_laplace_identity_exactly():
     prof = profile("ball", absA2=3)
     for x in ((Fraction(1, 5), Fraction(-1, 3), 0, Fraction(1, 2)), (0, 0, 0, 0)):
-        g, D, nums = prof.jets_exact(x)
+        g, D, nums = _exact_at(prof, x)
         val = ring.evaluate_exact(lap_e2f(), nums, D, g)
         assert val + 2 * Fraction(3) == 0
 
@@ -79,10 +90,11 @@ def test_ball_fd_jets():
 @pytest.mark.parametrize("absA2", [Fraction(7, 3), 3, Fraction(1, 10**9), 0.7])
 def test_ball_float_jets_match_the_mixed_fraction_formula_bit_for_bit(absA2):
     prof = profile("ball", absA2=absA2)
-    for x in profile_points(prof, n=12, seed=2):
+    pts = profile_points(prof, n=12, seed=2)
+    table = prof.jets(pts)
+    for p, x in enumerate(pts):
         want = naive_forms.ball_jets_reference(absA2, x)
-        got = prof.jets(x)
-        assert {sym: float.hex(v) for sym, v in got.items()} == {sym: float.hex(v) for sym, v in want.items()}
+        assert {sym: float.hex(col[p]) for sym, col in table.items()} == {sym: float.hex(v) for sym, v in want.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +112,7 @@ def test_fundamental_defaults_and_guards():
 def test_fundamental_is_exactly_harmonic():
     prof = profile("fundamental", c=5, center=(1, 0, 0, 0))
     for x in ((Fraction(1, 3), Fraction(1, 2), 0, Fraction(-2, 5)), (0, 1, 1, 0)):
-        g, D, nums = prof.jets_exact(x)
+        g, D, nums = _exact_at(prof, x)
         assert ring.evaluate_exact(lap_e2f(), nums, D, g) == 0
 
 
@@ -140,9 +152,9 @@ def test_weierstrass_value_and_fd_jets():
     tau = half_period(1.0)
     x = (0.8 * tau, 0.0, 0.0, 0.0)
     u, _ = weierstrass_p(x[0], 1.0)
-    assert prof.jets(x)[jet_sym()] == pytest.approx(0.5 * math.log(alpha * alpha * u))
+    assert _at(prof, x)[jet_sym()] == pytest.approx(0.5 * math.log(alpha * alpha * u))
     _fd_jet_check(prof, x, coords=(1,), tol=5e-7)
-    jets = prof.jets(x)
+    jets = _at(prof, x)
     assert jets[jet_sym(2)] == 0.0 and jets[jet_sym(2, 3)] == 0.0
 
 
@@ -151,18 +163,18 @@ def test_weierstrass_value_and_fd_jets():
 
 def test_constant_profile():
     prof = profile("constant", f0=0.25)
-    assert prof.jets((9.0, 9.0, 9.0, 9.0))[jet_sym()] == pytest.approx(0.25)
-    jets = prof.jets((0, 0, 0, 0))
+    assert _at(prof, (9.0, 9.0, 9.0, 9.0))[jet_sym()] == pytest.approx(0.25)
+    jets = _at(prof, (0, 0, 0, 0))
     assert all(v == 0.0 for k, v in jets.items() if k != jet_sym())
     assert prof.singular_distance((0, 0, 0, 0)) == math.inf
     with pytest.raises(BadParams):
-        prof.jets_exact((0, 0, 0, 0))
+        _exact_at(prof, (0, 0, 0, 0))
 
 
 def test_constant_profile_keeps_a_tiny_e2f():
     prof = profile("constant", f0=-200)
-    assert prof.jets((0, 0, 0, 0))[jet_sym()] == pytest.approx(-200.0)
-    assert all(v == 0.0 for k, v in prof.jets((0, 0, 0, 0)).items() if k != jet_sym())
+    assert _at(prof, (0, 0, 0, 0))[jet_sym()] == pytest.approx(-200.0)
+    assert all(v == 0.0 for k, v in _at(prof, (0, 0, 0, 0)).items() if k != jet_sym())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +240,7 @@ def test_exact_jets_match_sympy_derivatives(absA2, c, center, xb, xf):
         at = {absA2_s: absA2, c_s: c, **dict(zip(x, pt)), **dict(zip(x0, center))}
         memo: dict = {}
         g_s, d = oracle[name]
-        g, D, nums = prof.jets_exact(pt)
+        g, D, nums = _exact_at(prof, pt)
         assert g == _exact_value(g_s, at, memo), name
         assert {sym: Fraction(n, D) for sym, n in nums.items()} == {
             jet_sym(*idx): _exact_value(e, at, memo) for idx, e in d.items()}, name
@@ -238,7 +250,7 @@ def test_exact_jets_match_sympy_derivatives(absA2, c, center, xb, xf):
 def test_exact_jets_build_one_fraction_per_point(name, params, shrink):
     # g alone: every jet is an int over the point's one denominator
     prof = profile(name, **params)
-    pts = [tuple(v / shrink for v in x) for x in _rational_points(0)]  # the ball needs |x| < 1
+    pts = [(nums, shrink * q) for nums, q in _rational_points(0)]  # the ball needs |x| < 1
     calls = count(call_counts(lambda: [prof.jets_exact(x) for x in pts]), Fraction.__new__)
     assert calls <= len(pts)
 
@@ -261,7 +273,7 @@ _float_coord = st.floats(-0.45, 0.45, allow_nan=False)
 def test_requested_float_jets_are_the_full_tables_bits(name, want, x):
     prof = _ONE_OF_EACH[name]
     assume(prof.in_domain(x) and prof.singular_distance(x) >= 1e-3)
-    full, got = prof.jets(x), prof.jets(x, want)
+    full, got = _at(prof, x), _at(prof, x, want)
     assert set(got) == {jet_sym(), *want}
     assert {sym: float.hex(v) for sym, v in got.items()} == {sym: float.hex(full[sym]) for sym in got}
 
@@ -273,5 +285,36 @@ def test_requested_exact_jets_are_the_full_table_restricted(want, xb, xf):
         prof = _ONE_OF_EACH[name]
         if not prof.in_domain(x):
             continue
-        g, D, full = prof.jets_exact(x)
-        assert prof.jets_exact(x, want) == (g, D, {sym: full[sym] for sym in want if sym != jet_sym()}), name
+        g, D, full = _exact_at(prof, x)
+        assert _exact_at(prof, x, want) == (g, D, {sym: full[sym] for sym in want if sym != jet_sym()}), name
+
+
+# ---------------------------------------------------------------------------
+# a float table is columns over a point set
+
+_points = st.lists(st.tuples(*[_float_coord] * 4), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(PROFILES), want=_requests, pts=_points)
+def test_each_profiles_columns_are_the_one_point_chain_rule_bit_for_bit(name, want, pts):
+    prof = _ONE_OF_EACH[name]
+    pts = [x for x in pts if prof.in_domain(x) and prof.singular_distance(x) >= 1e-3]
+    table = prof.jets(pts, want)
+    assert set(table) == {jet_sym(), *want} and all(len(col) == len(pts) for col in table.values())
+    for p, x in enumerate(pts):
+        ref = naive_forms.profile_jets_reference(prof, x)
+        assert {sym: float.hex(col[p]) for sym, col in table.items()} == {sym: float.hex(ref[sym]) for sym in table}
+
+
+@pytest.mark.parametrize("name, outside", [("ball", (0.6, 0.0, 0.9, 0.0)),
+                                           ("fundamental", (Fraction(1, 3), 0, Fraction(-1, 4), 0)),
+                                           ("weierstrass", (0.0, 0.1, 0.2, 0.3))])
+def test_a_point_outside_the_domain_is_named(name, outside):
+    prof = _ONE_OF_EACH[name]
+    inside = [(0.1, 0.2, 0.0, -0.1), (0.3, -0.2, 0.1, 0.0)]
+    with pytest.raises(BadParams, match=rf"{name}: point {re.escape(repr(outside))} outside the domain"):
+        prof.jets([*inside, outside, (0.2, 0.1, 0.1, 0.1)])
+    if prof.exact:
+        with pytest.raises(BadParams, match=f"{name}: point .* outside the domain"):
+            _exact_at(prof, outside)

@@ -1,7 +1,6 @@
 """Coefficient-ring unit and property tests: arithmetic, jets, division, evaluation."""
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -17,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import naive_forms
 from call_counts import call_counts, count
 from nilforms import ring
-from nilforms.profiles import profile
+from nilforms.profiles import over_one_denominator, profile
 from nilforms.ring import (
     CoefExpr,
     JetOrderExceeded,
@@ -68,11 +67,12 @@ def _sym_value(sym) -> float:
 
 
 def _assignment(*exprs):
+    """A one-point float table of columns binding every symbol of exprs, and f."""
     out = {}
     for e in exprs:
         for sym in e.symbols():
-            out[sym] = _sym_value(sym)
-    out[ring.jet_sym()] = 0.3
+            out[sym] = [_sym_value(sym)]
+    out[ring.jet_sym()] = [0.3]
     return out
 
 
@@ -194,8 +194,9 @@ def test_substitute_then_evaluate_matches_direct_evaluate(x):
     assign = _assignment(x)
     y = x.substitute({"a": rat(2)})
     assign2 = dict(assign)
-    assign2[("c", "a")] = 2.0
-    assert math.isclose(y.evaluate(assign2), x.evaluate(assign2), rel_tol=1e-12, abs_tol=1e-12)
+    assign2[("c", "a")] = [2.0]
+    [vy], [vx] = y.evaluate(assign2), x.evaluate(dict(assign2))
+    assert math.isclose(vy, vx, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def _to_sympy(sp, e):
@@ -266,14 +267,14 @@ def test_the_input_free_jet_forms_are_built_once_and_shared():
 @settings(max_examples=60, deadline=None)
 def test_evaluate_is_a_homomorphism(x, y):
     assign = _assignment(x, y)
-    vx, vy = x.evaluate(assign), y.evaluate(assign)
-    assert math.isclose((x + y).evaluate(assign), vx + vy, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose((x * y).evaluate(assign), vx * vy, rel_tol=1e-9, abs_tol=1e-9)
+    [vx], [vy] = x.evaluate(assign), y.evaluate(assign)
+    assert math.isclose((x + y).evaluate(assign)[0], vx + vy, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose((x * y).evaluate(assign)[0], vx * vy, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_evaluate_missing_symbol_raises():
     with pytest.raises(UnboundSymbol):
-        (const("q") * jet(1)).evaluate({("j", (1,)): 1.0})
+        (const("q") * jet(1)).evaluate({("j", (1,)): [1.0]})
     with pytest.raises(UnboundSymbol):
         expf(2).evaluate({})  # f value needed for the exponential
 
@@ -295,21 +296,57 @@ def float_plan_cases(draw):
     return ring.from_monomials(terms), tables
 
 
-@given(float_plan_cases())
-@settings(max_examples=80, deadline=None)
-def test_evaluate_plan_matches_the_per_term_loop_bit_for_bit(case):
+def _hex_or_nan(x: float) -> str:
+    return "nan" if math.isnan(x) else float.hex(x)
+
+
+def _column_values(e: CoefExpr, tables: list):
+    """e evaluated once on the column table of tables, as float.hex per point, or the name of what it raised."""
+    try:
+        return [_hex_or_nan(v) for v in e.evaluate(naive_forms.column_table(tables))]
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _reference_values(e: CoefExpr, tables: list):
+    """naive_forms.evaluate_reference at each table, as _column_values gives them."""
+    out = []
+    for table in tables:
+        try:
+            out.append(_hex_or_nan(naive_forms.evaluate_reference(e, table)))
+        except ArithmeticError as exc:
+            return type(exc).__name__
+    return out
+
+
+_WIDE_FLOATS = st.one_of(st.floats(-1.5, 1.5), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(float_plan_cases(), st.lists(st.fixed_dictionaries({sym: _WIDE_FLOATS for sym in _PLAN_SYMS}), max_size=2),
+       st.sampled_from(("case", "constant", "zero")))
+@settings(max_examples=120, deadline=None)
+def test_evaluate_plan_matches_the_per_term_loop_bit_for_bit(case, wide, kind):
+    # e^{kf} factors, powers up to three and int and Fraction coefficients, on
+    # finite tables and on tables with nan, inf and huge entries
     e, tables = case
-    for table in tables + tables[:1]:  # the first table again, on the kept plan
-        assert float.hex(e.evaluate(table)) == float.hex(naive_forms.evaluate_reference(e, table))
+    e = {"case": e, "constant": rat(-7, 3), "zero": ring.ZERO}[kind]
+    for points in (tables, tables + wide, tables[:1], wide):
+        if points:
+            assert _column_values(e, points) == _reference_values(e, points)
+    table = naive_forms.column_table(tables)
+    first = e.evaluate(table)  # the plan and the e^{kf} columns are kept
+    assert [float.hex(v) for v in e.evaluate(table)] == [float.hex(v) for v in first]
 
 
 def test_evaluate_computes_each_e_kf_once_per_table(monkeypatch):
-    # elements evaluated on one table share e^{kf}: one math.exp per distinct k, and every value
-    # is bit for bit the per-term loop's, which calls math.exp for each term with k != 0
+    # elements evaluated on one table share e^{kf}: one math.exp per point and distinct k, and
+    # every value is bit for bit the per-term loop's, which calls math.exp for each term with k != 0
     exprs = [expf(2) * const("a") + expf(-2) * jet(1) - expf(2) * rat(1, 3),
              expf(-2) * jet(1, 2) ** 2 + const("a"), ring.lap_e2f(), ring.lap_e_m2f(), expf(4) + expf(2) * jet(1)]
-    values = {**profile("ball", absA2=3).jets((0.1, 0.2, -0.15, 0.05)), ring.const_sym("a"): 0.75}
-    want = [float.hex(naive_forms.evaluate_reference(e, values)) for e in exprs]
+    pts = [(0.1, 0.2, -0.15, 0.05), (-0.3, 0.0, 0.25, 0.1), (0.0, 0.0, 0.0, 0.0)]
+    values = {**profile("ball", absA2=3).jets(pts), ring.const_sym("a"): [0.75] * 3}
+    points = [{sym: col[p] for sym, col in values.items()} for p in range(3)]
+    want = [[float.hex(naive_forms.evaluate_reference(e, t)) for t in points] for e in exprs]
     exp, calls = math.exp, []
 
     def counted(x):
@@ -318,22 +355,19 @@ def test_evaluate_computes_each_e_kf_once_per_table(monkeypatch):
 
     monkeypatch.setattr(math, "exp", counted)
     table = dict(values)
-    assert [float.hex(e.evaluate(table)) for e in exprs] == want
-    f = values[ring.jet_sym()]
-    assert sorted(calls) == sorted(k * f for k in (-2, 2, 4))
-    assert [float.hex(e.evaluate(table)) for e in exprs] == want and len(calls) == 3  # read off the table
+    assert [[float.hex(v) for v in e.evaluate(table)] for e in exprs] == want
+    fs = values[ring.jet_sym()]
+    assert sorted(calls) == sorted(k * f for k in (-2, 2, 4) for f in fs)
+    assert [[float.hex(v) for v in e.evaluate(table)] for e in exprs] == want and len(calls) == 9  # read off the table
 
 
 def _abs_value(e: CoefExpr, table: dict) -> str:
-    """|e| at a copy of table as float.hex, "nan" for any nan, or the name of the exception evaluate raised."""
+    """|e| at a one-point table as float.hex, "nan" for any nan, or the name of the exception evaluate raised."""
     try:
-        value = abs(e.evaluate(dict(table)))
+        [value] = e.evaluate(naive_forms.column_table([table]))
     except ArithmeticError as exc:
         return type(exc).__name__
-    return "nan" if math.isnan(value) else float.hex(value)
-
-
-_WIDE_FLOATS = st.one_of(st.floats(-1.5, 1.5), st.floats(allow_nan=True, allow_infinity=True))
+    return _hex_or_nan(abs(value))
 
 
 @given(float_plan_cases(), st.lists(st.fixed_dictionaries({sym: _WIDE_FLOATS for sym in _PLAN_SYMS}), max_size=2))
@@ -358,26 +392,28 @@ def test_distinct_up_to_sign_keeps_the_first_of_each_class_in_order():
 @settings(max_examples=40, deadline=None)
 def test_evaluate_plan_raises_for_an_unbound_symbol_on_every_call(case, missing):
     e, tables = case
-    e.evaluate(tables[0])  # the plan now exists
-    short = {sym: v for sym, v in tables[1].items() if sym != missing}
+    e.evaluate(naive_forms.column_table(tables))  # the plan now exists
+    short = [{sym: v for sym, v in t.items() if sym != missing} for t in tables[1:]]
     needs_it = missing in e.symbols() or (missing == ring.jet_sym() and any(k for _, k, _ in e.monomials()))
     for _ in range(2):
         if needs_it:
-            for fn in (e.evaluate, functools.partial(naive_forms.evaluate_reference, e)):
-                with pytest.raises(UnboundSymbol):
-                    fn(short)
+            with pytest.raises(UnboundSymbol):
+                e.evaluate(naive_forms.column_table(short))
+            with pytest.raises(UnboundSymbol):
+                naive_forms.evaluate_reference(e, short[0])
         else:
-            assert float.hex(e.evaluate(short)) == float.hex(naive_forms.evaluate_reference(e, short))
+            assert _column_values(e, short) == _reference_values(e, short)
 
 
 def test_evaluate_raises_for_f_under_an_exponential_before_and_after_the_plan():
     e = expf(-2) * rat(3, 7) + const("a") ** 3
-    table = {ring.const_sym("a"): 0.5}
+    table = {ring.const_sym("a"): [0.5, -2.0]}
     for _ in range(2):
         with pytest.raises(UnboundSymbol):
             e.evaluate(table)
-    full = {**table, ring.jet_sym(): 0.25}
-    assert float.hex(e.evaluate(full)) == float.hex(naive_forms.evaluate_reference(e, full))
+    full = {**table, ring.jet_sym(): [0.25, -1.0]}
+    assert _column_values(e, [{sym: col[p] for sym, col in full.items()} for p in range(2)]) == [
+        float.hex(naive_forms.evaluate_reference(e, {sym: col[p] for sym, col in full.items()})) for p in range(2)]
     with pytest.raises(UnboundSymbol):
         e.evaluate(table)
 
@@ -448,7 +484,7 @@ def test_evaluate_exact_matches_the_term_by_term_walk(data, odd):
 def test_evaluate_exact_builds_one_fraction_per_call():
     e = p_laplacian4() * rat(3, 7) + hessian2() * expf(-2) * const("a") + flat_laplacian(expf(2)) * rat(-1, 5)
     x = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 7))
-    g, D, nums = profile("fundamental", c=3).jets_exact(x)
+    g, D, nums = profile("fundamental", c=3).jets_exact(over_one_denominator(x))
     nums = {sym: 3 * n for sym, n in nums.items()}  # over 3D, with a = -2/3
     nums[ring.const_sym("a")] = -2 * D
     assert count(call_counts(lambda: [evaluate_exact(e, nums, 3 * D, g) for _ in range(5)]), Fraction.__new__) == 5
@@ -537,8 +573,8 @@ def test_two_hessian_on_radial_quadratic():
     assign = {}
     for i in (1, 2, 3, 4):
         for j in (1, 2, 3, 4):
-            assign[ring.jet_sym(i, j)] = 2.0 if i == j else 0.0
-    assert hessian2().evaluate(assign) == pytest.approx(24.0)
+            assign[ring.jet_sym(i, j)] = [2.0 if i == j else 0.0]
+    assert hessian2().evaluate(assign) == [pytest.approx(24.0)]
 
 
 # ---------------------------------------------------------------------------
