@@ -13,7 +13,6 @@ the Weierstrass cubic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import ring
@@ -114,52 +113,38 @@ def held_gauge(geo: Geometry, kind: str, rows) -> Gauge:
 
 
 def family_residual(family: Geometry, kind: str) -> CoefExpr:
-    """The anomaly residual (alphaP symbolic) of the gauge of kind with symbolic rows on a family frame.
+    """The anomaly residual (alphaP symbolic) of the gauge of kind with one free symbol per entry on a family frame.
 
-    D_Lambda's rows are Lambda = u v^T with symbols Lu1..Lu3 and Lv1..,
-    which every Lambda of rank at most one specialises, so no rank test;
-    D_B's are the symbols B11.., one per entry.  Built on first use, never
-    at import, from a Gauge of this call alone, and only the residual is
-    kept, in family.held.
+    Entry (r, m) of the matrix, in the shape gauge_rows gives, is the
+    constant named kind + "rm" (DLambda11.., DB11..), so one expression
+    builds both kinds' rows.  Only the ebar^{1234} component of the gauge's
+    p1 goes into _residual, and for every Lambda it is the one a numeric
+    Lambda of rank <= 1 gives: in p1 = sum Omega ^ Omega with Omega =
+    d omega + omega ^ omega, d omega is horizontal and linear in Lambda A
+    while omega ^ omega lives on the fibre legs, so that component is a
+    quadratic form in Lambda A, and rank <= 1, which anomaly_residual asks
+    first, only makes the other components vanish.  Built on first use,
+    never at import, from a Gauge of this call alone, and only the residual
+    is kept, in family.held.
     """
     def build() -> CoefExpr:
-        nfib = family.coframe.dim - 4
-        if kind == "DLambda":
-            rows = tuple(tuple(const(f"Lu{r}") * const(f"Lv{col}") for col in range(1, nfib + 1)) for r in (1, 2, 3))
-        else:
-            rows = tuple(tuple(const(f"B{r}{m}") for m in (1, 2, 3)) for r in range(1, nfib + 1))
-        return _residual(family, Gauge(family.coframe, kind, rows).p1, const("alphaP"))
+        c = family.coframe
+        nrows, ncols = (3, c.dim - 4) if kind == "DLambda" else (c.dim - 4, 3)
+        rows = tuple(tuple(const(f"{kind}{r}{m}") for m in range(1, ncols + 1)) for r in range(1, nrows + 1))
+        p1 = Gauge(c, kind, rows).p1
+        return _residual(family, FormExpr(c, 4, {HORIZONTAL: p1.comps[HORIZONTAL]}), const("alphaP"))
 
     return held_in(family, ("family-residual", kind), build)
 
 
-def _row_values(kind: str, rows, c: CoframeSpec) -> dict | None:
-    """{family_residual symbol: number} that gives the numeric rows, or None when there is none.
+def _row_values(kind: str, rows) -> dict | None:
+    """{family_residual symbol: number} of each entry of rows as gauge_rows reads them, or None when one is no number.
 
-    A Lambda is factored exactly as u v^T: u is the column of its first
-    nonzero entry, over the gcd of that column when its entries are
-    integers, and v that entry's row over u's entry; Lambda = 0 has u = 0.
-    So an integer Lambda gets integer u and v, and its substituted residual
-    is summed in ints rather than Fractions.  A Lambda of rank two, or rows
-    holding a symbol, has no such values.
+    An int entry goes in as an int, so an integer matrix is summed in ints.
     """
-    mat = [[x.as_number() for x in r] for r in gauge_rows(kind, rows, c)]
-    if any(x is None for r in mat for x in r):
-        return None
-    if kind == "DB":
-        return {ring.const_sym(f"B{r}{m}"): x for r, row in enumerate(mat, 1) for m, x in enumerate(row, 1)}
-    pivot = next(((r, col) for r, row in enumerate(mat) for col, x in enumerate(row) if x), None)
-    if pivot is None:
-        u, v = [0] * 3, [0] * len(mat[0])
-    else:
-        r0, c0 = pivot
-        col = [row[c0] for row in mat]
-        g = math.gcd(*col) if all(type(x) is int for x in col) else 1
-        u = [x // g for x in col] if g > 1 else col
-        v = [x // u[r0] if not x % u[r0] else Fraction(x, u[r0]) for x in mat[r0]]
-        if any(x != a * b for row, a in zip(mat, u) for x, b in zip(row, v)):
-            return None  # rank two
-    return {ring.const_sym(f"L{side}{n}"): x for side, vec in (("u", u), ("v", v)) for n, x in enumerate(vec, 1)}
+    values = {ring.const_sym(f"{kind}{r}{m}"): x.as_number()
+              for r, row in enumerate(rows, 1) for m, x in enumerate(row, 1)}
+    return None if None in values.values() else values
 
 
 def _residual(geo: Geometry, p1g: FormExpr, alphaP: CoefExpr) -> CoefExpr:
@@ -176,15 +161,15 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     """Coefficient r with dT-bar - (alphaP/4)(8 pi^2 p1(nabla^-) - 8 pi^2 p1(D)) = -r e^{-4f} ebar^{1234}.
 
     D is a Gauge on c, or ('DLambda', rows) / ('DB', rows) for a gauge of
-    this call alone; a Lambda of rank two, or with a symbol, is refused
-    first.  The one place a gauge meets its family: on a numeric kA or h21
-    frame with numeric rows, r is one substitution of the family's held
-    residual (family_residual), the frame's numbers, the rows' values
-    (_row_values) and any alphaP other than the symbol alphaP going in
-    together; a Lambda with row values is u v^T, so only one without them
-    is ranked.  Elsewhere r is read off c's own dT and the gauge's p1.
-    Raises ValueError when the 4-form is not a pure volume multiple of the
-    horizontal legs (it always is for the catalogued frames).
+    this call alone.  The rows are read once (gauge_rows), and a Lambda of
+    rank two or more, or with a symbol, is refused on every call before the
+    route is chosen (lam_rank).  The one place a gauge meets its family: on
+    a numeric kA or h21 frame with numeric rows, r is one substitution of
+    the family's held residual (family_residual), the frame's numbers, the
+    entries' values (_row_values) and any alphaP other than the symbol
+    alphaP going in together.  Elsewhere r is read off c's own dT and the
+    gauge's p1.  Raises ValueError when the 4-form is not a pure volume
+    multiple of the horizontal legs (it always is for the catalogued frames).
     """
     if not isinstance(gauge, Gauge):
         kind, rows = gauge
@@ -192,9 +177,10 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     elif gauge.coframe is not c:
         raise DimensionMismatch("the gauge lives on a different coframe")
     geo = geometry(c)  # held for the call, so the gauge's reads share it
-    values = None if geo.family is None else _row_values(gauge.kind, gauge.rows, c)
-    if gauge.kind == "DLambda" and values is None and lam_rank(gauge.rows, c) > 1:
+    rows = gauge_rows(gauge.kind, gauge.rows, c)
+    if gauge.kind == "DLambda" and lam_rank(rows, c) > 1:
         raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
+    values = None if geo.family is None else _row_values(gauge.kind, rows)
     ap = _coef(alphaP)
     if values is None:
         return _residual(geo, gauge.p1, ap)

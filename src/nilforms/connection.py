@@ -13,7 +13,6 @@ Conventions (fixed throughout):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from . import ring
@@ -195,25 +194,28 @@ def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
 
 
 def lam_rank(lam, c: CoframeSpec) -> int:
-    """Rank of the lambda matrix over the rationals (entries must be numbers)."""
-    mat = [[e.as_fraction() for e in r] for r in gauge_rows("DLambda", lam, c)]
-    if any(v is None for r in mat for v in r):
+    """Rank of the lambda matrix over the rationals, read off its minors (entries must be numbers).
+
+    0 when every entry is zero, 1 when every 2x2 minor vanishes, 3 when the
+    3x3 determinant does not, else 2.  The minors are sums of products of
+    the entries as ints or Fractions, so nothing is divided and an integer
+    lambda makes no Fraction.
+    """
+    m = [[e.as_number() for e in r] for r in gauge_rows("DLambda", lam, c)]
+    if any(x is None for r in m for x in r):
         raise ValueError("rank needs numeric lambda entries")
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                fac = Fraction(mat[r][col], mat[row][col])  # exact; `/` on ints gives a float
-                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-    return rank
+    if not any(x for r in m for x in r):
+        return 0
+    cols = range(len(m[0]))
+
+    def minor(i, j, a, b):
+        return m[i][a] * m[j][b] - m[i][b] * m[j][a]
+
+    if not any(minor(i, j, a, b) for i, j in ((0, 1), (0, 2), (1, 2)) for a in cols for b in cols[a + 1:]):
+        return 1
+    if len(cols) == 3 and m[0][0] * minor(1, 2, 1, 2) - m[0][1] * minor(1, 2, 0, 2) + m[0][2] * minor(1, 2, 0, 1):
+        return 3
+    return 2
 
 
 def lam_A_product(lam, c: CoframeSpec):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import reduce
 from typing import Callable
 
 from .forms import FormExpr, exterior_derivative
@@ -138,14 +137,16 @@ def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None):
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 
-def worst_of(worst: float, err: float) -> float:
-    """max(worst, err), except that a nan wins: max(0.0, nan) is 0.0, which passes any tolerance."""
-    return err if err > worst or err != err else worst
-
-
 def max_error(errors) -> float:
-    """The largest of some non-negative errors, 0.0 for none, nan if any is nan."""
-    return reduce(worst_of, errors, 0.0)
+    """The largest of some non-negative errors, 0.0 for none, nan if any is nan.
+
+    Both folds run in C over one list: the sum of non-negative floats is nan
+    exactly when one of them is (max alone would pass a nan by), and max
+    finds the rest.
+    """
+    errors = list(errors)
+    total = sum(errors)
+    return total if total != total else max(errors, default=0.0)
 
 
 def _stencil(assign: Callable, pts, step: float) -> dict:

@@ -244,8 +244,9 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
         four = False
     if not four:
         raise BadParams("fundamental: center must have four coordinates")
-    c = Fraction(c) if not isinstance(c, float) else c
-    cent = tuple(Fraction(e) if not isinstance(e, float) else e for e in center)
+    # an int or float is kept as given (x - 0 and x - Fraction(0) are the same float); other rationals become Fractions
+    c = c if isinstance(c, (int, float)) else Fraction(c)
+    cent = tuple(e if isinstance(e, (int, float)) else Fraction(e) for e in center)
     cent_q = tuple(e.as_integer_ratio() for e in cent)
 
     def rhojets(xs):

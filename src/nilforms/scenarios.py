@@ -280,22 +280,16 @@ def _line_points(tau: float, n: int):
     return [(0.1 * tau + 1.8 * tau * k / (n - 1), 0.0, 0.0, 0.0) for k in range(n)]
 
 
-def _exact_sweep(prof, points, exprs, consts=None) -> list:
-    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read, plus consts {symbol: value}.
+def _exact_sweep(prof, points, exprs) -> list:
+    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read.
 
     Each point, (integer numerators, one denominator) as _rational_points
-    gives it, has a table that holds the jets and consts as ints over one
-    denominator.
+    gives it, has a table that holds the jets as ints over one denominator.
     """
     want = numeric.jets_read(exprs)
     cols = [[] for _ in exprs]
     for x in points:
         g, D, nums = prof.jets_exact(x, want)
-        if consts:
-            L = math.lcm(D, *(v.denominator for v in consts.values()))
-            nums = {sym: n * (L // D) for sym, n in nums.items()}
-            nums.update((sym, v.numerator * (L // v.denominator)) for sym, v in consts.items())
-            D = L
         for col, e in zip(cols, exprs):
             col.append(ring.evaluate_exact(e, nums, D, g))
     return cols
@@ -316,7 +310,7 @@ def _float_sweep(sweep, table) -> float:
     order nor repeats, nan included.  A frame's Geometry keeps the sweeps
     of its own elements (held_in).
     """
-    return numeric.max_error(abs(v) for e in sweep.exprs for v in e.evaluate(table))
+    return numeric.max_error([abs(v) for e in sweep.exprs for v in e.evaluate(table)])
 
 
 def _decay_sweep(geo, legs: tuple):
@@ -467,7 +461,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
         # certify residual(c*) == 0 exactly, alphaP kept symbolic via alphaP = 1
         cstar = cstar_over_alphaP * alphaP
         prof = profile("fundamental", c=cstar)
-        (worst,) = _exact_sweep(prof, pts, (gauge_num.anomaly_residual,), {ring.const_sym("alphaP"): alphaP})
+        (worst,) = _exact_sweep(prof, pts, (gauge_num.anomaly_residual.substitute({"alphaP": alphaP}),))
         ok = all(w == 0 for w in worst)
         values["alphaP"] = alphaP
         values["cstar"] = cstar

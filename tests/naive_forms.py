@@ -8,7 +8,9 @@ out of a comparison with these.  The float evaluation, the ball's float jets,
 the chain rule of a profile's jets and the G2/SU(2) projections are the
 per-call, one-point loops the cached plans and column tables replaced, with
 every float operation in the same order; the Halton radical inverse is the
-digit-by-digit loop its integer recurrence replaced; the exact
+digit-by-digit loop its integer recurrence replaced; the error fold is
+the one-call-per-value reduce max_error replaced; Lambda's rank is the
+Fraction elimination its minors replaced; the exact
 evaluation is the term-by-term Fraction walk the integer sums replaced, and
 the ring products, sums and substitutions are the Fraction-per-term walks
 the integer-numerator kernels replaced.  Strict JSON is the copy-then-dump
@@ -203,6 +205,14 @@ def substitute_reference(e, mapping: dict):
 # ---------------------------------------------------------------------------
 # float evaluation, ball jets and structure projections, one call at a time
 
+def worst_of(worst: float, err: float) -> float:
+    """max(worst, err), except that a nan wins: max(0.0, nan) is 0.0, which passes any tolerance.
+
+    functools.reduce(worst_of, errors, 0.0) is the one-call-per-value fold numeric.max_error replaced.
+    """
+    return err if err > worst or err != err else worst
+
+
 def column_table(tables) -> dict:
     """One float table of columns from one-point tables with the same symbols: {symbol: [value per table]}."""
     return {sym: [t[sym] for t in tables] for sym in tables[0]} if tables else {}
@@ -346,6 +356,26 @@ def su2_project_reference(M) -> dict:
 
 # ---------------------------------------------------------------------------
 # the direct route on a numeric frame
+
+def lam_rank_reference(rows) -> int:
+    """The rank of a matrix of numbers over the rationals by Gaussian elimination in Fractions.
+
+    The elimination connection.lam_rank's minors replaced.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                fac = mat[r][col] / mat[rank][col]
+                mat[r] = [a - fac * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
 
 def direct_scalar_identity(c, phi_factor, curv_lc, T):
     """s - (8 |d phi|^2 - ||T||^2 / 12 - 6 delta d phi) for phi = phi_factor * f, from the given curvature and torsion."""

@@ -24,7 +24,7 @@ from nilforms.anomaly import (
     u_identity_residual,
     weierstrass_cubic_match,
 )
-from nilforms.connection import build_instanton_DLambda, gauge_rows, lam_squared
+from nilforms.connection import build_instanton_DLambda, gauge_rows, lam_rank, lam_squared
 from nilforms.elliptic import half_period
 from nilforms.forms import DimensionMismatch
 from nilforms.frames import abs_A_squared, h5, h21, k_a
@@ -233,6 +233,20 @@ def test_a_fresh_frames_round_builds_at_most_half_the_fractions():
     _fresh_round()  # derives the families, their gauges and their residuals
     made = [count(call_counts(_fresh_round), Fraction.__new__) for _ in range(2)]
     assert 0 < made[0] <= FRESH_ROUND_FRACTIONS and made[1] == made[0]
+
+
+def test_an_integer_lambda_is_ranked_and_put_in_without_a_fraction():
+    # the rank is read off Lambda's minors in ints, and each anomaly_residual ranks its Lambda before
+    # the entries go into the family residual as ints
+    frame, kind, rows = FRESH_ROUND[0]
+    c = frame()
+    anomaly_residual(c, "alphaP", (kind, rows))  # derives the family, its gauge and its residual
+    cases = ((rows, 1), ([[0] * 3] * 3, 0), ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2), ([[2, 0, 0], [0, 3, 0], [1, 0, -1]], 3))
+    for lam, rank in cases:
+        counts = call_counts(lambda: lam_rank(lam, c))
+        assert lam_rank(lam, c) == rank and count(counts, Fraction.__new__) == 0, lam
+    counts = call_counts(lambda: anomaly_residual(frame(), "alphaP", (kind, rows)))
+    assert count(counts, lam_rank) == 1 and count(counts, Fraction.__new__) == 0
 
 
 def test_the_dlambda_closed_form_holds_its_input_free_part():

@@ -17,6 +17,7 @@ import expected_tables as tables
 from naive_forms import (
     first_structure_residual,
     interior,
+    lam_rank_reference,
     naive_curvature,
     naive_pontryagin4,
     naive_torsion_connection,
@@ -290,7 +291,7 @@ def test_gauge_matrix_rank_and_products(ka):
 
 
 def test_gauge_matrix_rank_is_exact_for_integer_entries(ka):
-    # u v^T has rank one; the same elimination with float quotients leaves a
+    # u v^T has rank one; an elimination with float quotients leaves a
     # rounding residue and reports rank two
     u, v = (-7, -9, -9), (1, 3, 7)
     assert lam_rank([[ui * vj for vj in v] for ui in u], ka) == 1
@@ -301,6 +302,50 @@ def test_gauge_matrix_rank_is_exact_for_integer_entries(ka):
     assert la[0] == (rat(1), rat(2), rat(0))  # first row of A
     assert la[1] == (ring.ZERO, ring.ZERO, ring.ZERO)
     assert lam_squared(lam, cnum) == rat(5)
+
+
+_RANK_ENTRIES = st.sampled_from((0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3)))
+
+
+@st.composite
+def lambdas(draw):
+    """(coframe, Lambda): a 3 x n matrix, n = 1, 2 or 3, of ints and Fractions that is a sum of k outer products,
+    k = 0..3, so every rank up to min(k, n) is drawn."""
+    n = draw(st.integers(1, 3))
+    mat = [[0] * n for _ in range(3)]
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.lists(_RANK_ENTRIES, min_size=3, max_size=3))
+        v = draw(st.lists(_RANK_ENTRIES, min_size=n, max_size=n))
+        mat = [[x + a * b for x, b in zip(row, v)] for row, a in zip(mat, u)]
+    if draw(st.booleans()):  # an arbitrary matrix too, mostly of rank min(3, n)
+        mat = draw(st.lists(st.lists(_RANK_ENTRIES, min_size=n, max_size=n), min_size=3, max_size=3))
+    return CoframeSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]][:n]), mat
+
+
+@given(lambdas())
+@settings(max_examples=200, deadline=None)
+def test_gauge_matrix_rank_matches_the_fraction_elimination(case):
+    c, lam = case
+    assert lam_rank(lam, c) == lam_rank_reference(lam)
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("lam, rank", [
+    ([[0], [0], [0]], 0),
+    ([[_HALF], [0], [-3]], 1),
+    ([[0, 0], [0, 0], [0, 0]], 0),
+    ([[2, -4], [_HALF, -1], [0, 0]], 1),
+    ([[1, 0], [0, _HALF], [2, 7]], 2),
+    ([[0] * 3] * 3, 0),
+    ([[_HALF, 1, 0], [1, 2, 0], [-3, -6, 0]], 1),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+    ([[_HALF, 0, 0], [0, 1, 0], [0, 0, Fraction(-5, 3)]], 3),
+])
+def test_gauge_matrix_rank_reaches_every_rank_on_every_shape(lam, rank):
+    c = CoframeSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]][:len(lam[0])])
+    assert lam_rank(lam, c) == lam_rank_reference(lam) == rank
 
 
 def test_five_leg_gauge_connection_accepts_flat_vector():

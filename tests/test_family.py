@@ -19,6 +19,7 @@ import naive_forms
 from call_counts import call_counts, count
 from nilforms import anomaly, gstruct, ring, scenarios
 from nilforms.anomaly import Gauge, anomaly_residual, family_residual
+from nilforms.connection import gauge_rows
 from nilforms.forms import CoframeSpec, exterior_derivative
 from nilforms.frames import FREE_FRAME, build_coframe, h5, h21, k_a
 from nilforms.gstruct import catalogue_geometry, geometry
@@ -94,7 +95,7 @@ def test_a_drawn_residual_read_off_the_family_matches_the_direct_route(case):
     # with a jet, each put in by the one substitution of the held residual
     A, kind, rows = case
     c = CoframeSpec(A)
-    assert anomaly._row_values(kind, rows, c) is not None  # the family route
+    assert anomaly._row_values(kind, gauge_rows(kind, rows, c)) is not None  # the family route
     alphas = (const("alphaP"), Fraction(3, 2), const("beta") - rat(1, 3) * jet(1))
     want = naive_forms.direct_residuals(c, kind, rows, alphas)
     assert [anomaly_residual(c, alphaP, (kind, rows)) for alphaP in alphas] == want
@@ -112,8 +113,10 @@ def test_a_rank_two_or_symbolic_lambda_on_a_numeric_frame_is_refused_on_every_re
             anomaly_residual(c, "alphaP", ("DLambda", rank_two))
         with pytest.raises(ValueError, match="rank needs numeric lambda entries"):
             symbolic.anomaly_residual
-    assert anomaly._row_values("DLambda", rank_two, c) is None
-    assert anomaly._row_values("DLambda", symbolic.rows, c) is None
+    # the rank test refuses rank_two, not its entries: each has a value, and only a symbol has none
+    values = anomaly._row_values("DLambda", gauge_rows("DLambda", rank_two, c))
+    assert values == {ring.const_sym(f"DLambda{r}{m}"): x for r, row in enumerate(rank_two, 1) for m, x in enumerate(row, 1)}
+    assert anomaly._row_values("DLambda", gauge_rows("DLambda", symbolic.rows, c)) is None
 
 
 @pytest.mark.parametrize("c", [
@@ -123,7 +126,7 @@ def test_a_rank_two_or_symbolic_lambda_on_a_numeric_frame_is_refused_on_every_re
 def test_a_symbolic_db_on_a_numeric_frame_takes_the_direct_route(c):
     # a symbol in B has no row values, so the residual is built on c from the gauge's own p1
     rows = [[1, const("b"), 0]] + [[0, 2, -1]] * (c.dim - 5)
-    assert anomaly._row_values("DB", rows, c) is None
+    assert anomaly._row_values("DB", gauge_rows("DB", rows, c)) is None
     alphas = (const("alphaP"), Fraction(3, 2))
     counts = call_counts(lambda: [anomaly_residual(c, alphaP, ("DB", rows)) for alphaP in alphas])
     assert count(counts, anomaly._residual) == 2 and count(counts, family_residual) == 0
@@ -173,14 +176,13 @@ def test_catalogued_gauge_edges_match_the_direct_route(c, kind, rows):
     (k_a([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [[0, 0, 0], [4, 2, -6], [-6, -3, 9]]),
     (h21(1, 1, 1), [6, -4, 10]),
 ])
-def test_an_integer_lambda_is_factored_in_integers(c, rows):
-    # so its substituted p1 is summed in ints, not Fractions
-    values = anomaly._row_values("DLambda", rows, c)
-    assert all(x.denominator == 1 for x in values.values())
-    u = [values[ring.const_sym(f"Lu{r}")] for r in (1, 2, 3)]
-    v = [values[ring.const_sym(f"Lv{col}")] for col in range(1, c.dim - 3)]
+def test_an_integer_lambda_goes_in_as_ints(c, rows):
+    # one int per entry, under the family residual's symbol for it, so the substituted residual is summed in ints
     flat = rows if isinstance(rows[0], list) else [[x] for x in rows]
-    assert [[a * b for b in v] for a in u] == flat
+    values = anomaly._row_values("DLambda", gauge_rows("DLambda", rows, c))
+    assert values == {ring.const_sym(f"DLambda{r}{m}"): x for r, row in enumerate(flat, 1) for m, x in enumerate(row, 1)}
+    assert all(type(x) is int for x in values.values())
+    assert set(values) <= family_residual(geometry(c).family, "DLambda").symbols()
 
 
 def test_the_family_residuals_are_held_on_the_family_frame():

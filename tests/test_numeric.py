@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,7 +157,7 @@ def test_error_folds_keep_a_nan():
     nan = float("nan")
     assert numeric.max_error([]) == 0.0 and numeric.max_error([0.5, 2.0, 1.0]) == 2.0
     assert math.isnan(numeric.max_error([0.5, nan, 1.0]))
-    assert math.isnan(numeric.worst_of(nan, 1.0)) and math.isnan(numeric.worst_of(1.0, nan))
+    assert math.isnan(naive_forms.worst_of(nan, 1.0)) and math.isnan(naive_forms.worst_of(1.0, nan))
 
 
 _ERRORS = st.lists(st.one_of(st.floats(0.0, allow_infinity=True), st.just(math.nan), st.just(math.inf)), max_size=8)
@@ -177,6 +178,12 @@ def test_max_error_depends_on_neither_order_nor_repeats(errors, rng):
     assert _hex_or_nan(numeric.max_error(shuffled)) == want
     assert _hex_or_nan(numeric.max_error(repeated)) == want
     assert _hex_or_nan(numeric.max_error(iter(errors))) == want
+
+
+@given(_ERRORS)
+@settings(max_examples=120, deadline=None)
+def test_max_error_is_the_reference_fold_bit_for_bit(errors):
+    assert _hex_or_nan(numeric.max_error(errors)) == _hex_or_nan(reduce(naive_forms.worst_of, errors, 0.0))
 
 
 def test_fd_checks_report_a_nan_sample(ball, ball_pts):
