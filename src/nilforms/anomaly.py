@@ -84,7 +84,8 @@ class Gauge:
     @cached_property
     def abs_B_squared(self) -> CoefExpr:
         """|B|^2, the sum of the squared entries of a D_B gauge's rows."""
-        return ring.sum_exprs(b * b for row in gauge_rows("DB", self.rows, self.coframe) for b in row)
+        entries = [b for row in gauge_rows("DB", self.rows, self.coframe) for b in row]
+        return ring.dot(entries, entries)
 
     @cached_property
     def displayed_residual(self) -> CoefExpr:
@@ -178,7 +179,7 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
         raise DimensionMismatch("the gauge lives on a different coframe")
     geo = geometry(c)  # held for the call, so the gauge's reads share it
     rows = gauge_rows(gauge.kind, gauge.rows, c)
-    if gauge.kind == "DLambda" and lam_rank(rows, c) > 1:
+    if gauge.kind == "DLambda" and lam_rank(rows) > 1:
         raise BadParams("DLambda: the coefficient matrix must have rank <= 1")
     values = None if geo.family is None else _row_values(gauge.kind, rows)
     ap = _coef(alphaP)
@@ -308,7 +309,8 @@ def to_u_polynomial(e: CoefExpr) -> tuple[CoefExpr, int, int]:
         return ring.ZERO, 0, 0
     mu = max(0, -min(up for up, _, _ in pieces))
     ma = max(0, -min(ap for _, ap, _ in pieces))
-    out = ring.sum_exprs(piece * U ** (upow + mu) * AL ** (apow + ma) for upow, apow, piece in pieces)
+    powers = [U ** (upow + mu) * AL ** (apow + ma) for upow, apow, _ in pieces]
+    out = ring.dot((piece for _, _, piece in pieces), powers)
     return out, mu, ma
 
 

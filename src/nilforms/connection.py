@@ -143,7 +143,7 @@ def curvature(conn: ConnectionForms) -> CurvatureForms:
 
 
 def scalar_curvature(curv: CurvatureForms) -> ring.CoefExpr:
-    return ring.sum_exprs(curv.entry(i, j).value_at(i, j) * 2 for (i, j) in curv.pairs())
+    return ring.sum_exprs(curv.entry(i, j).value_at(i, j) for (i, j) in curv.pairs()) * 2
 
 
 def pontryagin4(curv: CurvatureForms) -> FormExpr:
@@ -193,15 +193,17 @@ def build_instanton_DLambda(lam, c: CoframeSpec) -> ConnectionForms:
     return ConnectionForms(c, entries)
 
 
-def lam_rank(lam, c: CoframeSpec) -> int:
-    """Rank of the lambda matrix over the rationals, read off its minors (entries must be numbers).
+def lam_rank(rows) -> int:
+    """Rank of a lambda matrix over the rationals, read off its minors (entries must be numbers).
 
-    0 when every entry is zero, 1 when every 2x2 minor vanishes, 3 when the
-    3x3 determinant does not, else 2.  The minors are sums of products of
-    the entries as ints or Fractions, so nothing is divided and an integer
-    lambda makes no Fraction.
+    rows are the ring elements gauge_rows("DLambda", ...) gives; the caller
+    reads them once, and they are not read again here.  0 when every entry
+    is zero, 1 when every 2x2 minor vanishes, 3 when the 3x3 determinant
+    does not, else 2.  The minors are sums of products of the entries as
+    ints or Fractions, so nothing is divided and an integer lambda makes no
+    Fraction.
     """
-    m = [[e.as_number() for e in r] for r in gauge_rows("DLambda", lam, c)]
+    m = [[e.as_number() for e in r] for r in rows]
     if any(x is None for r in m for x in r):
         raise ValueError("rank needs numeric lambda entries")
     if not any(x for r in m for x in r):
@@ -221,13 +223,11 @@ def lam_rank(lam, c: CoframeSpec) -> int:
 def lam_A_product(lam, c: CoframeSpec):
     """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
     lam = gauge_rows("DLambda", lam, c)
-    A = c.A
-    return tuple(
-        tuple(ring.sum_exprs(lam[r][col] * A[col][m] for col in range(len(A))) for m in range(3))
-        for r in range(3)
-    )
+    cols = [[row[m] for row in c.A] for m in range(3)]
+    return tuple(tuple(ring.dot(row, col) for col in cols) for row in lam)
 
 
 def lam_squared(lam, c: CoframeSpec) -> ring.CoefExpr:
     """lambda^2 = |lam . A|^2, the curvature normalization of D_lam."""
-    return ring.sum_exprs(e * e for row in lam_A_product(lam, c) for e in row)
+    entries = [e for row in lam_A_product(lam, c) for e in row]
+    return ring.dot(entries, entries)

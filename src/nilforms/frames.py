@@ -26,7 +26,8 @@ from .forms import CoframeSpec
 
 def abs_A_squared(c: CoframeSpec) -> ring.CoefExpr:
     """|A|^2 = sum of squared sigma-coefficients over all fiber legs."""
-    return ring.sum_exprs(entry * entry for row in c.A for entry in row)
+    entries = [entry for row in c.A for entry in row]
+    return ring.dot(entries, entries)
 
 
 def _h5_rows(a, b) -> list:

@@ -528,7 +528,8 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
 
 def torsion_norm_squared(T: FormExpr) -> ring.CoefExpr:
     """Full contraction sum_{i,j,k} T(ebar_i, ebar_j, ebar_k)^2 = 6 sum_{i<j<k}."""
-    return ring.sum_exprs(coef * coef * 6 for coef in T.comps.values())
+    cs = list(T.comps.values())
+    return ring.dot(cs, cs) * 6
 
 
 def scalar_identity_residual(c: CoframeSpec, phi_factor: Fraction) -> ring.CoefExpr:
@@ -536,7 +537,8 @@ def scalar_identity_residual(c: CoframeSpec, phi_factor: Fraction) -> ring.CoefE
     geo = geometry(c)
     s = scalar_curvature(geo.curv_lc)
     dphi = df_form(c) * ring.rat(Fraction(phi_factor))
-    norm_dphi = ring.sum_exprs(coef * coef for coef in dphi.comps.values())
+    cs = list(dphi.comps.values())
+    norm_dphi = ring.dot(cs, cs)
     # codifferential on 1-forms: delta = -star d star
     codiff = -hodge_star(exterior_derivative(hodge_star(dphi)))
     delta_dphi = codiff.comps.get((), ring.ZERO)

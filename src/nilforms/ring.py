@@ -29,6 +29,8 @@ operands' denominator D.  ``_canonical(acc, scale)`` is its one reader: it
 puts the buckets over their lcm, divides by the int scale (2 for the
 Koszul 1/2 and the su(2) projection) and reduces by the gcd.  Other
 modules pass accumulators to these functions and never read their layout.
+``dot(xs, ys)``, the sum of x * y over pairs, is the one sum-of-products
+kernel: every product goes into one accumulator, canonicalised once.
 
 A monomial e^{kf} * prod(sym^p) is stored as one ``int`` (the packed
 exponent vectors of Monagan & Pearce): every symbol gets a slot the first
@@ -49,7 +51,8 @@ rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``as_number()`` (the same value, an int where it is integral), ``len()``
 and ``bool()``.  ``substitute`` puts exact numbers in for symbols in one
 integer pass over the packed keys, the way a numeric frame and its anomaly
-residual are read off their symbolic family.  ``evaluate`` reads a float
+residual are read off their symbolic family, with the plan the element
+keeps for that set of symbols.  ``evaluate`` reads a float
 table of columns over a point set, ``{symbol: [one float per point]}``, and
 returns one float per point; ``evaluate_exact`` reads a ``{symbol: int}``
 table over one denominator.  Names are resolved to symbols only where such
@@ -57,9 +60,10 @@ a table is built, and ``evaluate`` keeps each column of e^{kf} (under the
 int key k) or of a symbol's power it computes in its table, for every
 later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
-float plan of ``evaluate``, the integer plans of ``evaluate_exact`` and
-``substitute``, and the symbol set of ``symbols()``,
-which a sweep reads to ask a profile for only the jets it needs.
+float plan of ``evaluate``, the integer plan of ``evaluate_exact``, one
+integer plan of ``substitute`` per set of symbols put to numbers, and the
+symbol set of ``symbols()``, which a sweep reads to ask a profile for only
+the jets it needs.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ _ONE = _BIAS  # the key of the monomial 1
 _SYMS: list = [None]  # slot -> symbol; slot 0 is the e^{kf} field
 _SLOT: dict = {}  # symbol -> slot
 _GUARD = _TOP  # the guard bit of every field in use
-_DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their (slot, power, field) factors)
+_DECODED: dict = {}  # key -> (k, sorted ((symbol, power), ...), their (slot, power) factors)
 _DPARTIAL: dict = {i: [] for i in COORDS}  # coordinate -> per-slot table, see _dpartial
 _BEYOND = object()  # a jet whose derivative would exceed MAX_JET_ORDER
 
@@ -157,7 +161,7 @@ def _encode(k: int, powers: Iterable[tuple]) -> int:
 
 
 def _decode(key: int) -> tuple:
-    """(k, ((symbol, power), ...) sorted by symbol, ((slot, power, power << field), ...) in that order)."""
+    """(k, ((symbol, power), ...) sorted by symbol, ((slot, power), ...) in that order)."""
     out = _DECODED.get(key)
     if out is None:
         found = []
@@ -172,7 +176,7 @@ def _decode(key: int) -> tuple:
         out = _DECODED[key] = (
             (key & _FIELD) - _BIAS,
             tuple((sym, p) for sym, p, _ in found),
-            tuple((s, p, p << (_W * s)) for _, p, s in found),
+            tuple((s, p) for _, p, s in found),
         )
     return out
 
@@ -199,9 +203,10 @@ def _dpartial(i: int) -> list:
     return table
 
 
-def _wrap(terms: dict, den: int = 1) -> "CoefExpr":
-    """The element terms / den (terms nonzero int numerators, den > 0), reduced by their gcd."""
-    if den != 1:
+def _wrap(terms: dict, den: int = 1, reduce: bool = True) -> "CoefExpr":
+    """The element terms / den (terms nonzero int numerators, den > 0), reduced by their gcd
+    unless reduce is False, for a caller that knows the gcd is 1."""
+    if den != 1 and reduce:
         g = math.gcd(den, *terms.values())
         if g != 1:
             den //= g
@@ -274,44 +279,46 @@ def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
     p^j q^(P-j), so every sum is an integer over the one denominator
     e.den * Q, Q = prod q^P.  Each numerator starts as n * Q, and a symbol
     present replaces its factor q^P by p^j q^(P-j).  e itself when no
-    symbol of numbers occurs in it.  The first call keeps e's plan: per
-    slot its highest power, and per term the factors _decode gives (one
-    tuple per key, shared by every plan).
+    symbol of numbers occurs in it.  e keeps one plan per set of slots put
+    in, built by the first call with that set: each such slot present with
+    its highest power, the output keys in first-seen order, and per term
+    its numerator, the position of its output key (the term's key with
+    those slots' fields cleared) and its (slot, power) pairs of those slots
+    alone.  So a call decodes nothing and tests no slot it does not put in.
     """
     if not numbers:
         return e
+    slots = frozenset(numbers)
     try:
-        top, factors = e._subst
+        plan = e._subst.get(slots)
     except AttributeError:
-        factors = tuple(_decode(key)[2] for key in e.terms)
-        top = {}
-        for pairs in factors:
-            for s, p, _ in pairs:
-                if p > top.get(s, 0):
-                    top[s] = p
-        e._subst = top, factors
-    scale, Q = [None] * (max(top, default=0) + 1), 1  # slot -> [p^j q^(P-j) for j = 0..P]
-    for s, P in top.items():
-        v = numbers.get(s)
-        if v is not None:
-            p, q = v.numerator, v.denominator
-            Q *= q ** P
-            scale[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
-    if not any(scale):
+        plan, e._subst = None, {}
+    if plan is None:
+        top, where, terms = {}, {}, []  # slot -> highest power; output key -> its position
+        for key, n in e.terms.items():
+            pairs = tuple((s, p) for s, p in _decode(key)[2] if s in slots)
+            for s, p in pairs:
+                top[s] = max(top.get(s, 0), p)
+                key -= p << (_W * s)
+            terms.append((n, where.setdefault(key, len(where)), pairs))
+        plan = e._subst[slots] = tuple(top.items()), tuple(where), tuple(terms)
+    top, keys, terms = plan
+    if not top:
         return e
-    sums: dict = {}
-    for (key, n), pairs in zip(e.terms.items(), factors):
+    rows, Q = {}, 1  # slot -> [p^j q^(P-j) for j = 0..P]
+    for s, P in top:
+        v = numbers[s]
+        p, q = v.numerator, v.denominator
+        Q *= q ** P
+        rows[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
+    sums = [0] * len(keys)
+    for n, pos, pairs in terms:
         n *= Q
-        for s, p, field in pairs:
-            row = scale[s]
-            if row is not None:
-                n = n // row[0] * row[p]  # row[0] = q^P divides n exactly
-                key -= field
-        if key in sums:
-            sums[key] += n
-        else:
-            sums[key] = n
-    return _canonical({e.den * Q: sums})
+        for s, p in pairs:
+            row = rows[s]
+            n = n // row[0] * row[p]  # row[0] = q^P divides n exactly
+        sums[pos] += n
+    return _canonical({e.den * Q: dict(zip(keys, sums))})
 
 
 def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> None:
@@ -339,7 +346,7 @@ def _partial_into(acc: dict, g: "CoefExpr", i: int, shift: int, sign: int) -> No
             keys |= new
             bucket[new] = get(new, 0) + n * k
         # derivative of each jet factor: one power of it becomes its i-derivative
-        for s, power, _ in factors:
+        for s, power in factors:
             delta = table[s]
             if delta is None:
                 continue
@@ -435,7 +442,7 @@ class CoefExpr:
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        den, g = self.den, 1
+        den, g, met = self.den, 1, False
         if den == other.den:
             out = dict(self.terms)
         else:  # both over the lcm of the denominators
@@ -448,12 +455,18 @@ class CoefExpr:
             if key not in out:
                 out[key] = n
                 continue
+            met = True
             n += out[key]
             if n:
                 out[key] = n
             else:
                 del out[key]  # only a present term can cancel
-        return _wrap(out, den)
+        # When no key met, every term is an operand's numerator times L / its den.
+        # For a prime p dividing L, the operand whose den holds p's top power in L
+        # has L / den prime to p, and, being canonical, a numerator p does not
+        # divide; that term is in the sum as it was.  So the sum over L is in
+        # lowest terms, and _wrap need not take the gcd.
+        return _wrap(out, den, reduce=met)
 
     __radd__ = __add__
 
@@ -511,10 +524,12 @@ class CoefExpr:
 
         The symbols put to numbers leave in one integer pass over the packed
         keys (_put_numbers), the way a numeric frame is read off its
-        symbolic family.  Only a symbol put to a non-constant element builds
-        ring products, after that pass: each term clears the symbol's field
-        and is multiplied by element^power, and the sum is canonicalised
-        once.  So the substitution is simultaneous: a number never enters an
+        symbolic family; the element keeps that pass's plan for each set of
+        symbols put to numbers, so a family read again and again with the
+        same symbols decodes its terms once.  Only a symbol put to a
+        non-constant element builds ring products, after that pass: each
+        term clears the symbol's field and is multiplied by element^power,
+        and the sum is canonicalised once.  So the substitution is simultaneous: a number never enters an
         element put in.
         """
         numbers, exprs = {}, {}  # slot -> value; a symbol no element holds has no slot
@@ -538,7 +553,7 @@ class CoefExpr:
         acc = {e.den: bucket}
         for key, n in e.terms.items():
             hits = ()
-            for s, _, _ in _decode(key)[2]:
+            for s, _ in _decode(key)[2]:
                 if s in exprs:
                     shift = _W * s
                     p = key >> shift & _FIELD
@@ -761,6 +776,18 @@ def sum_exprs(exprs: Iterable[CoefExpr]) -> CoefExpr:
     return _canonical(acc)
 
 
+def dot(xs: Iterable[CoefExpr], ys: Iterable[CoefExpr]) -> CoefExpr:
+    """Sum of x * y over the pairs of xs and ys: the one sum-of-products kernel.
+
+    Every product goes into one accumulator (_mul_into), which is
+    canonicalised once, so no product is canonicalised on its own.
+    """
+    acc: dict = {}
+    for x, y in zip(xs, ys):
+        _mul_into(acc, x, y, 1)
+    return _canonical(acc)
+
+
 def distinct_up_to_sign(elements: Iterable[CoefExpr]) -> tuple:
     """One element of each class {e, -e} among elements: the first one seen, in first-seen order.
 
@@ -817,7 +844,8 @@ def onshell_factor(absA2: CoefExpr) -> CoefExpr:
 
 def grad_square() -> CoefExpr:
     """|grad f|^2 = sum_i f_i^2."""
-    return sum_exprs(jet(i) * jet(i) for i in COORDS)
+    f = [jet(i) for i in COORDS]
+    return dot(f, f)
 
 
 def hessian2() -> CoefExpr:
@@ -905,7 +933,7 @@ def _extremes(keys) -> tuple:
     for key in keys:
         k, _, factors = _decode(key)
         ks.append(k)
-        for s, p, _ in factors:
+        for s, p in factors:
             top[s] = max(top.get(s, 0), p)
     return min(ks), max(ks), top
 

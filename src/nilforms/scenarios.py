@@ -263,7 +263,8 @@ def _params(name: str, dim: int, config: dict, keys: tuple, overrides: tuple, mi
                 ok, want = False, f"{want} ({exc})"
             if ok and key == "B":  # c* is proportional to |A|^2 - |B|^2, which must be positive
                 absA2 = sum(a * a for row in out[keys.index("A")] for a in row)
-                ok = ring.sum_exprs(b * b for row in rows for b in row).as_fraction() < absA2
+                entries = [b for row in rows for b in row]
+                ok = ring.dot(entries, entries).as_fraction() < absA2
                 want = f"a matrix of numbers with |B|^2 < |A|^2 = {absA2}"
         if not ok:
             raise BadParams(f"{name}: config {key!r} must be {want}, got {value!r}")
@@ -348,7 +349,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam)
     csym, cnum = geo.coframe, geo_num.coframe
 
-    rank = held_in(gauge, "lam-rank", lambda: lam_rank(lam, csym))
+    rank = held_in(gauge, "lam-rank", lambda: lam_rank(gauge_rows("DLambda", lam, csym)))
     values["lam_rank"] = rank
     _ck(checks, "gauge-rank-one", lambda: (rank == 1, None, {"rank": rank}))
 

@@ -17,6 +17,7 @@ from nilforms import anomaly, ring
 from nilforms.connection import (
     build_instanton_DLambda,
     curvature,
+    gauge_rows,
     koszul,
     lam_rank,
     lam_squared,
@@ -133,7 +134,7 @@ def test_criterion_03_pontryagin_volume_forms():
     rng = random.Random(20240817)
     for _ in range(5):
         lam = _rand_rank_one(rng)
-        assert lam_rank(lam, c) == 1
+        assert lam_rank(gauge_rows("DLambda", lam, c)) == 1
         p1g = pontryagin4(curvature(build_instanton_DLambda(lam, c)))
         want = _volume_multiple(c, rat(-4) * lam_squared(lam, c))
         assert not (p1g - want), lam
@@ -161,7 +162,7 @@ def test_criterion_04_instanton_conditions():
     while rank_two_cases < 10:
         a, b = _rand_rank_one(rng), _rand_rank_one(rng)
         lam = [[a[i][j] + b[i][j] for j in range(3)] for i in range(3)]
-        if lam_rank(lam, c) != 2:
+        if lam_rank(gauge_rows("DLambda", lam, c)) != 2:
             continue
         rank_two_cases += 1
         res = g2_instanton_residual(curvature(build_instanton_DLambda(lam, c)), g)

@@ -30,6 +30,7 @@ from nilforms.connection import (
     CurvatureForms,
     build_instanton_DLambda,
     curvature,
+    gauge_rows,
     koszul,
     lam_A_product,
     lam_rank,
@@ -229,7 +230,7 @@ def test_characteristic_form_of_rank_one_gauge_connections(ka):
     rng = random.Random(20240817)
     for _ in range(5):
         lam = _random_rank_one(rng)
-        assert lam_rank(lam, ka) == 1
+        assert lam_rank(gauge_rows("DLambda", lam, ka)) == 1
         p1 = pontryagin4(curvature(build_instanton_DLambda(lam, ka)))
         want = ka.form(4, {(1, 2, 3, 4): (rat(-4) * lam_squared(lam, ka)).scale_expf(-4)})
         assert p1 == want, lam
@@ -282,19 +283,19 @@ def test_gauge_connection_entry_pattern(ka):
 
 
 def test_gauge_matrix_rank_and_products(ka):
-    assert lam_rank([[1, 0, 0], [0, 0, 0], [0, 0, 0]], ka) == 1
-    assert lam_rank([[1, 0, 0], [0, 1, 0], [0, 0, 0]], ka) == 2
-    assert lam_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ka) == 3
-    assert lam_rank([[2, 4, 0], [1, 2, 0], [0, 0, 0]], ka) == 1
-    with pytest.raises(ValueError):
-        lam_rank([[ring.const("q"), 0, 0], [0, 0, 0], [0, 0, 0]], ka)
+    assert lam_rank(gauge_rows("DLambda", [[1, 0, 0], [0, 0, 0], [0, 0, 0]], ka)) == 1
+    assert lam_rank(gauge_rows("DLambda", [[1, 0, 0], [0, 1, 0], [0, 0, 0]], ka)) == 2
+    assert lam_rank(gauge_rows("DLambda", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ka)) == 3
+    assert lam_rank(gauge_rows("DLambda", [[2, 4, 0], [1, 2, 0], [0, 0, 0]], ka)) == 1
+    with pytest.raises(ValueError, match="rank needs numeric lambda entries"):
+        lam_rank(gauge_rows("DLambda", [[ring.const("q"), 0, 0], [0, 0, 0], [0, 0, 0]], ka))
 
 
 def test_gauge_matrix_rank_is_exact_for_integer_entries(ka):
     # u v^T has rank one; an elimination with float quotients leaves a
     # rounding residue and reports rank two
     u, v = (-7, -9, -9), (1, 3, 7)
-    assert lam_rank([[ui * vj for vj in v] for ui in u], ka) == 1
+    assert lam_rank(gauge_rows("DLambda", [[ui * vj for vj in v] for ui in u], ka)) == 1
 
     cnum = k_a([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
     lam = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -326,7 +327,7 @@ def lambdas(draw):
 @settings(max_examples=200, deadline=None)
 def test_gauge_matrix_rank_matches_the_fraction_elimination(case):
     c, lam = case
-    assert lam_rank(lam, c) == lam_rank_reference(lam)
+    assert lam_rank(gauge_rows("DLambda", lam, c)) == lam_rank_reference(lam)
 
 
 _HALF = Fraction(1, 2)
@@ -345,7 +346,7 @@ _HALF = Fraction(1, 2)
 ])
 def test_gauge_matrix_rank_reaches_every_rank_on_every_shape(lam, rank):
     c = CoframeSpec([[1, 0, 0], [0, 1, 0], [0, 0, 1]][:len(lam[0])])
-    assert lam_rank(lam, c) == lam_rank_reference(lam) == rank
+    assert lam_rank(gauge_rows("DLambda", lam, c)) == lam_rank_reference(lam) == rank
 
 
 def test_five_leg_gauge_connection_accepts_flat_vector():

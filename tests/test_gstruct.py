@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import expected_tables as tables
 import naive_forms
 from nilforms import gstruct, ring, scenarios
-from nilforms.connection import build_instanton_DLambda, curvature, lam_rank, pontryagin4
+from nilforms.connection import build_instanton_DLambda, curvature, gauge_rows, lam_rank, pontryagin4
 from nilforms.forms import PSI, CoframeSpec, DimensionMismatch, dpsi_f_form, exterior_derivative, omega_bar
 from nilforms.frames import abs_A_squared, h5, h21
 from nilforms.gstruct import (
@@ -83,14 +83,14 @@ def test_minus_instanton_residual_has_onshell_factor(ka, ka_curvatures):
 
 def test_rank_one_gauge_connection_is_instanton(ka):
     lam = [[2, 1, -1], [0, 0, 0], [0, 0, 0]]
-    assert lam_rank(lam, ka) == 1
+    assert lam_rank(gauge_rows("DLambda", lam, ka)) == 1
     cur = curvature(build_instanton_DLambda(lam, ka))
     assert g2_instanton_residual(cur, G2Structure(ka)) == {}
 
 
 def test_rank_two_gauge_connection_fails_instanton(ka):
     lam = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    assert lam_rank(lam, ka) == 2
+    assert lam_rank(gauge_rows("DLambda", lam, ka)) == 2
     cur = curvature(build_instanton_DLambda(lam, ka))
     assert g2_instanton_residual(cur, G2Structure(ka))
 

@@ -672,6 +672,56 @@ def test_substitute_matches_the_fraction_per_term_reference(x, values):
     assert got == naive_forms.substitute_reference(x, values)
 
 
+_plain_numbers = st.one_of(st.integers(-4, 4), _fracs.filter(lambda q: q.denominator > 1))
+
+
+@given(ring_exprs(max_terms=4), st.lists(_plain_numbers, min_size=5, max_size=5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_substitution_plans_are_kept_per_slot_set(x, nums, lacking):
+    # {a}, {a, b}, {b} and {a} again, with c, which the element lacks but which has a slot,
+    # in every set or in none: each result is the per-term reference, and the repeat of {a}
+    # reads the plan the first {a} built and decodes nothing
+    x = x * x * const("a")  # a in every term, powers above one
+    const("c")
+    sets = [{"a": nums[0]}, {"a": nums[1], "b": nums[2]}, {"b": nums[3]}, {"a": nums[4]}]
+    if lacking:
+        sets = [{**values, "c": Fraction(7, 3)} for values in sets]
+    for values in sets[:3]:
+        got = x.substitute(values)
+        assert _is_canonical(got) and got == naive_forms.substitute_reference(x, values), values
+    counts = call_counts(lambda: x.substitute(sets[3]))
+    assert count(counts, ring._decode) == 0 and len(x._subst) == 3  # one plan per slot set
+    assert x.substitute(sets[3]) == naive_forms.substitute_reference(x, sets[3])
+
+
+@given(st.lists(st.tuples(ring_exprs(), ring_exprs()), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_dot_is_the_sum_of_the_products(pairs):
+    # pairs over unequal denominators land in one accumulator; no pairs give zero
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = ring.dot(xs, ys)
+    assert _is_canonical(got)
+    assert got == ring.sum_exprs(x * y for x, y in pairs)
+    assert got == naive_forms.sum_reference(*(naive_forms.mul_reference(x, y) for x, y in pairs))
+    assert ring.dot(xs, ys) == ring.dot(ys, xs)
+
+
+def test_dot_of_nothing_is_zero():
+    assert ring.dot([], []) == ring.ZERO and _is_canonical(ring.dot([], []))
+
+
+@given(ring_exprs(), ring_exprs(), st.sampled_from((2, 3, 6)))
+@settings(max_examples=120, deadline=None)
+def test_a_sum_is_in_lowest_terms_whether_or_not_its_keys_meet(x, y, q):
+    # y * c has no key of x, so the sum meets no key and takes no gcd; scaled by 1/q the
+    # denominators differ; x + x and x + y may meet and cancel
+    yc = y * const("c") * rat(1, q)
+    for a, b in ((x, yc), (yc, x), (x * rat(1, q), y), (x, x), (x, -x), (x, y)):
+        got = a + b
+        assert math.gcd(got.den, *got.terms.values()) == 1
+        assert _is_canonical(got) and got == naive_forms.sum_reference(a, b)
+
+
 @given(ring_exprs(), ring_exprs())
 @settings(max_examples=80, deadline=None)
 def test_equality_is_exactly_zero_difference(x, y):
