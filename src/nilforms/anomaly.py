@@ -117,11 +117,12 @@ def family_residual(family: Geometry, kind: str) -> CoefExpr:
     """The anomaly residual (alphaP symbolic) of the gauge of kind with one free symbol per entry on a family frame.
 
     Entry (r, m) of the matrix, in the shape gauge_rows gives, is the
-    constant named kind + "rm" (DLambda11.., DB11..), so one expression
-    builds both kinds' rows.  Only the ebar^{1234} component of the gauge's
-    p1 goes into _residual, and for every Lambda it is the one a numeric
-    Lambda of rank <= 1 gives: in p1 = sum Omega ^ Omega with Omega =
-    d omega + omega ^ omega, d omega is horizontal and linear in Lambda A
+    constant named kind + "rm" (DLambda11.., DB11..), read off the one
+    table _entry_symbols that _row_values reads too.  Only the ebar^{1234}
+    component of the gauge's p1 goes into _residual, and for every Lambda
+    it is the one a numeric Lambda of rank <= 1 gives: in
+    p1 = sum Omega ^ Omega with Omega = d omega + omega ^ omega, d omega
+    is horizontal and linear in Lambda A
     while omega ^ omega lives on the fibre legs, so that component is a
     quadratic form in Lambda A, and rank <= 1, which anomaly_residual asks
     first, only makes the other components vanish.  Built on first use,
@@ -131,11 +132,17 @@ def family_residual(family: Geometry, kind: str) -> CoefExpr:
     def build() -> CoefExpr:
         c = family.coframe
         nrows, ncols = (3, c.dim - 4) if kind == "DLambda" else (c.dim - 4, 3)
-        rows = tuple(tuple(const(f"{kind}{r}{m}") for m in range(1, ncols + 1)) for r in range(1, nrows + 1))
+        rows = tuple(tuple(const(name) for _, name in row[:ncols]) for row in _entry_symbols(kind)[:nrows])
         p1 = Gauge(c, kind, rows).p1
         return _residual(family, FormExpr(c, 4, {HORIZONTAL: p1.comps[HORIZONTAL]}), const("alphaP"))
 
     return held_in(family, ("family-residual", kind), build)
+
+
+def _entry_symbols(kind: str) -> tuple:
+    """The symbol of each entry (r, m) of a 3x3 gauge matrix of kind, the constant named kind + "rm" (ring.held)."""
+    return ring.held(f"{kind} entry symbols", lambda: tuple(
+        tuple(ring.const_sym(f"{kind}{r}{m}") for m in (1, 2, 3)) for r in (1, 2, 3)))
 
 
 def _row_values(kind: str, rows) -> dict | None:
@@ -143,8 +150,7 @@ def _row_values(kind: str, rows) -> dict | None:
 
     An int entry goes in as an int, so an integer matrix is summed in ints.
     """
-    values = {ring.const_sym(f"{kind}{r}{m}"): x.as_number()
-              for r, row in enumerate(rows, 1) for m, x in enumerate(row, 1)}
+    values = {sym: x.as_number() for syms, row in zip(_entry_symbols(kind), rows) for sym, x in zip(syms, row)}
     return None if None in values.values() else values
 
 
@@ -191,26 +197,34 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     return family_residual(geo.family, gauge.kind).substitute(values)
 
 
-def _fixed_bracket() -> CoefExpr:
-    """8 hessian2 + 8 p_laplacian4, the input-free part of the D_Lambda closed form's bracket (ring.held)."""
-    return ring.held("8 hessian2 + 8 p_laplacian4", lambda: rat(8) * ring.hessian2() + rat(8) * ring.p_laplacian4())
+def _closed_form_basis() -> tuple:
+    """The input-free factors of both closed forms, built once per process (ring.held):
+    (lap e^{2f}, 2, -3/4 lap e^{-2f}, (8 hessian2 + 8 p_laplacian4)/4, 1)."""
+    return ring.held("closed-form basis", lambda: (
+        ring.lap_e2f(), rat(2), rat(-3, 4) * lap_e_m2f(), rat(2) * (ring.hessian2() + ring.p_laplacian4()), ring.ONE))
 
 
 def displayed_residual_dlambda(c: CoframeSpec, lam, alphaP) -> CoefExpr:
-    """Closed-form DLambda residual used as the comparison target."""
+    """Closed-form DLambda residual used as the comparison target.
+
+    lap e^{2f} + 2|A|^2 + (alphaP/4)(8 hessian2 + 8 p_laplacian4 - 3|A|^2 lap e^{-2f} + 4 lambda^2):
+    the on-shell factor plus alphaP/4 times the bracket, summed as one dot
+    product with _closed_form_basis.
+    """
     ap = _coef(alphaP)
     absA2 = abs_A_squared(c)
-    lam2 = lam_squared(lam, c)
-    bracket = _fixed_bracket() - rat(3) * absA2 * lap_e_m2f() + rat(4) * lam2
-    return ring.onshell_factor(absA2) + ap * rat(1, 4) * bracket
+    return ring.dot((ring.ONE, absA2, ap * absA2, ap, ap * lam_squared(lam, c)), _closed_form_basis())
 
 
 def displayed_residual_db(c: CoframeSpec, absB2, alphaP) -> CoefExpr:
-    """Closed-form DB residual used as the comparison target."""
-    ap = _coef(alphaP)
+    """Closed-form DB residual used as the comparison target.
+
+    lap e^{2f} + 2|A|^2 - (3/4) alphaP (|A|^2 - |B|^2) lap e^{-2f}: the
+    on-shell factor and one more term, summed as one dot product with the
+    first three of _closed_form_basis.
+    """
     absA2 = abs_A_squared(c)
-    diff = absA2 - _coef(absB2)
-    return ring.onshell_factor(absA2) - rat(3, 4) * ap * diff * lap_e_m2f()
+    return ring.dot((ring.ONE, absA2, _coef(alphaP) * (absA2 - _coef(absB2))), _closed_form_basis()[:3])
 
 
 def _coef(x) -> CoefExpr:

@@ -10,7 +10,7 @@ determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from typing import Mapping
 
 from . import ring
@@ -72,7 +72,9 @@ class CoframeSpec:
 
     Row r of A (at most three rows of three entries) gives
     d e^{4+r} = sum_m A[r][m] sigma_m; the horizontal legs are closed, so
-    dim = 4 + len(A) and the weights are (1,1,1,1,0,..,0).
+    dim = 4 + len(A) and the weights are (1,1,1,1,0,..,0).  The structure
+    constants ``struct`` are derived from A on first use: a frame read off
+    its family (gstruct.Geometry) never reads them.
     """
 
     def __init__(self, A):
@@ -81,14 +83,18 @@ class CoframeSpec:
         self.A = tuple(tuple(ring.exact(x) for x in row) for row in A)
         self.dim = 4 + len(self.A)
         self.weights = (1, 1, 1, 1) + (0,) * len(self.A)
-        # structure constants c^k_{ij}; the three sigmas share no pair
-        self.struct: dict[int, dict[tuple, CoefExpr]] = {}
+        self._dbar: dict[int, FormExpr] = {}
+
+    @cached_property
+    def struct(self) -> dict[int, dict[tuple, CoefExpr]]:
+        """{k: {(i, j): c^k_ij}}, the nonzero structure constants; the three sigmas share no pair."""
+        struct = {}
         for k, row in enumerate(self.A, 5):
             pairs = {pair: x if sign > 0 else -x
                      for m, x in enumerate(row, 1) if x for pair, sign in SIGMA[m].items()}
             if pairs:
-                self.struct[k] = pairs
-        self._dbar: dict[int, FormExpr] = {}
+                struct[k] = pairs
+        return struct
 
     # -- basis forms ---------------------------------------------------------
 

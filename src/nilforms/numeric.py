@@ -11,7 +11,7 @@ import random
 from typing import Callable
 
 from .forms import FormExpr, exterior_derivative
-from .profiles import JETS, DilatonProfile
+from .profiles import JETS, Admitted, DilatonProfile
 from .ring import COORDS, CoefExpr, as_symbol, distinct_up_to_sign, is_jet, jet_sym
 
 DEFAULT_STEP = 1e-4
@@ -121,17 +121,17 @@ def halton_points(n: int, seed: int, box, accept: Callable | None = None, max_ro
     raise RuntimeError(f"could not find {n} admissible sample points")
 
 
-def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None):
+def profile_points(prof: DilatonProfile, n: int = 64, seed: int = 0, box=None) -> Admitted:
     """Deterministic points inside the profile domain, at least 1e-3 from the
-    singular set."""
+    singular set: an Admitted of prof, whose jets then test no point again."""
     if box is None:
         box = ((-0.45, 0.45),) * 4
-    return halton_points(
+    return Admitted(halton_points(
         n,
         seed,
         box,
         accept=lambda p: prof.in_domain(p) and prof.singular_distance(p) >= 1e-3,
-    )
+    ), prof)
 
 
 # ---------------------------------------------------------------------------

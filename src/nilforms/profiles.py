@@ -130,6 +130,16 @@ def _quadratic_exact(point, want, p0: int, e: int, s: int, center, scale):
     return g, N ** 3, jets
 
 
+class Admitted(tuple):
+    """Points each of which profile.in_domain admitted as it was drawn (numeric.profile_points),
+    so that profile's jets reads them without testing the domain again."""
+
+    def __new__(cls, points, profile):
+        out = super().__new__(cls, points)
+        out.profile = profile
+        return out
+
+
 class DilatonProfile:
     """A dilaton f = f0 + (s/2) log P on (a subset of) R^4, with e^{2 f0} = scale."""
 
@@ -146,9 +156,10 @@ class DilatonProfile:
         self.exact = exact_jets is not None
 
     def _jets_of_p(self, points):
-        for x in points:
-            if not self.in_domain(x):
-                raise BadParams(f"{self.name}: point {x!r} outside the domain")
+        if getattr(points, "profile", None) is not self:  # an Admitted of self was tested as it was drawn
+            for x in points:
+                if not self.in_domain(x):
+                    raise BadParams(f"{self.name}: point {x!r} outside the domain")
         return self._pjets(points)
 
     def e2f(self, x: Sequence[float]):
@@ -164,7 +175,8 @@ class DilatonProfile:
 
         Each value is the one-point chain rule's at its point, whatever else
         is asked and whatever the other points are.  A point outside the
-        domain raises BadParams naming it.
+        domain raises BadParams naming it; the points of an Admitted of this
+        profile passed that test when they were drawn and are not tested again.
         """
         P, Pi, Pij, Pijk = self._jets_of_p(points)
         half_log_scale, half_s = 0.5 * math.log(self._scale), 0.5 * self._s

@@ -51,8 +51,8 @@ rebuilt by ``from_monomials``), ``is_jet``, ``as_fraction()``,
 ``as_number()`` (the same value, an int where it is integral), ``len()``
 and ``bool()``.  ``substitute`` puts exact numbers in for symbols in one
 integer pass over the packed keys, the way a numeric frame and its anomaly
-residual are read off their symbolic family, with the plan the element
-keeps for that set of symbols.  ``evaluate`` reads a float
+residual are read off their symbolic family, working out each distinct
+monomial in those symbols once.  ``evaluate`` reads a float
 table of columns over a point set, ``{symbol: [one float per point]}``, and
 returns one float per point; ``evaluate_exact`` reads a ``{symbol: int}``
 table over one denominator.  Names are resolved to symbols only where such
@@ -60,10 +60,10 @@ a table is built, and ``evaluate`` keeps each column of e^{kf} (under the
 int key k) or of a symbol's power it computes in its table, for every
 later term that reads it.  An
 element is immutable, so it keeps what their first calls work out: the
-float plan of ``evaluate``, the integer plan of ``evaluate_exact``, one
-integer plan of ``substitute`` per set of symbols put to numbers, and the
+float plan of ``evaluate``, the integer plan of ``evaluate_exact`` and the
 symbol set of ``symbols()``, which a sweep reads to ask a profile for only
-the jets it needs.
+the jets it needs.  It keeps the integer plan of ``substitute`` for a set
+of symbols put to numbers from the second call with that set on.
 """
 
 from __future__ import annotations
@@ -277,32 +277,38 @@ def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
     For a value p/q of a slot whose highest power in e is P, a term with
     power j (0 where the symbol is absent) has its numerator multiplied by
     p^j q^(P-j), so every sum is an integer over the one denominator
-    e.den * Q, Q = prod q^P.  Each numerator starts as n * Q, and a symbol
-    present replaces its factor q^P by p^j q^(P-j).  e itself when no
-    symbol of numbers occurs in it.  e keeps one plan per set of slots put
-    in, built by the first call with that set: each such slot present with
-    its highest power, the output keys in first-seen order, and per term
-    its numerator, the position of its output key (the term's key with
-    those slots' fields cleared) and its (slot, power) pairs of those slots
-    alone.  So a call decodes nothing and tests no slot it does not put in.
+    e.den * Q, Q = prod q^P.  A term's monomial in the slots put in, a
+    tuple of (slot, power) pairs, so has the factor Q // q^P * p^j q^(P-j)
+    over its pairs, and the empty monomial, no slot put in, the factor Q.
+    e itself when no symbol of numbers occurs in it.  The plan for a set of
+    slots holds each such slot with its highest power, the distinct
+    monomials, the output keys in first-seen order, and per term its
+    numerator, the position of its output key (the term's key with those
+    slots' fields cleared) and the index of its monomial.  A call works out
+    each monomial's factor once and adds one product per term.  e keeps the
+    plan from the second call with that set of slots on, so an element
+    substituted once keeps none, and a later call decodes nothing and tests
+    no slot it does not put in.
     """
     if not numbers:
         return e
     slots = frozenset(numbers)
     try:
-        plan = e._subst.get(slots)
+        subst = e._subst
     except AttributeError:
-        plan, e._subst = None, {}
+        subst = e._subst = {}
+    plan = subst.get(slots)
     if plan is None:
-        top, where, terms = {}, {}, []  # slot -> highest power; output key -> its position
+        top, monomials, where, terms = {}, {}, {}, []  # slot -> highest power; monomial, output key -> index
         for key, n in e.terms.items():
             pairs = tuple((s, p) for s, p in _decode(key)[2] if s in slots)
             for s, p in pairs:
                 top[s] = max(top.get(s, 0), p)
                 key -= p << (_W * s)
-            terms.append((n, where.setdefault(key, len(where)), pairs))
-        plan = e._subst[slots] = tuple(top.items()), tuple(where), tuple(terms)
-    top, keys, terms = plan
+            terms.append((n, where.setdefault(key, len(where)), monomials.setdefault(pairs, len(monomials))))
+        plan = tuple(top.items()), tuple(monomials), tuple(where), tuple(terms)
+        subst[slots] = plan if slots in subst else None  # a first call only marks its set
+    top, monomials, keys, terms = plan
     if not top:
         return e
     rows, Q = {}, 1  # slot -> [p^j q^(P-j) for j = 0..P]
@@ -311,13 +317,16 @@ def _put_numbers(e: "CoefExpr", numbers: dict) -> "CoefExpr":
         p, q = v.numerator, v.denominator
         Q *= q ** P
         rows[s] = [p ** j * q ** (P - j) for j in range(P + 1)]
-    sums = [0] * len(keys)
-    for n, pos, pairs in terms:
-        n *= Q
-        for s, p in pairs:
+    factors = []
+    for pairs in monomials:
+        f = Q
+        for s, j in pairs:
             row = rows[s]
-            n = n // row[0] * row[p]  # row[0] = q^P divides n exactly
-        sums[pos] += n
+            f = f // row[0] * row[j]  # row[0] = q^P divides f exactly
+        factors.append(f)
+    sums = [0] * len(keys)
+    for n, pos, m in terms:
+        sums[pos] += n * factors[m]
     return _canonical({e.den * Q: dict(zip(keys, sums))})
 
 
@@ -524,9 +533,11 @@ class CoefExpr:
 
         The symbols put to numbers leave in one integer pass over the packed
         keys (_put_numbers), the way a numeric frame is read off its
-        symbolic family; the element keeps that pass's plan for each set of
-        symbols put to numbers, so a family read again and again with the
-        same symbols decodes its terms once.  Only a symbol put to a
+        symbolic family.  That pass works out each distinct monomial in
+        those symbols once, and the element keeps its plan from the second
+        call with a set of symbols on, so a family read again and again with
+        the same symbols decodes its terms twice and an element substituted
+        once keeps no plan.  Only a symbol put to a
         non-constant element builds ring products, after that pass: each
         term clears the symbol's field and is multiplied by element^power,
         and the sum is canonicalised once.  So the substitution is simultaneous: a number never enters an

@@ -8,6 +8,8 @@ import pytest
 
 from naive_forms import sigma_bar
 from nilforms import ring
+from nilforms.anomaly import anomaly_residual, displayed_residual_db, displayed_residual_dlambda
+from nilforms.connection import gauge_rows
 from nilforms.forms import CoframeSpec
 from nilforms.frames import (
     CATALOG,
@@ -156,3 +158,36 @@ def test_drop_rejects_live_or_interior_legs():
         drop_degenerate_legs(contraction_eps6(0, drop=False), [6])  # not trailing
     with pytest.raises(ValueError):
         drop_degenerate_legs(CoframeSpec([[0, 0, 0]]), [4, 5])  # a horizontal leg
+
+
+_FAMILY_FRAMES = {
+    "kA": (lambda: k_a([[1, -2, 3], [4, 5, -6], [7, 8, 9]]),
+           {"DLambda": [[2, -4, 6], [3, -6, 9], [-1, 2, -3]], "DB": [[1, 2, -3], [0, 4, 5], [-6, 7, 8]]}),
+    "h21": (lambda: h21(3, -1, 2), {"DLambda": [4, -2, 6], "DB": [1, -3, 2]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_FRAMES))
+def test_a_frame_read_off_its_family_never_builds_its_structure_constants(name):
+    # each residual and closed form of a numeric kA or h21 frame comes from its family, so the
+    # frame's own table is never derived; a twin frame that calls dbar derives it on first use,
+    # and it is the table of d e^{4+r} = sum_m A[r][m] sigma_m
+    build, gauges = _FAMILY_FRAMES[name]
+    c = build()
+    for kind, rows in gauges.items():
+        got = anomaly_residual(c, "alphaP", (kind, rows))
+        if kind == "DLambda":
+            assert got == displayed_residual_dlambda(c, rows, "alphaP")
+        else:
+            entries = [x for row in gauge_rows(kind, rows, c) for x in row]
+            assert got == displayed_residual_db(c, ring.dot(entries, entries), "alphaP")
+    assert "struct" not in vars(c)
+    twin = build()
+    twin.dbar(5)
+    assert "struct" in vars(twin)
+    assert set(twin.struct) == {k for k, row in enumerate(twin.A, 5) if any(row)}
+    for k, row in enumerate(twin.A, 5):
+        want = twin.zero(2)
+        for m, x in enumerate(row, 1):
+            want = want + sigma_bar(twin, m) * x
+        assert not (twin.form(2, twin.struct.get(k, {})) - want), k

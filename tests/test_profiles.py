@@ -14,7 +14,7 @@ from call_counts import call_counts, count
 from nilforms import ring
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
-from nilforms.profiles import JETS, PROFILES, BadParams, over_one_denominator, profile
+from nilforms.profiles import JETS, PROFILES, Admitted, BadParams, over_one_denominator, profile
 from nilforms.ring import jet_sym, lap_e2f
 from nilforms.scenarios import _rational_points
 
@@ -318,3 +318,22 @@ def test_a_point_outside_the_domain_is_named(name, outside):
     if prof.exact:
         with pytest.raises(BadParams, match=f"{name}: point .* outside the domain"):
             _exact_at(prof, outside)
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_a_sweeps_points_are_tested_for_the_domain_once(name):
+    # profile_points tests each point it draws, and the table of the points it gives tests
+    # none again; the same points as a plain list are each tested, with the same table
+    prof = _ONE_OF_EACH[name]
+    drawn = count(call_counts(lambda: profile_points(prof, n=12, seed=2)), prof.in_domain)
+    pts = profile_points(prof, n=12, seed=2)
+    assert drawn >= len(pts) == 12
+    assert count(call_counts(lambda: prof.jets(pts)), prof.in_domain) == 0
+    assert count(call_counts(lambda: prof.jets(list(pts))), prof.in_domain) == len(pts)
+    assert prof.jets(pts) == prof.jets(list(pts))
+
+
+def test_points_admitted_by_another_profile_are_tested():
+    prof, outside = _ONE_OF_EACH["ball"], (0.6, 0.0, 0.9, 0.0)
+    with pytest.raises(BadParams, match="ball: point .* outside the domain"):
+        prof.jets(Admitted([outside], profile("ball", absA2=3)))

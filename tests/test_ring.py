@@ -675,23 +675,65 @@ def test_substitute_matches_the_fraction_per_term_reference(x, values):
 _plain_numbers = st.one_of(st.integers(-4, 4), _fracs.filter(lambda q: q.denominator > 1))
 
 
-@given(ring_exprs(max_terms=4), st.lists(_plain_numbers, min_size=5, max_size=5), st.booleans())
+@given(ring_exprs(max_terms=4), st.lists(_plain_numbers, min_size=6, max_size=6), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_substitution_plans_are_kept_per_slot_set(x, nums, lacking):
-    # {a}, {a, b}, {b} and {a} again, with c, which the element lacks but which has a slot,
-    # in every set or in none: each result is the per-term reference, and the repeat of {a}
-    # reads the plan the first {a} built and decodes nothing
+    # {a}, {a, b}, {b}, then {a} twice more, with c, which the element lacks but which has a slot,
+    # in every set or in none: each result is the per-term reference.  A set put in once keeps
+    # no plan; its second call keeps one, and its third reads that plan and decodes nothing
     x = x * x * const("a")  # a in every term, powers above one
     const("c")
-    sets = [{"a": nums[0]}, {"a": nums[1], "b": nums[2]}, {"b": nums[3]}, {"a": nums[4]}]
+    sets = [{"a": nums[0]}, {"a": nums[1], "b": nums[2]}, {"b": nums[3]}, {"a": nums[4]}, {"a": nums[5]}]
     if lacking:
         sets = [{**values, "c": Fraction(7, 3)} for values in sets]
-    for values in sets[:3]:
+    for i, values in enumerate(sets[:4]):
+        if i == 3:
+            assert len(x._subst) == 3 and not any(x._subst.values())  # each set marked, no plan kept
         got = x.substitute(values)
         assert _is_canonical(got) and got == naive_forms.substitute_reference(x, values), values
-    counts = call_counts(lambda: x.substitute(sets[3]))
-    assert count(counts, ring._decode) == 0 and len(x._subst) == 3  # one plan per slot set
-    assert x.substitute(sets[3]) == naive_forms.substitute_reference(x, sets[3])
+    assert len(x._subst) == 3 and [plan is not None for plan in x._subst.values()].count(True) == 1
+    counts = call_counts(lambda: x.substitute(sets[4]))
+    assert count(counts, ring._decode) == 0 and len(x._subst) == 3  # the repeated set decodes nothing
+    assert x.substitute(sets[4]) == naive_forms.substitute_reference(x, sets[4])
+
+
+_rest_atoms = st.sampled_from([jet(1), jet(2), jet(1, 2), expf(2), expf(-2), const("d")])
+
+
+@st.composite
+def _shared_monomials(draw):
+    """P * R + S: P a polynomial in a and b, R and S elements free of both, so each monomial
+    of P is shared by the terms of every key of R, and S's terms hold neither a nor b."""
+    def element(atoms, max_terms):
+        e = CoefExpr()
+        for _ in range(draw(st.integers(1, max_terms))):
+            m = rat(draw(_fracs.filter(bool)))
+            for _ in range(draw(st.integers(0, 3))):
+                m = m * draw(atoms)
+            e = e + m
+        return e
+
+    P = element(st.sampled_from([const("a"), const("b")]), 4)
+    return P * element(_rest_atoms, 4) + element(_rest_atoms, 3)
+
+
+_dens = st.lists(st.sampled_from((1, 2, 3, 5, 7)), min_size=2, max_size=2, unique=True)
+
+
+@given(_shared_monomials(), st.integers(-5, 5), st.integers(-5, 5), _dens)
+@settings(max_examples=80, deadline=None)
+def test_a_substitution_works_out_each_monomial_once_for_every_term_sharing_it(x, p1, p2, dens):
+    # many output keys share one monomial in a and b, some terms hold neither (the factor Q), and
+    # a and b take values over different denominators; the first call, the call that keeps the
+    # plan and the call that reads it each give the per-term reference and sympy's subs
+    sp = pytest.importorskip("sympy")
+    values = {"a": Fraction(p1, dens[0]), "b": Fraction(p2, dens[1])}
+    want = naive_forms.substitute_reference(x, values)
+    subs = {sp.Symbol(f"c_{name}"): sp.Rational(v.numerator, v.denominator) for name, v in values.items()}
+    assert sp.expand(_to_sympy(sp, x).subs(subs, simultaneous=True) - _to_sympy(sp, want)) == 0
+    for _ in range(3):
+        got = x.substitute(values)
+        assert _is_canonical(got) and got == want
 
 
 @given(st.lists(st.tuples(ring_exprs(), ring_exprs()), max_size=5))
