@@ -79,7 +79,7 @@ class Gauge:
 
     @cached_property
     def anomaly_residual(self) -> CoefExpr:
-        return anomaly_residual(self.coframe, const("alphaP"), self)
+        return anomaly_residual(self.coframe, _alphaP(), self)
 
     @cached_property
     def abs_B_squared(self) -> CoefExpr:
@@ -92,8 +92,8 @@ class Gauge:
         """The paper's closed form of anomaly_residual: displayed_residual_dlambda, or _db of |B|^2."""
         c = self.coframe
         if self.kind == "DLambda":
-            return displayed_residual_dlambda(c, self.rows, const("alphaP"))
-        return displayed_residual_db(c, self.abs_B_squared, const("alphaP"))
+            return displayed_residual_dlambda(c, self.rows, _alphaP())
+        return displayed_residual_db(c, self.abs_B_squared, _alphaP())
 
     @cached_property
     def reduced_residual(self) -> CoefExpr:
@@ -134,9 +134,14 @@ def family_residual(family: Geometry, kind: str) -> CoefExpr:
         nrows, ncols = (3, c.dim - 4) if kind == "DLambda" else (c.dim - 4, 3)
         rows = tuple(tuple(const(name) for _, name in row[:ncols]) for row in _entry_symbols(kind)[:nrows])
         p1 = Gauge(c, kind, rows).p1
-        return _residual(family, FormExpr(c, 4, {HORIZONTAL: p1.comps[HORIZONTAL]}), const("alphaP"))
+        return _residual(family, FormExpr(c, 4, {HORIZONTAL: p1.comps[HORIZONTAL]}), _alphaP())
 
     return held_in(family, ("family-residual", kind), build)
+
+
+def _alphaP() -> CoefExpr:
+    """The constant alphaP, the symbol a residual keeps, built once per process (ring.held)."""
+    return ring.held("alphaP", lambda: const("alphaP"))
 
 
 def _entry_symbols(kind: str) -> tuple:
@@ -192,7 +197,7 @@ def anomaly_residual(c: CoframeSpec, alphaP, gauge) -> CoefExpr:
     if values is None:
         return _residual(geo, gauge.p1, ap)
     values = {**geo.values, **values}
-    if ap != const("alphaP"):
+    if ap != _alphaP():
         values[ring.const_sym("alphaP")] = ap
     return family_residual(geo.family, gauge.kind).substitute(values)
 

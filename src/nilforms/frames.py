@@ -14,6 +14,10 @@ Catalogue ids:
 * ``h21``  5-dim, single row (a1,a2,a3);
 * ``eps6`` 7-dim family A_eps = [[0,b,0],[a,0,-b],[0,0,eps]], eps=0 drops leg 7 to h5;
 * ``eps5`` 7-dim family A_eps = [[a1,a2,a3],[0,eps,0],[0,0,eps]], eps=0 drops legs 6,7 to h21.
+
+A parameter passed as None is the symbol of its name: ``eps=None`` gives the
+whole 7-leg family with eps symbolic, the frame every eps is read off.  eps
+defaults to 0, the contracted frame.
 """
 
 from __future__ import annotations
@@ -30,14 +34,18 @@ def abs_A_squared(c: CoframeSpec) -> ring.CoefExpr:
     return ring.dot(entries, entries)
 
 
+def _named(name: str, value):
+    """value, or the constant named name when value is None."""
+    return ring.const(name) if value is None else value
+
+
 def _h5_rows(a, b) -> list:
-    a = ring.const("a") if a is None else a
-    b = ring.exact(ring.const("b") if b is None else b)
-    return [[0, b, 0], [a, 0, -b]]
+    b = ring.exact(_named("b", b))
+    return [[0, b, 0], [_named("a", a), 0, -b]]
 
 
 def _h21_row(a1, a2, a3) -> list:
-    return [ring.const(f"a{i}") if v is None else v for i, v in ((1, a1), (2, a2), (3, a3))]
+    return [_named(f"a{i}", v) for i, v in ((1, a1), (2, a2), (3, a3))]
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +68,7 @@ def h5(a=None, b=None) -> CoframeSpec:
 
 
 def h3(a=None) -> CoframeSpec:
-    a = ring.const("a") if a is None else a
-    return CoframeSpec([[0, 0, 0], [a, 0, 0]])
+    return CoframeSpec([[0, 0, 0], [_named("a", a), 0, 0]])
 
 
 def h21(a1=None, a2=None, a3=None) -> CoframeSpec:
@@ -81,18 +88,15 @@ def drop_degenerate_legs(c: CoframeSpec, legs: Sequence[int]) -> CoframeSpec:
     return CoframeSpec(c.A[:keep])
 
 
-def contraction_eps6(eps=0, a=None, b=None, drop: bool = True) -> CoframeSpec:
-    c = CoframeSpec(_h5_rows(a, b) + [[0, 0, eps]])
-    if drop and not c.A[2][2]:
-        return drop_degenerate_legs(c, [7])
-    return c
+def contraction_eps6(eps=0, a=None, b=None) -> CoframeSpec:
+    c = CoframeSpec(_h5_rows(a, b) + [[0, 0, _named("eps", eps)]])
+    return c if c.A[2][2] else drop_degenerate_legs(c, [7])
 
 
-def contraction_eps5(eps=0, a1=None, a2=None, a3=None, drop: bool = True) -> CoframeSpec:
+def contraction_eps5(eps=0, a1=None, a2=None, a3=None) -> CoframeSpec:
+    eps = _named("eps", eps)
     c = CoframeSpec([_h21_row(a1, a2, a3), [0, eps, 0], [0, 0, eps]])
-    if drop and not c.A[1][1]:
-        return drop_degenerate_legs(c, [6, 7])
-    return c
+    return c if c.A[1][1] else drop_degenerate_legs(c, [6, 7])
 
 
 # catalogue id -> the name of its builder, looked up when a frame is built, so a

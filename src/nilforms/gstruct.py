@@ -358,9 +358,13 @@ def _family(c: CoframeSpec) -> tuple:
     if c.dim not in FREE_FRAME or None in nums:
         return None, None
     family = catalogue_geometry(FREE_FRAME[c.dim])
-    # each entry of the family's fiber matrix is one symbol
-    syms = [sym for row in family.coframe.A for x in row for sym in x.symbols()]
-    return family, dict(zip(syms, nums))
+    return family, dict(zip((sym for row in _family_symbols(family) for sym in row), nums))
+
+
+def _family_symbols(family: Geometry) -> tuple:
+    """The one symbol of each entry of a free family's fiber matrix, in the rows of its A, held on the family."""
+    return held_in(family, "entry-symbols", lambda: tuple(
+        tuple(sym for x in row for sym in x.symbols()) for row in family.coframe.A))
 
 
 def _field(derive):
@@ -515,12 +519,10 @@ def build_DB(B, c: CoframeSpec) -> ConnectionForms:
     """
     if c.dim not in FREE_FRAME:
         raise DimensionMismatch("build_DB supports dims 7 and 5")
-    rows = gauge_rows("DB", B, c)
-    wm = catalogue_geometry(FREE_FRAME[c.dim]).minus
-    # each entry of the twin's A is one symbol; B's entry takes its place
-    mapping = {sym: b for row, brow in zip(wm.coframe.A, rows) for x, b in zip(row, brow) for sym in x.symbols()}
-    # the twin's forms carried over to c, which has its dimension
-    return specialised(wm, c, mapping)
+    family = catalogue_geometry(FREE_FRAME[c.dim])
+    rows = zip(_family_symbols(family), gauge_rows("DB", B, c))
+    # B's entry takes the place of the twin's symbol; the twin's forms carried over to c, which has its dimension
+    return specialised(family.minus, c, {sym: b for syms, brow in rows for sym, b in zip(syms, brow)})
 
 
 # ---------------------------------------------------------------------------

@@ -314,18 +314,6 @@ def _float_sweep(sweep, table) -> float:
     return numeric.max_error([abs(v) for e in sweep.exprs for v in e.evaluate(table)])
 
 
-def _decay_sweep(geo, legs: tuple):
-    """The float sweep of the coefficients of geo's curv_minus that touch a leg of legs, kept in geo.held.
-
-    A coefficient of component idx of entry (i, j) touches leg l when l is
-    i, j or in idx.
-    """
-    cur = geo.curv_minus
-    return held_in(geo, "dropped-leg-sweep", lambda: numeric.Sweep(
-        coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
-        if any(leg in legs for leg in (i, j, *idx))))
-
-
 def _rational_points(seed: int):
     """Five deterministic rational sample points away from the origin, each as (integer numerators, one denominator)."""
     pts = []
@@ -525,33 +513,46 @@ class _Contraction(NamedTuple):
     direct: str  # catalogue id of its eps = 0 frame
     dropped_legs: tuple
     lam7: list  # Lambda on the full-leg frame; zero in the dropped legs' columns
-    a_num: dict  # numeric frame parameters of the decay check
+    a_num: dict  # the numbers the decay check puts in for the family's other symbols
 
 
 _CONTRACTIONS = {
     6: _Contraction("eps6", "h5", (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
-                    {"a": 1.25, "b": 0.75}),
+                    {"a": Fraction(5, 4), "b": Fraction(3, 4)}),
     5: _Contraction("eps5", "h21", (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
-                    {"a1": 1.0, "a2": -0.5, "a3": 0.25}),
+                    {"a1": 1, "a2": Fraction(-1, 2), "a3": Fraction(1, 4)}),
 }
+
+_EPS = ring.const_sym("eps")
+
+
+def _decay_sweeps(fam, t: _Contraction) -> dict:
+    """{eps: the float sweep of the dropped-leg coefficients of fam's curv_minus at eps and t.a_num}, kept in fam.held.
+
+    fam is the eps-family with eps symbolic.  A coefficient of component idx
+    of entry (i, j) is on a dropped leg when i, j or a leg of idx is one;
+    each goes into the sweeps at eps = 1/10, 1/100 and 1/1000 by substitute.
+    """
+    def build():
+        cur = fam.curv_minus
+        coefs = [coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
+                 if any(leg in t.dropped_legs for leg in (i, j, *idx))]
+        nums = {ring.const_sym(name): v for name, v in t.a_num.items()}
+        return {float(e): numeric.Sweep(coef.substitute({**nums, _EPS: e}) for coef in coefs)
+                for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))}
+
+    return held_in(fam, "dropped-leg-sweeps", build)
 
 
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     _params(name, dim, config, (), overrides)
     t = _CONTRACTIONS[dim]
-
-    def family(eps, drop=True):
-        return catalogue_geometry(t.family, eps=eps, drop=drop)
-
-    geo0, geo_direct = family(0), catalogue_geometry(t.direct)
+    # the family with eps symbolic, its eps = 0 frame with the dead legs dropped, and the direct frame
+    fam, geo0, geo_direct = (catalogue_geometry(t.family, eps=None), catalogue_geometry(t.family, eps=0),
+                             catalogue_geometry(t.direct))
     c0, direct = geo0.coframe, geo_direct.coframe
 
-    _ck(checks, "family-integrability", lambda: (
-        all(_forms_all_zero(family(e, drop=False).integrability_residuals)[0]
-            for e in (Fraction(1, 10), Fraction(1, 100), 0)),
-        None,
-        {},
-    ), geo0)
+    _ck(checks, "family-integrability", lambda: (_forms_all_zero(fam.integrability_residuals)[0], None, {}), fam)
 
     def _coframe_limit():
         same = c0.A == direct.A
@@ -567,20 +568,17 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     _ck(checks, "contracted-structure-residuals", _structure_limit, geo0)
 
     def _residual_limit():
-        # full-leg frame with the degenerate rows kept, against the contracted frame
+        # the family's residual at eps = 0, the degenerate rows kept, against the contracted frame's
         lam_direct = [row[:c0.dim - 4] for row in t.lam7]  # the same Lambda on the contracted frame
-        r_path, r_direct = (anomaly.held_gauge(family(0, drop), "DLambda", lam).anomaly_residual
-                            for lam, drop in ((t.lam7, False), (lam_direct, True)))
+        r_path = anomaly.held_gauge(fam, "DLambda", t.lam7).anomaly_residual.substitute({_EPS: 0})
+        r_direct = anomaly.held_gauge(geo0, "DLambda", lam_direct).anomaly_residual
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
     _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo0)
 
     def _decay():
         prof = profile("ball", absA2=3)
-        dropped = {  # eps -> the sweep of the curvature coefficients on a dropped leg
-            float(e): _decay_sweep(catalogue_geometry(t.family, eps=e, **t.a_num), t.dropped_legs)
-            for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-        }
+        dropped = _decay_sweeps(fam, t)  # eps -> the sweep of the curvature coefficients on a dropped leg
         pts = numeric.profile_points(prof, n=12, seed=seed)
         table = _table(prof, pts, dropped.values())
         maxima = {e: _float_sweep(sweep, table) for e, sweep in dropped.items()}

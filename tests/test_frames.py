@@ -121,10 +121,12 @@ def test_contraction_limit_drops_dead_legs():
     assert c5.struct == h21().struct
 
 
-def test_contraction_limit_can_keep_legs():
-    c6 = contraction_eps6(0, drop=False)
-    assert c6.dim == 7
-    assert not c6.dbar(7)
+def test_symbolic_eps_keeps_seven_legs_and_eps_zero_drops_them():
+    eps, zero = const("eps"), rat(0)
+    c6, c5 = contraction_eps6(None), contraction_eps5(None)
+    assert c6.dim == 7 and c6.A == contraction_eps6(0).A + ((zero, zero, eps),)
+    assert c5.dim == 7 and c5.A == contraction_eps5(0).A + ((zero, eps, zero), (zero, zero, eps))
+    assert contraction_eps6(0).dim == 6 and contraction_eps5(0).dim == 5
 
 
 def test_build_coframe_contraction_dispatch():
@@ -146,8 +148,8 @@ def test_drop_keeps_the_leading_rows():
     c = CoframeSpec([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
     assert drop_degenerate_legs(c, [6, 7]).A == c.A[:1]
     assert drop_degenerate_legs(c, [7]).A == c.A[:2]
-    c6 = contraction_eps6(0, rat(2), rat(3), drop=False)
-    assert drop_degenerate_legs(c6, [7]).A == c6.A[:2] == h5(2, 3).A
+    c6 = CoframeSpec([*h5(2, 3).A, [0, 0, 0]])  # the eps6 frame at eps = 0 with leg 7 kept
+    assert drop_degenerate_legs(c6, [7]).A == c6.A[:2] == contraction_eps6(0, rat(2), rat(3)).A
 
 
 def test_drop_rejects_live_or_interior_legs():
@@ -155,7 +157,7 @@ def test_drop_rejects_live_or_interior_legs():
     with pytest.raises(ValueError):
         drop_degenerate_legs(c, [7])  # leg 7 has a nonzero differential
     with pytest.raises(ValueError):
-        drop_degenerate_legs(contraction_eps6(0, drop=False), [6])  # not trailing
+        drop_degenerate_legs(CoframeSpec([*h5().A, [0, 0, 0]]), [6])  # not trailing
     with pytest.raises(ValueError):
         drop_degenerate_legs(CoframeSpec([[0, 0, 0]]), [4, 5])  # a horizontal leg
 

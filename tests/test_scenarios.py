@@ -7,9 +7,12 @@ import json
 import math
 import numbers
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,8 +337,8 @@ DERIVATION_BUDGET = {
     "thm-7d-positive": (1, 3, 2, 0),
     "thm-5d-positive": (1, 3, 2, 0),
     "ball-7d": (2, 2, 0, 80),
-    "contraction-6d": (3, 5, 2, 12),
-    "contraction-5d": (3, 5, 2, 12),
+    "contraction-6d": (2, 4, 2, 12),
+    "contraction-5d": (2, 4, 2, 12),
 }
 
 
@@ -411,7 +414,7 @@ SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._i
 
 
 def test_a_warm_round_reruns_no_seed_free_check():
-    # so a round at a new seed makes 9,801 Python calls and builds 159 Fractions (an exact
+    # so a round at a new seed makes 9,329 Python calls and builds 153 Fractions (an exact
     # table's jets are ints, g its one Fraction, a rational sample point is ints over one
     # denominator, and an int fundamental c or centre stays an int), the same on a repeat; the
     # cyclic collector is off, since the finalizers it runs on other tests' garbage would count too
@@ -431,7 +434,7 @@ def test_a_warm_round_reruns_no_seed_free_check():
     finally:
         gc.enable()
     assert rounds[0] <= 9_997 and rounds[1] == rounds[0]
-    assert 0 < fractions[0] <= 159 and fractions[1] == fractions[0]
+    assert 0 < fractions[0] <= 153 and fractions[1] == fractions[0]
 
 
 @pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
@@ -440,6 +443,28 @@ def test_a_warm_contraction_report_reads_its_dropped_legs_off_the_geometry(name)
     counts = _report_calls(name, 3)
     assert count(counts, CoefExpr.evaluate) > 0  # the counter is live
     assert count(counts, CurvatureForms.pairs) == 0 and count(counts, CurvatureForms.entry) == 0
+
+
+@pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
+def test_a_fresh_contraction_report_reads_no_free_family(name):
+    # every eps is read off the contraction's own symbolic family, so a process that runs a
+    # contraction alone never builds kA, the family its numeric 7-leg frames were read off
+    probe = (
+        f"import json, sys; sys.path.insert(0, {str(Path(scenarios.__file__).parents[1])!r})\n"
+        "from nilforms import gstruct, scenarios\n"
+        "ids, held = set(), gstruct.catalogue_geometry\n"
+        "def recording(catalog_id, **params):\n"
+        "    ids.add(catalog_id)\n"
+        "    return held(catalog_id, **params)\n"
+        "gstruct.catalogue_geometry = scenarios.catalogue_geometry = recording\n"
+        f"assert scenarios.run_scenario({name!r}).passed\n"
+        "print(json.dumps(sorted(ids)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    t = scenarios._CONTRACTIONS[scenarios._BODIES[name][1]]
+    ids = json.loads(proc.stdout)
+    assert "kA" not in ids and ids == sorted({t.family, t.direct})
 
 
 def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
