@@ -220,14 +220,8 @@ def lam_rank(rows) -> int:
     return 2
 
 
-def lam_A_product(lam, c: CoframeSpec):
-    """(lam . A)_{rm} = sum_c lam[r][c] A[c][m] as a 3x3 CoefExpr matrix."""
-    lam = gauge_rows("DLambda", lam, c)
-    cols = [[row[m] for row in c.A] for m in range(3)]
-    return tuple(tuple(ring.dot(row, col) for col in cols) for row in lam)
-
-
 def lam_squared(lam, c: CoframeSpec) -> ring.CoefExpr:
-    """lambda^2 = |lam . A|^2, the curvature normalization of D_lam."""
-    entries = [e for row in lam_A_product(lam, c) for e in row]
+    """lambda^2 = |lam . A|^2, the curvature normalization of D_lam; (lam . A)_{rm} = sum_c lam[r][c] A[c][m]."""
+    cols = [[row[m] for row in c.A] for m in range(3)]
+    entries = [ring.dot(row, col) for row in gauge_rows("DLambda", lam, c) for col in cols]
     return ring.dot(entries, entries)

@@ -19,7 +19,7 @@ from .connection import gauge_rows, lam_rank, lam_squared
 from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_p
 from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
-from .gstruct import catalogue_geometry, geometry, held_in
+from .gstruct import catalogue_geometry, geometry, held_in, specialised
 from .profiles import BadParams, profile
 from .report import SCENARIOS, strict_json
 from .ring import rat
@@ -198,13 +198,14 @@ def _theorem_gauges(geos, kind: str, rows) -> list:
 
 
 def _theorem_frames(checks: list, dim: int, A_num) -> tuple:
-    """The symbolic and numeric Geometry of a theorem, after the three checks on the symbolic frame."""
+    """The symbolic and numeric Geometry of a theorem and the numeric frame's |A|^2 (held on it),
+    after the three checks on the symbolic frame."""
     th = _THEOREMS[dim]
     geo, geo_num = _frame_geometry(dim), _frame_geometry(dim, A_num)
     _ck(checks, "frame-integrability", lambda: _all_zero(geo.integrability_residuals, "legs"), geo)
     _ck(checks, th.structure_check, lambda: th.structure_body(geo), geo)
     _ck(checks, "torsion-chain", lambda: _torsion_chain(geo), geo)
-    return geo, geo_num
+    return geo, geo_num, held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(geo_num.coframe).as_fraction())
 
 
 def _is_int(value) -> bool:
@@ -333,7 +334,7 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     """Shared body of thm-7d-negative / thm-5d-negative."""
     A_num, lam, npoints = _params(name, dim, config, ("A", "lam", "npoints"), overrides, min_points=2)
     values["lam"] = lam
-    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
+    geo, geo_num, absA2q = _theorem_frames(checks, dim, A_num)  # held to the end
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DLambda", lam)
     csym, cnum = geo.coframe, geo_num.coframe
 
@@ -357,7 +358,6 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "u-substitution-identity", lambda: (not any(anomaly.u_substitution_residuals()), None, {}))
 
     # numeric leg: Weierstrass profile under the constraint 2|A|^2 = alpha^2 lam^2; |A|^2 and lam^2 are held
-    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(cnum).as_fraction())
     lam2q = held_in(gauge_num, "lam-squared", lambda: lam_squared(lam, cnum).as_fraction())
     values["absA2"] = absA2q
     values["lam2"] = lam2q
@@ -410,8 +410,8 @@ def _weierstrass_negative(checks, values, *, name: str, dim: int, seed: int, con
 def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
-    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    csym, cnum = geo.coframe, geo_num.coframe
+    geo, geo_num, absA2q = _theorem_frames(checks, dim, A_num)  # held to the end
+    csym = geo.coframe
     gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
     absB2 = gauge.abs_B_squared.as_fraction()
     values["absB2"] = absB2
@@ -429,8 +429,6 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     _ck(checks, "p1-difference-closed-form", _p1_difference, gauge)
 
     # engine-derived constant c*: e^{2f} = c*/|x-e|^2 kills the residual
-    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(cnum).as_fraction())
-
     def _cstar():
         # residual on the profile: lap e^{2f} = 0 and lap e^{-2f} = 8/c exactly,
         # measured from the engine polynomials on the c = 1 profile
@@ -468,8 +466,7 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     A_num, npoints = _params(name, dim, config, ("A", "npoints"), overrides)
-    geo, geo_num = _theorem_frames(checks, dim, A_num)  # held to the end
-    absA2q = held_in(geo_num, "abs-A-squared", lambda: abs_A_squared(geo_num.coframe).as_fraction())
+    geo, geo_num, absA2q = _theorem_frames(checks, dim, A_num)  # held to the end
     values["absA2"] = absA2q
     values["p1_volume_reading"] = "unbarred"
 
@@ -510,7 +507,7 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
 
 class _Contraction(NamedTuple):
     family: str  # catalogue id of the eps-family
-    direct: str  # catalogue id of its eps = 0 frame
+    direct: str  # catalogue id of the frame its eps -> 0 limit must equal
     dropped_legs: tuple
     lam7: list  # Lambda on the full-leg frame; zero in the dropped legs' columns
     a_num: dict  # the numbers the decay check puts in for the family's other symbols
@@ -547,34 +544,35 @@ def _decay_sweeps(fam, t: _Contraction) -> dict:
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
     _params(name, dim, config, (), overrides)
     t = _CONTRACTIONS[dim]
-    # the family with eps symbolic, its eps = 0 frame with the dead legs dropped, and the direct frame
-    fam, geo0, geo_direct = (catalogue_geometry(t.family, eps=None), catalogue_geometry(t.family, eps=0),
-                             catalogue_geometry(t.direct))
-    c0, direct = geo0.coframe, geo_direct.coframe
+    # the family with eps symbolic and the direct frame; each limit check puts eps = 0 into the family
+    fam, geo = catalogue_geometry(t.family, eps=None), catalogue_geometry(t.direct)
+    direct = geo.coframe
 
     _ck(checks, "family-integrability", lambda: (_forms_all_zero(fam.integrability_residuals)[0], None, {}), fam)
 
     def _coframe_limit():
-        same = c0.A == direct.A
-        return same, None, {"dim": c0.dim}
+        # the family's fiber matrix at eps = 0: the direct frame's rows, then a zero row per dropped leg
+        limit = tuple(tuple(x.substitute({_EPS: 0}) for x in row) for row in fam.coframe.A)
+        return limit == direct.A + ((ring.ZERO,) * 3,) * len(t.dropped_legs), None, {"dim": direct.dim}
 
-    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, geo0)
-    _ck(checks, "contracted-torsion-equals-direct", lambda: (geo0.torsion == geo_direct.torsion, None, {}), geo0)
+    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, geo)
+    _ck(checks, "contracted-torsion-equals-direct",
+        lambda: (specialised(fam.torsion, direct, {_EPS: 0}) == geo.torsion, None, {}), geo)
 
     def _structure_limit():
-        ok, bad = _forms_all_zero(geo0.structure_residuals)
+        ok, bad = _forms_all_zero(geo.structure_residuals)
         return ok, None, {"nonzero": bad}
 
-    _ck(checks, "contracted-structure-residuals", _structure_limit, geo0)
+    _ck(checks, "contracted-structure-residuals", _structure_limit, geo)
 
     def _residual_limit():
-        # the family's residual at eps = 0, the degenerate rows kept, against the contracted frame's
-        lam_direct = [row[:c0.dim - 4] for row in t.lam7]  # the same Lambda on the contracted frame
+        # the family's residual at eps = 0, the degenerate rows kept, against the direct frame's
+        lam_direct = [row[:direct.dim - 4] for row in t.lam7]  # the same Lambda on the direct frame
         r_path = anomaly.held_gauge(fam, "DLambda", t.lam7).anomaly_residual.substitute({_EPS: 0})
-        r_direct = anomaly.held_gauge(geo0, "DLambda", lam_direct).anomaly_residual
+        r_direct = anomaly.held_gauge(geo, "DLambda", lam_direct).anomaly_residual
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
-    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo0)
+    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo)
 
     def _decay():
         prof = profile("ball", absA2=3)

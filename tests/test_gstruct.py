@@ -294,7 +294,7 @@ def test_residuals_of_every_held_geometry_match_the_value_at_contraction(monkeyp
     monkeypatch.setattr(gstruct, "catalogue_geometry", recording)
     for name in SCENARIOS:
         run_scenario(name, seed=0)
-    assert len(held) == 9
+    assert len(held) == 7
     compared = 0
     for geo in held.values():
         struct = geo.structure

@@ -337,8 +337,8 @@ DERIVATION_BUDGET = {
     "thm-7d-positive": (1, 3, 2, 0),
     "thm-5d-positive": (1, 3, 2, 0),
     "ball-7d": (2, 2, 0, 80),
-    "contraction-6d": (2, 4, 2, 12),
-    "contraction-5d": (2, 4, 2, 12),
+    "contraction-6d": (2, 4, 2, 1),
+    "contraction-5d": (2, 4, 2, 1),
 }
 
 
@@ -414,12 +414,14 @@ SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._i
 
 
 def test_a_warm_round_reruns_no_seed_free_check():
-    # so a round at a new seed makes 9,329 Python calls and builds 153 Fractions (an exact
+    # so a round at a new seed makes 9,349 Python calls and builds 153 Fractions (an exact
     # table's jets are ints, g its one Fraction, a rational sample point is ints over one
     # denominator, and an int fundamental c or centre stays an int), the same on a repeat; the
-    # cyclic collector is off, since the finalizers it runs on other tests' garbage would count too
-    for name in SCENARIOS:
-        run_scenario(name, seed=0)
+    # cyclic collector is off, since the finalizers it runs on other tests' garbage would count too;
+    # two warm-up rounds at two seeds, since a substitution plan is kept from its slot set's second call
+    for seed in (0, 1):
+        for name in SCENARIOS:
+            run_scenario(name, seed=seed)
     rounds, fractions = [], []
     gc.collect()
     gc.disable()
@@ -465,6 +467,39 @@ def test_a_fresh_contraction_report_reads_no_free_family(name):
     t = scenarios._CONTRACTIONS[scenarios._BODIES[name][1]]
     ids = json.loads(proc.stdout)
     assert "kA" not in ids and ids == sorted({t.family, t.direct})
+
+
+def test_a_cold_round_holds_seven_geometries_and_stays_within_its_call_budget():
+    # a contraction reads its eps -> 0 limit off its family and the direct frame, so no eps = 0 frame
+    # is held beside them; a fresh interpreter, so nothing is held before the round, and the
+    # collector is off, since the finalizers it runs would count too
+    probe = (
+        f"import gc, json, sys; sys.path[:0] = [{str(Path(scenarios.__file__).parents[1])!r}, "
+        f"{str(Path(__file__).parent)!r}]\n"
+        "from call_counts import call_counts\n"
+        "from nilforms import scenarios\n"
+        "gc.disable()\n"
+        "counts = call_counts(lambda: [scenarios.run_scenario(name, seed=1) for name in scenarios.SCENARIOS])\n"
+        "print(json.dumps([scenarios.catalogue_geometry.cache_info().currsize, sum(counts.values())]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    held, calls = json.loads(proc.stdout)
+    assert held == 7 and calls <= 246_000, (held, calls)  # measured 245,675
+
+
+def test_a_contraction_against_a_wrong_direct_frame_fails_its_limit_checks(monkeypatch):
+    # each limit check reads the family at eps = 0 against the direct frame, so h3 in place of h5 fails them
+    monkeypatch.setitem(scenarios._CONTRACTIONS, 6, scenarios._CONTRACTIONS[6]._replace(direct="h3"))
+    catalogue_geometry.cache_clear()
+    try:
+        rep = run_scenario("contraction-6d")
+    finally:
+        catalogue_geometry.cache_clear()  # the h3 Geometry holds this report's outcomes
+    status = {c.id: c.status for c in rep.checks}
+    assert not rep.passed
+    assert [status[cid] for cid in ("contracted-coframe-equals-direct", "contracted-torsion-equals-direct",
+                                    "contracted-anomaly-equals-direct")] == ["fail"] * 3
 
 
 def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
@@ -640,19 +675,19 @@ def _holds(geo, gauge) -> bool:
 
 def test_a_family_frame_holds_its_two_residuals_and_no_symbolic_rows_gauge():
     # a family residual is built from a Gauge of symbolic rows that is not kept: after a cold
-    # round a family frame holds both residuals, and its only Gauges are its theorem's table gauges
+    # round a family frame holds both residuals, and its only Gauges are its theorem's table
+    # gauges and, on h21, the direct frame of contraction-5d, that contraction's table Lambda
     catalogue_geometry.cache_clear()
     for name in SCENARIOS:
         run_scenario(name, seed=0)
     for dim, cid in FREE_FRAME.items():
-        held = catalogue_geometry(cid).held
+        geo = catalogue_geometry(cid)
         for kind in ("DLambda", "DB"):
-            assert isinstance(held[("family-residual", kind)], CoefExpr)
+            assert isinstance(geo.held[("family-residual", kind)], CoefExpr)
         th = scenarios._THEOREMS[dim]
-        gauges = [g for g in held.values() if isinstance(g, Gauge)]
-        assert sorted(g.kind for g in gauges) == ["DB", "DLambda"]
-        assert all(g is anomaly.held_gauge(catalogue_geometry(cid), g.kind, th.lam if g.kind == "DLambda" else th.B)
-                   for g in gauges)
+        tables = [("DLambda", th.lam), ("DB", th.B)] + [("DLambda", [[1], [2], [0]])] * (cid == "h21")
+        gauges = [g for g in geo.held.values() if isinstance(g, Gauge)]
+        assert sorted(map(id, gauges)) == sorted(id(anomaly.held_gauge(geo, kind, rows)) for kind, rows in tables)
 
 
 def _drawn_residual(rng: random.Random, k: int) -> None:
