@@ -12,17 +12,16 @@ Catalogue ids:
 * ``h5``   6-dim, rows (0,b,0) and (a,0,-b);
 * ``h3``   6-dim, rows (0,0,0) and (a,0,0);
 * ``h21``  5-dim, single row (a1,a2,a3);
-* ``eps6`` 7-dim family A_eps = [[0,b,0],[a,0,-b],[0,0,eps]], eps=0 drops leg 7 to h5;
-* ``eps5`` 7-dim family A_eps = [[a1,a2,a3],[0,eps,0],[0,0,eps]], eps=0 drops legs 6,7 to h21.
+* ``eps6`` 7-dim family A_eps = [[0,b,0],[a,0,-b],[0,0,eps]], h5's rows and a flat leg 7 at eps=0;
+* ``eps5`` 7-dim family A_eps = [[a1,a2,a3],[0,eps,0],[0,0,eps]], h21's row and flat legs 6,7 at eps=0.
 
-A parameter passed as None is the symbol of its name: ``eps=None`` gives the
-whole 7-leg family with eps symbolic, the frame every eps is read off.  eps
-defaults to 0, the contracted frame.
+A parameter passed as None is the symbol of its name, eps included: the
+default eps6 and eps5 are the 7-leg families with eps symbolic, the frames
+every eps is read off.  Every eps, 0 too, gives 7 legs; the contracted
+frame is h5 or h21 itself.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from . import ring
 from .forms import CoframeSpec
@@ -78,25 +77,13 @@ def h21(a1=None, a2=None, a3=None) -> CoframeSpec:
     return c
 
 
-def drop_degenerate_legs(c: CoframeSpec, legs: Sequence[int]) -> CoframeSpec:
-    """Remove trailing fiber legs whose differential vanishes identically."""
-    keep = c.dim - 4 - len(legs)
-    if keep < 0 or sorted(legs) != list(range(5 + keep, c.dim + 1)):
-        raise ValueError("only trailing fiber legs can be dropped")
-    if any(any(row) for row in c.A[keep:]):
-        raise ValueError(f"legs {sorted(legs)} have a nonzero differential")
-    return CoframeSpec(c.A[:keep])
+def contraction_eps6(eps=None, a=None, b=None) -> CoframeSpec:
+    return CoframeSpec(_h5_rows(a, b) + [[0, 0, _named("eps", eps)]])
 
 
-def contraction_eps6(eps=0, a=None, b=None) -> CoframeSpec:
-    c = CoframeSpec(_h5_rows(a, b) + [[0, 0, _named("eps", eps)]])
-    return c if c.A[2][2] else drop_degenerate_legs(c, [7])
-
-
-def contraction_eps5(eps=0, a1=None, a2=None, a3=None) -> CoframeSpec:
+def contraction_eps5(eps=None, a1=None, a2=None, a3=None) -> CoframeSpec:
     eps = _named("eps", eps)
-    c = CoframeSpec([_h21_row(a1, a2, a3), [0, eps, 0], [0, 0, eps]])
-    return c if c.A[1][1] else drop_degenerate_legs(c, [6, 7])
+    return CoframeSpec([_h21_row(a1, a2, a3), [0, eps, 0], [0, 0, eps]])
 
 
 # catalogue id -> the name of its builder, looked up when a frame is built, so a

@@ -506,34 +506,34 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
 
 
 class _Contraction(NamedTuple):
-    family: str  # catalogue id of the eps-family
-    direct: str  # catalogue id of the frame its eps -> 0 limit must equal
-    dropped_legs: tuple
-    lam7: list  # Lambda on the full-leg frame; zero in the dropped legs' columns
+    family: str  # catalogue id of the 7-leg eps-family, eps symbolic by default
+    direct: str  # catalogue id of the frame its eps -> 0 limit must equal; the legs above its dim drop
+    lam7: list  # Lambda on the 7-leg frame; zero in the dropped legs' columns
     a_num: dict  # the numbers the decay check puts in for the family's other symbols
 
 
 _CONTRACTIONS = {
-    6: _Contraction("eps6", "h5", (7,), [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
+    6: _Contraction("eps6", "h5", [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
                     {"a": Fraction(5, 4), "b": Fraction(3, 4)}),
-    5: _Contraction("eps5", "h21", (6, 7), [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
+    5: _Contraction("eps5", "h21", [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
                     {"a1": 1, "a2": Fraction(-1, 2), "a3": Fraction(1, 4)}),
 }
 
 _EPS = ring.const_sym("eps")
 
 
-def _decay_sweeps(fam, t: _Contraction) -> dict:
+def _decay_sweeps(fam, t: _Contraction, dim: int) -> dict:
     """{eps: the float sweep of the dropped-leg coefficients of fam's curv_minus at eps and t.a_num}, kept in fam.held.
 
     fam is the eps-family with eps symbolic.  A coefficient of component idx
-    of entry (i, j) is on a dropped leg when i, j or a leg of idx is one;
-    each goes into the sweeps at eps = 1/10, 1/100 and 1/1000 by substitute.
+    of entry (i, j) is on a dropped leg when i, j or a leg of idx is above
+    dim, the direct frame's; each goes into the sweeps at eps = 1/10, 1/100
+    and 1/1000 by substitute.
     """
     def build():
         cur = fam.curv_minus
         coefs = [coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
-                 if any(leg in t.dropped_legs for leg in (i, j, *idx))]
+                 if max(i, j, *idx) > dim]
         nums = {ring.const_sym(name): v for name, v in t.a_num.items()}
         return {float(e): numeric.Sweep(coef.substitute({**nums, _EPS: e}) for coef in coefs)
                 for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))}
@@ -545,7 +545,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     _params(name, dim, config, (), overrides)
     t = _CONTRACTIONS[dim]
     # the family with eps symbolic and the direct frame; each limit check puts eps = 0 into the family
-    fam, geo = catalogue_geometry(t.family, eps=None), catalogue_geometry(t.direct)
+    fam, geo = catalogue_geometry(t.family), catalogue_geometry(t.direct)
     direct = geo.coframe
 
     _ck(checks, "family-integrability", lambda: (_forms_all_zero(fam.integrability_residuals)[0], None, {}), fam)
@@ -553,7 +553,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     def _coframe_limit():
         # the family's fiber matrix at eps = 0: the direct frame's rows, then a zero row per dropped leg
         limit = tuple(tuple(x.substitute({_EPS: 0}) for x in row) for row in fam.coframe.A)
-        return limit == direct.A + ((ring.ZERO,) * 3,) * len(t.dropped_legs), None, {"dim": direct.dim}
+        return limit == direct.A + ((ring.ZERO,) * 3,) * (fam.coframe.dim - direct.dim), None, {"dim": direct.dim}
 
     _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, geo)
     _ck(checks, "contracted-torsion-equals-direct",
@@ -576,7 +576,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
 
     def _decay():
         prof = profile("ball", absA2=3)
-        dropped = _decay_sweeps(fam, t)  # eps -> the sweep of the curvature coefficients on a dropped leg
+        dropped = _decay_sweeps(fam, t, direct.dim)  # eps -> the sweep of the curvature coefficients on a dropped leg
         pts = numeric.profile_points(prof, n=12, seed=seed)
         table = _table(prof, pts, dropped.values())
         maxima = {e: _float_sweep(sweep, table) for e, sweep in dropped.items()}

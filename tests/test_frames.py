@@ -1,4 +1,4 @@
-"""Frame-catalogue tests: structure rows, integrability, contractions, leg drops."""
+"""Frame-catalogue tests: structure rows, integrability, contractions."""
 from __future__ import annotations
 
 import random
@@ -17,7 +17,6 @@ from nilforms.frames import (
     build_coframe,
     contraction_eps5,
     contraction_eps6,
-    drop_degenerate_legs,
     h3,
     h5,
     h21,
@@ -98,7 +97,7 @@ def test_weights_rescale_first_four_legs_only():
 
 
 # ---------------------------------------------------------------------------
-# contractions and degenerate-leg drops
+# contractions
 
 def test_contraction_families_interpolate():
     c6 = contraction_eps6(Fraction(1, 10))
@@ -110,56 +109,40 @@ def test_contraction_families_interpolate():
     assert c5.A[1] == (rat(0), rat(1, 100), rat(0))
 
 
-def test_contraction_limit_drops_dead_legs():
-    c6 = contraction_eps6(0, const("a"), const("b"))
-    assert c6.dim == 6
-    assert c6.struct.keys() == h5().struct.keys()
-    assert {k: v for k, v in c6.struct.items()} == {k: v for k, v in h5().struct.items()}
+def test_every_eps_keeps_seven_legs_and_the_default_is_symbolic():
+    eps, zero = const("eps"), rat(0)
+    for e in (0, Fraction(1, 10), None):
+        assert contraction_eps6(e).dim == 7 and contraction_eps5(e).dim == 7, e
+    c6, c5 = contraction_eps6(None), contraction_eps5(None)
+    assert c6.A == h5().A + ((zero, zero, eps),)
+    assert c5.A == h21().A + ((zero, eps, zero), (zero, zero, eps))
+    assert build_coframe("eps6").A == c6.A and build_coframe("eps5").A == c5.A
+
+
+def test_contraction_limit_is_the_direct_frame_and_flat_legs():
+    a, b, zero_row = const("a"), const("b"), (rat(0),) * 3
+    c6 = contraction_eps6(0, a, b)
+    assert c6.A == h5(a, b).A + (zero_row,)
+    assert c6.struct == h5().struct
 
     c5 = contraction_eps5(0)
-    assert c5.dim == 5
+    assert c5.A == h21().A + (zero_row, zero_row)
     assert c5.struct == h21().struct
 
 
-def test_symbolic_eps_keeps_seven_legs_and_eps_zero_drops_them():
-    eps, zero = const("eps"), rat(0)
-    c6, c5 = contraction_eps6(None), contraction_eps5(None)
-    assert c6.dim == 7 and c6.A == contraction_eps6(0).A + ((zero, zero, eps),)
-    assert c5.dim == 7 and c5.A == contraction_eps5(0).A + ((zero, eps, zero), (zero, zero, eps))
-    assert contraction_eps6(0).dim == 6 and contraction_eps5(0).dim == 5
-
-
 def test_build_coframe_contraction_dispatch():
-    assert build_coframe("eps6", eps=0).dim == 6
+    assert build_coframe("eps6", eps=0).A == contraction_eps6(0).A
     assert build_coframe("eps5", eps=Fraction(1, 2)).dim == 7
     with pytest.raises(ValueError):
         build_coframe("eps4", eps=0)
 
 
 def test_build_coframe_refuses_a_keyword_its_builder_does_not_take():
-    assert build_coframe("eps6").dim == 6  # eps defaults to 0, as in contraction_eps6
+    assert build_coframe("eps6").dim == 7  # eps defaults to its symbol, as in contraction_eps6
     with pytest.raises(TypeError):
         build_coframe("gH", eps=1)
     with pytest.raises(TypeError):
         build_coframe("h21", a=1)
-
-
-def test_drop_keeps_the_leading_rows():
-    c = CoframeSpec([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
-    assert drop_degenerate_legs(c, [6, 7]).A == c.A[:1]
-    assert drop_degenerate_legs(c, [7]).A == c.A[:2]
-    c6 = CoframeSpec([*h5(2, 3).A, [0, 0, 0]])  # the eps6 frame at eps = 0 with leg 7 kept
-    assert drop_degenerate_legs(c6, [7]).A == c6.A[:2] == contraction_eps6(0, rat(2), rat(3)).A
-
-
-def test_drop_rejects_live_or_interior_legs():
-    c = quaternionic_heisenberg()
-    with pytest.raises(ValueError):
-        drop_degenerate_legs(c, [7])  # leg 7 has a nonzero differential
-    with pytest.raises(ValueError):
-        drop_degenerate_legs(CoframeSpec([*h5().A, [0, 0, 0]]), [6])  # not trailing
-    with pytest.raises(ValueError):
-        drop_degenerate_legs(CoframeSpec([[0, 0, 0]]), [4, 5])  # a horizontal leg
 
 
 _FAMILY_FRAMES = {
