@@ -6,6 +6,11 @@ its fiber matrix A, by the conformal rescaling ``ebar^i = e^{w_i f} e^i``
 with weights ``w = (1,1,1,1,0,..)``.  Forms are dictionaries mapping sorted index
 tuples to ring coefficients; evaluation on frame vectors follows the
 determinant convention, so ``ebar^{12}(ebar_2, ebar_1) = -1``.
+
+Every operator that sums terms into a form (``+``, ``-``, wedge, d)
+adds its terms into one raw ring accumulator per component, through
+``ring._add_into``, ``_mul_into`` or ``_partial_into``, and reads each
+accumulator once with ``ring._canonical``.
 """
 
 from __future__ import annotations
@@ -166,22 +171,27 @@ class FormExpr:
         if self.coframe is not other.coframe:
             raise DimensionMismatch("forms live on different coframes")
 
-    def __add__(self, other: "FormExpr") -> "FormExpr":
+    def _sum(self, other, sign: int):
+        """self + sign * other (sign = +/-1): each component goes into one raw accumulator per index."""
         if not isinstance(other, FormExpr):
             return NotImplemented
         self._check_mate(other)
         if self.comps and other.comps and self.degree != other.degree:
             raise DimensionMismatch("adding forms of different degree")
-        out = dict(self.comps)
-        for idx, coef in other.comps.items():
-            out[idx] = out.get(idx, ring.ZERO) + coef  # FormExpr drops the zeros
-        return FormExpr(self.coframe, self.degree if self.comps else other.degree, out)
+        parts: dict = {}
+        for form, s in ((self, 1), (other, sign)):
+            for idx, coef in form.comps.items():
+                ring._add_into(parts.setdefault(idx, {}), coef, s)
+        return _form(self.coframe, self.degree if self.comps else other.degree, parts)
+
+    def __add__(self, other: "FormExpr") -> "FormExpr":
+        return self._sum(other, 1)
 
     def __neg__(self) -> "FormExpr":
         return FormExpr(self.coframe, self.degree, {i: -c for i, c in self.comps.items()})
 
     def __sub__(self, other: "FormExpr") -> "FormExpr":
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __mul__(self, scalar) -> "FormExpr":
         try:

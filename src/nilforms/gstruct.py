@@ -272,13 +272,7 @@ def su2_holonomy_residual(curv, s: SU2Structure) -> dict[tuple, ring.CoefExpr]:
 
 def psi_compatibility_residuals(om: FormExpr) -> dict[str, ring.CoefExpr]:
     """Direct transcription of the psi-invariance conditions for one 2-form."""
-    out = {}
-    trace = ring.CoefExpr()
-    for k in range(1, 6):
-        sk, ik = PSI.get(k, (0, 0))
-        if sk:
-            trace = trace + om.value_at(k, ik) * sk
-    out["trace"] = trace
+    out = {"trace": ring.sum_exprs(om.value_at(k, i) * s for k, (s, i) in PSI.items())}
     for k in range(1, 6):
         for l in range(k + 1, 6):
             sk, ik = PSI.get(k, (0, 0))

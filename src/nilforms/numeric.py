@@ -95,10 +95,13 @@ def halton_points(n: int, seed: int, box, accept: Callable | None = None, max_ro
     den(k) = b * den(k // b), from num(0) = 0 and den(0) = 1; the one
     division of num by den rounds as the digit-by-digit loop's does.  The
     points of a round of max(n, 8) values of k are built as columns.
-    A box of other than four (lo, hi) pairs raises ValueError.
+    n = 0 gives [] and asks accept nothing; a negative n, or a box of other
+    than four (lo, hi) pairs, raises ValueError.
     """
-    if len(box) != len(_HALTON_BASES) or any(len(pair) != 2 for pair in box):
-        raise ValueError(f"the box must be four (lo, hi) pairs, got {box!r}")
+    if n < 0 or len(box) != len(_HALTON_BASES) or any(len(pair) != 2 for pair in box):
+        raise ValueError(f"need n >= 0 and a box of four (lo, hi) pairs, got n={n!r}, box={box!r}")
+    if not n:
+        return []
     rng = random.Random(seed)
     perms = [[0] + rng.sample(range(1, b), b - 1) for b in _HALTON_BASES]
     lows = [float(lo) for lo, _ in box]

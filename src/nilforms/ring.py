@@ -29,6 +29,10 @@ operands' denominator D.  ``_canonical(acc, scale)`` is its one reader: it
 puts the buckets over their lcm, divides by the int scale (2 for the
 Koszul 1/2 and the su(2) projection) and reduces by the gcd.  Other
 modules pass accumulators to these functions and never read their layout.
+``+``, ``-`` and the reflected ``-`` run the same kernel: the first
+operand's numerators seed one accumulator, ``_add_into`` adds the other
+with sign +/-1, and ``_canonical`` reads it once; ``_wrap``, which makes an
+element of numerators over a denominator, always reduces by the gcd.
 ``dot(xs, ys)``, the sum of x * y over pairs, is the one sum-of-products
 kernel: every product goes into one accumulator, canonicalised once.
 
@@ -203,10 +207,9 @@ def _dpartial(i: int) -> list:
     return table
 
 
-def _wrap(terms: dict, den: int = 1, reduce: bool = True) -> "CoefExpr":
-    """The element terms / den (terms nonzero int numerators, den > 0), reduced by their gcd
-    unless reduce is False, for a caller that knows the gcd is 1."""
-    if den != 1 and reduce:
+def _wrap(terms: dict, den: int = 1) -> "CoefExpr":
+    """The element terms / den (terms nonzero int numerators, den > 0), reduced by their gcd."""
+    if den != 1:
         g = math.gcd(den, *terms.values())
         if g != 1:
             den //= g
@@ -231,7 +234,10 @@ def _canonical(acc: dict, scale: int = 1) -> "CoefExpr":
     for D, bucket in acc.items():
         f = L // D
         for key, n in bucket.items():
-            sums[key] = sums.get(key, 0) + n * f
+            if key in sums:
+                sums[key] += n * f
+            else:
+                sums[key] = n * f
     return _wrap({key: n for key, n in sums.items() if n}, L * scale)
 
 
@@ -446,53 +452,31 @@ class CoefExpr:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other) -> "CoefExpr":
+    def _sum(self, other, sign: int, reflected: bool = False):
+        """self + sign * other (sign = +/-1), or other - self when reflected: the
+        first operand's numerators seed the accumulator, _add_into adds the second."""
         if not isinstance(other, CoefExpr):
             other = _operand(other)
             if other is None:
                 return NotImplemented
-        den, g, met = self.den, 1, False
-        if den == other.den:
-            out = dict(self.terms)
-        else:  # both over the lcm of the denominators
-            L = math.lcm(den, other.den)
-            out = {key: n * (L // den) for key, n in self.terms.items()}
-            den, g = L, L // other.den
-        for key, n in other.terms.items():
-            if g != 1:
-                n *= g
-            if key not in out:
-                out[key] = n
-                continue
-            met = True
-            n += out[key]
-            if n:
-                out[key] = n
-            else:
-                del out[key]  # only a present term can cancel
-        # When no key met, every term is an operand's numerator times L / its den.
-        # For a prime p dividing L, the operand whose den holds p's top power in L
-        # has L / den prime to p, and, being canonical, a numerator p does not
-        # divide; that term is in the sum as it was.  So the sum over L is in
-        # lowest terms, and _wrap need not take the gcd.
-        return _wrap(out, den, reduce=met)
+        a, b = (other, self) if reflected else (self, other)
+        acc = {a.den: dict(a.terms)}
+        _add_into(acc, b, sign)
+        return _canonical(acc)
+
+    def __add__(self, other) -> "CoefExpr":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoefExpr":
         return _wrap({key: -n for key, n in self.terms.items()}, self.den)
 
-    def __sub__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    def __sub__(self, other) -> "CoefExpr":
+        return self._sum(other, -1)
 
-    def __rsub__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    def __rsub__(self, other) -> "CoefExpr":
+        return self._sum(other, -1, reflected=True)
 
     def __mul__(self, other) -> "CoefExpr":
         if not isinstance(other, CoefExpr):

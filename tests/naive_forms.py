@@ -174,6 +174,12 @@ def sum_reference(*exprs):
     return ring.from_monomials((Fraction(c), k, p) for e in exprs for c, k, p in e.monomials())
 
 
+def difference_reference(a, b):
+    """a - b from their decoded terms, in Fractions."""
+    return ring.from_monomials([(Fraction(c), k, p) for c, k, p in a.monomials()]
+                               + [(-Fraction(c), k, p) for c, k, p in b.monomials()])
+
+
 def substitute_reference(e, mapping: dict):
     """e.substitute(mapping), mapping constant names to numbers or ring elements, term by term.
 

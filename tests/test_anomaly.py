@@ -244,12 +244,13 @@ def test_a_fresh_frames_round_builds_at_most_half_the_fractions():
     assert made[0] <= FRESH_ROUND_FRACTIONS and made[1] == made[0]
 
 
-# Python calls of one FRESH_ROUND once its families are derived and their plans kept: 3,023,
+# Python calls of one FRESH_ROUND once its families are derived and their plans kept: 2,929,
 # plus 2 %.  A round made 4,329 when each substitution decoded every term's factors and tested
 # each slot, the closed forms canonicalised each product of a sum of products on its own, and
 # the rank test read Lambda's rows a second time; 3,181 when each term of a substitution worked
-# out its own factor and the closed forms summed their pieces one by one
-FRESH_ROUND_CALLS = 3_083
+# out its own factor and the closed forms summed their pieces one by one; 2,987 when a ring
+# difference negated its right operand before adding it
+FRESH_ROUND_CALLS = 2_987
 
 
 def test_a_fresh_frames_round_makes_a_bounded_number_of_calls():

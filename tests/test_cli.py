@@ -84,6 +84,15 @@ def test_verify_bad_config_file_is_config_error(tmp_path, capsys):
     assert rc == 2 and "JSON object" in err
 
 
+def test_verify_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a byte that starts no UTF-8 sequence is unusable input, not a crash
+    p = tmp_path / "conf.json"
+    p.write_bytes(b'{"npoints": 16, "note": "\xff"}')
+    rc, out, err = run_cli(["verify", "--scenario", "ball-7d", "--config", str(p)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "scenario, config, key",
     [

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_forms
+from call_counts import call_counts, count
 from naive_forms import interior, naive_d, naive_wedge, sigma_bar
 from nilforms import ring
 from nilforms.forms import (
@@ -89,6 +91,27 @@ def test_addition_degree_guard():
         GH.basis(1) + GH.basis(1, 2)
     # adding the empty form of any degree is permitted
     assert GH.zero(2) + GH.basis(1) == GH.basis(1)
+
+
+@pytest.mark.parametrize("frame", [GH, H5, H21], ids=("7-leg", "6-leg", "5-leg"))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sum_and_difference_match_the_componentwise_reference(frame, data):
+    a = data.draw(forms_on(frame))
+    b = data.draw(forms_on(frame, degrees=(a.degree,)))
+    zero = ring.ZERO
+    for got, ref in ((a + b, naive_forms.sum_reference), (a - b, naive_forms.difference_reference)):
+        want = {idx: ref(a.comps.get(idx, zero), b.comps.get(idx, zero)) for idx in {*a.comps, *b.comps}}
+        assert got.degree == a.degree and got.comps == {idx: c for idx, c in want.items() if c}
+    assert (a - a).degree == a.degree and not (a - a).comps
+
+
+def test_a_form_sum_adds_each_component_into_one_accumulator():
+    # one accumulator per index: ebar^1 meets in both operands, ebar^2 comes from one
+    a, b = GH.basis(1) * const("a"), GH.basis(1) * rat(1, 3) + GH.basis(2) * jet(1)
+    for work in (lambda: a + b, lambda: a - b):
+        counts = call_counts(work)
+        assert count(counts, ring._add_into) == 3 and count(counts, ring._canonical) == 2
 
 
 def test_cross_coframe_operations_rejected():

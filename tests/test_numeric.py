@@ -66,6 +66,16 @@ def test_a_box_of_other_than_four_pairs_is_refused(pairs):
         numeric.halton_points(2, 0, ((-1, 1),) * pairs)
 
 
+def test_no_points_asks_accept_nothing_and_a_negative_count_is_refused():
+    def never(p):
+        raise AssertionError("accept asked of a point")
+
+    assert numeric.halton_points(0, 0, ((-1, 1),) * 4, accept=never) == []
+    assert numeric.profile_points(profile("ball", absA2=1), n=0) == ()
+    with pytest.raises(ValueError, match="n >= 0"):
+        numeric.halton_points(-1, 0, ((-1, 1),) * 4)
+
+
 def test_halton_starvation():
     with pytest.raises(RuntimeError, match="admissible"):
         numeric.halton_points(3, 0, ((-1, 1),) * 4, accept=lambda p: False, max_rounds=2)

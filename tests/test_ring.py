@@ -752,16 +752,27 @@ def test_dot_of_nothing_is_zero():
     assert ring.dot([], []) == ring.ZERO and _is_canonical(ring.dot([], []))
 
 
-@given(ring_exprs(), ring_exprs(), st.sampled_from((2, 3, 6)))
+@given(ring_exprs(), ring_exprs(), st.sampled_from((2, 3, 6)), st.integers(-3, 3))
 @settings(max_examples=120, deadline=None)
-def test_a_sum_is_in_lowest_terms_whether_or_not_its_keys_meet(x, y, q):
-    # y * c has no key of x, so the sum meets no key and takes no gcd; scaled by 1/q the
-    # denominators differ; x + x and x + y may meet and cancel
+def test_a_sum_is_in_lowest_terms_whether_or_not_its_keys_meet(x, y, q, n):
+    # every sum and difference is read off one accumulator, which reduces by the gcd: y * c meets
+    # no key of x, scaled by 1/q the denominators differ, x + x, x - x and x + y may meet and
+    # cancel, and n - b is the reflected difference of an int and an element
     yc = y * const("c") * rat(1, q)
     for a, b in ((x, yc), (yc, x), (x * rat(1, q), y), (x, x), (x, -x), (x, y)):
-        got = a + b
-        assert math.gcd(got.den, *got.terms.values()) == 1
-        assert _is_canonical(got) and got == naive_forms.sum_reference(a, b)
+        for got, want in ((a + b, naive_forms.sum_reference(a, b)),
+                          (a - b, naive_forms.difference_reference(a, b)),
+                          (n - b, naive_forms.difference_reference(rat(n), b))):
+            assert math.gcd(got.den, *got.terms.values()) == 1
+            assert _is_canonical(got) and got == want
+
+
+def test_a_sum_or_difference_adds_into_one_accumulator():
+    # the second operand goes into the first's numerators by _add_into, subtraction included
+    x, y = const("x") + rat(1, 2), jet(1) * rat(1, 3)
+    for work in (lambda: x + y, lambda: x - y, lambda: 1 - x, lambda: x + 1):
+        counts = call_counts(work)
+        assert count(counts, ring._add_into) == 1 and count(counts, ring._canonical) == 1
 
 
 @given(ring_exprs(), ring_exprs())
