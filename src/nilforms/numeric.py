@@ -12,7 +12,7 @@ from typing import Callable
 
 from .forms import FormExpr, exterior_derivative
 from .profiles import JETS, Admitted, DilatonProfile
-from .ring import COORDS, CoefExpr, as_symbol, distinct_up_to_sign, is_jet, jet_sym
+from .ring import COORDS, CoefExpr, as_symbol, distinct_up_to_sign, from_monomials, is_jet, jet_sym
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
@@ -168,9 +168,22 @@ def _central_difference(e: CoefExpr, tables: tuple, step: float) -> list:
     return [(p - m) / (2 * step) for p, m in zip(e.evaluate(plus), e.evaluate(minus))]
 
 
-def _relative_errors(sym: list, fd: list):
-    """|sym - fd| / (1 + |sym|) at each point."""
-    return (abs(s - f) / (1.0 + abs(s)) for s, f in zip(sym, fd))
+def _term_sizes(exprs: dict, table: dict) -> dict:
+    """{key: S at each point of table} for each element e of exprs, which must have been evaluated on table.
+
+    S is the sum of |term| over the terms e sums there: e with |coef| on the
+    table with |column|.  Each e^{kf} column e reads is then in table, and
+    positive, so the |f| column is read only as a jet factor.
+    """
+    sizes = {key: [abs(x) for x in col] for key, col in table.items()}
+    return {key: from_monomials((abs(c), k, powers) for c, k, powers in e.monomials()).evaluate(sizes)
+            for key, e in exprs.items()}
+
+
+def _relative_errors(sym: list, size: list, fd: list):
+    """|sym - fd| / (1 + S) at each point, S the size _term_sizes gives: a sum that cancels to about 0
+    is measured against the terms it sums, not against itself."""
+    return (abs(s - f) / (1.0 + z) for s, z, f in zip(sym, size, fd))
 
 
 def fd_partial_check(
@@ -186,9 +199,11 @@ def fd_partial_check(
     """
     parts = {i: expr.partial(i) for i in COORDS}
     base = assign(pts)
+    sym = {i: e.evaluate(base) for i, e in parts.items()}
+    size = _term_sizes(parts, base)
     stencil = _stencil(assign, pts, step)
     return max_error(err for i in COORDS
-                     for err in _relative_errors(parts[i].evaluate(base), _central_difference(expr, stencil[i], step)))
+                     for err in _relative_errors(sym[i], size[i], _central_difference(expr, stencil[i], step)))
 
 
 def _basis_differential(c, J: tuple) -> FormExpr:
@@ -250,7 +265,8 @@ def fd_exterior_check(a: FormExpr, assign: Callable, pts, step: float = DEFAULT_
     dbasis = {J: _basis_differential(a.coframe, J) for J in a.comps}
     base = assign(pts)
     sym = {idx: coef.evaluate(base) for idx, coef in da.comps.items()}
+    size = _term_sizes(da.comps, base)
     fdv = _fd_exterior_values(a, dbasis, base, _stencil(assign, pts, step), step)
     zeros = [0.0] * len(pts)
     return max_error(err for idx in set(sym) | set(fdv)
-                     for err in _relative_errors(sym.get(idx, zeros), fdv.get(idx, zeros)))
+                     for err in _relative_errors(sym.get(idx, zeros), size.get(idx, zeros), fdv.get(idx, zeros)))

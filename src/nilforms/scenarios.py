@@ -509,36 +509,14 @@ class _Contraction(NamedTuple):
     family: str  # catalogue id of the 7-leg eps-family, eps symbolic by default
     direct: str  # catalogue id of the frame its eps -> 0 limit must equal; the legs above its dim drop
     lam7: list  # Lambda on the 7-leg frame; zero in the dropped legs' columns
-    a_num: dict  # the numbers the decay check puts in for the family's other symbols
 
 
 _CONTRACTIONS = {
-    6: _Contraction("eps6", "h5", [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
-                    {"a": Fraction(5, 4), "b": Fraction(3, 4)}),
-    5: _Contraction("eps5", "h21", [[1, 0, 0], [2, 0, 0], [0, 0, 0]],
-                    {"a1": 1, "a2": Fraction(-1, 2), "a3": Fraction(1, 4)}),
+    6: _Contraction("eps6", "h5", [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    5: _Contraction("eps5", "h21", [[1, 0, 0], [2, 0, 0], [0, 0, 0]]),
 }
 
 _EPS = ring.const_sym("eps")
-
-
-def _decay_sweeps(fam, t: _Contraction, dim: int) -> dict:
-    """{eps: the float sweep of the dropped-leg coefficients of fam's curv_minus at eps and t.a_num}, kept in fam.held.
-
-    fam is the eps-family with eps symbolic.  A coefficient of component idx
-    of entry (i, j) is on a dropped leg when i, j or a leg of idx is above
-    dim, the direct frame's; each goes into the sweeps at eps = 1/10, 1/100
-    and 1/1000 by substitute.
-    """
-    def build():
-        cur = fam.curv_minus
-        coefs = [coef for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
-                 if max(i, j, *idx) > dim]
-        nums = {ring.const_sym(name): v for name, v in t.a_num.items()}
-        return {float(e): numeric.Sweep(coef.substitute({**nums, _EPS: e}) for coef in coefs)
-                for e in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))}
-
-    return held_in(fam, "dropped-leg-sweeps", build)
 
 
 def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
@@ -575,19 +553,16 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
     _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo)
 
     def _decay():
-        prof = profile("ball", absA2=3)
-        dropped = _decay_sweeps(fam, t, direct.dim)  # eps -> the sweep of the curvature coefficients on a dropped leg
-        pts = numeric.profile_points(prof, n=12, seed=seed)
-        table = _table(prof, pts, dropped.values())
-        maxima = {e: _float_sweep(sweep, table) for e, sweep in dropped.items()}
-        r1 = maxima[0.1] / maxima[0.01]
-        r2 = maxima[0.01] / maxima[0.001]
-        ok = abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0
-        values["dropped_leg_maxima"] = maxima
-        values["decay_ratios"] = [r1, r2]
-        return ok, None, {"ratios": [r1, r2]}
+        # the eps-order, the lowest power of eps over its terms, of each curvature coefficient of
+        # component idx of entry (i, j) on a dropped leg: i, j or a leg of idx above the direct frame's dim
+        cur = fam.curv_minus
+        orders = [min(dict(powers).get(_EPS, 0) for _, _, powers in coef.monomials())
+                  for (i, j) in cur.pairs() for idx, coef in cur.entry(i, j).comps.items()
+                  if max(i, j, *idx) > direct.dim]
+        lowest = min(orders, default=None)
+        return lowest == 1, None, {"coefficients": len(orders), "lowest_order": lowest, "order_one": orders.count(1)}
 
-    _ck(checks, "dropped-leg-curvature-decay", _decay)
+    _ck(checks, "dropped-leg-curvature-decay", _decay, fam)
 
 
 # ---------------------------------------------------------------------------

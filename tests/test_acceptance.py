@@ -266,7 +266,9 @@ def test_criterion_07_positive_constant_derivation():
 
 def test_criterion_08_contraction_limits():
     """The contracted families reproduce the lower-dimensional frames exactly
-    at eps = 0 and the dropped-leg curvature decays linearly in eps."""
+    at eps = 0 and the dropped-leg curvature decays linearly in eps: every
+    coefficient on a dropped leg, for every x and every fibre entry, has
+    eps-order at least one, and some has order exactly one."""
     t0 = time.perf_counter()
     for name in ("contraction-6d", "contraction-5d"):
         rep = run_scenario(name)
@@ -277,8 +279,8 @@ def test_criterion_08_contraction_limits():
             "contracted-anomaly-equals-direct",
         ):
             assert next(c for c in rep.checks if c.id == cid).status == "pass"
-        r1, r2 = rep.values["decay_ratios"]
-        assert abs(r1 - 10.0) <= 1.0 and abs(r2 - 10.0) <= 1.0
+        decay = next(c for c in rep.checks if c.id == "dropped-leg-curvature-decay").details
+        assert decay["lowest_order"] == 1 and decay["coefficients"] > 0
     _done(8, t0, 30.0)
 
 

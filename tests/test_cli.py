@@ -15,6 +15,7 @@ import pytest
 
 from nilforms import cli
 from nilforms.elliptic import half_period, weierstrass_p
+from nilforms.ring import CoefExpr
 
 
 def run_cli(argv, capsys):
@@ -334,6 +335,30 @@ def test_crosscheck_with_a_nan_error_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nan" in err
 
 
+def test_crosscheck_of_a_sum_that_cancels_at_a_huge_scale_passes(capsys):
+    # lap e^{2f} of the fundamental profile is harmonic: its terms, each of size about c, cancel to
+    # about 0, and the error is measured against their sizes, so c = 1e300 passes
+    rc, out, err = run_cli(
+        ["crosscheck", "--profile", "fundamental", "--params", "c=1e300", "--expr", "lap-e2f"], capsys
+    )
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["max_rel_error"] < 1e-9
+
+
+@pytest.mark.parametrize("params", ["c=1", "c=1e300"])
+def test_crosscheck_fails_a_wrong_derivative(params, capsys, monkeypatch):
+    # 2 d(e^{2f}) against the central difference of e^{2f}: measured against the sizes of the
+    # terms it sums, a derivative off by a factor still fails, at a huge scale too
+    partial = CoefExpr.partial
+    monkeypatch.setattr(CoefExpr, "partial", lambda self, i: partial(self, i) * 2)
+    rc, out, _err = run_cli(
+        ["crosscheck", "--profile", "fundamental", "--params", params, "--expr", "e2f-partials"], capsys
+    )
+    doc = json.loads(out)
+    assert rc == 1 and doc["passed"] is False and doc["max_rel_error"] > 0.1
+
+
 @pytest.mark.parametrize(
     "step, message",
     [
@@ -469,7 +494,7 @@ def test_only_verify_loads_the_scenario_machinery():
 
 # sha256 of the stdout of PINNED_ARGV, concatenated in order.  A change that
 # should leave the CLI's output alone must leave this digest alone.
-PINNED_SHA256 = "a7a1ad6dd734a8bafdb231f358dc6461873c8a4745faacdf8a1cc8878ea025c2"
+PINNED_SHA256 = "000bda83924d8d82338218beff6aff95c046c5df704cb094ccb76795070f2b2e"
 PINNED_ARGV = [
     ["dump-profile", "--profile", name, "--params", params, "--grid", "16"]
     for name, params in (("weierstrass", "d=1,alpha=1"), ("ball", "absA2=3"), ("fundamental", "c=1"),

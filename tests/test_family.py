@@ -27,6 +27,12 @@ from nilforms.ring import BadParams, const, jet, rat
 
 _ENTRIES = (0, 1, -1, 2, -3, Fraction(5, 4), Fraction(-1, 3))
 
+# the numbers each eps-family's other symbols get in the numeric eps frames below
+_EPS_FAMILY_NUMBERS = {
+    "eps6": {"a": Fraction(5, 4), "b": Fraction(3, 4)},
+    "eps5": {"a1": 1, "a2": Fraction(-1, 2), "a3": Fraction(1, 4)},
+}
+
 
 def _assert_fields_match(c):
     geo = geometry(c)
@@ -43,9 +49,9 @@ def _catalogue_numeric_frames() -> list:
     out = [("gH", build_coframe("gH"))]
     for dim, th in scenarios._THEOREMS.items():
         out.append((f"theorem-{dim}", scenarios._frame_geometry(dim, th.A).coframe))
-    for dim, t in scenarios._CONTRACTIONS.items():
+    for t in scenarios._CONTRACTIONS.values():
         for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-            out.append((f"{t.family}-{eps}", build_coframe(t.family, eps=eps, **t.a_num)))
+            out.append((f"{t.family}-{eps}", build_coframe(t.family, eps=eps, **_EPS_FAMILY_NUMBERS[t.family])))
     return out
 
 
