@@ -43,7 +43,9 @@ that is held for one frame lives in its Geometry's ``held`` dict, so it
 lives exactly as long as that frame: for the process on a catalogue frame,
 for the report on a config frame.  That is the gauges of table matrices
 (``anomaly.held_gauge``), the outcomes of the checks that read the frame
-alone and the seed-free values a report reads off it (|A|^2), the float
+alone, or it and one more held thing named in their key (a contraction's
+direct frame, a table gauge's rows), the seed-free values a report reads
+off it (|A|^2), the float
 sweeps of its elements and, on a family frame, the family's residual per
 gauge kind.  A Gauge keeps the outcomes of the checks and the values (the
 rank or lambda^2 of its matrix) that read it alone in its own ``held``.

@@ -17,14 +17,17 @@ applies at each point.  So a value does not depend on the other points of
 the set or on what else is asked for.
 
 Ball and fundamental are also exact: P is the quadratic 1 - r^2 or rho, so
-at a rational point, given as integer numerators over one denominator q,
-every jet is an integer over a power of an integer N (``_quadratic_exact``):
-the exact table is those integers over the one denominator N^3, and g,
-which ``e2f`` there reads, is the point's one Fraction.  Weierstrass (wp is
-transcendental) and constant (whose e^{2 f0} is a float) are float-only,
-and their ``jets_exact`` raises BadParams.  The ball's float jets take
-|A|^2 and -|A|^2/2 as floats converted once, so at float points they run
-on floats alone.
+one route (``_quadratic_exact``) gives their jets at a rational point,
+given as integer numerators over one denominator q, and at the symbolic
+point x = (x1, .., x4) of four ring constants (``jets_at_every_x``).  A
+jet of order m is its numerator, an int or a ring element, over N^m for one
+N, and e^{2f} is one (numerator, denominator) pair, of which ``e2f`` makes
+the point's Fraction; ``ring.evaluate_exact`` reads the table.  An identity
+whose numerator is the zero element at the symbolic point holds for every
+x.  Weierstrass (wp is transcendental) and constant (whose e^{2 f0} is a
+float) are float-only, and their ``jets_exact`` raises BadParams.  The
+ball's float jets take |A|^2 and -|A|^2/2 as floats converted once, so at
+float points they run on floats alone.
 
 ``jets`` and ``jets_exact`` build only the jets a caller asks for (and f,
 in floats), each by the formula the full table uses, so a jet has the same
@@ -38,6 +41,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Sequence
 
+from . import ring
 from .elliptic import half_period, weierstrass_p
 from .ring import COORDS, BadParams, jet_sym
 
@@ -91,29 +95,31 @@ def over_one_denominator(x) -> tuple:
 
 
 def _quadratic_exact(point, want, p0: int, e: int, s: int, center, scale):
-    """(g, D, {jet symbol: int}) at a rational point x = (numerators, denominator) for g = scale * P^s, where
-    P = p0 + e|x - center|^2 (e = +-1) must be positive, else None: each jet
-    in want is its int over D = N^3.  A symbol of want that is not a jet of
-    order one to three is skipped.
+    """((a, b), N, {jet symbol: numerator}) at x = (coordinates, denominator) for g = scale * P^s, where
+    P = p0 + e|x - center|^2 (e = +-1) and scale is a (numerator, denominator) pair: e^{2f} is a/b,
+    and each jet in want of order m is its numerator over N^m.  The coordinates are ints (the
+    numerators of a rational point) or ring elements (a symbolic point), and so are N, a, b and the
+    numerators; a point of numbers where P is not positive gives None.  A symbol of want that is not a
+    jet of order one to three is skipped.
 
-    Over a common denominator, x - center = n/q and P = N/q^2 with integers n_i
-    and N; as P_i = 2e n_i/q and P_ij = 2e delta_ij, the jets of f are
+    Over a common denominator, x - center = n/q and P = N/q^2 with n_i and N ints or elements;
+    as P_i = 2e n_i/q and P_ij = 2e delta_ij, the jets of f are
 
         f_i   = s e q n_i / N
         f_ij  = s q^2 (e delta_ij N - 2 n_i n_j) / N^2
         f_ijk = s q^3 (8 e n_i n_j n_k - 2 (delta_ij n_k + delta_ik n_j + delta_jk n_i) N) / N^3
 
-    D does not depend on want, so a jet's numerator is the same whatever else is asked.
+    N does not depend on want, so a jet's numerator is the same whatever else is asked.
     """
     xs, d = point
     q = math.lcm(d, *(cd for _, cd in center))
     n = {i: a * (q // d) - cn * (q // cd) for i, a, (cn, cd) in zip(COORDS, xs, center)}
     N = p0 * q * q + e * sum(v * v for v in n.values())
-    if N <= 0:
+    if not isinstance(N, ring.CoefExpr) and N <= 0:  # a number: the domain test
         return None
-    sn, sd = scale.as_integer_ratio()
-    g = Fraction(sn * N, sd * q * q) if s > 0 else Fraction(sn * q * q, sd * N)
-    c1, c2, c3 = s * e * q * N * N, s * q * q * N, s * q * q * q
+    sn, sd = scale
+    g = (sn * N, sd * q * q) if s > 0 else (sn * q * q, sd * N)
+    c1, c2, c3 = s * e * q, s * q * q, s * q * q * q
     jets = {}
     for sym in want:
         idx = sym[1]
@@ -127,7 +133,24 @@ def _quadratic_exact(point, want, p0: int, e: int, s: int, center, scale):
             i, j, k = idx
             dn = (n[k] if i == j else 0) + (n[j] if i == k else 0) + (n[i] if j == k else 0)
             jets[sym] = c3 * (8 * e * n[i] * n[j] * n[k] - 2 * dn * N)
-    return g, N ** 3, jets
+    return g, N, jets
+
+
+# name -> (p0, e, s) of the exact profiles: P = p0 + e|x - center|^2 and g = e^{2 f0} P^s
+_QUADRATIC = {"ball": (1, -1, 1), "fundamental": (0, 1, -1)}
+_ORIGIN = ((0, 1),) * 4
+
+
+def jets_at_every_x(name: str, scale, want=JETS) -> tuple:
+    """_quadratic_exact of the ball or the fundamental profile, centred at the origin with e^{2 f0} = scale
+    (a ring element), at the symbolic point x = (x1, .., x4): four ring constants over q = 1.
+
+    Every entry of ((a, b), N, {jet symbol: numerator}) is a ring element, so an element whose
+    ring.evaluate_exact numerator on this table is zero vanishes for every x and every value of
+    the symbols of scale.
+    """
+    x = tuple(ring.const(f"x{i}") for i in COORDS)
+    return _quadratic_exact((x, 1), want, *_QUADRATIC[name], _ORIGIN, (scale, 1))
 
 
 class Admitted(tuple):
@@ -152,7 +175,7 @@ class DilatonProfile:
         self.singular_distance = singular_distance  # from x to the singular set (inf if empty)
         self._scale = scale
         self._s = s
-        self._exact_jets = exact_jets  # (rational point, wanted jets) -> (g, D, numerators), or None outside the domain
+        self._exact_jets = exact_jets  # (rational point, wanted jets) -> ((a, b), N, numerators), or None outside the domain
         self.exact = exact_jets is not None
 
     def _jets_of_p(self, points):
@@ -165,7 +188,7 @@ class DilatonProfile:
     def e2f(self, x: Sequence[float]):
         """e^{2f}(x); exact, from the exact jets, at a rational x when the profile is exact."""
         if self.exact and all(isinstance(v, Rational) for v in x):
-            return self.jets_exact(over_one_denominator(x), ())[0]
+            return Fraction(*self.jets_exact(over_one_denominator(x), ())[0])
         P = self._jets_of_p((x,))[0][0]
         return self._scale * P if self._s > 0 else self._scale / P
 
@@ -187,11 +210,11 @@ class DilatonProfile:
         out.update(jets)
         return out
 
-    def jets_exact(self, point: tuple, want=JETS) -> tuple[Fraction, int, dict]:
-        """(g, D, {jet symbol: int}) with exact arithmetic at a rational point
+    def jets_exact(self, point: tuple, want=JETS) -> tuple[tuple, int, dict]:
+        """((a, b), N, {jet symbol: int}) with exact arithmetic at a rational point
         (integer numerators, one positive denominator; over_one_denominator
-        gives it): each jet in want is its int over the one denominator D,
-        which want does not change; f itself is omitted."""
+        gives it): e^{2f} is a/b and each jet in want of order m is its int
+        over N^m, which want does not change; f itself is omitted."""
         if not self.exact:
             raise BadParams(f"{self.name}: no exact jet evaluation")
         out = self._exact_jets(point, want)
@@ -230,8 +253,8 @@ def _ball(absA2) -> DilatonProfile:
         return 1.0 - math.sqrt(sum((a ** 2, b ** 2, c ** 2, d ** 2)))
 
     quarter = absA2 / 4  # exactly: g = (|A|^2/4) P with P = 1 - r^2
-    return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance,
-                          exact_jets=lambda x, want: _quadratic_exact(x, want, 1, -1, 1, ((0, 1),) * 4, quarter))
+    return DilatonProfile("ball", {"absA2": absA2}, gjets, in_domain, singular_distance, exact_jets=lambda x, want:
+                          _quadratic_exact(x, want, *_QUADRATIC["ball"], _ORIGIN, quarter.as_integer_ratio()))
 
 
 _HESS_RHO = {idx: 2 * (idx[0] == idx[1]) for idx in _I2}
@@ -274,7 +297,8 @@ def _fundamental(alphaP=None, c=None, center=(0, 0, 0, 0)) -> DilatonProfile:
         return math.sqrt(sum((float(x[i]) - float(cent[i])) ** 2 for i in range(4)))
 
     return DilatonProfile("fundamental", {"c": c, "center": cent}, rhojets, in_domain, singular_distance,
-                          scale=c, s=-1, exact_jets=lambda x, want: _quadratic_exact(x, want, 0, 1, -1, cent_q, c))
+                          scale=c, s=-1, exact_jets=lambda x, want:
+                          _quadratic_exact(x, want, *_QUADRATIC["fundamental"], cent_q, c.as_integer_ratio()))
 
 
 def _weierstrass(d, alpha) -> DilatonProfile:

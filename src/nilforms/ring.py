@@ -58,8 +58,9 @@ integer pass over the packed keys, the way a numeric frame and its anomaly
 residual are read off their symbolic family, working out each distinct
 monomial in those symbols once.  ``evaluate`` reads a float
 table of columns over a point set, ``{symbol: [one float per point]}``, and
-returns one float per point; ``evaluate_exact`` reads a ``{symbol: int}``
-table over one denominator.  Names are resolved to symbols only where such
+returns one float per point; ``evaluate_exact`` reads a table of jet
+numerators over powers of one N, ints at a rational point or elements at a
+symbolic one.  Names are resolved to symbols only where such
 a table is built, and ``evaluate`` keeps each column of e^{kf} (under the
 int key k) or of a symbol's power it computes in its table, for every
 later term that reads it.  An
@@ -860,54 +861,51 @@ def p_laplacian4() -> CoefExpr:
 
 
 def _plan_exact(e: CoefExpr) -> tuple:
-    """(odd, terms) for evaluate_exact: odd whether a term has an odd k, and
-    per term, in the order of e.terms, (its numerator, (k/2, total degree)
-    or None for an odd k, ((symbol, power), ...))."""
-    terms = []
+    """Per term of e, in the order of e.terms, for evaluate_exact: (its numerator, (k/2, weight) or None
+    for an odd k, ((symbol, power), ...)).  The weight is the sum of order times power over the term's
+    jets; a constant has order 0."""
+    plan = []
     for key, n in e.terms.items():
         k, syms, _ = _decode(key)
-        terms.append((n, None if k % 2 else (k // 2, sum(p for _, p in syms)), syms))
-    return any(bucket is None for _, bucket, _ in terms), tuple(terms)
+        plan.append((n, None if k % 2 else (k // 2, sum(len(s[1]) * p for s, p in syms if s[0] == "j")), syms))
+    return tuple(plan)
 
 
-def evaluate_exact(e: CoefExpr, nums: Mapping, D: int, e2f: Fraction) -> Fraction:
-    """Exact value at a table of values over one denominator: symbol s is
-    nums[s] / D, an int over a positive int, read as given.
+def evaluate_exact(e: CoefExpr, nums: Mapping, N, e2f: tuple):
+    """Exact value at a table over powers of one N: a jet s of order m is
+    nums[s] / N^m, a constant s is nums[s], and e^{2f} is a / b for e2f = (a, b).
 
-    e^{kf} factors become e2f^{k/2}, so every k must be even.  Each term
-    coef * prod (n_s/D)^p sums in integers, by (k/2, total degree), and one
-    Fraction holds the result.  A missing symbol or an odd k raises
+    The table's numbers are ints (a rational point: the value is a Fraction)
+    or ring elements (a symbolic point: the value is its numerator over
+    e.den * N^wmax * a^A * b^B, returned as that element); the one route
+    below runs on both.  e^{kf} factors become (a/b)^{k/2}, so every k must
+    be even.  Each term coef * prod nums[s]^p sums, by (k/2, weight), and the
+    buckets go over one denominator.  A missing symbol or an odd k raises
     UnboundSymbol at the first term, in term order, that has one.
     """
     try:
-        odd, plan = e._exact_plan
+        plan = e._exact_plan
     except AttributeError:
-        odd, plan = e._exact_plan = _plan_exact(e)
+        plan = e._exact_plan = _plan_exact(e)
     buckets: dict = {}
-    if not odd:
-        try:
-            for c, bucket, syms in plan:
-                for sym, p in syms:
-                    c *= nums[sym] if p == 1 else nums[sym] ** p
-                buckets[bucket] = buckets.get(bucket, 0) + c
-        except KeyError:
-            odd = True
-    if odd:
-        for _, bucket, syms in plan:
+    try:
+        for c, bucket, syms in plan:
             if bucket is None:
                 raise UnboundSymbol("odd e^{kf} power has no exact rational value")
-            for sym, _ in syms:
-                if sym not in nums:
-                    raise UnboundSymbol(f"symbol {sym} not bound")
+            for sym, p in syms:
+                c *= nums[sym] if p == 1 else nums[sym] ** p
+            buckets[bucket] = buckets.get(bucket, 0) + c
+    except KeyError as exc:  # only nums raises it
+        raise UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
     if not buckets:
         return Fraction(0)
-    # over e.den * D^dmax * a^A * b^B, with e2f = a/b, A = max(0, -min h) and B = max(0, max h)
-    a, b = e2f.numerator, e2f.denominator
+    # over e.den * N^wmax * a^A * b^B, with A = max(0, -min h) and B = max(0, max h)
+    a, b = e2f
     A = max(0, -min(h for h, _ in buckets))
     B = max(0, max(h for h, _ in buckets))
-    dmax = max(deg for _, deg in buckets)
-    num = sum(c * D ** (dmax - deg) * a ** (h + A) * b ** (B - h) for (h, deg), c in buckets.items())
-    return Fraction(num, e.den * D ** dmax * a ** A * b ** B)
+    wmax = max(w for _, w in buckets)
+    num = sum(c * (N ** (wmax - w) * a ** (h + A) * b ** (B - h)) for (h, w), c in buckets.items())
+    return num if isinstance(num, CoefExpr) else Fraction(num, e.den * N ** wmax * a ** A * b ** B)
 
 
 def restrict_onevar(e: CoefExpr) -> CoefExpr:

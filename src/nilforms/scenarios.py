@@ -20,7 +20,7 @@ from .elliptic import cubic_residual, half_period, half_period_agm, weierstrass_
 from .forms import horizontal_volume
 from .frames import FREE_FRAME, abs_A_squared, build_coframe
 from .gstruct import catalogue_geometry, geometry, held_in, specialised
-from .profiles import BadParams, profile
+from .profiles import BadParams, jets_at_every_x, profile
 from .report import SCENARIOS, strict_json
 from .ring import rat
 
@@ -62,16 +62,16 @@ class ScenarioReport(NamedTuple):
         })
 
 
-def _ck(checks: list, cid: str, fn, held_by=None) -> None:
+def _ck(checks: list, cid: str, fn, held_by=None, also=None) -> None:
     """Run the check cid, fn() -> (ok, residual, details), and append its result to checks.
 
-    When fn reads only the values of held_by, a Geometry or Gauge, its
-    output is kept in held_by.held (held_in), and each report gets its own
-    copy of details.  An error is never kept: it is raised again on every
-    report.
+    When fn reads only the values of held_by, a Geometry or Gauge, and of
+    also, another held object, if given, its output is kept in held_by.held
+    under cid, or (cid, also) (held_in), and each report gets its own copy of
+    details.  An error is never kept: it is raised again on every report.
     """
     try:
-        ok, residual, details = fn() if held_by is None else held_in(held_by, cid, fn)
+        ok, residual, details = fn() if held_by is None else held_in(held_by, cid if also is None else (cid, also), fn)
     except Exception as exc:  # captured into the report, never thrown past it
         checks.append(CheckResult(cid, "error", None, {"exception": repr(exc)}))
         return
@@ -282,21 +282,6 @@ def _line_points(tau: float, n: int):
     return [(0.1 * tau + 1.8 * tau * k / (n - 1), 0.0, 0.0, 0.0) for k in range(n)]
 
 
-def _exact_sweep(prof, points, exprs) -> list:
-    """[[e at x for x in points] for e in exprs] on the exact jets of prof they read.
-
-    Each point, (integer numerators, one denominator) as _rational_points
-    gives it, has a table that holds the jets as ints over one denominator.
-    """
-    want = numeric.jets_read(exprs)
-    cols = [[] for _ in exprs]
-    for x in points:
-        g, D, nums = prof.jets_exact(x, want)
-        for col, e in zip(cols, exprs):
-            col.append(ring.evaluate_exact(e, nums, D, g))
-    return cols
-
-
 def _table(prof, points, sweeps, consts=None) -> dict:
     """The float table of points, with the jets of prof that some of sweeps read and consts {name: value}."""
     want = tuple(sorted({jet for sweep in sweeps for jet in sweep.jets}))
@@ -315,16 +300,32 @@ def _float_sweep(sweep, table) -> float:
     return numeric.max_error([abs(v) for e in sweep.exprs for v in e.evaluate(table)])
 
 
-def _rational_points(seed: int):
-    """Five deterministic rational sample points away from the origin, each as (integer numerators, one denominator)."""
-    pts = []
-    s = seed % 97 + 2
-    for k in range(5):
-        num = [((s + 3 * k + i) % 7) + 1 for i in range(4)]
-        den = [((s * (k + 2) + i) % 7) + 2 + num[i] for i in range(4)]
-        q = math.lcm(*den)
-        pts.append((tuple(n * (q // d) for n, d in zip(num, den)), q))
-    return pts
+def _every_x(e, name: str, scale):
+    """The numerator of e on the ball or fundamental profile with e^{2 f0} = scale (a ring element) at the
+    symbolic point x = (x1, .., x4) (profiles.jets_at_every_x), each constant of e bound as itself:
+    the zero element exactly when e vanishes there for every x and every value of those constants."""
+    e2f, N, nums = jets_at_every_x(name, scale, numeric.jets_read((e,)))
+    consts = {sym: ring.const(sym[1]) for sym in e.symbols() if not ring.is_jet(sym)}
+    return ring.coerce(ring.evaluate_exact(e, {**nums, **consts}, N, e2f))
+
+
+def _vanishes(numerator) -> tuple:
+    """The outcome of an identity for every x whose numerator (_every_x) is given."""
+    return not numerator, None, {"points": "every x", "numerator_terms": len(numerator)}
+
+
+def _cstar_over_alphaP(numerator) -> Fraction | None:
+    """kappa = c*/alphaP read off one monomial of numerator = P0 + c P1, c and alphaP symbolic, or None.
+
+    At alphaP = 1 the first monomial of P1 meets its twin in P0, whose coefficient is -kappa times
+    its own; the root c* = kappa alphaP is then checked on the whole numerator.
+    """
+    p0 = numerator.substitute({"c": 0, "alphaP": 1})
+    first = next((numerator.substitute({"c": 1, "alphaP": 1}) - p0).monomials(), None)
+    if first is None:
+        return None
+    coef, k, powers = first
+    return -Fraction(dict(((kk, pw), n) for n, kk, pw in p0.monomials()).get((k, powers), 0)) / coef
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +412,8 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
     """Shared body of thm-7d-positive / thm-5d-positive (gauge choice B = O)."""
     A_num, B, alphaP = _params(name, dim, config, ("A", "B", "alphaP"), overrides)
     geo, geo_num, absA2q = _theorem_frames(checks, dim, A_num)  # held to the end
-    csym = geo.coframe
-    gauge, gauge_num = _theorem_gauges((geo, geo_num), "DB", B)
-    absB2 = gauge.abs_B_squared.as_fraction()
-    values["absB2"] = absB2
+    (gauge,) = _theorem_gauges((geo,), "DB", B)
+    values["absB2"] = gauge.abs_B_squared.as_fraction()
 
     _ck(checks, "gauge-instanton-condition",
         lambda: _factor_through(gauge.instanton_residual, ring.onshell_factor(gauge.abs_B_squared)), gauge)
@@ -423,45 +422,36 @@ def _fundamental_positive(checks, values, *, name: str, dim: int, seed: int, con
 
     def _p1_difference():
         volume = horizontal_volume(geo.p1_minus - gauge.p1)
-        want = (abs_A_squared(csym) - gauge.abs_B_squared) * ring.lap_e_m2f() * rat(-3)
+        want = (abs_A_squared(geo.coframe) - gauge.abs_B_squared) * ring.lap_e_m2f() * rat(-3)
         return volume is not None and volume == want, None, {"pure_volume": volume is not None}
 
     _ck(checks, "p1-difference-closed-form", _p1_difference, gauge)
 
-    # engine-derived constant c*: e^{2f} = c*/|x-e|^2 kills the residual
+    # engine-derived constant c*: e^{2f} = c*/|x|^2 kills the numeric frame's residual for every x
+    def _root():
+        # the residual of the numeric frame, read off the symbolic frame's gauge, on e^{2f} = c/|x|^2
+        # with c and alphaP symbolic: c* = kappa alphaP is a root when the numerator vanishes there
+        numerator = _every_x(gauge.anomaly_residual.substitute(geo_num.values), "fundamental", ring.const("c"))
+        kappa = _cstar_over_alphaP(numerator)
+        ok = kappa is not None and kappa > 0 and not numerator.substitute({"c": rat(kappa) * ring.const("alphaP")})
+        return (ok, None, {"points": "every x", "numerator_terms": len(numerator)}), kappa
+
     def _cstar():
-        # residual on the profile: lap e^{2f} = 0 and lap e^{-2f} = 8/c exactly,
-        # measured from the engine polynomials on the c = 1 profile
-        prof1 = profile("fundamental", c=1)
-        pts = _rational_points(seed)
-        harm, k_list = _exact_sweep(prof1, pts, (ring.lap_e2f(), ring.lap_e_m2f()))
-        k_vals = set(k_list)
-        if any(h != 0 for h in harm) or len(k_vals) != 1:
-            return False, None, {"harmonic": [str(h) for h in harm]}
-        kconst = k_vals.pop()  # lap e^{-2f} on the c=1 profile; scales as k/c
-        # solve  2|A|^2 - (3/4) alphaP (|A|^2-|B|^2) k / c = 0  for c
-        cstar_over_alphaP = Fraction(3, 4) * (absA2q - absB2) * kconst / (2 * absA2q)
-        values["lap_e_m2f_c1"] = kconst
-        values["cstar_over_alphaP"] = cstar_over_alphaP
-        values["comparison_constant_over_alphaP"] = Fraction(3, 4)
-        values["cstar_vs_comparison_ratio"] = cstar_over_alphaP / Fraction(3, 4)
-        # certify residual(c*) == 0 exactly, alphaP kept symbolic via alphaP = 1
-        cstar = cstar_over_alphaP * alphaP
-        prof = profile("fundamental", c=cstar)
-        (worst,) = _exact_sweep(prof, pts, (gauge_num.anomaly_residual.substitute({"alphaP": alphaP}),))
-        ok = all(w == 0 for w in worst)
-        values["alphaP"] = alphaP
-        values["cstar"] = cstar
-        return ok, None, {"residuals": [str(w) for w in worst]}
+        # it reads the numeric frame and B: held on that frame under B's rows when B is the table's,
+        # whose gauge the process holds, so a held frame keeps one outcome per theorem
+        outcome, kappa = (held_in(geo_num, ("fundamental-cstar-derivation", gauge.rows), _root)
+                          if B == _THEOREMS[dim].B else _root())
+        if kappa is not None:
+            values["cstar_over_alphaP"] = kappa
+            values["comparison_constant_over_alphaP"] = Fraction(3, 4)
+            values["cstar_vs_comparison_ratio"] = kappa / Fraction(3, 4)
+            values["alphaP"] = alphaP
+            values["cstar"] = kappa * alphaP
+        return outcome
 
     _ck(checks, "fundamental-cstar-derivation", _cstar)
-
-    def _harmonic():
-        prof = profile("fundamental", alphaP=alphaP)
-        (vals,) = _exact_sweep(prof, _rational_points(seed + 1), (ring.lap_e2f(),))
-        return all(v == 0 for v in vals), None, {"points": len(vals)}
-
-    _ck(checks, "profile-harmonic-exact", _harmonic)
+    _ck(checks, "profile-harmonic-exact", lambda: ring.held("profile-harmonic-exact", lambda: _vanishes(
+        _every_x(ring.lap_e2f(), "fundamental", ring.const("c")))))
 
 
 def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, overrides):
@@ -473,11 +463,10 @@ def _ball_7d(checks, values, *, name: str, dim: int, seed: int, config: dict, ov
     prof = profile("ball", absA2=absA2q)
 
     def _ball_equation():
-        pts = [(nums, 2 * q) for nums, q in _rational_points(seed)]  # halved, to keep |x| < 1
-        (vals,) = _exact_sweep(prof, pts, (ring.onshell_factor(rat(absA2q)),))
-        return all(v == 0 for v in vals), None, {"points": len(vals)}
+        absA2 = ring.const("absA2")
+        return _vanishes(_every_x(ring.onshell_factor(absA2), "ball", absA2 * rat(1, 4)))
 
-    _ck(checks, "ball-solves-instanton-equation", _ball_equation)
+    _ck(checks, "ball-solves-instanton-equation", lambda: ring.held("ball-solves-instanton-equation", _ball_equation))
 
     _ck(checks, "minus-instanton-factors", lambda: _minus_instanton_factors(geo), geo)
 
@@ -533,9 +522,10 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
         limit = tuple(tuple(x.substitute({_EPS: 0}) for x in row) for row in fam.coframe.A)
         return limit == direct.A + ((ring.ZERO,) * 3,) * (fam.coframe.dim - direct.dim), None, {"dim": direct.dim}
 
-    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, geo)
+    # a limit check reads both frames: held on the family under the direct frame's Geometry
+    _ck(checks, "contracted-coframe-equals-direct", _coframe_limit, fam, also=geo)
     _ck(checks, "contracted-torsion-equals-direct",
-        lambda: (specialised(fam.torsion, direct, {_EPS: 0}) == geo.torsion, None, {}), geo)
+        lambda: (specialised(fam.torsion, direct, {_EPS: 0}) == geo.torsion, None, {}), fam, also=geo)
 
     def _structure_limit():
         ok, bad = _forms_all_zero(geo.structure_residuals)
@@ -550,7 +540,7 @@ def _contraction(checks, values, *, name: str, dim: int, seed: int, config: dict
         r_direct = anomaly.held_gauge(geo, "DLambda", lam_direct).anomaly_residual
         return r_path == r_direct, None, {"terms": len(r_direct)}
 
-    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, geo)
+    _ck(checks, "contracted-anomaly-equals-direct", _residual_limit, fam, also=geo)
 
     def _decay():
         # the eps-order, the lowest power of eps over its terms, of each curvature coefficient of

@@ -268,20 +268,30 @@ def evaluate_reference(e, table) -> float:
     return total
 
 
-def evaluate_exact_reference(e, nums, D, e2f) -> Fraction:
-    """ring.evaluate_exact term by term in Fractions, in the order of e.terms, each symbol's value nums[sym] / D."""
+def evaluate_exact_reference(e, nums, N, e2f) -> Fraction:
+    """ring.evaluate_exact term by term in Fractions, in the order of e.terms: a jet of order m is
+    nums[sym] / N^m, a constant nums[sym], and e^{2f} is a / b for e2f = (a, b)."""
     total = Fraction(0)
     for coef, k, syms in e.monomials():
         if k % 2:
             raise ring.UnboundSymbol("odd e^{kf} power has no exact rational value")
-        val = coef * e2f ** (k // 2)
+        val = coef * Fraction(*e2f) ** (k // 2)
         try:
             for sym, power in syms:
-                val *= Fraction(nums[sym], D) ** power
+                val *= Fraction(nums[sym], N ** len(sym[1]) if ring.is_jet(sym) else 1) ** power
         except KeyError as exc:
             raise ring.UnboundSymbol(f"symbol {exc.args[0]} not bound") from None
         total += val
     return total
+
+
+def evaluate_exact_denominator(e, N, e2f) -> int:
+    """e.den * N^wmax * a^A * b^B: what ring.evaluate_exact's numerator on a table of elements is over,
+    with wmax the highest sum of order times power over a term's jets and h = k/2 running from -A to B."""
+    hw = [(k // 2, sum(len(sym[1]) * p for sym, p in syms if ring.is_jet(sym))) for _, k, syms in e.monomials()]
+    a, b = e2f
+    A, B = max(0, -min(h for h, _ in hw)), max(0, max(h for h, _ in hw))
+    return e.den * N ** max(w for _, w in hw) * a ** A * b ** B
 
 
 def ball_jets_reference(absA2, x) -> dict:

@@ -14,9 +14,8 @@ from call_counts import call_counts, count
 from nilforms import ring
 from nilforms.elliptic import half_period, weierstrass_p
 from nilforms.numeric import profile_points
-from nilforms.profiles import JETS, PROFILES, Admitted, BadParams, over_one_denominator, profile
+from nilforms.profiles import JETS, PROFILES, Admitted, BadParams, jets_at_every_x, over_one_denominator, profile
 from nilforms.ring import jet_sym, lap_e2f
-from nilforms.scenarios import _rational_points
 
 
 def _at(prof, x, want=JETS) -> dict:
@@ -229,30 +228,54 @@ def _exact_value(expr, at: dict, memo: dict) -> Fraction:
     return memo[expr]
 
 
+def _at_every_x(name: str, x, scale) -> tuple:
+    """jets_at_every_x of name, scale the constant s, put to the point x (centred at the origin) and s = scale:
+    (e^{2f}, {jet symbol: value}) as Fractions."""
+    (a, b), N, nums = jets_at_every_x(name, ring.const("s"))
+    at = {**{f"x{i}": v for i, v in zip(ring.COORDS, x)}, "s": scale}
+
+    def value(e):
+        return ring.coerce(e).substitute(at).as_fraction()
+
+    return value(a) / value(b), {sym: value(n) / value(N) ** len(sym[1]) for sym, n in nums.items()}
+
+
 @settings(max_examples=25, deadline=None)
 @given(absA2=_positive, c=_positive, center=st.tuples(*[_coord] * 4).filter(any),
        xb=st.tuples(*[_ball_coord] * 4), xf=st.tuples(*[_coord] * 4))
 def test_exact_jets_match_sympy_derivatives(absA2, c, center, xb, xf):
+    # at a rational point and at the symbolic point put to it: e^{2f} = a/b, and a jet of order m is its
+    # numerator over N^m
     assume(xf != center)
     x, x0, absA2_s, c_s, oracle = _sympy_oracle()
-    for name, prof, pt in (("ball", profile("ball", absA2=absA2), xb),
-                           ("fundamental", profile("fundamental", c=c, center=center), xf)):
+    for name, prof, pt, shifted, scale in (
+            ("ball", profile("ball", absA2=absA2), xb, xb, absA2 / 4),
+            ("fundamental", profile("fundamental", c=c, center=center), xf,
+             tuple(v - v0 for v, v0 in zip(xf, center)), c)):
         at = {absA2_s: absA2, c_s: c, **dict(zip(x, pt)), **dict(zip(x0, center))}
         memo: dict = {}
         g_s, d = oracle[name]
-        g, D, nums = _exact_at(prof, pt)
-        assert g == _exact_value(g_s, at, memo), name
-        assert {sym: Fraction(n, D) for sym, n in nums.items()} == {
-            jet_sym(*idx): _exact_value(e, at, memo) for idx, e in d.items()}, name
+        want_g = _exact_value(g_s, at, memo)
+        want = {jet_sym(*idx): _exact_value(e, at, memo) for idx, e in d.items()}
+        g, N, nums = _exact_at(prof, pt)
+        assert Fraction(*g) == want_g, name
+        assert {sym: Fraction(n, N ** len(sym[1])) for sym, n in nums.items()} == want, name
+        assert _at_every_x(name, shifted, scale) == (want_g, want), name
+
+
+_FIVE_POINTS = (  # rational points away from the origin, as (integer numerators, one denominator)
+    ((3432, 3744, 3960, 7722), 10296), ((108, 196, 63, 84), 252), ((1386, 1485, 1540, 1575), 3465),
+    ((630, 630, 630, 140), 1260), ((35, 56, 168, 160), 280),
+)
 
 
 @pytest.mark.parametrize("name, params, shrink", [("ball", {"absA2": 3}, 2), ("fundamental", {"c": 1}, 1)])
 def test_exact_jets_build_one_fraction_per_point(name, params, shrink):
-    # g alone: every jet is an int over the point's one denominator
+    # not even one: e^{2f} is a (numerator, denominator) pair and every jet an int over a power of N
     prof = profile(name, **params)
-    pts = [(nums, shrink * q) for nums, q in _rational_points(0)]  # the ball needs |x| < 1
+    pts = [(nums, shrink * q) for nums, q in _FIVE_POINTS]  # the ball needs |x| < 1
     calls = count(call_counts(lambda: [prof.jets_exact(x) for x in pts]), Fraction.__new__)
-    assert calls <= len(pts)
+    assert calls == 0
 
 
 # ---------------------------------------------------------------------------

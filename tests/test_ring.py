@@ -420,25 +420,24 @@ def test_evaluate_raises_for_f_under_an_exponential_before_and_after_the_plan():
 
 def test_evaluate_exact_returns_fractions():
     x = expf(-2) * const("a") + rat(1, 3)
-    v = evaluate_exact(x, {ring.const_sym("a"): 5}, 1, Fraction(9, 4))
+    v = evaluate_exact(x, {ring.const_sym("a"): 5}, 1, (9, 4))
     assert v == Fraction(5) * Fraction(4, 9) + Fraction(1, 3)
     assert isinstance(v, Fraction)
 
 
 def test_evaluate_exact_rejects_odd_exponential_powers():
     with pytest.raises(UnboundSymbol):
-        evaluate_exact(expf(1), {}, 1, Fraction(4))
+        evaluate_exact(expf(1), {}, 1, (4, 1))
     # even powers are fine: e^{2kf} = (e^{2f})^k
-    assert evaluate_exact(expf(4), {}, 1, Fraction(3)) == Fraction(9)
+    assert evaluate_exact(expf(4), {}, 1, (3, 1)) == Fraction(9)
 
 
 def test_evaluate_exact_missing_symbol_raises():
     with pytest.raises(UnboundSymbol):
-        evaluate_exact(const("missing"), {}, 1, Fraction(1))
+        evaluate_exact(const("missing"), {}, 1, (1, 1))
 
 
 _exact_atoms = st.sampled_from([const("a"), const("b"), jet(1), jet(2, 3), jet(1, 1, 4), jet()])
-_exact_values = st.fractions(min_value=-9, max_value=9, max_denominator=40)
 _exact_numerators = st.integers(-360, 360)
 
 
@@ -459,35 +458,41 @@ def exact_exprs(draw, odd: bool):
 @given(data=st.data(), odd=st.booleans())
 def test_evaluate_exact_matches_the_term_by_term_walk(data, odd):
     # the integer sums against the Fraction walk they replaced: equal values, or
-    # the same UnboundSymbol for a missing symbol or an odd k
+    # the same UnboundSymbol for a missing symbol or an odd k; a jet of order m is
+    # its int over N^m, a constant its int, and e^{2f} a pair not in lowest terms
     e = data.draw(exact_exprs(odd))
     syms = sorted(e.symbols())
     nums = dict(zip(syms, data.draw(st.lists(_exact_numerators, min_size=len(syms), max_size=len(syms)))))
-    D = data.draw(st.integers(1, 40))
+    N = data.draw(st.integers(1, 40))
     missing = data.draw(st.sampled_from([None, *syms]))
     if missing is not None:
         del nums[missing]
-    e2f = data.draw(_exact_values.filter(bool))
+    e2f = data.draw(st.tuples(_exact_numerators.filter(bool), st.integers(1, 40)))
     try:
-        want = naive_forms.evaluate_exact_reference(e, nums, D, e2f)
+        want = naive_forms.evaluate_exact_reference(e, nums, N, e2f)
     except UnboundSymbol as exc:
         for _ in range(2):  # the first call and one on the plan it keeps
             with pytest.raises(UnboundSymbol) as got:
-                evaluate_exact(e, nums, D, e2f)
+                evaluate_exact(e, nums, N, e2f)
             assert str(got.value) == str(exc)
         return
     for _ in range(2):
-        got = evaluate_exact(e, nums, D, e2f)
+        got = evaluate_exact(e, nums, N, e2f)
         assert type(got) is Fraction and got == want
+    # the same route on ring elements: the numerator over e.den * N^wmax * a^A * b^B, as an element
+    table = {sym: rat(n) for sym, n in nums.items()}
+    num = evaluate_exact(e, table, rat(N), tuple(map(rat, e2f)))
+    if e:
+        assert type(num) is CoefExpr and num.as_fraction() == want * naive_forms.evaluate_exact_denominator(e, N, e2f)
 
 
 def test_evaluate_exact_builds_one_fraction_per_call():
     e = p_laplacian4() * rat(3, 7) + hessian2() * expf(-2) * const("a") + flat_laplacian(expf(2)) * rat(-1, 5)
     x = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 7))
-    g, D, nums = profile("fundamental", c=3).jets_exact(over_one_denominator(x))
-    nums = {sym: 3 * n for sym, n in nums.items()}  # over 3D, with a = -2/3
-    nums[ring.const_sym("a")] = -2 * D
-    assert count(call_counts(lambda: [evaluate_exact(e, nums, 3 * D, g) for _ in range(5)]), Fraction.__new__) == 5
+    g, N, nums = profile("fundamental", c=3).jets_exact(over_one_denominator(x))
+    nums = {sym: 3 ** len(sym[1]) * n for sym, n in nums.items()}  # over powers of 3N, with a = -2
+    nums[ring.const_sym("a")] = -2
+    assert count(call_counts(lambda: [evaluate_exact(e, nums, 3 * N, g) for _ in range(5)]), Fraction.__new__) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,8 @@ def test_positive_scenario_values(reports):
     for name in ("thm-7d-positive", "thm-5d-positive"):
         v = reports[name].values
         assert v["absB2"] == Fraction(0)
-        assert v["lap_e_m2f_c1"] == Fraction(8)
-        assert v["cstar_over_alphaP"] == Fraction(3)
+        assert "lap_e_m2f_c1" not in v
+        assert v["cstar_over_alphaP"] == Fraction(3)  # kappa, read off the numerator for every x
         assert v["comparison_constant_over_alphaP"] == Fraction(3, 4)
         assert v["cstar_vs_comparison_ratio"] == Fraction(4)
         assert v["cstar"] == 3 * v["alphaP"]
@@ -147,6 +147,37 @@ def test_a_contraction_report_reads_no_seed(name):
     a, b = (json.loads(run_scenario(name, seed=seed).to_json()) for seed in (0, 12345))
     assert (a.pop("seed"), b.pop("seed")) == (0, 12345)
     assert a == b
+
+
+@pytest.mark.parametrize("name", ["thm-7d-positive", "thm-5d-positive"])
+def test_a_positive_report_reads_no_seed(name):
+    # its exact checks hold for every x, so no sample point is drawn
+    a, b = (json.loads(run_scenario(name, seed=seed).to_json()) for seed in (0, 12345))
+    assert (a.pop("seed"), b.pop("seed")) == (0, 12345)
+    assert a == b
+    for cid in ("fundamental-cstar-derivation", "profile-harmonic-exact"):
+        assert next(c for c in a["checks"] if c["id"] == cid)["details"]["points"] == "every x"
+
+
+@pytest.mark.parametrize("name, config, cstar", [
+    ("thm-7d-positive", {"alphaP": "1/3"}, 1),
+    ("thm-7d-positive", {"A": [[1, 2, 0], [0, 1, 0], [0, 0, 3]], "B": [[1, 0, 0], [0, 0, 0], [0, 1, 0]]},
+     Fraction(13, 5)),
+], ids=["alphaP-third", "7d-A-and-B"])
+def test_cstar_is_the_root_of_the_numerator_for_every_x(name, config, cstar):
+    # c* = 3 alphaP (|A|^2 - |B|^2) / |A|^2, with no hand-written solve
+    v = run_scenario(name, config=config).values
+    assert v["cstar"] == cstar and v["cstar"] == v["cstar_over_alphaP"] * v["alphaP"]
+    assert v["cstar_vs_comparison_ratio"] == v["cstar_over_alphaP"] / Fraction(3, 4)
+
+
+def test_a_config_B_after_a_default_report_reads_its_own_cstar():
+    # the outcome is held on the numeric frame under B's rows, so a second B on the same
+    # (held) frame derives its own root
+    assert run_scenario("thm-5d-positive").values["cstar"] == 3
+    rep = run_scenario("thm-5d-positive", config={"B": [1, 0, 0], "alphaP": 2})
+    assert rep.passed and rep.values["cstar"] == 4
+    assert run_scenario("thm-5d-positive").values["cstar"] == 3
 
 
 def test_rank_two_override_fails_by_design():
@@ -211,21 +242,21 @@ def test_report_serialization_is_deterministic():
 # concatenated seed-major: a change meant to keep behaviour keeps every byte
 GOLDEN_SHA256 = {
     (0, "thm-7d-negative"): "ae63e2bd402dcaf069b74ccf3db0d39b270c38b616ac4213b9ffc2fdd8d1272f",
-    (0, "thm-7d-positive"): "020e5c528921a7796e2e679e139522ab7dcbe9b932dc4a5e73933bb6ca26f6a9",
-    (0, "ball-7d"): "e6f13e2e4c699b3fe61175faa4c2a3384ab4ffaef3ebfcacbc66cfc56c4169c1",
+    (0, "thm-7d-positive"): "1579adcc846653aac4c26075b91d1cde5e1a6ecdc1f651723e55d494f8bfdc81",
+    (0, "ball-7d"): "f45138e9304db248be3e6b34c165d8f7dc6e87c7bd92bea23ff6074c54e4af41",
     (0, "thm-5d-negative"): "3e7890685481fe6b9eb7bffac54cd289249a2ad0b3106f1459aa81edab33c4bb",
-    (0, "thm-5d-positive"): "899b4f7678914483dc5315b55d147644861b2577b69979bd1c7b0e2c2d165e0c",
+    (0, "thm-5d-positive"): "6f9a75bb7c0369d5b5ed1df685f1f0fc07993104f43c84fd97cb5867fab2e4f8",
     (0, "contraction-6d"): "fd571b9f99bf7337da49ece56a71f023fad0d9ab386123858c9868a04465d8d5",
     (0, "contraction-5d"): "dcb6f2a4fc6d142be40a08aff7df77bafcc315748c55ec61c363e14f0cfc0443",
     (1, "thm-7d-negative"): "d08e3034329472b04b707fbc942753fded3ed124a95cf13d5ef0f9a652ba0748",
-    (1, "thm-7d-positive"): "a2946d624bd720b448038720bed664f2d63abfc73b963e6bd355f852ba842c5d",
-    (1, "ball-7d"): "77dca150fc1b926e373d72a6c05eb880db05fab0dd47cd265f12e7c664279429",
+    (1, "thm-7d-positive"): "95368a824a66e2f5827aa231f77df896a842a11d8661d5280024fefa4e753e0a",
+    (1, "ball-7d"): "7212b38735ee3dc64b544a51043c09af4e8ec0a665f7b5d9df1cce52919bd706",
     (1, "thm-5d-negative"): "4f89061477130d9fa3524a960243dbffacbe14846bf2cddeb29cfc1d5b49a4a2",
-    (1, "thm-5d-positive"): "529c3d8e2024ef9de900c1b77ce1842c2e8bbfdaabd32e7b0856204c1ec95fa1",
+    (1, "thm-5d-positive"): "8db8e562fc934ea3d6511577bfbe23d591c8145609cad89155f85cbda8c9ec35",
     (1, "contraction-6d"): "52f17b76f00b76aa1bcbee9d67b32b15e7cede363456baae1aabc5d7525651e3",
     (1, "contraction-5d"): "56279a4e68587c9ccfdd09ca36e2e0446a39d9387bc66822019b04bdfe3214d6",
 }
-GOLDEN_SHA256_ALL = "e2b00b16014c55bb1f90e1414faf9867ca0f02d89a8f72f744fbffb3c48b2101"
+GOLDEN_SHA256_ALL = "062d5eecc31ed0562a04203de730cf2692b118884be75f186a0606768c52037d"
 
 
 def test_reports_are_byte_identical_to_the_golden_digests():
@@ -244,23 +275,23 @@ def test_reports_are_byte_identical_to_the_golden_digests():
 # the sweeps' sample points depend on the seed: two more seeds, and the designed failure at each
 GOLDEN_SHA256_MORE = {
     (5, "thm-7d-negative"): "c8fd95a102bf4b333fada700e171d13c2d43830f945478bf8326f6652511051e",
-    (5, "thm-7d-positive"): "589a49c00ea860c510a06497622fe05588da2eb03b7c2d579478a9a9ecf8add8",
-    (5, "ball-7d"): "25492f7497a2009762b43c94cb7947b473f209583fcfbdc0302907c1854e6037",
+    (5, "thm-7d-positive"): "0b1d32f62f7170bca2adeac346e6951181cb40b05eb12e3f3cd74c3aeea1897f",
+    (5, "ball-7d"): "9c903c61f66e5ec7ba95b25c439d498287f4496fe209e10376d20c0e99c682d8",
     (5, "thm-5d-negative"): "f67207313c7ff13dfadfb62cc9abf25a7301d84c9754f7af0d5f461d7021cd62",
-    (5, "thm-5d-positive"): "09245da280ab931bb52aa707fa43e8387c232ed2151d4a9a5825ccf70beeb689",
+    (5, "thm-5d-positive"): "e65b066e6b8461e860b821e1c03ba617391a39782d4f002a5686f34cb28c802c",
     (5, "contraction-6d"): "0ca4c57e95d0836fb6e5cf64a6c0ae7615c7eb99cc4e1682a970052fcb8a2a28",
     (5, "contraction-5d"): "12b2acb27839126b11f432a6f8910e4143f02aa4e7271ffc4650acba958777ae",
     (5, "thm-7d-negative+rank2-lambda"): "9234138780055b0f4299c0af5f53e8c7521dd14f1a476ebb86829bcd2b9282b2",
     (12345, "thm-7d-negative"): "444336271683a3f7b90bacf50082ada2f6ed32d2ea8dac52b56c223538f3a132",
-    (12345, "thm-7d-positive"): "276c804394e90f3c10921208e8c11f3742bb02493e6bdb40e486d3c918f7f777",
-    (12345, "ball-7d"): "d0a37f406932c7ec76d2d44969cc9b54e9ff76d00a42176c69ebaaf01c2ae8a6",
+    (12345, "thm-7d-positive"): "50ececb6265982249c268f006a084706ebbc2a39f512fed719ed96b2a8a05859",
+    (12345, "ball-7d"): "6408af3d708ffbd2919bb1ecb39e82cbdd374fae7ab5bf2b833b11e0240fda49",
     (12345, "thm-5d-negative"): "9be79cfbfba86a9c62bb790e1dc371d0b02438e5e83a6127c749af28460a4cda",
-    (12345, "thm-5d-positive"): "91dfe63f10966e915370f69a72075e314a0b243505e2db69ca9c0e1523b5a9be",
+    (12345, "thm-5d-positive"): "0df5cc46b8e58d688a6564b68542bd1c8fe16a345f6742cca6507aeabef8d1c3",
     (12345, "contraction-6d"): "15c725004428f6b3454940836e97ce872cf6402dd3b6f128e7ea95bb01eb27d2",
     (12345, "contraction-5d"): "5b89fb7641b44583f9edd34c93fd52840ea41c185a98696cd3d8fdc5681d7a86",
     (12345, "thm-7d-negative+rank2-lambda"): "942277593f507d2dca4c7a7e6a219db4ca54303baa42f2da32c2586b11abc708",
 }
-GOLDEN_SHA256_MORE_ALL = "2fb52e0f817c00a3539a8b4fd3f5d0b537ed43e15f9864347e9747b49b647dca"
+GOLDEN_SHA256_MORE_ALL = "e6e13f991f13c3c04c429680ec68c9ce35a476c02bd292c909aa5ac31a27cf43"
 
 
 def test_reports_at_two_more_seeds_are_byte_identical_to_their_digests():
@@ -342,8 +373,8 @@ def _calls(name: str, fn) -> int:
 DERIVATION_BUDGET = {
     "thm-7d-negative": (2, 4, 2, 64),
     "thm-5d-negative": (2, 4, 2, 64),
-    "thm-7d-positive": (1, 3, 2, 0),
-    "thm-5d-positive": (1, 3, 2, 0),
+    "thm-7d-positive": (1, 3, 1, 0),
+    "thm-5d-positive": (1, 3, 1, 0),
     "ball-7d": (2, 2, 0, 80),
     "contraction-6d": (2, 4, 2, 0),
     "contraction-5d": (2, 4, 2, 0),
@@ -418,19 +449,19 @@ def test_a_warm_round_evaluates_each_distinct_element_once_up_to_sign():
 
 # the bodies of the seed-free checks, whose outcomes are held with the frame or gauge they read
 SEED_FREE_BODIES = (scenarios._all_zero, scenarios._forms_all_zero, scenarios._integrable_pure,
-                    scenarios._torsion_chain, scenarios._factor_through, scenarios._closed_form)
+                    scenarios._torsion_chain, scenarios._factor_through, scenarios._closed_form,
+                    scenarios._every_x)
 
 
 def test_a_warm_round_reruns_no_seed_free_check():
-    # so a round at a new seed makes 7,618 Python calls and builds 145 Fractions (an exact
-    # table's jets are ints, g its one Fraction, a rational sample point is ints over one
-    # denominator, and an int fundamental c or centre stays an int), the same on a repeat; the
+    # so a round at a new seed makes 3,327 Python calls and builds 46 Fractions, the same on a
+    # repeat, and evaluates no exact table (no exact check reads the seed); the
     # cyclic collector is off, since the finalizers it runs on other tests' garbage would count too;
     # two warm-up rounds at two seeds, since a substitution plan is kept from its slot set's second call
     for seed in (0, 1):
         for name in SCENARIOS:
             run_scenario(name, seed=seed)
-    rounds, fractions = [], []
+    rounds, fractions, exact_calls = [], [], []
     gc.collect()
     gc.disable()
     try:
@@ -441,10 +472,12 @@ def test_a_warm_round_reruns_no_seed_free_check():
             assert not any(got.values()), got
             rounds.append(sum(counts.values()))
             fractions.append(count(counts, Fraction.__new__))
+            exact_calls.append(count(counts, ring.evaluate_exact))
     finally:
         gc.enable()
-    assert rounds[0] <= 7_700 and rounds[1] == rounds[0]
-    assert 0 < fractions[0] <= 145 and fractions[1] == fractions[0]
+    assert rounds[0] <= 3_350 and rounds[1] == rounds[0]
+    assert 0 < fractions[0] <= 46 and fractions[1] == fractions[0]
+    assert exact_calls == [0, 0]  # the exact checks hold for every x, so their outcomes are held
 
 
 @pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
@@ -496,7 +529,7 @@ def test_a_cold_round_holds_seven_geometries_and_stays_within_its_call_budget():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     held, calls = json.loads(proc.stdout)
-    assert held == 7 and calls <= 231_500, (held, calls)  # measured 231,085
+    assert held == 7 and calls <= 212_750, (held, calls)  # measured 212,481
 
 
 def test_a_contraction_against_a_wrong_direct_frame_fails_its_limit_checks(monkeypatch):
@@ -531,6 +564,70 @@ def test_a_family_whose_dropped_legs_do_not_decay_linearly_fails_the_decay_check
     decay = next(c for c in rep.checks if c.id == "dropped-leg-curvature-decay")
     assert decay.status == "fail" and not rep.passed
     assert decay.details["coefficients"] > 0 and decay.details["lowest_order"] == lowest
+
+
+_LIMIT_CHECKS = ("contracted-coframe-equals-direct", "contracted-torsion-equals-direct",
+                 "contracted-anomaly-equals-direct")
+
+
+@pytest.mark.parametrize("name", ["contraction-6d", "contraction-5d"])
+def test_a_limit_outcome_is_held_on_both_frames_it_reads(monkeypatch, name):
+    # a default report holds the limit outcomes; a family planted next, eps -> 1 + eps, meets the
+    # same held direct frame and must read its own outcomes, which fail, with nothing cleared
+    assert run_scenario(name).passed
+    t = scenarios._CONTRACTIONS[scenarios._BODIES[name][1]]
+    planted, held = geometry(build_coframe(t.family, eps=ring.const("eps") + 1)), scenarios.catalogue_geometry
+    monkeypatch.setattr(scenarios, "catalogue_geometry",
+                        lambda cid, **params: planted if cid == t.family else held(cid, **params))
+    status = {c.id: c.status for c in run_scenario(name).checks}
+    assert [status[cid] for cid in _LIMIT_CHECKS] == ["fail"] * 3
+    monkeypatch.undo()
+    status = {c.id: c.status for c in run_scenario(name).checks}
+    assert [status[cid] for cid in _LIMIT_CHECKS] == ["pass"] * 3
+
+
+def _run_planted(monkeypatch, name: str, mutate) -> CheckResult:
+    """run_scenario(name) with the element of each every-x check replaced by mutate(element, profile name),
+    with no outcome held before or after."""
+    every_x = scenarios._every_x
+    monkeypatch.setattr(scenarios, "_every_x", lambda e, prof, scale: every_x(mutate(e, prof), prof, scale))
+    monkeypatch.setattr(ring, "_HELD", {})  # the outcomes held for the process
+    catalogue_geometry.cache_clear()  # and those held on the numeric frame
+    try:
+        return run_scenario(name)
+    finally:
+        catalogue_geometry.cache_clear()
+
+
+def _reads_alphaP(e) -> bool:
+    return ring.const_sym("alphaP") in e.symbols()
+
+
+@pytest.mark.parametrize("name, cid, mutate", [
+    # 2 (2|A|^2) in the on-shell factor
+    ("ball-7d", "ball-solves-instanton-equation", lambda e, prof: e + 2 * ring.const("absA2")),
+    # lap e^{-2f}, which is 8/c there, in place of lap e^{2f}
+    ("thm-7d-positive", "profile-harmonic-exact",
+     lambda e, prof: ring.lap_e_m2f() if e == ring.lap_e2f() else e),
+    # alphaP f11 added to the residual: no c is a root
+    ("thm-5d-positive", "fundamental-cstar-derivation",
+     lambda e, prof: e + ring.const("alphaP") * ring.jet(1, 1) if _reads_alphaP(e) else e),
+    ("thm-7d-positive", "fundamental-cstar-derivation",
+     lambda e, prof: e + ring.const("alphaP") * ring.jet(1, 1) if _reads_alphaP(e) else e),
+], ids=["ball-double-absA2", "harmonic-lap-e-m2f", "cstar-5d-plus-f11", "cstar-7d-plus-f11"])
+def test_a_planted_mutation_fails_its_every_x_check(monkeypatch, name, cid, mutate):
+    # fail, never error: the mutated identity has a nonzero numerator, or no positive root
+    check = next(c for c in _run_planted(monkeypatch, name, mutate).checks if c.id == cid)
+    assert check.status == "fail" and check.details["numerator_terms"] > 0
+
+
+@pytest.mark.parametrize("name", ["thm-7d-positive", "thm-5d-positive"])
+def test_cstar_checked_at_twice_its_root_fails(monkeypatch, name):
+    kappa = scenarios._cstar_over_alphaP
+    monkeypatch.setattr(scenarios, "_cstar_over_alphaP", lambda numerator: 2 * kappa(numerator))
+    rep = _run_planted(monkeypatch, name, lambda e, prof: e)
+    check = next(c for c in rep.checks if c.id == "fundamental-cstar-derivation")
+    assert check.status == "fail" and rep.values["cstar"] == 6
 
 
 def test_a_config_frame_sweep_is_freed_with_its_report(monkeypatch):
@@ -706,19 +803,23 @@ def _holds(geo, gauge) -> bool:
 
 def test_a_family_frame_holds_its_two_residuals_and_no_symbolic_rows_gauge():
     # a family residual is built from a Gauge of symbolic rows that is not kept: after a cold
-    # round a family frame holds both residuals, and its only Gauges are its theorem's table
-    # gauges and, on h21, the direct frame of contraction-5d, that contraction's table Lambda
+    # round a family frame holds the D_Lambda residual its numeric negative gauges are read off
+    # and no D_B one, since c* reads the symbolic frame's D_B residual at the numeric frame's
+    # numbers; its only Gauges are its theorem's table gauges and, on h21, the direct frame of
+    # contraction-5d, that contraction's table Lambda.  A drawn D_B residual builds the other
     catalogue_geometry.cache_clear()
     for name in SCENARIOS:
         run_scenario(name, seed=0)
     for dim, cid in FREE_FRAME.items():
         geo = catalogue_geometry(cid)
-        for kind in ("DLambda", "DB"):
-            assert isinstance(geo.held[("family-residual", kind)], CoefExpr)
+        assert isinstance(geo.held[("family-residual", "DLambda")], CoefExpr)
+        assert ("family-residual", "DB") not in geo.held
         th = scenarios._THEOREMS[dim]
         tables = [("DLambda", th.lam), ("DB", th.B)] + [("DLambda", [[1], [2], [0]])] * (cid == "h21")
         gauges = [g for g in geo.held.values() if isinstance(g, Gauge)]
         assert sorted(map(id, gauges)) == sorted(id(anomaly.held_gauge(geo, kind, rows)) for kind, rows in tables)
+        _drawn_residual(random.Random(dim), 1 if dim == 7 else 3)  # a D_B gauge on a drawn frame of this family
+        assert isinstance(geo.held[("family-residual", "DB")], CoefExpr)
 
 
 def _drawn_residual(rng: random.Random, k: int) -> None:
@@ -774,15 +875,16 @@ def test_a_config_frame_is_not_held_and_is_freed_with_its_report(monkeypatch):
         rep = run_scenario("thm-5d-positive", config={"A": [[1, 2, 0]]})
         assert rep.passed and len(refs) == 1 and specialised == [True]
         assert _held_set() == held
-        # the default B's gauge on the config frame is kept in that frame's Geometry, and both are freed
-        assert kept == [True, True] and refs[0]() is None and gauge_refs[1]() is None
+        # the default B's gauge is the symbolic frame's, held there; the config frame, which holds
+        # the c* outcome under B's rows, is freed
+        assert kept == [True] and refs[0]() is None and gauge_refs[0]() is not None
         # a config gauge on the default (held) frames: the report's own, freed with it
-        for name, config in (("thm-7d-negative", {"lam": [[2, 0, 0], [1, 0, 0], [0, 0, 0]]}),
-                             ("thm-7d-positive", {"B": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]})):
+        for name, config, gauges in (("thm-7d-negative", {"lam": [[2, 0, 0], [1, 0, 0], [0, 0, 0]]}, 2),
+                                     ("thm-7d-positive", {"B": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}, 1)):
             gauge_refs.clear()
             rep = run_scenario(name, config=config)
             assert rep.passed, [(c.id, c.status) for c in rep.checks if c.status != "pass"]
-            assert len(gauge_refs) == 2 and all(ref() is None for ref in gauge_refs)
+            assert len(gauge_refs) == gauges and all(ref() is None for ref in gauge_refs)
             assert _held_set() == held
         # drawn frames and gauges are never held, and the family residuals they are
         # read off, one per family and kind, are held without a Gauge
